@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetCapError, DimensionMismatchError
-from .graph import INTERNAL, SOURCE, TARGET, AffineMap, Arrow, LogicalGraph, evaluate
+from .graph import (  # noqa: F401  evaluate stays importable from this module
+    INTERNAL, SOURCE, TARGET, AffineMap, Arrow, LogicalGraph, evaluate, evaluate_batch)
 
 FALLBACK = "*"
 
@@ -339,13 +340,11 @@ def chart_family(grid: LabeledGrid, eps0: float, depth: int,
 
 def mismatch_measure(result: Approximation, grid: LabeledGrid) -> Tuple[float, float]:
     """(wrongly labeled, fallback) measures over labeled cells, by centers."""
+    labeled = grid.labeled_mask()
+    centers = grid.center(np.argwhere(labeled))
     wrong = 0
     star = 0
-    for idx in np.ndindex(*grid.resolution):
-        truth = grid.labels[idx]
-        if truth is None:
-            continue
-        got = evaluate(result.graph, grid.center(idx))
+    for got, truth in zip(evaluate_batch(result.graph, centers), grid.labels[labeled]):
         if got == FALLBACK:
             star += 1
         elif got != truth:

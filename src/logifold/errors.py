@@ -39,6 +39,10 @@ class PathExplosionError(LogifoldError):
     pass
 
 
+class NonFinitePointError(LogifoldError):
+    """A point to evaluate has a NaN or infinite coordinate."""
+
+
 # -- compilation -----------------------------------------------------------
 
 class GuardExplosionError(LogifoldError):

@@ -148,9 +148,15 @@ def _combine(p: Constraint, q: Constraint, j: int, hist) -> Constraint:
     return Constraint(coeffs, mp * p.offset + mq * q.offset, p.strict or q.strict, hist)
 
 
-def _eliminate(rows, n):
+def _eliminate(rows, n, history_cap: bool = True):
     """Full elimination. Returns (stages, contradiction) where stages records,
-    per eliminated variable, the rows that mentioned it."""
+    per eliminated variable, the rows that mentioned it.
+
+    With `history_cap`, derived rows with more than eliminated + 1 ancestors
+    are dropped.  Every contradiction found is still a consequence of the
+    input, but the cap can drop a row a refutation needs, so a feasible
+    outcome must be confirmed by checking the back-substituted point.
+    """
     cur, bad = _simplify(
         Constraint(r.coeffs, r.offset, r.strict, frozenset((i,)))
         for i, r in enumerate(rows))
@@ -179,7 +185,7 @@ def _eliminate(rows, n):
         for p in P:
             for q in N:
                 h = p.hist | q.hist
-                if len(h) <= cap:
+                if not history_cap or len(h) <= cap:
                     nxt.append(_combine(p, q, j, h))
         cur, bad = _simplify(nxt)
         if bad:
@@ -217,6 +223,25 @@ def _back_substitute(stages, n) -> tuple:
             val = lo
         point[j] = val
     return tuple(point)
+
+
+def _fm_verdict(constraints, n):
+    """(witness, None) or (None, contradiction) by elimination.
+
+    The history-capped elimination runs first; its back-substituted point is
+    trusted only if it satisfies every input row.  Otherwise the cap dropped
+    a row the refutation needs, and the uncapped elimination decides.
+    """
+    rows = list(constraints)
+    for history_cap in (True, False):
+        stages, bad = _eliminate(rows, n, history_cap)
+        if bad:
+            return None, bad
+        point = _back_substitute(stages, n)
+        if all(satisfies(c, point) for c in rows):
+            return point, None
+    raise ArithmeticError(f"uncapped elimination back-substituted {point}, "
+                          "which breaks an input row")
 
 
 def _lp_candidate(constraints, n):
@@ -265,10 +290,7 @@ def find_witness(constraints: Sequence[Constraint], n: int, dim_budget: int = DI
     cand = _lp_candidate(constraints, n)
     if cand is not None and all(satisfies(c, cand) for c in constraints):
         return tuple(cand)
-    stages, bad = _eliminate(list(constraints), n)
-    if bad:
-        return None
-    return _back_substitute(stages, n)
+    return _fm_verdict(constraints, n)[0]
 
 
 def check_system(constraints: Sequence[Constraint], n: int, dim_budget: int = DIM_BUDGET) -> Verdict:
@@ -279,10 +301,8 @@ def check_system(constraints: Sequence[Constraint], n: int, dim_budget: int = DI
     cand = _lp_candidate(constraints, n)
     if cand is not None and all(satisfies(c, cand) for c in constraints):
         return Verdict(True, tuple(cand), None)
-    stages, bad = _eliminate(list(constraints), n)
-    if bad:
-        return Verdict(False, None, bad)
-    return Verdict(True, _back_substitute(stages, n), None)
+    witness, bad = _fm_verdict(constraints, n)
+    return Verdict(witness is not None, witness, bad)
 
 
 def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),

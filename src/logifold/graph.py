@@ -14,6 +14,7 @@ contributing.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -27,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     IncompleteRoutingError,
     MultipleSourcesError,
+    NonFinitePointError,
     PathExplosionError,
     UnknownSignVectorError,
 )
@@ -77,12 +79,19 @@ class AffineMap:
         return self.matrix[i].tolist(), float(self.offset[i])
 
 
+def _require_finite(x: np.ndarray):
+    """NaN compares false with every row and would silently route as '-'."""
+    if not np.isfinite(x).all():
+        raise NonFinitePointError("points must be finite; got a NaN or infinite coordinate")
+
+
 def sign_vector(guard: AffineMap, x: np.ndarray) -> str:
     """Sign string of the guard at x; entry i is '+' iff row i(x) >= 0."""
     x = np.asarray(x, dtype=float)
     if x.shape != (guard.dim,):
         raise DimensionMismatchError(
             f"point has shape {x.shape}, guard expects ({guard.dim},)")
+    _require_finite(x)
     vals = guard(x)
     return "".join("+" if v >= 0 else "-" for v in vals)
 
@@ -153,6 +162,30 @@ class LogicalGraph:
         return self.arrows[out[0]]
 
 
+def _topological_order(g: LogicalGraph):
+    """Kahn's algorithm, smallest ready vertex id first.
+
+    Returns (order, stuck): `stuck` lists the vertices left on a cycle, empty
+    iff `order` holds every vertex.
+    """
+    indeg = dict(g.in_degree)
+    queue = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(queue)
+    order = []
+    while queue:
+        v = heapq.heappop(queue)
+        order.append(v)
+        for aid in g.out_arrows[v]:
+            w = g.arrows[aid].dst
+            if w not in indeg:
+                raise DanglingVertexError(f"arrow {aid!r} references missing vertex {w!r}")
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(queue, w)
+    stuck = sorted(v for v, d in indeg.items() if d > 0)
+    return order, stuck
+
+
 def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> ValidationReport:
     """Structural audit: acyclicity, single source, routing totality, labels.
 
@@ -181,21 +214,8 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
         if g.in_degree[v] != 0:
             err(MultipleSourcesError(f"source {v!r} has incoming arrows"))
 
-    # Kahn's algorithm for the topological order
-    indeg = dict(g.in_degree)
-    queue = sorted(v for v, d in indeg.items() if d == 0)
-    order = []
-    while queue:
-        v = queue.pop(0)
-        order.append(v)
-        for aid in g.out_arrows[v]:
-            w = g.arrows[aid].dst
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-        queue.sort()
-    if len(order) != len(g.vertices):
-        stuck = sorted(v for v, d in indeg.items() if d > 0)
+    order, stuck = _topological_order(g)
+    if stuck:
         err(CyclicGraphError(f"cycle through vertices {stuck}"))
     else:
         rep.topo_order = order
@@ -306,6 +326,7 @@ def evaluate(g: LogicalGraph, x) -> object:
     if x.shape != (g.input_dim,):
         raise DimensionMismatchError(
             f"point has shape {x.shape}, graph expects ({g.input_dim},)")
+    _require_finite(x)
     v = g.source
     seen = 0
     while g.vertices[v] != TARGET:
@@ -317,39 +338,69 @@ def evaluate(g: LogicalGraph, x) -> object:
 
 
 def evaluate_batch(g: LogicalGraph, X) -> list:
-    """Vectorized walk for many points: labels in input order."""
+    """Vectorized walk for many points: labels in input order.
+
+    One pass over the vertices in topological order visits each vertex once
+    per call, with every point that reached it.  A guard packs each point's
+    signs into an integer code and looks up the route once per distinct
+    code, so points that reach the same vertex by different arrows move on
+    together.  A cyclic graph raises `CyclicGraphError`.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != g.input_dim:
         raise DimensionMismatchError(
             f"points have shape {X.shape}, graph expects (m, {g.input_dim})")
-    m = X.shape[0]
-    out: list = [None] * m
-    pending = [(g.source, np.arange(m))]
-    while pending:
-        v, idx = pending.pop()
-        if g.vertices[v] == TARGET:
-            label = g.target_labels[v]
-            for i in idx:
-                out[i] = label
+    _require_finite(X)
+    order, stuck = _topological_order(g)
+    if stuck:
+        raise CyclicGraphError(f"cycle through vertices {stuck}")
+    targets = [v for v in order if g.vertices[v] == TARGET]
+    target_slot = {v: k for k, v in enumerate(targets)}
+    slot_labels = np.empty(len(targets), dtype=object)
+    for k, v in enumerate(targets):
+        slot_labels[k] = g.target_labels[v]  # item-wise, so tuple labels stay whole
+    point_slot = np.empty(X.shape[0], dtype=np.intp)
+    reached: Dict[str, List[np.ndarray]] = {g.source: [np.arange(X.shape[0])]}
+    for v in order:
+        parts = reached.pop(v, None)
+        if parts is None:
             continue
-        if v in g.guards:
-            guard = g.guards[v]
-            vals = guard.matrix @ X[idx].T + guard.offset[:, None]
-            signs = vals >= 0
-            keys = ["".join("+" if b else "-" for b in signs[:, j]) for j in range(len(idx))]
-            groups: Dict[str, list] = {}
-            for j, k in enumerate(keys):
-                groups.setdefault(k, []).append(idx[j])
-            for k, members in groups.items():
-                aid = g.routing.get(v, {}).get(k)
-                if aid is None:
-                    raise UnknownSignVectorError(
-                        f"vertex {v!r} has no route for sign vector {k!r}")
-                pending.append((g.arrows[aid].dst, np.asarray(members)))
-        else:
-            (aid,) = g.out_arrows[v]
-            pending.append((g.arrows[aid].dst, idx))
-    return out
+        idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if v in target_slot:
+            point_slot[idx] = target_slot[v]
+        elif v in g.guards:
+            for dst, members in _route_guard(g, v, X, idx):
+                reached.setdefault(dst, []).append(members)
+        else:  # an unguarded vertex ignores the point
+            reached.setdefault(g.next_arrow(v, None).dst, []).append(idx)
+    return slot_labels[point_slot].tolist()
+
+
+def _route_guard(g: LogicalGraph, v: str, X: np.ndarray, idx: np.ndarray):
+    """(destination, point indices) pairs for the points `idx` at guard `v`."""
+    guard = g.guards[v]
+    signs = guard.matrix @ X[idx].T + guard.offset[:, None] >= 0
+    k = guard.rows
+    if k <= 63:
+        codes = np.left_shift(signs, np.arange(k, dtype=np.int64)[:, None]).sum(axis=0)
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        keys = ["".join("+" if c >> i & 1 else "-" for i in range(k)) for c in distinct.tolist()]
+    else:  # codes would overflow int64: group the sign columns themselves
+        distinct, inverse = np.unique(signs.T, axis=0, return_inverse=True)
+        keys = ["".join("+" if b else "-" for b in row) for row in distinct.tolist()]
+    routes = g.routing.get(v, {})
+    dsts = []
+    for key in keys:
+        aid = routes.get(key)
+        if aid is None:
+            raise UnknownSignVectorError(
+                f"vertex {v!r} has no route for sign vector {key!r}")
+        dsts.append(g.arrows[aid].dst)
+    slots = {d: n for n, d in enumerate(dict.fromkeys(dsts))}
+    if len(slots) == 1:
+        return [(dsts[0], idx)]
+    point_dst = np.array([slots[d] for d in dsts])[inverse.reshape(-1)]
+    return [(d, idx[point_dst == n]) for d, n in slots.items()]
 
 
 def enumerate_paths(g: LogicalGraph, cap: int = PATH_CAP) -> List[List[str]]:

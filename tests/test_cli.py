@@ -89,6 +89,19 @@ class TestCompileEval:
         assert "mismatches: 0" in report
         assert "config_hash: " in report
 
+    def test_eval_rejects_non_finite_points(self, tmp_path, step_model, capsys):
+        _, model_path = step_model
+        graph_path = tmp_path / "g.json"
+        assert main(["compile", "--model", str(model_path),
+                     "--activation", "step", "--out", str(graph_path)]) == 0
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.5,0.25\nnan,1.0\n")
+        out = tmp_path / "labels.txt"
+        assert main(["eval", "--graph", str(graph_path), "--points", str(pts),
+                     "--out", str(out)]) == 2
+        assert "NonFinitePointError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_activation_is_a_validation_error(self, tmp_path, step_model):
         _, model_path = step_model
         code = main(["compile", "--model", str(model_path),

@@ -106,6 +106,27 @@ def test_verdict_matches_grid_oracle(rows):
         assert not grid_feasible(cs, 2)
 
 
+# Infeasible 3-d systems whose refutation needs a row the history-capped
+# elimination drops; back-substitution then gave (11/3, 10/3, -1) and
+# (8, 4, -3/2), which break two and three rows.
+CAP_GAP_SYSTEMS = [
+    ([((0, 4, -1), -2, True), ((0, 3, 1), 2, False), ((-2, -1, -4), 0, False),
+      ((-3, 3, -4), -3, False), ((2, -1, 2), -2, False), ((1, 2, 4), 2, False),
+      ((0, -3, -3), -2, True)], "-9 > 0"),
+    ([((-1, 3, 2), -1, False), ((1, 1, 1), 0, True), ((-1, -4, -4), -2, False),
+      ((-4, -3, -4), -4, True), ((1, -1, 0), -4, True), ((0, 2, -2), 1, True)], "-19 > 0"),
+]
+
+
+@pytest.mark.parametrize("rows, refutation", CAP_GAP_SYSTEMS)
+def test_history_cap_gap_is_refuted(rows, refutation):
+    cs = [make_constraint(c, b, s) for c, b, s in rows]
+    verdict = check_system(cs, 3)
+    assert not verdict.feasible and verdict.witness is None
+    assert verdict.contradiction == f"derived constant row {refutation}"
+    assert find_witness(cs, 3) is None
+
+
 def test_witness_hint_short_circuits():
     cs = [make_constraint([1, 0], 0, False)]
     hint = (Fraction(1), Fraction(5))

@@ -10,6 +10,7 @@ from logifold.errors import (
     DimensionMismatchError,
     IncompleteRoutingError,
     MultipleSourcesError,
+    NonFinitePointError,
     PathExplosionError,
     UnknownSignVectorError,
 )
@@ -24,6 +25,7 @@ from logifold.graph import (
     graph_to_dict,
     relabel,
     require_valid,
+    sign_vector,
     validate_graph,
 )
 
@@ -36,8 +38,6 @@ def test_sign_vector_example():
 
 
 def logical_signs(guard, x):
-    from logifold.graph import sign_vector
-
     return sign_vector(guard, np.asarray(x))
 
 
@@ -131,6 +131,8 @@ def test_unknown_sign_vector_is_an_error():
     del g.routing["s"]["-"]
     with pytest.raises(UnknownSignVectorError):
         evaluate(g, [-1.0])
+    with pytest.raises(UnknownSignVectorError):
+        evaluate_batch(g, np.array([[1.0], [-1.0]]))
 
 
 def test_evaluate_diamond():
@@ -147,6 +149,78 @@ def test_evaluate_batch_matches_pointwise(rng):
     batch = evaluate_batch(g, X)
     for x, got in zip(X, batch):
         assert got == evaluate(g, x)
+
+
+def test_evaluate_batch_of_no_points():
+    assert evaluate_batch(make_diamond_graph(), np.zeros((0, 2))) == []
+
+
+def test_evaluate_batch_rejects_a_cycle():
+    # s -> a <-> b, a -> t: a walk that takes "+" at a never ends
+    g = LogicalGraph(1, {"s": "source", "a": "internal", "b": "internal", "t": "target"},
+                     [Arrow("sa", "s", "a"), Arrow("ab", "a", "b"), Arrow("ba", "b", "a"),
+                      Arrow("at", "a", "t")],
+                     {"a": AffineMap(np.array([[1.0]]), np.array([0.0]))},
+                     {"a": {"+": "ab", "-": "at"}}, {"t": 0})
+    with pytest.raises(CyclicGraphError):
+        evaluate_batch(g, np.array([[1.0], [-1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_rejected(bad):
+    g = make_diamond_graph()
+    with pytest.raises(NonFinitePointError):
+        evaluate(g, [bad, 0.5])
+    with pytest.raises(NonFinitePointError):
+        evaluate_batch(g, np.array([[1.0, 1.0], [bad, 0.5]]))
+    with pytest.raises(NonFinitePointError):
+        sign_vector(g.guards["s"], np.array([0.5, bad]))
+
+
+def merging_graph(top, left, right):
+    """Integer guards on R^2 whose routes merge: `top` (two rows) sends two
+    chambers each to `u` and `w`, whose "-" sides both reach `m`."""
+    def guard(rows):
+        return AffineMap(np.array([r[:2] for r in rows], dtype=float),
+                         np.array([r[2] for r in rows], dtype=float))
+
+    return LogicalGraph(
+        2, {"s": "source", "u": "internal", "w": "internal", "m": "internal",
+            "t0": "target", "t1": "target", "t2": "target"},
+        [Arrow("su", "s", "u"), Arrow("sw", "s", "w"), Arrow("ut", "u", "t0"),
+         Arrow("um", "u", "m"), Arrow("wt", "w", "t2"), Arrow("wm", "w", "m"),
+         Arrow("mt", "m", "t1")],
+        {"s": guard(top), "u": guard([left]), "w": guard([right])},
+        {"s": {"++": "su", "--": "su", "+-": "sw", "-+": "sw"},
+         "u": {"+": "ut", "-": "um"}, "w": {"+": "wt", "-": "wm"}},
+        {"t0": "A", "t1": "B", "t2": "C"})
+
+
+int_row = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(int_row, min_size=2, max_size=2), int_row, int_row,
+       st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=1, max_size=40))
+def test_evaluate_batch_matches_pointwise_on_guard_boundaries(top, left, right, points):
+    # small integer rows and points put many points exactly on a guard
+    # hyperplane, where both walks must take "+"
+    g = merging_graph(top, left, right)
+    X = np.array(points, dtype=float)
+    assert evaluate_batch(g, X) == [evaluate(g, x) for x in X]
+
+
+@pytest.mark.parametrize("k", [63, 70])
+def test_evaluate_batch_guard_with_many_rows(k):
+    # thresholds x >= j for j < k; 70 rows no longer fit an int64 sign code
+    routing = {"+" * j + "-" * (k - j): ("even" if j % 2 == 0 else "odd")
+               for j in range(k + 1)}
+    g = LogicalGraph(1, {"s": "source", "t0": "target", "t1": "target"},
+                     [Arrow("even", "s", "t0"), Arrow("odd", "s", "t1")],
+                     {"s": AffineMap(np.ones((k, 1)), -np.arange(k, dtype=float))},
+                     {"s": routing}, {"t0": "even", "t1": "odd"})
+    X = np.arange(-1.0, k + 1.0, 0.5)[:, None]
+    assert evaluate_batch(g, X) == [evaluate(g, x) for x in X]
 
 
 def test_pathsum_agrees_with_walk(rng):
