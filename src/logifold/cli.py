@@ -421,7 +421,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--caps.chambers", dest="caps_chambers", type=int)
     p.add_argument("--caps.regions", dest="caps_regions", type=int)
-    p.add_argument("--caps.paths", dest="caps_paths", type=int)
     p.add_argument("--grid", dest="alpha_grid",
                    help="comma-separated certainty thresholds")
     p.add_argument("--tie-margin", dest="tie_margin", type=float)
@@ -549,8 +548,8 @@ def _resolve_config(ns) -> RunConfig:
         except ValueError:
             raise ConfigError(f"cannot parse grid {ns.alpha_grid!r}")
     return apply_overrides(cfg, seed=ns.seed, chamber_cap=ns.caps_chambers,
-                           region_cap=ns.caps_regions, path_cap=ns.caps_paths,
-                           grid=grid, tie_margin=ns.tie_margin)
+                           region_cap=ns.caps_regions, grid=grid,
+                           tie_margin=ns.tie_margin)
 
 
 def main(argv=None) -> int:

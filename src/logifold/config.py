@@ -26,7 +26,6 @@ class RunConfig:
     seed: int = 0
     chamber_cap: int = 2 ** 16    # sign-vector chambers during compilation
     region_cap: int = 10 ** 5     # linear regions during tree descent
-    path_cap: int = 10 ** 6       # path-sum expansion
     piece_cap: int = 4096         # semilinear pieces per conversion
     budget_cap: int = 4096        # rectangles per approximation
     alpha_grid: Tuple[float, ...] = DEFAULT_ALPHA_GRID
@@ -34,8 +33,7 @@ class RunConfig:
     uncertain_weight: float = 0.0
 
     def validate(self) -> "RunConfig":
-        for name in ("chamber_cap", "region_cap", "path_cap", "piece_cap",
-                     "budget_cap"):
+        for name in ("chamber_cap", "region_cap", "piece_cap", "budget_cap"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for a in self.alpha_grid:
@@ -70,7 +68,6 @@ def load_config(path) -> RunConfig:
 def apply_overrides(cfg: RunConfig, *, seed: Optional[int] = None,
                     chamber_cap: Optional[int] = None,
                     region_cap: Optional[int] = None,
-                    path_cap: Optional[int] = None,
                     grid: Optional[Sequence[float]] = None,
                     tie_margin: Optional[float] = None) -> RunConfig:
     updates = {}
@@ -80,8 +77,6 @@ def apply_overrides(cfg: RunConfig, *, seed: Optional[int] = None,
         updates["chamber_cap"] = chamber_cap
     if region_cap is not None:
         updates["region_cap"] = region_cap
-    if path_cap is not None:
-        updates["path_cap"] = path_cap
     if grid is not None:
         updates["alpha_grid"] = tuple(grid)
     if tie_margin is not None:

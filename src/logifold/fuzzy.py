@@ -18,11 +18,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import feasibility
 from .errors import (
     DimensionMismatchError,
     NotScalarOutputError,
-    RegionExplosionError,
     StateSpaceMismatchError,
     StateSpaceViolationError,
     UnknownOutcomeError,
@@ -46,10 +44,10 @@ from .networks import (
     SIGMOID,
     SOFTMAX,
     NetworkSpec,
-    _affine_rows,
-    _compose_after_mask,
+    _Builder,
     _sigmoid,
     _softmax,
+    _walk_relu_regions,
 )
 
 IDENTITY = "identity"
@@ -383,61 +381,20 @@ def from_relu_softmax_net(net: NetworkSpec, label="out",
         raise UnsupportedActivationError(
             "relu importer expects relu hidden layers and a softmax head")
     n = net.input_dim
-    vertices = {"s": SOURCE, "t": TARGET}
-    arrows = []
-    guards = {}
-    routing = {}
-    spaces = {"s": StateSpace.euclidean(n), "t": StateSpace.simplex(net.output_dim)}
+    b = _Builder(n)
+    target = b.target_for(label)
     maps = {}
-    regions = 1
 
-    def leaf(vid, composed):
-        a = Arrow(f"soft:{vid}", vid, "t")
-        arrows.append(a)
-        maps[a.id] = ArrowMap(AFFINE_SOFTMAX, composed.matrix, composed.offset)
+    def leaf(vid, composed, region, witness):
+        maps[b.arrow(vid, target)] = ArrowMap(AFFINE_SOFTMAX, composed.matrix,
+                                              composed.offset)
 
-    def descend(vid, depth, composed, region, witness):
-        nonlocal regions
-        if depth == net.depth - 1:
-            leaf(vid, composed)
-            return
-        chambers = feasibility.enumerate_chambers(
-            _affine_rows(composed), n, base=region,
-            cap=chamber_cap, base_witness=witness)
-        if len(chambers) == 1:
-            ((signs, w),) = chambers.items()
-            mask = np.array([1.0 if c == "+" else 0.0 for c in signs])
-            descend(vid, depth + 1,
-                    _compose_after_mask(net.layers[depth + 1], mask, composed),
-                    region, witness)
-            return
-        guards[vid] = composed
-        table = {}
-        for signs, w in chambers.items():
-            regions += 1
-            if regions > region_cap:
-                raise RegionExplosionError(
-                    f"more than {region_cap} regions while importing")
-            child = f"{vid}|{signs}" if vid != "s" else f"d1|{signs}"
-            vertices[child] = INTERNAL
-            spaces[child] = StateSpace.euclidean(n)
-            a = Arrow(f"go:{child}", vid, child)
-            arrows.append(a)
-            maps[a.id] = ArrowMap(IDENTITY)
-            table[signs] = a.id
-            mask = np.array([1.0 if c == "+" else 0.0 for c in signs])
-            sub = list(region) + [
-                feasibility.signed_constraint(composed.matrix[i].tolist(),
-                                              float(composed.offset[i]), c)
-                for i, c in enumerate(signs)
-            ]
-            descend(child, depth + 1,
-                    _compose_after_mask(net.layers[depth + 1], mask, composed),
-                    sub, w)
-        routing[vid] = table
-
-    descend("s", 0, net.layers[0], [], None)
-    sk = LogicalGraph(n, vertices, arrows, guards, routing, {"t": label})
+    _walk_relu_regions(b, net, leaf, chamber_cap, region_cap)
+    sk = b.graph()
+    spaces = {v: StateSpace.euclidean(n) for v in sk.vertices}
+    spaces[target] = StateSpace.simplex(net.output_dim)
+    for aid in sk.arrows:
+        maps.setdefault(aid, ArrowMap(IDENTITY))
     return FuzzyLogicalGraph(sk, spaces, maps)
 
 

@@ -9,6 +9,11 @@ its layer's pre-activation restricted to the region reached so far, children
 are the realizable sign chambers, and the last layer is guarded by pairwise
 coordinate differences with each chamber routed to the argmax target.
 
+The ReLU region walker is shared with ``fuzzy.from_relu_softmax_net``, which
+puts a softmax leaf where the compiler puts the argmax guard.  A layer whose
+region holds a single sign chamber adds no vertex, so both graphs branch only
+where a layer's hyperplanes actually cut the region.
+
 Both compilers keep only regions whose constraint systems are exactly
 feasible, and the argmax convention everywhere is lowest index wins ties.
 """
@@ -171,6 +176,11 @@ def _affine_rows(m: AffineMap):
     return [(m.matrix[i].tolist(), float(m.offset[i])) for i in range(m.rows)]
 
 
+def _outcome(signs: str) -> np.ndarray:
+    """0/1 vector of a sign pattern: the step outcome, or the ReLU mask."""
+    return np.array([1.0 if c == "+" else 0.0 for c in signs])
+
+
 def _compose_after_mask(next_layer: AffineMap, mask: np.ndarray, current: AffineMap) -> AffineMap:
     """next_layer applied to mask * current, all affine in the input point."""
     masked_matrix = mask[:, None] * current.matrix
@@ -208,9 +218,11 @@ def _argmax_from_signs(pairs, signs: str, d: int) -> Optional[int]:
 
 
 class _Builder:
+    """Accumulates a decision graph whose source vertex is "s"."""
+
     def __init__(self, input_dim):
         self.input_dim = input_dim
-        self.vertices = {}
+        self.vertices = {"s": "source"}
         self.arrows = []
         self.guards = {}
         self.routing = {}
@@ -236,11 +248,11 @@ class _Builder:
         return aid
 
     def branch(self, vid, guard: AffineMap, routes):
-        """Guard a vertex with per-sign child vertices; collapses when only
-        one chamber is realizable."""
-        if len(routes) == 1:
-            (dst,) = routes.values()
-            self.arrow(vid, dst)
+        """Guard a vertex with per-sign child vertices; collapses to one plain
+        arrow when every realizable chamber routes to the same child."""
+        dsts = set(routes.values())
+        if len(dsts) == 1:
+            self.arrow(vid, dsts.pop())
             return
         self.guards[vid] = guard
         table = {}
@@ -285,7 +297,6 @@ def compile_step_net(net: NetworkSpec, chamber_cap: int = CHAMBER_CAP) -> Logica
     if net.hidden_activation != STEP or net.final_activation != INDEXMAX:
         raise UnsupportedActivationError("step compiler expects step/indexmax activations")
     b = _Builder(net.input_dim)
-    b.add("s", "source")
     if net.depth == 1:
         _finalize_vertex(b, "s", net.layers[0], [], None, chamber_cap)
         return b.graph()
@@ -297,7 +308,7 @@ def compile_step_net(net: NetworkSpec, chamber_cap: int = CHAMBER_CAP) -> Logica
     for signs in chambers:
         vid = b.add(f"h1|{signs}")
         routes[signs] = vid
-        a = np.array([1.0 if c == "+" else 0.0 for c in signs])
+        a = _outcome(signs)
         # deeper layers see only the Boolean outcome, so walk them out now
         prev = vid
         for depth, layer in enumerate(net.layers[1:-1], start=2):
@@ -322,45 +333,64 @@ def compile_step_net(net: NetworkSpec, chamber_cap: int = CHAMBER_CAP) -> Logica
     return b.graph()
 
 
+def _walk_relu_regions(b: _Builder, net: NetworkSpec, leaf, chamber_cap: int,
+                       region_cap: int) -> None:
+    """Subdivide input space into the linear regions of a ReLU network.
+
+    The one region walker behind both ``compile_relu_net`` and
+    ``fuzzy.from_relu_softmax_net``.  Starting at the source "s", each hidden
+    layer's pre-activation map, composed over the region reached so far,
+    guards a vertex whose children are its realizable sign chambers.  A layer
+    whose region holds a single chamber adds no vertex: the walk keeps the
+    same vertex, region and witness.  At the last layer it calls
+    ``leaf(vid, composed, region, witness)`` once per linear region, with the
+    final layer's map restricted to that region.  Regions are counted only at
+    layers that branch, starting from 1 for the whole input space.
+    """
+    regions = 1
+
+    def descend(vid, depth, composed: AffineMap, region, witness):
+        nonlocal regions
+        if depth == net.depth - 1:
+            leaf(vid, composed, region, witness)
+            return
+        chambers = feasibility.enumerate_chambers(
+            _affine_rows(composed), net.input_dim, base=region,
+            cap=chamber_cap, base_witness=witness)
+        layer = net.layers[depth + 1]
+        if len(chambers) == 1:
+            (signs,) = chambers
+            descend(vid, depth + 1, _compose_after_mask(layer, _outcome(signs), composed),
+                    region, witness)
+            return
+        regions += len(chambers)
+        if regions > region_cap:
+            raise RegionExplosionError(f"more than {region_cap} linear regions")
+        routes = {signs: b.add(f"{vid}|{signs}") for signs in chambers}
+        b.branch(vid, composed, routes)
+        for signs, w in chambers.items():
+            sub = list(region) + [
+                feasibility.signed_constraint(composed.matrix[i].tolist(),
+                                              float(composed.offset[i]), c)
+                for i, c in enumerate(signs)
+            ]
+            descend(routes[signs], depth + 1,
+                    _compose_after_mask(layer, _outcome(signs), composed), sub, w)
+
+    descend("s", 0, net.layers[0], [], None)
+
+
 def compile_relu_net(net: NetworkSpec, chamber_cap: int = CHAMBER_CAP,
                      region_cap: int = REGION_CAP) -> LogicalGraph:
     """Decision graph of a ReLU network via layerwise region subdivision."""
     if net.hidden_activation != RELU or net.final_activation != INDEXMAX:
         raise UnsupportedActivationError("relu compiler expects relu/indexmax activations")
     b = _Builder(net.input_dim)
-    b.add("s", "source")
-    regions = 1
 
-    def descend(vid, depth, composed: AffineMap, region, witness):
-        nonlocal regions
-        if depth == net.depth - 1:
-            _finalize_vertex(b, vid, composed, region, witness, chamber_cap)
-            return
-        chambers = feasibility.enumerate_chambers(
-            _affine_rows(composed), net.input_dim, base=region,
-            cap=chamber_cap, base_witness=witness)
-        routes = {}
-        children = []
-        for signs, w in chambers.items():
-            regions += 1
-            if regions > region_cap:
-                raise RegionExplosionError(
-                    f"more than {region_cap} regions while compiling")
-            child = b.add(f"{vid}|{signs}" if vid != "s" else f"d1|{signs}")
-            routes[signs] = child
-            mask = np.array([1.0 if c == "+" else 0.0 for c in signs])
-            sub = list(region) + [
-                feasibility.signed_constraint(composed.matrix[i].tolist(),
-                                              float(composed.offset[i]), c)
-                for i, c in enumerate(signs)
-            ]
-            children.append((child, _compose_after_mask(net.layers[depth + 1], mask, composed),
-                             sub, w))
-        b.branch(vid, composed, routes)
-        for child, nxt, sub, w in children:
-            descend(child, depth + 1, nxt, sub, w)
+    def leaf(vid, composed, region, witness):
+        _finalize_vertex(b, vid, composed, region, witness, chamber_cap)
 
-    descend("s", 0, net.layers[0], [], None)
+    _walk_relu_regions(b, net, leaf, chamber_cap, region_cap)
     return b.graph()
 
 

@@ -17,6 +17,7 @@ from logifold.graph import evaluate_batch, load_graph, validate_graph
 from logifold.fuzzy import evaluate_fuzzy, load_fuzzy
 from logifold.networks import (
     INDEXMAX,
+    RELU,
     STEP,
     forward_classical,
     load_model,
@@ -44,6 +45,8 @@ class TestConfig:
         assert config_from_dict(config_to_dict(cfg)) == cfg
         with pytest.raises(ConfigError):
             config_from_dict({"seeds": 1})
+        with pytest.raises(ConfigError):
+            config_from_dict({"path_cap": 10})
 
     def test_overrides_win_and_change_the_hash(self):
         base = RunConfig(seed=5)
@@ -88,6 +91,21 @@ class TestCompileEval:
         assert "samples: 500" in report
         assert "mismatches: 0" in report
         assert "config_hash: " in report
+
+    def test_compile_eval_relu(self, tmp_path):
+        net = random_network(np.random.default_rng(1), [2, 3, 3], RELU, INDEXMAX)
+        model_path = tmp_path / "relu.json"
+        save_model(net, model_path)
+        graph_path = tmp_path / "g.json"
+        assert main(["compile", "--model", str(model_path),
+                     "--activation", "relu", "--out", str(graph_path)]) == 0
+        pts = tmp_path / "pts.csv"
+        X = np.random.default_rng(4).normal(scale=2.0, size=(50, 2))
+        pts.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in X))
+        out = tmp_path / "labels.txt"
+        assert main(["eval", "--graph", str(graph_path), "--points", str(pts),
+                     "--out", str(out)]) == 0
+        assert out.read_text().split() == [str(forward_classical(net, x)) for x in X]
 
     def test_eval_rejects_non_finite_points(self, tmp_path, step_model, capsys):
         _, model_path = step_model

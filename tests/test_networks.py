@@ -9,6 +9,7 @@ from logifold.errors import (
     RegionExplosionError,
     UnsupportedActivationError,
 )
+from logifold.fuzzy import from_relu_softmax_net, validate_fuzzy
 from logifold.graph import AffineMap, evaluate, evaluate_batch, require_valid
 from logifold.networks import (
     NetworkSpec,
@@ -118,6 +119,47 @@ def test_compile_relu_region_cap():
     net = random_network(np.random.default_rng(11), [2, 4, 4, 3], "relu")
     with pytest.raises(RegionExplosionError):
         compile_relu_net(net, region_cap=3)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_region_cap_parity_between_compile_and_import(seed):
+    net = random_network(np.random.default_rng(seed), [2, 4, 4, 3], "relu")
+    twin = NetworkSpec(net.layers, "relu", "softmax")
+    # the import has one non-target vertex per counted region: the source and
+    # every child of a branching layer
+    regions = sum(1 for k in from_relu_softmax_net(twin).skeleton.vertices.values()
+                  if k != "target")
+    assert regions > 1
+    for build, model in ((compile_relu_net, net), (from_relu_softmax_net, twin)):
+        with pytest.raises(RegionExplosionError):
+            build(model, region_cap=regions - 1)
+        build(model, region_cap=regions)
+
+
+def test_compile_relu_collapses_guard_whose_chambers_share_a_target():
+    # several final-layer chambers of one region route to the same label, so
+    # that vertex gets one plain arrow instead of a guard that cannot branch
+    g = compile_relu_net(random_network(np.random.default_rng(1), [2, 3, 3], "relu"))
+    assert require_valid(g).realizability_checked
+
+
+def _small_dims(rng):
+    """Input dim <= 3, widths <= 4, up to 3 hidden layers, 1-4 outputs."""
+    return ([int(rng.integers(1, 4))]
+            + [int(w) for w in rng.integers(1, 5, size=int(rng.integers(0, 4)))]
+            + [int(rng.integers(1, 5))])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_compiled_and_imported_graphs_pass_their_validator(seed):
+    rng = np.random.default_rng([5, seed])
+    dims = _small_dims(rng)
+    relu = random_network(rng, dims, "relu")
+    step = random_network(rng, dims, "step")
+    fg = from_relu_softmax_net(NetworkSpec(relu.layers, "relu", "softmax"))
+    validate_fuzzy(fg)
+    for g in (compile_relu_net(relu), compile_step_net(step), fg.skeleton):
+        assert require_valid(g).realizability_checked, dims
 
 
 def test_forward_smooth_is_a_distribution(rng):
