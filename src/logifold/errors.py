@@ -40,7 +40,7 @@ class PathExplosionError(LogifoldError):
 
 
 class NonFinitePointError(LogifoldError):
-    """A point to evaluate has a NaN or infinite coordinate."""
+    """A point to evaluate, or a row to solve exactly, has a NaN or infinite entry."""
 
 
 # -- compilation -----------------------------------------------------------

@@ -5,35 +5,22 @@ integer coefficients (inputs are cleared of denominators exactly, so float
 coefficients are handled without rounding).  Verdicts come from Fourier-Motzkin
 elimination and are exact: a feasible system yields a rational witness, an
 infeasible one yields the contradictory constant row derived by elimination.
-
-An LP prescreen (scipy, float) is used only to *find* witness candidates
-quickly; every candidate is verified in rational arithmetic before it is
-trusted, and the elimination runs whenever no verified candidate exists.
+Every back-substituted witness is checked against the input rows before it is
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionBudgetError, GuardExplosionError
-
-try:
-    from scipy.optimize import linprog
-
-    _HAVE_LP = True
-except Exception:  # pragma: no cover - scipy is a declared dependency
-    _HAVE_LP = False
+from .errors import DimensionBudgetError, GuardExplosionError, NonFinitePointError
 
 # Exact elimination beyond this ambient dimension is not supported; row counts
 # grow too fast for the guarantees to stay affordable.
 DIM_BUDGET = 8
-
-# Margin used when the LP prescreen models strict inequalities.  Only affects
-# how often the prescreen succeeds, never correctness.
-_LP_MARGIN_CAP = 1.0
 
 
 @dataclass(frozen=True)
@@ -62,7 +49,10 @@ def _to_fraction(v) -> Fraction:
         return v
     if isinstance(v, int):
         return Fraction(v)
-    return Fraction(float(v))  # exact binary expansion of the float
+    f = float(v)
+    if not isfinite(f):
+        raise NonFinitePointError(f"non-finite coefficient {f} has no exact value")
+    return Fraction(f)  # exact binary expansion of the float
 
 
 def make_constraint(coeffs: Sequence, offset, strict: bool) -> Constraint:
@@ -244,77 +234,41 @@ def _fm_verdict(constraints, n):
                           "which breaks an input row")
 
 
-def _lp_candidate(constraints, n):
-    """Float LP for a point with positive margin on strict rows, or None."""
-    if not _HAVE_LP or not constraints:
-        return None
-    # variables: x_1..x_n, t ; maximize t subject to  a.x + b >= t (strict rows)
-    # and a.x + b >= 0 (weak rows); t capped so the problem stays bounded.
-    a_ub = []
-    b_ub = []
-    try:
-        for c in constraints:
-            row = [-float(v) for v in c.coeffs]
-            row.append(1.0 if c.strict else 0.0)
-            a_ub.append(row)
-            b_ub.append(float(c.offset))
-    except OverflowError:
-        # cleared denominators can exceed float range; fall back to exact FM
-        return None
-    a_ub.append([0.0] * n + [1.0])
-    b_ub.append(_LP_MARGIN_CAP)
-    cost = [0.0] * n + [-1.0]
-    try:
-        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * n + [(None, None)], method="highs")
-    except Exception:
-        return None
-    if not res.success or res.x is None:
-        return None
-    if res.x[-1] <= 0:
-        return None
-    return [Fraction(float(v)) for v in res.x[:n]]
+def _check_dimension(n: int):
+    if n > DIM_BUDGET:
+        raise DimensionBudgetError(
+            f"exact feasibility supports dimension <= {DIM_BUDGET}, got {n}")
 
 
-def find_witness(constraints: Sequence[Constraint], n: int, dim_budget: int = DIM_BUDGET,
+def find_witness(constraints: Sequence[Constraint], n: int, *,
                  hint=None) -> Optional[tuple]:
     """Exact witness of the system, or None if it is infeasible.
 
     `hint` is an optional rational point tried first (cheap when the caller
     extends an already-witnessed system by one row).
     """
-    if n > dim_budget:
-        raise DimensionBudgetError(
-            f"exact feasibility supports dimension <= {dim_budget}, got {n}")
+    _check_dimension(n)
     if hint is not None and all(satisfies(c, hint) for c in constraints):
         return tuple(hint)
-    cand = _lp_candidate(constraints, n)
-    if cand is not None and all(satisfies(c, cand) for c in constraints):
-        return tuple(cand)
-    return _fm_verdict(constraints, n)[0]
+    return check_system(constraints, n).witness
 
 
-def check_system(constraints: Sequence[Constraint], n: int, dim_budget: int = DIM_BUDGET) -> Verdict:
-    """Like find_witness but keeps the elimination certificate on failure."""
-    if n > dim_budget:
-        raise DimensionBudgetError(
-            f"exact feasibility supports dimension <= {dim_budget}, got {n}")
-    cand = _lp_candidate(constraints, n)
-    if cand is not None and all(satisfies(c, cand) for c in constraints):
-        return Verdict(True, tuple(cand), None)
+def check_system(constraints: Sequence[Constraint], n: int) -> Verdict:
+    """Exact verdict: a witness if feasible, the elimination's contradiction if not."""
+    _check_dimension(n)
     witness, bad = _fm_verdict(constraints, n)
     return Verdict(witness is not None, witness, bad)
 
 
 def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
-                       cap: Optional[int] = None, dim_budget: int = DIM_BUDGET,
-                       base_witness=None):
+                       cap: Optional[int] = None, base_witness=None):
     """All realizable sign vectors of `rows` within the `base` system.
 
     rows: sequence of (coeffs, offset) affine rows (floats accepted).
     Returns {sign_string: rational witness}.  Sign ``+`` stands for row >= 0,
     ``-`` for row < 0.  Raises GuardExplosionError past `cap` chambers.
     """
-    w0 = base_witness if base_witness is not None else find_witness(list(base), n, dim_budget)
+    w0 = base_witness if base_witness is not None else find_witness(list(base), n)
     if w0 is None:
         return {}
     int_rows = [make_constraint(c, b, strict=False) for c, b in rows]  # sign probes
@@ -337,7 +291,7 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
                 c = Constraint(tuple(-a for a in probe.coeffs), -probe.offset, True)
                 free = val < 0
             sub = list(system) + [c]
-            w = tuple(witness) if free else find_witness(sub, n, dim_budget, hint=None)
+            w = tuple(witness) if free else find_witness(sub, n)
             if w is not None:
                 rec(idx + 1, sub, w, prefix + sign)
 

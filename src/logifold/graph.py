@@ -26,6 +26,7 @@ from .errors import (
     CyclicGraphError,
     DanglingVertexError,
     DimensionMismatchError,
+    GuardExplosionError,
     IncompleteRoutingError,
     MultipleSourcesError,
     NonFinitePointError,
@@ -290,7 +291,7 @@ def _check_reachable_routing(g: LogicalGraph, rep: ValidationReport):
         try:
             chambers = feasibility.enumerate_chambers(
                 rows, g.input_dim, base=system, cap=budget, base_witness=witness)
-        except Exception:
+        except GuardExplosionError:
             return  # budget exceeded: structural checks only
         budget -= len(chambers)
         if budget <= 0:

@@ -69,11 +69,11 @@ class BasicSemilinearSet:
                 return False
         return True
 
-    def emptiness(self, dim_budget: int = feasibility.DIM_BUDGET) -> Verdict:
-        return feasibility.check_system(self.constraints(), self.dim, dim_budget)
+    def emptiness(self) -> Verdict:
+        return feasibility.check_system(self.constraints(), self.dim)
 
-    def is_empty(self, dim_budget: int = feasibility.DIM_BUDGET) -> bool:
-        return not self.emptiness(dim_budget).feasible
+    def is_empty(self) -> bool:
+        return not self.emptiness().feasible
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,8 @@ class SemilinearSet:
     def contains(self, x, tol: float = 1e-12) -> bool:
         return any(p.contains(x, tol) for p in self.pieces)
 
-    def is_empty(self, dim_budget: int = feasibility.DIM_BUDGET) -> bool:
-        return all(p.is_empty(dim_budget) for p in self.pieces)
-
-    def pruned(self, dim_budget: int = feasibility.DIM_BUDGET) -> "SemilinearSet":
-        return SemilinearSet(
-            self.dim, tuple(p for p in self.pieces if not p.is_empty(dim_budget)))
+    def is_empty(self) -> bool:
+        return all(p.is_empty() for p in self.pieces)
 
 
 @dataclass(frozen=True)
@@ -110,8 +106,7 @@ def _as_row(coeffs, offset) -> Row:
     return tuple(float(v) for v in coeffs) + (float(offset),)
 
 
-def from_llgraph(g: LogicalGraph, piece_cap: int = PIECE_CAP,
-                 dim_budget: int = feasibility.DIM_BUDGET) -> SemilinearFunction:
+def from_llgraph(g: LogicalGraph, piece_cap: int = PIECE_CAP) -> SemilinearFunction:
     """Expand each routed region of g into disjoint basic pieces per label.
 
     A weak chamber row splits into an equality piece and a strict piece, so
@@ -131,7 +126,7 @@ def from_llgraph(g: LogicalGraph, piece_cap: int = PIECE_CAP,
             eq = tuple(row for i, row in enumerate(plus) if mask >> i & 1)
             gt = tuple(row for i, row in enumerate(plus) if not mask >> i & 1)
             piece = BasicSemilinearSet(n, eq, gt + tuple(minus))
-            if not piece.is_empty(dim_budget):
+            if not piece.is_empty():
                 fibers.setdefault(label, []).append(piece)
 
     def walk(v, system, witness, plus, minus):
@@ -152,7 +147,7 @@ def from_llgraph(g: LogicalGraph, piece_cap: int = PIECE_CAP,
                     p2.append(_as_row(coeffs, off))
                 else:
                     m2.append(_as_row([-c for c in coeffs], -off))
-            w = find_witness(ext, n, dim_budget, hint=witness)
+            w = find_witness(ext, n, hint=witness)
             if w is not None:
                 walk(g.arrows[aid].dst, ext, w, p2, m2)
 
@@ -180,7 +175,6 @@ def _row_key(row: Row):
 
 
 def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP,
-               dim_budget: int = feasibility.DIM_BUDGET,
                prune: bool = True) -> LogicalGraph:
     """Single-guard graph whose walk reproduces f.label_of.
 
@@ -194,7 +188,7 @@ def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP,
     for label, fiber in f.fibers.items():
         kept = []
         for piece in fiber.pieces:
-            if prune and piece.is_empty(dim_budget):
+            if prune and piece.is_empty():
                 continue
             kept.append(piece)
             for row in piece.eq + piece.gt:
@@ -207,8 +201,7 @@ def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP,
     for rep in reps.values():
         rows.append((list(rep[:-1]), rep[-1]))
         rows.append(([-c for c in rep[:-1]], -rep[-1]))
-    chambers = feasibility.enumerate_chambers(rows, n, cap=chamber_cap,
-                                              dim_budget=dim_budget)
+    chambers = feasibility.enumerate_chambers(rows, n, cap=chamber_cap)
 
     vertices = {"s": SOURCE}
     arrows = []

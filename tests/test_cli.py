@@ -120,6 +120,18 @@ class TestCompileEval:
         assert "NonFinitePointError" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("activation", [STEP, RELU])
+    def test_compile_rejects_non_finite_weights(self, tmp_path, capsys, activation):
+        net = random_network(np.random.default_rng(11), [2, 3, 2], activation, INDEXMAX)
+        net.layers[0].matrix[1, 0] = np.nan
+        model_path = tmp_path / "nan.json"
+        save_model(net, model_path)
+        graph_path = tmp_path / "g.json"
+        assert main(["compile", "--model", str(model_path), "--activation", activation,
+                     "--out", str(graph_path)]) == 2
+        assert "NonFinitePointError" in capsys.readouterr().err
+        assert not graph_path.exists()
+
     def test_wrong_activation_is_a_validation_error(self, tmp_path, step_model):
         _, model_path = step_model
         code = main(["compile", "--model", str(model_path),

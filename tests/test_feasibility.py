@@ -3,13 +3,18 @@
 Oracle for small systems: dense grid sampling with rational arithmetic.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logifold.errors import DimensionBudgetError
+import logifold
+from logifold.errors import DimensionBudgetError, NonFinitePointError
 from logifold.feasibility import (
     Constraint,
     check_system,
@@ -74,6 +79,35 @@ def test_dimension_budget_enforced():
     cs = [make_constraint([1] * 9, 0, False)]
     with pytest.raises(DimensionBudgetError):
         find_witness(cs, 9)
+    with pytest.raises(DimensionBudgetError):
+        check_system(cs, 9)
+
+
+def test_dimension_budget_is_checked_before_the_hint():
+    cs = [make_constraint([1] * 9, 0, False)]
+    with pytest.raises(DimensionBudgetError):
+        find_witness(cs, 9, hint=(Fraction(0),) * 9)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
+def test_non_finite_coefficients_are_rejected(bad):
+    with pytest.raises(NonFinitePointError):
+        make_constraint([1.0, bad], 0.0, strict=False)
+    with pytest.raises(NonFinitePointError):
+        make_constraint([1.0, 0.0], bad, strict=True)
+    with pytest.raises(NonFinitePointError):
+        enumerate_chambers([([np.float64(bad)], 0.0)], 1)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(logifold.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = ("import sys, logifold; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_signed_constraint_convention():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logifold import feasibility
 from logifold.errors import (
     CyclicGraphError,
     DanglingVertexError,
     DimensionMismatchError,
+    GuardExplosionError,
     IncompleteRoutingError,
     MultipleSourcesError,
     NonFinitePointError,
@@ -117,6 +119,24 @@ def test_validate_flags_unrealizable_gap_via_elimination(rng):
                      {"t0": 0, "t1": 1, "t2": 2})
     rep = validate_graph(g)
     assert rep.ok and rep.realizability_checked
+
+
+def test_validate_skips_realizability_only_past_the_chamber_budget(monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise GuardExplosionError("more than 4096 realizable chambers")
+
+    monkeypatch.setattr(feasibility, "enumerate_chambers", over_budget)
+    rep = validate_graph(make_step_graph())
+    assert rep.ok and not rep.realizability_checked
+
+
+def test_validate_propagates_enumeration_faults(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("elimination broke an input row")
+
+    monkeypatch.setattr(feasibility, "enumerate_chambers", broken)
+    with pytest.raises(ArithmeticError):
+        validate_graph(make_step_graph())
 
 
 def test_validate_dangling_vertex():

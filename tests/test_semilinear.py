@@ -66,7 +66,6 @@ def test_semilinear_set_union_semantics():
     assert not s.is_empty()
     empty = SemilinearSet(1, (BasicSemilinearSet(1, ((0.0, 1.0),), ()),))
     assert empty.is_empty()
-    assert empty.pruned().pieces == ()
 
 
 def test_from_llgraph_splits_weak_rows():
