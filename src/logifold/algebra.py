@@ -1,10 +1,11 @@
 """Graph surgery: products, the Boolean ring on F2 labels, and lifts.
 
 The product of graphs attaches a fresh copy of the second graph at every
-target of the first, so evaluating the product walks the first graph and then
-the copy, producing tuple labels.  Everything else here is built from that one
-construction: ring operations relabel a product through F2 arithmetic, and
-parametrization is the product with a point-separating identity graph.
+target of the first (`graft`), so evaluating the product walks the first graph
+and then the copy, producing tuple labels.  Everything else here is built from
+that one construction: ring operations relabel a product through F2
+arithmetic, parametrization is the product with a point-separating identity
+graph, and fuzzy products graft their skeletons the same way.
 """
 
 from __future__ import annotations
@@ -26,8 +27,14 @@ def constant_graph(label, input_dim: int) -> LogicalGraph:
                         [Arrow("a", "s", "t")], {}, {}, {"t": label})
 
 
-def _product2(g1: LogicalGraph, g2: LogicalGraph, combine) -> LogicalGraph:
-    """Attach a copy of g2 at each target of g1; labels via combine(l1, l2)."""
+def graft(g1: LogicalGraph, g2: LogicalGraph, combine):
+    """Attach a copy of g2 at each target of g1; labels via combine(l1, l2).
+
+    Returns (graph, vertex_origin, arrow_origin).  The origins map every new
+    id to (t, old id): t is None for g1's own elements, else the g1 target
+    whose copy of g2 holds the element.  Each copy's source merges into the
+    target it hangs from, so that vertex keeps its g1 origin.
+    """
     if g1.input_dim != g2.input_dim:
         raise DimensionMismatchError(
             f"product factors act on R^{g1.input_dim} and R^{g2.input_dim}")
@@ -36,6 +43,8 @@ def _product2(g1: LogicalGraph, g2: LogicalGraph, combine) -> LogicalGraph:
     guards = {}
     routing = {}
     labels = {}
+    vertex_origin = {}
+    arrow_origin = {}
 
     def m1(v):
         return f"A:{v}"
@@ -43,11 +52,13 @@ def _product2(g1: LogicalGraph, g2: LogicalGraph, combine) -> LogicalGraph:
     for v, kind in g1.vertices.items():
         # g1's targets become the grafted copies' entry vertices
         vertices[m1(v)] = INTERNAL if kind == TARGET else kind
+        vertex_origin[m1(v)] = (None, v)
     for a in g1.arrows.values():
-        arrows.append(Arrow(f"A:{a.id}", m1(a.src), m1(a.dst)))
+        arrows.append(Arrow(m1(a.id), m1(a.src), m1(a.dst)))
+        arrow_origin[m1(a.id)] = (None, a.id)
     for v, guard in g1.guards.items():
         guards[m1(v)] = guard
-        routing[m1(v)] = {s: f"A:{aid}" for s, aid in g1.routing[v].items()}
+        routing[m1(v)] = {s: m1(aid) for s, aid in g1.routing[v].items()}
 
     src2 = g2.source
     for t, l1 in g1.target_labels.items():
@@ -58,24 +69,28 @@ def _product2(g1: LogicalGraph, g2: LogicalGraph, combine) -> LogicalGraph:
             if w == src2:
                 continue
             vertices[m2(w)] = kind if kind == TARGET else INTERNAL
+            vertex_origin[m2(w)] = (t, w)
         for a in g2.arrows.values():
-            arrows.append(Arrow(f"A:{t}|B:{a.id}", m2(a.src), m2(a.dst)))
+            aid = f"A:{t}|B:{a.id}"
+            arrows.append(Arrow(aid, m2(a.src), m2(a.dst)))
+            arrow_origin[aid] = (t, a.id)
         for w, guard in g2.guards.items():
             guards[m2(w)] = guard
             routing[m2(w)] = {s: f"A:{t}|B:{aid}" for s, aid in g2.routing[w].items()}
         for w, l2 in g2.target_labels.items():
             labels[m2(w)] = combine(l1, l2)
-    return LogicalGraph(g1.input_dim, vertices, arrows, guards, routing, labels)
+    g = LogicalGraph(g1.input_dim, vertices, arrows, guards, routing, labels)
+    return g, vertex_origin, arrow_origin
 
 
 def product(graphs: Sequence[LogicalGraph]) -> LogicalGraph:
     """Product graph computing every factor; labels are k-tuples."""
     if not graphs:
         raise DimensionMismatchError("product needs at least one factor")
-    acc = _product2(constant_graph((), graphs[0].input_dim), graphs[0],
-                    lambda _, l: (l,))
+    acc, _, _ = graft(constant_graph((), graphs[0].input_dim), graphs[0],
+                      lambda _, l: (l,))
     for g in graphs[1:]:
-        acc = _product2(acc, g, lambda a, b: a + (b,))
+        acc, _, _ = graft(acc, g, lambda a, b: a + (b,))
     return acc
 
 
@@ -92,7 +107,7 @@ def boolean_combine(g1: LogicalGraph, g2: LogicalGraph, op: str) -> LogicalGraph
     _require_f2(g2, "boolean_combine")
     if op not in (F2_ADD, F2_MUL):
         raise ValueError(f"op must be {F2_ADD!r} or {F2_MUL!r}, got {op!r}")
-    p = _product2(g1, g2, lambda a, b: (a, b))
+    p, _, _ = graft(g1, g2, lambda a, b: (a, b))
     vertices = dict(p.vertices)
     arrows = list(p.arrows.values())
     labels = {}
@@ -193,5 +208,4 @@ def identity_graph(points, seed: int = 0, max_tries: int = 32) -> LogicalGraph:
 def parametrize(g: LogicalGraph, points, seed: int = 0) -> LogicalGraph:
     """Graph of g over a finite point set: labels are ((point), value) pairs."""
     ident = identity_graph(points, seed=seed)
-    out = _product2(ident, g, lambda p, l: (p, l))
-    return out
+    return graft(ident, g, lambda p, l: (p, l))[0]

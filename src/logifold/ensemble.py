@@ -88,17 +88,6 @@ class ModelChart:
         return p
 
 
-@dataclass
-class CertaintyRecord:
-    certainty: float  # max component
-    block: int        # argmax block index
-
-
-def certainty_records(chart: ModelChart, X) -> List[CertaintyRecord]:
-    p = chart.outputs(X)
-    return [CertaintyRecord(float(row.max()), int(row.argmax())) for row in p]
-
-
 def chart_from_net(cid: str, model, partition,
                    embedding: Embedding = Embedding()) -> ModelChart:
     """Chart backed by a softmax network with one output per block."""
@@ -116,8 +105,7 @@ class RefinementTable:
     """Common refinement of partitions with one shared flattened target.
 
     Combos index one block choice per partition.  Valid combos have nonempty
-    intersection; blocks lists those intersections in combo order, and
-    block_of links each valid combo to its position.
+    intersection; blocks lists those intersections in the order of valid.
     """
 
     partitions: Tuple[Partition, ...]
@@ -126,18 +114,8 @@ class RefinementTable:
     blocks: List[FrozenSet]
 
     @property
-    def block_of(self) -> Dict[Tuple[int, ...], int]:
-        return {combo: s for s, combo in enumerate(self.valid)}
-
-    @property
     def is_fine(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)
-
-    def block_containing(self, label) -> int:
-        for s, b in enumerate(self.blocks):
-            if label in b:
-                return s
-        raise KeyError(f"label {label!r} in no refinement block")
 
 
 def refinement(partitions: Sequence[Partition]) -> RefinementTable:
@@ -184,12 +162,6 @@ class TargetGraph:
     nodes: List[TargetNode]          # sorted by decreasing flattened size
     children: Dict[int, List[int]]   # strict-subset arrows, parent -> kids
     root: int
-
-    def node_for(self, target: FrozenSet) -> Optional[int]:
-        for i, node in enumerate(self.nodes):
-            if node.target == target:
-                return i
-        return None
 
 
 def _partition_key(p: Partition):

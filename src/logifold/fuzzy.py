@@ -18,6 +18,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .algebra import graft
 from .errors import (
     DimensionMismatchError,
     NotScalarOutputError,
@@ -106,7 +107,7 @@ class StateSpace:
             yield f, at, at + width
             at += width
 
-    def contains(self, x, tol: float = STATE_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             return False
@@ -114,7 +115,7 @@ class StateSpace:
             if isinstance(f, tuple):
                 continue
             block = x[lo:hi]
-            if np.any(block < -tol) or abs(float(block.sum()) - 1.0) > tol:
+            if np.any(block < -STATE_TOL) or abs(float(block.sum()) - 1.0) > STATE_TOL:
                 return False
         return True
 
@@ -247,25 +248,25 @@ class FuzzyOutcome:
     target: str
 
 
-def evaluate_fuzzy(fg: FuzzyLogicalGraph, x, tol: float = STATE_TOL) -> FuzzyOutcome:
+def evaluate_fuzzy(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
     """Thread a state along the walk; each visited space must contain it."""
     sk = fg.skeleton
     v = sk.source
     state = np.asarray(x, dtype=float)
-    if not fg.state_spaces[v].contains(state, tol):
+    if not fg.state_spaces[v].contains(state):
         raise StateSpaceViolationError(
             f"input of shape {state.shape} is not a state of {fg.state_spaces[v]}")
     while sk.vertices[v] != TARGET:
         a = sk.next_arrow(v, state)
         state = fg.arrow_maps[a.id].apply(state)
         v = a.dst
-        if not fg.state_spaces[v].contains(state, tol):
+        if not fg.state_spaces[v].contains(state):
             raise StateSpaceViolationError(
                 f"state left {fg.state_spaces[v]} while crossing {a.id!r}")
     return FuzzyOutcome(sk.target_labels[v], state, v)
 
 
-def evaluate_fuzzy_pathsum(fg: FuzzyLogicalGraph, x, tol: float = STATE_TOL) -> FuzzyOutcome:
+def evaluate_fuzzy_pathsum(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
     """Evaluate by expanding all source-to-target paths; exactly one survives
     its chamber indicators, and it reproduces the walk."""
     sk = fg.skeleton
@@ -287,14 +288,14 @@ def evaluate_fuzzy_pathsum(fg: FuzzyLogicalGraph, x, tol: float = STATE_TOL) -> 
         raise StateSpaceViolationError(
             f"path expansion produced {len(live)} surviving terms, expected 1")
     out = live[0]
-    if not fg.state_spaces[out.target].contains(out.state, tol):
+    if not fg.state_spaces[out.target].contains(out.state):
         raise StateSpaceViolationError("surviving path left its target space")
     return out
 
 
-def outcome_distribution(fg: FuzzyLogicalGraph, x, tol: float = STATE_TOL) -> Dict:
+def outcome_distribution(fg: FuzzyLogicalGraph, x) -> Dict:
     """Joint probabilities of every target corner; unreached targets get 0."""
-    hit = evaluate_fuzzy(fg, x, tol)
+    hit = evaluate_fuzzy(fg, x)
     dist = {}
     for t in fg.targets():
         space = fg.state_spaces[t]
@@ -419,56 +420,32 @@ def fuzzy_product(fg1: FuzzyLogicalGraph, fg2: FuzzyLogicalGraph) -> FuzzyLogica
         raise DimensionMismatchError(
             f"product factors read {n} and {fg2.input_dim} coordinates")
     sk1, sk2 = fg1.skeleton, fg2.skeleton
-    vertices = {"s*": SOURCE}
-    arrows = []
-    guards = {}
-    routing = {}
-    labels = {}
+    g, vertex_origin, arrow_origin = graft(sk1, sk2, lambda a, b: (a, b))
+    space1, space2 = fg1.state_spaces, fg2.state_spaces
+
     spaces = {"s*": StateSpace.euclidean(n)}
-    maps = {}
+    for v, (t, w) in vertex_origin.items():
+        spaces[v] = (space1[w].concat(StateSpace.euclidean(n)) if t is None
+                     else space1[t].concat(space2[w]))
+    maps = {"dup": ArrowMap(DIAGONAL)}
+    for aid, (t, old) in arrow_origin.items():
+        maps[aid] = (fg1.arrow_maps[old].shifted(0, space1[sk1.arrows[old].src].dim)
+                     if t is None else
+                     fg2.arrow_maps[old].shifted(space1[t].dim,
+                                                 space2[sk2.arrows[old].src].dim))
+    guards = {}
+    for v, guard in g.guards.items():
+        # a guard at a g1 target is the grafted copy's source guard
+        t, w = vertex_origin[v]
+        if t is None and w not in sk1.target_labels:
+            guards[v] = _pad_guard(guard, 0, n)
+        else:
+            guards[v] = _pad_guard(guard, space1[w if t is None else t].dim, 0)
 
-    def m1(v):
-        return f"A:{v}"
-
-    dup = Arrow("dup", "s*", m1(sk1.source))
-    arrows.append(dup)
-    maps[dup.id] = ArrowMap(DIAGONAL)
-
-    for v, kind in sk1.vertices.items():
-        vertices[m1(v)] = INTERNAL if kind in (TARGET, SOURCE) else kind
-        spaces[m1(v)] = fg1.state_spaces[v].concat(StateSpace.euclidean(n))
-    for aid, a in sk1.arrows.items():
-        na = Arrow(f"A:{aid}", m1(a.src), m1(a.dst))
-        arrows.append(na)
-        maps[na.id] = fg1.arrow_maps[aid].shifted(0, fg1.state_spaces[a.src].dim)
-    for v, guard in sk1.guards.items():
-        guards[m1(v)] = _pad_guard(guard, 0, n)
-        routing[m1(v)] = {s: f"A:{aid}" for s, aid in sk1.routing[v].items()}
-
-    src2 = sk2.source
-    for t, l1 in sk1.target_labels.items():
-        left = fg1.state_spaces[t].dim
-        frozen = fg1.state_spaces[t]
-
-        def m2(w, t=t):
-            return m1(t) if w == src2 else f"A:{t}|B:{w}"
-
-        for w, kind in sk2.vertices.items():
-            if w == src2:
-                continue
-            vertices[m2(w)] = kind if kind == TARGET else INTERNAL
-            spaces[m2(w)] = frozen.concat(fg2.state_spaces[w])
-        for aid, a in sk2.arrows.items():
-            na = Arrow(f"A:{t}|B:{aid}", m2(a.src), m2(a.dst))
-            arrows.append(na)
-            maps[na.id] = fg2.arrow_maps[aid].shifted(left, fg2.state_spaces[a.src].dim)
-        for w, guard in sk2.guards.items():
-            guards[m2(w)] = _pad_guard(guard, left, 0)
-            routing[m2(w)] = {s: f"A:{t}|B:{aid}" for s, aid in sk2.routing[w].items()}
-        for w, l2 in sk2.target_labels.items():
-            labels[m2(w)] = (l1, l2)
-
-    sk = LogicalGraph(n, vertices, arrows, guards, routing, labels)
+    vertices = {"s*": SOURCE, **g.vertices}
+    vertices[g.source] = INTERNAL
+    arrows = [Arrow("dup", "s*", g.source)] + list(g.arrows.values())
+    sk = LogicalGraph(n, vertices, arrows, guards, g.routing, g.target_labels)
     return FuzzyLogicalGraph(sk, spaces, maps)
 
 

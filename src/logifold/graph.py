@@ -167,9 +167,13 @@ def _topological_order(g: LogicalGraph):
     """Kahn's algorithm, smallest ready vertex id first.
 
     Returns (order, stuck): `stuck` lists the vertices left on a cycle, empty
-    iff `order` holds every vertex.
+    iff `order` holds every vertex.  An arrow with a missing end raises.
     """
     indeg = dict(g.in_degree)
+    for a in g.arrows.values():
+        for end in (a.src, a.dst):
+            if end not in indeg:
+                raise DanglingVertexError(f"arrow {a.id!r} references missing vertex {end!r}")
     queue = [v for v, d in indeg.items() if d == 0]
     heapq.heapify(queue)
     order = []
@@ -178,8 +182,6 @@ def _topological_order(g: LogicalGraph):
         order.append(v)
         for aid in g.out_arrows[v]:
             w = g.arrows[aid].dst
-            if w not in indeg:
-                raise DanglingVertexError(f"arrow {aid!r} references missing vertex {w!r}")
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(queue, w)
@@ -407,7 +409,9 @@ def _route_guard(g: LogicalGraph, v: str, X: np.ndarray, idx: np.ndarray):
 def enumerate_paths(g: LogicalGraph, cap: int = PATH_CAP) -> List[List[str]]:
     """All source-to-target paths as arrow id lists; errors past `cap` paths."""
     counts: Dict[str, int] = {}
-    order = require_topo(g)
+    order, stuck = _topological_order(g)
+    if stuck:
+        raise CyclicGraphError(f"cycle through vertices {stuck}")
     for v in reversed(order):
         if g.vertices[v] == TARGET:
             counts[v] = 1
@@ -429,13 +433,6 @@ def enumerate_paths(g: LogicalGraph, cap: int = PATH_CAP) -> List[List[str]]:
 
     rec(g.source, [])
     return paths
-
-
-def require_topo(g: LogicalGraph) -> List[str]:
-    rep = validate_graph(g, check_realizability=False)
-    if not rep.topo_order:
-        raise CyclicGraphError("graph is cyclic")
-    return rep.topo_order
 
 
 @dataclass

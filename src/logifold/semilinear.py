@@ -34,6 +34,8 @@ UNCOVERED = "⊥"
 
 PIECE_CAP = 4096
 CHAMBER_CAP = 4096
+# float membership: how far an equality row may miss zero
+EQ_TOL = 1e-12
 
 Row = Tuple[float, ...]  # (c1, ..., cn, b)
 
@@ -56,13 +58,13 @@ class BasicSemilinearSet:
             out.append(make_constraint(row[:-1], row[-1], strict=True))
         return out
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def contains(self, x) -> bool:
         x = list(x)
         if all(isinstance(v, Fraction) for v in x):
             return all(feasibility.satisfies(c, x) for c in self.constraints())
         xf = np.asarray(x, dtype=float)
         for row in self.eq:
-            if abs(float(np.dot(row[:-1], xf)) + row[-1]) > tol:
+            if abs(float(np.dot(row[:-1], xf)) + row[-1]) > EQ_TOL:
                 return False
         for row in self.gt:
             if float(np.dot(row[:-1], xf)) + row[-1] <= 0:
@@ -81,8 +83,8 @@ class SemilinearSet:
     dim: int
     pieces: Tuple[BasicSemilinearSet, ...]
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        return any(p.contains(x, tol) for p in self.pieces)
+    def contains(self, x) -> bool:
+        return any(p.contains(x) for p in self.pieces)
 
     def is_empty(self) -> bool:
         return all(p.is_empty() for p in self.pieces)
@@ -95,8 +97,8 @@ class SemilinearFunction:
     dim: int
     fibers: Dict[object, SemilinearSet]
 
-    def label_of(self, x, tol: float = 1e-12):
-        hits = [l for l, s in self.fibers.items() if s.contains(x, tol)]
+    def label_of(self, x):
+        hits = [l for l, s in self.fibers.items() if s.contains(x)]
         if len(hits) > 1:
             raise AmbiguousFiberError(f"point lies in fibers {hits}")
         return hits[0] if hits else None
@@ -174,8 +176,7 @@ def _row_key(row: Row):
     return tuple(ints)
 
 
-def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP,
-               prune: bool = True) -> LogicalGraph:
+def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> LogicalGraph:
     """Single-guard graph whose walk reproduces f.label_of.
 
     Every distinct hyperplane appears as a (row, -row) pair, so each chamber
@@ -188,7 +189,7 @@ def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP,
     for label, fiber in f.fibers.items():
         kept = []
         for piece in fiber.pieces:
-            if prune and piece.is_empty():
+            if piece.is_empty():
                 continue
             kept.append(piece)
             for row in piece.eq + piece.gt:

@@ -16,7 +16,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -212,50 +212,36 @@ def _path_vote_from_rows(graph, path, rows_of, phis_of, alpha,
     return PathVote(classes, values, pred, fallback, dropped, dead)
 
 
-def _node_inputs(graph: TargetGraph, path, x, phi_of, alpha):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    rows_of, phis_of = {}, {}
-    for vi in path:
-        for idxs in graph.nodes[vi].groups:
-            for i in idxs:
-                if i not in rows_of:
-                    rows_of[i] = graph.charts[i].outputs(x)[0]
-                    phis_of[i] = phi_of(graph.charts[i], alpha)
-    return rows_of, phis_of
-
-
-def vote_along_path(graph: TargetGraph, path: Sequence[int], alpha: float, x,
-                    phi_of: PhiFn, uncertain_weight: float = 0.0) -> PathVote:
-    """Per-class product of node masses down the path; argmax predicts."""
-    rows_of, phis_of = _node_inputs(graph, path, x, phi_of, alpha)
-    return _path_vote_from_rows(graph, tuple(path), rows_of, phis_of, alpha,
-                                uncertain_weight)
-
-
-# -- validation history -----------------------------------------------------
-
-
-def _batch_rows(graph: TargetGraph, path, X, phi_of, alpha):
-    outs, phis = {}, {}
+def _path_votes(graph: TargetGraph, path, alpha, X, phi_of,
+                uncertain_weight) -> List[PathVote]:
+    """Path vote at every row of X; each chart on the path runs once."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    outs, phis_of = {}, {}
     for vi in path:
         for idxs in graph.nodes[vi].groups:
             for i in idxs:
                 if i not in outs:
                     outs[i] = graph.charts[i].outputs(X)
-                    phis[i] = phi_of(graph.charts[i], alpha)
-    return outs, phis
+                    phis_of[i] = phi_of(graph.charts[i], alpha)
+    path = tuple(path)
+    return [_path_vote_from_rows(graph, path, {i: mat[m] for i, mat in outs.items()},
+                                 phis_of, alpha, uncertain_weight)
+            for m in range(X.shape[0])]
+
+
+def vote_along_path(graph: TargetGraph, path: Sequence[int], alpha: float, x,
+                    phi_of: PhiFn, uncertain_weight: float = 0.0) -> PathVote:
+    """Per-class product of node masses down the path; argmax predicts."""
+    return _path_votes(graph, path, alpha, x, phi_of, uncertain_weight)[0]
+
+
+# -- validation history -----------------------------------------------------
 
 
 def path_predictions(graph: TargetGraph, path, alpha, X, phi_of,
                      uncertain_weight: float = 0.0):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    outs, phis_of = _batch_rows(graph, path, X, phi_of, alpha)
-    preds = []
-    for m in range(X.shape[0]):
-        rows_of = {i: mat[m] for i, mat in outs.items()}
-        preds.append(_path_vote_from_rows(graph, tuple(path), rows_of, phis_of,
-                                          alpha, uncertain_weight).prediction)
-    return preds
+    return [v.prediction
+            for v in _path_votes(graph, path, alpha, X, phi_of, uncertain_weight)]
 
 
 def expected_accuracy(graph: TargetGraph, path, alpha: float, label, Xval,
@@ -286,7 +272,6 @@ class Calibration:
 
 def calibrate(graph: TargetGraph, Xval, yval,
               alphas: Sequence[float] = DEFAULT_ALPHA_GRID,
-              phi_of: Optional[PhiFn] = None,
               uncertain_weight: float = 0.0) -> Calibration:
     """Best (path, threshold) per class by past one-vs-rest accuracy.
 
@@ -294,8 +279,7 @@ def calibrate(graph: TargetGraph, Xval, yval,
     """
     if len(list(yval)) == 0:
         raise EmptyValidationError("validation set is empty")
-    if phi_of is None:
-        phi_of = make_phi(Xval, yval)
+    phi_of = make_phi(Xval, yval)
     entries = {}
     for label in sorted(graph.nodes[graph.root].target, key=str):
         scored = []

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logifold.ensemble import (
-    CertaintyRecord,
     Embedding,
     ModelChart,
     accuracy_curve,
     as_partition,
     build_target_graph,
-    certainty_records,
     fuzzy_accuracy,
     refinement,
 )
@@ -68,16 +66,6 @@ class TestChartOutputs:
         with pytest.raises(DimensionMismatchError):
             bad.outputs(np.zeros((1, 2)))
 
-    def test_certainty_records_track_argmax(self):
-        chart = table_chart("c", [{0}, {1}],
-                            lambda X: np.where(X[:, :1] < 0,
-                                               [[0.9, 0.1]], [[0.3, 0.7]]))
-        recs = certainty_records(chart, [[-1.0], [1.0]])
-        assert recs[0] == CertaintyRecord(0.9, 0)
-        assert recs[1] == CertaintyRecord(0.7, 1)
-        for r in recs:
-            assert 1 / 2 <= r.certainty <= 1.0
-
 
 class TestRefinement:
     def test_two_partition_example(self):
@@ -86,8 +74,6 @@ class TestRefinement:
                                 frozenset({4}), frozenset({5})]
         assert table.valid == [(0, 0), (0, 1), (1, 1), (1, 2)]
         assert set(table.invalid) == {(0, 2), (1, 0)}
-        assert table.block_of[(1, 2)] == 3
-        assert table.block_containing(3) == 1
 
     def test_identical_partitions_invalidate_off_diagonal(self):
         p = [{1}, {2}, {3}]
@@ -153,8 +139,6 @@ class TestTargetGraph:
             expect = [j for j in range(3) if targets[j] < targets[i]]
             assert g.children[i] == expect
         assert g.root == 0
-        assert g.node_for(frozenset({1, 2})) == 2
-        assert g.node_for(frozenset({9})) is None
 
     def test_groups_split_by_partition(self):
         charts = [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from logifold.algebra import graft, product
 from logifold.errors import (
     NotScalarOutputError,
     StateSpaceMismatchError,
@@ -33,7 +34,7 @@ from logifold.fuzzy import (
     scalar_values,
     validate_fuzzy,
 )
-from logifold.graph import SOURCE, TARGET, Arrow, LogicalGraph
+from logifold.graph import SOURCE, TARGET, Arrow, LogicalGraph, evaluate
 from logifold.networks import (
     RELU,
     SIGMOID,
@@ -198,6 +199,26 @@ def test_product_with_branching_left_factor(rng):
         state = evaluate_fuzzy(p, x).state
         want = np.concatenate([forward_smooth(net1, x), forward_smooth(net2, x)])
         assert np.max(np.abs(state - want)) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_product_grafts_like_the_crisp_product(seed):
+    # both factors branch, so the grafted copies of the second graph route too
+    rng = np.random.default_rng(seed)
+    n1 = random_network(rng, [2, 3, 3], RELU, final=SOFTMAX)
+    n2 = random_network(rng, [2, 4, 2], RELU, final=SOFTMAX)
+    f1, f2 = from_relu_softmax_net(n1, label="r"), from_relu_softmax_net(n2, label="q")
+    p = fuzzy_product(f1, f2)
+    validate_fuzzy(p)
+    crisp = product([f1.skeleton, f2.skeleton])
+    grafted, _, _ = graft(f1.skeleton, f2.skeleton, lambda a, b: (a, b))
+    assert set(p.skeleton.vertices) == set(grafted.vertices) | {"s*"}
+    assert set(p.skeleton.arrows) == set(grafted.arrows) | {"dup"}
+    for x in rng.normal(size=(40, 2)):
+        out = evaluate_fuzzy(p, x)
+        assert out.label == evaluate(crisp, x)
+        want = np.concatenate([forward_smooth(n1, x), forward_smooth(n2, x)])
+        assert np.max(np.abs(out.state - want)) < 1e-9
 
 
 def test_union_takes_max_intersection_min(rng):

@@ -20,6 +20,7 @@ from logifold.graph import (
     AffineMap,
     Arrow,
     LogicalGraph,
+    enumerate_paths,
     evaluate,
     evaluate_batch,
     evaluate_pathsum,
@@ -184,6 +185,18 @@ def test_evaluate_batch_rejects_a_cycle():
                      {"a": {"+": "ab", "-": "at"}}, {"t": 0})
     with pytest.raises(CyclicGraphError):
         evaluate_batch(g, np.array([[1.0], [-1.0]]))
+
+
+@pytest.mark.parametrize("src, dst", [("a", "gone"), ("gone", "a")])
+def test_path_expansion_reports_a_dangling_arrow(src, dst):
+    # a cycle check alone would see the missing end as a stuck vertex
+    g = LogicalGraph(1, {"s": "source", "a": "internal", "t": "target"},
+                     [Arrow("sa", "s", "a"), Arrow("at", "a", "t"), Arrow("x", src, dst)],
+                     {}, {}, {"t": 0})
+    with pytest.raises(DanglingVertexError, match="'x'"):
+        enumerate_paths(g)
+    with pytest.raises(DanglingVertexError, match="'x'"):
+        evaluate_pathsum(g, np.array([0.5]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -210,10 +210,10 @@ class TestPaths:
             const_chart("three", [{3}], [1.0]),
         ]
         graph = build_target_graph(charts, {1, 2, 3})
-        assert valid_paths(graph, 3) == [
-            (0, graph.node_for(frozenset({3})))]
+        three = [node.target for node in graph.nodes].index(frozenset({3}))
+        assert valid_paths(graph, 3) == [(0, three)]
         paths = valid_paths(graph, 1)
-        assert all(graph.node_for(frozenset({3})) not in p for p in paths)
+        assert all(three not in p for p in paths)
 
     def test_unknown_label_raises(self):
         graph, _, _ = three_class_graph()
