@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import BudgetCapError, DimensionMismatchError
 from .graph import (  # noqa: F401  evaluate stays importable from this module
-    INTERNAL, SOURCE, TARGET, AffineMap, Arrow, LogicalGraph, evaluate, evaluate_batch)
+    INTERNAL, SOURCE, TARGET, AffineMap, Arrow, LogicalGraph, evaluate, evaluate_batch,
+    label_from_text, label_to_text)
 
 FALLBACK = "*"
 
@@ -384,7 +385,7 @@ def save_grid(grid: LabeledGrid, manifest_path):
         writer.writerow([f"i{k}" for k in range(grid.dim)] + ["label"])
         for idx in sorted(np.ndindex(*grid.resolution)):
             if grid.labels[idx] is not None:
-                writer.writerow(list(idx) + [grid.labels[idx]])
+                writer.writerow(list(idx) + [label_to_text(grid.labels[idx])])
     manifest = {
         "lo": grid.lo.tolist(),
         "hi": grid.hi.tolist(),
@@ -399,13 +400,22 @@ def load_grid(manifest_path) -> LabeledGrid:
     manifest_path = os.fspath(manifest_path)
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    labels = np.empty(tuple(manifest["resolution"]), dtype=object)
+    shape = tuple(manifest["resolution"])
+    labels = np.empty(shape, dtype=object)
     labels[...] = None
     csv_path = os.path.join(os.path.dirname(manifest_path), manifest["labels_file"])
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            idx = tuple(int(v) for v in row[:-1])
-            labels[idx] = row[-1]
+            try:
+                if len(row) != len(shape) + 1:
+                    raise ValueError(f"expected {len(shape) + 1} fields, got {len(row)}")
+                idx = tuple(int(v) for v in row[:-1])
+                if not all(0 <= i < n for i, n in zip(idx, shape)):
+                    raise ValueError(f"cell {idx} is outside resolution {shape}")
+                labels[idx] = label_from_text(row[-1])
+            except ValueError as e:
+                raise ValueError(
+                    f"{manifest['labels_file']}, line {reader.line_num}: {e}") from None
     return LabeledGrid(np.array(manifest["lo"]), np.array(manifest["hi"]), labels)

@@ -34,7 +34,7 @@ from .errors import (
     RegionExplosionError,
 )
 from .fuzzy import from_relu_softmax_net, from_sigmoid_net, save_fuzzy
-from .graph import evaluate_batch, load_graph, require_valid, save_graph
+from .graph import evaluate_batch, label_to_text, load_graph, require_valid, save_graph
 from .networks import (
     RELU,
     SIGMOID,
@@ -117,6 +117,12 @@ def _load(path, loader):
         raise MalformedFileError(path, str(e))
 
 
+def _load_graph(path):
+    g = _load(path, load_graph)
+    require_valid(g, check_realizability=False)
+    return g
+
+
 def _read_points(path):
     rows = []
     try:
@@ -191,10 +197,10 @@ def _cmd_compile(cfg, args):
 
 
 def _cmd_eval(cfg, args):
-    g = _load(args.graph, load_graph)
+    g = _load_graph(args.graph)
     X = _read_points(args.points)
     labels = evaluate_batch(g, X)
-    lines = "\n".join(str(l) for l in labels) + "\n"
+    lines = "\n".join(map(label_to_text, labels)) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(lines)
@@ -205,15 +211,14 @@ def _cmd_eval(cfg, args):
 
 def _cmd_check_equiv(cfg, args):
     net = _load(args.model, load_model)
-    g = _load(args.graph, load_graph)
+    g = _load_graph(args.graph)
     rng = np.random.default_rng(cfg.seed)
     X = rng.normal(scale=2.0, size=(args.samples, net.input_dim))
     want = forward_classical_batch(net, X)
     got = evaluate_batch(g, X)
     mismatches = skipped = 0
-    # graph files store labels as strings, so compare in that form
     for x, a, b in zip(X, want, got):
-        if str(a) == str(b):
+        if a == b:
             continue
         logits = np.sort(forward_logits(net, x))
         if logits[-1] - logits[-2] <= cfg.tie_margin:
@@ -230,7 +235,7 @@ def _cmd_check_equiv(cfg, args):
 
 
 def _cmd_to_semilinear(cfg, args):
-    g = _load(args.graph, load_graph)
+    g = _load_graph(args.graph)
     f = from_llgraph(g, piece_cap=cfg.piece_cap)
     save_semilinear(f, args.out)
     print(f"wrote {args.out}")
@@ -380,8 +385,7 @@ def _cmd_ensemble_vote(cfg, args):
     classes, charts = _load_charts(args.charts)
     graph = build_target_graph(charts, classes)
     data = _load(args.data, load_dataset)
-    cal = _load(args.calibration,
-                lambda p: load_calibration(p, graph, labels=classes))
+    cal = _load(args.calibration, lambda p: load_calibration(p, graph))
     Xval, yval = data.subset("val")
     X, _ = data.subset(args.split)
     doc = vote_report(graph, cal, X, make_phi(Xval, yval),

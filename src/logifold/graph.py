@@ -486,6 +486,23 @@ def evaluate_pathsum(g: LogicalGraph, x, cap: int = PATH_CAP):
 
 # -- serialization ---------------------------------------------------------
 
+def label_to_text(label) -> str:
+    """The JSON text of a label; tuples are written as arrays, recursively."""
+    return json.dumps(label)
+
+
+def _tupled(value):
+    return tuple(map(_tupled, value)) if isinstance(value, list) else value
+
+
+def label_from_text(text: str):
+    """Inverse of `label_to_text`: arrays are read back as tuples."""
+    try:
+        return _tupled(json.loads(text))
+    except json.JSONDecodeError:
+        raise ValueError(f"label text {text!r} is not JSON") from None
+
+
 def graph_to_dict(g: LogicalGraph) -> dict:
     return {
         "input_dim": g.input_dim,
@@ -496,7 +513,7 @@ def graph_to_dict(g: LogicalGraph) -> dict:
             for v, gd in g.guards.items()
         },
         "routing": {v: dict(r) for v, r in g.routing.items()},
-        "target_labels": {v: str(l) for v, l in g.target_labels.items()},
+        "target_labels": {v: label_to_text(l) for v, l in g.target_labels.items()},
     }
 
 
@@ -513,7 +530,7 @@ def graph_from_dict(data: dict) -> LogicalGraph:
         arrows=arrows,
         guards=guards,
         routing=data.get("routing", {}),
-        target_labels=data.get("target_labels", {}),
+        target_labels={v: label_from_text(t) for v, t in data.get("target_labels", {}).items()},
     )
 
 

@@ -28,7 +28,8 @@ from .feasibility import (
     make_constraint,
     signed_constraint,
 )
-from .graph import SOURCE, TARGET, AffineMap, Arrow, LogicalGraph
+from .graph import (SOURCE, TARGET, AffineMap, Arrow, LogicalGraph,
+                    label_from_text, label_to_text)
 
 UNCOVERED = "⊥"
 
@@ -245,9 +246,9 @@ def semilinear_to_dict(f: SemilinearFunction) -> dict:
     return {
         "dim": f.dim,
         "fibers": {
-            str(label): [{"eq": [list(r) for r in p.eq],
-                          "gt": [list(r) for r in p.gt]}
-                         for p in fiber.pieces]
+            label_to_text(label): [{"eq": [list(r) for r in p.eq],
+                                    "gt": [list(r) for r in p.gt]}
+                                   for p in fiber.pieces]
             for label, fiber in f.fibers.items()
         },
     }
@@ -256,8 +257,8 @@ def semilinear_to_dict(f: SemilinearFunction) -> dict:
 def semilinear_from_dict(d: dict) -> SemilinearFunction:
     dim = int(d["dim"])
     fibers = {}
-    for label, pieces in d["fibers"].items():
-        fibers[label] = SemilinearSet(dim, tuple(
+    for text, pieces in d["fibers"].items():
+        fibers[label_from_text(text)] = SemilinearSet(dim, tuple(
             BasicSemilinearSet(dim,
                                tuple(tuple(map(float, r)) for r in p.get("eq", [])),
                                tuple(tuple(map(float, r)) for r in p.get("gt", [])))

@@ -35,6 +35,7 @@ from .errors import (
     NoValidPathError,
     UncoveredInstanceError,
 )
+from .graph import label_to_text
 
 # threshold grid for validation history; 1.0 would empty every certain part
 DEFAULT_ALPHA_GRID = tuple(round(0.05 * i, 2) for i in range(20)) + (0.99,)
@@ -368,7 +369,7 @@ def write_prediction_matrix(path, chart: ModelChart, X, ids=None):
 
 
 def _path_targets(graph: TargetGraph, path):
-    return [sorted(map(str, graph.nodes[vi].target)) for vi in path]
+    return [sorted(map(label_to_text, graph.nodes[vi].target)) for vi in path]
 
 
 def calibration_to_dict(graph: TargetGraph, calibration: Calibration) -> dict:
@@ -380,27 +381,19 @@ def calibration_to_dict(graph: TargetGraph, calibration: Calibration) -> dict:
             for cid, curve in sorted(calibration.curves.items())
         },
         "classes": {
-            str(label): {"path": _path_targets(graph, entry.path),
-                         "path_nodes": list(entry.path),
-                         "alpha": entry.alpha, "rate": entry.rate}
-            for label, entry in sorted(calibration.entries.items(),
-                                       key=lambda kv: str(kv[0]))
+            label_to_text(label): {"path": _path_targets(graph, entry.path),
+                                   "path_nodes": list(entry.path),
+                                   "alpha": entry.alpha, "rate": entry.rate}
+            for label, entry in calibration.entries.items()
         },
     }
 
 
-def save_calibration(path, graph: TargetGraph, calibration: Calibration):
-    with open(path, "w") as fh:
-        json.dump(calibration_to_dict(graph, calibration), fh, indent=2,
-                  sort_keys=True)
-
-
-def load_calibration(path, graph: TargetGraph, labels=None) -> Calibration:
-    """Labels in JSON are strings; pass `labels` to map them back."""
+def load_calibration(path, graph: TargetGraph) -> Calibration:
+    """Class keys must name labels of the graph's root target."""
     with open(path) as fh:
         doc = json.load(fh)
-    named = {str(l): l for l in (labels if labels is not None
-                                 else graph.nodes[graph.root].target)}
+    named = {label_to_text(l): l for l in graph.nodes[graph.root].target}
     entries = {
         named[key]: HistoryEntry(tuple(rec["path_nodes"]), rec["alpha"],
                                  rec["rate"])
@@ -438,10 +431,3 @@ def vote_report(graph: TargetGraph, calibration: Calibration, X, phi_of: PhiFn,
             "flags": flags,
         })
     return {"instances": instances}
-
-
-def save_vote_report(path, graph, calibration, X, phi_of, ids=None,
-                     uncertain_weight: float = 0.0):
-    with open(path, "w") as fh:
-        json.dump(vote_report(graph, calibration, X, phi_of, ids,
-                              uncertain_weight), fh, indent=2, sort_keys=True)

@@ -161,4 +161,18 @@ def test_grid_round_trip(tmp_path):
     assert g2.resolution == g.resolution
     assert np.allclose(g2.lo, g.lo) and np.allclose(g2.hi, g.hi)
     for idx in np.ndindex(*g.resolution):
-        assert g2.labels[idx] == str(g.labels[idx])
+        assert g2.labels[idx] == g.labels[idx]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("5,0,1", r"cell \(5, 0\) is outside"),
+    ("-1,0,0", r"cell \(-1, 0\) is outside"),
+    ("0,1", "expected 3 fields, got 2"),
+], ids=["index-too-large", "negative-index", "short-row"])
+def test_grid_rejects_malformed_cell_rows(tmp_path, row, message):
+    path = tmp_path / "grid.json"
+    save_grid(LabeledGrid([0.0, 0.0], [1.0, 1.0], np.full((2, 2), None)), path)
+    with open(tmp_path / "grid.csv", "a") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(ValueError, match=f"grid.csv, line 2: {message}"):
+        load_grid(path)

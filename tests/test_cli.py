@@ -13,7 +13,7 @@ from logifold.config import (
     config_hash,
     config_to_dict,
 )
-from logifold.graph import evaluate_batch, load_graph, validate_graph
+from logifold.graph import evaluate_batch, graph_to_dict, load_graph, validate_graph
 from logifold.fuzzy import evaluate_fuzzy, load_fuzzy
 from logifold.networks import (
     INDEXMAX,
@@ -24,6 +24,8 @@ from logifold.networks import (
     random_network,
     save_model,
 )
+
+from conftest import make_step_graph
 
 
 class TestConfig:
@@ -138,6 +140,20 @@ class TestCompileEval:
                      "--activation", "relu", "--out", str(tmp_path / "g.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("breakage, error", [
+        (lambda d: d["target_labels"].pop("t1"), "DanglingVertexError"),
+        (lambda d: d["routing"]["s"].update({"+": "nope"}), "IncompleteRoutingError"),
+    ], ids=["unlabeled-target", "route-to-missing-arrow"])
+    def test_eval_validates_the_graph_file(self, tmp_path, capsys, breakage, error):
+        doc = graph_to_dict(make_step_graph())
+        breakage(doc)
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps(doc))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.5\n-0.5\n")
+        assert main(["eval", "--graph", str(graph_path), "--points", str(pts)]) == 2
+        assert error in capsys.readouterr().err
+
     def test_semilinear_round_trip_via_files(self, tmp_path, step_model):
         _, model_path = step_model
         g1 = tmp_path / "g1.json"
@@ -151,7 +167,7 @@ class TestCompileEval:
                      "--out", str(g2)]) == 0
         a, b = load_graph(g1), load_graph(g2)
         X = np.random.default_rng(5).normal(size=(200, 2))
-        left = [str(l) for l in evaluate_batch(a, X)]
+        left = evaluate_batch(a, X)
         assert left == evaluate_batch(b, X)
 
 
@@ -184,6 +200,13 @@ class TestGridCommands:
         doc = json.loads(rep.read_text())
         assert doc["final_residual"] == 0.0
         assert len(doc["rounds"]) <= 6
+
+    def test_short_cell_row_is_a_malformed_file(self, tmp_path, grid_file, capsys):
+        with open(tmp_path / "grid.csv", "a") as fh:
+            fh.write("0,1\n")
+        assert main(["approx", "--grid", str(grid_file), "--epsilon", "0.01",
+                     "--out", str(tmp_path / "a.json")]) == 65
+        assert "grid.csv, line 66: expected 3 fields" in capsys.readouterr().err
 
     def test_epsilon_is_required(self, tmp_path, grid_file):
         assert main(["approx", "--grid", str(grid_file),

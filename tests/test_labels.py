@@ -1,0 +1,129 @@
+"""Labels keep their value and type through every file format."""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from logifold.algebra import F2_ADD, boolean_combine, identity_graph
+from logifold.approx import LabeledGrid, load_grid, save_grid
+from logifold.ensemble import ModelChart, as_partition, build_target_graph
+from logifold.graph import (
+    evaluate,
+    label_from_text,
+    label_to_text,
+    load_graph,
+    relabel,
+    save_graph,
+)
+from logifold.networks import INDEXMAX, STEP, compile_step_net, random_network
+from logifold.semilinear import (
+    BasicSemilinearSet,
+    SemilinearFunction,
+    SemilinearSet,
+    load_semilinear,
+    save_semilinear,
+)
+from logifold.voting import (
+    Calibration,
+    HistoryEntry,
+    calibration_to_dict,
+    load_calibration,
+)
+
+# strings that look like other labels, or that CSV has to quote
+TRICKY = ["0", "⊥", "(0, 1)", "[0, 1]", 'a,"b"', "'c'", "x\ny", "null", ""]
+
+SCALARS = st.one_of(st.integers(), st.floats(allow_nan=False), st.text(),
+                    st.sampled_from(TRICKY))
+LABELS = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3).map(tuple),
+                      max_leaves=6)
+LABEL_SETS = st.lists(LABELS, min_size=1, max_size=5, unique=True)
+MIXED = [0, "0", (0, 1), "(0, 1)", ((1, "⊥"), 2.5), float("inf"), -7, "⊥",
+         'a,"b"', "[0, 1]", ()]
+
+
+def same(a, b) -> bool:
+    """Equal value and equal type, down through nested tuples."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+def via_graph(labels, tmp):
+    points = [[float(i)] for i in range(len(labels))]
+    g = relabel(identity_graph(points), lambda p: labels[int(p[0])])
+    save_graph(g, tmp / "g.json")
+    h = load_graph(tmp / "g.json")
+    return [evaluate(h, p) for p in points]
+
+
+def via_semilinear(labels, tmp):
+    # fiber i is the open interval (i, i + 1)
+    f = SemilinearFunction(1, {
+        l: SemilinearSet(1, (BasicSemilinearSet(1, (), ((1.0, -i), (-1.0, i + 1.0))),))
+        for i, l in enumerate(labels)})
+    save_semilinear(f, tmp / "s.json")
+    f2 = load_semilinear(tmp / "s.json")
+    return [f2.label_of([i + 0.5]) for i in range(len(labels))]
+
+
+def via_grid(labels, tmp):
+    cells = np.empty(len(labels) + 1, dtype=object)
+    for i, l in enumerate(labels):
+        cells[i] = l
+    save_grid(LabeledGrid([0.0], [len(labels) + 1.0], cells), tmp / "grid.json")
+    back = load_grid(tmp / "grid.json").labels
+    assert back[-1] is None
+    return list(back[:-1])
+
+
+def via_calibration(labels, tmp):
+    chart = ModelChart("c", as_partition([{l} for l in labels]),
+                       lambda X: np.full((len(X), len(labels)), 1.0 / len(labels)))
+    graph = build_target_graph([chart], labels)
+    cal = Calibration({l: HistoryEntry((0,), 0.5, float(i))
+                       for i, l in enumerate(labels)}, {}, (0.0, 0.5))
+    (tmp / "cal.json").write_text(json.dumps(calibration_to_dict(graph, cal)))
+    loaded = load_calibration(tmp / "cal.json", graph)
+    by_rate = {int(e.rate): l for l, e in loaded.entries.items()}
+    return [by_rate[i] for i in range(len(labels))]
+
+
+@pytest.mark.parametrize("reload", [via_graph, via_semilinear, via_grid,
+                                    via_calibration])
+@settings(max_examples=40, deadline=None)
+@example(labels=MIXED)
+@example(labels=TRICKY)
+@given(labels=LABEL_SETS)
+def test_labels_keep_value_and_type(reload, labels):
+    with tempfile.TemporaryDirectory() as tmp:
+        back = reload(labels, Path(tmp))
+    assert all(same(a, b) for a, b in zip(labels, back)), (labels, back)
+    assert len(back) == len(labels)
+
+
+def test_label_text_is_json():
+    assert label_to_text(0) == "0"
+    assert label_to_text((0, 1)) == "[0, 1]"
+    assert label_to_text("a") == '"a"'
+    assert same(label_from_text("[[1, 2.5], \"⊥\"]"), ((1, 2.5), "⊥"))
+    with pytest.raises(ValueError, match="not JSON"):
+        label_from_text("A")
+
+
+def test_reloaded_step_compile_combines_in_f2(tmp_path):
+    net = random_network(np.random.default_rng(11), [2, 3, 2], STEP, INDEXMAX)
+    g = compile_step_net(net)
+    save_graph(g, tmp_path / "g.json")
+    h = load_graph(tmp_path / "g.json")
+    assert set(h.target_labels.values()) == {0, 1}
+    both = boolean_combine(h, g, F2_ADD)
+    for x in np.random.default_rng(2).normal(size=(50, 2)):
+        assert evaluate(both, x) == 0
