@@ -406,7 +406,8 @@ def load_grid(manifest_path) -> LabeledGrid:
     csv_path = os.path.join(os.path.dirname(manifest_path), manifest["labels_file"])
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        if next(reader, None) is None:
+            raise ValueError(f"{manifest['labels_file']} is empty; expected a header line")
         for row in reader:
             try:
                 if len(row) != len(shape) + 1:

@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -96,16 +97,6 @@ class _Parser(argparse.ArgumentParser):
 # -- file helpers -----------------------------------------------------------
 
 
-def _read_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise MalformedFileError(path, "no such file")
-    except json.JSONDecodeError as e:
-        raise MalformedFileError(path, f"line {e.lineno}, column {e.colno}: {e.msg}")
-
-
 def _load(path, loader):
     try:
         return loader(path)
@@ -151,7 +142,7 @@ def _parse_blocks(text):
 
 
 def _load_charts(path):
-    doc = _read_json(path)
+    doc = _load(path, lambda p: json.loads(Path(p).read_text()))
     base = os.path.dirname(os.path.abspath(path))
     try:
         classes = doc["classes"]

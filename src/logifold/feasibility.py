@@ -71,18 +71,6 @@ def make_constraint(coeffs: Sequence, offset, strict: bool) -> Constraint:
     return Constraint(tuple(ints), b, strict)
 
 
-def negate_row(coeffs: Sequence, offset):
-    return [-_to_fraction(c) for c in coeffs], -_to_fraction(offset)
-
-
-def signed_constraint(coeffs: Sequence, offset, sign: str) -> Constraint:
-    """PLUS means the row is >= 0; MINUS means it is < 0 (so -row > 0)."""
-    if sign == "+":
-        return make_constraint(coeffs, offset, strict=False)
-    nc, nb = negate_row(coeffs, offset)
-    return make_constraint(nc, nb, strict=True)
-
-
 def evaluate_constraint(c: Constraint, point: Sequence[Fraction]) -> Fraction:
     total = Fraction(c.offset)
     for a, x in zip(c.coeffs, point):
@@ -265,8 +253,10 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
     """All realizable sign vectors of `rows` within the `base` system.
 
     rows: sequence of (coeffs, offset) affine rows (floats accepted).
-    Returns {sign_string: rational witness}.  Sign ``+`` stands for row >= 0,
-    ``-`` for row < 0.  Raises GuardExplosionError past `cap` chambers.
+    Returns {sign_string: (rational witness, system)}, where `system` is
+    `base` plus the chamber's signed rows: ``+`` is the weak row >= 0, ``-``
+    the negated strict row -row > 0.  Raises GuardExplosionError past `cap`
+    chambers.
     """
     w0 = base_witness if base_witness is not None else find_witness(list(base), n)
     if w0 is None:
@@ -279,7 +269,7 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
             if cap is not None and len(out) >= cap:
                 raise GuardExplosionError(
                     f"more than {cap} realizable chambers for a {len(rows)}-row guard")
-            out[prefix] = witness
+            out[prefix] = (witness, system)
             return
         probe = int_rows[idx]
         val = evaluate_constraint(probe, witness)

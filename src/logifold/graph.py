@@ -192,9 +192,11 @@ def _topological_order(g: LogicalGraph):
 def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> ValidationReport:
     """Structural audit: acyclicity, single source, routing totality, labels.
 
-    Routing totality is checked against the exactly-realizable sign vectors of
-    each guard whenever the input dimension and chamber count fit the exact
-    elimination budget; larger guards get the structural checks only.
+    Routing totality is checked by `walk_regions` against the exactly
+    realizable sign vectors of each guard whenever the input dimension and
+    chamber count fit the exact elimination budget; larger graphs get the
+    structural checks only.  The first realizable unrouted chamber is
+    reported.
     """
     rep = ValidationReport()
     err = rep.errors.append
@@ -265,53 +267,57 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
 
     if check_realizability and not rep.errors and rep.topo_order \
             and g.input_dim <= _REALIZABILITY_DIM:
-        _check_reachable_routing(g, rep)
+        try:
+            for _ in walk_regions(g, cap=_REALIZABILITY_CHAMBERS):
+                pass
+        except GuardExplosionError:
+            return rep  # budget exceeded: structural checks only
+        except IncompleteRoutingError as e:
+            err(e)
+        rep.realizability_checked = True
     return rep
 
 
-def _check_reachable_routing(g: LogicalGraph, rep: ValidationReport):
-    """Walk the graph symbolically and flag reachable-but-unrouted chambers.
+def walk_regions(g: LogicalGraph, cap: Optional[int] = None):
+    """Depth-first walk over the regions of input space that g routes.
 
-    Every sign vector of a guard that is realizable within the constraint
-    system accumulated on some source path must have a route; chambers that no
-    input can reach need none.  Work is capped so validation stays cheap; past
-    the cap the graph is reported as structurally checked only.
+    Yields (target, steps) once per source-to-target region that some input
+    reaches, where `steps` lists the (guard vertex, sign vector) pairs taken.
+    Unguarded vertices are followed; at each guard the realizable chambers
+    within the region's constraint system are visited in sorted sign order.
+    A realizable chamber without a route raises IncompleteRoutingError, and
+    more than `cap` chambers in total raise GuardExplosionError.  Without a
+    cap, a guard stops enumerating once its chambers outnumber its routes,
+    since one of them must then be unrouted.
     """
-    budget = _REALIZABILITY_CHAMBERS
-    flagged = set()
-    stack = [(g.source, [], None)]
+    seen = 0
+    stack = [(g.source, [], None, [])]
     while stack:
-        v, system, witness = stack.pop()
+        v, system, witness, steps = stack.pop()
+        while v not in g.guards and g.vertices[v] != TARGET:
+            v = g.arrows[g.out_arrows[v][0]].dst
         if g.vertices[v] == TARGET:
+            yield v, steps
             continue
-        guard = g.guards.get(v)
-        if guard is None:
-            (aid,) = g.out_arrows[v]
-            stack.append((g.arrows[aid].dst, system, witness))
-            continue
-        rows = [guard.row(i) for i in range(guard.rows)]
+        guard = g.guards[v]
+        routes = g.routing.get(v, {})
         try:
             chambers = feasibility.enumerate_chambers(
-                rows, g.input_dim, base=system, cap=budget, base_witness=witness)
+                [guard.row(i) for i in range(guard.rows)], g.input_dim, base=system,
+                base_witness=witness, cap=len(routes) if cap is None else cap - seen)
         except GuardExplosionError:
-            return  # budget exceeded: structural checks only
-        budget -= len(chambers)
-        if budget <= 0:
-            return
-        for s, w in chambers.items():
-            aid = g.routing.get(v, {}).get(s)
-            if aid is None:
-                if (v, s) not in flagged:
-                    flagged.add((v, s))
-                    rep.errors.append(IncompleteRoutingError(
-                        f"vertex {v!r}: realizable sign vector {s!r} is unrouted"))
-                continue
-            sub = system + [
-                feasibility.signed_constraint(*guard.row(i), c)
-                for i, c in enumerate(s)
-            ]
-            stack.append((g.arrows[aid].dst, sub, w))
-    rep.realizability_checked = True
+            if cap is None:
+                raise IncompleteRoutingError(f"vertex {v!r} has more realizable sign "
+                                             f"vectors than its {len(routes)} routes") from None
+            raise GuardExplosionError(f"more than {cap} realizable chambers in the walk") from None
+        seen += len(chambers)
+        children = []
+        for signs, (w, sub) in sorted(chambers.items()):
+            if signs not in routes:
+                raise IncompleteRoutingError(
+                    f"vertex {v!r}: realizable sign vector {signs!r} is unrouted")
+            children.append((g.arrows[routes[signs]].dst, sub, w, steps + [(v, signs)]))
+        stack.extend(reversed(children))  # smallest sign vector is walked first
 
 
 def require_valid(g: LogicalGraph, check_realizability: bool = True) -> ValidationReport:

@@ -280,7 +280,7 @@ def _finalize_vertex(b: _Builder, vid, final_map: AffineMap, region, witness,
     chambers = feasibility.enumerate_chambers(rows, b.input_dim, base=region,
                                               cap=chamber_cap, base_witness=witness)
     routes = {}
-    for signs, w in chambers.items():
+    for signs, (w, _) in chambers.items():
         label = _argmax_from_signs(pairs, signs, d)
         if label is None:
             # intransitive sliver: decide by the logits at the exact witness
@@ -368,12 +368,7 @@ def _walk_relu_regions(b: _Builder, net: NetworkSpec, leaf, chamber_cap: int,
             raise RegionExplosionError(f"more than {region_cap} linear regions")
         routes = {signs: b.add(f"{vid}|{signs}") for signs in chambers}
         b.branch(vid, composed, routes)
-        for signs, w in chambers.items():
-            sub = list(region) + [
-                feasibility.signed_constraint(composed.matrix[i].tolist(),
-                                              float(composed.offset[i]), c)
-                for i, c in enumerate(signs)
-            ]
+        for signs, (w, sub) in chambers.items():
             descend(routes[signs], depth + 1,
                     _compose_after_mask(layer, _outcome(signs), composed), sub, w)
 

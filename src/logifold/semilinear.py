@@ -14,22 +14,19 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import feasibility
 from .errors import AmbiguousFiberError, BudgetCapError
 from .feasibility import (
-    Constraint,
     Verdict,
-    evaluate_constraint,
-    find_witness,
+    find_witness,  # unused here; perfbench wraps and checks this binding
     make_constraint,
-    signed_constraint,
 )
 from .graph import (SOURCE, TARGET, AffineMap, Arrow, LogicalGraph,
-                    label_from_text, label_to_text)
+                    label_from_text, label_to_text, walk_regions)
 
 UNCOVERED = "⊥"
 
@@ -113,14 +110,21 @@ def from_llgraph(g: LogicalGraph, piece_cap: int = PIECE_CAP) -> SemilinearFunct
     """Expand each routed region of g into disjoint basic pieces per label.
 
     A weak chamber row splits into an equality piece and a strict piece, so
-    the resulting fibers partition the input space.
+    the resulting fibers partition the input space.  A realizable chamber
+    without a route raises IncompleteRoutingError.
     """
     n = g.input_dim
     fibers: Dict[object, list] = {}
     examined = 0
-
-    def emit(label, plus, minus):
-        nonlocal examined
+    for target, steps in walk_regions(g):
+        plus, minus = [], []
+        for v, signs in steps:
+            for i, s in enumerate(signs):
+                coeffs, off = g.guards[v].row(i)
+                if s == "+":
+                    plus.append(_as_row(coeffs, off))
+                else:
+                    minus.append(_as_row([-c for c in coeffs], -off))
         examined += 2 ** len(plus)
         if examined > piece_cap:
             raise BudgetCapError(
@@ -130,31 +134,7 @@ def from_llgraph(g: LogicalGraph, piece_cap: int = PIECE_CAP) -> SemilinearFunct
             gt = tuple(row for i, row in enumerate(plus) if not mask >> i & 1)
             piece = BasicSemilinearSet(n, eq, gt + tuple(minus))
             if not piece.is_empty():
-                fibers.setdefault(label, []).append(piece)
-
-    def walk(v, system, witness, plus, minus):
-        if g.vertices[v] == TARGET:
-            emit(g.target_labels[v], plus, minus)
-            return
-        if v not in g.guards:
-            walk(g.arrows[g.out_arrows[v][0]].dst, system, witness, plus, minus)
-            return
-        guard = g.guards[v]
-        for signs, aid in sorted(g.routing[v].items()):
-            ext = list(system)
-            p2, m2 = list(plus), list(minus)
-            for i, s in enumerate(signs):
-                coeffs, off = guard.row(i)
-                ext.append(signed_constraint(coeffs, off, s))
-                if s == "+":
-                    p2.append(_as_row(coeffs, off))
-                else:
-                    m2.append(_as_row([-c for c in coeffs], -off))
-            w = find_witness(ext, n, hint=witness)
-            if w is not None:
-                walk(g.arrows[aid].dst, ext, w, p2, m2)
-
-    walk(g.source, [], None, [], [])
+                fibers.setdefault(g.target_labels[target], []).append(piece)
     return SemilinearFunction(n, {l: SemilinearSet(n, tuple(ps))
                                   for l, ps in fibers.items()})
 
@@ -221,7 +201,7 @@ def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> Logical
             arrow_of[label] = a.id
         return arrow_of[label]
 
-    for signs, witness in sorted(chambers.items()):
+    for signs, (witness, _) in sorted(chambers.items()):
         hits = [l for l, fiber in live_fibers.items()
                 if fiber.contains(list(witness))]
         if len(hits) > 1:

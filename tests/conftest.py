@@ -36,3 +36,31 @@ def make_diamond_graph():
                  "m1": {"+": "b1", "-": "b2"}},
         target_labels={"ta": "A", "tb": "B", "tc": "C"},
     )
+
+
+def make_nested_graph(shift, routes):
+    """Two-level graph on R^2: x >= 0 leads to a guard on (x + shift, y) whose
+    routes to targets 1, 2, ... are the given sign vectors; x < 0 is label 0."""
+    targets = {f"t{k}": k for k in range(len(routes) + 1)}
+    return LogicalGraph(
+        input_dim=2,
+        vertices={"s": "source", "m": "internal", **{t: "target" for t in targets}},
+        arrows=[Arrow("a0", "s", "t0"), Arrow("am", "s", "m")]
+        + [Arrow(f"b{k}", "m", f"t{k}") for k in range(1, len(routes) + 1)],
+        guards={"s": AffineMap(np.array([[1.0, 0.0]]), np.array([0.0])),
+                "m": AffineMap(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([shift, 0.0]))},
+        routing={"s": {"+": "am", "-": "a0"},
+                 "m": {signs: f"b{k}" for k, signs in enumerate(routes, start=1)}},
+        target_labels=targets,
+    )
+
+
+def make_holed_graph():
+    """Nested graph whose chamber 0 <= x < 1, y >= 0 ("-+" at m) has no route."""
+    return make_nested_graph(-1.0, ("++", "+-", "--"))
+
+
+def make_pruned_graph():
+    """Nested graph routing only "++" and "+-" at m: the guard's "-" chambers
+    (x < -1) exist in R^2 but not inside the parent region x >= 0."""
+    return make_nested_graph(1.0, ("++", "+-"))

@@ -176,3 +176,11 @@ def test_grid_rejects_malformed_cell_rows(tmp_path, row, message):
         fh.write(row + "\n")
     with pytest.raises(ValueError, match=f"grid.csv, line 2: {message}"):
         load_grid(path)
+
+
+def test_grid_rejects_an_empty_labels_file(tmp_path):
+    path = tmp_path / "grid.json"
+    save_grid(LabeledGrid([0.0, 0.0], [1.0, 1.0], np.full((2, 2), None)), path)
+    (tmp_path / "grid.csv").write_text("")
+    with pytest.raises(ValueError, match="grid.csv is empty"):
+        load_grid(path)

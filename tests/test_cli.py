@@ -25,7 +25,7 @@ from logifold.networks import (
     save_model,
 )
 
-from conftest import make_step_graph
+from conftest import make_holed_graph, make_step_graph
 
 
 class TestConfig:
@@ -170,6 +170,17 @@ class TestCompileEval:
         left = evaluate_batch(a, X)
         assert left == evaluate_batch(b, X)
 
+    def test_to_semilinear_rejects_an_unrouted_chamber(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps(graph_to_dict(make_holed_graph())))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.5,1.0\n")
+        assert main(["eval", "--graph", str(graph_path), "--points", str(pts)]) == 2
+        assert main(["to-semilinear", "--graph", str(graph_path),
+                     "--out", str(tmp_path / "s.json")]) == 2
+        assert "IncompleteRoutingError" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
 
 class TestGridCommands:
     @pytest.fixture
@@ -207,6 +218,13 @@ class TestGridCommands:
         assert main(["approx", "--grid", str(grid_file), "--epsilon", "0.01",
                      "--out", str(tmp_path / "a.json")]) == 65
         assert "grid.csv, line 66: expected 3 fields" in capsys.readouterr().err
+
+    def test_empty_labels_file_is_a_malformed_file(self, tmp_path, grid_file, capsys):
+        (tmp_path / "grid.csv").write_text("")
+        assert main(["approx", "--grid", str(grid_file), "--epsilon", "0.01",
+                     "--out", str(tmp_path / "a.json")]) == 65
+        err = capsys.readouterr().err
+        assert str(grid_file) in err and "grid.csv is empty" in err
 
     def test_epsilon_is_required(self, tmp_path, grid_file):
         assert main(["approx", "--grid", str(grid_file),
@@ -349,6 +367,19 @@ class TestExitCodes:
                      "--out", str(tmp_path / "g.json")])
         assert code == 65
         assert "line 2" in capsys.readouterr().err
+
+    def test_missing_charts_file_names_the_path(self, tmp_path, capsys):
+        missing = tmp_path / "charts.json"
+        assert main(["ensemble", "target-graph", "--charts", str(missing),
+                     "--out", str(tmp_path / "tg.json")]) == 65
+        assert f"{missing}: no such file" in capsys.readouterr().err
+
+    def test_malformed_charts_file_names_the_path(self, tmp_path, capsys):
+        bad = tmp_path / "charts.json"
+        bad.write_text('{"classes": [0, 1],\n  "charts": [oops]}')
+        assert main(["ensemble", "target-graph", "--charts", str(bad),
+                     "--out", str(tmp_path / "tg.json")]) == 65
+        assert f"{bad}: line 2" in capsys.readouterr().err
 
     def test_config_file_values_checked(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

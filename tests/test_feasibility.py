@@ -23,7 +23,6 @@ from logifold.feasibility import (
     find_witness,
     make_constraint,
     satisfies,
-    signed_constraint,
 )
 
 
@@ -110,10 +109,11 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_signed_constraint_convention():
+def test_chamber_system_sign_convention():
     # '+' keeps the row weak, '-' negates and goes strict
-    p = signed_constraint([1.0, 0.0], -1.0, "+")
-    m = signed_constraint([1.0, 0.0], -1.0, "-")
+    out = enumerate_chambers([([1.0, 0.0], -1.0)], 2)
+    (p,) = out["+"][1]
+    (m,) = out["-"][1]
     assert not p.strict and p.coeffs == (1, 0) and p.offset == -1
     assert m.strict and m.coeffs == (-1, 0) and m.offset == 1
 
@@ -171,7 +171,7 @@ def test_enumerate_chambers_single_line():
     rows = [([1.0, 0.0], 0.0)]
     out = enumerate_chambers(rows, 2)
     assert set(out) == {"+", "-"}
-    assert out["+"][0] >= 0 and out["-"][0] < 0
+    assert out["+"][0][0] >= 0 and out["-"][0][0] < 0
 
 
 def test_enumerate_chambers_crossing_lines():
@@ -192,7 +192,7 @@ def test_enumerate_chambers_opposed_rows_keep_boundary():
     rows = [([1.0], 0.0), ([-1.0], 0.0)]
     out = enumerate_chambers(rows, 1)
     assert set(out) == {"++", "+-", "-+"}
-    assert out["++"] == (Fraction(0),)
+    assert out["++"][0] == (Fraction(0),)
 
 
 def test_enumerate_chambers_respects_base_region():
@@ -207,7 +207,7 @@ def test_chamber_witnesses_satisfy_their_signs():
     rows = [(rng.normal(size=3).tolist(), float(rng.normal())) for _ in range(4)]
     out = enumerate_chambers(rows, 3)
     assert out
-    for signs, w in out.items():
+    for signs, (w, _) in out.items():
         for s, (c, b) in zip(signs, rows):
             v = evaluate_constraint(make_constraint(c, b, False), w)
             assert (v >= 0) if s == "+" else (v < 0)

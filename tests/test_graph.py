@@ -30,9 +30,10 @@ from logifold.graph import (
     require_valid,
     sign_vector,
     validate_graph,
+    walk_regions,
 )
 
-from conftest import make_diamond_graph, make_step_graph
+from conftest import make_diamond_graph, make_holed_graph, make_pruned_graph, make_step_graph
 
 
 def test_sign_vector_example():
@@ -138,6 +139,35 @@ def test_validate_propagates_enumeration_faults(monkeypatch):
     monkeypatch.setattr(feasibility, "enumerate_chambers", broken)
     with pytest.raises(ArithmeticError):
         validate_graph(make_step_graph())
+
+
+def test_walk_regions_prunes_chambers_outside_the_parent_region():
+    g = make_pruned_graph()
+    assert list(walk_regions(g)) == [
+        ("t1", [("s", "+"), ("m", "++")]),
+        ("t2", [("s", "+"), ("m", "+-")]),
+        ("t0", [("s", "-")]),
+    ]
+    rep = validate_graph(g)
+    assert rep.ok and rep.realizability_checked
+    assert len(list(walk_regions(g, cap=4))) == 3
+    with pytest.raises(GuardExplosionError):
+        list(walk_regions(g, cap=3))
+
+
+def test_walk_regions_stops_at_a_realizable_unrouted_chamber():
+    g = make_holed_graph()
+    with pytest.raises(UnknownSignVectorError):
+        evaluate(g, [0.5, 1.0])
+    # without a cap the guard stops enumerating past its three routes
+    with pytest.raises(IncompleteRoutingError, match="vertex 'm' has more realizable sign "
+                                                     "vectors than its 3 routes"):
+        list(walk_regions(g))
+    with pytest.raises(IncompleteRoutingError, match="vertex 'm': realizable sign vector '-\\+'"):
+        list(walk_regions(g, cap=100))
+    rep = validate_graph(g)
+    assert rep.realizability_checked
+    assert [str(e) for e in rep.errors] == ["vertex 'm': realizable sign vector '-+' is unrouted"]
 
 
 def test_validate_dangling_vertex():

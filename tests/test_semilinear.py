@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logifold import evaluate
-from logifold.errors import AmbiguousFiberError, BudgetCapError
+from logifold import evaluate, feasibility
+from logifold.errors import AmbiguousFiberError, BudgetCapError, IncompleteRoutingError
 from logifold.feasibility import check_system
+from logifold.graph import AffineMap, Arrow, LogicalGraph
 from logifold.semilinear import (
     UNCOVERED,
     BasicSemilinearSet,
@@ -21,7 +22,7 @@ from logifold.semilinear import (
     to_llgraph,
 )
 
-from conftest import make_diamond_graph, make_step_graph
+from conftest import make_diamond_graph, make_holed_graph, make_pruned_graph, make_step_graph
 
 
 def halfline() -> BasicSemilinearSet:
@@ -84,6 +85,36 @@ def test_from_llgraph_matches_walks(rng):
     g = make_diamond_graph()
     f = from_llgraph(g)
     for x in rng.normal(scale=2.0, size=(60, 2)):
+        assert f.label_of(x) == evaluate(g, x)
+
+
+def test_from_llgraph_rejects_a_realizable_unrouted_chamber():
+    with pytest.raises(IncompleteRoutingError, match="'m'"):
+        from_llgraph(make_holed_graph())
+
+
+def test_from_llgraph_stops_at_a_guard_with_fewer_routes_than_chambers(monkeypatch):
+    # 20 lines in general position cut R^3 into 1351 chambers; 2 are routed
+    rows = np.random.default_rng(3).normal(size=(20, 4))
+    g = LogicalGraph(3, {"s": "source", "t0": "target", "t1": "target"},
+                     [Arrow("a0", "s", "t0"), Arrow("a1", "s", "t1")],
+                     {"s": AffineMap(rows[:, :3], rows[:, 3])},
+                     {"s": {"+" * 20: "a1", "-" * 20: "a0"}}, {"t0": 0, "t1": 1})
+    calls = []
+    find_witness = feasibility.find_witness
+    monkeypatch.setattr(feasibility, "find_witness",
+                        lambda *a, **k: calls.append(1) or find_witness(*a, **k))
+    with pytest.raises(IncompleteRoutingError, match="more realizable sign vectors than its 2"):
+        from_llgraph(g)
+    assert len(calls) < 100
+
+
+def test_from_llgraph_covers_the_parent_region_of_a_pruned_guard(rng):
+    g = make_pruned_graph()
+    f = from_llgraph(g)
+    assert set(f.fibers) == {0, 1, 2}
+    points = [[0.0, 0.0], [0.0, -1.0], [-1.0, 0.0], [1e-9, 1e-9]]
+    for x in list(rng.normal(scale=2.0, size=(60, 2))) + points:
         assert f.label_of(x) == evaluate(g, x)
 
 
