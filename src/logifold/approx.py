@@ -354,21 +354,17 @@ def mismatch_measure(result: Approximation, grid: LabeledGrid) -> Tuple[float, f
 
 
 def regions_to_semilinear(result: Approximation, dim: int):
-    """Half-open boxes as semilinear fibers; each box expands into the pieces
-    that fix which lower faces are met with equality."""
+    """Half-open boxes as semilinear fibers, one piece per box: its lower
+    faces are weak rows and its upper faces strict rows."""
     from .semilinear import BasicSemilinearSet, SemilinearFunction, SemilinearSet
 
     fibers: Dict[object, list] = {}
     for rect in result.rectangles:
-        rows_lo = [tuple(1.0 if j == i else 0.0 for j in range(dim)) + (-rect.lo[i],)
-                   for i in range(dim)]
-        rows_hi = [tuple(-1.0 if j == i else 0.0 for j in range(dim)) + (rect.hi[i],)
-                   for i in range(dim)]
-        for mask in range(2 ** dim):
-            eq = tuple(rows_lo[i] for i in range(dim) if mask >> i & 1)
-            gt = tuple(rows_lo[i] for i in range(dim) if not mask >> i & 1)
-            fibers.setdefault(rect.label, []).append(
-                BasicSemilinearSet(dim, eq, gt + tuple(rows_hi)))
+        lower = tuple(tuple(1.0 if j == i else 0.0 for j in range(dim)) + (-rect.lo[i],)
+                      for i in range(dim))
+        upper = tuple(tuple(-1.0 if j == i else 0.0 for j in range(dim)) + (rect.hi[i],)
+                      for i in range(dim))
+        fibers.setdefault(rect.label, []).append(BasicSemilinearSet(dim, (), upper, lower))
     return SemilinearFunction(dim, {l: SemilinearSet(dim, tuple(ps))
                                     for l, ps in fibers.items()})
 

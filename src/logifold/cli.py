@@ -227,7 +227,7 @@ def _cmd_check_equiv(cfg, args):
 
 def _cmd_to_semilinear(cfg, args):
     g = _load_graph(args.graph)
-    f = from_llgraph(g, piece_cap=cfg.piece_cap)
+    f = from_llgraph(g, region_cap=cfg.region_cap)
     save_semilinear(f, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -345,8 +345,8 @@ def _cmd_ensemble_target_graph(cfg, args):
     _dump_json({
         "root": graph.root,
         "nodes": [{
-            "target": sorted(map(str, node.target)),
-            "partitions": [[sorted(map(str, b)) for b in p]
+            "target": sorted(map(label_to_text, node.target)),
+            "partitions": [[sorted(map(label_to_text, b)) for b in p]
                            for p in node.partitions],
             "charts": [[charts[i].id for i in idxs] for idxs in node.groups],
             "fine": node.table.is_fine,

@@ -13,7 +13,9 @@ import json
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence, Tuple
 
+from .approx import BUDGET_CAP
 from .errors import LogifoldError
+from .networks import CHAMBER_CAP, REGION_CAP
 from .voting import DEFAULT_ALPHA_GRID
 
 
@@ -24,16 +26,15 @@ class ConfigError(LogifoldError):
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    chamber_cap: int = 2 ** 16    # sign-vector chambers during compilation
-    region_cap: int = 10 ** 5     # linear regions during tree descent
-    piece_cap: int = 4096         # semilinear pieces per conversion
-    budget_cap: int = 4096        # rectangles per approximation
+    chamber_cap: int = CHAMBER_CAP  # sign-vector chambers during compilation
+    region_cap: int = REGION_CAP    # linear regions during tree descent or conversion
+    budget_cap: int = BUDGET_CAP    # rectangles per approximation
     alpha_grid: Tuple[float, ...] = DEFAULT_ALPHA_GRID
     tie_margin: float = 0.0       # logit margin treated as a tie in reports
     uncertain_weight: float = 0.0
 
     def validate(self) -> "RunConfig":
-        for name in ("chamber_cap", "region_cap", "piece_cap", "budget_cap"):
+        for name in ("chamber_cap", "region_cap", "budget_cap"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for a in self.alpha_grid:

@@ -123,25 +123,32 @@ def forward_classical(net: NetworkSpec, x) -> int:
     return int(np.argmax(z))
 
 
-def forward_logits(net: NetworkSpec, x) -> np.ndarray:
+def _classical_activation(net: NetworkSpec):
+    """Hidden activation of the classical forward pass; other nets raise."""
     if net.final_activation != INDEXMAX or net.hidden_activation not in (STEP, RELU):
         raise UnsupportedActivationError(
             "classical forward expects step/relu hidden layers and an indexmax head")
+    return _step if net.hidden_activation == STEP else (lambda z: np.maximum(z, 0.0))
+
+
+def forward_logits(net: NetworkSpec, x) -> np.ndarray:
+    act = _classical_activation(net)
     a = np.asarray(x, dtype=float)
     if a.shape != (net.input_dim,):
         raise DimensionMismatchError(
             f"point has shape {a.shape}, network expects ({net.input_dim},)")
-    act = _step if net.hidden_activation == STEP else (lambda z: np.maximum(z, 0.0))
     for layer in net.layers[:-1]:
         a = act(layer(a))
     return net.layers[-1](a)
 
 
 def forward_classical_batch(net: NetworkSpec, X) -> np.ndarray:
-    if net.final_activation != INDEXMAX:
-        raise UnsupportedActivationError("batch classical forward expects an indexmax head")
-    A = np.asarray(X, dtype=float).T  # (n, m)
-    act = _step if net.hidden_activation == STEP else (lambda z: np.maximum(z, 0.0))
+    act = _classical_activation(net)
+    A = np.asarray(X, dtype=float)
+    if A.ndim != 2 or A.shape[1] != net.input_dim:
+        raise DimensionMismatchError(
+            f"points have shape {A.shape}, network expects (m, {net.input_dim})")
+    A = A.T  # (n, m)
     for layer in net.layers[:-1]:
         A = act(layer.matrix @ A + layer.offset[:, None])
     Z = net.layers[-1].matrix @ A + net.layers[-1].offset[:, None]

@@ -1,11 +1,13 @@
 """Semilinear sets: finite unions of basic pieces cut out by affine rows.
 
-A basic piece is an intersection of equalities ``c . x + b = 0`` and strict
-inequalities ``c . x + b > 0``.  Emptiness is decided exactly over the
-rationals, so every verdict carries either a witness point or a contradiction
-certificate.  Decision graphs translate back and forth: graph regions expand
-into disjoint pieces, and a piecewise-constant fiber family compiles into a
-single-guard graph routed by the sign pattern of the deduplicated rows.
+A basic piece is an intersection of equalities ``c . x + b = 0``, strict
+inequalities ``c . x + b > 0`` and weak inequalities ``c . x + b >= 0``.
+Emptiness is decided exactly over the rationals, so every verdict carries
+either a witness point or a contradiction certificate.  Decision graphs
+translate back and forth: each region a graph routes becomes one piece, its
+``+`` steps weak rows and its ``-`` steps negated strict rows, and a
+piecewise-constant fiber family compiles into a single-guard graph routed by
+the sign pattern of the deduplicated rows.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import feasibility
-from .errors import AmbiguousFiberError, BudgetCapError
+from .errors import AmbiguousFiberError, RegionExplosionError
 from .feasibility import (
     Verdict,
     find_witness,  # unused here; perfbench wraps and checks this binding
@@ -27,24 +29,21 @@ from .feasibility import (
 )
 from .graph import (SOURCE, TARGET, AffineMap, Arrow, LogicalGraph,
                     label_from_text, label_to_text, walk_regions)
+from .networks import CHAMBER_CAP, REGION_CAP
 
 UNCOVERED = "⊥"
-
-PIECE_CAP = 4096
-CHAMBER_CAP = 4096
-# float membership: how far an equality row may miss zero
-EQ_TOL = 1e-12
 
 Row = Tuple[float, ...]  # (c1, ..., cn, b)
 
 
 @dataclass(frozen=True)
 class BasicSemilinearSet:
-    """{x : c.x + b = 0 for eq rows, c.x + b > 0 for gt rows}."""
+    """{x : c.x + b = 0 for eq rows, > 0 for gt rows, >= 0 for ge rows}."""
 
     dim: int
     eq: Tuple[Row, ...]
     gt: Tuple[Row, ...]
+    ge: Tuple[Row, ...] = ()
 
     def constraints(self) -> list:
         out = []
@@ -54,20 +53,23 @@ class BasicSemilinearSet:
             out.append(make_constraint([-v for v in c], -b, strict=False))
         for row in self.gt:
             out.append(make_constraint(row[:-1], row[-1], strict=True))
+        for row in self.ge:
+            out.append(make_constraint(row[:-1], row[-1], strict=False))
         return out
 
     def contains(self, x) -> bool:
+        """Exact for Fraction points; float points evaluate each row the way a
+        graph guard does, so membership agrees with `to_llgraph`'s routing."""
         x = list(x)
         if all(isinstance(v, Fraction) for v in x):
             return all(feasibility.satisfies(c, x) for c in self.constraints())
         xf = np.asarray(x, dtype=float)
-        for row in self.eq:
-            if abs(float(np.dot(row[:-1], xf)) + row[-1]) > EQ_TOL:
-                return False
-        for row in self.gt:
-            if float(np.dot(row[:-1], xf)) + row[-1] <= 0:
-                return False
-        return True
+
+        def value(row):
+            return float(np.dot(row[:-1], xf)) + row[-1]
+
+        return (all(value(r) == 0 for r in self.eq) and all(value(r) > 0 for r in self.gt)
+                and all(value(r) >= 0 for r in self.ge))
 
     def emptiness(self) -> Verdict:
         return feasibility.check_system(self.constraints(), self.dim)
@@ -106,35 +108,30 @@ def _as_row(coeffs, offset) -> Row:
     return tuple(float(v) for v in coeffs) + (float(offset),)
 
 
-def from_llgraph(g: LogicalGraph, piece_cap: int = PIECE_CAP) -> SemilinearFunction:
-    """Expand each routed region of g into disjoint basic pieces per label.
+def from_llgraph(g: LogicalGraph, region_cap: int = REGION_CAP) -> SemilinearFunction:
+    """One basic piece per region of g that `graph.walk_regions` yields.
 
-    A weak chamber row splits into an equality piece and a strict piece, so
-    the resulting fibers partition the input space.  A realizable chamber
-    without a route raises IncompleteRoutingError.
+    A ``+`` step keeps its row as a weak row and a ``-`` step negates it into
+    a strict row, so the pieces partition the input space exactly as the
+    graph routes it.  A realizable chamber without a route raises
+    IncompleteRoutingError; more than `region_cap` regions raise
+    RegionExplosionError.
     """
     n = g.input_dim
     fibers: Dict[object, list] = {}
-    examined = 0
-    for target, steps in walk_regions(g):
-        plus, minus = [], []
+    for count, (target, steps) in enumerate(walk_regions(g), 1):
+        if count > region_cap:
+            raise RegionExplosionError(f"more than {region_cap} graph regions")
+        ge, gt = [], []
         for v, signs in steps:
             for i, s in enumerate(signs):
                 coeffs, off = g.guards[v].row(i)
                 if s == "+":
-                    plus.append(_as_row(coeffs, off))
+                    ge.append(_as_row(coeffs, off))
                 else:
-                    minus.append(_as_row([-c for c in coeffs], -off))
-        examined += 2 ** len(plus)
-        if examined > piece_cap:
-            raise BudgetCapError(
-                f"region expansion exceeded {piece_cap} candidate pieces")
-        for mask in range(2 ** len(plus)):
-            eq = tuple(row for i, row in enumerate(plus) if mask >> i & 1)
-            gt = tuple(row for i, row in enumerate(plus) if not mask >> i & 1)
-            piece = BasicSemilinearSet(n, eq, gt + tuple(minus))
-            if not piece.is_empty():
-                fibers.setdefault(g.target_labels[target], []).append(piece)
+                    gt.append(_as_row([-c for c in coeffs], -off))
+        fibers.setdefault(g.target_labels[target], []).append(
+            BasicSemilinearSet(n, (), tuple(gt), tuple(ge)))
     return SemilinearFunction(n, {l: SemilinearSet(n, tuple(ps))
                                   for l, ps in fibers.items()})
 
@@ -173,7 +170,7 @@ def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> Logical
             if piece.is_empty():
                 continue
             kept.append(piece)
-            for row in piece.eq + piece.gt:
+            for row in piece.eq + piece.gt + piece.ge:
                 if any(row[:-1]):
                     reps.setdefault(_row_key(row), row)
         if kept:
@@ -221,13 +218,16 @@ def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> Logical
 
 # -- serialization ----------------------------------------------------------
 
+# in BasicSemilinearSet field order; a piece without a key has no such rows
+_ROW_KEYS = ("eq", "gt", "ge")
+
 
 def semilinear_to_dict(f: SemilinearFunction) -> dict:
     return {
         "dim": f.dim,
         "fibers": {
-            label_to_text(label): [{"eq": [list(r) for r in p.eq],
-                                    "gt": [list(r) for r in p.gt]}
+            label_to_text(label): [{key: [list(r) for r in getattr(p, key)]
+                                    for key in _ROW_KEYS}
                                    for p in fiber.pieces]
             for label, fiber in f.fibers.items()
         },
@@ -239,9 +239,8 @@ def semilinear_from_dict(d: dict) -> SemilinearFunction:
     fibers = {}
     for text, pieces in d["fibers"].items():
         fibers[label_from_text(text)] = SemilinearSet(dim, tuple(
-            BasicSemilinearSet(dim,
-                               tuple(tuple(map(float, r)) for r in p.get("eq", [])),
-                               tuple(tuple(map(float, r)) for r in p.get("gt", [])))
+            BasicSemilinearSet(dim, *(tuple(tuple(map(float, r)) for r in p.get(key, []))
+                                      for key in _ROW_KEYS))
             for p in pieces))
     return SemilinearFunction(dim, fibers)
 

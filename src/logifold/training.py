@@ -10,6 +10,7 @@ affine-plus-softmax head on its output, with classes merged into blocks.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -264,15 +265,27 @@ def save_dataset(data: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
+    name = os.path.basename(os.fspath(path))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{name} is empty; expected a header line")
         dim = len(header) - 2
+        if dim < 1:
+            raise ValueError(f"{name}, line 1: expected x1, ..., label, split; got {header}")
         X, y, split = [], [], []
         for row in reader:
-            X.append([float(v) for v in row[:dim]])
-            y.append(int(row[dim]))
-            split.append(row[dim + 1])
+            try:
+                if len(row) != dim + 2:
+                    raise ValueError(f"expected {dim + 2} fields, got {len(row)}")
+                X.append([float(v) for v in row[:dim]])
+                y.append(int(row[dim]))
+                split.append(row[dim + 1])
+            except ValueError as e:
+                raise ValueError(f"{name}, line {reader.line_num}: {e}") from None
+    if not X:
+        raise ValueError(f"{name} has a header but no data rows")
     return Dataset(np.array(X), np.array(y), np.array(split, dtype=object))
 
 

@@ -422,12 +422,12 @@ def vote_report(graph: TargetGraph, calibration: Calibration, X, phi_of: PhiFn,
             flags.append(f"dead_nodes:{res.dead_nodes}")
         instances.append({
             "id": i,
-            "answer": {str(c): res.answer[c]
-                       for c in sorted(res.answer, key=str)},
-            "prediction": str(res.prediction),
-            "paths": {str(c): list(e.path)
+            "answer": {label_to_text(c): res.answer[c]
+                       for c in sorted(res.answer, key=label_to_text)},
+            "prediction": label_to_text(res.prediction),
+            "paths": {label_to_text(c): list(e.path)
                       for c, e in sorted(res.chosen.items(),
-                                         key=lambda kv: str(kv[0]))},
+                                         key=lambda kv: label_to_text(kv[0]))},
             "flags": flags,
         })
     return {"instances": instances}

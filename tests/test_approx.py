@@ -145,6 +145,7 @@ def test_regions_export_as_semilinear(rng):
     g = make_diag_grid(4)
     result = approximate(g, 0.5 * g.cell_volume)
     f = regions_to_semilinear(result, 2)
+    assert sum(len(s.pieces) for s in f.fibers.values()) == len(result.rectangles)
     for _ in range(100):
         x = rng.uniform(0, 1, size=2)
         assert f.label_of(x) == result.region_label(x)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from logifold import approx, networks, semilinear
 from logifold.approx import grid_from_function, save_grid
 from logifold.cli import main
 from logifold.config import (
@@ -47,8 +48,15 @@ class TestConfig:
         assert config_from_dict(config_to_dict(cfg)) == cfg
         with pytest.raises(ConfigError):
             config_from_dict({"seeds": 1})
-        with pytest.raises(ConfigError):
-            config_from_dict({"path_cap": 10})
+        for removed in ("path_cap", "piece_cap"):
+            with pytest.raises(ConfigError):
+                config_from_dict({removed: 10})
+
+    def test_cap_defaults_are_the_library_defaults(self):
+        cfg = RunConfig()
+        assert (cfg.chamber_cap, cfg.region_cap, cfg.budget_cap) == (
+            networks.CHAMBER_CAP, networks.REGION_CAP, approx.BUDGET_CAP)
+        assert semilinear.CHAMBER_CAP is networks.CHAMBER_CAP
 
     def test_overrides_win_and_change_the_hash(self):
         base = RunConfig(seed=5)
@@ -181,6 +189,16 @@ class TestCompileEval:
         assert "IncompleteRoutingError" in capsys.readouterr().err
         assert not (tmp_path / "s.json").exists()
 
+    def test_to_semilinear_region_cap(self, tmp_path, capsys):
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps(graph_to_dict(make_step_graph())))
+        out = tmp_path / "s.json"
+        assert main(["--caps.regions", "1", "to-semilinear", "--graph", str(graph_path),
+                     "--out", str(out)]) == 3
+        assert "RegionExplosionError" in capsys.readouterr().err
+        assert main(["--caps.regions", "2", "to-semilinear", "--graph", str(graph_path),
+                     "--out", str(out)]) == 0
+
 
 class TestGridCommands:
     @pytest.fixture
@@ -255,6 +273,20 @@ class TestTrainPipeline:
         outcome = evaluate_fuzzy(fg, [0.5, 0.5])
         assert len(outcome.state) == 3
         assert outcome.state.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("text, detail", [
+        ("", "d.csv is empty"),
+        ("x1,x2,label,split\n", "d.csv has a header but no data rows"),
+        ("label,split\n0,train\n", "d.csv, line 1: expected x1, ..., label, split"),
+        ("x1,x2,label,split\n0.5,1.0,0,train\n0.5,1.0\n", "d.csv, line 3: expected 4 fields, got 2"),
+        ("x1,x2,label,split\n0.5,1.0,zero,train\n", "d.csv, line 2: invalid literal"),
+    ])
+    def test_malformed_dataset_is_a_malformed_file(self, tmp_path, capsys, text, detail):
+        data = tmp_path / "d.csv"
+        data.write_text(text)
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 65
+        err = capsys.readouterr().err
+        assert str(data) in err and detail in err
 
     def test_bad_blocks_flag_is_validation(self, tmp_path):
         model = tmp_path / "m.json"

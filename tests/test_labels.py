@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logifold.algebra import F2_ADD, boolean_combine, identity_graph
+from logifold.cli import main
 from logifold.approx import LabeledGrid, load_grid, save_grid
 from logifold.ensemble import ModelChart, as_partition, build_target_graph
 from logifold.graph import (
@@ -20,7 +21,15 @@ from logifold.graph import (
     relabel,
     save_graph,
 )
-from logifold.networks import INDEXMAX, STEP, compile_step_net, random_network
+from logifold.networks import (
+    INDEXMAX,
+    SIGMOID,
+    SOFTMAX,
+    STEP,
+    compile_step_net,
+    random_network,
+    save_model,
+)
 from logifold.semilinear import (
     BasicSemilinearSet,
     SemilinearFunction,
@@ -33,6 +42,7 @@ from logifold.voting import (
     HistoryEntry,
     calibration_to_dict,
     load_calibration,
+    vote_report,
 )
 
 # strings that look like other labels, or that CSV has to quote
@@ -127,3 +137,32 @@ def test_reloaded_step_compile_combines_in_f2(tmp_path):
     both = boolean_combine(h, g, F2_ADD)
     for x in np.random.default_rng(2).normal(size=(50, 2)):
         assert evaluate(both, x) == 0
+
+
+def decoded(texts):
+    return sorted(map(repr, map(label_from_text, texts)))
+
+
+def test_vote_report_writes_labels_as_json_text():
+    labels = ["0", (0, 1), "⊥"]
+    chart = ModelChart("c", as_partition([{l} for l in labels]),
+                       lambda X: np.tile([0.6, 0.3, 0.1], (len(X), 1)))
+    graph = build_target_graph([chart], labels)
+    cal = Calibration({l: HistoryEntry((0,), 0.0, 1.0) for l in labels}, {}, (0.0,))
+    doc = vote_report(graph, cal, np.zeros((2, 1)), lambda chart, alpha: 1.0)
+    for rec in json.loads(json.dumps(doc))["instances"]:
+        assert decoded(rec["answer"]) == decoded(rec["paths"]) == sorted(map(repr, labels))
+        assert repr(label_from_text(rec["prediction"])) in map(repr, labels)
+
+
+def test_target_graph_file_writes_labels_as_json_text(tmp_path):
+    save_model(random_network(np.random.default_rng(0), [2, 2], SIGMOID, SOFTMAX),
+               tmp_path / "m.json")
+    charts = tmp_path / "charts.json"
+    charts.write_text(json.dumps({"classes": ["a", "0"], "charts": [
+        {"id": "c", "model": "m.json", "blocks": [["a"], ["0"]]}]}))
+    out = tmp_path / "tg.json"
+    assert main(["ensemble", "target-graph", "--charts", str(charts), "--out", str(out)]) == 0
+    (node,) = json.loads(out.read_text())["nodes"]
+    assert decoded(node["target"]) == sorted(map(repr, ["a", "0"]))
+    assert sorted(decoded(b) for b in node["partitions"][0]) == [[repr("0")], [repr("a")]]

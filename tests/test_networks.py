@@ -5,6 +5,7 @@ import pytest
 
 from logifold.errors import (
     DegenerateHyperplaneWarning,
+    DimensionMismatchError,
     GuardExplosionError,
     RegionExplosionError,
     UnsupportedActivationError,
@@ -47,6 +48,20 @@ def test_forward_rejects_smooth_activations():
     net = _net([[[1.0]]], [[0.0]], hidden="sigmoid", final="softmax")
     with pytest.raises(UnsupportedActivationError):
         forward_classical(net, [1.0])
+
+
+def test_batch_forward_checks_activation_and_width():
+    net = random_network(np.random.default_rng(0), [2, 3, 2], "sigmoid", "indexmax")
+    with pytest.raises(UnsupportedActivationError):
+        forward_classical(net, [0.5, 0.5])
+    with pytest.raises(UnsupportedActivationError):
+        forward_classical_batch(net, np.zeros((4, 2)))
+    net = random_network(np.random.default_rng(0), [2, 3, 2], "relu", "indexmax")
+    for bad in (np.zeros((4, 3)), np.zeros(2)):
+        with pytest.raises(DimensionMismatchError):
+            forward_classical_batch(net, bad)
+    X = np.random.default_rng(1).normal(size=(5, 2))
+    assert list(forward_classical_batch(net, X)) == [forward_classical(net, x) for x in X]
 
 
 def test_compile_step_tiny_net_matches_forward():

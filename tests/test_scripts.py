@@ -1,0 +1,33 @@
+"""Smoke test: every script under scripts/ runs to completion on its smallest inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import logifold
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(logifold.__file__).resolve().parents[1]
+
+RUNS = [
+    ["compile_random_nets.py", "--count", "2", "--samples", "200"],
+    ["approx_diagonal_grid.py", "--resolution", "8", "--depth", "2"],
+    ["end_to_end_blobs.py", "--n", "300", "--epochs", "5"],
+]
+
+
+def test_every_script_has_a_run():
+    assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(r[0] for r in RUNS)
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=[r[0] for r in RUNS])
+def test_script_runs(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

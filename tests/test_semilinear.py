@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logifold import evaluate, feasibility
-from logifold.errors import AmbiguousFiberError, BudgetCapError, IncompleteRoutingError
+from logifold import evaluate, feasibility, semilinear
+from logifold.errors import AmbiguousFiberError, IncompleteRoutingError, RegionExplosionError
 from logifold.feasibility import check_system
-from logifold.graph import AffineMap, Arrow, LogicalGraph
+from logifold.graph import AffineMap, Arrow, LogicalGraph, walk_regions
 from logifold.semilinear import (
     UNCOVERED,
     BasicSemilinearSet,
@@ -36,6 +36,8 @@ def test_contains_float_mode():
     assert not s.contains([0.25, 0.5])   # off the line
     assert not s.contains([0.0, 1.0])    # x not strictly positive
     assert not s.contains([-1.0, 2.0])
+    # no tolerance: a row value of 1e-13 is off the line, as a guard sees it
+    assert not s.contains([0.25, 0.75 + 1e-13])
 
 
 def test_contains_exact_mode_ignores_tolerance():
@@ -69,16 +71,32 @@ def test_semilinear_set_union_semantics():
     assert empty.is_empty()
 
 
-def test_from_llgraph_splits_weak_rows():
+def test_from_llgraph_makes_one_piece_per_region():
     g = make_step_graph(labels=("lo", "hi"), threshold=2.0)
     f = from_llgraph(g)
     assert set(f.fibers) == {"lo", "hi"}
-    # weak side x >= 2 splits into the boundary slice and the open ray
-    assert len(f.fibers["hi"].pieces) == 2
-    assert len(f.fibers["lo"].pieces) == 1
+    # x >= 2 stays one piece, with its guard row kept weak
+    (hi,) = f.fibers["hi"].pieces
+    assert hi == BasicSemilinearSet(1, (), (), ((1.0, -2.0),))
+    (lo,) = f.fibers["lo"].pieces
+    assert lo == BasicSemilinearSet(1, (), ((-1.0, 2.0),), ())
     assert f.label_of([2.0]) == "hi"
     assert f.label_of([1.99]) == "lo"
+    assert f.label_of([2 - 1e-13]) == "lo"
     assert f.label_of([5.0]) == "hi"
+
+
+def test_from_llgraph_checks_no_system(monkeypatch):
+    g = make_diamond_graph()
+    regions = list(walk_regions(g))
+    calls = []
+    check_system = feasibility.check_system
+    monkeypatch.setattr(feasibility, "check_system",
+                        lambda *a, **k: calls.append(1) or check_system(*a, **k))
+    monkeypatch.setattr(semilinear, "walk_regions", lambda graph: iter(regions))
+    f = from_llgraph(g)
+    assert not calls
+    assert sum(len(s.pieces) for s in f.fibers.values()) == len(regions) == 3
 
 
 def test_from_llgraph_matches_walks(rng):
@@ -126,9 +144,10 @@ def test_from_llgraph_pieces_are_pairwise_disjoint():
         assert not verdict.feasible
 
 
-def test_from_llgraph_piece_cap():
-    with pytest.raises(BudgetCapError):
-        from_llgraph(make_diamond_graph(), piece_cap=2)
+def test_from_llgraph_region_cap():
+    with pytest.raises(RegionExplosionError):
+        from_llgraph(make_diamond_graph(), region_cap=2)
+    assert len(from_llgraph(make_diamond_graph(), region_cap=3).fibers) == 3
 
 
 def test_round_trip_through_graph(rng):
@@ -148,6 +167,9 @@ def test_round_trip_on_random_thresholds(t, x):
     f = from_llgraph(g)
     pt = np.array([x])
     assert evaluate(to_llgraph(f), pt) == evaluate(g, pt)
+    # exact at the weak boundary and at its float neighbours
+    for p in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf)):
+        assert f.label_of([p]) == evaluate(g, np.array([p]))
 
 
 def test_to_llgraph_deduplicates_scaled_rows():
@@ -197,7 +219,16 @@ def test_json_round_trip(tmp_path):
 
 
 def test_dict_round_trip_preserves_rows():
-    f = SemilinearFunction(2, {"z": SemilinearSet(2, (halfline(),))})
+    wedge = BasicSemilinearSet(2, (), ((1.0, 0.0, 0.0),), ((0.0, 1.0, -2.0),))
+    f = SemilinearFunction(2, {"z": SemilinearSet(2, (halfline(), wedge))})
     d = semilinear_to_dict(f)
     f2 = semilinear_from_dict(d)
     assert f2.fibers["z"].pieces == f.fibers["z"].pieces
+
+
+def test_a_piece_without_a_ge_key_loads(tmp_path):
+    path = tmp_path / "fibers.json"
+    path.write_text('{"dim": 1, "fibers": {"1": [{"eq": [], "gt": [[1.0, 0.0]]}]}}')
+    f = load_semilinear(path)
+    assert f.fibers[1].pieces == (BasicSemilinearSet(1, (), ((1.0, 0.0),)),)
+    assert f.label_of([1.0]) == 1 and f.label_of([0.0]) is None
