@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .algebra import constant_graph
 from .errors import BudgetCapError, DimensionMismatchError
 from .graph import (  # noqa: F401  evaluate stays importable from this module
     INTERNAL, SOURCE, TARGET, AffineMap, Arrow, LogicalGraph, evaluate, evaluate_batch,
@@ -130,20 +131,6 @@ class Rectangle:
         return all(l <= v < h for l, v, h in zip(self.lo, x, self.hi))
 
 
-def _longest_run(mask: np.ndarray):
-    best_len, best_start, run, start = 0, 0, 0, 0
-    for i, v in enumerate(mask):
-        if v:
-            if run == 0:
-                start = i
-            run += 1
-            if run > best_len:
-                best_len, best_start = run, start
-        else:
-            run = 0
-    return best_len, ((best_start,), (best_start + best_len,))
-
-
 def _largest_rect_2d(mask: np.ndarray):
     """Exact maximal-area rectangle via the skyline of column heights."""
     rows, cols = mask.shape
@@ -193,7 +180,8 @@ def _grown_block(mask: np.ndarray):
 def largest_rectangle(mask: np.ndarray):
     """(cell count, (cell_lo, cell_hi)) of the chosen uncovered block."""
     if mask.ndim == 1:
-        return _longest_run(mask)
+        size, ((_, lo), (_, hi)) = _largest_rect_2d(mask[None, :])
+        return size, ((lo,), (hi,))
     if mask.ndim == 2:
         return _largest_rect_2d(mask)
     return _grown_block(mask)
@@ -225,8 +213,7 @@ def _box_signs(dim: int):
 
 def _chain_graph(dim: int, rectangles: Sequence[Rectangle]) -> LogicalGraph:
     if not rectangles:
-        return LogicalGraph(dim, {"s": SOURCE, "t": TARGET},
-                            [Arrow("a", "s", "t")], {}, {}, {"t": FALLBACK})
+        return constant_graph(FALLBACK, dim)
     vertices = {}
     arrows = []
     guards = {}

@@ -108,6 +108,13 @@ def _load(path, loader):
         raise MalformedFileError(path, str(e))
 
 
+def _with_train_rows(path, data):
+    """`data` from file `path`, if it has a train row to fit on."""
+    if not np.any(data.split == "train"):
+        raise MalformedFileError(path, "no train rows to fit")
+    return data
+
+
 def _load_graph(path):
     g = _load(path, load_graph)
     require_valid(g, check_realizability=False)
@@ -301,7 +308,7 @@ def _cmd_fuzzy_import(cfg, args):
 
 
 def _cmd_train(cfg, args):
-    data = _load(args.data, load_dataset)
+    data = _with_train_rows(args.data, _load(args.data, load_dataset))
     hidden = [int(v) for v in args.hidden.split(",")] if args.hidden else []
     classes = int(np.max(data.y)) + 1
     dims = [data.X.shape[1]] + hidden + [classes]
@@ -323,7 +330,8 @@ def _cmd_specialize(cfg, args):
     blocks = _parse_blocks(args.blocks)
     model = specialize(net, blocks)
     if args.data:
-        data = relabel_for_blocks(_load(args.data, load_dataset), blocks)
+        data = _with_train_rows(
+            args.data, relabel_for_blocks(_load(args.data, load_dataset), blocks))
         hp = Hyperparams(learning_rate=args.lr, epochs=args.epochs,
                          batch_size=args.batch_size, seed=cfg.seed)
         model = train_sgd(model, data, hp).model

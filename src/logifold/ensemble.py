@@ -218,9 +218,8 @@ class AccuracyCurve:
     sizes: List[int]  # certain-part sizes, one per threshold
 
 
-def fuzzy_accuracy(chart: ModelChart, X, y, alpha: float):
-    """(accuracy on the certain part, certain mask); 0 on an empty part."""
-    p = chart.outputs(X)
+def _certain_accuracy(chart: ModelChart, p: np.ndarray, y, alpha: float):
+    """fuzzy_accuracy over the chart's output matrix p at the points of y."""
     certain = p.max(axis=1) >= alpha
     if not certain.any():
         return 0.0, certain
@@ -230,10 +229,16 @@ def fuzzy_accuracy(chart: ModelChart, X, y, alpha: float):
     return float(hit.mean()), certain
 
 
+def fuzzy_accuracy(chart: ModelChart, X, y, alpha: float):
+    """(accuracy on the certain part, certain mask); 0 on an empty part."""
+    return _certain_accuracy(chart, chart.outputs(X), y, alpha)
+
+
 def accuracy_curve(chart: ModelChart, X, y, alphas) -> AccuracyCurve:
+    p = chart.outputs(X)
     values, sizes = [], []
     for a in alphas:
-        phi, certain = fuzzy_accuracy(chart, X, y, a)
+        phi, certain = _certain_accuracy(chart, p, y, a)
         values.append(phi)
         sizes.append(int(certain.sum()))
     return AccuracyCurve(list(map(float, alphas)), values, sizes)

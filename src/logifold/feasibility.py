@@ -228,16 +228,8 @@ def _check_dimension(n: int):
             f"exact feasibility supports dimension <= {DIM_BUDGET}, got {n}")
 
 
-def find_witness(constraints: Sequence[Constraint], n: int, *,
-                 hint=None) -> Optional[tuple]:
-    """Exact witness of the system, or None if it is infeasible.
-
-    `hint` is an optional rational point tried first (cheap when the caller
-    extends an already-witnessed system by one row).
-    """
-    _check_dimension(n)
-    if hint is not None and all(satisfies(c, hint) for c in constraints):
-        return tuple(hint)
+def find_witness(constraints: Sequence[Constraint], n: int) -> Optional[tuple]:
+    """Exact witness of the system, or None if it is infeasible."""
     return check_system(constraints, n).witness
 
 

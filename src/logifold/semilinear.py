@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, Tuple
 
 import numpy as np
 
 from . import feasibility
+from .algebra import constant_graph
 from .errors import AmbiguousFiberError, RegionExplosionError
 from .feasibility import (
     Verdict,
@@ -138,20 +138,9 @@ def from_llgraph(g: LogicalGraph, region_cap: int = REGION_CAP) -> SemilinearFun
 
 def _row_key(row: Row):
     """Scale-and-sign normalized integer form; positive multiples collide."""
-    fr = [Fraction(v) for v in row]
-    den = 1
-    for f in fr:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints[:-1] if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    c = make_constraint(row[:-1], row[-1], strict=False)
+    sign = -1 if next((v for v in c.coeffs if v), 0) < 0 else 1
+    return tuple(sign * v for v in c.coeffs + (c.offset,))
 
 
 def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> LogicalGraph:
@@ -207,9 +196,7 @@ def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> Logical
         routing[signs] = route_to(hits[0] if hits else UNCOVERED)
 
     if not rows:
-        only = next(iter(arrow_of)) if arrow_of else UNCOVERED
-        return LogicalGraph(n, {"s": SOURCE, "t": TARGET},
-                            [Arrow("a", "s", "t")], {}, {}, {"t": only})
+        return constant_graph(next(iter(arrow_of)) if arrow_of else UNCOVERED, n)
     matrix = np.array([c for c, _ in rows])
     offset = np.array([b for _, b in rows])
     return LogicalGraph(n, vertices, arrows, {"s": AffineMap(matrix, offset)},

@@ -26,6 +26,7 @@ from .ensemble import (
     RefinementTable,
     TargetGraph,
     TargetNode,
+    _certain_accuracy,
     accuracy_curve,
     fuzzy_accuracy,
     refinement,
@@ -44,19 +45,31 @@ PhiFn = Callable[[ModelChart, float], float]
 
 
 def make_phi(X, y) -> PhiFn:
-    """Certain-part accuracy lookup backed by a validation set, memoized."""
+    """Certain-part accuracy lookup backed by a validation set, memoized.
+
+    Each chart runs on X once, however many thresholds are asked for.
+    """
+    outs: Dict[str, np.ndarray] = {}
     cache: Dict[Tuple[str, float], float] = {}
 
     def phi(chart: ModelChart, alpha: float) -> float:
         key = (chart.id, alpha)
         if key not in cache:
-            cache[key] = fuzzy_accuracy(chart, X, y, alpha)[0]
+            if chart.id not in outs:
+                outs[chart.id] = chart.outputs(X)
+            cache[key] = _certain_accuracy(chart, outs[chart.id], y, alpha)[0]
         return cache[key]
 
     return phi
 
 
-# -- shared-target and node votes ------------------------------------------
+def _outputs(charts: Sequence[ModelChart], idxs, X) -> Dict[int, np.ndarray]:
+    """The output table every vote reads: {chart index: outputs at X}."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    return {i: charts[i].outputs(X) for i in idxs}
+
+
+# -- node votes ---------------------------------------------------------------
 
 
 def _group_vote(rows, phis, alpha, uncertain_weight):
@@ -71,16 +84,6 @@ def _group_vote(rows, phis, alpha, uncertain_weight):
     if total <= 0.0:
         return np.zeros(k), 0.0
     return acc / total, total
-
-
-def vote_shared_targets(group: Sequence[ModelChart], alpha: float, x,
-                        phi_of: PhiFn, uncertain_weight: float = 0.0):
-    """Combine charts with identical partitions at one instance."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    rows = [chart.outputs(x)[0] for chart in group]
-    phis = [phi_of(chart, alpha) for chart in group]
-    p, _ = _group_vote(rows, phis, alpha, uncertain_weight)
-    return p
 
 
 @dataclass
@@ -145,14 +148,16 @@ def _node_vote_from_rows(node: TargetNode, rows_of, phis_of, alpha,
 
 def vote_at_node(node: TargetNode, charts: Sequence[ModelChart], alpha: float,
                  x, phi_of: PhiFn, uncertain_weight: float = 0.0) -> NodeVote:
-    """Blend all groups at a node into masses over its refinement blocks."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    rows_of, phis_of = {}, {}
-    for idxs in node.groups:
-        for i in idxs:
-            rows_of[i] = charts[i].outputs(x)[0]
-            phis_of[i] = phi_of(charts[i], alpha)
-    return _node_vote_from_rows(node, rows_of, phis_of, alpha, uncertain_weight)
+    """Blend all groups at a node into masses over its refinement blocks.
+
+    A node with one group is the shared-target vote: its charts' weighted
+    average, or a dead vote when none of them speaks.
+    """
+    idxs = [i for group in node.groups for i in group]
+    outs = _outputs(charts, idxs, x)
+    return _node_vote_from_rows(node, {i: outs[i][0] for i in idxs},
+                                {i: phi_of(charts[i], alpha) for i in idxs},
+                                alpha, uncertain_weight)
 
 
 # -- paths ------------------------------------------------------------------
@@ -213,36 +218,36 @@ def _path_vote_from_rows(graph, path, rows_of, phis_of, alpha,
     return PathVote(classes, values, pred, fallback, dropped, dead)
 
 
-def _path_votes(graph: TargetGraph, path, alpha, X, phi_of,
+def _charts_on(graph: TargetGraph, paths) -> List[int]:
+    """Indices of the charts at the paths' nodes, each once."""
+    return list(dict.fromkeys(i for path in paths for vi in path
+                              for idxs in graph.nodes[vi].groups for i in idxs))
+
+
+def _path_votes(graph: TargetGraph, path, alpha, outs, phi_of,
                 uncertain_weight) -> List[PathVote]:
-    """Path vote at every row of X; each chart on the path runs once."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    outs, phis_of = {}, {}
-    for vi in path:
-        for idxs in graph.nodes[vi].groups:
-            for i in idxs:
-                if i not in outs:
-                    outs[i] = graph.charts[i].outputs(X)
-                    phis_of[i] = phi_of(graph.charts[i], alpha)
+    """Path vote at every row of the output table `outs`."""
+    idxs = _charts_on(graph, [path])
+    phis_of = {i: phi_of(graph.charts[i], alpha) for i in idxs}
     path = tuple(path)
-    return [_path_vote_from_rows(graph, path, {i: mat[m] for i, mat in outs.items()},
+    return [_path_vote_from_rows(graph, path, {i: outs[i][m] for i in idxs},
                                  phis_of, alpha, uncertain_weight)
-            for m in range(X.shape[0])]
+            for m in range(len(outs[idxs[0]]))]
 
 
 def vote_along_path(graph: TargetGraph, path: Sequence[int], alpha: float, x,
                     phi_of: PhiFn, uncertain_weight: float = 0.0) -> PathVote:
     """Per-class product of node masses down the path; argmax predicts."""
-    return _path_votes(graph, path, alpha, x, phi_of, uncertain_weight)[0]
+    outs = _outputs(graph.charts, _charts_on(graph, [path]), x)
+    return _path_votes(graph, path, alpha, outs, phi_of, uncertain_weight)[0]
 
 
 # -- validation history -----------------------------------------------------
 
 
-def path_predictions(graph: TargetGraph, path, alpha, X, phi_of,
-                     uncertain_weight: float = 0.0):
-    return [v.prediction
-            for v in _path_votes(graph, path, alpha, X, phi_of, uncertain_weight)]
+def _one_vs_rest_rate(preds, yval, label) -> float:
+    agree = sum(1 for p, t in zip(preds, yval) if (p == label) == (t == label))
+    return agree / len(yval)
 
 
 def expected_accuracy(graph: TargetGraph, path, alpha: float, label, Xval,
@@ -252,9 +257,10 @@ def expected_accuracy(graph: TargetGraph, path, alpha: float, label, Xval,
     yval = list(yval)
     if len(yval) == 0:
         raise EmptyValidationError("validation set is empty")
-    preds = path_predictions(graph, path, alpha, Xval, phi_of, uncertain_weight)
-    agree = sum(1 for p, t in zip(preds, yval) if (p == label) == (t == label))
-    return agree / len(yval)
+    outs = _outputs(graph.charts, _charts_on(graph, [path]), Xval)
+    preds = [v.prediction for v in
+             _path_votes(graph, path, alpha, outs, phi_of, uncertain_weight)]
+    return _one_vs_rest_rate(preds, yval, label)
 
 
 @dataclass
@@ -276,22 +282,33 @@ def calibrate(graph: TargetGraph, Xval, yval,
               uncertain_weight: float = 0.0) -> Calibration:
     """Best (path, threshold) per class by past one-vs-rest accuracy.
 
-    Ties prefer the smaller threshold, then the earlier path.
+    Ties prefer the smaller threshold, then the earlier path.  Chart weights
+    are read from the charts' accuracy curves, and each (path, threshold)
+    votes on the validation set once, for every label.
     """
-    if len(list(yval)) == 0:
+    ys = list(yval)
+    if len(ys) == 0:
         raise EmptyValidationError("validation set is empty")
-    phi_of = make_phi(Xval, yval)
+    curves = {c.id: accuracy_curve(c, Xval, yval, alphas) for c in graph.charts}
+    phi_at = {cid: dict(zip(alphas, curve.values)) for cid, curve in curves.items()}
+
+    def phi_of(chart, alpha):
+        return phi_at[chart.id][alpha]
+
+    outs = _outputs(graph.charts, range(len(graph.charts)), Xval)
+    preds = {}
     entries = {}
     for label in sorted(graph.nodes[graph.root].target, key=str):
         scored = []
         for pi, path in enumerate(valid_paths(graph, label)):
             for alpha in alphas:
-                r = expected_accuracy(graph, path, alpha, label, Xval, yval,
-                                      phi_of, uncertain_weight)
+                if (path, alpha) not in preds:
+                    preds[path, alpha] = [v.prediction for v in _path_votes(
+                        graph, path, alpha, outs, phi_of, uncertain_weight)]
+                r = _one_vs_rest_rate(preds[path, alpha], ys, label)
                 scored.append((-r, alpha, pi, path))
         neg_r, alpha, _, path = min(scored)
         entries[label] = HistoryEntry(path, alpha, -neg_r)
-    curves = {c.id: accuracy_curve(c, Xval, yval, alphas) for c in graph.charts}
     return Calibration(entries, curves, tuple(alphas))
 
 
@@ -309,10 +326,13 @@ def vote_with_validation_history(graph: TargetGraph, calibration: Calibration,
                                  x, phi_of: PhiFn,
                                  uncertain_weight: float = 0.0) -> VoteResult:
     """Answer each class along its calibrated best path and threshold."""
+    entries = calibration.entries
+    outs = _outputs(graph.charts,
+                    _charts_on(graph, [e.path for e in entries.values()]), x)
     answer, fallback, dropped, dead = {}, False, 0, 0
-    for label, entry in calibration.entries.items():
-        vote = vote_along_path(graph, entry.path, entry.alpha, x, phi_of,
-                               uncertain_weight)
+    for label, entry in entries.items():
+        vote = _path_votes(graph, entry.path, entry.alpha, outs, phi_of,
+                           uncertain_weight)[0]
         answer[label] = vote.value_for(label)
         fallback |= vote.uniform_fallback
         dropped += vote.dropped_groups

@@ -288,6 +288,20 @@ class TestTrainPipeline:
         err = capsys.readouterr().err
         assert str(data) in err and detail in err
 
+    def test_empty_train_split_is_a_malformed_file(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("x1,x2,label,split\n0.5,1.0,0,val\n")
+        model = tmp_path / "m.json"
+        save_model(random_network(np.random.default_rng(0), [2, 3],
+                                  "sigmoid", "softmax"), model)
+        for argv in (["train", "--data", str(data)],
+                     ["specialize", "--model", str(model), "--blocks", "0|1",
+                      "--data", str(data)]):
+            assert main(argv + ["--out", str(tmp_path / "out.json")]) == 65
+            err = capsys.readouterr().err
+            assert str(data) in err and "no train rows" in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_bad_blocks_flag_is_validation(self, tmp_path):
         model = tmp_path / "m.json"
         save_model(random_network(np.random.default_rng(0), [2, 3],

@@ -82,10 +82,10 @@ def test_dimension_budget_enforced():
         check_system(cs, 9)
 
 
-def test_dimension_budget_is_checked_before_the_hint():
+def test_find_witness_checks_the_dimension_budget():
     cs = [make_constraint([1] * 9, 0, False)]
     with pytest.raises(DimensionBudgetError):
-        find_witness(cs, 9, hint=(Fraction(0),) * 9)
+        find_witness(cs, 9)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
@@ -159,12 +159,6 @@ def test_history_cap_gap_is_refuted(rows, refutation):
     assert not verdict.feasible and verdict.witness is None
     assert verdict.contradiction == f"derived constant row {refutation}"
     assert find_witness(cs, 3) is None
-
-
-def test_witness_hint_short_circuits():
-    cs = [make_constraint([1, 0], 0, False)]
-    hint = (Fraction(1), Fraction(5))
-    assert find_witness(cs, 2, hint=hint) == hint
 
 
 def test_enumerate_chambers_single_line():

@@ -30,7 +30,6 @@ from logifold.voting import (
     vote_along_path,
     vote_at_node,
     vote_report,
-    vote_shared_targets,
     vote_with_validation_history,
     write_prediction_matrix,
 )
@@ -58,40 +57,47 @@ def two_partition_node(rows_coarse, row_fine):
     return node, charts
 
 
+def shared_target_vote(group, alpha, phi_of, uncertain_weight=0.0):
+    """vote_at_node on a node whose charts all share one partition."""
+    part = group[0].partition
+    node = TargetNode(frozenset().union(*part), [part],
+                      [list(range(len(group)))], refinement([part]))
+    return vote_at_node(node, group, alpha, [[0.0]], phi_of, uncertain_weight)
+
+
 class TestSharedTargets:
     def test_equal_weights_average(self):
         group = [const_chart("a", [{0}, {1}], [0.8, 0.2]),
                  const_chart("b", [{0}, {1}], [0.4, 0.6])]
-        p = vote_shared_targets(group, 0.0, [[0.0]], flat_phi)
+        p = shared_target_vote(group, 0.0, flat_phi).values
         assert np.allclose(p, [0.6, 0.4])
 
     def test_accuracy_weights_tilt_the_average(self):
         group = [const_chart("a", [{0}, {1}], [0.8, 0.2]),
                  const_chart("b", [{0}, {1}], [0.4, 0.6])]
         phis = {"a": 0.9, "b": 0.3}
-        p = vote_shared_targets(group, 0.0, [[0.0]],
-                                lambda c, alpha: phis[c.id])
+        p = shared_target_vote(group, 0.0, lambda c, alpha: phis[c.id]).values
         want = (0.9 * np.array([0.8, 0.2]) + 0.3 * np.array([0.4, 0.6])) / 1.2
         assert np.allclose(p, want)
 
     def test_uncertain_chart_is_silenced(self):
         group = [const_chart("a", [{0}, {1}], [0.8, 0.2]),
                  const_chart("b", [{0}, {1}], [0.55, 0.45])]
-        p = vote_shared_targets(group, 0.7, [[0.0]], flat_phi)
+        p = shared_target_vote(group, 0.7, flat_phi).values
         assert np.allclose(p, [0.8, 0.2])
 
     def test_uncertain_weight_keeps_a_whisper(self):
         group = [const_chart("a", [{0}, {1}], [0.8, 0.2]),
                  const_chart("b", [{0}, {1}], [0.55, 0.45])]
-        p = vote_shared_targets(group, 0.7, [[0.0]], flat_phi,
-                                uncertain_weight=0.5)
+        p = shared_target_vote(group, 0.7, flat_phi, uncertain_weight=0.5).values
         want = (1.0 * np.array([0.8, 0.2]) + 0.5 * np.array([0.55, 0.45])) / 1.5
         assert np.allclose(p, want)
 
     def test_all_uncertain_yields_zero_vector(self):
         group = [const_chart("a", [{0}, {1}], [0.6, 0.4])]
-        p = vote_shared_targets(group, 0.9, [[0.0]], flat_phi)
-        assert np.array_equal(p, [0.0, 0.0])
+        vote = shared_target_vote(group, 0.9, flat_phi)
+        assert vote.dead
+        assert np.array_equal(vote.values, [0.0, 0.0])
 
 
 class TestVoteAtNode:
@@ -310,6 +316,80 @@ class TestValidationHistory:
         res = vote_with_validation_history(graph, cal, [0.0], flat_phi)
         assert res.prediction == 1
         assert [res.answer[c] for c in (0, 1, 2)] == [0.2, 0.5, 0.3]
+
+
+def softmax_chart(cid, blocks, rng, calls):
+    """Chart with a random linear softmax head; counts its predictions."""
+    W = rng.normal(scale=2.0, size=(2, len(blocks)))
+    b = rng.normal(size=len(blocks))
+
+    def predict(X):
+        calls[cid] = calls.get(cid, 0) + 1
+        z = X @ W + b
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    return ModelChart(cid, as_partition(blocks), predict)
+
+
+def softmax_ensemble(seed, calls):
+    """Generalist, {0,1} pair and {0,1}|{2} thick charts on 40 points."""
+    rng = np.random.default_rng(seed)
+    charts = [softmax_chart("gen", [{0}, {1}, {2}], rng, calls),
+              softmax_chart("pair", [{0}, {1}], rng, calls),
+              softmax_chart("thick", [{0, 1}, {2}], rng, calls)]
+    X = rng.normal(size=(40, 2))
+    y = list(rng.integers(0, 3, size=40))
+    return build_target_graph(charts, {0, 1, 2}), X, y
+
+
+ALPHAS = (0.0, 0.4, 0.5, 0.6, 0.8)
+
+
+class TestCalibrationReference:
+    @pytest.mark.parametrize("uncertain_weight", [0.0, 0.25])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_entries_are_the_brute_force_argmax(self, seed, uncertain_weight):
+        graph, X, y = softmax_ensemble(seed, {})
+        cal = calibrate(graph, X, y, alphas=ALPHAS,
+                        uncertain_weight=uncertain_weight)
+        phi = make_phi(X, y)
+        for label in (0, 1, 2):
+            scored = [(expected_accuracy(graph, path, alpha, label, X, y, phi,
+                                         uncertain_weight), alpha, pi, path)
+                      for pi, path in enumerate(valid_paths(graph, label))
+                      for alpha in ALPHAS]
+            top = max(r for r, _, _, _ in scored)
+            # ties go to the smaller threshold, then to the earlier path
+            alpha, _, path = min((alpha, pi, path)
+                                 for r, alpha, pi, path in scored if r == top)
+            entry = cal.entries[label]
+            assert (entry.path, entry.alpha) == (path, alpha)
+            assert type(entry.rate) is float and entry.rate == top
+
+    def test_each_chart_runs_at_most_twice_per_calibration(self):
+        calls = {}
+        graph, X, y = softmax_ensemble(0, calls)
+        calibrate(graph, X, y, alphas=ALPHAS)
+        assert calls == {"gen": 2, "pair": 2, "thick": 2}
+
+    @pytest.mark.parametrize("uncertain_weight", [0.0, 0.25])
+    def test_history_answers_are_the_per_class_path_votes(self, uncertain_weight):
+        calls = {}
+        graph, X, y = softmax_ensemble(1, calls)
+        cal = calibrate(graph, X, y, alphas=ALPHAS,
+                        uncertain_weight=uncertain_weight)
+        phi = make_phi(X, y)
+        vote_with_validation_history(graph, cal, X[0], phi)  # fills phi's memo
+        for x in X:
+            calls.clear()
+            res = vote_with_validation_history(graph, cal, x, phi,
+                                               uncertain_weight)
+            assert set(calls.values()) == {1}  # each chart runs once per vote
+            for label, entry in cal.entries.items():
+                vote = vote_along_path(graph, entry.path, entry.alpha, x, phi,
+                                       uncertain_weight)
+                assert res.answer[label] == vote.value_for(label)
 
 
 class TestFuzzyBelonging:
