@@ -82,7 +82,7 @@ class ModelChart:
             raise DimensionMismatchError(
                 f"chart {self.id!r} returned {p.shape[1]} components for "
                 f"{len(self.partition)} blocks")
-        if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
+        if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-9):  # NaN fails too
             raise FlatteningMismatchError(
                 f"chart {self.id!r} outputs do not sum to 1")
         return p
@@ -179,6 +179,13 @@ def build_target_graph(charts: Sequence[ModelChart], classes) -> TargetGraph:
     refinement must already be fine, otherwise voting cannot terminate there.
     """
     classes = frozenset(classes)
+    first = {}
+    for i, chart in enumerate(charts):
+        j = first.setdefault(chart.id, i)
+        if j != i:
+            raise AssumptionViolationError(
+                f"charts {j} and {i} share the id {chart.id!r}; accuracy "
+                "curves and weights are keyed by id")
     by_target: Dict[FrozenSet, Dict[Partition, List[int]]] = {}
     for i, chart in enumerate(charts):
         if not chart.flattened <= classes:
@@ -218,27 +225,33 @@ class AccuracyCurve:
     sizes: List[int]  # certain-part sizes, one per threshold
 
 
-def _certain_accuracy(chart: ModelChart, p: np.ndarray, y, alpha: float):
-    """fuzzy_accuracy over the chart's output matrix p at the points of y."""
-    certain = p.max(axis=1) >= alpha
+def _hits(chart: ModelChart, p: np.ndarray, y) -> np.ndarray:
+    """Whether each point's top block in the output matrix p holds its label."""
+    return np.array([label in chart.partition[block]
+                     for label, block in zip(np.asarray(y), p.argmax(axis=1))],
+                    dtype=bool)
+
+
+def _certain_accuracy(top: np.ndarray, hits: np.ndarray, alpha: float):
+    """fuzzy_accuracy from each point's top output and hit."""
+    certain = top >= alpha
     if not certain.any():
         return 0.0, certain
-    hit = np.array([label in chart.partition[block]
-                    for label, block in zip(np.asarray(y)[certain],
-                                            p.argmax(axis=1)[certain])])
-    return float(hit.mean()), certain
+    return float(hits[certain].mean()), certain
 
 
 def fuzzy_accuracy(chart: ModelChart, X, y, alpha: float):
     """(accuracy on the certain part, certain mask); 0 on an empty part."""
-    return _certain_accuracy(chart, chart.outputs(X), y, alpha)
+    p = chart.outputs(X)
+    return _certain_accuracy(p.max(axis=1), _hits(chart, p, y), alpha)
 
 
 def accuracy_curve(chart: ModelChart, X, y, alphas) -> AccuracyCurve:
     p = chart.outputs(X)
+    top, hits = p.max(axis=1), _hits(chart, p, y)
     values, sizes = [], []
     for a in alphas:
-        phi, certain = _certain_accuracy(chart, p, y, a)
+        phi, certain = _certain_accuracy(top, hits, a)
         values.append(phi)
         sizes.append(int(certain.sum()))
     return AccuracyCurve(list(map(float, alphas)), values, sizes)

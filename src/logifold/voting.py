@@ -7,7 +7,8 @@ landing on incompatible block combinations is pushed back onto compatible
 ones in proportion to how much each group is trusted.  A vote walks a path of
 shrinking targets, multiplying per-node masses for each surviving class, and
 validation history picks the path and threshold that predicted each class
-best in the past.
+best in the past.  Calibration and whole-split votes run over a table of
+chart outputs at once; every row gets the floats a single vote would.
 """
 
 from __future__ import annotations
@@ -15,24 +16,28 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product as iproduct
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .ensemble import (
     AccuracyCurve,
     ModelChart,
+    Partition,
     RefinementTable,
     TargetGraph,
     TargetNode,
     _certain_accuracy,
+    _hits,
     accuracy_curve,
     fuzzy_accuracy,
     refinement,
 )
 from .errors import (
     EmptyValidationError,
+    NonFinitePointError,
     NoValidPathError,
     UncoveredInstanceError,
 )
@@ -49,24 +54,50 @@ def make_phi(X, y) -> PhiFn:
 
     Each chart runs on X once, however many thresholds are asked for.
     """
-    outs: Dict[str, np.ndarray] = {}
+    scored: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     cache: Dict[Tuple[str, float], float] = {}
 
     def phi(chart: ModelChart, alpha: float) -> float:
         key = (chart.id, alpha)
         if key not in cache:
-            if chart.id not in outs:
-                outs[chart.id] = chart.outputs(X)
-            cache[key] = _certain_accuracy(chart, outs[chart.id], y, alpha)[0]
+            if chart.id not in scored:
+                p = _outputs([chart], [0], X)[0]
+                scored[chart.id] = (p.max(axis=1), _hits(chart, p, y))
+            cache[key] = _certain_accuracy(*scored[chart.id], alpha)[0]
         return cache[key]
 
     return phi
 
 
+def _finite_rows(X) -> np.ndarray:
+    """X as a matrix of instances; a NaN or infinite coordinate is rejected."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if not np.isfinite(X).all():
+        bad = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise NonFinitePointError(
+            f"instance {bad} has a NaN or infinite coordinate")
+    return X
+
+
 def _outputs(charts: Sequence[ModelChart], idxs, X) -> Dict[int, np.ndarray]:
     """The output table every vote reads: {chart index: outputs at X}."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _finite_rows(X)
     return {i: charts[i].outputs(X) for i in idxs}
+
+
+def _row_outputs(charts: Sequence[ModelChart], idxs,
+                 X: np.ndarray) -> Dict[int, np.ndarray]:
+    """_outputs at rows already checked by _finite_rows, with each chart run
+    on one row at a time.
+
+    A forward pass may round a one-row batch differently from the same row
+    inside a larger batch, so this is the table whose votes equal
+    single-instance votes bit for bit.
+    """
+    if len(X) <= 1:
+        return {i: charts[i].outputs(X) for i in idxs}
+    return {i: np.concatenate([charts[i].outputs(X[r:r + 1])
+                               for r in range(len(X))]) for i in idxs}
 
 
 # -- node votes ---------------------------------------------------------------
@@ -146,6 +177,88 @@ def _node_vote_from_rows(node: TargetNode, rows_of, phis_of, alpha,
     return NodeVote(list(table.blocks), values, fallback, dropped)
 
 
+# The table form below votes every row of an output table at once.  Each row
+# sees the same float operations, in the same order, as the per-row vote
+# above, so the two agree bit for bit.
+
+
+def _group_votes(ps, phis, alpha, uncertain_weight):
+    """_group_vote at every row: (distributions, total weights).
+
+    Rows whose total is not positive hold no usable distribution.
+    """
+    total = np.zeros(len(ps[0]))
+    acc = np.zeros(ps[0].shape)
+    for p, phi in zip(ps, phis):
+        w = np.where(p.max(axis=1) >= alpha, phi, uncertain_weight * phi)
+        total += w
+        acc += w[:, None] * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return acc / total[:, None], total
+
+
+class _Plan(NamedTuple):
+    table: RefinementTable
+    families: List[List[List[int]]]  # [invalid combo][group]: valid indices
+    block_of: Dict[object, int]      # label -> index of its block
+
+
+@lru_cache(maxsize=256)
+def _plan(partitions: Tuple[Partition, ...]) -> _Plan:
+    """Refinement of the live groups' partitions, with its redistribution
+    families: for each invalid combo and group, the valid combos that keep
+    that group's block choice."""
+    table = refinement(partitions)
+    families = [[[s for s, v in enumerate(table.valid) if v[g] == combo[g]]
+                 for g in range(len(partitions))] for combo in table.invalid]
+    block_of = {label: s for s, b in enumerate(table.blocks) for label in b}
+    return _Plan(table, families, block_of)
+
+
+def _redistribute(plan: _Plan, answers, weights):
+    """Masses on the plan's valid combos, one column each, and fallback rows.
+
+    `answers` and `weights` hold the live groups' distributions and total
+    weights at the rows being voted.
+    """
+    table = plan.table
+    mass = {}
+    for combo in table.valid + table.invalid:
+        col = answers[0][:, combo[0]]
+        for g in range(1, len(combo)):
+            col = col * answers[g][:, combo[g]]
+        mass[combo] = col
+    valid = [mass[combo] for combo in table.valid]
+    values = list(valid)
+    fallback = np.zeros(len(answers[0]), dtype=bool)
+    total = weights[0]
+    for w in weights[1:]:
+        total = total + w
+    psi = [w / total for w in weights]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for combo, families in zip(table.invalid, plan.families):
+            q = mass[combo]
+            spoken = q != 0.0
+            if not spoken.any():
+                continue
+            for g, family in enumerate(families):
+                denom = valid[family[0]]
+                for s in family[1:]:
+                    denom = denom + valid[s]
+                share = q * psi[g]
+                spread = spoken & (denom > 0.0)
+                for s in family:
+                    values[s] = np.where(spread, values[s] + share * valid[s] / denom,
+                                         values[s])
+                flat = spoken & ~(denom > 0.0)
+                if flat.any():
+                    fallback |= flat
+                    for s in family:
+                        values[s] = np.where(flat, values[s] + share / len(family),
+                                             values[s])
+    return values, fallback
+
+
 def vote_at_node(node: TargetNode, charts: Sequence[ModelChart], alpha: float,
                  x, phi_of: PhiFn, uncertain_weight: float = 0.0) -> NodeVote:
     """Blend all groups at a node into masses over its refinement blocks.
@@ -197,10 +310,35 @@ class PathVote:
         return float(self.values[self.classes.index(label)])
 
 
+@dataclass
+class PathVotes:
+    """Path votes at every row of an output table, one row per instance."""
+    classes: List
+    values: np.ndarray             # (rows, classes)
+    uniform_fallback: List[bool]   # one flag or count per row
+    dropped_groups: List[int]
+    dead_nodes: List[int]
+
+    @property
+    def best(self) -> np.ndarray:
+        """Index into classes of each row's prediction."""
+        return self.values.argmax(axis=1)
+
+    def row(self, r: int) -> PathVote:
+        return PathVote(self.classes, self.values[r],
+                        self.classes[int(np.argmax(self.values[r]))],
+                        self.uniform_fallback[r], self.dropped_groups[r],
+                        self.dead_nodes[r])
+
+
+def _path_classes(graph: TargetGraph, path) -> List:
+    return sorted((next(iter(b)) for b in graph.nodes[path[-1]].table.blocks),
+                  key=str)
+
+
 def _path_vote_from_rows(graph, path, rows_of, phis_of, alpha,
                          uncertain_weight) -> PathVote:
-    classes = sorted((next(iter(b)) for b in graph.nodes[path[-1]].table.blocks),
-                     key=str)
+    classes = _path_classes(graph, path)
     values = np.ones(len(classes))
     fallback, dropped, dead = False, 0, 0
     for vi in path:
@@ -218,6 +356,43 @@ def _path_vote_from_rows(graph, path, rows_of, phis_of, alpha,
     return PathVote(classes, values, pred, fallback, dropped, dead)
 
 
+def _path_vote_table(graph, path, outs, phis_of, alpha,
+                     uncertain_weight) -> PathVotes:
+    """_path_vote_from_rows at every row of the output table `outs`."""
+    classes = _path_classes(graph, path)
+    m = len(outs[next(iter(phis_of))])
+    values = np.ones((m, len(classes)))
+    fallback = np.zeros(m, dtype=bool)
+    dropped = np.zeros(m, dtype=int)
+    dead = np.zeros(m, dtype=int)
+    for vi in path:
+        node = graph.nodes[vi]
+        answers, weights = zip(*(
+            _group_votes([outs[i] for i in idxs], [phis_of[i] for i in idxs],
+                         alpha, uncertain_weight) for idxs in node.groups))
+        # rows sharing a set of live groups vote over that set's refinement
+        live_sets, which = np.unique(
+            sum((w > 0.0).astype(int) << g for g, w in enumerate(weights)),
+            return_inverse=True)
+        for k, live_set in enumerate(live_sets.tolist()):
+            rows = slice(None) if len(live_sets) == 1 else which == k
+            live = [g for g in range(len(weights)) if live_set >> g & 1]
+            if not live:
+                dead[rows] += 1
+                continue
+            plan = _plan(tuple(node.partitions[g] for g in live))
+            masses, node_fallback = _redistribute(
+                plan, [answers[g][rows] for g in live],
+                [weights[g][rows] for g in live])
+            values[rows] *= np.stack([masses[plan.block_of[c]] for c in classes],
+                                     axis=1)
+            fallback[rows] |= node_fallback
+            dropped[rows] += len(weights) - len(live)
+    values[dead == len(path)] = 0.0
+    return PathVotes(classes, values, fallback.tolist(), dropped.tolist(),
+                     dead.tolist())
+
+
 def _charts_on(graph: TargetGraph, paths) -> List[int]:
     """Indices of the charts at the paths' nodes, each once."""
     return list(dict.fromkeys(i for path in paths for vi in path
@@ -225,29 +400,43 @@ def _charts_on(graph: TargetGraph, paths) -> List[int]:
 
 
 def _path_votes(graph: TargetGraph, path, alpha, outs, phi_of,
-                uncertain_weight) -> List[PathVote]:
-    """Path vote at every row of the output table `outs`."""
+                uncertain_weight) -> PathVotes:
+    """Path vote at every row of the output table `outs`.
+
+    A one-row table takes the per-row vote, which is faster there; a longer
+    one votes as array operations over its rows, with the same floats.
+    """
     idxs = _charts_on(graph, [path])
     phis_of = {i: phi_of(graph.charts[i], alpha) for i in idxs}
     path = tuple(path)
-    return [_path_vote_from_rows(graph, path, {i: outs[i][m] for i in idxs},
-                                 phis_of, alpha, uncertain_weight)
-            for m in range(len(outs[idxs[0]]))]
+    if len(outs[idxs[0]]) != 1:
+        return _path_vote_table(graph, path, outs, phis_of, alpha,
+                                uncertain_weight)
+    vote = _path_vote_from_rows(graph, path, {i: outs[i][0] for i in idxs},
+                                phis_of, alpha, uncertain_weight)
+    return PathVotes(vote.classes, vote.values[None], [vote.uniform_fallback],
+                     [vote.dropped_groups], [vote.dead_nodes])
 
 
 def vote_along_path(graph: TargetGraph, path: Sequence[int], alpha: float, x,
                     phi_of: PhiFn, uncertain_weight: float = 0.0) -> PathVote:
     """Per-class product of node masses down the path; argmax predicts."""
     outs = _outputs(graph.charts, _charts_on(graph, [path]), x)
-    return _path_votes(graph, path, alpha, outs, phi_of, uncertain_weight)[0]
+    return _path_votes(graph, path, alpha, outs, phi_of, uncertain_weight).row(0)
 
 
 # -- validation history -----------------------------------------------------
 
 
-def _one_vs_rest_rate(preds, yval, label) -> float:
-    agree = sum(1 for p, t in zip(preds, yval) if (p == label) == (t == label))
-    return agree / len(yval)
+def _one_vs_rest_rate(classes, best, truth, label) -> float:
+    """Share of rows where 'predicted label' (class indices `best`) agrees
+    with `truth`, the rows whose true class is label."""
+    said = np.array([c == label for c in classes], dtype=bool)[best]
+    return int(np.count_nonzero(said == truth)) / len(truth)
+
+
+def _is_label(yval, label) -> np.ndarray:
+    return np.array([t == label for t in yval], dtype=bool)
 
 
 def expected_accuracy(graph: TargetGraph, path, alpha: float, label, Xval,
@@ -258,9 +447,9 @@ def expected_accuracy(graph: TargetGraph, path, alpha: float, label, Xval,
     if len(yval) == 0:
         raise EmptyValidationError("validation set is empty")
     outs = _outputs(graph.charts, _charts_on(graph, [path]), Xval)
-    preds = [v.prediction for v in
-             _path_votes(graph, path, alpha, outs, phi_of, uncertain_weight)]
-    return _one_vs_rest_rate(preds, yval, label)
+    votes = _path_votes(graph, path, alpha, outs, phi_of, uncertain_weight)
+    return _one_vs_rest_rate(votes.classes, votes.best, _is_label(yval, label),
+                             label)
 
 
 @dataclass
@@ -289,23 +478,26 @@ def calibrate(graph: TargetGraph, Xval, yval,
     ys = list(yval)
     if len(ys) == 0:
         raise EmptyValidationError("validation set is empty")
+    # the table comes first: it rejects a non-finite row before a curve scores it
+    outs = _outputs(graph.charts, range(len(graph.charts)), Xval)
     curves = {c.id: accuracy_curve(c, Xval, yval, alphas) for c in graph.charts}
     phi_at = {cid: dict(zip(alphas, curve.values)) for cid, curve in curves.items()}
 
     def phi_of(chart, alpha):
         return phi_at[chart.id][alpha]
 
-    outs = _outputs(graph.charts, range(len(graph.charts)), Xval)
     preds = {}
     entries = {}
     for label in sorted(graph.nodes[graph.root].target, key=str):
+        truth = _is_label(ys, label)
         scored = []
         for pi, path in enumerate(valid_paths(graph, label)):
             for alpha in alphas:
                 if (path, alpha) not in preds:
-                    preds[path, alpha] = [v.prediction for v in _path_votes(
-                        graph, path, alpha, outs, phi_of, uncertain_weight)]
-                r = _one_vs_rest_rate(preds[path, alpha], ys, label)
+                    votes = _path_votes(graph, path, alpha, outs, phi_of,
+                                        uncertain_weight)
+                    preds[path, alpha] = (votes.classes, votes.best)
+                r = _one_vs_rest_rate(*preds[path, alpha], truth, label)
                 scored.append((-r, alpha, pi, path))
         neg_r, alpha, _, path = min(scored)
         entries[label] = HistoryEntry(path, alpha, -neg_r)
@@ -326,20 +518,33 @@ def vote_with_validation_history(graph: TargetGraph, calibration: Calibration,
                                  x, phi_of: PhiFn,
                                  uncertain_weight: float = 0.0) -> VoteResult:
     """Answer each class along its calibrated best path and threshold."""
+    return _history_votes(graph, calibration, x, phi_of, uncertain_weight)[0]
+
+
+def _history_votes(graph: TargetGraph, calibration: Calibration, X,
+                   phi_of: PhiFn, uncertain_weight: float) -> List[VoteResult]:
+    """vote_with_validation_history at every row of X, bit for bit: one
+    output table and one path vote over all rows per calibrated class."""
     entries = calibration.entries
-    outs = _outputs(graph.charts,
-                    _charts_on(graph, [e.path for e in entries.values()]), x)
-    answer, fallback, dropped, dead = {}, False, 0, 0
+    X = _finite_rows(X)
+    outs = _row_outputs(graph.charts,
+                        _charts_on(graph, [e.path for e in entries.values()]), X)
+    answers, flags = {}, []
     for label, entry in entries.items():
-        vote = _path_votes(graph, entry.path, entry.alpha, outs, phi_of,
-                           uncertain_weight)[0]
-        answer[label] = vote.value_for(label)
-        fallback |= vote.uniform_fallback
-        dropped += vote.dropped_groups
-        dead += vote.dead_nodes
-    pred = max(sorted(answer, key=str), key=lambda c: answer[c])
-    return VoteResult(answer, pred, dict(calibration.entries), fallback,
-                      dropped, dead)
+        votes = _path_votes(graph, entry.path, entry.alpha, outs, phi_of,
+                            uncertain_weight)
+        answers[label] = votes.values[:, votes.classes.index(label)].tolist()
+        flags.append((votes.uniform_fallback, votes.dropped_groups,
+                      votes.dead_nodes))
+    ranked = sorted(answers, key=str)
+    results = []
+    for r in range(len(X)):
+        answer = {label: column[r] for label, column in answers.items()}
+        results.append(VoteResult(
+            answer, max(ranked, key=answer.get), dict(entries),
+            any(f[0][r] for f in flags), sum(f[1][r] for f in flags),
+            sum(f[2][r] for f in flags)))
+    return results
 
 
 # -- fuzzy membership of instances in the ensemble's domain ----------------
@@ -359,10 +564,10 @@ def make_bundle(charts: Sequence[ModelChart], alpha: float, Xval, yval):
 
 def fuzzy_belonging(bundle: LogifoldBundle, x) -> float:
     """Accuracy-weighted certainty of the charts willing to speak for x."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    outs = _outputs(bundle.charts, range(len(bundle.charts)), x)
     certainties, weights = [], []
-    for chart in bundle.charts:
-        c = float(chart.outputs(x)[0].max())
+    for i, chart in enumerate(bundle.charts):
+        c = float(outs[i][0].max())
         certainties.append(c)
         weights.append(bundle.phis[chart.id]
                        if c >= bundle.alphas[chart.id] else 0.0)
@@ -377,7 +582,7 @@ def fuzzy_belonging(bundle: LogifoldBundle, x) -> float:
 
 
 def write_prediction_matrix(path, chart: ModelChart, X, ids=None):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = _finite_rows(X)
     p = chart.outputs(X)
     if ids is None:
         ids = list(range(len(p)))
@@ -430,9 +635,8 @@ def vote_report(graph: TargetGraph, calibration: Calibration, X, phi_of: PhiFn,
     if ids is None:
         ids = list(range(X.shape[0]))
     instances = []
-    for i, x in zip(ids, X):
-        res = vote_with_validation_history(graph, calibration, x, phi_of,
-                                           uncertain_weight)
+    for i, res in zip(ids, _history_votes(graph, calibration, X, phi_of,
+                                          uncertain_weight)):
         flags = []
         if res.uniform_fallback:
             flags.append("uniform_fallback")

@@ -385,6 +385,40 @@ class TestEnsembleCommands:
         assert lines[0] == "instance_id,p_block_1,p_block_2,p_block_3"
         assert len(lines) == 31
 
+    @pytest.mark.parametrize("split,value", [("val", "nan"), ("test", "inf")])
+    def test_non_finite_instance_exits_2(self, pipeline, capsys, split, value):
+        tmp_path, data, charts = pipeline
+        cal = tmp_path / "cal.json"
+        assert main(["ensemble", "calibrate", "--charts", str(charts), "--data",
+                     str(data), "--out", str(cal)]) == 0
+        lines = data.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.endswith("," + split))
+        lines[row] = value + lines[row][lines[row].index(","):]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        vote = ["ensemble", "vote", "--charts", str(charts), "--data", str(bad),
+                "--calibration", str(cal), "--out", str(tmp_path / "v.json")]
+        assert main(vote) == 2
+        assert "NonFinitePointError" in capsys.readouterr().err
+        if split == "val":
+            assert main(["ensemble", "calibrate", "--charts", str(charts),
+                         "--data", str(bad), "--out", str(cal)]) == 2
+        else:
+            assert main(["ensemble", "report", "--charts", str(charts),
+                         "--data", str(bad), "--outdir",
+                         str(tmp_path / "rep")]) == 2
+        assert "NonFinitePointError" in capsys.readouterr().err
+
+    def test_shared_chart_ids_exit_2(self, pipeline, capsys):
+        tmp_path, data, charts = pipeline
+        doc = json.loads(charts.read_text())
+        doc["charts"][1]["id"] = doc["charts"][0]["id"]
+        charts.write_text(json.dumps(doc))
+        assert main(["ensemble", "calibrate", "--charts", str(charts), "--data",
+                     str(data), "--out", str(tmp_path / "cal.json")]) == 2
+        assert "AssumptionViolationError" in capsys.readouterr().err
+
     def test_missing_calibration_names_the_path(self, pipeline, capsys):
         tmp_path, data, charts = pipeline
         missing = tmp_path / "nope.json"

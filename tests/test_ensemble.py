@@ -60,6 +60,12 @@ class TestChartOutputs:
         with pytest.raises(FlatteningMismatchError):
             bad.outputs(np.zeros((1, 2)))
 
+    def test_nan_rows_fail_the_sum_check(self):
+        bad = table_chart("b", [{0}, {1}],
+                          lambda X: np.array([[0.5, 0.5], [np.nan, 0.5]]))
+        with pytest.raises(FlatteningMismatchError):
+            bad.outputs(np.zeros((2, 2)))
+
     def test_component_count_must_match_blocks(self):
         bad = table_chart("b", [{0}, {1}, {2}],
                           lambda X: np.tile([0.5, 0.5], (len(X), 1)))
@@ -170,6 +176,13 @@ class TestTargetGraph:
         with pytest.raises(AssumptionViolationError):
             build_target_graph(charts, {1, 2, 3})
 
+    def test_shared_chart_ids_are_rejected(self):
+        # both would vote with one accuracy curve, the one keyed by "c"
+        charts = [const_chart("c", [{0}, {1}], [0.9, 0.1]),
+                  const_chart("c", [{0}, {1}], [0.2, 0.8])]
+        with pytest.raises(AssumptionViolationError, match="'c'"):
+            build_target_graph(charts, {0, 1})
+
     def test_coarse_root_allowed_when_finer_children_exist(self):
         charts = [
             const_chart("coarse", [{1, 2}, {3}], [0.5, 0.5]),
@@ -222,3 +235,22 @@ class TestFuzzyAccuracy:
         masks = [fuzzy_accuracy(chart, X, y, a)[1] for a in curve.alphas]
         for tight, loose in zip(masks[1:], masks):
             assert not np.any(tight & ~loose)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_curve_matches_a_per_threshold_recount(self, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.dirichlet(np.full(3, 0.5), size=30)
+        chart = table_chart("r", [{0, 1}, {2}, {3}], lambda X: raw[: len(X)])
+        X = np.zeros((30, 1))
+        y = rng.integers(0, 4, size=30)
+        alphas = [0.0, 0.3, 0.5, 0.7, 0.9, 0.99]
+        curve = accuracy_curve(chart, X, y, alphas)
+        for a, value, size in zip(alphas, curve.values, curve.sizes):
+            certain = raw.max(axis=1) >= a
+            hits = [label in chart.partition[block] for label, block
+                    in zip(y[certain], raw.argmax(axis=1)[certain])]
+            assert type(value) is float
+            assert value == (float(np.mean(hits)) if hits else 0.0)
+            assert size == len(hits)
+            assert fuzzy_accuracy(chart, X, y, a)[0] == value

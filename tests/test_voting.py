@@ -7,18 +7,25 @@ from hypothesis import strategies as st
 
 from logifold.ensemble import (
     ModelChart,
+    TargetGraph,
     TargetNode,
     as_partition,
     build_target_graph,
+    chart_from_net,
     refinement,
 )
 from logifold.errors import (
     EmptyValidationError,
+    NonFinitePointError,
     NoValidPathError,
     UncoveredInstanceError,
 )
+from logifold.graph import label_to_text
+from logifold.networks import SIGMOID, SOFTMAX, random_network
 from logifold.voting import (
     DEFAULT_ALPHA_GRID,
+    _path_vote_from_rows,
+    _path_vote_table,
     calibrate,
     calibration_to_dict,
     expected_accuracy,
@@ -343,6 +350,19 @@ def softmax_ensemble(seed, calls):
     return build_target_graph(charts, {0, 1, 2}), X, y
 
 
+def net_ensemble(seed):
+    """softmax_ensemble's layout with sigmoid-network charts, whose forward
+    pass rounds a one-row batch differently from a longer one."""
+    rng = np.random.default_rng(seed)
+    charts = [chart_from_net(cid, random_network(rng, [2, 8, len(blocks)],
+                                                 SIGMOID, SOFTMAX), blocks)
+              for cid, blocks in [("gen", [{0}, {1}, {2}]), ("pair", [{0}, {1}]),
+                                  ("thick", [{0, 1}, {2}])]]
+    X = rng.normal(size=(40, 2))
+    y = list(rng.integers(0, 3, size=40))
+    return build_target_graph(charts, {0, 1, 2}), X, y
+
+
 ALPHAS = (0.0, 0.4, 0.5, 0.6, 0.8)
 
 
@@ -390,6 +410,118 @@ class TestCalibrationReference:
                 vote = vote_along_path(graph, entry.path, entry.alpha, x, phi,
                                        uncertain_weight)
                 assert res.answer[label] == vote.value_for(label)
+
+
+def random_partition(rng, labels):
+    """An ordered partition of labels into randomly many nonempty blocks."""
+    assign = rng.integers(0, rng.integers(1, len(labels) + 1), size=len(labels))
+    blocks = [frozenset(l for l, a in zip(labels, assign) if a == b)
+              for b in sorted(set(assign))]
+    return as_partition(blocks)
+
+
+def random_rows(rng, k, rows):
+    """Dirichlet rows, about a quarter replaced by one-hot rows (exact zeros)."""
+    out = rng.dirichlet(np.full(k, 0.5), size=rows)
+    hot = rng.random(rows) < 0.25
+    out[hot] = np.eye(k)[rng.integers(0, k, size=hot.sum())]
+    return out
+
+
+def assert_table_matches_rows(graph, path, outs, phis_of, alpha,
+                              uncertain_weight):
+    """The table vote equals the per-row vote on every row, bit for bit."""
+    table = _path_vote_table(graph, path, outs, phis_of, alpha,
+                             uncertain_weight)
+    assert table.values.shape[0] == len(next(iter(outs.values())))
+    for r in range(table.values.shape[0]):
+        want = _path_vote_from_rows(graph, path,
+                                    {i: o[r] for i, o in outs.items()},
+                                    phis_of, alpha, uncertain_weight)
+        got = table.row(r)
+        assert got.classes == want.classes
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.prediction, got.uniform_fallback, got.dropped_groups,
+                got.dead_nodes) == (want.prediction, want.uniform_fallback,
+                                    want.dropped_groups, want.dead_nodes)
+    return table
+
+
+class TestTableVotes:
+    @given(seed=st.integers(0, 10 ** 6), groups=st.integers(1, 3),
+           rows=st.integers(1, 25), alpha=st.sampled_from([0.0, 0.4, 0.6, 0.8]),
+           uncertain_weight=st.sampled_from([0.0, 0.25]), deep=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_table_vote_is_the_per_row_vote(self, seed, groups, rows, alpha,
+                                            uncertain_weight, deep):
+        rng = np.random.default_rng(seed)
+        labels = (0, 1, 2, 3)
+        parts = [random_partition(rng, labels) for _ in range(groups)]
+        members = [list(range(g * 2, g * 2 + rng.integers(1, 3)))
+                   for g in range(groups)]
+        root = TargetNode(frozenset(labels), parts, members, refinement(parts))
+        nodes, path = [root], (0,)
+        chart_blocks = {i: len(parts[g]) for g, idxs in enumerate(members)
+                        for i in idxs}
+        if deep:  # a fine child node over {0, 1}, as its own chart
+            fine = as_partition([{0}, {1}])
+            nodes.append(TargetNode(frozenset({0, 1}), [fine], [[6]],
+                                    refinement([fine])))
+            path, chart_blocks[6] = (0, 1), 2
+        graph = TargetGraph([], nodes, {0: [1] if deep else [], 1: []}, 0)
+        outs = {i: random_rows(rng, k, rows) for i, k in chart_blocks.items()}
+        phis_of = {i: float(rng.choice([0.0, rng.uniform(0.2, 1.0)],
+                                       p=[0.15, 0.85]))
+                   for i in chart_blocks}
+        assert_table_matches_rows(graph, path, outs, phis_of, alpha,
+                                  uncertain_weight)
+
+    def test_rows_with_different_live_groups_and_fallbacks(self):
+        # row 0: incompatible certain answers, so a zero denominator;
+        # row 1: only b is certain; row 2: nobody is
+        parts = [as_partition([{1}, {2}]), as_partition([{1}, {2}])]
+        node = TargetNode(frozenset({1, 2}), parts, [[0], [1]],
+                          refinement(parts))
+        graph = TargetGraph([], [node], {0: []}, 0)
+        outs = {0: np.array([[1.0, 0.0], [0.6, 0.4], [0.55, 0.45]]),
+                1: np.array([[0.0, 1.0], [0.9, 0.1], [0.52, 0.48]])}
+        table = assert_table_matches_rows(graph, (0,), outs, {0: 1.0, 1: 1.0},
+                                          0.7, 0.0)
+        assert table.uniform_fallback == [True, False, False]
+        assert table.dropped_groups == [0, 1, 0]
+        assert table.dead_nodes == [0, 0, 1]
+        assert table.values.tolist() == [[0.5, 0.5], [0.9, 0.1], [0.0, 0.0]]
+
+
+class TestNonFiniteInstances:
+    def test_history_vote_rejects_a_nan_instance(self):
+        graph, X, y = softmax_ensemble(0, {})
+        cal = calibrate(graph, X, y, alphas=ALPHAS)
+        with pytest.raises(NonFinitePointError):
+            vote_with_validation_history(graph, cal, [np.nan, 0.0],
+                                         make_phi(X, y))
+
+    def test_calibrate_rejects_an_infinite_validation_row(self):
+        graph, X, y = softmax_ensemble(0, {})
+        X[5, 1] = np.inf
+        with pytest.raises(NonFinitePointError, match="instance 5"):
+            calibrate(graph, X, y, alphas=ALPHAS)
+
+    def test_vote_report_and_phi_reject_non_finite_rows(self):
+        graph, X, y = softmax_ensemble(0, {})
+        cal = calibrate(graph, X, y, alphas=ALPHAS)
+        bad = X.copy()
+        bad[3, 0] = -np.inf
+        with pytest.raises(NonFinitePointError, match="instance 3"):
+            vote_report(graph, cal, bad, make_phi(X, y))
+        with pytest.raises(NonFinitePointError):
+            vote_report(graph, cal, X[:2], make_phi(bad, y))
+
+    def test_fuzzy_belonging_rejects_nan(self):
+        bundle = make_bundle([const_chart("c", [{0}, {1}], [0.7, 0.3])], 0.5,
+                             [[0.0]], [0])
+        with pytest.raises(NonFinitePointError):
+            fuzzy_belonging(bundle, [np.nan])
 
 
 class TestFuzzyBelonging:
@@ -443,6 +575,37 @@ class TestReports:
         assert loaded.entries == cal.entries
         assert loaded.alpha_grid == cal.alpha_grid
         assert loaded.curves["gen"].values == cal.curves["gen"].values
+
+    @pytest.mark.parametrize("uncertain_weight", [0.0, 0.25])
+    def test_vote_report_is_the_per_instance_votes(self, uncertain_weight):
+        graph, X, y = net_ensemble(2)
+        cal = calibrate(graph, X, y, alphas=ALPHAS,
+                        uncertain_weight=uncertain_weight)
+        phi = make_phi(X, y)
+        doc = vote_report(graph, cal, X, phi, uncertain_weight=uncertain_weight)
+        assert len(doc["instances"]) == len(X)
+        for i, (x, rec) in enumerate(zip(X, doc["instances"])):
+            res = vote_with_validation_history(graph, cal, x, phi,
+                                               uncertain_weight)
+            flags = ((["uniform_fallback"] if res.uniform_fallback else [])
+                     + ([f"dropped_groups:{res.dropped_groups}"]
+                        if res.dropped_groups else [])
+                     + ([f"dead_nodes:{res.dead_nodes}"] if res.dead_nodes
+                        else []))
+            assert rec == {
+                "id": i,
+                "answer": {label_to_text(c): v for c, v in res.answer.items()},
+                "prediction": label_to_text(res.prediction),
+                "paths": {label_to_text(c): list(e.path)
+                          for c, e in res.chosen.items()},
+                "flags": flags,
+            }
+
+    def test_vote_report_on_no_rows(self):
+        graph, X, y = softmax_ensemble(2, {})
+        cal = calibrate(graph, X, y, alphas=ALPHAS)
+        assert vote_report(graph, cal, X[:0], make_phi(X, y)) == {
+            "instances": []}
 
     def test_vote_report_is_deterministic_and_flagged(self, tmp_path):
         graph, X, y = three_class_graph()
