@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import constant_graph
-from .errors import BudgetCapError, DimensionMismatchError
+from .errors import AssumptionViolationError, BudgetCapError, DimensionMismatchError
 from .graph import (  # noqa: F401  evaluate stays importable from this module
     INTERNAL, SOURCE, TARGET, AffineMap, Arrow, LogicalGraph, evaluate, evaluate_batch,
     label_from_text, label_to_text)
@@ -133,14 +133,12 @@ class Rectangle:
 
 def _largest_rect_2d(mask: np.ndarray):
     """Exact maximal-area rectangle via the skyline of column heights."""
-    rows, cols = mask.shape
-    heights = np.zeros(cols, dtype=int)
+    heights = [0] * mask.shape[1]
     best = (0, ((0, 0), (0, 0)))
-    for r in range(rows):
-        heights = np.where(mask[r], heights + 1, 0)
+    for r, row in enumerate(mask.tolist()):
+        heights = [h + 1 if m else 0 for h, m in zip(heights, row)]
         stack: List[Tuple[int, int]] = []
-        for c in range(cols + 1):
-            h = int(heights[c]) if c < cols else 0
+        for c, h in enumerate(heights + [0]):
             start = c
             while stack and stack[-1][1] >= h:
                 s, sh = stack.pop()
@@ -230,10 +228,11 @@ def _chain_graph(dim: int, rectangles: Sequence[Rectangle]) -> LogicalGraph:
         return target_of[label]
 
     fallback = target(FALLBACK)
+    rows = np.vstack([np.eye(dim), np.eye(dim)])
+    box_signs = list(_box_signs(dim))
     for k, rect in enumerate(rectangles):
         v = f"q{k}"
         vertices[v] = SOURCE if k == 0 else INTERNAL
-        rows = np.vstack([np.eye(dim), np.eye(dim)])
         offs = np.concatenate([-np.array(rect.lo), -np.array(rect.hi)])
         guards[v] = AffineMap(rows, offs)
         nxt = f"q{k + 1}" if k + 1 < len(rectangles) else fallback
@@ -241,23 +240,38 @@ def _chain_graph(dim: int, rectangles: Sequence[Rectangle]) -> LogicalGraph:
         miss = Arrow(f"miss{k}", v, nxt)
         arrows += [hit, miss]
         routing[v] = {signs: (hit.id if inside else miss.id)
-                      for signs, inside in _box_signs(dim)}
+                      for signs, inside in box_signs}
     return LogicalGraph(dim, vertices, arrows, guards, routing, labels)
+
+
+def _check_bound(name: str, value: float):
+    if np.isnan(value):
+        raise AssumptionViolationError(f"{name} is NaN; a residual bound must be a number")
 
 
 def approximate(grid: LabeledGrid, epsilon: float,
                 budget: int = BUDGET_START, budget_cap: int = BUDGET_CAP) -> Approximation:
     """Cover labeled cells by rectangles until the leftover measure is below
-    epsilon, doubling the rectangle budget as needed up to a hard cap."""
-    remaining = {label: (grid.labels == label) & grid.labeled_mask()
+    epsilon, doubling the rectangle budget as needed up to a hard cap.
+
+    Taking a box changes only its own label's cells, so each label's largest
+    rectangle is searched once up front and again only after one of its
+    boxes is taken.
+    """
+    _check_bound("epsilon", epsilon)
+    cells = grid.labels.ravel().tolist()  # a tuple label must not broadcast
+    remaining = {label: np.array([v == label for v in cells],
+                                 dtype=bool).reshape(grid.resolution)
                  for label in grid.distinct_labels()}
+    left = {label: int(m.sum()) for label, m in remaining.items()}
+    largest = {label: largest_rectangle(m) for label, m in remaining.items()}
     cellvol = grid.cell_volume
     width = grid.cell_width
     chosen: List[Rectangle] = []
     rounds: List[Tuple[int, float]] = []
 
     def residual():
-        return sum(int(m.sum()) for m in remaining.values()) * cellvol
+        return sum(left.values()) * cellvol
 
     while residual() >= epsilon and residual() > 0:
         if len(chosen) >= budget:
@@ -268,17 +282,19 @@ def approximate(grid: LabeledGrid, epsilon: float,
                     f"rectangle budget exceeded {budget_cap} with residual {residual():.3g}")
         best = None
         for label in sorted(remaining, key=str):
-            size, (clo, chi) = largest_rectangle(remaining[label])
+            size, (clo, chi) = largest[label]
             if size > 0 and (best is None or size > best[0]):
                 best = (size, label, clo, chi)
         if best is None:
             break
-        _, label, clo, chi = best
+        size, label, clo, chi = best
         lo = tuple(float(v) for v in grid.lo + np.array(clo) * width)
         hi = tuple(float(v) for v in grid.lo + np.array(chi) * width)
         chosen.append(Rectangle(label, clo, chi, lo, hi))
         block = tuple(slice(a, b) for a, b in zip(clo, chi))
         remaining[label][block] = False
+        left[label] -= size
+        largest[label] = largest_rectangle(remaining[label])
 
     res = residual()
     rounds.append((budget, res))
@@ -310,6 +326,7 @@ class ChartFamily:
 def chart_family(grid: LabeledGrid, eps0: float, depth: int,
                  budget: int = BUDGET_START, budget_cap: int = BUDGET_CAP) -> ChartFamily:
     """Repeat the cover on leftover cells with the bound halved each round."""
+    _check_bound("eps0", eps0)
     working = LabeledGrid(grid.lo.copy(), grid.hi.copy(), grid.labels.copy())
     charts = []
     residual = working.labeled_measure()

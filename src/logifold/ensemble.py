@@ -247,7 +247,11 @@ def fuzzy_accuracy(chart: ModelChart, X, y, alpha: float):
 
 
 def accuracy_curve(chart: ModelChart, X, y, alphas) -> AccuracyCurve:
-    p = chart.outputs(X)
+    return _curve_of_outputs(chart, chart.outputs(X), y, alphas)
+
+
+def _curve_of_outputs(chart: ModelChart, p: np.ndarray, y, alphas) -> AccuracyCurve:
+    """accuracy_curve from the chart's output matrix p at the points."""
     top, hits = p.max(axis=1), _hits(chart, p, y)
     values, sizes = [], []
     for a in alphas:

@@ -30,8 +30,8 @@ from .ensemble import (
     TargetGraph,
     TargetNode,
     _certain_accuracy,
+    _curve_of_outputs,
     _hits,
-    accuracy_curve,
     fuzzy_accuracy,
     refinement,
 )
@@ -478,9 +478,9 @@ def calibrate(graph: TargetGraph, Xval, yval,
     ys = list(yval)
     if len(ys) == 0:
         raise EmptyValidationError("validation set is empty")
-    # the table comes first: it rejects a non-finite row before a curve scores it
     outs = _outputs(graph.charts, range(len(graph.charts)), Xval)
-    curves = {c.id: accuracy_curve(c, Xval, yval, alphas) for c in graph.charts}
+    curves = {c.id: _curve_of_outputs(c, outs[i], ys, alphas)
+              for i, c in enumerate(graph.charts)}
     phi_at = {cid: dict(zip(alphas, curve.values)) for cid, curve in curves.items()}
 
     def phi_of(chart, alpha):

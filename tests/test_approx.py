@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from logifold import evaluate
+from logifold import approx, evaluate
 from logifold.approx import (
+    BUDGET_START,
     FALLBACK,
     LabeledGrid,
+    _largest_rect_2d,
     approximate,
     chart_family,
     grid_from_function,
@@ -14,7 +19,7 @@ from logifold.approx import (
     regions_to_semilinear,
     save_grid,
 )
-from logifold.errors import BudgetCapError
+from logifold.errors import AssumptionViolationError, BudgetCapError
 
 
 def diagonal(x):
@@ -44,6 +49,14 @@ def test_grid_with_holes_tracks_measure():
 def test_longest_run_1d():
     size, (lo, hi) = largest_rectangle(np.array([0, 1, 1, 1, 0, 1, 1], dtype=bool))
     assert size == 3 and (lo, hi) == ((1,), (4,))
+
+
+def test_equal_rectangles_keep_the_first_found():
+    assert largest_rectangle(np.array([1, 1, 0, 1, 1], dtype=bool)) == (2, ((0,), (2,)))
+    mask = np.array([[1, 1, 0],
+                     [0, 0, 0],
+                     [0, 1, 1]], dtype=bool)
+    assert largest_rectangle(mask) == (2, ((0, 0), (1, 2)))
 
 
 def test_largest_rectangle_2d_is_exact():
@@ -185,3 +198,113 @@ def test_grid_rejects_an_empty_labels_file(tmp_path):
     (tmp_path / "grid.csv").write_text("")
     with pytest.raises(ValueError, match="grid.csv is empty"):
         load_grid(path)
+
+
+def test_nan_bound_is_rejected():
+    g = make_diag_grid(4)
+    with pytest.raises(AssumptionViolationError, match="epsilon is NaN"):
+        approximate(g, math.nan)
+    for grid in (g, LabeledGrid([0.0], [1.0], np.full(4, None))):  # and with no labeled cell
+        with pytest.raises(AssumptionViolationError, match="eps0 is NaN"):
+            chart_family(grid, math.nan, 3)
+
+
+def test_infinite_bound_needs_no_box():
+    g = make_diag_grid(4)
+    result = approximate(g, math.inf)
+    assert result.rectangles == []
+    assert result.residual_measure == g.labeled_measure()
+
+
+# -- the incremental cover against a full search every round -------------------
+
+
+def reference_cover(grid, epsilon, budget):
+    """The greedy cover that searches every label's mask again each round."""
+    remaining = {label: np.array([v == label for v in grid.labels.flat],
+                                 dtype=bool).reshape(grid.resolution)
+                 for label in grid.distinct_labels()}
+
+    def residual():
+        return sum(int(m.sum()) for m in remaining.values()) * grid.cell_volume
+
+    rects, rounds = [], []
+    while residual() >= epsilon and residual() > 0:
+        if len(rects) >= budget:
+            rounds.append((budget, residual()))
+            budget *= 2
+        best = None
+        for label in sorted(remaining, key=str):
+            size, (lo, hi) = largest_rectangle(remaining[label])
+            if size > 0 and (best is None or size > best[0]):
+                best = (size, label, lo, hi)
+        _, label, lo, hi = best
+        rects.append((label, lo, hi))
+        remaining[label][tuple(slice(a, b) for a, b in zip(lo, hi))] = False
+    rounds.append((budget, residual()))
+    covered = sum(int(np.prod(np.subtract(hi, lo))) for _, lo, hi in rects)
+    return rects, rounds, residual(), covered * grid.cell_volume
+
+
+LABEL_POOL = [0, 3, "a", "b", (0, 1), ("a", 2)]
+
+
+@st.composite
+def labeled_grids(draw):
+    dim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 7 if dim < 3 else 4),
+                                min_size=dim, max_size=dim)))
+    labels = draw(st.lists(st.sampled_from(LABEL_POOL), min_size=1, max_size=4,
+                           unique_by=repr))
+    values = labels + [None]
+    cells = draw(st.lists(st.sampled_from(values), min_size=int(np.prod(shape)),
+                          max_size=int(np.prod(shape))))
+    grid = np.empty(int(np.prod(shape)), dtype=object)
+    for k, v in enumerate(cells):  # np.array(cells) would split tuple labels
+        grid[k] = v
+    return LabeledGrid(np.zeros(dim), np.arange(1.0, dim + 1), grid.reshape(shape))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_grids(), st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([1, BUDGET_START]))
+def test_incremental_cover_equals_full_search(grid, frac, budget):
+    epsilon = frac * grid.labeled_measure()
+    result = approximate(grid, epsilon, budget=budget)
+    rects, rounds, residual, covered = reference_cover(grid, epsilon, budget)
+    assert [(r.label, r.cell_lo, r.cell_hi) for r in result.rectangles] == rects
+    assert [type(r.label) for r in result.rectangles] == [type(l) for l, _, _ in rects]
+    assert result.rounds == rounds
+    assert result.residual_measure == residual
+    assert result.covered_measure == covered
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda r: st.integers(1, 7).flatmap(
+    lambda c: st.lists(st.booleans(), min_size=r * c, max_size=r * c).map(
+        lambda bits: np.array(bits, dtype=bool).reshape(r, c)))))
+def test_skyline_finds_a_maximum_all_true_rectangle(mask):
+    rows, cols = mask.shape
+    brute = max((r1 - r0) * (c1 - c0)
+                for r0 in range(rows) for r1 in range(r0 + 1, rows + 1)
+                for c0 in range(cols) for c1 in range(c0 + 1, cols + 1)
+                if mask[r0:r1, c0:c1].all()) if mask.any() else 0
+    size, ((r0, c0), (r1, c1)) = _largest_rect_2d(mask)
+    assert size == brute
+    if size:
+        assert (r1 - r0) * (c1 - c0) == size
+        assert mask[r0:r1, c0:c1].all()
+
+
+def test_each_box_searches_again_only_its_own_label(monkeypatch):
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return largest_rectangle(mask)
+
+    monkeypatch.setattr(approx, "largest_rectangle", counted)
+    g = grid_from_function(lambda x: int(4 * np.hypot(x[0] - 0.4, x[1] - 0.6)),
+                           [0.0, 0.0], [1.0, 1.0], 16)
+    result = approximate(g, 0.0)
+    assert len(g.distinct_labels()) == 4
+    assert len(calls) == 4 + len(result.rectangles)

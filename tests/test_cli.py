@@ -102,6 +102,32 @@ class TestCompileEval:
         assert "mismatches: 0" in report
         assert "config_hash: " in report
 
+    @pytest.mark.parametrize("margin", [0.0, 0.5])
+    def test_check_equiv_counts_each_disagreement(self, tmp_path, capsys, margin):
+        nets = [random_network(np.random.default_rng(s), [2, 3, 3], RELU, INDEXMAX)
+                for s in (1, 2)]
+        for k, net in enumerate(nets):
+            save_model(net, tmp_path / f"m{k}.json")
+        graph_path = tmp_path / "g.json"
+        assert main(["compile", "--model", str(tmp_path / "m0.json"),
+                     "--activation", "relu", "--out", str(graph_path)]) == 0
+        capsys.readouterr()
+        assert main(["--seed", "5", "--tie-margin", str(margin), "check-equiv",
+                     "--model", str(tmp_path / "m1.json"), "--graph", str(graph_path),
+                     "--samples", "400"]) == 0
+        X = np.random.default_rng(5).normal(scale=2.0, size=(400, 2))
+        mismatches = skipped = 0
+        for x in X:
+            if forward_classical(nets[1], x) != forward_classical(nets[0], x):
+                logits = np.sort(networks.forward_logits(nets[1], x))
+                if logits[-1] - logits[-2] <= margin:
+                    skipped += 1
+                else:
+                    mismatches += 1
+        assert mismatches > 0 and (skipped > 0) == (margin > 0)
+        report = capsys.readouterr().out
+        assert f"mismatches: {mismatches}\nskipped_ties: {skipped}\n" in report
+
     def test_compile_eval_relu(self, tmp_path):
         net = random_network(np.random.default_rng(1), [2, 3, 3], RELU, INDEXMAX)
         model_path = tmp_path / "relu.json"
@@ -243,6 +269,19 @@ class TestGridCommands:
                      "--out", str(tmp_path / "a.json")]) == 65
         err = capsys.readouterr().err
         assert str(grid_file) in err and "grid.csv is empty" in err
+
+    @pytest.mark.parametrize("command, bound, out_flag", [
+        ("approx", "--epsilon", "--out"),
+        ("approx", "--epsilon-frac", "--out"),
+        ("charts", "--eps0", "--report"),
+        ("charts", "--eps0-frac", "--report"),
+    ])
+    def test_nan_bound_exits_2(self, tmp_path, grid_file, capsys, command, bound, out_flag):
+        out = tmp_path / "out.json"
+        assert main([command, "--grid", str(grid_file), bound, "nan",
+                     out_flag, str(out)]) == 2
+        assert "AssumptionViolationError" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_epsilon_is_required(self, tmp_path, grid_file):
         assert main(["approx", "--grid", str(grid_file),
