@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NotF2LabeledError, SeparationFailureError
-from .graph import AffineMap, Arrow, INTERNAL, LogicalGraph, SOURCE, TARGET, evaluate
+from .graph import (AffineMap, Arrow, INTERNAL, GraphBuilder, LogicalGraph, TARGET,
+                    evaluate)
 
 F2_ADD = "add"
 F2_MUL = "mul"
@@ -23,8 +24,9 @@ F2_MUL = "mul"
 
 def constant_graph(label, input_dim: int) -> LogicalGraph:
     """Graph with no branching that sends every point to `label`."""
-    return LogicalGraph(input_dim, {"s": SOURCE, "t": TARGET},
-                        [Arrow("a", "s", "t")], {}, {}, {"t": label})
+    b = GraphBuilder(input_dim)
+    b.arrow("s", b.target_for(label))
+    return b.graph()
 
 
 def graft(g1: LogicalGraph, g2: LogicalGraph, combine):
@@ -170,8 +172,6 @@ def identity_graph(points, seed: int = 0, max_tries: int = 32) -> LogicalGraph:
         raise DimensionMismatchError("points must form a nonempty (N, n) array")
     if len({tuple(p) for p in pts}) != len(pts):
         raise SeparationFailureError("duplicate points cannot be separated")
-    if len(pts) == 1:
-        return constant_graph(tuple(pts[0]), pts.shape[1])
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         w = rng.normal(size=pts.shape[1])
@@ -184,21 +184,11 @@ def identity_graph(points, seed: int = 0, max_tries: int = 32) -> LogicalGraph:
         if np.any(mids <= v[:-1]) or np.any(mids >= v[1:]):
             continue  # midpoint rounded onto a sample value
         k = len(pts)
-        vertices = {"s": SOURCE}
-        arrows = []
-        routing = {}
-        labels = {}
-        table = {}
-        for rank in range(k):
-            t = f"t{rank}"
-            vertices[t] = TARGET
-            labels[t] = tuple(pts[order[rank]])
-            a = Arrow(f"a{rank}", "s", t)
-            arrows.append(a)
-            table["+" * rank + "-" * (k - 1 - rank)] = a.id
-        guard = AffineMap(np.tile(w, (k - 1, 1)), -mids)
-        g = LogicalGraph(pts.shape[1], vertices, arrows, {"s": guard},
-                         {"s": table}, labels)
+        b = GraphBuilder(pts.shape[1])
+        b.branch("s", AffineMap(np.tile(w, (k - 1, 1)), -mids),
+                 {"+" * rank + "-" * (k - 1 - rank): b.target_for(tuple(pts[order[rank]]))
+                  for rank in range(k)})
+        g = b.graph()
         if all(evaluate(g, p) == tuple(p) for p in pts):
             return g
     raise SeparationFailureError(

@@ -20,11 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import constant_graph
 from .errors import AssumptionViolationError, BudgetCapError, DimensionMismatchError
 from .graph import (  # noqa: F401  evaluate stays importable from this module
-    INTERNAL, SOURCE, TARGET, AffineMap, Arrow, LogicalGraph, evaluate, evaluate_batch,
-    label_from_text, label_to_text)
+    AffineMap, GraphBuilder, LogicalGraph, evaluate, evaluate_batch, label_from_text,
+    label_to_text)
 
 FALLBACK = "*"
 
@@ -210,38 +209,21 @@ def _box_signs(dim: int):
 
 
 def _chain_graph(dim: int, rectangles: Sequence[Rectangle]) -> LogicalGraph:
-    if not rectangles:
-        return constant_graph(FALLBACK, dim)
-    vertices = {}
-    arrows = []
-    guards = {}
-    routing = {}
-    labels = {}
-    target_of = {}
-
-    def target(label):
-        if label not in target_of:
-            t = f"t{len(target_of)}"
-            vertices[t] = TARGET
-            labels[t] = label
-            target_of[label] = t
-        return target_of[label]
-
-    fallback = target(FALLBACK)
+    """Guard chain "s", q1, q2, ...: vertex k sends its box's points to the
+    box's label and the rest on to the next vertex, the last to FALLBACK."""
+    b = GraphBuilder(dim)
+    fallback = b.target_for(FALLBACK)
+    chain = ["s"] + [b.add(f"q{k}") for k in range(1, len(rectangles))] + [fallback]
     rows = np.vstack([np.eye(dim), np.eye(dim)])
     box_signs = list(_box_signs(dim))
     for k, rect in enumerate(rectangles):
-        v = f"q{k}"
-        vertices[v] = SOURCE if k == 0 else INTERNAL
+        hit = b.target_for(rect.label)
         offs = np.concatenate([-np.array(rect.lo), -np.array(rect.hi)])
-        guards[v] = AffineMap(rows, offs)
-        nxt = f"q{k + 1}" if k + 1 < len(rectangles) else fallback
-        hit = Arrow(f"hit{k}", v, target(rect.label))
-        miss = Arrow(f"miss{k}", v, nxt)
-        arrows += [hit, miss]
-        routing[v] = {signs: (hit.id if inside else miss.id)
-                      for signs, inside in box_signs}
-    return LogicalGraph(dim, vertices, arrows, guards, routing, labels)
+        b.branch(chain[k], AffineMap(rows, offs),
+                 {signs: hit if inside else chain[k + 1] for signs, inside in box_signs})
+    if not rectangles:
+        b.arrow("s", fallback)
+    return b.graph()
 
 
 def _check_bound(name: str, value: float):

@@ -247,8 +247,9 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
     rows: sequence of (coeffs, offset) affine rows (floats accepted).
     Returns {sign_string: (rational witness, system)}, where `system` is
     `base` plus the chamber's signed rows: ``+`` is the weak row >= 0, ``-``
-    the negated strict row -row > 0.  Raises GuardExplosionError past `cap`
-    chambers.
+    the negated strict row -row > 0.  A row with all-zero coefficients takes
+    the sign of its offset and no other.  Raises GuardExplosionError past
+    `cap` chambers.
     """
     w0 = base_witness if base_witness is not None else find_witness(list(base), n)
     if w0 is None:
@@ -265,6 +266,7 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
             return
         probe = int_rows[idx]
         val = evaluate_constraint(probe, witness)
+        constant = not any(probe.coeffs)
         for sign in "+-":
             if sign == "+":
                 c = Constraint(probe.coeffs, probe.offset, False)
@@ -272,6 +274,8 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
             else:
                 c = Constraint(tuple(-a for a in probe.coeffs), -probe.offset, True)
                 free = val < 0
+            if constant and not free:
+                continue  # the witness already has the only sign a constant takes
             sub = list(system) + [c]
             w = tuple(witness) if free else find_witness(sub, n)
             if w is not None:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .algebra import graft
 from .errors import (
+    CyclicGraphError,
     DimensionMismatchError,
     NotScalarOutputError,
     StateSpaceMismatchError,
@@ -33,10 +34,12 @@ from .graph import (
     TARGET,
     AffineMap,
     Arrow,
+    GraphBuilder,
     LogicalGraph,
     graph_from_dict,
     graph_to_dict,
     sign_vector,
+    topological_order,
 )
 from .networks import (
     CHAMBER_CAP,
@@ -45,7 +48,6 @@ from .networks import (
     SIGMOID,
     SOFTMAX,
     NetworkSpec,
-    _Builder,
     _sigmoid,
     _softmax,
     _walk_relu_regions,
@@ -249,27 +251,32 @@ class FuzzyOutcome:
 
 
 def evaluate_fuzzy(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
-    """Thread a state along the walk; each visited space must contain it."""
+    """Thread a state along the walk; each visited space must contain it.
+
+    A walk longer than the vertex count raises CyclicGraphError."""
     sk = fg.skeleton
     v = sk.source
     state = np.asarray(x, dtype=float)
     if not fg.state_spaces[v].contains(state):
         raise StateSpaceViolationError(
             f"input of shape {state.shape} is not a state of {fg.state_spaces[v]}")
-    while sk.vertices[v] != TARGET:
+    for _ in range(len(sk.vertices)):
+        if sk.vertices[v] == TARGET:
+            return FuzzyOutcome(sk.target_labels[v], state, v)
         a = sk.next_arrow(v, state)
         state = fg.arrow_maps[a.id].apply(state)
         v = a.dst
         if not fg.state_spaces[v].contains(state):
             raise StateSpaceViolationError(
                 f"state left {fg.state_spaces[v]} while crossing {a.id!r}")
-    return FuzzyOutcome(sk.target_labels[v], state, v)
+    raise CyclicGraphError("walk exceeded vertex count; graph has a cycle")
 
 
 def evaluate_fuzzy_pathsum(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
     """Evaluate by expanding all source-to-target paths; exactly one survives
     its chamber indicators, and it reproduces the walk."""
     sk = fg.skeleton
+    topological_order(sk)  # a cycle would expand forever
     live = []
 
     def wander(v, state):
@@ -348,29 +355,23 @@ def from_sigmoid_net(net: NetworkSpec, label="out") -> FuzzyLogicalGraph:
     if net.hidden_activation != SIGMOID or net.final_activation != SOFTMAX:
         raise UnsupportedActivationError(
             "sigmoid importer expects sigmoid hidden layers and a softmax head")
-    vertices = {"s": SOURCE}
-    arrows = []
+    b = GraphBuilder(net.input_dim)
     spaces = {"s": StateSpace.euclidean(net.input_dim)}
     maps = {}
     prev = "s"
-    for k, layer in enumerate(net.layers[:-1]):
-        v = f"h{k + 1}"
-        vertices[v] = INTERNAL
-        spaces[v] = StateSpace.scalar_power(layer.rows)
-        a = Arrow(f"e{k}", prev, v)
-        arrows.append(a)
+    for k, layer in enumerate(net.layers):
+        if k < net.depth - 1:
+            v = b.add(f"h{k + 1}")
+            spaces[v] = StateSpace.scalar_power(layer.rows)
+            kind = AFFINE_SIGMOID
+        else:
+            v = b.target_for(label)
+            spaces[v] = StateSpace.simplex(layer.rows)
+            kind = AFFINE_SOFTMAX
         w = layer.matrix if k == 0 else _values_matrix(layer.matrix)
-        maps[a.id] = ArrowMap(AFFINE_SIGMOID, w, layer.offset)
+        maps[b.arrow(prev, v)] = ArrowMap(kind, w, layer.offset)
         prev = v
-    final = net.layers[-1]
-    vertices["t"] = TARGET
-    spaces["t"] = StateSpace.simplex(final.rows)
-    a = Arrow("ef", prev, "t")
-    arrows.append(a)
-    w = final.matrix if net.depth == 1 else _values_matrix(final.matrix)
-    maps[a.id] = ArrowMap(AFFINE_SOFTMAX, w, final.offset)
-    sk = LogicalGraph(net.input_dim, vertices, arrows, {}, {}, {"t": label})
-    return FuzzyLogicalGraph(sk, spaces, maps)
+    return FuzzyLogicalGraph(b.graph(), spaces, maps)
 
 
 def from_relu_softmax_net(net: NetworkSpec, label="out",
@@ -382,7 +383,7 @@ def from_relu_softmax_net(net: NetworkSpec, label="out",
         raise UnsupportedActivationError(
             "relu importer expects relu hidden layers and a softmax head")
     n = net.input_dim
-    b = _Builder(n)
+    b = GraphBuilder(n)
     target = b.target_for(label)
     maps = {}
 

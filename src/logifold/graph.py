@@ -79,6 +79,12 @@ class AffineMap:
         """(coeffs, offset) pair of a single row, for feasibility systems."""
         return self.matrix[i].tolist(), float(self.offset[i])
 
+    @classmethod
+    def from_rows(cls, rows, dim: int) -> "AffineMap":
+        """Map with the given (coeffs, offset) rows; no rows give a (0, dim) map."""
+        return cls(np.array([c for c, _ in rows], dtype=float).reshape(len(rows), dim),
+                   np.array([b for _, b in rows], dtype=float))
+
 
 def _require_finite(x: np.ndarray):
     """NaN compares false with every row and would silently route as '-'."""
@@ -163,6 +169,60 @@ class LogicalGraph:
         return self.arrows[out[0]]
 
 
+class GraphBuilder:
+    """The one place that assembles a graph from scratch; its source is "s".
+
+    Each label gets one target, numbered t0, t1, ... in order of first use,
+    so labels that print alike (1 and "1") stay apart.  A guard gets one
+    arrow per destination, and a guard whose chambers all route alike is
+    replaced by a plain arrow (the redundant-test rule of ROBDD reduction).
+    """
+
+    def __init__(self, input_dim: int):
+        self.input_dim = input_dim
+        self.vertices = {"s": SOURCE}
+        self.arrows: List[Arrow] = []
+        self.guards: Dict[str, AffineMap] = {}
+        self.routing: Dict[str, Dict[str, str]] = {}
+        self.target_labels: Dict[str, object] = {}
+        self._target_of: Dict[object, str] = {}
+
+    def target_for(self, label) -> str:
+        v = self._target_of.get(label)
+        if v is None:
+            v = self._target_of[label] = f"t{len(self._target_of)}"
+            self.vertices[v] = TARGET
+            self.target_labels[v] = label
+        return v
+
+    def add(self, vid: str) -> str:
+        self.vertices[vid] = INTERNAL
+        return vid
+
+    def arrow(self, src: str, dst: str) -> str:
+        aid = f"e{len(self.arrows)}"
+        self.arrows.append(Arrow(aid, src, dst))
+        return aid
+
+    def branch(self, vid: str, guard: AffineMap, routes: Dict[str, str]):
+        """Guard `vid`, sending each sign vector in `routes` to its vertex."""
+        dsts = set(routes.values())
+        if len(dsts) == 1:
+            self.arrow(vid, dsts.pop())
+            return
+        self.guards[vid] = guard
+        table, arrow_of = {}, {}
+        for signs, dst in routes.items():
+            if dst not in arrow_of:
+                arrow_of[dst] = self.arrow(vid, dst)
+            table[signs] = arrow_of[dst]
+        self.routing[vid] = table
+
+    def graph(self) -> LogicalGraph:
+        return LogicalGraph(self.input_dim, self.vertices, self.arrows,
+                            self.guards, self.routing, self.target_labels)
+
+
 def _topological_order(g: LogicalGraph):
     """Kahn's algorithm, smallest ready vertex id first.
 
@@ -187,6 +247,15 @@ def _topological_order(g: LogicalGraph):
                 heapq.heappush(queue, w)
     stuck = sorted(v for v, d in indeg.items() if d > 0)
     return order, stuck
+
+
+def topological_order(g: LogicalGraph) -> List[str]:
+    """Every vertex, in the order of `_topological_order`; a cycle raises
+    CyclicGraphError."""
+    order, stuck = _topological_order(g)
+    if stuck:
+        raise CyclicGraphError(f"cycle through vertices {stuck}")
+    return order
 
 
 def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> ValidationReport:
@@ -288,8 +357,10 @@ def walk_regions(g: LogicalGraph, cap: Optional[int] = None):
     A realizable chamber without a route raises IncompleteRoutingError, and
     more than `cap` chambers in total raise GuardExplosionError.  Without a
     cap, a guard stops enumerating once its chambers outnumber its routes,
-    since one of them must then be unrouted.
+    since one of them must then be unrouted.  A cyclic graph raises
+    CyclicGraphError before any region is yielded.
     """
+    topological_order(g)
     seen = 0
     stack = [(g.source, [], None, [])]
     while stack:
@@ -360,9 +431,7 @@ def evaluate_batch(g: LogicalGraph, X) -> list:
         raise DimensionMismatchError(
             f"points have shape {X.shape}, graph expects (m, {g.input_dim})")
     _require_finite(X)
-    order, stuck = _topological_order(g)
-    if stuck:
-        raise CyclicGraphError(f"cycle through vertices {stuck}")
+    order = topological_order(g)
     targets = [v for v in order if g.vertices[v] == TARGET]
     target_slot = {v: k for k, v in enumerate(targets)}
     slot_labels = np.empty(len(targets), dtype=object)
@@ -415,10 +484,7 @@ def _route_guard(g: LogicalGraph, v: str, X: np.ndarray, idx: np.ndarray):
 def enumerate_paths(g: LogicalGraph, cap: int = PATH_CAP) -> List[List[str]]:
     """All source-to-target paths as arrow id lists; errors past `cap` paths."""
     counts: Dict[str, int] = {}
-    order, stuck = _topological_order(g)
-    if stuck:
-        raise CyclicGraphError(f"cycle through vertices {stuck}")
-    for v in reversed(order):
+    for v in reversed(topological_order(g)):
         if g.vertices[v] == TARGET:
             counts[v] = 1
         else:

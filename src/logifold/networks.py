@@ -1,18 +1,19 @@
 """Layered affine networks and their compilation to decision graphs.
 
-Two compilers are provided.  Step networks route on the sign pattern of the
-first layer: once the first layer's Boolean outcome is fixed, every deeper
-layer is a finite computation, so each first-layer chamber continues through a
-chain of single-arrow vertices to its argmax target.  ReLU networks subdivide
-input space layer by layer: every vertex carries the affine map that computes
-its layer's pre-activation restricted to the region reached so far, children
-are the realizable sign chambers, and the last layer is guarded by pairwise
-coordinate differences with each chamber routed to the argmax target.
+Both compilers share one region walker.  It subdivides input space layer by
+layer: every vertex carries the affine map that computes its layer's
+pre-activation restricted to the region reached so far, children are the
+realizable sign chambers, and the last layer is guarded by pairwise
+coordinate differences with each chamber routed to the argmax target.  After
+a step layer the composed map is constant (the next layer applied to the
+chamber's Boolean outcome), so a step network branches only at its first
+layer, and each first-layer chamber has one vertex with a plain arrow to its
+argmax target.
 
-The ReLU region walker is shared with ``fuzzy.from_relu_softmax_net``, which
-puts a softmax leaf where the compiler puts the argmax guard.  A layer whose
-region holds a single sign chamber adds no vertex, so both graphs branch only
-where a layer's hyperplanes actually cut the region.
+The walker is also behind ``fuzzy.from_relu_softmax_net``, which puts a
+softmax leaf where the compiler puts the argmax guard.  A layer whose region
+holds a single sign chamber adds no vertex, so the graphs branch only where
+a layer's hyperplanes actually cut the region.
 
 Both compilers keep only regions whose constraint systems are exactly
 feasible, and the argmax convention everywhere is lowest index wins ties.
@@ -31,11 +32,10 @@ from . import feasibility
 from .errors import (
     DegenerateHyperplaneWarning,
     DimensionMismatchError,
-    GuardExplosionError,
     RegionExplosionError,
     UnsupportedActivationError,
 )
-from .graph import AffineMap, Arrow, LogicalGraph
+from .graph import AffineMap, GraphBuilder, LogicalGraph
 
 STEP = "step"
 RELU = "relu"
@@ -179,21 +179,9 @@ def forward_smooth_batch(net: Union[NetworkSpec, SpecializedNet], X) -> np.ndarr
 
 # -- compilation helpers ---------------------------------------------------
 
-def _affine_rows(m: AffineMap):
-    return [(m.matrix[i].tolist(), float(m.offset[i])) for i in range(m.rows)]
-
-
 def _outcome(signs: str) -> np.ndarray:
     """0/1 vector of a sign pattern: the step outcome, or the ReLU mask."""
     return np.array([1.0 if c == "+" else 0.0 for c in signs])
-
-
-def _compose_after_mask(next_layer: AffineMap, mask: np.ndarray, current: AffineMap) -> AffineMap:
-    """next_layer applied to mask * current, all affine in the input point."""
-    masked_matrix = mask[:, None] * current.matrix
-    masked_offset = mask * current.offset
-    return AffineMap(next_layer.matrix @ masked_matrix,
-                     next_layer.matrix @ masked_offset + next_layer.offset)
 
 
 def _difference_rows(final: AffineMap):
@@ -224,135 +212,60 @@ def _argmax_from_signs(pairs, signs: str, d: int) -> Optional[int]:
     return None
 
 
-class _Builder:
-    """Accumulates a decision graph whose source vertex is "s"."""
-
-    def __init__(self, input_dim):
-        self.input_dim = input_dim
-        self.vertices = {"s": "source"}
-        self.arrows = []
-        self.guards = {}
-        self.routing = {}
-        self.target_labels = {}
-        self._target_vertex = {}
-
-    def target_for(self, label) -> str:
-        v = self._target_vertex.get(label)
-        if v is None:
-            v = f"t{label}"
-            self._target_vertex[label] = v
-            self.vertices[v] = "target"
-            self.target_labels[v] = label
-        return v
-
-    def add(self, vid, kind="internal"):
-        self.vertices[vid] = kind
-        return vid
-
-    def arrow(self, src, dst, aid=None) -> str:
-        aid = aid or f"e{len(self.arrows)}"
-        self.arrows.append(Arrow(aid, src, dst))
-        return aid
-
-    def branch(self, vid, guard: AffineMap, routes):
-        """Guard a vertex with per-sign child vertices; collapses to one plain
-        arrow when every realizable chamber routes to the same child."""
-        dsts = set(routes.values())
-        if len(dsts) == 1:
-            self.arrow(vid, dsts.pop())
-            return
-        self.guards[vid] = guard
-        table = {}
-        arrow_of_dst = {}
-        for sign, dst in routes.items():
-            aid = arrow_of_dst.get(dst)
-            if aid is None:
-                aid = arrow_of_dst[dst] = self.arrow(vid, dst)
-            table[sign] = aid
-        self.routing[vid] = table
-
-    def graph(self) -> LogicalGraph:
-        return LogicalGraph(self.input_dim, self.vertices, self.arrows,
-                            self.guards, self.routing, self.target_labels)
-
-
-def _finalize_vertex(b: _Builder, vid, final_map: AffineMap, region, witness,
+def _finalize_vertex(b: GraphBuilder, vid, final_map: AffineMap, region, witness,
                      chamber_cap) -> None:
     """Attach the argmax-of-final-layer structure below vertex `vid`."""
-    d = final_map.rows
-    if d == 1:
-        b.arrow(vid, b.target_for(0))
-        return
     pairs, rows = _difference_rows(final_map)
     chambers = feasibility.enumerate_chambers(rows, b.input_dim, base=region,
                                               cap=chamber_cap, base_witness=witness)
     routes = {}
     for signs, (w, _) in chambers.items():
-        label = _argmax_from_signs(pairs, signs, d)
+        label = _argmax_from_signs(pairs, signs, final_map.rows)
         if label is None:
             # intransitive sliver: decide by the logits at the exact witness
             point = np.array([float(v) for v in w])
             label = int(np.argmax(final_map(point)))
         routes[signs] = b.target_for(label)
-    guard = AffineMap(np.array([r for r, _ in rows]), np.array([o for _, o in rows]))
-    b.branch(vid, guard, routes)
+    b.branch(vid, AffineMap.from_rows(rows, b.input_dim), routes)
 
 
-def compile_step_net(net: NetworkSpec, chamber_cap: int = CHAMBER_CAP) -> LogicalGraph:
-    """Decision graph of a step network: route on the first layer's chambers,
-    then follow the finite Boolean computation to the argmax target."""
-    if net.hidden_activation != STEP or net.final_activation != INDEXMAX:
-        raise UnsupportedActivationError("step compiler expects step/indexmax activations")
-    b = _Builder(net.input_dim)
-    if net.depth == 1:
-        _finalize_vertex(b, "s", net.layers[0], [], None, chamber_cap)
-        return b.graph()
+def _next_map(net: NetworkSpec, depth: int, signs: str, composed: AffineMap) -> AffineMap:
+    """Layer `depth`'s map over the chamber `signs` of the layer before it.
 
-    first = net.layers[0]
-    chambers = feasibility.enumerate_chambers(_affine_rows(first), net.input_dim,
-                                              cap=chamber_cap)
-    routes = {}
-    for signs in chambers:
-        vid = b.add(f"h1|{signs}")
-        routes[signs] = vid
-        a = _outcome(signs)
-        # deeper layers see only the Boolean outcome, so walk them out now
-        prev = vid
-        for depth, layer in enumerate(net.layers[1:-1], start=2):
-            z = layer(a)
-            if np.any(z == 0.0):
-                warnings.warn(
-                    f"layer {depth} image of outcome {signs!r} lies on a decision "
-                    "hyperplane; boundary follows the + side",
-                    DegenerateHyperplaneWarning, stacklevel=2)
-            a = _step(z)
-            nxt = b.add(f"h{depth}|{signs}")
-            b.arrow(prev, nxt)
-            prev = nxt
-        z = net.layers[-1](a)
-        top = np.max(z)
-        if np.count_nonzero(z == top) > 1:
-            warnings.warn(
-                f"final layer ties on outcome {signs!r}; lowest index wins",
-                DegenerateHyperplaneWarning, stacklevel=2)
-        b.arrow(prev, b.target_for(int(np.argmax(z))))
-    b.branch("s", first, routes)
-    return b.graph()
+    A ReLU layer sees the composed map masked by the chamber.  A step layer
+    outputs the chamber's 0/1 outcome at every point, so its next map is the
+    constant ``layer(_outcome(signs))``.
+    """
+    layer, outcome = net.layers[depth], _outcome(signs)
+    if net.hidden_activation != STEP:
+        return AffineMap(layer.matrix @ (outcome[:, None] * composed.matrix),
+                         layer.matrix @ (outcome * composed.offset) + layer.offset)
+    z = layer(outcome)
+    if depth < net.depth - 1 and np.any(z == 0.0):
+        warnings.warn(f"layer {depth + 1} image of outcome {signs!r} lies on a decision "
+                      "hyperplane; boundary follows the + side",
+                      DegenerateHyperplaneWarning, stacklevel=2)
+    if depth == net.depth - 1 and np.count_nonzero(z == np.max(z)) > 1:
+        warnings.warn(f"final layer ties on outcome {signs!r}; lowest index wins",
+                      DegenerateHyperplaneWarning, stacklevel=2)
+    return AffineMap(np.zeros((len(z), net.input_dim)), z)
 
 
-def _walk_relu_regions(b: _Builder, net: NetworkSpec, leaf, chamber_cap: int,
+def _walk_relu_regions(b: GraphBuilder, net: NetworkSpec, leaf, chamber_cap: int,
                        region_cap: int) -> None:
-    """Subdivide input space into the linear regions of a ReLU network.
+    """Subdivide input space into the linear regions of a ReLU or step network.
 
-    The one region walker behind both ``compile_relu_net`` and
-    ``fuzzy.from_relu_softmax_net``.  Starting at the source "s", each hidden
-    layer's pre-activation map, composed over the region reached so far,
-    guards a vertex whose children are its realizable sign chambers.  A layer
-    whose region holds a single chamber adds no vertex: the walk keeps the
-    same vertex, region and witness.  At the last layer it calls
-    ``leaf(vid, composed, region, witness)`` once per linear region, with the
-    final layer's map restricted to that region.  Regions are counted only at
-    layers that branch, starting from 1 for the whole input space.
+    The one region walker behind ``compile_relu_net``, ``compile_step_net``
+    and ``fuzzy.from_relu_softmax_net``.  Starting at the source "s", each
+    hidden layer's pre-activation map, composed over the region reached so
+    far, guards a vertex whose children are its realizable sign chambers.  A
+    layer whose region holds a single chamber adds no vertex: the walk keeps
+    the same vertex, region and witness.  After a step layer the composed
+    map is constant, so every deeper layer holds a single chamber.  At the
+    last layer it calls ``leaf(vid, composed, region, witness)`` once per
+    linear region, with the final layer's map restricted to that region.
+    Regions are counted only at layers that branch, starting from 1 for the
+    whole input space.
     """
     regions = 1
 
@@ -362,13 +275,11 @@ def _walk_relu_regions(b: _Builder, net: NetworkSpec, leaf, chamber_cap: int,
             leaf(vid, composed, region, witness)
             return
         chambers = feasibility.enumerate_chambers(
-            _affine_rows(composed), net.input_dim, base=region,
+            [composed.row(i) for i in range(composed.rows)], net.input_dim, base=region,
             cap=chamber_cap, base_witness=witness)
-        layer = net.layers[depth + 1]
         if len(chambers) == 1:
             (signs,) = chambers
-            descend(vid, depth + 1, _compose_after_mask(layer, _outcome(signs), composed),
-                    region, witness)
+            descend(vid, depth + 1, _next_map(net, depth + 1, signs, composed), region, witness)
             return
         regions += len(chambers)
         if regions > region_cap:
@@ -376,10 +287,27 @@ def _walk_relu_regions(b: _Builder, net: NetworkSpec, leaf, chamber_cap: int,
         routes = {signs: b.add(f"{vid}|{signs}") for signs in chambers}
         b.branch(vid, composed, routes)
         for signs, (w, sub) in chambers.items():
-            descend(routes[signs], depth + 1,
-                    _compose_after_mask(layer, _outcome(signs), composed), sub, w)
+            descend(routes[signs], depth + 1, _next_map(net, depth + 1, signs, composed), sub, w)
 
     descend("s", 0, net.layers[0], [], None)
+
+
+def _argmax_graph(net: NetworkSpec, chamber_cap: int, region_cap: int) -> LogicalGraph:
+    b = GraphBuilder(net.input_dim)
+
+    def leaf(vid, composed, region, witness):
+        _finalize_vertex(b, vid, composed, region, witness, chamber_cap)
+
+    _walk_relu_regions(b, net, leaf, chamber_cap, region_cap)
+    return b.graph()
+
+
+def compile_step_net(net: NetworkSpec, chamber_cap: int = CHAMBER_CAP) -> LogicalGraph:
+    """Decision graph of a step network: route on the first layer's chambers,
+    then follow the finite Boolean computation to the argmax target."""
+    if net.hidden_activation != STEP or net.final_activation != INDEXMAX:
+        raise UnsupportedActivationError("step compiler expects step/indexmax activations")
+    return _argmax_graph(net, chamber_cap, REGION_CAP)
 
 
 def compile_relu_net(net: NetworkSpec, chamber_cap: int = CHAMBER_CAP,
@@ -387,13 +315,7 @@ def compile_relu_net(net: NetworkSpec, chamber_cap: int = CHAMBER_CAP,
     """Decision graph of a ReLU network via layerwise region subdivision."""
     if net.hidden_activation != RELU or net.final_activation != INDEXMAX:
         raise UnsupportedActivationError("relu compiler expects relu/indexmax activations")
-    b = _Builder(net.input_dim)
-
-    def leaf(vid, composed, region, witness):
-        _finalize_vertex(b, vid, composed, region, witness, chamber_cap)
-
-    _walk_relu_regions(b, net, leaf, chamber_cap, region_cap)
-    return b.graph()
+    return _argmax_graph(net, chamber_cap, region_cap)
 
 
 # -- serialization ---------------------------------------------------------

@@ -20,15 +20,14 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import feasibility
-from .algebra import constant_graph
 from .errors import AmbiguousFiberError, RegionExplosionError
 from .feasibility import (
     Verdict,
     find_witness,  # unused here; perfbench wraps and checks this binding
     make_constraint,
 )
-from .graph import (SOURCE, TARGET, AffineMap, Arrow, LogicalGraph,
-                    label_from_text, label_to_text, walk_regions)
+from .graph import (AffineMap, GraphBuilder, LogicalGraph, label_from_text,
+                    label_to_text, walk_regions)
 from .networks import CHAMBER_CAP, REGION_CAP
 
 UNCOVERED = "⊥"
@@ -148,7 +147,8 @@ def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> Logical
 
     Every distinct hyperplane appears as a (row, -row) pair, so each chamber
     fixes the full =/>/< status of every row and fibers are constant on it.
-    Chambers outside every fiber route to an UNCOVERED target.
+    Chambers outside every fiber route to an UNCOVERED target.  When every
+    chamber routes alike, the graph has no guard.
     """
     n = f.dim
     reps: Dict[tuple, Row] = {}
@@ -170,37 +170,17 @@ def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> Logical
         rows.append((list(rep[:-1]), rep[-1]))
         rows.append(([-c for c in rep[:-1]], -rep[-1]))
     chambers = feasibility.enumerate_chambers(rows, n, cap=chamber_cap)
-
-    vertices = {"s": SOURCE}
-    arrows = []
-    routing: Dict[str, str] = {}
-    labels = {}
-    arrow_of: Dict[object, str] = {}
-
-    def route_to(label):
-        if label not in arrow_of:
-            t = f"t{len(arrow_of)}"
-            vertices[t] = TARGET
-            labels[t] = label
-            a = Arrow(f"a{len(arrow_of)}", "s", t)
-            arrows.append(a)
-            arrow_of[label] = a.id
-        return arrow_of[label]
-
+    b = GraphBuilder(n)
+    routes = {}
     for signs, (witness, _) in sorted(chambers.items()):
         hits = [l for l, fiber in live_fibers.items()
                 if fiber.contains(list(witness))]
         if len(hits) > 1:
             raise AmbiguousFiberError(
                 f"chamber {signs} lies in fibers {sorted(map(str, hits))}")
-        routing[signs] = route_to(hits[0] if hits else UNCOVERED)
-
-    if not rows:
-        return constant_graph(next(iter(arrow_of)) if arrow_of else UNCOVERED, n)
-    matrix = np.array([c for c, _ in rows])
-    offset = np.array([b for _, b in rows])
-    return LogicalGraph(n, vertices, arrows, {"s": AffineMap(matrix, offset)},
-                        {"s": routing}, labels)
+        routes[signs] = b.target_for(hits[0] if hits else UNCOVERED)
+    b.branch("s", AffineMap.from_rows(rows, n), routes)
+    return b.graph()
 
 
 # -- serialization ----------------------------------------------------------

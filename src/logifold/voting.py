@@ -524,15 +524,19 @@ def vote_with_validation_history(graph: TargetGraph, calibration: Calibration,
 def _history_votes(graph: TargetGraph, calibration: Calibration, X,
                    phi_of: PhiFn, uncertain_weight: float) -> List[VoteResult]:
     """vote_with_validation_history at every row of X, bit for bit: one
-    output table and one path vote over all rows per calibrated class."""
+    output table, and one path vote over all rows per distinct calibrated
+    (path, threshold); each class still adds its vote's flags."""
     entries = calibration.entries
     X = _finite_rows(X)
     outs = _row_outputs(graph.charts,
                         _charts_on(graph, [e.path for e in entries.values()]), X)
-    answers, flags = {}, []
+    answers, flags, votes_of = {}, [], {}
     for label, entry in entries.items():
-        votes = _path_votes(graph, entry.path, entry.alpha, outs, phi_of,
-                            uncertain_weight)
+        key = (tuple(entry.path), entry.alpha)
+        if key not in votes_of:
+            votes_of[key] = _path_votes(graph, entry.path, entry.alpha, outs, phi_of,
+                                        uncertain_weight)
+        votes = votes_of[key]
         answers[label] = votes.values[:, votes.classes.index(label)].tolist()
         flags.append((votes.uniform_fallback, votes.dropped_groups,
                       votes.dead_nodes))

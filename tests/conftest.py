@@ -64,3 +64,17 @@ def make_pruned_graph():
     """Nested graph routing only "++" and "+-" at m: the guard's "-" chambers
     (x < -1) exist in R^2 but not inside the parent region x >= 0."""
     return make_nested_graph(1.0, ("++", "+-"))
+
+
+def make_cyclic_graph(guarded: bool):
+    """Graph on R^1 with a cycle.  Unguarded: s -> a -> b -> a, no target is
+    reached.  Guarded: s routes x >= 0 to t and x < 0 to a, and a -> s."""
+    if not guarded:
+        return LogicalGraph(1, {"s": "source", "a": "internal", "b": "internal",
+                                "t": "target"},
+                            [Arrow("sa", "s", "a"), Arrow("ab", "a", "b"),
+                             Arrow("ba", "b", "a")], {}, {}, {"t": 0})
+    return LogicalGraph(1, {"s": "source", "a": "internal", "t": "target"},
+                        [Arrow("st", "s", "t"), Arrow("sa", "s", "a"), Arrow("as", "a", "s")],
+                        {"s": AffineMap(np.array([[1.0]]), np.array([0.0]))},
+                        {"s": {"+": "st", "-": "sa"}}, {"t": 0})

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from logifold.graph import evaluate_batch, graph_to_dict, load_graph, validate_g
 from logifold.fuzzy import evaluate_fuzzy, load_fuzzy
 from logifold.networks import (
     INDEXMAX,
+    forward_classical_batch,
+    forward_smooth,
     RELU,
     STEP,
     forward_classical,
@@ -518,3 +522,54 @@ class TestExitCodes:
                      str(gridfile), "--epsilon", "0.01",
                      "--out", str(tmp_path / "a.json")])
         assert code == 3
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands(section: str):
+    """Command lines of the sh block that follows the README line `section`."""
+    lines = README.read_text().splitlines()
+    start = lines.index(section) + 1
+    assert lines[start + 1] == "```sh"
+    end = lines.index("```", start + 2)
+    return lines[start + 2:end]
+
+
+class TestReadmeFlow:
+    """The README's compile, semilinear and fuzzy-import commands, run as written."""
+
+    SECTIONS = ("Compile and evaluate:", "Semilinear conversions:", "Fuzzy import:")
+
+    def test_documented_commands_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        commands = [line for section in self.SECTIONS for line in readme_commands(section)]
+        assert sum(line.startswith("logifold ") for line in commands) == 9
+        for line in commands:
+            argv = shlex.split(line)
+            if argv[0] == "python":
+                assert argv[1] == "-c"
+                exec(argv[2], {})
+            else:
+                assert argv[0] == "logifold" and main(argv[1:]) == 0, line
+
+        relu = load_model("relu.json")
+        X = np.loadtxt("points.csv", delimiter=",")
+        labels = [json.loads(v) for v in Path("labels.txt").read_text().split()]
+        assert labels == list(forward_classical_batch(relu, X))
+        assert "mismatches: 0\n" in capsys.readouterr().out
+        assert evaluate_batch(load_graph("graph2.json"), X) == labels
+        for model, fuzzy in (("net.json", "fuzzy.json"), ("relu_softmax.json", "fuzzy_relu.json")):
+            fg, net = load_fuzzy(fuzzy), load_model(model)
+            for x in X:
+                assert np.allclose(evaluate_fuzzy(fg, x).state, forward_smooth(net, x),
+                                   atol=1e-9)
+
+    def test_trained_net_does_not_compile(self, tmp_path, monkeypatch, capsys):
+        # the flow the README used to show: a sigmoid net piped into compile
+        monkeypatch.chdir(tmp_path)
+        for line in readme_commands("Fuzzy import:")[:2]:
+            assert main(shlex.split(line)[1:]) == 0
+        assert main(["compile", "--model", "net.json", "--activation", "relu",
+                     "--out", "graph.json"]) == 2
+        assert "UnsupportedActivationError" in capsys.readouterr().err

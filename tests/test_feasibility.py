@@ -196,6 +196,18 @@ def test_enumerate_chambers_respects_base_region():
     assert set(out) == {"+"}
 
 
+def test_constant_row_takes_its_offset_sign_without_elimination(monkeypatch):
+    calls = []
+    real = logifold.feasibility.find_witness
+    monkeypatch.setattr(logifold.feasibility, "find_witness",
+                        lambda *a: calls.append(a) or real(*a))
+    # 0 >= 0 follows the + side, like a point on a guard's hyperplane
+    rows = [([0.0, 0.0], 1.0), ([0.0, 0.0], -2.0), ([0.0, 0.0], 0.0), ([1.0, 0.0], 0.0)]
+    out = enumerate_chambers(rows, 2, base_witness=(Fraction(1), Fraction(0)))
+    assert set(out) == {"+-++", "+-+-"}
+    assert len(calls) == 1  # only the "-" side of x >= 0 needs a witness
+
+
 def test_chamber_witnesses_satisfy_their_signs():
     rng = np.random.default_rng(5)
     rows = [(rng.normal(size=3).tolist(), float(rng.normal())) for _ in range(4)]

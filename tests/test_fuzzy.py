@@ -3,6 +3,7 @@ import pytest
 
 from logifold.algebra import graft, product
 from logifold.errors import (
+    CyclicGraphError,
     NotScalarOutputError,
     StateSpaceMismatchError,
     StateSpaceViolationError,
@@ -44,6 +45,8 @@ from logifold.networks import (
     forward_smooth,
     random_network,
 )
+
+from conftest import make_cyclic_graph
 
 
 def scalar_sigmoid_graph(w, b, label):
@@ -261,3 +264,14 @@ def test_json_round_trip(tmp_path, rng):
     for x in rng.normal(size=(10, 2)):
         assert np.allclose(evaluate_fuzzy(fg, x).state,
                            evaluate_fuzzy(fg2, x).state, atol=0)
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["unguarded-cycle", "guarded-back-edge"])
+def test_cyclic_skeleton_fails_fast(guarded):
+    sk = make_cyclic_graph(guarded)
+    fg = FuzzyLogicalGraph(sk, {v: StateSpace.euclidean(1) for v in sk.vertices},
+                           {aid: ArrowMap("identity") for aid in sk.arrows})
+    with pytest.raises(CyclicGraphError):
+        evaluate_fuzzy(fg, [-1.0])  # x < 0 takes the back edge
+    with pytest.raises(CyclicGraphError):
+        evaluate_fuzzy_pathsum(fg, [-1.0])

@@ -19,6 +19,7 @@ from logifold.errors import (
 from logifold.graph import (
     AffineMap,
     Arrow,
+    GraphBuilder,
     LogicalGraph,
     enumerate_paths,
     evaluate,
@@ -32,8 +33,10 @@ from logifold.graph import (
     validate_graph,
     walk_regions,
 )
+from logifold.semilinear import from_llgraph
 
-from conftest import make_diamond_graph, make_holed_graph, make_pruned_graph, make_step_graph
+from conftest import (make_cyclic_graph, make_diamond_graph, make_holed_graph,
+                      make_pruned_graph, make_step_graph)
 
 
 def test_sign_vector_example():
@@ -315,3 +318,36 @@ def test_relabel_injective_only():
     assert evaluate(h, [-1.0]) == 1 and evaluate(h, [1.0]) == 2
     with pytest.raises(DanglingVertexError):
         relabel(g, {0: 9, 1: 9})
+
+
+@pytest.mark.parametrize("guarded", [False, True], ids=["unguarded-cycle", "guarded-back-edge"])
+def test_region_walk_rejects_a_cycle(guarded):
+    g = make_cyclic_graph(guarded)
+    with pytest.raises(CyclicGraphError):
+        list(walk_regions(g))
+    with pytest.raises(CyclicGraphError):
+        from_llgraph(g)
+
+
+def test_builder_keeps_labels_that_print_alike_apart():
+    b = GraphBuilder(1)
+    assert b.target_for(1) == b.target_for(1)
+    # rows x and x - 1: "++" is x >= 1, "+-" is 0 <= x < 1, "--" is x < 0
+    b.branch("s", AffineMap(np.array([[1.0], [1.0]]), np.array([0.0, -1.0])),
+             {"++": b.target_for(1), "+-": b.target_for("1"), "--": b.target_for((1,))})
+    g = b.graph()
+    require_valid(g)
+    assert len(g.target_labels) == 3
+    got = [evaluate(g, [x]) for x in (2.0, 0.5, -1.0)]
+    assert got == [1, "1", (1,)] and [type(v) for v in got] == [int, str, tuple]
+    h = graph_from_dict(graph_to_dict(g))
+    assert evaluate_batch(h, np.array([[2.0], [0.5], [-1.0]])) == got
+
+
+def test_builder_drops_a_guard_whose_chambers_route_alike():
+    b = GraphBuilder(2)
+    t = b.target_for("only")
+    b.branch("s", AffineMap(np.eye(2), np.zeros(2)), {"++": t, "+-": t, "-+": t, "--": t})
+    g = b.graph()
+    assert not g.guards and len(g.arrows) == 1
+    assert evaluate(g, [-1.0, 3.0]) == "only"

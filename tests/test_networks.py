@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from logifold import feasibility
 from logifold.errors import (
     DegenerateHyperplaneWarning,
     DimensionMismatchError,
@@ -98,6 +100,47 @@ def test_compile_step_degenerate_hyperplane_warns():
         g = compile_step_net(net)
     for x in (-1.0, 0.5):
         assert evaluate(g, [x]) == forward_classical(net, [x])
+
+
+def test_compile_step_final_tie_warns():
+    # both logits equal the hidden unit on every outcome
+    net = _net([[[1.0]], [[1.0], [1.0]]], [[0.0], [0.0, 0.0]])
+    with pytest.warns(DegenerateHyperplaneWarning, match="final layer ties"):
+        g = compile_step_net(net)
+    assert [evaluate(g, [x]) for x in (-1.0, 1.0)] == [0, 0]
+
+
+def test_compile_step_hidden_zero_warns_at_its_layer():
+    net = _net([[[1.0]], [[1.0]], [[1.0], [0.0]]], [[0.0], [-1.0], [0.0, 0.5]])
+    with pytest.warns(DegenerateHyperplaneWarning,
+                      match="layer 2 image of outcome '\\+' lies on a decision hyperplane"):
+        compile_step_net(net)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.sampled_from([3, 4]),
+       n=st.integers(1, 3), outputs=st.integers(2, 4),
+       widths=st.lists(st.integers(1, 4), min_size=3, max_size=3))
+def test_deep_step_net_has_one_vertex_per_first_layer_chamber(seed, depth, n, outputs,
+                                                               widths):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, [n] + widths[:depth - 1] + [outputs], "step")
+    g = compile_step_net(net)
+    X = rng.normal(scale=2.0, size=(200, n))
+    assert evaluate_batch(g, X) == list(forward_classical_batch(net, X))
+    assert [evaluate(g, x) for x in X[:20]] == [forward_classical(net, x) for x in X[:20]]
+    first = net.layers[0]
+    chambers = feasibility.enumerate_chambers(
+        [first.row(i) for i in range(first.rows)], n)
+    inner = [v for v, k in g.vertices.items() if k == "internal"]
+    if len(chambers) > 1:
+        assert list(g.guards) == ["s"] and set(g.routing["s"]) == set(chambers)
+        assert len(inner) == len(chambers)
+    else:
+        assert not g.guards and not inner
+    for v in inner:  # each chamber vertex has a plain arrow to its target
+        (aid,) = g.out_arrows[v]
+        assert g.vertices[g.arrows[aid].dst] == "target"
 
 
 def test_compile_step_chamber_cap():

@@ -209,6 +209,20 @@ def test_to_llgraph_whole_space_fiber():
     assert not g.guards
 
 
+def test_one_fiber_function_compiles_guard_free_and_round_trips():
+    # x > 0 and -x >= 0 cover the line, so every chamber is in fiber "a"
+    f = SemilinearFunction(1, {"a": SemilinearSet(1, (
+        BasicSemilinearSet(1, (), ((1.0, 0.0),)),
+        BasicSemilinearSet(1, (), (), ((-1.0, 0.0),))))})
+    g = to_llgraph(f)
+    assert not g.guards and len(g.arrows) == 1
+    back = from_llgraph(g)
+    assert list(back.fibers) == ["a"] and len(back.fibers["a"].pieces) == 1
+    for x in (-2.0, 0.0, 3.0):
+        assert evaluate(g, np.array([x])) == back.label_of([x]) == f.label_of([x]) == "a"
+    assert not to_llgraph(back).guards
+
+
 def test_json_round_trip(tmp_path):
     f = from_llgraph(make_diamond_graph())
     path = tmp_path / "fibers.json"

@@ -411,6 +411,30 @@ class TestCalibrationReference:
                                        uncertain_weight)
                 assert res.answer[label] == vote.value_for(label)
 
+    def test_history_votes_each_shared_entry_once(self, monkeypatch):
+        from logifold import voting
+        graph, X, y = softmax_ensemble(1, {})
+        cal = calibrate(graph, X, y, alphas=ALPHAS)
+        shared = {(e.path, e.alpha) for e in cal.entries.values()}
+        assert len(shared) < len(cal.entries)  # classes 1 and 2 share one
+        phi = make_phi(X, y)
+        want = []
+        for x in X:
+            votes = {label: vote_along_path(graph, e.path, e.alpha, x, phi)
+                     for label, e in cal.entries.items()}
+            want.append(({label: v.value_for(label) for label, v in votes.items()},
+                         any(v.uniform_fallback for v in votes.values()),
+                         sum(v.dropped_groups for v in votes.values()),
+                         sum(v.dead_nodes for v in votes.values())))
+        calls = []
+        real = voting._path_votes
+        monkeypatch.setattr(voting, "_path_votes",
+                            lambda *a: calls.append(a[1:3]) or real(*a))
+        got = voting._history_votes(graph, cal, X, phi, 0.0)
+        assert sorted(calls) == sorted(shared)
+        assert [(r.answer, r.uniform_fallback, r.dropped_groups, r.dead_nodes)
+                for r in got] == want
+
 
 def random_partition(rng, labels):
     """An ordered partition of labels into randomly many nonempty blocks."""
