@@ -1,12 +1,21 @@
 """Exact feasibility of linear constraint systems over the rationals.
 
 Constraints are affine rows ``a . x + b >= 0`` (weak) or ``> 0`` (strict) with
-integer coefficients (inputs are cleared of denominators exactly, so float
-coefficients are handled without rounding).  Verdicts come from Fourier-Motzkin
-elimination and are exact: a feasible system yields a rational witness, an
-infeasible one yields the contradictory constant row derived by elimination.
-Every back-substituted witness is checked against the input rows before it is
-returned.
+integer coefficients.  `make_constraint` clears the denominators of float and
+rational inputs exactly, so float coefficients are handled without rounding.
+Verdicts come from Fourier-Motzkin elimination and are exact: a feasible system
+yields a rational witness, an infeasible one yields the contradictory constant
+row derived by elimination.
+
+The elimination kernel runs on plain integers.  A row inside it is a tuple
+``(coeffs, offset, strict, ancestry)`` whose ancestry is a bitmask of the input
+rows it was derived from, so Imbert's history cap reads the mask's bit count.
+Back-substitution keeps the point as integer numerators over one common
+denominator: candidate bounds compare by cross-multiplication, and every input
+row is checked against the point as an integer dot product before the witness
+is returned.  Only the returned witness is built from `Fraction`s.
+`evaluate_constraint` and `satisfies` read every coordinate as an exact
+rational, floats included, and evaluate on the same integer path.
 """
 
 from __future__ import annotations
@@ -14,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, lcm
-from typing import Iterable, Optional, Sequence
+from numbers import Integral, Rational
+from operator import mul
+from typing import Optional, Sequence
 
 from .errors import DimensionBudgetError, GuardExplosionError, NonFinitePointError
 
@@ -30,9 +41,6 @@ class Constraint:
     coeffs: tuple
     offset: int
     strict: bool
-    # ancestor row indices during elimination; Imbert's bound prunes derived
-    # rows whose history outgrows the eliminated-variable count
-    hist: frozenset = frozenset()
 
 
 @dataclass
@@ -44,86 +52,99 @@ class Verdict:
     contradiction: Optional[str]  # derived impossible row, present iff not
 
 
-def _to_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    f = float(v)
+def _ratio(v) -> tuple:
+    """(numerator, denominator) of v read as an exact rational."""
+    if type(v) is int:
+        return v, 1
+    if isinstance(v, float):
+        f = v
+    elif isinstance(v, Integral):
+        return int(v), 1
+    elif isinstance(v, Rational):
+        return int(v.numerator), int(v.denominator)
+    else:
+        f = float(v)
     if not isfinite(f):
-        raise NonFinitePointError(f"non-finite coefficient {f} has no exact value")
-    return Fraction(f)  # exact binary expansion of the float
+        raise NonFinitePointError(f"non-finite value {f} has no exact value")
+    return f.as_integer_ratio()  # exact binary expansion of the float
+
+
+def _scaled(values) -> tuple:
+    """(integer numerators, common denominator) of `values` read exactly."""
+    ratios = [_ratio(v) for v in values]
+    d = lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
+
+
+def _value(coeffs, offset, x, d) -> int:
+    """d times the row's value at the point x / d."""
+    return offset * d + sum(map(mul, coeffs, x))
 
 
 def make_constraint(coeffs: Sequence, offset, strict: bool) -> Constraint:
-    """Build an integer constraint from float/rational data, exactly."""
-    fr = [_to_fraction(c) for c in coeffs]
-    fb = _to_fraction(offset)
-    denom = lcm(*[f.denominator for f in fr + [fb]]) if fr else fb.denominator
-    ints = [int(f * denom) for f in fr]
-    b = int(fb * denom)
-    g = 0
-    for v in ints + [b]:
-        g = gcd(g, abs(v))
+    """Build an integer constraint from int, float or rational data, exactly."""
+    ints, _ = _scaled([*coeffs, offset])
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-        b = b // g
-    return Constraint(tuple(ints), b, strict)
+    return Constraint(tuple(ints[:-1]), ints[-1], strict)
 
 
-def evaluate_constraint(c: Constraint, point: Sequence[Fraction]) -> Fraction:
-    total = Fraction(c.offset)
-    for a, x in zip(c.coeffs, point):
-        if a:
-            total += a * x
-    return total
+def evaluate_constraint(c: Constraint, point: Sequence) -> Fraction:
+    """Exact value of the row at `point`, whose coordinates are read exactly."""
+    x, d = _scaled(point)
+    return Fraction(_value(c.coeffs, c.offset, x, d), d)
 
 
-def satisfies(c: Constraint, point: Sequence[Fraction]) -> bool:
-    v = evaluate_constraint(c, point)
+def _holds(c: Constraint, x, d) -> bool:
+    """Whether c holds at the point x / d."""
+    v = _value(c.coeffs, c.offset, x, d)
     return v > 0 if c.strict else v >= 0
 
 
-def _normalize(c: Constraint) -> Constraint:
-    g = 0
-    for v in c.coeffs:
-        g = gcd(g, abs(v))
-    g = gcd(g, abs(c.offset))
-    if g > 1:
-        return Constraint(tuple(v // g for v in c.coeffs), c.offset // g, c.strict, c.hist)
-    return c
+def satisfies(c: Constraint, point: Sequence) -> bool:
+    """Exact verdict of c at `point`, whose coordinates are read exactly."""
+    return _holds(c, *_scaled(point))
 
 
-def _simplify(rows: Iterable[Constraint]):
-    """Drop satisfied constants, dedupe dominated rows; catch contradictions.
+def _simplify(rows, best: dict) -> Optional[str]:
+    """Add rows to `best`, {coeffs: row}, keeping the tightest row per coeffs.
 
-    Returns (rows, contradiction_string_or_None).
+    Rows are normalized by the gcd of their entries and satisfied constant
+    rows are dropped.  A violated constant row stops the pass; its
+    contradiction string is returned.
     """
-    best = {}
-    for r in rows:
-        if not any(r.coeffs):
-            ok = r.offset > 0 if r.strict else r.offset >= 0
-            if not ok:
-                op = ">" if r.strict else ">="
-                return None, f"derived constant row {r.offset} {op} 0"
+    for coeffs, offset, strict, ancestry in rows:
+        if not any(coeffs):
+            if offset < 0 or (strict and not offset):
+                op = ">" if strict else ">="
+                return f"derived constant row {offset} {op} 0"
             continue
-        r = _normalize(r)
-        key = r.coeffs
-        prev = best.get(key)
-        if prev is None:
-            best[key] = r
-        elif r.offset < prev.offset or (r.offset == prev.offset and r.strict and not prev.strict):
-            # smaller offset is the tighter bound; strict beats weak at a tie
-            best[key] = r
-    return list(best.values()), None
+        g = gcd(*coeffs, offset)
+        if g > 1:
+            coeffs = tuple([v // g for v in coeffs])
+            offset //= g
+        prev = best.get(coeffs)
+        # smaller offset is the tighter bound; strict beats weak at a tie
+        if prev is None or offset < prev[1] or (offset == prev[1] and strict and not prev[2]):
+            best[coeffs] = (coeffs, offset, strict, ancestry)
+    return None
 
 
-def _combine(p: Constraint, q: Constraint, j: int, hist) -> Constraint:
-    """Eliminate variable j from a lower-bound row p (c_j>0) and upper q (c_j<0)."""
-    mp = -q.coeffs[j]
-    mq = p.coeffs[j]
-    coeffs = tuple(mp * a + mq * b for a, b in zip(p.coeffs, q.coeffs))
-    return Constraint(coeffs, mp * p.offset + mq * q.offset, p.strict or q.strict, hist)
+def _combine(P, N, j: int, cap: Optional[int]):
+    """Rows without variable j, from lower-bound rows P (c_j > 0) and upper N.
+
+    With a `cap`, pairs whose joint ancestry has more than `cap` input rows
+    are skipped.
+    """
+    for pc, po, ps, ph in P:
+        mq = pc[j]
+        for qc, qo, qs, qh in N:
+            h = ph | qh
+            if cap is None or h.bit_count() <= cap:
+                mp = -qc[j]
+                yield (tuple([mp * a + mq * b for a, b in zip(pc, qc)]),
+                       mp * po + mq * qo, ps or qs, h)
 
 
 def _eliminate(rows, n, history_cap: bool = True):
@@ -135,72 +156,72 @@ def _eliminate(rows, n, history_cap: bool = True):
     input, but the cap can drop a row a refutation needs, so a feasible
     outcome must be confirmed by checking the back-substituted point.
     """
-    cur, bad = _simplify(
-        Constraint(r.coeffs, r.offset, r.strict, frozenset((i,)))
-        for i, r in enumerate(rows))
+    best = {}
+    bad = _simplify(((r.coeffs, r.offset, r.strict, 1 << i) for i, r in enumerate(rows)),
+                    best)
     if bad:
         return [], bad
+    cur = list(best.values())
     stages = []
-    eliminated = 0
     while True:
-        used = [j for j in range(n) if any(r.coeffs[j] for r in cur)]
-        if not used:
-            return stages, None
         # cheapest variable first: minimize the number of combined rows
-        def cost(j):
-            p = sum(1 for r in cur if r.coeffs[j] > 0)
-            q = sum(1 for r in cur if r.coeffs[j] < 0)
-            return p * q - p - q
-
-        j = min(used, key=cost)
-        P = [r for r in cur if r.coeffs[j] > 0]
-        N = [r for r in cur if r.coeffs[j] < 0]
-        Z = [r for r in cur if not r.coeffs[j]]
+        j, least = None, None
+        for k, column in enumerate(zip(*[r[0] for r in cur])):
+            p = sum(1 for a in column if a > 0)
+            q = len(column) - column.count(0) - p
+            if (p or q) and (least is None or p * q - p - q < least):
+                j, least = k, p * q - p - q
+        if j is None:
+            return stages, None
+        P = [r for r in cur if r[0][j] > 0]
+        N = [r for r in cur if r[0][j] < 0]
         stages.append((j, P + N))
-        eliminated += 1
-        cap = eliminated + 1  # Imbert: longer histories are redundant rows
-        nxt = list(Z)
-        for p in P:
-            for q in N:
-                h = p.hist | q.hist
-                if not history_cap or len(h) <= cap:
-                    nxt.append(_combine(p, q, j, h))
-        cur, bad = _simplify(nxt)
+        best = {r[0]: r for r in cur if not r[0][j]}
+        # Imbert: longer histories are redundant rows
+        bad = _simplify(_combine(P, N, j, len(stages) + 1 if history_cap else None), best)
         if bad:
             return stages, bad
+        cur = list(best.values())
 
 
 def _back_substitute(stages, n) -> tuple:
-    point = [Fraction(0)] * n
+    """(numerators, denominator) of the back-substituted point.
+
+    Bounds on x_j are kept as d * bound = num / den with den > 0, so they
+    compare by cross-multiplication without building fractions.
+    """
+    x = [0] * n
+    d = 1
     for j, rows in reversed(stages):
         lo = hi = None
-        lo_strict = hi_strict = False
-        for r in rows:
-            cj = r.coeffs[j]
-            rest = Fraction(r.offset)
-            for k, a in enumerate(r.coeffs):
-                if a and k != j:
-                    rest += a * point[k]
-            bound = Fraction(-rest, cj)
-            if cj > 0:  # x_j >= bound (or >)
-                if lo is None or bound > lo or (bound == lo and r.strict):
-                    lo, lo_strict = bound, r.strict
-            else:  # x_j <= bound (or <)
-                if hi is None or bound < hi or (bound == hi and r.strict):
-                    hi, hi_strict = bound, r.strict
+        for coeffs, offset, _, _ in rows:
+            cj = coeffs[j]
+            rest = _value(coeffs, offset, x, d)  # x[j] is still 0
+            if cj > 0:  # x_j >= -rest / cj (or >)
+                if lo is None or -rest * lo[1] > lo[0] * cj:
+                    lo = (-rest, cj)
+            elif hi is None or rest * hi[1] < hi[0] * -cj:  # x_j <= rest / -cj (or <)
+                hi = (rest, -cj)
+        # the value picked for x_j, as num / den
         if lo is None and hi is None:
-            val = Fraction(0)
-        elif hi is None:
-            val = lo + 1
+            continue
+        if hi is None:
+            num, den = lo[0] + lo[1] * d, lo[1] * d  # lo + 1
         elif lo is None:
-            val = hi - 1
-        elif lo < hi:
-            val = (lo + hi) / 2
+            num, den = hi[0] - hi[1] * d, hi[1] * d  # hi - 1
+        elif lo[0] * hi[1] < hi[0] * lo[1]:
+            num, den = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1] * d  # midpoint
         else:
             # elimination guarantees lo == hi with both bounds weak
-            val = lo
-        point[j] = val
-    return tuple(point)
+            num, den = lo[0], lo[1] * d
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        grown = lcm(d, den)
+        if grown != d:
+            x = [v * (grown // d) for v in x]
+            d = grown
+        x[j] = num * (d // den)
+    return x, d
 
 
 def _fm_verdict(constraints, n):
@@ -215,11 +236,11 @@ def _fm_verdict(constraints, n):
         stages, bad = _eliminate(rows, n, history_cap)
         if bad:
             return None, bad
-        point = _back_substitute(stages, n)
-        if all(satisfies(c, point) for c in rows):
-            return point, None
-    raise ArithmeticError(f"uncapped elimination back-substituted {point}, "
-                          "which breaks an input row")
+        x, d = _back_substitute(stages, n)
+        if all(_holds(r, x, d) for r in rows):
+            return tuple(Fraction(v, d) for v in x), None
+    raise ArithmeticError(f"uncapped elimination back-substituted "
+                          f"{tuple(Fraction(v, d) for v in x)}, which breaks an input row")
 
 
 def _check_dimension(n: int):
@@ -240,6 +261,25 @@ def check_system(constraints: Sequence[Constraint], n: int) -> Verdict:
     return Verdict(witness is not None, witness, bad)
 
 
+def _opposed_refuters(entries, g: int, offset: int, strict: bool):
+    """Which of `entries` exclude the row ``g u . x + offset >= 0`` (or > 0).
+
+    Each entry (probe, sign, g2, offset2, strict2) is a row
+    ``-g2 u . x + offset2 >= 0`` (or > 0), so the two bound u . x from both
+    sides and one integer comparison of their offsets decides whether they
+    meet.  Returns None when a base row (probe None) excludes it, else the
+    (probe, sign) choices that do.
+    """
+    hits = []
+    for probe, sign, g2, offset2, strict2 in entries:
+        t = offset * g2 + offset2 * g
+        if t < 0 or (t == 0 and (strict or strict2)):
+            if probe is None:
+                return None
+            hits.append((probe, sign))
+    return hits
+
+
 def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
                        cap: Optional[int] = None, base_witness=None):
     """All realizable sign vectors of `rows` within the `base` system.
@@ -248,38 +288,61 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
     Returns {sign_string: (rational witness, system)}, where `system` is
     `base` plus the chamber's signed rows: ``+`` is the weak row >= 0, ``-``
     the negated strict row -row > 0.  A row with all-zero coefficients takes
-    the sign of its offset and no other.  Raises GuardExplosionError past
-    `cap` chambers.
+    the sign of its offset and no other.  A sign whose row is excluded by an
+    opposed parallel row of the system is dropped without elimination.
+    Raises GuardExplosionError past `cap` chambers.
     """
     w0 = base_witness if base_witness is not None else find_witness(list(base), n)
     if w0 is None:
         return {}
-    int_rows = [make_constraint(c, b, strict=False) for c, b in rows]  # sign probes
+    # primitive direction u -> (probe, sign, g, offset, strict) of the rows
+    # g u . x + offset >= 0 (or > 0) in the system; base rows have probe None
+    parallel = {}
+    for c in base:
+        if any(c.coeffs):
+            g = gcd(*c.coeffs)
+            parallel.setdefault(tuple([a // g for a in c.coeffs]), []).append(
+                (None, "+", g, c.offset, c.strict))
+    # per probe: its "+" and "-" rows and, per sign, the earlier probes' signs
+    # that exclude it (None: a base row does; a constant probe has no entry)
+    probes = []
+    for idx, (coeffs, offset) in enumerate(rows):
+        plus = make_constraint(coeffs, offset, strict=False)
+        minus = Constraint(tuple(-a for a in plus.coeffs), -plus.offset, True)
+        refuters = {}
+        if any(plus.coeffs):
+            g = gcd(*plus.coeffs)
+            up = tuple([a // g for a in plus.coeffs])
+            down = tuple([-a for a in up])
+            refuters = {"+": _opposed_refuters(parallel.get(down, ()), g, plus.offset, False),
+                        "-": _opposed_refuters(parallel.get(up, ()), g, minus.offset, True)}
+            parallel.setdefault(up, []).append((idx, "+", g, plus.offset, False))
+            parallel.setdefault(down, []).append((idx, "-", g, minus.offset, True))
+        probes.append((plus, minus, refuters))
     out = {}
 
-    def rec(idx, system, witness, prefix):
-        if idx == len(int_rows):
+    def rec(idx, system, witness, scaled, prefix):
+        if idx == len(probes):
             if cap is not None and len(out) >= cap:
                 raise GuardExplosionError(
                     f"more than {cap} realizable chambers for a {len(rows)}-row guard")
             out[prefix] = (witness, system)
             return
-        probe = int_rows[idx]
-        val = evaluate_constraint(probe, witness)
-        constant = not any(probe.coeffs)
-        for sign in "+-":
-            if sign == "+":
-                c = Constraint(probe.coeffs, probe.offset, False)
-                free = val >= 0
-            else:
-                c = Constraint(tuple(-a for a in probe.coeffs), -probe.offset, True)
-                free = val < 0
-            if constant and not free:
-                continue  # the witness already has the only sign a constant takes
-            sub = list(system) + [c]
-            w = tuple(witness) if free else find_witness(sub, n)
+        plus, minus, refuters = probes[idx]
+        val = _value(plus.coeffs, plus.offset, *scaled)
+        for sign, c, free in (("+", plus, val >= 0), ("-", minus, val < 0)):
+            if free:
+                rec(idx + 1, system + [c], witness, scaled, prefix + sign)
+                continue
+            if not refuters:
+                continue  # a constant takes the sign the witness already has
+            hits = refuters[sign]
+            if hits is None or any(prefix[j] == s for j, s in hits):
+                continue  # an opposed parallel row excludes this sign
+            sub = system + [c]
+            w = find_witness(sub, n)
             if w is not None:
-                rec(idx + 1, sub, w, prefix + sign)
+                rec(idx + 1, sub, w, _scaled(w), prefix + sign)
 
-    rec(0, list(base), w0, "")
+    rec(0, list(base), tuple(w0), _scaled(w0), "")
     return out

@@ -44,6 +44,53 @@ def test_make_constraint_clears_float_denominators():
     assert c.coeffs == (2, -1) and c.offset == 6 and not c.strict
 
 
+def test_make_constraint_takes_numpy_integers_exactly():
+    # 2**60 + 1 has no float; reading it through float gave 2**60
+    big = 2**60 + 1
+    got = make_constraint([np.int64(big), np.int32(1)], np.int64(-3), strict=True)
+    assert got == make_constraint([big, 1], -3, strict=True)
+    assert got.coeffs == (big, 1) and got.offset == -3
+    mixed = make_constraint([np.int64(big), np.float32(0.5)], Fraction(1, 3), strict=False)
+    assert mixed == make_constraint([big, Fraction(1, 2)], Fraction(1, 3), strict=False)
+    assert mixed.coeffs == (6 * big, 3) and mixed.offset == 2
+
+
+def exact_value(c, point):
+    """The row's value at `point` in plain Fraction arithmetic."""
+    return Fraction(c.offset) + sum(a * Fraction(x) for a, x in zip(c.coeffs, point))
+
+
+def test_satisfies_is_exact_on_float_points():
+    # Fraction + float is a float: this point used to fail its strict row
+    c = Constraint((-3672667449594344, -5336717746647811), -6800547075198481, True)
+    point = (-0.17180968672645902, -1.1560564984176902)
+    assert exact_value(c, point) == Fraction(1839354445648207, 2251799813685248)
+    assert evaluate_constraint(c, point) == exact_value(c, point)
+    assert isinstance(evaluate_constraint(c, point), Fraction)
+    assert satisfies(c, point)
+    assert not satisfies(Constraint(c.coeffs, c.offset - 1, True), point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2**53, 2**53), min_size=2, max_size=2),
+       st.integers(-2**53, 2**53), st.booleans(),
+       st.lists(st.floats(-4, 4, allow_nan=False), min_size=2, max_size=2))
+def test_satisfies_matches_fraction_arithmetic_on_float_points(coeffs, offset, strict, point):
+    c = Constraint(tuple(coeffs), offset, strict)
+    want = exact_value(c, point)
+    assert evaluate_constraint(c, point) == want
+    assert satisfies(c, point) == (want > 0 if strict else want >= 0)
+    assert satisfies(c, [np.float64(x) for x in point]) == satisfies(c, point)
+
+
+def test_non_finite_points_are_rejected():
+    c = make_constraint([1, 1], 0, strict=False)
+    with pytest.raises(NonFinitePointError):
+        satisfies(c, [0.0, float("nan")])
+    with pytest.raises(NonFinitePointError):
+        evaluate_constraint(c, [float("inf"), 0.0])
+
+
 def test_witness_simple_band():
     cs = [
         make_constraint([1.0], 0.0, strict=False),   # x >= 0
@@ -206,6 +253,73 @@ def test_constant_row_takes_its_offset_sign_without_elimination(monkeypatch):
     out = enumerate_chambers(rows, 2, base_witness=(Fraction(1), Fraction(0)))
     assert set(out) == {"+-++", "+-+-"}
     assert len(calls) == 1  # only the "-" side of x >= 0 needs a witness
+
+
+def test_opposed_parallel_rows_refute_without_elimination(monkeypatch):
+    calls = []
+    real = logifold.feasibility.find_witness
+    monkeypatch.setattr(logifold.feasibility, "find_witness",
+                        lambda *a: calls.append(a) or real(*a))
+    # a (row, -row) guard: after "-" on x, the "-" side of -x means x < 0 < x
+    out = enumerate_chambers([([1.0], 0.0), ([-1.0], 0.0)], 1, base_witness=(Fraction(1),))
+    assert set(out) == {"++", "+-", "-+"}
+    # the "-" side of x and the "+" side of -x (it meets x >= 0 at 0) need one each
+    assert len(calls) == 2
+    calls.clear()
+    # a base row x >= 2 excludes x - 1 < 0 and 2x - 3 < 0 outright
+    base = [make_constraint([1], -2, strict=False)]
+    out = enumerate_chambers([([1.0], -1.0), ([2.0], -3.0)], 1, base=base,
+                             base_witness=(Fraction(3),))
+    assert set(out) == {"++"} and calls == []
+
+
+small_rows = st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                                st.integers(-2, 2)), min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_rows, st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                                      st.integers(-2, 2), st.booleans()), max_size=2))
+def test_chambers_are_exactly_the_feasible_sign_vectors(rows, base_rows):
+    # small integer rows are often parallel, so opposed pairs are common
+    base = [make_constraint(c, b, s) for c, b, s in base_rows]
+    out = enumerate_chambers(rows, 2, base=base)
+    want = set()
+    for k in range(2 ** len(rows)):
+        signs = "".join("-" if k >> i & 1 else "+" for i in range(len(rows)))
+        system = list(base)
+        for s, (c, b) in zip(signs, rows):
+            if s == "+":
+                system.append(make_constraint(c, b, strict=False))
+            else:
+                system.append(make_constraint([-a for a in c], -b, strict=True))
+        if check_system(system, 2).feasible:
+            want.add(signs)
+    assert set(out) == want
+    for signs, (w, system) in out.items():
+        assert all(exact_value(c, w) > 0 if c.strict else exact_value(c, w) >= 0
+                   for c in system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+              st.integers(-4, 4), st.booleans()),
+    min_size=1, max_size=8))))
+def test_witnesses_hold_in_fraction_arithmetic(case):
+    n, rows = case
+    cs = [make_constraint(c, b, s) for c, b, s in rows]
+    verdict = check_system(cs, n)
+    assert find_witness(cs, n) == verdict.witness
+    if verdict.feasible:
+        assert verdict.contradiction is None and len(verdict.witness) == n
+        assert all(isinstance(v, Fraction) for v in verdict.witness)
+        for c in cs:
+            v = exact_value(c, verdict.witness)
+            assert v > 0 if c.strict else v >= 0
+    else:
+        assert verdict.witness is None
+        assert "derived constant row" in verdict.contradiction
 
 
 def test_chamber_witnesses_satisfy_their_signs():
