@@ -10,6 +10,17 @@ Evaluation comes in two equivalent forms: the plain walk (`evaluate`) and the
 sum over all source-to-target paths of chamber-indicator products
 (`evaluate_pathsum`), which agree on every input with exactly one path
 contributing.
+
+Every sign comes from one predicate, `_guard_signs`: a row's value is summed
+in a fixed elementwise order, ((a0*x0 + a1*x1) + ...), and compared with -b,
+with no BLAS call, so a point's signs do not depend on the points evaluated
+with it.  `sign_vector`, `evaluate`, `evaluate_pathsum`, the fuzzy walks and
+the batch walk `evaluate_batch` all use it, so `evaluate_batch` returns
+`evaluate`'s labels bit for bit.  The batch walk holds the points as one
+contiguous (d, m) array and visits each vertex once, in topological order.
+A guard routes its points through a dense table over its 2**rows sign codes
+when that table is no larger than its points, and otherwise looks up each
+distinct code once.
 """
 
 from __future__ import annotations
@@ -92,6 +103,23 @@ def _require_finite(x: np.ndarray):
         raise NonFinitePointError("points must be finite; got a NaN or infinite coordinate")
 
 
+def _guard_signs(guard: AffineMap, XT: np.ndarray) -> np.ndarray:
+    """(rows, m) signs of the guard at the m columns of XT: entry [i, j] is
+    True iff row i is >= 0 at point j.
+
+    Each row value is summed in one fixed elementwise order,
+    ((a0*x0 + a1*x1) + ...), and compared with -b, which has the sign of
+    the rounded sum plus b.  No BLAS call is made: a BLAS product picks its
+    kernel, and so its rounding, by the shape of the batch, and a point's
+    signs must not depend on the points it arrives with.
+    """
+    A = guard.matrix
+    acc = A[:, :1] * XT[0] if guard.dim else np.zeros((guard.rows, XT.shape[1]))
+    for j in range(1, guard.dim):
+        acc += A[:, j:j + 1] * XT[j]
+    return acc >= -guard.offset[:, None]
+
+
 def sign_vector(guard: AffineMap, x: np.ndarray) -> str:
     """Sign string of the guard at x; entry i is '+' iff row i(x) >= 0."""
     x = np.asarray(x, dtype=float)
@@ -99,8 +127,11 @@ def sign_vector(guard: AffineMap, x: np.ndarray) -> str:
         raise DimensionMismatchError(
             f"point has shape {x.shape}, guard expects ({guard.dim},)")
     _require_finite(x)
-    vals = guard(x)
-    return "".join("+" if v >= 0 else "-" for v in vals)
+    return "".join("+" if s else "-" for s in _guard_signs(guard, x[:, None])[:, 0].tolist())
+
+
+def _no_route(vertex: str, signs: str) -> UnknownSignVectorError:
+    return UnknownSignVectorError(f"vertex {vertex!r} has no route for sign vector {signs!r}")
 
 
 @dataclass(frozen=True)
@@ -159,9 +190,8 @@ class LogicalGraph:
         if vertex in self.guards:
             s = sign_vector(self.guards[vertex], x)
             aid = self.routing.get(vertex, {}).get(s)
-            if aid is None:
-                raise UnknownSignVectorError(
-                    f"vertex {vertex!r} has no route for sign vector {s!r}")
+            if aid not in self.arrows:
+                raise _no_route(vertex, s)
             return self.arrows[aid]
         if len(out) != 1:
             raise IncompleteRoutingError(
@@ -259,7 +289,8 @@ def topological_order(g: LogicalGraph) -> List[str]:
 
 
 def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> ValidationReport:
-    """Structural audit: acyclicity, single source, routing totality, labels.
+    """Structural audit: acyclicity, single source, finite guards, routing
+    totality, labels.
 
     Routing totality is checked by `walk_regions` against the exactly
     realizable sign vectors of each guard whenever the input dimension and
@@ -323,6 +354,8 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
             err(DimensionMismatchError(
                 f"guard at {v!r} acts on R^{guard.dim}, graph is over R^{g.input_dim}"))
             continue
+        if not (np.isfinite(guard.matrix).all() and np.isfinite(guard.offset).all()):
+            err(NonFinitePointError(f"guard at {v!r} has a NaN or infinite entry"))
         routes = g.routing.get(v, {})
         for s, aid in routes.items():
             if len(s) != guard.rows or set(s) - {"+", "-"}:
@@ -418,13 +451,20 @@ def evaluate(g: LogicalGraph, x) -> object:
 
 
 def evaluate_batch(g: LogicalGraph, X) -> list:
-    """Vectorized walk for many points: labels in input order.
+    """Vectorized walk for many points: labels in input order, equal to
+    `evaluate` at every point bit for bit.
 
     One pass over the vertices in topological order visits each vertex once
-    per call, with every point that reached it.  A guard packs each point's
-    signs into an integer code and looks up the route once per distinct
-    code, so points that reach the same vertex by different arrows move on
-    together.  A cyclic graph raises `CyclicGraphError`.
+    per call, with every point that reached it, so points that reach the
+    same vertex by different arrows move on together.  The points are held
+    once as a contiguous (d, m) array; a guard takes its points' columns and
+    signs them with `_guard_signs`, the predicate `evaluate` uses, then packs
+    each point's signs into an integer code.  When the guard's 2**rows codes
+    are no more than its points, a dense table built from its routes maps
+    each code to a destination slot; otherwise the route of each distinct
+    code is looked up once.  The points then split by slot with one stable
+    argsort.  A cyclic graph raises `CyclicGraphError`, and a guard over the
+    wrong dimension `DimensionMismatchError`.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != g.input_dim:
@@ -437,8 +477,10 @@ def evaluate_batch(g: LogicalGraph, X) -> list:
     slot_labels = np.empty(len(targets), dtype=object)
     for k, v in enumerate(targets):
         slot_labels[k] = g.target_labels[v]  # item-wise, so tuple labels stay whole
+    XT = np.ascontiguousarray(X.T)
+    source = g.source
     point_slot = np.empty(X.shape[0], dtype=np.intp)
-    reached: Dict[str, List[np.ndarray]] = {g.source: [np.arange(X.shape[0])]}
+    reached: Dict[str, List[np.ndarray]] = {source: [np.arange(X.shape[0])]}
     for v in order:
         parts = reached.pop(v, None)
         if parts is None:
@@ -447,38 +489,71 @@ def evaluate_batch(g: LogicalGraph, X) -> list:
         if v in target_slot:
             point_slot[idx] = target_slot[v]
         elif v in g.guards:
-            for dst, members in _route_guard(g, v, X, idx):
+            cols = XT if v == source else XT.take(idx, axis=1)  # the source has every point
+            for dst, members in _route_guard(g, v, cols, idx):
                 reached.setdefault(dst, []).append(members)
         else:  # an unguarded vertex ignores the point
             reached.setdefault(g.next_arrow(v, None).dst, []).append(idx)
     return slot_labels[point_slot].tolist()
 
 
-def _route_guard(g: LogicalGraph, v: str, X: np.ndarray, idx: np.ndarray):
-    """(destination, point indices) pairs for the points `idx` at guard `v`."""
+_SIGN_BITS = str.maketrans("+-", "10")
+
+
+def _code_key(code: int, k: int) -> str:
+    """Sign string of a k-row code whose bit i is set iff row i is '+'."""
+    return "".join("+" if code >> i & 1 else "-" for i in range(k))
+
+
+def _route_guard(g: LogicalGraph, v: str, XT: np.ndarray, idx: np.ndarray):
+    """(destination, point indices) pairs for the points `idx`, whose
+    coordinates are the columns of XT, at guard `v`."""
     guard = g.guards[v]
-    signs = guard.matrix @ X[idx].T + guard.offset[:, None] >= 0
-    k = guard.rows
-    if k <= 63:
-        codes = np.left_shift(signs, np.arange(k, dtype=np.int64)[:, None]).sum(axis=0)
-        distinct, inverse = np.unique(codes, return_inverse=True)
-        keys = ["".join("+" if c >> i & 1 else "-" for i in range(k)) for c in distinct.tolist()]
-    else:  # codes would overflow int64: group the sign columns themselves
-        distinct, inverse = np.unique(signs.T, axis=0, return_inverse=True)
-        keys = ["".join("+" if b else "-" for b in row) for row in distinct.tolist()]
+    if guard.dim != g.input_dim:
+        raise DimensionMismatchError(
+            f"guard at {v!r} acts on R^{guard.dim}, graph is over R^{g.input_dim}")
+    signs = _guard_signs(guard, XT)
+    k, m = signs.shape
     routes = g.routing.get(v, {})
-    dsts = []
-    for key in keys:
+    slot_of: Dict[str, int] = {}  # destination -> slot, in order of first use
+
+    def slot(key):
         aid = routes.get(key)
-        if aid is None:
-            raise UnknownSignVectorError(
-                f"vertex {v!r} has no route for sign vector {key!r}")
-        dsts.append(g.arrows[aid].dst)
-    slots = {d: n for n, d in enumerate(dict.fromkeys(dsts))}
-    if len(slots) == 1:
+        return -1 if aid not in g.arrows else slot_of.setdefault(g.arrows[aid].dst, len(slot_of))
+
+    slot_type = np.int8 if len(routes) < 128 else np.intp  # numpy radix-sorts int8
+    if k <= 63:
+        codes = np.zeros(m, dtype=np.int64)
+        for i in range(k):
+            codes += signs[i] * np.int64(1 << i)
+    if k <= 63 and 2 ** k <= m:  # a dense table costs no more than the points
+        table = np.full(2 ** k, -1, dtype=slot_type)
+        for key in routes:
+            if len(key) == k and key.count("+") + key.count("-") == k:
+                table[int(key[::-1].translate(_SIGN_BITS), 2)] = slot(key)
+        point_slot = table[codes]
+        unknown = point_slot < 0
+        if unknown.any():
+            raise _no_route(v, _code_key(int(codes[unknown].min()), k))
+    else:
+        if k <= 63:
+            distinct, inverse = np.unique(codes, return_inverse=True)
+            keys = [_code_key(c, k) for c in distinct.tolist()]
+        else:  # codes would overflow int64: group the sign columns themselves
+            distinct, inverse = np.unique(signs.T, axis=0, return_inverse=True)
+            keys = ["".join("+" if b else "-" for b in row) for row in distinct.tolist()]
+        slots = []
+        for key in keys:
+            slots.append(slot(key))
+            if slots[-1] < 0:
+                raise _no_route(v, key)
+        point_slot = np.array(slots, dtype=slot_type)[inverse.reshape(-1)]
+    dsts = list(slot_of)
+    if len(dsts) == 1:
         return [(dsts[0], idx)]
-    point_dst = np.array([slots[d] for d in dsts])[inverse.reshape(-1)]
-    return [(d, idx[point_dst == n]) for d, n in slots.items()]
+    by_slot = idx[np.argsort(point_slot, kind="stable")]
+    ends = np.bincount(point_slot, minlength=len(dsts)).cumsum().tolist()
+    return [(d, by_slot[a:b]) for d, a, b in zip(dsts, [0] + ends, ends) if a < b]
 
 
 def enumerate_paths(g: LogicalGraph, cap: int = PATH_CAP) -> List[List[str]]:

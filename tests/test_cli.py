@@ -181,7 +181,8 @@ class TestCompileEval:
     @pytest.mark.parametrize("breakage, error", [
         (lambda d: d["target_labels"].pop("t1"), "DanglingVertexError"),
         (lambda d: d["routing"]["s"].update({"+": "nope"}), "IncompleteRoutingError"),
-    ], ids=["unlabeled-target", "route-to-missing-arrow"])
+        (lambda d: d["guards"]["s"].update({"offset": [float("nan")]}), "NonFinitePointError"),
+    ], ids=["unlabeled-target", "route-to-missing-arrow", "nan-guard-offset"])
     def test_eval_validates_the_graph_file(self, tmp_path, capsys, breakage, error):
         doc = graph_to_dict(make_step_graph())
         breakage(doc)

@@ -33,6 +33,7 @@ from logifold.graph import (
     validate_graph,
     walk_regions,
 )
+from logifold.networks import RELU, compile_relu_net, random_network
 from logifold.semilinear import from_llgraph
 
 from conftest import (make_cyclic_graph, make_diamond_graph, make_holed_graph,
@@ -189,6 +190,16 @@ def test_unknown_sign_vector_is_an_error():
         evaluate_batch(g, np.array([[1.0], [-1.0]]))
 
 
+def test_route_to_a_missing_arrow_is_an_unknown_sign_vector():
+    g = make_step_graph()
+    g.routing["s"]["-"] = "gone"
+    for batch in (np.array([[-1.0]]), np.array([[1.0], [-1.0]])):  # looked up, tabled
+        with pytest.raises(UnknownSignVectorError, match="'-'"):
+            evaluate_batch(g, batch)
+    with pytest.raises(UnknownSignVectorError, match="'-'"):
+        evaluate(g, [-1.0])
+
+
 def test_evaluate_diamond():
     g = make_diamond_graph()
     require_valid(g)
@@ -276,7 +287,7 @@ def test_evaluate_batch_matches_pointwise_on_guard_boundaries(top, left, right, 
     assert evaluate_batch(g, X) == [evaluate(g, x) for x in X]
 
 
-@pytest.mark.parametrize("k", [63, 70])
+@pytest.mark.parametrize("k", [63, 70, 2, 3])
 def test_evaluate_batch_guard_with_many_rows(k):
     # thresholds x >= j for j < k; 70 rows no longer fit an int64 sign code
     routing = {"+" * j + "-" * (k - j): ("even" if j % 2 == 0 else "odd")
@@ -287,6 +298,71 @@ def test_evaluate_batch_guard_with_many_rows(k):
                      {"s": routing}, {"t0": "even", "t1": "odd"})
     X = np.arange(-1.0, k + 1.0, 0.5)[:, None]
     assert evaluate_batch(g, X) == [evaluate(g, x) for x in X]
+
+
+def threshold_graph(k, unrouted=()):
+    """Guard rows x >= j for j < k on R^1: a point where exactly j rows hold
+    has sign vector "+" * j + "-" * (k - j) and goes to "even" or "odd" by
+    j, unless j is in `unrouted`."""
+    routing = {"+" * j + "-" * (k - j): ("even" if j % 2 == 0 else "odd")
+               for j in range(k + 1) if j not in unrouted}
+    return LogicalGraph(1, {"s": "source", "t0": "target", "t1": "target"},
+                        [Arrow("even", "s", "t0"), Arrow("odd", "s", "t1")],
+                        {"s": AffineMap(np.ones((k, 1)), -np.arange(k, dtype=float))},
+                        {"s": routing}, {"t0": "even", "t1": "odd"})
+
+
+@pytest.mark.parametrize("k, n", [(3, 200), (3, 4), (63, 300), (70, 300)],
+                         ids=["dense-table", "few-points", "63-rows", "70-rows"])
+def test_unknown_sign_vector_is_named_alike_on_both_routing_paths(k, n):
+    # 2**k codes fit in n points only in the first case, where a dense route
+    # table serves the guard; the others look up each distinct code
+    g = threshold_graph(k, unrouted=(1, k - 1))
+    X = np.linspace(-1.0, k + 1.0, n)[:, None]
+    messages = []
+    for x in X:
+        try:
+            evaluate(g, x)
+        except UnknownSignVectorError as e:
+            messages.append(str(e))
+    assert messages  # the smallest unrouted vector comes first in x order
+    for batch in (X, X[::-1]):
+        with pytest.raises(UnknownSignVectorError) as caught:
+            evaluate_batch(g, batch)
+        assert str(caught.value) == messages[0]
+
+
+def test_guard_over_the_wrong_dimension_is_a_dimension_error():
+    g = make_step_graph()
+    g.guards["s"] = AffineMap(np.array([[1.0, 0.0]]), np.array([0.0]))
+    with pytest.raises(DimensionMismatchError):
+        evaluate(g, [1.0])
+    with pytest.raises(DimensionMismatchError):
+        evaluate_batch(g, np.array([[1.0], [-1.0]]))
+
+
+def hyperplane_points(g, rng, per_row):
+    """`per_row` Gaussian points projected onto each guard row's hyperplane,
+    where the last bits of a row's value decide its sign."""
+    pts = []
+    for v in sorted(g.guards):
+        guard = g.guards[v]
+        for a, b in zip(guard.matrix, guard.offset):
+            X = rng.normal(scale=2.0, size=(per_row, g.input_dim))
+            pts.append(X - np.outer((X @ a + b) / (a @ a), a))
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batch_walk_matches_single_walks_on_guard_hyperplanes(seed):
+    rng = np.random.default_rng(seed)
+    g = compile_relu_net(random_network(rng, [3, 4, 3, 3], RELU))
+    X = hyperplane_points(g, rng, per_row=10)
+    single = [evaluate(g, x) for x in X]
+    assert evaluate_batch(g, X) == single
+    assert evaluate_batch(g, X[::-1]) == single[::-1]
+    for i in range(0, len(X), 50):
+        assert evaluate_batch(g, X[i:i + 1]) == [single[i]]
 
 
 def test_pathsum_agrees_with_walk(rng):
