@@ -7,6 +7,16 @@ graph that tests the rectangles in selection order.  Inside the selected
 rectangles the graph reproduces the grid exactly; everything else routes to a
 fallback label.  A chart family repeats the construction on the leftover cells
 with the bound halved each round.
+
+The 1-D and 2-D search is the skyline scan: row r's best rectangle is the
+largest one with bottom row r, found by a stack scan of the column heights
+at r.  It depends on nothing but r and those heights, so the cover keeps,
+per label, a memo of each row's heights and best rectangle and scans again
+only the rows whose heights a taken box has changed: the rows from the
+box's top row down to the last row whose heights it lowers.  A row is
+reused only when its heights compare equal, so the memo cannot go stale,
+and taking the first row that reaches the maximum keeps the tie-break of
+one top-to-bottom scan.
 """
 
 from __future__ import annotations
@@ -22,8 +32,8 @@ import numpy as np
 
 from .errors import AssumptionViolationError, BudgetCapError, DimensionMismatchError
 from .graph import (  # noqa: F401  evaluate stays importable from this module
-    AffineMap, GraphBuilder, LogicalGraph, evaluate, evaluate_batch, label_from_text,
-    label_to_text)
+    AffineMap, GraphBuilder, LogicalGraph, _require_finite, evaluate, evaluate_batch,
+    label_from_text, label_to_text)
 
 FALLBACK = "*"
 
@@ -53,6 +63,9 @@ class LabeledGrid:
                 f"label array is {self.labels.ndim}d, box is {len(self.lo)}d")
         if np.any(self.hi <= self.lo):
             raise DimensionMismatchError("box must have positive extent")
+        if min(self.labels.shape, default=1) < 1:
+            raise DimensionMismatchError(
+                f"resolution {self.labels.shape} needs at least one cell per axis")
 
     @property
     def dim(self) -> int:
@@ -77,7 +90,7 @@ class LabeledGrid:
         return int(self.labeled_mask().sum()) * self.cell_volume
 
     def cell_of(self, x) -> Optional[Tuple[int, ...]]:
-        x = np.asarray(x, dtype=float)
+        x = _finite_point(x)
         idx = np.floor((x - self.lo) / self.cell_width).astype(int)
         if np.any(idx < 0) or np.any(idx >= np.array(self.resolution)):
             return None
@@ -96,6 +109,13 @@ class LabeledGrid:
             if v is not None and v not in seen:
                 seen[v] = True
         return sorted(seen, key=str)
+
+
+def _finite_point(x) -> np.ndarray:
+    """A NaN coordinate fails every cell and box test and would read as outside."""
+    x = np.asarray(x, dtype=float)
+    _require_finite(x)
+    return x
 
 
 def grid_from_function(fn, lo, hi, resolution) -> LabeledGrid:
@@ -130,23 +150,43 @@ class Rectangle:
         return all(l <= v < h for l, v, h in zip(self.lo, x, self.hi))
 
 
-def _largest_rect_2d(mask: np.ndarray):
-    """Exact maximal-area rectangle via the skyline of column heights."""
-    heights = [0] * mask.shape[1]
+def _row_best(r: int, heights: List[int]):
+    """Largest rectangle whose bottom row is r, by a stack scan of that
+    row's column heights; the first of equal areas wins."""
     best = (0, ((0, 0), (0, 0)))
-    for r, row in enumerate(mask.tolist()):
-        heights = [h + 1 if m else 0 for h, m in zip(heights, row)]
-        stack: List[Tuple[int, int]] = []
-        for c, h in enumerate(heights + [0]):
-            start = c
-            while stack and stack[-1][1] >= h:
-                s, sh = stack.pop()
-                area = sh * (c - s)
-                if area > best[0]:
-                    best = (area, ((r - sh + 1, s), (r + 1, c)))
-                start = s
-            if h > 0:
-                stack.append((start, h))
+    stack: List[Tuple[int, int]] = []
+    for c, h in enumerate(heights + [0]):
+        start = c
+        while stack and stack[-1][1] >= h:
+            s, sh = stack.pop()
+            area = sh * (c - s)
+            if area > best[0]:
+                best = (area, ((r - sh + 1, s), (r + 1, c)))
+            start = s
+        if h > 0:
+            stack.append((start, h))
+    return best
+
+
+def _largest_rect_2d(mask: np.ndarray, memo: Optional[dict] = None):
+    """Exact maximal-area rectangle via the skyline of column heights.
+
+    Row r's best rectangle depends only on r and its heights, so `memo`
+    (row -> (heights, best)) answers every row whose heights are unchanged
+    since the last search with the same memo.  The first row reaching the
+    maximum area wins, as in one top-to-bottom scan.
+    """
+    rows = np.arange(mask.shape[0])[:, None]
+    # column heights at row r: r minus the last False row at or above r (or -1)
+    wall = np.maximum.accumulate(np.where(mask, -1, rows), axis=0)
+    memo = {} if memo is None else memo
+    best = (0, ((0, 0), (0, 0)))
+    for r, heights in enumerate((rows - wall).tolist()):
+        seen = memo.get(r)
+        if seen is None or seen[0] != heights:
+            seen = memo[r] = (heights, _row_best(r, heights))
+        if seen[1][0] > best[0]:
+            best = seen[1]
     return best
 
 
@@ -174,13 +214,17 @@ def _grown_block(mask: np.ndarray):
     return size, (tuple(lo), tuple(hi))
 
 
-def largest_rectangle(mask: np.ndarray):
-    """(cell count, (cell_lo, cell_hi)) of the chosen uncovered block."""
+def largest_rectangle(mask: np.ndarray, memo: Optional[dict] = None):
+    """(cell count, (cell_lo, cell_hi)) of the chosen uncovered block.
+
+    `memo` carries row results between searches of one shrinking 1-D or 2-D
+    mask (see `_largest_rect_2d`); it is ignored for three or more axes.
+    """
     if mask.ndim == 1:
-        size, ((_, lo), (_, hi)) = _largest_rect_2d(mask[None, :])
+        size, ((_, lo), (_, hi)) = _largest_rect_2d(mask[None, :], memo)
         return size, ((lo,), (hi,))
     if mask.ndim == 2:
-        return _largest_rect_2d(mask)
+        return _largest_rect_2d(mask, memo)
     return _grown_block(mask)
 
 
@@ -193,6 +237,7 @@ class Approximation:
     rounds: List[Tuple[int, float]] = field(default_factory=list)  # (budget, residual)
 
     def region_label(self, x):
+        x = _finite_point(x)
         for rect in self.rectangles:
             if rect.contains(x):
                 return rect.label
@@ -226,9 +271,11 @@ def _chain_graph(dim: int, rectangles: Sequence[Rectangle]) -> LogicalGraph:
     return b.graph()
 
 
-def _check_bound(name: str, value: float):
+def _check_inputs(name: str, value: float, budget: int):
     if np.isnan(value):
         raise AssumptionViolationError(f"{name} is NaN; a residual bound must be a number")
+    if budget < 1:
+        raise AssumptionViolationError(f"budget is {budget}; it must be at least 1")
 
 
 def approximate(grid: LabeledGrid, epsilon: float,
@@ -238,15 +285,20 @@ def approximate(grid: LabeledGrid, epsilon: float,
 
     Taking a box changes only its own label's cells, so each label's largest
     rectangle is searched once up front and again only after one of its
-    boxes is taken.
+    boxes is taken.  Each label keeps one row memo for the whole call, so a
+    search after a box rescans only the rows whose column heights the box
+    changed; every other row's best rectangle is exact as memoized, since it
+    is a function of the row and its heights alone.  The covers are the ones
+    a full search every round would choose.
     """
-    _check_bound("epsilon", epsilon)
+    _check_inputs("epsilon", epsilon, budget)
     cells = grid.labels.ravel().tolist()  # a tuple label must not broadcast
     remaining = {label: np.array([v == label for v in cells],
                                  dtype=bool).reshape(grid.resolution)
                  for label in grid.distinct_labels()}
     left = {label: int(m.sum()) for label, m in remaining.items()}
-    largest = {label: largest_rectangle(m) for label, m in remaining.items()}
+    memos = {label: {} for label in remaining}
+    largest = {label: largest_rectangle(m, memos[label]) for label, m in remaining.items()}
     cellvol = grid.cell_volume
     width = grid.cell_width
     chosen: List[Rectangle] = []
@@ -276,7 +328,7 @@ def approximate(grid: LabeledGrid, epsilon: float,
         block = tuple(slice(a, b) for a, b in zip(clo, chi))
         remaining[label][block] = False
         left[label] -= size
-        largest[label] = largest_rectangle(remaining[label])
+        largest[label] = largest_rectangle(remaining[label], memos[label])
 
     res = residual()
     rounds.append((budget, res))
@@ -298,6 +350,7 @@ class ChartFamily:
     final_residual: float
 
     def label_at(self, x):
+        x = _finite_point(x)
         for r in self.charts:
             found = r.chart.region_label(x)
             if found is not None:
@@ -308,7 +361,7 @@ class ChartFamily:
 def chart_family(grid: LabeledGrid, eps0: float, depth: int,
                  budget: int = BUDGET_START, budget_cap: int = BUDGET_CAP) -> ChartFamily:
     """Repeat the cover on leftover cells with the bound halved each round."""
-    _check_bound("eps0", eps0)
+    _check_inputs("eps0", eps0, budget)
     working = LabeledGrid(grid.lo.copy(), grid.hi.copy(), grid.labels.copy())
     charts = []
     residual = working.labeled_measure()
@@ -383,6 +436,8 @@ def load_grid(manifest_path) -> LabeledGrid:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     shape = tuple(manifest["resolution"])
+    if any(n < 1 for n in shape):
+        raise ValueError(f"resolution {list(shape)} needs at least one cell per axis")
     labels = np.empty(shape, dtype=object)
     labels[...] = None
     csv_path = os.path.join(os.path.dirname(manifest_path), manifest["labels_file"])

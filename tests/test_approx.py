@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from logifold import approx, evaluate
 from logifold.approx import (
     BUDGET_START,
     FALLBACK,
+    ChartFamily,
     LabeledGrid,
     _largest_rect_2d,
     approximate,
@@ -19,7 +21,12 @@ from logifold.approx import (
     regions_to_semilinear,
     save_grid,
 )
-from logifold.errors import AssumptionViolationError, BudgetCapError
+from logifold.errors import (
+    AssumptionViolationError,
+    BudgetCapError,
+    DimensionMismatchError,
+    NonFinitePointError,
+)
 
 
 def diagonal(x):
@@ -295,16 +302,113 @@ def test_skyline_finds_a_maximum_all_true_rectangle(mask):
         assert mask[r0:r1, c0:c1].all()
 
 
+def radial_16():
+    return grid_from_function(lambda x: int(4 * np.hypot(x[0] - 0.4, x[1] - 0.6)),
+                              [0.0, 0.0], [1.0, 1.0], 16)
+
+
 def test_each_box_searches_again_only_its_own_label(monkeypatch):
     calls = []
 
-    def counted(mask):
+    def counted(mask, memo=None):
         calls.append(mask)
-        return largest_rectangle(mask)
+        return largest_rectangle(mask, memo)
 
     monkeypatch.setattr(approx, "largest_rectangle", counted)
-    g = grid_from_function(lambda x: int(4 * np.hypot(x[0] - 0.4, x[1] - 0.6)),
-                           [0.0, 0.0], [1.0, 1.0], 16)
+    g = radial_16()
     result = approximate(g, 0.0)
     assert len(g.distinct_labels()) == 4
     assert len(calls) == 4 + len(result.rectangles)
+
+
+def test_row_memo_rescans_only_rows_a_box_changed(monkeypatch):
+    scans = []
+    searches = []  # (memo was empty, rows scanned)
+
+    def counted_row(r, heights):
+        scans.append(r)
+        return row_best(r, heights)
+
+    def counted_search(mask, memo=None):
+        before, fresh = len(scans), not memo
+        found = largest_rectangle(mask, memo)
+        searches.append((fresh, len(scans) - before))
+        return found
+
+    row_best = approx._row_best
+    monkeypatch.setattr(approx, "_row_best", counted_row)
+    monkeypatch.setattr(approx, "largest_rectangle", counted_search)
+    g = radial_16()
+    result = approximate(g, 0.0)
+    rows = g.resolution[0]
+    first = [n for fresh, n in searches if fresh]
+    later = [n for fresh, n in searches if not fresh]
+    assert first == [rows] * 4
+    assert len(later) == len(result.rectangles)
+    assert sum(later) <= rows * len(later) // 4
+
+
+def cleared_blocks():
+    """A random 1-D or 2-D mask and a list of blocks to clear from it in turn."""
+    def build(shape):
+        size = int(np.prod(shape))
+        block = st.tuples(*[st.integers(0, n - 1).flatmap(
+            lambda a, n=n: st.integers(a + 1, n).map(lambda b, a=a: (a, b))) for n in shape])
+        return st.tuples(
+            st.lists(st.booleans(), min_size=size, max_size=size).map(
+                lambda bits: np.array(bits, dtype=bool).reshape(shape)),
+            st.lists(block, min_size=1, max_size=8))
+
+    shapes = st.one_of(st.tuples(st.integers(1, 9)),
+                       st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    return shapes.flatmap(build)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cleared_blocks())
+def test_memoized_search_equals_a_fresh_search(case):
+    mask, blocks = case
+    memo = {}
+    assert largest_rectangle(mask, memo) == largest_rectangle(mask)
+    for block in blocks:
+        # a block above the last row lowers the heights of the rows below it
+        mask[tuple(slice(a, b) for a, b in block)] = False
+        assert largest_rectangle(mask, memo) == largest_rectangle(mask)
+
+
+# -- input checks -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_rejected(budget):
+    g = make_diag_grid(4)
+    with pytest.raises(AssumptionViolationError, match=f"budget is {budget}"):
+        approximate(g, 0.0, budget=budget)
+    with pytest.raises(AssumptionViolationError, match=f"budget is {budget}"):
+        chart_family(g, 0.0, 3, budget=budget)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0,)])
+def test_zero_resolution_is_rejected(tmp_path, shape):
+    dim = len(shape)
+    with pytest.raises(DimensionMismatchError, match="at least one cell per axis"):
+        LabeledGrid(np.zeros(dim), np.ones(dim), np.empty(shape, dtype=object))
+    path = tmp_path / "grid.json"
+    save_grid(LabeledGrid(np.zeros(dim), np.ones(dim), np.full((2,) * dim, None)), path)
+    manifest = json.loads(path.read_text())
+    manifest["resolution"] = list(shape)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="at least one cell per axis"):
+        load_grid(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_rejected(bad):
+    g = make_diag_grid(4)
+    result = approximate(g, 0.0)
+    fam = chart_family(g, 0.0, 2)
+    x = [0.5, bad]
+    for lookup in (g.cell_of, g.label_at, result.region_label, fam.label_at,
+                   ChartFamily(g, [], 0.0).label_at):
+        with pytest.raises(NonFinitePointError):
+            lookup(x)

@@ -275,6 +275,19 @@ class TestGridCommands:
         err = capsys.readouterr().err
         assert str(grid_file) in err and "grid.csv is empty" in err
 
+    @pytest.mark.parametrize("resolution", [[0, 8], [8, -1]], ids=["zero", "negative"])
+    def test_resolution_below_one_is_a_malformed_file(self, tmp_path, grid_file, capsys,
+                                                      resolution):
+        manifest = json.loads(grid_file.read_text())
+        manifest["resolution"] = resolution
+        grid_file.write_text(json.dumps(manifest))
+        (tmp_path / "grid.csv").write_text("i0,i1,label\n")  # no cell to be outside
+        out, rep = tmp_path / "a.json", tmp_path / "r.json"
+        assert main(["approx", "--grid", str(grid_file), "--epsilon", "0.01",
+                     "--out", str(out), "--report", str(rep)]) == 65
+        assert str(grid_file) in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
     @pytest.mark.parametrize("command, bound, out_flag", [
         ("approx", "--epsilon", "--out"),
         ("approx", "--epsilon-frac", "--out"),
