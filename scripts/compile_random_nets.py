@@ -2,7 +2,9 @@
 
 Every sampled point is scored against the exact compiled graph; relu runs
 skip points whose top two logits tie within the margin, since indexmax is
-genuinely ambiguous there.
+genuinely ambiguous there.  Each graph is also checked with `require_valid`,
+as `logifold compile` does, and the report line gives the seconds spent
+compiling and validating and the graphs' total guards and guard rows.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from logifold import evaluate_batch
+from logifold.graph import require_valid
 from logifold.networks import (
     INDEXMAX,
     RELU,
@@ -30,14 +33,22 @@ def run_sweep(kind: str, count: int, samples: int, seed: int,
     t0 = time.time()
     mismatches = 0
     checked = 0
-    targets = 0
+    targets = guards = guard_rows = 0
+    compile_s = valid_s = 0.0
     for _ in range(count):
         n = int(rng.integers(1, 4))
         hidden = [int(w) for w in rng.integers(2, 5, size=int(rng.integers(1, 4)))]
         dims = [n] + hidden + [int(rng.integers(2, 5))]
         net = random_network(rng, dims, kind, INDEXMAX)
+        t = time.perf_counter()
         g = compile_step_net(net) if kind == STEP else compile_relu_net(net)
+        compile_s += time.perf_counter() - t
+        t = time.perf_counter()
+        require_valid(g)
+        valid_s += time.perf_counter() - t
         targets += sum(1 for k, v in g.vertices.items() if v == "target")
+        guards += len(g.guards)
+        guard_rows += sum(guard.rows for guard in g.guards.values())
         X = rng.normal(scale=2.0, size=(samples, n))
         want = forward_classical_batch(net, X)
         got = evaluate_batch(g, X)
@@ -49,7 +60,9 @@ def run_sweep(kind: str, count: int, samples: int, seed: int,
             checked += 1
             mismatches += int(got[j] != want[j])
     print(f"{kind}: {mismatches} mismatches over {checked} points "
-          f"({count} nets, {targets} targets total), {time.time() - t0:.1f}s")
+          f"({count} nets, {targets} targets, {guards} guards, {guard_rows} guard rows "
+          f"total), compile {compile_s:.2f}s, require_valid {valid_s:.2f}s, "
+          f"{time.time() - t0:.1f}s")
 
 
 def main() -> None:

@@ -30,7 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AssumptionViolationError, BudgetCapError, DimensionMismatchError
+from .errors import (
+    AssumptionViolationError, BudgetCapError, DimensionMismatchError, NonFinitePointError)
 from .graph import (  # noqa: F401  evaluate stays importable from this module
     AffineMap, GraphBuilder, LogicalGraph, _require_finite, evaluate, evaluate_batch,
     label_from_text, label_to_text)
@@ -61,6 +62,8 @@ class LabeledGrid:
         if self.labels.ndim != len(self.lo):
             raise DimensionMismatchError(
                 f"label array is {self.labels.ndim}d, box is {len(self.lo)}d")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise NonFinitePointError("box bounds lo and hi must be finite")
         if np.any(self.hi <= self.lo):
             raise DimensionMismatchError("box must have positive extent")
         if min(self.labels.shape, default=1) < 1:

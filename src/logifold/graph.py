@@ -18,9 +18,9 @@ with it.  `sign_vector`, `evaluate`, `evaluate_pathsum`, the fuzzy walks and
 the batch walk `evaluate_batch` all use it, so `evaluate_batch` returns
 `evaluate`'s labels bit for bit.  The batch walk holds the points as one
 contiguous (d, m) array and visits each vertex once, in topological order.
-A guard routes its points through a dense table over its 2**rows sign codes
-when that table is no larger than its points, and otherwise looks up each
-distinct code once.
+A one-row guard splits its points by their sign; a longer guard routes them
+through a dense table over its 2**rows sign codes when that table is no
+larger than its points, and otherwise looks up each distinct code once.
 """
 
 from __future__ import annotations
@@ -458,8 +458,9 @@ def evaluate_batch(g: LogicalGraph, X) -> list:
     per call, with every point that reached it, so points that reach the
     same vertex by different arrows move on together.  The points are held
     once as a contiguous (d, m) array; a guard takes its points' columns and
-    signs them with `_guard_signs`, the predicate `evaluate` uses, then packs
-    each point's signs into an integer code.  When the guard's 2**rows codes
+    signs them with `_guard_signs`, the predicate `evaluate` uses.  A one-row
+    guard splits its points by that sign mask; a longer one packs each
+    point's signs into an integer code.  When the guard's 2**rows codes
     are no more than its points, a dense table built from its routes maps
     each code to a destination slot; otherwise the route of each distinct
     code is looked up once.  The points then split by slot with one stable
@@ -515,6 +516,12 @@ def _route_guard(g: LogicalGraph, v: str, XT: np.ndarray, idx: np.ndarray):
     signs = _guard_signs(guard, XT)
     k, m = signs.shape
     routes = g.routing.get(v, {})
+    if k == 1:  # one row splits its points by a mask, with no codes or sort
+        split = [(key, idx[mask]) for key, mask in (("-", ~signs[0]), ("+", signs[0]))]
+        for key, members in split:
+            if len(members) and routes.get(key) not in g.arrows:
+                raise _no_route(v, key)
+        return [(g.arrows[routes[key]].dst, members) for key, members in split if len(members)]
     slot_of: Dict[str, int] = {}  # destination -> slot, in order of first use
 
     def slot(key):

@@ -2,18 +2,20 @@
 
 Both compilers share one region walker.  It subdivides input space layer by
 layer: every vertex carries the affine map that computes its layer's
-pre-activation restricted to the region reached so far, children are the
-realizable sign chambers, and the last layer is guarded by pairwise
-coordinate differences with each chamber routed to the argmax target.  After
-a step layer the composed map is constant (the next layer applied to the
-chamber's Boolean outcome), so a step network branches only at its first
-layer, and each first-layer chamber has one vertex with a plain arrow to its
-argmax target.
+pre-activation restricted to the region reached so far, and children are the
+realizable sign chambers.  Each linear region then runs an argmax
+tournament on its final-layer map: the best index so far meets each later
+index hi in a one-row guard l_best - l_hi whose ``+`` side (>= 0) keeps the
+lower index, so ties go low.  A duel that cannot split its region adds no
+vertex.  After a step layer the composed map is constant (the next layer
+applied to the chamber's Boolean outcome), so its duels are decided by their
+offsets: a step network branches only at its first layer, and each
+first-layer chamber has one vertex with a plain arrow to its argmax target.
 
 The walker is also behind ``fuzzy.from_relu_softmax_net``, which puts a
-softmax leaf where the compiler puts the argmax guard.  A layer whose region
-holds a single sign chamber adds no vertex, so the graphs branch only where
-a layer's hyperplanes actually cut the region.
+softmax leaf where the compiler puts the argmax tournament.  A layer whose
+region holds a single sign chamber adds no vertex, so the graphs branch only
+where a layer's hyperplanes actually cut the region.
 
 Both compilers keep only regions whose constraint systems are exactly
 feasible, and the argmax convention everywhere is lowest index wins ties.
@@ -24,7 +26,8 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from functools import partial
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -184,49 +187,37 @@ def _outcome(signs: str) -> np.ndarray:
     return np.array([1.0 if c == "+" else 0.0 for c in signs])
 
 
-def _difference_rows(final: AffineMap):
-    """Rows l_i - l_j for i < j, plus the pair index for each row."""
-    d = final.rows
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    rows = [(
-        (final.matrix[i] - final.matrix[j]).tolist(),
-        float(final.offset[i] - final.offset[j]),
-    ) for i, j in pairs]
-    return pairs, rows
+def _tournament(b: GraphBuilder, vid, final: AffineMap, region, witness) -> None:
+    """Route the region below `vid` to the argmax of its final-layer map.
 
-
-def _argmax_from_signs(pairs, signs: str, d: int) -> Optional[int]:
-    """Lowest-index argmax determined by the i<j difference sign pattern.
-
-    Index i wins iff it strictly beats every lower index and weakly beats
-    every higher one.  Exactly one index qualifies unless float rounding makes
-    the difference rows only nearly dependent, leaving sliver chambers whose
-    sign pattern is intransitive; those return None and the caller falls back
-    to the chamber witness.
+    The best index so far meets each later index hi in a one-row duel
+    l_best - l_hi whose ``+`` side (>= 0) keeps best, so the lowest index wins
+    ties.  A duel whose region holds one chamber adds no vertex, and a duel
+    whose two sides reach the same target collapses to that target.
     """
-    lookup = {p: s for p, s in zip(pairs, signs)}
-    for i in range(d):
-        if all(lookup[(j, i)] == "-" for j in range(i)) and \
-           all(lookup[(i, j)] == "+" for j in range(i + 1, d)):
-            return i
-    return None
 
+    def duel(name, best, hi, region, witness):
+        if hi == final.rows:
+            return b.target_for(best)
+        row = ((final.matrix[best] - final.matrix[hi]).tolist(),
+               float(final.offset[best] - final.offset[hi]))
+        chambers = feasibility.enumerate_chambers([row], b.input_dim, base=region,
+                                                  base_witness=witness)
+        if len(chambers) == 1:
+            (sign,) = chambers
+            return duel(name, best if sign == "+" else hi, hi + 1, region, witness)
+        routes = {sign: duel(f"{name}|{sign}", best if sign == "+" else hi, hi + 1, sub, w)
+                  for sign, (w, sub) in chambers.items()}
+        if routes["+"] == routes["-"]:
+            return routes["+"]
+        if name != vid:
+            b.add(name)
+        b.branch(name, AffineMap.from_rows([row], b.input_dim), routes)
+        return name
 
-def _finalize_vertex(b: GraphBuilder, vid, final_map: AffineMap, region, witness,
-                     chamber_cap) -> None:
-    """Attach the argmax-of-final-layer structure below vertex `vid`."""
-    pairs, rows = _difference_rows(final_map)
-    chambers = feasibility.enumerate_chambers(rows, b.input_dim, base=region,
-                                              cap=chamber_cap, base_witness=witness)
-    routes = {}
-    for signs, (w, _) in chambers.items():
-        label = _argmax_from_signs(pairs, signs, final_map.rows)
-        if label is None:
-            # intransitive sliver: decide by the logits at the exact witness
-            point = np.array([float(v) for v in w])
-            label = int(np.argmax(final_map(point)))
-        routes[signs] = b.target_for(label)
-    b.branch(vid, AffineMap.from_rows(rows, b.input_dim), routes)
+    dst = duel(vid, 0, 1, region, witness)
+    if dst != vid:
+        b.arrow(vid, dst)
 
 
 def _next_map(net: NetworkSpec, depth: int, signs: str, composed: AffineMap) -> AffineMap:
@@ -294,11 +285,7 @@ def _walk_relu_regions(b: GraphBuilder, net: NetworkSpec, leaf, chamber_cap: int
 
 def _argmax_graph(net: NetworkSpec, chamber_cap: int, region_cap: int) -> LogicalGraph:
     b = GraphBuilder(net.input_dim)
-
-    def leaf(vid, composed, region, witness):
-        _finalize_vertex(b, vid, composed, region, witness, chamber_cap)
-
-    _walk_relu_regions(b, net, leaf, chamber_cap, region_cap)
+    _walk_relu_regions(b, net, partial(_tournament, b), chamber_cap, region_cap)
     return b.graph()
 
 
@@ -312,7 +299,8 @@ def compile_step_net(net: NetworkSpec, chamber_cap: int = CHAMBER_CAP) -> Logica
 
 def compile_relu_net(net: NetworkSpec, chamber_cap: int = CHAMBER_CAP,
                      region_cap: int = REGION_CAP) -> LogicalGraph:
-    """Decision graph of a ReLU network via layerwise region subdivision."""
+    """Decision graph of a ReLU network via layerwise region subdivision; each
+    region reaches its argmax by a tournament of one-row duels, ties going low."""
     if net.hidden_activation != RELU or net.final_activation != INDEXMAX:
         raise UnsupportedActivationError("relu compiler expects relu/indexmax activations")
     return _argmax_graph(net, chamber_cap, region_cap)

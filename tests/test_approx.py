@@ -207,6 +207,16 @@ def test_grid_rejects_an_empty_labels_file(tmp_path):
         load_grid(path)
 
 
+@pytest.mark.parametrize("lo, hi", [
+    ([math.nan, 0.0], [1.0, 1.0]),
+    ([0.0, 0.0], [1.0, math.nan]),
+    ([-math.inf, 0.0], [1.0, 1.0]),
+], ids=["nan-lo", "nan-hi", "infinite-lo"])
+def test_grid_rejects_non_finite_bounds(lo, hi):
+    with pytest.raises(NonFinitePointError, match="lo and hi must be finite"):
+        LabeledGrid(lo, hi, np.full((2, 2), None))
+
+
 def test_nan_bound_is_rejected():
     g = make_diag_grid(4)
     with pytest.raises(AssumptionViolationError, match="epsilon is NaN"):

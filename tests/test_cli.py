@@ -288,6 +288,16 @@ class TestGridCommands:
         assert str(grid_file) in capsys.readouterr().err
         assert not out.exists() and not rep.exists()
 
+    def test_nan_box_bound_exits_2_and_writes_nothing(self, tmp_path, grid_file, capsys):
+        manifest = json.loads(grid_file.read_text())
+        manifest["lo"][0] = float("nan")
+        grid_file.write_text(json.dumps(manifest))
+        out, rep = tmp_path / "a.json", tmp_path / "r.json"
+        assert main(["approx", "--grid", str(grid_file), "--epsilon", "0.01",
+                     "--out", str(out), "--report", str(rep)]) == 2
+        assert "NonFinitePointError: box bounds" in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
     @pytest.mark.parametrize("command, bound, out_flag", [
         ("approx", "--epsilon", "--out"),
         ("approx", "--epsilon-frac", "--out"),

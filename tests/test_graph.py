@@ -312,11 +312,12 @@ def threshold_graph(k, unrouted=()):
                         {"s": routing}, {"t0": "even", "t1": "odd"})
 
 
-@pytest.mark.parametrize("k, n", [(3, 200), (3, 4), (63, 300), (70, 300)],
-                         ids=["dense-table", "few-points", "63-rows", "70-rows"])
+@pytest.mark.parametrize("k, n", [(3, 200), (3, 4), (63, 300), (70, 300), (1, 50)],
+                         ids=["dense-table", "few-points", "63-rows", "70-rows", "one-row"])
 def test_unknown_sign_vector_is_named_alike_on_both_routing_paths(k, n):
     # 2**k codes fit in n points only in the first case, where a dense route
-    # table serves the guard; the others look up each distinct code
+    # table serves the guard; the next three look up each distinct code, and
+    # a one-row guard splits its points by their sign
     g = threshold_graph(k, unrouted=(1, k - 1))
     X = np.linspace(-1.0, k + 1.0, n)[:, None]
     messages = []

@@ -20,6 +20,7 @@ from logifold.networks import (
     compile_step_net,
     forward_classical,
     forward_classical_batch,
+    forward_logits,
     forward_smooth,
     model_from_dict,
     model_to_dict,
@@ -153,7 +154,7 @@ def test_compile_relu_single_layer_is_difference_guard():
     net = _net([[[1.0, 0.0], [0.0, 1.0]]], [[0.0, 0.0]], hidden="relu")
     g = compile_relu_net(net)
     require_valid(g)
-    assert g.guards["s"].rows == 1  # one i<j pair
+    assert g.guards["s"].rows == 1  # one duel, l0 - l1
     assert evaluate(g, [2.0, 1.0]) == 0
     assert evaluate(g, [1.0, 2.0]) == 1
     assert evaluate(g, [1.0, 1.0]) == 0  # tie routed to the lower index
@@ -199,6 +200,57 @@ def test_compile_relu_collapses_guard_whose_chambers_share_a_target():
     # that vertex gets one plain arrow instead of a guard that cannot branch
     g = compile_relu_net(random_network(np.random.default_rng(1), [2, 3, 3], "relu"))
     assert require_valid(g).realizability_checked
+
+
+def test_tournament_routes_equal_final_rows_to_index_zero_without_a_guard():
+    net = _net([[[1.0, -2.0]] * 3], [[0.5, 0.5, 0.5]], hidden="relu")
+    g = compile_relu_net(net)
+    assert not g.guards and list(g.target_labels.values()) == [0]
+    assert evaluate_batch(g, np.random.default_rng(0).normal(size=(50, 2))) == [0] * 50
+
+
+def test_tournament_routes_a_tie_between_outputs_1_and_2_to_1():
+    # l0 = x, l1 = l2 = 0: the duel of 1 and 2 is the constant 0, kept by 1
+    net = _net([[[1.0], [0.0], [0.0]]], [[0.0, 0.0, 0.0]], hidden="relu")
+    g = compile_relu_net(net)
+    require_valid(g)
+    assert set(g.target_labels.values()) == {0, 1}
+    assert g.guards["s"].rows == 1 and len(g.guards) == 1
+    assert [evaluate(g, [x]) for x in (-2.0, -1e-12, 0.0, 3.0)] == [1, 1, 0, 0]
+
+
+def test_one_output_net_compiles_to_a_plain_arrow():
+    g = compile_relu_net(random_network(np.random.default_rng(4), [2, 1], "relu"))
+    assert not g.guards and g.vertices == {"s": "source", "t0": "target"}
+    assert [(a.src, a.dst) for a in g.arrows.values()] == [("s", "t0")]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_leaf_guard_of_a_relu_graph_has_one_row(seed):
+    net = random_network(np.random.default_rng([6, seed]), [2, 3, 3, 4], "relu")
+    g = compile_relu_net(net)
+    # the import walks the same hidden-layer regions with a softmax leaf
+    hidden = from_relu_softmax_net(NetworkSpec(net.layers, "relu", "softmax")).skeleton.guards
+    leaf = [v for v in g.guards if v not in hidden]
+    assert leaf and all(g.guards[v].rows == 1 for v in leaf)
+    for v, guard in hidden.items():
+        assert np.array_equal(g.guards[v].matrix, guard.matrix)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), outputs=st.integers(2, 5))
+def test_tournament_graph_agrees_with_the_forward_pass(seed, outputs):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    dims = [n] + [int(w) for w in rng.integers(1, 4, size=int(rng.integers(0, 3)))] + [outputs]
+    net = random_network(rng, dims, "relu")
+    g = compile_relu_net(net)
+    assert require_valid(g).realizability_checked
+    X = rng.normal(scale=2.0, size=(300, n))
+    got, want = np.asarray(evaluate_batch(g, X)), forward_classical_batch(net, X)
+    top2 = np.sort([forward_logits(net, x) for x in X], axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > 1e-9
+    assert np.array_equal(got[clear], want[clear])
 
 
 def _small_dims(rng):
