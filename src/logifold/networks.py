@@ -174,6 +174,9 @@ def forward_smooth_batch(net: Union[NetworkSpec, SpecializedNet], X) -> np.ndarr
             "smooth forward expects sigmoid or relu hidden layers and a softmax head")
     act = _sigmoid if net.hidden_activation == SIGMOID else (lambda z: np.maximum(z, 0.0))
     A = np.asarray(X, dtype=float)
+    if A.ndim != 2 or A.shape[1] != net.input_dim:
+        raise DimensionMismatchError(
+            f"points have shape {A.shape}, network expects (m, {net.input_dim})")
     for layer in net.layers[:-1]:
         A = act(A @ layer.matrix.T + layer.offset)
     Z = A @ net.layers[-1].matrix.T + net.layers[-1].offset

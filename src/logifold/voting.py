@@ -7,8 +7,15 @@ landing on incompatible block combinations is pushed back onto compatible
 ones in proportion to how much each group is trusted.  A vote walks a path of
 shrinking targets, multiplying per-node masses for each surviving class, and
 validation history picks the path and threshold that predicted each class
-best in the past.  Calibration and whole-split votes run over a table of
-chart outputs at once; every row gets the floats a single vote would.
+best in the past.
+
+A vote takes one of two forms.  A single instance votes in plain Python
+floats, from one `tolist()` per chart row to one array per returned vote.
+Calibration and whole-split votes run as array operations over a table of
+chart outputs, one column per block.  Both read the same cached `_plan` of
+each node's live groups (their refinement, redistribution families and label
+blocks) and apply the same float operations in the same order, so every row
+of a table gets the floats a single vote would.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import csv
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product as iproduct
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -36,6 +42,7 @@ from .ensemble import (
     refinement,
 )
 from .errors import (
+    DimensionMismatchError,
     EmptyValidationError,
     NonFinitePointError,
     NoValidPathError,
@@ -79,6 +86,15 @@ def _finite_rows(X) -> np.ndarray:
     return X
 
 
+def _one_instance(x) -> np.ndarray:
+    """x as a one-row matrix; anything but exactly one instance is rejected."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    if X.ndim != 2 or len(X) != 1:
+        raise DimensionMismatchError(
+            f"a single vote takes one instance, got shape {np.shape(x)}")
+    return X
+
+
 def _outputs(charts: Sequence[ModelChart], idxs, X) -> Dict[int, np.ndarray]:
     """The output table every vote reads: {chart index: outputs at X}."""
     X = _finite_rows(X)
@@ -103,20 +119,6 @@ def _row_outputs(charts: Sequence[ModelChart], idxs,
 # -- node votes ---------------------------------------------------------------
 
 
-def _group_vote(rows, phis, alpha, uncertain_weight):
-    """Weighted average over one group; (distribution, total weight)."""
-    k = len(rows[0])
-    total = 0.0
-    acc = np.zeros(k)
-    for row, phi in zip(rows, phis):
-        w = phi if row.max() >= alpha else uncertain_weight * phi
-        total += w
-        acc += w * row
-    if total <= 0.0:
-        return np.zeros(k), 0.0
-    return acc / total, total
-
-
 @dataclass
 class NodeVote:
     blocks: List[FrozenSet]
@@ -130,71 +132,6 @@ class NodeVote:
             if label in b:
                 return float(v)
         raise KeyError(f"label {label!r} not in node blocks")
-
-
-def _node_vote_from_rows(node: TargetNode, rows_of, phis_of, alpha,
-                         uncertain_weight) -> NodeVote:
-    answers, weights, live = [], [], []
-    for gi, idxs in enumerate(node.groups):
-        rows = [rows_of[i] for i in idxs]
-        phis = [phis_of[i] for i in idxs]
-        p, w = _group_vote(rows, phis, alpha, uncertain_weight)
-        if w > 0.0:
-            answers.append(p)
-            weights.append(w)
-            live.append(gi)
-    dropped = len(node.groups) - len(live)
-    if not live:
-        return NodeVote(list(node.table.blocks), np.zeros(len(node.table.blocks)),
-                        dropped_groups=dropped, dead=True)
-    if len(live) == len(node.groups):
-        table = node.table
-    else:
-        table = refinement([node.partitions[gi] for gi in live])
-    psi = np.asarray(weights) / sum(weights)
-
-    mass = {combo: float(np.prod([answers[g][j] for g, j in enumerate(combo)]))
-            for combo in iproduct(*(range(len(answers[g]))
-                                    for g in range(len(answers))))}
-    values = np.array([mass[combo] for combo in table.valid])
-    fallback = False
-    for combo in table.invalid:
-        q = mass[combo]
-        if q == 0.0:
-            continue
-        for g in range(len(answers)):
-            # trusting group g keeps its block choice and spreads the mass
-            # over compatible combos that agree with it
-            family = [s for s, v in enumerate(table.valid) if v[g] == combo[g]]
-            denom = sum(mass[table.valid[s]] for s in family)
-            if denom > 0.0:
-                for s in family:
-                    values[s] += q * psi[g] * mass[table.valid[s]] / denom
-            else:
-                fallback = True
-                for s in family:
-                    values[s] += q * psi[g] / len(family)
-    return NodeVote(list(table.blocks), values, fallback, dropped)
-
-
-# The table form below votes every row of an output table at once.  Each row
-# sees the same float operations, in the same order, as the per-row vote
-# above, so the two agree bit for bit.
-
-
-def _group_votes(ps, phis, alpha, uncertain_weight):
-    """_group_vote at every row: (distributions, total weights).
-
-    Rows whose total is not positive hold no usable distribution.
-    """
-    total = np.zeros(len(ps[0]))
-    acc = np.zeros(ps[0].shape)
-    for p, phi in zip(ps, phis):
-        w = np.where(p.max(axis=1) >= alpha, phi, uncertain_weight * phi)
-        total += w
-        acc += w[:, None] * p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return acc / total[:, None], total
 
 
 class _Plan(NamedTuple):
@@ -213,6 +150,95 @@ def _plan(partitions: Tuple[Partition, ...]) -> _Plan:
                  for g in range(len(partitions))] for combo in table.invalid]
     block_of = {label: s for s, b in enumerate(table.blocks) for label in b}
     return _Plan(table, families, block_of)
+
+
+# Both forms below read the same plan and apply the same float operations in
+# the same order, so they agree bit for bit: a group's answer is
+# (0 + w0*p0 + w1*p1 + ...) / (0 + w0 + w1 + ...); a combo's mass is the
+# product ((a0*a1)*a2) of its groups' answers; psi = w / (w0 + w1 + ...); and
+# trusting group g moves ((q*psi)*m) / denom of an invalid combo's mass q onto
+# each valid combo of mass m in its family, whose masses sum to denom.
+
+
+def _node_vote_from_rows(node: TargetNode, rows_of, phis_of, alpha,
+                         uncertain_weight):
+    """Node vote at one instance, in plain floats.
+
+    `rows_of` maps each chart index to its output row as a list of floats.
+    Returns (plan, masses, fallback, dropped): the live groups' plan, the
+    masses on its valid combos, whether a zero denominator spread mass
+    evenly, and how many groups had no usable answer.  `plan` is None when
+    no group speaks.
+    """
+    answers, weights, live = [], [], []
+    for g, idxs in enumerate(node.groups):
+        total = 0.0
+        acc = [0.0] * len(rows_of[idxs[0]])
+        for i in idxs:
+            row, phi = rows_of[i], phis_of[i]
+            w = phi if max(row) >= alpha else uncertain_weight * phi
+            total += w
+            acc = [a + w * p for a, p in zip(acc, row)]
+        if total > 0.0:
+            answers.append([a / total for a in acc])
+            weights.append(total)
+            live.append(g)
+    dropped = len(node.groups) - len(live)
+    if not live:
+        return None, [], False, dropped
+    plan = _plan(tuple(node.partitions[g] for g in live))
+    table = plan.table
+
+    def mass(combo):
+        m = answers[0][combo[0]]
+        for g in range(1, len(combo)):
+            m = m * answers[g][combo[g]]
+        return m
+
+    valid = [mass(combo) for combo in table.valid]
+    values = list(valid)
+    fallback = False
+    total = weights[0]
+    for w in weights[1:]:
+        total = total + w
+    psi = [w / total for w in weights]
+    for combo, families in zip(table.invalid, plan.families):
+        q = mass(combo)
+        if q == 0.0:
+            continue
+        for g, family in enumerate(families):
+            # trusting group g keeps its block choice and spreads the mass
+            # over compatible combos that agree with it
+            denom = valid[family[0]]
+            for s in family[1:]:
+                denom = denom + valid[s]
+            share = q * psi[g]
+            if denom > 0.0:
+                for s in family:
+                    values[s] += share * valid[s] / denom
+            else:
+                fallback = True
+                for s in family:
+                    values[s] += share / len(family)
+    return plan, values, fallback, dropped
+
+
+# The table form votes every row of an output table at once, as columns.
+
+
+def _group_votes(ps, phis, alpha, uncertain_weight):
+    """Each group answer at every row: (distributions, total weights).
+
+    Rows whose total is not positive hold no usable distribution.
+    """
+    total = np.zeros(len(ps[0]))
+    acc = np.zeros(ps[0].shape)
+    for p, phi in zip(ps, phis):
+        w = np.where(p.max(axis=1) >= alpha, phi, uncertain_weight * phi)
+        total += w
+        acc += w[:, None] * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return acc / total[:, None], total
 
 
 def _redistribute(plan: _Plan, answers, weights):
@@ -267,10 +293,14 @@ def vote_at_node(node: TargetNode, charts: Sequence[ModelChart], alpha: float,
     average, or a dead vote when none of them speaks.
     """
     idxs = [i for group in node.groups for i in group]
-    outs = _outputs(charts, idxs, x)
-    return _node_vote_from_rows(node, {i: outs[i][0] for i in idxs},
-                                {i: phi_of(charts[i], alpha) for i in idxs},
-                                alpha, uncertain_weight)
+    outs = _outputs(charts, idxs, _one_instance(x))
+    plan, values, fallback, dropped = _node_vote_from_rows(
+        node, {i: outs[i][0].tolist() for i in idxs},
+        {i: phi_of(charts[i], alpha) for i in idxs}, alpha, uncertain_weight)
+    if plan is None:
+        return NodeVote(list(node.table.blocks), np.zeros(len(node.table.blocks)),
+                        dropped_groups=dropped, dead=True)
+    return NodeVote(list(plan.table.blocks), np.array(values), fallback, dropped)
 
 
 # -- paths ------------------------------------------------------------------
@@ -338,27 +368,31 @@ def _path_classes(graph: TargetGraph, path) -> List:
 
 def _path_vote_from_rows(graph, path, rows_of, phis_of, alpha,
                          uncertain_weight) -> PathVote:
+    """Path vote at one instance; `rows_of` maps each chart index to its
+    output row."""
     classes = _path_classes(graph, path)
-    values = np.ones(len(classes))
+    rows_of = {i: row.tolist() for i, row in rows_of.items()}
+    values = [1.0] * len(classes)
     fallback, dropped, dead = False, 0, 0
     for vi in path:
-        vote = _node_vote_from_rows(graph.nodes[vi], rows_of, phis_of, alpha,
-                                    uncertain_weight)
-        if vote.dead:
+        plan, masses, node_fallback, node_dropped = _node_vote_from_rows(
+            graph.nodes[vi], rows_of, phis_of, alpha, uncertain_weight)
+        if plan is None:
             dead += 1
             continue
-        fallback |= vote.uniform_fallback
-        dropped += vote.dropped_groups
-        values *= np.array([vote.value_for(c) for c in classes])
+        fallback |= node_fallback
+        dropped += node_dropped
+        values = [v * masses[plan.block_of[c]] for v, c in zip(values, classes)]
     if dead == len(path):
-        values = np.zeros(len(classes))
-    pred = classes[int(np.argmax(values))]
-    return PathVote(classes, values, pred, fallback, dropped, dead)
+        values = [0.0] * len(classes)
+    pred = classes[values.index(max(values))]
+    return PathVote(classes, np.array(values), pred, fallback, dropped, dead)
 
 
 def _path_vote_table(graph, path, outs, phis_of, alpha,
                      uncertain_weight) -> PathVotes:
-    """_path_vote_from_rows at every row of the output table `outs`."""
+    """_path_vote_from_rows at every row of the output table `outs`, as
+    array operations over its rows."""
     classes = _path_classes(graph, path)
     m = len(outs[next(iter(phis_of))])
     values = np.ones((m, len(classes)))
@@ -403,8 +437,10 @@ def _path_votes(graph: TargetGraph, path, alpha, outs, phi_of,
                 uncertain_weight) -> PathVotes:
     """Path vote at every row of the output table `outs`.
 
-    A one-row table takes the per-row vote, which is faster there; a longer
-    one votes as array operations over its rows, with the same floats.
+    A one-row table votes in plain Python floats (`_path_vote_from_rows`); a
+    longer one votes as array operations over its rows (`_path_vote_table`).
+    Both read the same cached `_plan` of each node's live groups and give
+    the same floats.
     """
     idxs = _charts_on(graph, [path])
     phis_of = {i: phi_of(graph.charts[i], alpha) for i in idxs}
@@ -421,7 +457,7 @@ def _path_votes(graph: TargetGraph, path, alpha, outs, phi_of,
 def vote_along_path(graph: TargetGraph, path: Sequence[int], alpha: float, x,
                     phi_of: PhiFn, uncertain_weight: float = 0.0) -> PathVote:
     """Per-class product of node masses down the path; argmax predicts."""
-    outs = _outputs(graph.charts, _charts_on(graph, [path]), x)
+    outs = _outputs(graph.charts, _charts_on(graph, [path]), _one_instance(x))
     return _path_votes(graph, path, alpha, outs, phi_of, uncertain_weight).row(0)
 
 
@@ -518,7 +554,8 @@ def vote_with_validation_history(graph: TargetGraph, calibration: Calibration,
                                  x, phi_of: PhiFn,
                                  uncertain_weight: float = 0.0) -> VoteResult:
     """Answer each class along its calibrated best path and threshold."""
-    return _history_votes(graph, calibration, x, phi_of, uncertain_weight)[0]
+    return _history_votes(graph, calibration, _one_instance(x), phi_of,
+                          uncertain_weight)[0]
 
 
 def _history_votes(graph: TargetGraph, calibration: Calibration, X,
@@ -568,7 +605,7 @@ def make_bundle(charts: Sequence[ModelChart], alpha: float, Xval, yval):
 
 def fuzzy_belonging(bundle: LogifoldBundle, x) -> float:
     """Accuracy-weighted certainty of the charts willing to speak for x."""
-    outs = _outputs(bundle.charts, range(len(bundle.charts)), x)
+    outs = _outputs(bundle.charts, range(len(bundle.charts)), _one_instance(x))
     certainties, weights = [], []
     for i, chart in enumerate(bundle.charts):
         c = float(outs[i][0].max())
@@ -619,15 +656,25 @@ def calibration_to_dict(graph: TargetGraph, calibration: Calibration) -> dict:
 
 
 def load_calibration(path, graph: TargetGraph) -> Calibration:
-    """Class keys must name labels of the graph's root target."""
+    """Class keys must name labels of the graph's root target.
+
+    Each class's `path_nodes` must be one of its valid paths and its `alpha`
+    a number in [0, 1]; otherwise a ValueError names the class.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     named = {label_to_text(l): l for l in graph.nodes[graph.root].target}
-    entries = {
-        named[key]: HistoryEntry(tuple(rec["path_nodes"]), rec["alpha"],
-                                 rec["rate"])
-        for key, rec in doc["classes"].items()
-    }
+    entries = {}
+    for key, rec in doc["classes"].items():
+        label, nodes, alpha = named[key], rec["path_nodes"], rec["alpha"]
+        if tuple(nodes) not in valid_paths(graph, label):
+            raise ValueError(f"class {key}: path_nodes {nodes} is not a valid "
+                             f"path for it")
+        if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
+                or not 0.0 <= alpha <= 1.0):
+            raise ValueError(f"class {key}: alpha {alpha!r} is not a number "
+                             f"in [0, 1]")
+        entries[label] = HistoryEntry(tuple(nodes), alpha, rec["rate"])
     curves = {cid: AccuracyCurve(rec["alphas"], rec["phi"], rec["certain_sizes"])
               for cid, rec in doc["charts"].items()}
     return Calibration(entries, curves, tuple(doc["alpha_grid"]))

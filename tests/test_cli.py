@@ -486,6 +486,47 @@ class TestEnsembleCommands:
                      str(data), "--out", str(tmp_path / "cal.json")]) == 2
         assert "AssumptionViolationError" in capsys.readouterr().err
 
+    def test_wrong_data_width_exits_2(self, pipeline, capsys):
+        tmp_path, data, charts = pipeline
+        lines = data.read_text().splitlines()
+        wide = tmp_path / "wide.csv"  # a third feature the 2-input charts lack
+        wide.write_text("\n".join(["x0," + lines[0]]
+                                  + ["0.5," + line for line in lines[1:]]) + "\n")
+        capsys.readouterr()
+        assert main(["ensemble", "calibrate", "--charts", str(charts), "--data",
+                     str(wide), "--out", str(tmp_path / "cal.json")]) == 2
+        assert "DimensionMismatchError" in capsys.readouterr().err
+        assert main(["ensemble", "report", "--charts", str(charts), "--data",
+                     str(wide), "--outdir", str(tmp_path / "rep")]) == 2
+        assert "DimensionMismatchError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label,path_nodes,alpha", [
+        ("0", [0, 9], None),    # no node 9
+        ("0", [], None),        # no node at all
+        ("2", [0, 1], None),    # node 1's target {0, 1} lacks class 2
+        ("0", None, 1.5),
+        ("0", None, "0.4"),
+    ])
+    def test_bad_calibration_entry_exits_65(self, pipeline, capsys, label,
+                                            path_nodes, alpha):
+        tmp_path, data, charts = pipeline
+        cal = tmp_path / "cal.json"
+        assert main(["ensemble", "calibrate", "--charts", str(charts), "--data",
+                     str(data), "--out", str(cal)]) == 0
+        doc = json.loads(cal.read_text())
+        if path_nodes is not None:
+            doc["classes"][label]["path_nodes"] = path_nodes
+        if alpha is not None:
+            doc["classes"][label]["alpha"] = alpha
+        cal.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["ensemble", "vote", "--charts", str(charts), "--data",
+                     str(data), "--calibration", str(cal),
+                     "--out", str(tmp_path / "v.json")])
+        assert code == 65
+        assert f"class {label}:" in capsys.readouterr().err
+        assert not (tmp_path / "v.json").exists()
+
     def test_missing_calibration_names_the_path(self, pipeline, capsys):
         tmp_path, data, charts = pipeline
         missing = tmp_path / "nope.json"

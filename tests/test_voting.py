@@ -15,6 +15,7 @@ from logifold.ensemble import (
     refinement,
 )
 from logifold.errors import (
+    DimensionMismatchError,
     EmptyValidationError,
     NonFinitePointError,
     NoValidPathError,
@@ -546,6 +547,28 @@ class TestNonFiniteInstances:
                              [[0.0]], [0])
         with pytest.raises(NonFinitePointError):
             fuzzy_belonging(bundle, [np.nan])
+
+
+class TestSingleInstanceVotes:
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_single_votes_take_exactly_one_instance(self, rows):
+        graph, X, y = softmax_ensemble(0, {})
+        cal = calibrate(graph, X, y, alphas=ALPHAS)
+        phi = make_phi(X, y)
+        path = cal.entries[0].path
+        bundle = make_bundle(graph.charts, 0.5, X, y)
+        votes = [
+            lambda x: vote_with_validation_history(graph, cal, x, phi),
+            lambda x: vote_along_path(graph, path, 0.0, x, phi),
+            lambda x: vote_at_node(graph.nodes[graph.root], graph.charts, 0.0,
+                                   x, phi),
+            lambda x: fuzzy_belonging(bundle, x),
+        ]
+        for vote in votes:
+            vote(X[0])
+            vote(X[:1])
+            with pytest.raises(DimensionMismatchError, match="one instance"):
+                vote(X[:rows])
 
 
 class TestFuzzyBelonging:
