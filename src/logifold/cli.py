@@ -31,6 +31,7 @@ from .errors import (
     DimensionBudgetError,
     GuardExplosionError,
     LogifoldError,
+    MalformedEmbeddingError,
     PathExplosionError,
     RegionExplosionError,
 )
@@ -160,6 +161,9 @@ def _load_charts(path):
                 model_path = os.path.join(base, model_path)
             model = _load(model_path, load_model)
             emb = rec.get("embedding", {})
+            if not isinstance(emb, dict):
+                raise MalformedFileError(path, "bad chart description: an embedding "
+                                               "is not an object")
             embedding = Embedding(
                 emb.get("kind", "identity"),
                 tuple(emb["indices"]) if "indices" in emb else None,
@@ -167,9 +171,18 @@ def _load_charts(path):
             charts.append(chart_from_net(rec["id"], model,
                                          [frozenset(b) for b in rec["blocks"]],
                                          embedding))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, MalformedEmbeddingError) as e:
         raise MalformedFileError(path, f"bad chart description: {e}")
     return classes, charts
+
+
+def _load_chart_data(path, charts):
+    """The dataset at `path`; every chart's embedding must act on its
+    points, checked before any work is done or any output written."""
+    data = _load(path, load_dataset)
+    for chart in charts:
+        chart.embedding.check_width(data.dim)
+    return data
 
 
 def _dump_json(doc, path):
@@ -368,7 +381,7 @@ def _cmd_ensemble_target_graph(cfg, args):
 def _cmd_ensemble_calibrate(cfg, args):
     classes, charts = _load_charts(args.charts)
     graph = build_target_graph(charts, classes)
-    data = _load(args.data, load_dataset)
+    data = _load_chart_data(args.data, charts)
     Xval, yval = data.subset("val")
     cal = calibrate(graph, Xval, yval, alphas=cfg.alpha_grid,
                     uncertain_weight=cfg.uncertain_weight)
@@ -382,7 +395,7 @@ def _cmd_ensemble_calibrate(cfg, args):
 def _cmd_ensemble_vote(cfg, args):
     classes, charts = _load_charts(args.charts)
     graph = build_target_graph(charts, classes)
-    data = _load(args.data, load_dataset)
+    data = _load_chart_data(args.data, charts)
     cal = _load(args.calibration, lambda p: load_calibration(p, graph))
     Xval, yval = data.subset("val")
     X, _ = data.subset(args.split)
@@ -396,7 +409,7 @@ def _cmd_ensemble_vote(cfg, args):
 
 def _cmd_ensemble_report(cfg, args):
     classes, charts = _load_charts(args.charts)
-    data = _load(args.data, load_dataset)
+    data = _load_chart_data(args.data, charts)
     X, y = data.subset(args.split)
     os.makedirs(args.outdir, exist_ok=True)
     summary = {"config_hash": config_hash(cfg), "charts": {}}

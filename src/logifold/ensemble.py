@@ -20,6 +20,7 @@ from .errors import (
     AssumptionViolationError,
     DimensionMismatchError,
     FlatteningMismatchError,
+    MalformedEmbeddingError,
     NoRootModelError,
 )
 
@@ -37,31 +38,57 @@ def _flatten(partition: Partition) -> FrozenSet:
     return out
 
 
+_EMBEDDING_KINDS = ("identity", "subset", "resample")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Embedding:
     """Feature transform applied before a chart's predictor.
 
     subset keeps the listed coordinates; resample mean-pools consecutive
-    groups of `factor` coordinates.
+    groups of `factor` coordinates.  An unknown kind, a subset without
+    non-negative integer indices or a resample factor that is not an
+    integer of at least 1 raises MalformedEmbeddingError at construction.
     """
 
     kind: str = "identity"
     indices: Optional[Tuple[int, ...]] = None
     factor: Optional[int] = None
 
+    def __post_init__(self):
+        if self.kind not in _EMBEDDING_KINDS:
+            raise MalformedEmbeddingError(
+                f"unknown embedding kind {self.kind!r}; expected one of {_EMBEDDING_KINDS}")
+        if self.kind == "subset" and not (
+                self.indices is not None and all(_is_count(i) and i >= 0 for i in self.indices)):
+            raise MalformedEmbeddingError(
+                f"subset indices must be non-negative integers, got {self.indices!r}")
+        if self.kind == "resample" and not (_is_count(self.factor) and self.factor >= 1):
+            raise MalformedEmbeddingError(
+                f"resample factor must be an integer of at least 1, got {self.factor!r}")
+
+    def check_width(self, n: int):
+        """Raise DimensionMismatchError unless this embedding acts on points
+        with n coordinates."""
+        if self.kind == "subset" and any(i >= n for i in self.indices):
+            raise DimensionMismatchError(
+                f"subset index {max(self.indices)} is past the data width {n}")
+        if self.kind == "resample" and n % self.factor:
+            raise DimensionMismatchError(f"cannot pool {n} coordinates by {self.factor}")
+
     def apply_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if self.kind == "identity":
-            return X
+        self.check_width(X.shape[-1])
         if self.kind == "subset":
             return X[:, list(self.indices)]
         if self.kind == "resample":
             m, n = X.shape
-            if n % self.factor:
-                raise DimensionMismatchError(
-                    f"cannot pool {n} coordinates by {self.factor}")
             return X.reshape(m, n // self.factor, self.factor).mean(axis=2)
-        raise ValueError(f"unknown embedding kind {self.kind!r}")
+        return X
 
 
 @dataclass

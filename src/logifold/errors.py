@@ -125,6 +125,10 @@ class NoRootModelError(LogifoldError):
     pass
 
 
+class MalformedEmbeddingError(LogifoldError):
+    """A chart embedding has an unknown kind or a bad parameter."""
+
+
 class AssumptionViolationError(LogifoldError):
     pass
 

@@ -16,17 +16,20 @@ in a fixed elementwise order, ((a0*x0 + a1*x1) + ...), and compared with -b,
 with no BLAS call, so a point's signs do not depend on the points evaluated
 with it.  `sign_vector`, `evaluate`, `evaluate_pathsum`, the fuzzy walks and
 the batch walk `evaluate_batch` all use it, so `evaluate_batch` returns
-`evaluate`'s labels bit for bit.  The batch walk holds the points as one
-contiguous (d, m) array and visits each vertex once, in topological order.
-A one-row guard splits its points by their sign; a longer guard routes them
-through a dense table over its 2**rows sign codes when that table is no
-larger than its points, and otherwise looks up each distinct code once.
+`evaluate`'s labels bit for bit.  The batch walk runs a program compiled
+once per graph, holds the points as one contiguous (d, m) array in a
+per-thread workspace, and visits each vertex once, in topological order.
+A one-row guard splits its points by their sign; a guard of up to
+`_DENSE_ROWS` rows routes them through a dense table over its 2**rows sign
+codes, and a wider one looks up each distinct code once.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -55,6 +58,7 @@ PATH_CAP = 10**6
 # vectors when the problem is small enough for exact elimination
 _REALIZABILITY_DIM = feasibility.DIM_BUDGET
 _REALIZABILITY_CHAMBERS = 4096
+_STRUCTURAL_ERRORS = "structural errors found first"
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,21 +107,38 @@ def _require_finite(x: np.ndarray):
         raise NonFinitePointError("points must be finite; got a NaN or infinite coordinate")
 
 
-def _guard_signs(guard: AffineMap, XT: np.ndarray) -> np.ndarray:
-    """(rows, m) signs of the guard at the m columns of XT: entry [i, j] is
-    True iff row i is >= 0 at point j.
+def _sign_terms(guard: AffineMap):
+    """The operands of `_guard_signs` for a guard: its coefficient columns,
+    each (rows, 1), and its negated offsets as a (rows, 1) column."""
+    A = guard.matrix
+    return [A[:, j:j + 1] for j in range(guard.dim)], -guard.offset[:, None]
+
+
+def _guard_signs(columns, neg_offset: np.ndarray, XT: np.ndarray,
+                 acc: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(rows, m) signs of a guard, given by its `_sign_terms`, at the m
+    columns of XT: entry [i, j] is True iff row i is >= 0 at point j.
 
     Each row value is summed in one fixed elementwise order,
     ((a0*x0 + a1*x1) + ...), and compared with -b, which has the sign of
     the rounded sum plus b.  No BLAS call is made: a BLAS product picks its
     kernel, and so its rounding, by the shape of the batch, and a point's
-    signs must not depend on the points it arrives with.
+    signs must not depend on the points it arrives with.  `acc` and
+    `scratch` are (rows, m) float buffers for the sum and each product, and
+    `out` a (rows, m) bool buffer for the signs; any not given is allocated.
     """
-    A = guard.matrix
-    acc = A[:, :1] * XT[0] if guard.dim else np.zeros((guard.rows, XT.shape[1]))
-    for j in range(1, guard.dim):
-        acc += A[:, j:j + 1] * XT[j]
-    return acc >= -guard.offset[:, None]
+    if acc is None:
+        acc = np.empty((neg_offset.shape[0], XT.shape[1]))
+    if scratch is None and len(columns) > 1:
+        scratch = np.empty_like(acc)
+    if columns:
+        np.multiply(columns[0], XT[0], out=acc)
+    else:
+        acc.fill(0.0)
+    for a, x in zip(columns[1:], XT[1:]):
+        np.add(acc, np.multiply(a, x, out=scratch), out=acc)
+    return np.greater_equal(acc, neg_offset, out=out)
 
 
 def sign_vector(guard: AffineMap, x: np.ndarray) -> str:
@@ -127,7 +148,8 @@ def sign_vector(guard: AffineMap, x: np.ndarray) -> str:
         raise DimensionMismatchError(
             f"point has shape {x.shape}, guard expects ({guard.dim},)")
     _require_finite(x)
-    return "".join("+" if s else "-" for s in _guard_signs(guard, x[:, None])[:, 0].tolist())
+    signs = _guard_signs(*_sign_terms(guard), x[:, None])
+    return "".join("+" if s else "-" for s in signs[:, 0].tolist())
 
 
 def _no_route(vertex: str, signs: str) -> UnknownSignVectorError:
@@ -146,6 +168,7 @@ class ValidationReport:
     errors: List[Exception] = field(default_factory=list)
     topo_order: List[str] = field(default_factory=list)
     realizability_checked: bool = False
+    skipped_because: Optional[str] = None  # why the realizability walk did not run
 
     @property
     def ok(self) -> bool:
@@ -153,7 +176,12 @@ class ValidationReport:
 
 
 class LogicalGraph:
-    """Immutable-by-convention decision graph over R^input_dim."""
+    """Immutable-by-convention decision graph over R^input_dim.
+
+    The first `evaluate_batch` call builds the graph's batch program and
+    keeps it on the graph, so the graph must not be mutated after that call:
+    later calls would still walk the old program.
+    """
 
     def __init__(self, input_dim: int, vertices: Dict[str, str], arrows: Sequence[Arrow],
                  guards: Dict[str, AffineMap], routing: Dict[str, Dict[str, str]],
@@ -164,6 +192,7 @@ class LogicalGraph:
         self.guards = dict(guards)
         self.routing = {v: dict(r) for v, r in routing.items()}
         self.target_labels = dict(target_labels)
+        self._batch_program = None  # built by the first evaluate_batch call
         self.out_arrows: Dict[str, List[str]] = {v: [] for v in self.vertices}
         self.in_degree: Dict[str, int] = {v: 0 for v in self.vertices}
         for a in arrows:
@@ -296,7 +325,10 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
     realizable sign vectors of each guard whenever the input dimension and
     chamber count fit the exact elimination budget; larger graphs get the
     structural checks only.  The first realizable unrouted chamber is
-    reported.
+    reported.  When the walk does not run, `skipped_because` says why: it
+    was not asked for, structural errors came first, the input dimension is
+    above `feasibility.DIM_BUDGET`, or there are more than
+    `_REALIZABILITY_CHAMBERS` chambers.
     """
     rep = ValidationReport()
     err = rep.errors.append
@@ -306,6 +338,7 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
             if end not in g.vertices:
                 err(DanglingVertexError(f"arrow {a.id!r} references missing vertex {end!r}"))
     if any(isinstance(e, DanglingVertexError) for e in rep.errors):
+        rep.skipped_because = _STRUCTURAL_ERRORS
         return rep
 
     sources = [v for v, k in g.vertices.items() if k == SOURCE]
@@ -367,12 +400,19 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
             if aid not in routed:
                 err(IncompleteRoutingError(f"vertex {v!r}: arrow {aid!r} is never routed"))
 
-    if check_realizability and not rep.errors and rep.topo_order \
-            and g.input_dim <= _REALIZABILITY_DIM:
+    if not check_realizability:
+        rep.skipped_because = "check_realizability is False"
+    elif rep.errors:
+        rep.skipped_because = _STRUCTURAL_ERRORS
+    elif g.input_dim > _REALIZABILITY_DIM:
+        rep.skipped_because = (f"input dimension {g.input_dim} is above "
+                               f"DIM_BUDGET ({_REALIZABILITY_DIM})")
+    else:
         try:
             for _ in walk_regions(g, cap=_REALIZABILITY_CHAMBERS):
                 pass
         except GuardExplosionError:
+            rep.skipped_because = f"more than {_REALIZABILITY_CHAMBERS} chambers"
             return rep  # budget exceeded: structural checks only
         except IncompleteRoutingError as e:
             err(e)
@@ -454,48 +494,281 @@ def evaluate_batch(g: LogicalGraph, X) -> list:
     """Vectorized walk for many points: labels in input order, equal to
     `evaluate` at every point bit for bit.
 
-    One pass over the vertices in topological order visits each vertex once
-    per call, with every point that reached it, so points that reach the
-    same vertex by different arrows move on together.  The points are held
-    once as a contiguous (d, m) array; a guard takes its points' columns and
-    signs them with `_guard_signs`, the predicate `evaluate` uses.  A one-row
-    guard splits its points by that sign mask; a longer one packs each
-    point's signs into an integer code.  When the guard's 2**rows codes
-    are no more than its points, a dense table built from its routes maps
-    each code to a destination slot; otherwise the route of each distinct
-    code is looked up once.  The points then split by slot with one stable
-    argsort.  A cyclic graph raises `CyclicGraphError`, and a guard over the
-    wrong dimension `DimensionMismatchError`.
+    The graph's batch program (see `_batch_program`) is built on its first
+    call and kept on the graph; every later call walks it again.  One pass
+    over the program's steps, in topological order, visits each vertex once
+    per call with every point that reached it, so points that reach the
+    same vertex by different arrows move on together.  The points are
+    copied once into a contiguous (d, m) array; a guard gathers its points'
+    columns and signs them with `_guard_signs`, the predicate `evaluate`
+    uses.  A one-row guard splits its points by that sign mask; a longer
+    one packs each point's signs into an integer code, maps the codes to
+    destination slots through its table, and splits the points by slot with
+    one stable argsort.  Every array a guard fills in place, from the
+    transposed points to the codes, lives in this thread's `_Workspace`,
+    so a warm call allocates little beyond the index arrays it hands on and
+    the returned list.  A cyclic graph raises `CyclicGraphError`; a guard
+    over the wrong dimension raises `DimensionMismatchError`, and a sign
+    vector without a route `UnknownSignVectorError`, once a point reaches
+    it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != g.input_dim:
         raise DimensionMismatchError(
             f"points have shape {X.shape}, graph expects (m, {g.input_dim})")
     _require_finite(X)
-    order = topological_order(g)
-    targets = [v for v in order if g.vertices[v] == TARGET]
-    target_slot = {v: k for k, v in enumerate(targets)}
-    slot_labels = np.empty(len(targets), dtype=object)
-    for k, v in enumerate(targets):
-        slot_labels[k] = g.target_labels[v]  # item-wise, so tuple labels stay whole
-    XT = np.ascontiguousarray(X.T)
-    source = g.source
-    point_slot = np.empty(X.shape[0], dtype=np.intp)
-    reached: Dict[str, List[np.ndarray]] = {source: [np.arange(X.shape[0])]}
-    for v in order:
-        parts = reached.pop(v, None)
+    program = g._batch_program or _batch_program(g)
+    m = X.shape[0]
+    if not m:
+        return []
+    buf = _WORKSPACE.fit(g.input_dim, program.rows, m)
+    XT = buf.XT[:X.size].reshape(g.input_dim, m)
+    np.copyto(XT, X.T)
+    everyone = buf.index[:m]
+    point_slot = buf.point_slot[:m]
+    reached: List[Optional[List[np.ndarray]]] = [None] * len(program.steps)
+    reached[program.source] = [everyone]
+    for step, parts in zip(program.steps, reached):  # steps only route forwards
         if parts is None:
             continue
+        if isinstance(step, int):  # a target's slot
+            for members in parts:
+                point_slot[members] = step
+            continue
         idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if v in target_slot:
-            point_slot[idx] = target_slot[v]
+        for dst, members in step.route(buf, XT, idx, idx is everyone):
+            if reached[dst] is None:
+                reached[dst] = [members]
+            else:
+                reached[dst].append(members)
+    return program.labels.take(point_slot).tolist()
+
+
+class _Workspace(threading.local):
+    """One thread's scratch arrays for `evaluate_batch`, flat and sized for
+    batches of up to `points` points in at most `dim` dimensions through
+    guards of at most `rows` rows.
+
+    They grow to the largest batch, dimension and guard width seen on this
+    thread and are then reused, through `out=` arguments, by every guard of
+    every later call; a smaller walk uses views of their first entries,
+    which it overwrites before reading.
+    """
+
+    dim = rows = points = -1
+
+    def fit(self, dim: int, rows: int, points: int) -> "_Workspace":
+        if dim > self.dim or rows > self.rows or points > self.points:
+            d, k, m = max(dim, self.dim), max(rows, self.rows), max(points, self.points)
+            self.XT = np.empty(d * m)  # the transposed points
+            self.cols = np.empty(d * m)  # a guard's gathered columns
+            self.acc = np.empty(k * m)
+            self.scratch = np.empty(k * m)
+            self.signs = np.empty(k * m, dtype=bool)
+            self.codes = np.empty(m, dtype=np.int64)
+            self.point_slot = np.empty(m, dtype=np.intp)
+            self.index = np.arange(m)  # never written to
+            self.dim, self.rows, self.points = d, k, m
+        return self
+
+
+_WORKSPACE = _Workspace()
+
+# a guard of at most this many rows routes through a dense table over its
+# 2**rows sign codes; a wider one looks up each distinct code once per call
+_DENSE_ROWS = 16
+
+
+@dataclass(frozen=True)
+class _Program:
+    """A graph compiled for `evaluate_batch`: one step per vertex, in
+    topological order, addressed by position.  A target's step is its slot
+    in `labels`; any other step has `route(buf, XT, idx, whole)`, which
+    returns (position, point indices) pairs for the points `idx` (all of
+    them when `whole`), whose coordinates are the columns of XT, using the
+    `_Workspace` buf as scratch."""
+
+    steps: list
+    source: int
+    labels: np.ndarray  # object array, so tuple labels stay whole
+    rows: int  # of the widest guard step
+
+
+def _batch_program(g: LogicalGraph) -> _Program:
+    """Compile g into its batch program and keep it on g.
+
+    Structural faults that every walk meets (a cycle, a dangling arrow, no
+    source) raise here; a fault at a vertex (a guard over the wrong
+    dimension, a branch without a guard, a route to a missing arrow) is
+    compiled into its step and raises only when a point reaches it.
+    """
+    order = topological_order(g)
+    position = {v: p for p, v in enumerate(order)}
+    targets = [v for v in order if g.vertices[v] == TARGET]
+    labels = np.empty(len(targets), dtype=object)
+    for k, v in enumerate(targets):
+        labels[k] = g.target_labels[v]  # item-wise, so tuple labels stay whole
+    slot_of = {v: k for k, v in enumerate(targets)}
+    steps = []
+    for v in order:
+        out = g.out_arrows[v]
+        if v in slot_of:
+            steps.append(slot_of[v])
         elif v in g.guards:
-            cols = XT if v == source else XT.take(idx, axis=1)  # the source has every point
-            for dst, members in _route_guard(g, v, cols, idx):
-                reached.setdefault(dst, []).append(members)
-        else:  # an unguarded vertex ignores the point
-            reached.setdefault(g.next_arrow(v, None).dst, []).append(idx)
-    return slot_labels[point_slot].tolist()
+            steps.append(_guard_step(g, v, position))
+        elif len(out) == 1:
+            steps.append(_Follow(position[g.arrows[out[0]].dst]))
+        else:
+            steps.append(_Fail(IncompleteRoutingError(
+                f"vertex {v!r} has {len(out)} outgoing arrows but no guard")))
+    rows = max((g.guards[v].rows for v, s in zip(order, steps) if isinstance(s, _GuardStep)),
+               default=0)
+    program = _Program(steps, position[g.source], labels, rows)
+    g._batch_program = program
+    return program
+
+
+def _guard_step(g: LogicalGraph, v: str, position: Dict[str, int]):
+    guard = g.guards[v]
+    if guard.dim != g.input_dim:
+        return _Fail(DimensionMismatchError(
+            f"guard at {v!r} acts on R^{guard.dim}, graph is over R^{g.input_dim}"))
+    k = guard.rows
+    routes = g.routing.get(v, {})
+    if k == 1:
+        return _Split(v, guard, *(position[g.arrows[routes[key]].dst]
+                                  if routes.get(key) in g.arrows else None
+                                  for key in "-+"))
+    slot_of_key: Dict[str, int] = {}
+    slot_of_dst: Dict[int, int] = {}  # destination -> slot, in order of first use
+    for key, aid in routes.items():
+        if len(key) == k and key.count("+") + key.count("-") == k and aid in g.arrows:
+            dst = position[g.arrows[aid].dst]
+            slot_of_key[key] = slot_of_dst.setdefault(dst, len(slot_of_dst))
+    dsts = list(slot_of_dst)
+    slot_type = np.int8 if len(dsts) < 127 else np.intp  # numpy radix-sorts int8
+    if k > _DENSE_ROWS:
+        return _Lookup(v, guard, dsts, slot_of_key, slot_type)
+    table = np.full(2 ** k, len(dsts), dtype=slot_type)  # the last slot: no route
+    for key, slot in slot_of_key.items():
+        table[int("0" + key[::-1].translate(_SIGN_BITS), 2)] = slot
+    return _Table(v, guard, dsts, table)
+
+
+class _Follow:
+    """An unguarded vertex: every point takes its one arrow."""
+
+    def __init__(self, dst: int):
+        self.dst = dst
+
+    def route(self, buf, XT, idx, whole):
+        return [(self.dst, idx)]
+
+
+class _Fail:
+    """A vertex no point can pass: reaching it raises `error`'s kind and message."""
+
+    def __init__(self, error: Exception):
+        self.kind, self.message = type(error), str(error)
+
+    def route(self, buf, XT, idx, whole):
+        raise self.kind(self.message)
+
+
+class _GuardStep:
+    """A guard vertex: its `_sign_terms` and how its sign vectors route."""
+
+    def __init__(self, vertex: str, guard: AffineMap):
+        self.vertex = vertex
+        self.columns, self.neg_offset = _sign_terms(guard)
+
+    @staticmethod
+    def gather(buf: _Workspace, XT, idx, whole) -> np.ndarray:
+        """The columns of XT at the points idx, in buf.cols unless `whole`."""
+        if whole:
+            return XT
+        n = len(idx)  # clip: with a raising mode, take buffers its output
+        return XT.take(idx, 1, buf.cols[:len(XT) * n].reshape(-1, n), "clip")
+
+    def signs(self, buf: _Workspace, XT, idx, whole) -> np.ndarray:
+        """(rows, len(idx)) signs of the guard at the points idx."""
+        k, n = len(self.neg_offset), len(idx)
+        kn = k * n
+        return _guard_signs(self.columns, self.neg_offset, self.gather(buf, XT, idx, whole),
+                            buf.acc[:kn].reshape(k, n), buf.scratch[:kn].reshape(k, n),
+                            buf.signs[:kn].reshape(k, n))
+
+
+class _Split(_GuardStep):
+    """A one-row guard: its points split by their sign, with no codes or
+    sort.  Its terms are scalars, so its sums run over 1-d buffers."""
+
+    def __init__(self, vertex, guard, minus: Optional[int], plus: Optional[int]):
+        super().__init__(vertex, guard)
+        self.columns = [a[0, 0] for a in self.columns]
+        self.neg_offset = self.neg_offset[0, 0]
+        self.dsts = (("-", minus), ("+", plus))
+
+    def route(self, buf, XT, idx, whole):
+        n = len(idx)
+        plus = _guard_signs(self.columns, self.neg_offset, self.gather(buf, XT, idx, whole),
+                            buf.acc[:n], buf.scratch[:n], buf.signs[:n])
+        out = []
+        for (key, dst), mask in zip(self.dsts, (~plus, plus)):
+            members = idx.compress(mask)  # faster than idx[mask]
+            if len(members):
+                if dst is None:
+                    raise _no_route(self.vertex, key)
+                out.append((dst, members))
+        return out
+
+
+class _Table(_GuardStep):
+    """A guard of 2 to `_DENSE_ROWS` rows: a dense table maps each sign code
+    to a destination slot, or to the slot len(dsts) where it has no route."""
+
+    def __init__(self, vertex, guard, dsts: List[int], table: np.ndarray):
+        super().__init__(vertex, guard)
+        self.dsts, self.table = dsts, table
+
+    def route(self, buf, XT, idx, whole):
+        signs = self.signs(buf, XT, idx, whole)
+        codes = _sign_codes(signs, buf.codes)
+        slots = self.table.take(codes)
+        unrouted = len(self.dsts)
+        counts = np.bincount(slots, minlength=unrouted + 1).tolist()
+        if counts[unrouted]:
+            raise _no_route(self.vertex,
+                            _code_key(int(codes[slots == unrouted].min()), len(signs)))
+        return _split_by_slot(self.dsts, slots, counts, idx, whole)
+
+
+class _Lookup(_GuardStep):
+    """A guard wider than `_DENSE_ROWS` rows: the route of each distinct
+    sign vector among its points is looked up once."""
+
+    def __init__(self, vertex, guard, dsts: List[int], slot_of_key: Dict[str, int], slot_type):
+        super().__init__(vertex, guard)
+        self.dsts, self.slot_of_key, self.slot_type = dsts, slot_of_key, slot_type
+
+    def route(self, buf, XT, idx, whole):
+        signs = self.signs(buf, XT, idx, whole)
+        k = len(signs)
+        if k <= 63:
+            codes = _sign_codes(signs, buf.codes)
+            distinct, inverse = np.unique(codes, return_inverse=True)
+            keys = [_code_key(c, k) for c in distinct.tolist()]
+        else:  # codes would overflow int64: group the sign columns themselves
+            distinct, inverse = np.unique(signs.T, axis=0, return_inverse=True)
+            keys = ["".join("+" if b else "-" for b in row) for row in distinct.tolist()]
+        slots = []
+        for key in keys:
+            slots.append(self.slot_of_key.get(key, -1))
+            if slots[-1] < 0:
+                raise _no_route(self.vertex, key)
+        slots = np.array(slots, dtype=self.slot_type)[inverse.reshape(-1)]
+        counts = np.bincount(slots, minlength=len(self.dsts)).tolist()
+        return _split_by_slot(self.dsts, slots, counts, idx, whole)
 
 
 _SIGN_BITS = str.maketrans("+-", "10")
@@ -506,61 +779,38 @@ def _code_key(code: int, k: int) -> str:
     return "".join("+" if code >> i & 1 else "-" for i in range(k))
 
 
-def _route_guard(g: LogicalGraph, v: str, XT: np.ndarray, idx: np.ndarray):
-    """(destination, point indices) pairs for the points `idx`, whose
-    coordinates are the columns of XT, at guard `v`."""
-    guard = g.guards[v]
-    if guard.dim != g.input_dim:
-        raise DimensionMismatchError(
-            f"guard at {v!r} acts on R^{guard.dim}, graph is over R^{g.input_dim}")
-    signs = _guard_signs(guard, XT)
-    k, m = signs.shape
-    routes = g.routing.get(v, {})
-    if k == 1:  # one row splits its points by a mask, with no codes or sort
-        split = [(key, idx[mask]) for key, mask in (("-", ~signs[0]), ("+", signs[0]))]
-        for key, members in split:
-            if len(members) and routes.get(key) not in g.arrows:
-                raise _no_route(v, key)
-        return [(g.arrows[routes[key]].dst, members) for key, members in split if len(members)]
-    slot_of: Dict[str, int] = {}  # destination -> slot, in order of first use
+def _sign_codes(signs: np.ndarray, space: np.ndarray) -> np.ndarray:
+    """Codes of the columns of the (k, n) signs, k <= 63, written into the
+    int64 array `space`: bit i of code j is set iff signs[i, j].  They are
+    computed in the narrowest unsigned type that holds k bits."""
+    k, n = signs.shape
+    codes = space.view(np.uint8 if k <= 8 else np.uint16 if k <= 16 else np.int64)[:n]
+    if not k:
+        codes.fill(0)
+        return codes
+    np.copyto(codes, signs[-1].view(np.uint8))
+    for row in signs[-2::-1]:  # Horner: double, then set the next lower bit
+        np.add(codes, codes, out=codes)
+        np.bitwise_or(codes, row.view(np.uint8), out=codes)
+    return codes
 
-    def slot(key):
-        aid = routes.get(key)
-        return -1 if aid not in g.arrows else slot_of.setdefault(g.arrows[aid].dst, len(slot_of))
 
-    slot_type = np.int8 if len(routes) < 128 else np.intp  # numpy radix-sorts int8
-    if k <= 63:
-        codes = np.zeros(m, dtype=np.int64)
-        for i in range(k):
-            codes += signs[i] * np.int64(1 << i)
-    if k <= 63 and 2 ** k <= m:  # a dense table costs no more than the points
-        table = np.full(2 ** k, -1, dtype=slot_type)
-        for key in routes:
-            if len(key) == k and key.count("+") + key.count("-") == k:
-                table[int(key[::-1].translate(_SIGN_BITS), 2)] = slot(key)
-        point_slot = table[codes]
-        unknown = point_slot < 0
-        if unknown.any():
-            raise _no_route(v, _code_key(int(codes[unknown].min()), k))
-    else:
-        if k <= 63:
-            distinct, inverse = np.unique(codes, return_inverse=True)
-            keys = [_code_key(c, k) for c in distinct.tolist()]
-        else:  # codes would overflow int64: group the sign columns themselves
-            distinct, inverse = np.unique(signs.T, axis=0, return_inverse=True)
-            keys = ["".join("+" if b else "-" for b in row) for row in distinct.tolist()]
-        slots = []
-        for key in keys:
-            slots.append(slot(key))
-            if slots[-1] < 0:
-                raise _no_route(v, key)
-        point_slot = np.array(slots, dtype=slot_type)[inverse.reshape(-1)]
-    dsts = list(slot_of)
-    if len(dsts) == 1:
-        return [(dsts[0], idx)]
-    by_slot = idx[np.argsort(point_slot, kind="stable")]
-    ends = np.bincount(point_slot, minlength=len(dsts)).cumsum().tolist()
-    return [(d, by_slot[a:b]) for d, a, b in zip(dsts, [0] + ends, ends) if a < b]
+def _split_by_slot(dsts: List[int], slots: np.ndarray, counts: List[int], idx: np.ndarray,
+                   whole: bool):
+    """(destination, point indices) pairs, the points idx (0, 1, ... when
+    `whole`) grouped by their slots, of which counts[s] are s."""
+    n = len(idx)
+    if n in counts:  # every point takes one route
+        return [(dsts[counts.index(n)], idx)]
+    by_slot = slots.argsort(kind="stable")
+    if not whole:
+        by_slot = idx.take(by_slot)
+    out, start = [], 0
+    for dst, count in zip(dsts, counts):
+        if count:
+            out.append((dst, by_slot[start:start + count]))
+            start += count
+    return out
 
 
 def enumerate_paths(g: LogicalGraph, cap: int = PATH_CAP) -> List[List[str]]:

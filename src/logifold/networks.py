@@ -35,6 +35,7 @@ from . import feasibility
 from .errors import (
     DegenerateHyperplaneWarning,
     DimensionMismatchError,
+    NonFinitePointError,
     RegionExplosionError,
     UnsupportedActivationError,
 )
@@ -326,18 +327,24 @@ def model_to_dict(net: Union[NetworkSpec, SpecializedNet]) -> dict:
     }
 
 
+def _finite_map(entry: dict, name: str) -> AffineMap:
+    f = AffineMap(np.asarray(entry["matrix"], dtype=float),
+                  np.asarray(entry["offset"], dtype=float))
+    if not (np.isfinite(f.matrix).all() and np.isfinite(f.offset).all()):
+        raise NonFinitePointError(f"{name} has a NaN or infinite weight")
+    return f
+
+
 def model_from_dict(data: dict) -> Union[NetworkSpec, SpecializedNet]:
-    layers = [AffineMap(np.asarray(l["matrix"], dtype=float),
-                        np.asarray(l["offset"], dtype=float))
-              for l in data["layers"]]
+    """The model `model_to_dict` wrote; a NaN or infinite weight raises
+    NonFinitePointError."""
+    layers = [_finite_map(l, f"layer {i}") for i, l in enumerate(data["layers"])]
     net = NetworkSpec(layers, data["hidden_activation"], data["final_activation"])
     if net.input_dim != data["input_dim"]:
         raise DimensionMismatchError(
             f"declared input_dim {data['input_dim']} != first layer's {net.input_dim}")
     if "head" in data:
-        head = AffineMap(np.asarray(data["head"]["matrix"], dtype=float),
-                         np.asarray(data["head"]["offset"], dtype=float))
-        return SpecializedNet(net, head)
+        return SpecializedNet(net, _finite_map(data["head"], "head"))
     return net
 
 

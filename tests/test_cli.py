@@ -23,6 +23,8 @@ from logifold.networks import (
     forward_classical_batch,
     forward_smooth,
     RELU,
+    SIGMOID,
+    SOFTMAX,
     STEP,
     forward_classical,
     load_model,
@@ -160,15 +162,20 @@ class TestCompileEval:
         assert "NonFinitePointError" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("activation", [STEP, RELU])
+    @pytest.mark.parametrize("activation", [STEP, RELU, "sigmoid", "relu-softmax"])
     def test_compile_rejects_non_finite_weights(self, tmp_path, capsys, activation):
-        net = random_network(np.random.default_rng(11), [2, 3, 2], activation, INDEXMAX)
+        # compile takes step and relu nets; fuzzy-import the two smooth kinds
+        fuzzy = {"sigmoid": SIGMOID, "relu-softmax": RELU}
+        hidden, final = (fuzzy[activation], SOFTMAX) if activation in fuzzy \
+            else (activation, INDEXMAX)
+        net = random_network(np.random.default_rng(11), [2, 3, 2], hidden, final)
         net.layers[0].matrix[1, 0] = np.nan
         model_path = tmp_path / "nan.json"
         save_model(net, model_path)
         graph_path = tmp_path / "g.json"
-        assert main(["compile", "--model", str(model_path), "--activation", activation,
-                     "--out", str(graph_path)]) == 2
+        command = ["fuzzy-import", "--kind", activation] if activation in fuzzy \
+            else ["compile", "--activation", activation]
+        assert main(command + ["--model", str(model_path), "--out", str(graph_path)]) == 2
         assert "NonFinitePointError" in capsys.readouterr().err
         assert not graph_path.exists()
 
@@ -499,6 +506,37 @@ class TestEnsembleCommands:
         assert main(["ensemble", "report", "--charts", str(charts), "--data",
                      str(wide), "--outdir", str(tmp_path / "rep")]) == 2
         assert "DimensionMismatchError" in capsys.readouterr().err
+
+    def set_embedding(self, charts, embedding):
+        doc = json.loads(charts.read_text())
+        doc["charts"][1]["embedding"] = embedding
+        charts.write_text(json.dumps(doc))
+
+    def calibrate_exit(self, pipeline, capsys, embedding):
+        tmp_path, data, charts = pipeline
+        self.set_embedding(charts, embedding)
+        capsys.readouterr()
+        code = main(["ensemble", "calibrate", "--charts", str(charts), "--data",
+                     str(data), "--out", str(tmp_path / "cal.json")])
+        assert not (tmp_path / "cal.json").exists()
+        return code, capsys.readouterr().err
+
+    def test_unknown_embedding_kind_exits_65(self, pipeline, capsys):
+        code, err = self.calibrate_exit(pipeline, capsys, {"kind": "warp"})
+        assert code == 65 and "unknown embedding kind 'warp'" in err
+
+    def test_resample_factor_below_one_exits_65(self, pipeline, capsys):
+        code, err = self.calibrate_exit(pipeline, capsys, {"kind": "resample", "factor": 0})
+        assert code == 65 and "resample factor" in err
+
+    def test_subset_index_past_the_data_width_exits_2(self, pipeline, capsys):
+        code, err = self.calibrate_exit(pipeline, capsys,
+                                        {"kind": "subset", "indices": [0, 5]})
+        assert code == 2 and "DimensionMismatchError: subset index 5" in err
+        tmp_path, data, charts = pipeline
+        assert main(["ensemble", "report", "--charts", str(charts), "--data", str(data),
+                     "--outdir", str(tmp_path / "rep")]) == 2
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("label,path_nodes,alpha", [
         ("0", [0, 9], None),    # no node 9

@@ -16,6 +16,7 @@ from logifold.errors import (
     AssumptionViolationError,
     DimensionMismatchError,
     FlatteningMismatchError,
+    MalformedEmbeddingError,
     NoRootModelError,
 )
 
@@ -50,8 +51,22 @@ class TestEmbedding:
             Embedding("resample", factor=2).apply_batch(np.ones((1, 3)))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedEmbeddingError):
             Embedding("warp").apply_batch(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("kind,indices,factor", [
+        ("subset", None, None), ("subset", (0, -1), None), ("subset", (0.5,), None),
+        ("resample", None, 0), ("resample", None, None), ("resample", None, 2.0),
+    ])
+    def test_bad_parameters_rejected(self, kind, indices, factor):
+        with pytest.raises(MalformedEmbeddingError):
+            Embedding(kind, indices, factor)
+
+    def test_subset_index_past_the_width_is_a_dimension_error(self):
+        emb = Embedding("subset", indices=(0, 5))
+        emb.check_width(6)
+        with pytest.raises(DimensionMismatchError, match="index 5 is past the data width 2"):
+            emb.apply_batch(np.ones((1, 2)))
 
 
 class TestChartOutputs:

@@ -1,5 +1,8 @@
 """Graph IR: sign vectors, validation, walk and path-sum evaluation, files."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +137,36 @@ def test_validate_skips_realizability_only_past_the_chamber_budget(monkeypatch):
     monkeypatch.setattr(feasibility, "enumerate_chambers", over_budget)
     rep = validate_graph(make_step_graph())
     assert rep.ok and not rep.realizability_checked
+    assert rep.skipped_because == "more than 4096 chambers"
+
+
+def step_graph_over(dim):
+    """make_step_graph's guard x0 >= 0, over R^dim."""
+    g = make_step_graph()
+    return LogicalGraph(dim, g.vertices, list(g.arrows.values()),
+                        {"s": AffineMap(np.eye(1, dim), np.zeros(1))}, g.routing,
+                        g.target_labels)
+
+
+def test_validate_says_why_realizability_was_skipped():
+    rep = validate_graph(make_step_graph())
+    assert rep.ok and rep.realizability_checked and rep.skipped_because is None
+    rep = validate_graph(make_step_graph(), check_realizability=False)
+    assert rep.ok and not rep.realizability_checked
+    assert rep.skipped_because == "check_realizability is False"
+    wide = feasibility.DIM_BUDGET + 1
+    rep = validate_graph(step_graph_over(wide))
+    assert rep.ok and not rep.realizability_checked
+    assert rep.skipped_because == f"input dimension {wide} is above DIM_BUDGET ({wide - 1})"
+    assert validate_graph(step_graph_over(wide - 1)).realizability_checked
+    unguarded = make_step_graph()
+    del unguarded.guards["s"]
+    dangling = LogicalGraph(1, {"s": "source", "t": "target"},
+                            [Arrow("a", "s", "t"), Arrow("x", "s", "gone")], {}, {}, {"t": 0})
+    for g in (unguarded, dangling, make_cyclic_graph(guarded=True)):
+        rep = validate_graph(g)
+        assert not rep.ok and not rep.realizability_checked
+        assert rep.skipped_because == "structural errors found first"
 
 
 def test_validate_propagates_enumeration_faults(monkeypatch):
@@ -315,9 +348,9 @@ def threshold_graph(k, unrouted=()):
 @pytest.mark.parametrize("k, n", [(3, 200), (3, 4), (63, 300), (70, 300), (1, 50)],
                          ids=["dense-table", "few-points", "63-rows", "70-rows", "one-row"])
 def test_unknown_sign_vector_is_named_alike_on_both_routing_paths(k, n):
-    # 2**k codes fit in n points only in the first case, where a dense route
-    # table serves the guard; the next three look up each distinct code, and
-    # a one-row guard splits its points by their sign
+    # a dense route table serves a guard of up to 16 rows whatever its point
+    # count; 63 and 70 rows look up each distinct code, and a one-row guard
+    # splits its points by their sign
     g = threshold_graph(k, unrouted=(1, k - 1))
     X = np.linspace(-1.0, k + 1.0, n)[:, None]
     messages = []
@@ -364,6 +397,68 @@ def test_batch_walk_matches_single_walks_on_guard_hyperplanes(seed):
     assert evaluate_batch(g, X[::-1]) == single[::-1]
     for i in range(0, len(X), 50):
         assert evaluate_batch(g, X[i:i + 1]) == [single[i]]
+
+
+def test_batch_program_reruns_over_stale_workspace_contents():
+    # a small batch after a large one reads only what it writes itself
+    rng = np.random.default_rng(7)
+    g = compile_relu_net(random_network(rng, [3, 4, 3, 3], RELU))
+    X = rng.normal(scale=2.0, size=(20_000, 3))
+    single = [evaluate(g, x) for x in X]
+    assert evaluate_batch(g, X) == single
+    program = g._batch_program
+    assert evaluate_batch(g, X[:3][::-1]) == single[:3][::-1]
+    assert evaluate_batch(g, X[:0]) == []
+    assert evaluate_batch(g, X[::-1]) == single[::-1]
+    assert g._batch_program is program  # built once, on the first call
+
+
+def test_batch_programs_of_two_graphs_interleave_on_one_thread():
+    rng = np.random.default_rng(8)
+    relu = compile_relu_net(random_network(rng, [3, 4, 3, 3], RELU))  # R^3, <= 4 rows
+    wide = threshold_graph(70)  # R^1, one 70-row guard
+    X = rng.normal(scale=2.0, size=(500, 3))
+    Y = np.linspace(-1.0, 71.0, 900)[:, None]
+    want_x, want_y = [evaluate(relu, x) for x in X], [evaluate(wide, y) for y in Y]
+    for n in (500, 40, 1, 500):
+        assert evaluate_batch(relu, X[:n]) == want_x[:n]
+        assert evaluate_batch(wide, Y[-2 * n:]) == want_y[-2 * n:]
+
+
+def test_one_graph_evaluated_from_several_threads_at_once():
+    rng = np.random.default_rng(9)
+    g = compile_relu_net(random_network(rng, [3, 4, 3, 3], RELU))
+    batches = [rng.normal(scale=2.0, size=(n, 3)) for n in (3000, 700, 1, 2000)]
+    wants = [[evaluate(g, x) for x in X] for X in batches]
+    g = graph_from_dict(graph_to_dict(g))  # no program yet: the threads race to build it
+    mismatches = []
+
+    def work(k):
+        for r in range(15):
+            j = (k + r) % len(batches)
+            if evaluate_batch(g, batches[j]) != wants[j]:
+                mismatches.append((k, r))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def test_wrong_dimension_guard_raises_only_once_a_point_reaches_it():
+    g = make_diamond_graph()  # x < 0 goes straight to "C", x >= 0 meets the guard at m1
+    g.guards["m1"] = AffineMap(np.array([[0.0, 1.0, 0.0]]), np.array([0.0]))
+    assert evaluate_batch(g, np.array([[-1.0, 2.0], [-3.0, -1.0]])) == ["C", "C"]
+    with pytest.raises(DimensionMismatchError, match="guard at 'm1' acts on R\\^3"):
+        evaluate_batch(g, np.array([[-1.0, 2.0], [1.0, 2.0]]))
 
 
 def test_pathsum_agrees_with_walk(rng):

@@ -9,6 +9,7 @@ from logifold.errors import (
     DegenerateHyperplaneWarning,
     DimensionMismatchError,
     GuardExplosionError,
+    NonFinitePointError,
     RegionExplosionError,
     UnsupportedActivationError,
 )
@@ -284,3 +285,18 @@ def test_model_dict_roundtrip(rng):
     x = rng.normal(size=2)
     assert forward_classical(back, x) == forward_classical(net, x)
     assert back.hidden_activation == "relu"
+
+
+@pytest.mark.parametrize("where", ["layer matrix", "layer offset", "head matrix", "head offset"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_model_dict_rejects_non_finite_weights(rng, where, bad):
+    data = model_to_dict(random_network(rng, [2, 3, 4], "relu", "softmax"))
+    data["head"] = {"matrix": np.eye(2, 4).tolist(), "offset": [0.0, 0.0]}
+    part, key = where.split()
+    entry = data["layers"][1] if part == "layer" else data["head"]
+    if key == "matrix":
+        entry["matrix"][1][0] = bad
+    else:
+        entry["offset"][0] = bad
+    with pytest.raises(NonFinitePointError, match="layer 1" if part == "layer" else "head"):
+        model_from_dict(data)
