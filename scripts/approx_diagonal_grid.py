@@ -1,7 +1,9 @@
 """Cover the diagonal split of the unit square with axis boxes.
 
-First pass: one cover at a fixed leftover bound. Second pass: repeat on the
-leftover cells with the bound halved each round until nothing is left.
+First pass: one cover at a fixed leftover bound, with the size of its cover
+graph: the guard count and the most guards on one source-to-target path.
+Second pass: repeat on the leftover cells with the bound halved each round
+until nothing is left.
 """
 
 import argparse
@@ -14,6 +16,16 @@ from logifold.approx import (
     grid_from_function,
     mismatch_measure,
 )
+from logifold.graph import topological_order
+
+
+def longest_guard_path(g) -> int:
+    """Most guards on one source-to-target path of the graph g."""
+    most = {}
+    for v in reversed(topological_order(g)):
+        after = [most[g.arrows[a].dst] for a in g.out_arrows[v]]
+        most[v] = (v in g.guards) + max(after, default=0)
+    return most[g.source]
 
 
 def main() -> None:
@@ -34,6 +46,8 @@ def main() -> None:
     print(f"single cover: {len(cover.rectangles)} boxes, "
           f"residual {cover.residual_measure:.4f} (bound {eps:.4f}), "
           f"wrong measure {wrong}, fallback measure {fallback}")
+    print(f"cover graph: {len(cover.graph.guards)} guards, "
+          f"at most {longest_guard_path(cover.graph)} on a path")
 
     family = chart_family(grid, eps0=mu / args.resolution, depth=args.depth)
     for r in family.charts:

@@ -2,11 +2,13 @@
 
 A target function is given as labels on a regular grid.  The builder greedily
 extracts the largest single-label rectangle still uncovered, stopping once the
-uncovered labeled measure drops below a prescribed bound, and emits a chain
-graph that tests the rectangles in selection order.  Inside the selected
-rectangles the graph reproduces the grid exactly; everything else routes to a
-fallback label.  A chart family repeats the construction on the leftover cells
-with the bound halved each round.
+uncovered labeled measure drops below a prescribed bound, and emits a k-d tree
+over the taken boxes (Bentley, CACM 1975): a binary space partition (Paterson
+and Yao, DCG 1990) whose every guard is one axis-aligned row at a box face.
+Inside the selected rectangles the graph reproduces the grid exactly, faces
+included; everything else routes to a fallback label, which no grid label may
+equal.  A chart family repeats the construction on the leftover cells with the
+bound halved each round.
 
 The 1-D and 2-D search is the skyline scan: row r's best rectangle is the
 largest one with bottom row r, found by a stack scan of the column heights
@@ -23,9 +25,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -247,31 +250,87 @@ class Approximation:
         return None
 
 
-def _box_signs(dim: int):
-    """Realizable sign strings of the rows (x - lo, x - hi) per axis."""
-    per_axis = ["+-", "++", "--"]  # inside, above, below; "-+" is impossible
-    for combo in iproduct(per_axis, repeat=dim):
-        lows = "".join(c[0] for c in combo)
-        highs = "".join(c[1] for c in combo)
-        yield lows + highs, all(c == "+-" for c in combo)
+def _cover_graph(grid: LabeledGrid, rectangles: Sequence[Rectangle]) -> LogicalGraph:
+    """k-d tree over the disjoint boxes, in cell-index space.
 
-
-def _chain_graph(dim: int, rectangles: Sequence[Rectangle]) -> LogicalGraph:
-    """Guard chain "s", q1, q2, ...: vertex k sends its box's points to the
-    box's label and the rest on to the next vertex, the last to FALLBACK."""
+    A point's position on axis a is the number of faces lo[a] + j*width[a]
+    (j = 0 .. n) at or below x[a], less one, so it lies in a box's float box
+    iff its position lies in the box's cell range.  A region is a range of
+    positions per axis, with -1 and n for the points below and above the
+    grid, and starts as all of space.  A region that no box meets routes to
+    FALLBACK, and one that boxes of one label fill routes to that label.
+    Any other is cut at a box face strictly inside it (see `_cut`) by the
+    one-row guard x[a] - face >= 0, whose "+" side is the upper side.  Each
+    face is the float that Rectangle.lo or .hi holds, so every guard makes
+    the comparison that the box test makes.
+    """
+    dim = grid.dim
+    lo, width = grid.lo.tolist(), grid.cell_width.tolist()
     b = GraphBuilder(dim)
     fallback = b.target_for(FALLBACK)
-    chain = ["s"] + [b.add(f"q{k}") for k in range(1, len(rectangles))] + [fallback]
-    rows = np.vstack([np.eye(dim), np.eye(dim)])
-    box_signs = list(_box_signs(dim))
-    for k, rect in enumerate(rectangles):
-        hit = b.target_for(rect.label)
-        offs = np.concatenate([-np.array(rect.lo), -np.array(rect.hi)])
-        b.branch(chain[k], AffineMap(rows, offs),
-                 {signs: hit if inside else chain[k + 1] for signs, inside in box_signs})
-    if not rectangles:
-        b.arrow("s", fallback)
+    # a box is (*cell_lo, *cell_hi, target)
+    boxes = [(*r.cell_lo, *r.cell_hi, b.target_for(r.label)) for r in rectangles]
+    axes = np.eye(dim)
+    guards: Dict[Tuple[int, int], AffineMap] = {}
+    cuts: Dict[str, Tuple[AffineMap, List[str]]] = {}  # vertex -> guard, [below, above]
+    tasks = [(None, 0, [-1] * dim, [n + 1 for n in grid.resolution], boxes)]
+    while tasks:  # preorder: a region, then its lower part, then its upper part
+        parent, side, rlo, rhi, members = tasks.pop()
+        dst = _leaf(rlo, rhi, members, fallback)
+        if dst is None:
+            a, j = _cut(rlo, rhi, members)
+            guard = guards.get((a, j))
+            if guard is None:
+                guard = guards[a, j] = AffineMap(axes[a:a + 1], [-(lo[a] + j * width[a])])
+            dst = b.add(f"q{len(cuts)}") if cuts else "s"  # the root is the source
+            cuts[dst] = (guard, [None, None])
+            tasks.append((dst, 1, rlo[:a] + [j] + rlo[a + 1:], rhi,
+                          [m for m in members if m[dim + a] > j]))
+            tasks.append((dst, 0, rlo, rhi[:a] + [j] + rhi[a + 1:],
+                          [m for m in members if m[a] < j]))
+        if parent is None:
+            if dst != "s":  # no box: the source is a leaf
+                b.arrow("s", dst)
+        else:
+            cuts[parent][1][side] = dst
+    for vid, (guard, (below, above)) in cuts.items():
+        b.branch(vid, guard, {"-": below, "+": above})
     return b.graph()
+
+
+def _leaf(rlo: List[int], rhi: List[int], members: list, fallback: str) -> Optional[str]:
+    """The target of a region that no box meets, or that boxes of one label
+    fill, else None.  The boxes are disjoint, so they fill the region iff
+    their parts in it add up to its volume."""
+    if not members:
+        return fallback
+    if len({m[-1] for m in members}) > 1:
+        return None
+    dim = len(rlo)
+    unfilled = math.prod([h - l for l, h in zip(rlo, rhi)])
+    for m in members:
+        unfilled -= math.prod([min(h, rh) - max(l, rl)
+                               for l, h, rl, rh in zip(m[:dim], m[dim:-1], rlo, rhi)])
+    return None if unfilled else members[0][-1]
+
+
+def _cut(rlo: List[int], rhi: List[int], members: list) -> Tuple[int, int]:
+    """(axis, face) of the box face strictly inside the region that the
+    fewest of its boxes straddle; of those, the one nearest the region's
+    middle, then the lowest face and axis.  One exists unless a single box
+    fills the region."""
+    dim = len(rlo)
+    best = None  # (straddling boxes, distance to the middle, face), axis
+    for a, (rl, rh) in enumerate(zip(rlo, rhi)):
+        starts = sorted([m[a] for m in members])
+        ends = sorted([m[dim + a] for m in members])
+        for j in {*starts, *ends}:
+            if rl < j < rh:  # a box straddles j if it starts below j and ends above it
+                key = (bisect_left(starts, j) - bisect_right(ends, j), abs(2 * j - rl - rh), j)
+                if best is None or key < best[0]:
+                    best = key, a
+    (_, _, j), a = best
+    return a, j
 
 
 def _check_inputs(name: str, value: float, budget: int):
@@ -279,6 +338,13 @@ def _check_inputs(name: str, value: float, budget: int):
         raise AssumptionViolationError(f"{name} is NaN; a residual bound must be a number")
     if budget < 1:
         raise AssumptionViolationError(f"budget is {budget}; it must be at least 1")
+
+
+def _check_labels(labels):
+    if FALLBACK in labels:
+        raise AssumptionViolationError(
+            f"grid label {FALLBACK!r} is the cover's fallback label; "
+            f"cells of it could not be told from uncovered points")
 
 
 def approximate(grid: LabeledGrid, epsilon: float,
@@ -295,48 +361,48 @@ def approximate(grid: LabeledGrid, epsilon: float,
     a full search every round would choose.
     """
     _check_inputs("epsilon", epsilon, budget)
+    code_of: Dict[object, int] = {}  # each label's first cell is its representative
     cells = grid.labels.ravel().tolist()  # a tuple label must not broadcast
-    remaining = {label: np.array([v == label for v in cells],
-                                 dtype=bool).reshape(grid.resolution)
-                 for label in grid.distinct_labels()}
-    left = {label: int(m.sum()) for label, m in remaining.items()}
-    memos = {label: {} for label in remaining}
-    largest = {label: largest_rectangle(m, memos[label]) for label, m in remaining.items()}
+    codes = np.array([code_of.setdefault(v, len(code_of)) for v in cells],
+                     dtype=np.intp).reshape(grid.resolution)
+    _check_labels(code_of)
+    labels = sorted((v for v in code_of if v is not None), key=str)
+    remaining = {label: codes == code_of[label] for label in labels}
+    memos = {label: {} for label in labels}
+    largest = {label: largest_rectangle(remaining[label], memos[label]) for label in labels}
+    left = sum(int(np.count_nonzero(m)) for m in remaining.values())  # uncovered cells
+    covered = 0
     cellvol = grid.cell_volume
-    width = grid.cell_width
+    lo, width = grid.lo.tolist(), grid.cell_width.tolist()
     chosen: List[Rectangle] = []
     rounds: List[Tuple[int, float]] = []
-
-    def residual():
-        return sum(left.values()) * cellvol
-
-    while residual() >= epsilon and residual() > 0:
+    residual = left * cellvol
+    while residual >= epsilon and residual > 0:
         if len(chosen) >= budget:
-            rounds.append((budget, residual()))
+            rounds.append((budget, residual))
             budget *= 2
             if budget > budget_cap:
                 raise BudgetCapError(
-                    f"rectangle budget exceeded {budget_cap} with residual {residual():.3g}")
+                    f"rectangle budget exceeded {budget_cap} with residual {residual:.3g}")
         best = None
-        for label in sorted(remaining, key=str):
+        for label in labels:
             size, (clo, chi) = largest[label]
             if size > 0 and (best is None or size > best[0]):
                 best = (size, label, clo, chi)
         if best is None:
             break
         size, label, clo, chi = best
-        lo = tuple(float(v) for v in grid.lo + np.array(clo) * width)
-        hi = tuple(float(v) for v in grid.lo + np.array(chi) * width)
-        chosen.append(Rectangle(label, clo, chi, lo, hi))
-        block = tuple(slice(a, b) for a, b in zip(clo, chi))
-        remaining[label][block] = False
-        left[label] -= size
+        chosen.append(Rectangle(label, clo, chi,
+                                tuple(float(l + j * w) for l, j, w in zip(lo, clo, width)),
+                                tuple(float(l + j * w) for l, j, w in zip(lo, chi, width))))
+        remaining[label][tuple(slice(a, b) for a, b in zip(clo, chi))] = False
+        left -= size
+        covered += size
+        residual = left * cellvol
         largest[label] = largest_rectangle(remaining[label], memos[label])
 
-    res = residual()
-    rounds.append((budget, res))
-    covered = sum(r.cells for r in chosen) * cellvol
-    return Approximation(_chain_graph(grid.dim, chosen), chosen, res, covered, rounds)
+    rounds.append((budget, residual))
+    return Approximation(_cover_graph(grid, chosen), chosen, residual, covered * cellvol, rounds)
 
 
 @dataclass
@@ -365,6 +431,7 @@ def chart_family(grid: LabeledGrid, eps0: float, depth: int,
                  budget: int = BUDGET_START, budget_cap: int = BUDGET_CAP) -> ChartFamily:
     """Repeat the cover on leftover cells with the bound halved each round."""
     _check_inputs("eps0", eps0, budget)
+    _check_labels(grid.distinct_labels())
     working = LabeledGrid(grid.lo.copy(), grid.hi.copy(), grid.labels.copy())
     charts = []
     residual = working.labeled_measure()

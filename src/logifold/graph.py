@@ -507,10 +507,12 @@ def evaluate_batch(g: LogicalGraph, X) -> list:
     one stable argsort.  Every array a guard fills in place, from the
     transposed points to the codes, lives in this thread's `_Workspace`,
     so a warm call allocates little beyond the index arrays it hands on and
-    the returned list.  A cyclic graph raises `CyclicGraphError`; a guard
-    over the wrong dimension raises `DimensionMismatchError`, and a sign
-    vector without a route `UnknownSignVectorError`, once a point reaches
-    it.
+    the returned list.  A batch of more than `_WORKSPACE_POINTS` points
+    walks through a workspace of its own, freed when the call returns, so a
+    thread's workspace never holds more.  A cyclic graph raises
+    `CyclicGraphError`; a guard over the wrong dimension raises
+    `DimensionMismatchError`, and a sign vector without a route
+    `UnknownSignVectorError`, once a point reaches it.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != g.input_dim:
@@ -521,7 +523,8 @@ def evaluate_batch(g: LogicalGraph, X) -> list:
     m = X.shape[0]
     if not m:
         return []
-    buf = _WORKSPACE.fit(g.input_dim, program.rows, m)
+    buf = (_WORKSPACE if m <= _WORKSPACE_POINTS else _Workspace()).fit(
+        g.input_dim, program.rows, m)
     XT = buf.XT[:X.size].reshape(g.input_dim, m)
     np.copyto(XT, X.T)
     everyone = buf.index[:m]
@@ -550,9 +553,10 @@ class _Workspace(threading.local):
     guards of at most `rows` rows.
 
     They grow to the largest batch, dimension and guard width seen on this
-    thread and are then reused, through `out=` arguments, by every guard of
-    every later call; a smaller walk uses views of their first entries,
-    which it overwrites before reading.
+    thread, the batch only up to `_WORKSPACE_POINTS` points, and are then
+    reused, through `out=` arguments, by every guard of every later call; a
+    smaller walk uses views of their first entries, which it overwrites
+    before reading.
     """
 
     dim = rows = points = -1
@@ -573,6 +577,7 @@ class _Workspace(threading.local):
 
 
 _WORKSPACE = _Workspace()
+_WORKSPACE_POINTS = 65536  # the largest batch a thread's workspace is sized for
 
 # a guard of at most this many rows routes through a dense table over its
 # 2**rows sign codes; a wider one looks up each distinct code once per call

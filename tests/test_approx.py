@@ -27,6 +27,7 @@ from logifold.errors import (
     DimensionMismatchError,
     NonFinitePointError,
 )
+from logifold.graph import TARGET, evaluate_batch, validate_graph
 
 
 def diagonal(x):
@@ -226,6 +227,16 @@ def test_nan_bound_is_rejected():
             chart_family(grid, math.nan, 3)
 
 
+def test_a_label_equal_to_the_fallback_is_rejected():
+    labels = np.empty((4, 4), dtype=object)
+    labels[:2], labels[2:] = "a", FALLBACK
+    g = LabeledGrid([0.0, 0.0], [1.0, 1.0], labels)
+    with pytest.raises(AssumptionViolationError, match=r"grid label '\*'"):
+        approximate(g, 0.0)
+    with pytest.raises(AssumptionViolationError, match=r"grid label '\*'"):
+        chart_family(g, 0.0, 0)  # even with no round to run
+
+
 def test_infinite_bound_needs_no_box():
     g = make_diag_grid(4)
     result = approximate(g, math.inf)
@@ -312,6 +323,37 @@ def test_skyline_finds_a_maximum_all_true_rectangle(mask):
         assert mask[r0:r1, c0:c1].all()
 
 
+def face_probes(grid):
+    """Per axis: every face, the float just below it, and a point beyond each
+    end of the box; all their combinations."""
+    axes = []
+    for lo, hi, w, n in zip(grid.lo.tolist(), grid.hi.tolist(), grid.cell_width.tolist(),
+                            grid.resolution):
+        faces = np.array([lo + j * w for j in range(n + 1)])
+        axes.append(np.concatenate([faces, np.nextafter(faces, -np.inf), [lo - 1, hi + 1]]))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labeled_grids(), st.sampled_from([0.0, 0.1, 0.3]))
+def test_cover_tree_labels_every_point_as_its_boxes_do(grid, frac):
+    result = approximate(grid, frac * grid.labeled_measure())
+    X = face_probes(grid)
+    want = [result.region_label(x) for x in X]
+    assert evaluate_batch(result.graph, X) == [FALLBACK if w is None else w for w in want]
+    assert all(guard.rows == 1 for guard in result.graph.guards.values())
+    report = validate_graph(result.graph)
+    assert report.ok and report.skipped_because is None
+
+
+def guards_passed(g, x) -> int:
+    v, n = g.source, 0
+    while g.vertices[v] != TARGET:
+        n += v in g.guards
+        v = g.next_arrow(v, x).dst
+    return n
+
+
 def radial_16():
     return grid_from_function(lambda x: int(4 * np.hypot(x[0] - 0.4, x[1] - 0.6)),
                               [0.0, 0.0], [1.0, 1.0], 16)
@@ -356,6 +398,14 @@ def test_row_memo_rescans_only_rows_a_box_changed(monkeypatch):
     assert first == [rows] * 4
     assert len(later) == len(result.rectangles)
     assert sum(later) <= rows * len(later) // 4
+
+
+def test_cover_tree_is_shallow_on_radial_16():
+    g = radial_16()
+    result = approximate(g, 0.0)
+    depth = np.mean([guards_passed(result.graph, g.center(idx))
+                     for idx in np.ndindex(*g.resolution)])
+    assert depth <= 2 * math.log2(len(result.rectangles)) + 2 * g.dim
 
 
 def cleared_blocks():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from logifold import approx, networks, semilinear
-from logifold.approx import grid_from_function, save_grid
+from logifold.approx import FALLBACK, LabeledGrid, grid_from_function, save_grid
 from logifold.cli import main
 from logifold.config import (
     ConfigError,
@@ -317,6 +317,21 @@ class TestGridCommands:
                      out_flag, str(out)]) == 2
         assert "AssumptionViolationError" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--epsilon", "0", "--out", "{out}", "--report", "{rep}"],
+        ["charts", "--eps0", "0", "--depth", "3", "--report", "{out}"],
+    ], ids=["approx", "charts"])
+    def test_fallback_label_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        labels = np.empty((4, 4), dtype=object)
+        labels[:2], labels[2:] = "a", FALLBACK
+        grid = tmp_path / "grid.json"
+        save_grid(LabeledGrid([0.0, 0.0], [1.0, 1.0], labels), grid)
+        out, rep = tmp_path / "out.json", tmp_path / "rep.json"
+        argv = [a.format(out=out, rep=rep) for a in argv]
+        assert main(argv[:1] + ["--grid", str(grid)] + argv[1:]) == 2
+        assert "AssumptionViolationError: grid label '*'" in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
 
     def test_epsilon_is_required(self, tmp_path, grid_file):
         assert main(["approx", "--grid", str(grid_file),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logifold import feasibility
+from logifold import feasibility, graph
 from logifold.errors import (
     CyclicGraphError,
     DanglingVertexError,
@@ -411,6 +411,16 @@ def test_batch_program_reruns_over_stale_workspace_contents():
     assert evaluate_batch(g, X[:0]) == []
     assert evaluate_batch(g, X[::-1]) == single[::-1]
     assert g._batch_program is program  # built once, on the first call
+
+
+def test_a_batch_above_the_cap_leaves_the_thread_workspace_at_the_cap():
+    rng = np.random.default_rng(10)
+    g = compile_relu_net(random_network(rng, [3, 4, 3, 3], RELU))
+    cap = graph._WORKSPACE_POINTS
+    X = rng.normal(scale=2.0, size=(cap + 5000, 3))
+    chunks = [evaluate_batch(g, X[i:i + cap]) for i in range(0, len(X), cap)]
+    assert evaluate_batch(g, X) == chunks[0] + chunks[1]
+    assert graph._WORKSPACE.points <= cap
 
 
 def test_batch_programs_of_two_graphs_interleave_on_one_thread():
