@@ -96,7 +96,7 @@ class LabeledGrid:
         return int(self.labeled_mask().sum()) * self.cell_volume
 
     def cell_of(self, x) -> Optional[Tuple[int, ...]]:
-        x = _finite_point(x)
+        x = _finite_point(x, len(self.lo))
         idx = np.floor((x - self.lo) / self.cell_width).astype(int)
         if np.any(idx < 0) or np.any(idx >= np.array(self.resolution)):
             return None
@@ -117,9 +117,12 @@ class LabeledGrid:
         return sorted(seen, key=str)
 
 
-def _finite_point(x) -> np.ndarray:
-    """A NaN coordinate fails every cell and box test and would read as outside."""
+def _finite_point(x, dim: int) -> np.ndarray:
+    """x as a point of a dim-d grid.  Another shape would be broadcast or cut
+    short, and a NaN fails every cell and box test, so both raise."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise DimensionMismatchError(f"point has shape {x.shape}, the grid is {dim}-d")
     _require_finite(x)
     return x
 
@@ -243,7 +246,7 @@ class Approximation:
     rounds: List[Tuple[int, float]] = field(default_factory=list)  # (budget, residual)
 
     def region_label(self, x):
-        x = _finite_point(x)
+        x = _finite_point(x, self.graph.input_dim)
         for rect in self.rectangles:
             if rect.contains(x):
                 return rect.label
@@ -419,7 +422,7 @@ class ChartFamily:
     final_residual: float
 
     def label_at(self, x):
-        x = _finite_point(x)
+        x = _finite_point(x, len(self.grid.lo))
         for r in self.charts:
             found = r.chart.region_label(x)
             if found is not None:

@@ -107,18 +107,14 @@ def _step(z):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, else exp(z): never overflows
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _softmax(z, axis=-1):
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def forward_classical(net: NetworkSpec, x) -> int:
@@ -165,11 +161,16 @@ def forward_smooth(net: Union[NetworkSpec, SpecializedNet], x) -> np.ndarray:
     return forward_smooth_batch(net, x[None, :])[0]
 
 
+def _rows_through(A: np.ndarray, f: AffineMap) -> np.ndarray:
+    """f at every row of A, each row's bits the same alone or in any batch: einsum
+    makes no BLAS call, whose kernel, and so rounding, follows the batch shape."""
+    return np.einsum("ij,kj->ik", np.ascontiguousarray(A), f.matrix) + f.offset
+
+
 def forward_smooth_batch(net: Union[NetworkSpec, SpecializedNet], X) -> np.ndarray:
+    """forward_smooth at every row of X; row r does not depend on the batch."""
     if isinstance(net, SpecializedNet):
-        base = forward_smooth_batch(net.base, X)
-        Z = base @ net.head.matrix.T + net.head.offset
-        return _softmax(Z, axis=1)
+        return _softmax(_rows_through(forward_smooth_batch(net.base, X), net.head), axis=1)
     if net.hidden_activation not in (SIGMOID, RELU) or net.final_activation != SOFTMAX:
         raise UnsupportedActivationError(
             "smooth forward expects sigmoid or relu hidden layers and a softmax head")
@@ -179,9 +180,8 @@ def forward_smooth_batch(net: Union[NetworkSpec, SpecializedNet], X) -> np.ndarr
         raise DimensionMismatchError(
             f"points have shape {A.shape}, network expects (m, {net.input_dim})")
     for layer in net.layers[:-1]:
-        A = act(A @ layer.matrix.T + layer.offset)
-    Z = A @ net.layers[-1].matrix.T + net.layers[-1].offset
-    return _softmax(Z, axis=1)
+        A = act(_rows_through(A, layer))
+    return _softmax(_rows_through(A, net.layers[-1]), axis=1)
 
 
 # -- compilation helpers ---------------------------------------------------

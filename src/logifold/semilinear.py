@@ -15,12 +15,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from typing import Dict, Tuple
 
 import numpy as np
 
 from . import feasibility
-from .errors import AmbiguousFiberError, RegionExplosionError
+from .errors import AmbiguousFiberError, DimensionMismatchError, RegionExplosionError
 from .feasibility import (
     Verdict,
     find_witness,  # unused here; perfbench wraps and checks this binding
@@ -58,17 +60,20 @@ class BasicSemilinearSet:
 
     def contains(self, x) -> bool:
         """Exact for Fraction points; float points evaluate each row the way a
-        graph guard does, so membership agrees with `to_llgraph`'s routing."""
+        graph guard does (`graph._guard_signs`): the sum ((c0*x0 + c1*x1) + ...)
+        is compared with -b, so membership agrees with the graph's routing."""
         x = list(x)
+        if len(x) != self.dim:
+            raise DimensionMismatchError(f"point has {len(x)} coordinates, set is {self.dim}-d")
         if all(isinstance(v, Fraction) for v in x):
             return all(feasibility.satisfies(c, x) for c in self.constraints())
-        xf = np.asarray(x, dtype=float)
+        xf = np.asarray(x, dtype=float).tolist()
 
-        def value(row):
-            return float(np.dot(row[:-1], xf)) + row[-1]
+        def cx(row):  # c . x as a left fold, the guard's order
+            return reduce(add, map(mul, row[:-1], xf), 0.0)
 
-        return (all(value(r) == 0 for r in self.eq) and all(value(r) > 0 for r in self.gt)
-                and all(value(r) >= 0 for r in self.ge))
+        return (all(cx(r) == -r[-1] for r in self.eq) and all(cx(r) > -r[-1] for r in self.gt)
+                and all(cx(r) >= -r[-1] for r in self.ge))
 
     def emptiness(self) -> Verdict:
         return feasibility.check_system(self.constraints(), self.dim)

@@ -14,8 +14,10 @@ floats, from one `tolist()` per chart row to one array per returned vote.
 Calibration and whole-split votes run as array operations over a table of
 chart outputs, one column per block.  Both read the same cached `_plan` of
 each node's live groups (their refinement, redistribution families and label
-blocks) and apply the same float operations in the same order, so every row
-of a table gets the floats a single vote would.
+blocks) and apply the same float operations in the same order.  A network
+chart's output at a point does not depend on the batch it runs in, so a
+whole split runs each chart once and every row of its table gets the floats
+a single vote would.
 """
 
 from __future__ import annotations
@@ -96,24 +98,18 @@ def _one_instance(x) -> np.ndarray:
 
 
 def _outputs(charts: Sequence[ModelChart], idxs, X) -> Dict[int, np.ndarray]:
-    """The output table every vote reads: {chart index: outputs at X}."""
+    """The output table every vote reads: {chart index: outputs at X}, each
+    chart run once over all rows."""
     X = _finite_rows(X)
     return {i: charts[i].outputs(X) for i in idxs}
 
 
-def _row_outputs(charts: Sequence[ModelChart], idxs,
-                 X: np.ndarray) -> Dict[int, np.ndarray]:
-    """_outputs at rows already checked by _finite_rows, with each chart run
-    on one row at a time.
-
-    A forward pass may round a one-row batch differently from the same row
-    inside a larger batch, so this is the table whose votes equal
-    single-instance votes bit for bit.
-    """
-    if len(X) <= 1:
-        return {i: charts[i].outputs(X) for i in idxs}
-    return {i: np.concatenate([charts[i].outputs(X[r:r + 1])
-                               for r in range(len(X))]) for i in idxs}
+def _row_ids(ids, X) -> list:
+    """One id per row of X, row numbers when ids is None."""
+    ids = list(range(len(X))) if ids is None else list(ids)
+    if len(ids) != len(X):
+        raise DimensionMismatchError(f"{len(ids)} ids for {len(X)} instances")
+    return ids
 
 
 # -- node votes ---------------------------------------------------------------
@@ -564,15 +560,12 @@ def _history_votes(graph: TargetGraph, calibration: Calibration, X,
     output table, and one path vote over all rows per distinct calibrated
     (path, threshold); each class still adds its vote's flags."""
     entries = calibration.entries
-    X = _finite_rows(X)
-    outs = _row_outputs(graph.charts,
-                        _charts_on(graph, [e.path for e in entries.values()]), X)
+    outs = _outputs(graph.charts, _charts_on(graph, [e.path for e in entries.values()]), X)
     answers, flags, votes_of = {}, [], {}
     for label, entry in entries.items():
         key = (tuple(entry.path), entry.alpha)
         if key not in votes_of:
-            votes_of[key] = _path_votes(graph, entry.path, entry.alpha, outs, phi_of,
-                                        uncertain_weight)
+            votes_of[key] = _path_votes(graph, *key, outs, phi_of, uncertain_weight)
         votes = votes_of[key]
         answers[label] = votes.values[:, votes.classes.index(label)].tolist()
         flags.append((votes.uniform_fallback, votes.dropped_groups,
@@ -624,9 +617,8 @@ def fuzzy_belonging(bundle: LogifoldBundle, x) -> float:
 
 def write_prediction_matrix(path, chart: ModelChart, X, ids=None):
     X = _finite_rows(X)
+    ids = _row_ids(ids, X)
     p = chart.outputs(X)
-    if ids is None:
-        ids = list(range(len(p)))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["instance_id"] + [f"p_block_{j + 1}" for j in range(p.shape[1])])
@@ -683,8 +675,7 @@ def load_calibration(path, graph: TargetGraph) -> Calibration:
 def vote_report(graph: TargetGraph, calibration: Calibration, X, phi_of: PhiFn,
                 ids=None, uncertain_weight: float = 0.0) -> dict:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if ids is None:
-        ids = list(range(X.shape[0]))
+    ids = _row_ids(ids, X)
     instances = []
     for i, res in zip(ids, _history_votes(graph, calibration, X, phi_of,
                                           uncertain_weight)):

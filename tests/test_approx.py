@@ -472,3 +472,14 @@ def test_non_finite_points_are_rejected(bad):
                    ChartFamily(g, [], 0.0).label_at):
         with pytest.raises(NonFinitePointError):
             lookup(x)
+
+
+@pytest.mark.parametrize("x", [[0.7], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
+def test_points_of_another_dimension_are_rejected(x):
+    g = make_diag_grid(4)
+    result = approximate(g, 0.0)
+    fam = chart_family(g, 0.0, 2)
+    for lookup in (g.cell_of, g.label_at, result.region_label, fam.label_at,
+                   ChartFamily(g, [], 0.0).label_at):
+        with pytest.raises(DimensionMismatchError, match="the grid is 2-d"):
+            lookup(x)

@@ -17,12 +17,14 @@ from logifold.fuzzy import from_relu_softmax_net, validate_fuzzy
 from logifold.graph import AffineMap, evaluate, evaluate_batch, require_valid
 from logifold.networks import (
     NetworkSpec,
+    SpecializedNet,
     compile_relu_net,
     compile_step_net,
     forward_classical,
     forward_classical_batch,
     forward_logits,
     forward_smooth,
+    forward_smooth_batch,
     model_from_dict,
     model_to_dict,
     random_network,
@@ -277,6 +279,38 @@ def test_forward_smooth_is_a_distribution(rng):
     net = random_network(rng, [2, 8, 3], "sigmoid", "softmax")
     p = forward_smooth(net, rng.normal(size=2))
     assert p.shape == (3,) and abs(p.sum() - 1.0) < 1e-12 and (p > 0).all()
+
+
+def _batch_view(big, m, n, layout):
+    """m rows of width n taken from the larger array big in the given layout."""
+    if layout == "offset":
+        return big[1:m + 1, 1:n + 1]
+    if layout == "rows":
+        return big[::2, 3:n + 3][:m]
+    if layout == "columns":
+        return big[:m, ::2][:, :n]
+    return np.asfortranarray(big[:m, :n]) if layout == "fortran" else big[:m, :n].copy()
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.sampled_from(["sigmoid", "relu"]),
+       widths=st.lists(st.integers(1, 64), min_size=2, max_size=4),
+       specialized=st.booleans(), m=st.integers(1, 50),
+       layout=st.sampled_from(["contiguous", "offset", "rows", "columns", "fortran"]))
+def test_smooth_forward_row_does_not_depend_on_the_batch(seed, hidden, widths, specialized,
+                                                         m, layout):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, widths, hidden, "softmax")
+    if specialized:
+        k = int(rng.integers(1, 65))
+        net = SpecializedNet(net, AffineMap(rng.normal(size=(k, net.output_dim)),
+                                            rng.normal(size=k)))
+    n = widths[0]
+    X = _batch_view(rng.normal(size=(2 * m + 2, 2 * n + 4)), m, n, layout)
+    Z = forward_smooth_batch(net, X)
+    for r in range(m):
+        assert Z[r].tobytes() == forward_smooth_batch(net, X[r:r + 1])[0].tobytes()
+        assert Z[r].tobytes() == forward_smooth(net, X[r].copy()).tobytes()
 
 
 def test_model_dict_roundtrip(rng):

@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logifold import evaluate, feasibility, semilinear
-from logifold.errors import AmbiguousFiberError, IncompleteRoutingError, RegionExplosionError
+from logifold.errors import (
+    AmbiguousFiberError,
+    DimensionMismatchError,
+    IncompleteRoutingError,
+    RegionExplosionError,
+)
 from logifold.feasibility import check_system
-from logifold.graph import AffineMap, Arrow, LogicalGraph, walk_regions
+from logifold.graph import AffineMap, Arrow, GraphBuilder, LogicalGraph, walk_regions
 from logifold.semilinear import (
     UNCOVERED,
     BasicSemilinearSet,
@@ -28,6 +33,24 @@ from conftest import make_diamond_graph, make_holed_graph, make_pruned_graph, ma
 def halfline() -> BasicSemilinearSet:
     # x + y - 1 = 0, x > 0
     return BasicSemilinearSet(2, ((1.0, 1.0, -1.0),), ((1.0, 0.0, 0.0),))
+
+
+def test_float_membership_agrees_with_the_graph_on_its_guard_hyperplane():
+    # x lies on the guard's hyperplane as the graph sums it, ((c0*x0 + c1*x1) + c2*x2),
+    # so the guard routes it to "+"; a dot product may round the sum the other way
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        c, x = rng.normal(size=3), rng.normal(size=3)
+        b = GraphBuilder(3)
+        b.branch("s", AffineMap(c[None], [-((c[0] * x[0] + c[1] * x[1]) + c[2] * x[2])]),
+                 {"+": b.target_for("up"), "-": b.target_for("down")})
+        g = b.graph()
+        assert evaluate(g, x) == from_llgraph(g).label_of(x) == "up"
+
+
+def test_contains_rejects_a_point_of_another_dimension():
+    with pytest.raises(DimensionMismatchError):
+        halfline().contains([0.25, 0.75, 0.0])
 
 
 def test_contains_float_mode():

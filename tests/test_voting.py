@@ -352,8 +352,8 @@ def softmax_ensemble(seed, calls):
 
 
 def net_ensemble(seed):
-    """softmax_ensemble's layout with sigmoid-network charts, whose forward
-    pass rounds a one-row batch differently from a longer one."""
+    """softmax_ensemble's layout with sigmoid-network charts, whose output at
+    a point does not depend on the batch the point runs in."""
     rng = np.random.default_rng(seed)
     charts = [chart_from_net(cid, random_network(rng, [2, 8, len(blocks)],
                                                  SIGMOID, SOFTMAX), blocks)
@@ -647,6 +647,37 @@ class TestReports:
                           for c, e in res.chosen.items()},
                 "flags": flags,
             }
+
+    def test_vote_report_runs_each_chart_once(self):
+        graph, X, y = net_ensemble(2)
+        cal = calibrate(graph, X, y, alphas=ALPHAS)
+        phi = make_phi(X, y)
+        for chart in graph.charts:
+            phi(chart, 0.0)  # runs every chart on the validation rows
+        calls = {}
+
+        def counted(chart, predict):
+            def predict_batch(X):
+                calls[chart.id] = calls.get(chart.id, 0) + 1
+                return predict(X)
+            return predict_batch
+
+        for chart in graph.charts:
+            chart.predict_batch = counted(chart, chart.predict_batch)
+        vote_report(graph, cal, X, phi)
+        on_paths = {graph.charts[i].id for e in cal.entries.values()
+                    for vi in e.path for idxs in graph.nodes[vi].groups for i in idxs}
+        assert calls == {cid: 1 for cid in on_paths}
+
+    def test_ids_must_match_the_rows(self, tmp_path):
+        graph, X, y = net_ensemble(2)
+        cal = calibrate(graph, X, y, alphas=ALPHAS)
+        with pytest.raises(DimensionMismatchError, match="2 ids for 40 instances"):
+            vote_report(graph, cal, X, make_phi(X, y), ids=["a", "b"])
+        out = tmp_path / "pred.csv"
+        with pytest.raises(DimensionMismatchError, match="2 ids for 40 instances"):
+            write_prediction_matrix(out, graph.charts[0], X, ids=["a", "b"])
+        assert not out.exists()
 
     def test_vote_report_on_no_rows(self):
         graph, X, y = softmax_ensemble(2, {})
