@@ -25,7 +25,7 @@ from .config import (
     config_hash,
     load_config,
 )
-from .ensemble import Embedding, build_target_graph, chart_from_net
+from .ensemble import Embedding, _fuzzy_accuracy_of, build_target_graph, chart_from_net
 from .errors import (
     BudgetCapError,
     DimensionBudgetError,
@@ -64,7 +64,6 @@ from .training import (
 from .voting import (
     calibration_to_dict,
     calibrate,
-    fuzzy_accuracy,
     load_calibration,
     make_phi,
     vote_report,
@@ -415,8 +414,8 @@ def _cmd_ensemble_report(cfg, args):
     summary = {"config_hash": config_hash(cfg), "charts": {}}
     for chart in charts:
         out = os.path.join(args.outdir, f"{chart.id}_predictions.csv")
-        write_prediction_matrix(out, chart, X)
-        phi, certain = fuzzy_accuracy(chart, X, y, 0.0)
+        p = write_prediction_matrix(out, chart, X)
+        phi, certain = _fuzzy_accuracy_of(chart, p, y, 0.0)
         summary["charts"][chart.id] = {
             "predictions": os.path.basename(out),
             "block_accuracy": phi,

@@ -269,7 +269,11 @@ def _certain_accuracy(top: np.ndarray, hits: np.ndarray, alpha: float):
 
 def fuzzy_accuracy(chart: ModelChart, X, y, alpha: float):
     """(accuracy on the certain part, certain mask); 0 on an empty part."""
-    p = chart.outputs(X)
+    return _fuzzy_accuracy_of(chart, chart.outputs(X), y, alpha)
+
+
+def _fuzzy_accuracy_of(chart: ModelChart, p: np.ndarray, y, alpha: float):
+    """fuzzy_accuracy from the chart's output matrix p at the points."""
     return _certain_accuracy(p.max(axis=1), _hits(chart, p, y), alpha)
 
 

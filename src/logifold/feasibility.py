@@ -54,8 +54,11 @@ class Verdict:
 
 def _ratio(v) -> tuple:
     """(numerator, denominator) of v read as an exact rational."""
-    if type(v) is int:
+    t = type(v)
+    if t is int:
         return v, 1
+    if t is Fraction:  # chamber witnesses; skips the abc checks below
+        return v.numerator, v.denominator
     if isinstance(v, float):
         f = v
     elif isinstance(v, Integral):

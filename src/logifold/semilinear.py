@@ -7,7 +7,9 @@ either a witness point or a contradiction certificate.  Decision graphs
 translate back and forth: each region a graph routes becomes one piece, its
 ``+`` steps weak rows and its ``-`` steps negated strict rows, and a
 piecewise-constant fiber family compiles into a single-guard graph routed by
-the sign pattern of the deduplicated rows.
+the sign pattern of the deduplicated rows.  A chamber of that guard fixes the
+sign of every hyperplane, so its sign vector alone decides which pieces hold
+it: the graph is routed without evaluating any row at a point.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
+from numbers import Integral
 from operator import add, mul
 from typing import Dict, Tuple
 
@@ -24,6 +27,7 @@ import numpy as np
 from . import feasibility
 from .errors import AmbiguousFiberError, DimensionMismatchError, RegionExplosionError
 from .feasibility import (
+    Constraint,
     Verdict,
     find_witness,  # unused here; perfbench wraps and checks this binding
     make_constraint,
@@ -46,27 +50,35 @@ class BasicSemilinearSet:
     gt: Tuple[Row, ...]
     ge: Tuple[Row, ...] = ()
 
-    def constraints(self) -> list:
+    @cached_property
+    def _ints(self) -> tuple:
+        """The integer constraints, built once: an eq row gives the pair
+        (row >= 0, -row >= 0), then each gt row a strict and each ge row a
+        weak constraint, in field order."""
         out = []
         for row in self.eq:
-            c, b = row[:-1], row[-1]
-            out.append(make_constraint(c, b, strict=False))
-            out.append(make_constraint([-v for v in c], -b, strict=False))
+            c = make_constraint(row[:-1], row[-1], strict=False)
+            out.append(c)
+            out.append(Constraint(tuple(-v for v in c.coeffs), -c.offset, False))
         for row in self.gt:
             out.append(make_constraint(row[:-1], row[-1], strict=True))
         for row in self.ge:
             out.append(make_constraint(row[:-1], row[-1], strict=False))
-        return out
+        return tuple(out)
+
+    def constraints(self) -> list:
+        return list(self._ints)
 
     def contains(self, x) -> bool:
-        """Exact for Fraction points; float points evaluate each row the way a
-        graph guard does (`graph._guard_signs`): the sum ((c0*x0 + c1*x1) + ...)
-        is compared with -b, so membership agrees with the graph's routing."""
+        """Exact when every coordinate is an int or a Fraction; float points
+        evaluate each row the way a graph guard does (`graph._guard_signs`):
+        the sum ((c0*x0 + c1*x1) + ...) is compared with -b, so membership
+        agrees with the graph's routing."""
         x = list(x)
         if len(x) != self.dim:
             raise DimensionMismatchError(f"point has {len(x)} coordinates, set is {self.dim}-d")
-        if all(isinstance(v, Fraction) for v in x):
-            return all(feasibility.satisfies(c, x) for c in self.constraints())
+        if all(isinstance(v, (int, Fraction)) for v in x):
+            return all(feasibility.satisfies(c, x) for c in self._ints)
         xf = np.asarray(x, dtype=float).tolist()
 
         def cx(row):  # c . x as a left fold, the guard's order
@@ -76,7 +88,7 @@ class BasicSemilinearSet:
                 and all(cx(r) >= -r[-1] for r in self.ge))
 
     def emptiness(self) -> Verdict:
-        return feasibility.check_system(self.constraints(), self.dim)
+        return feasibility.check_system(self._ints, self.dim)
 
     def is_empty(self) -> bool:
         return not self.emptiness().feasible
@@ -140,46 +152,76 @@ def from_llgraph(g: LogicalGraph, region_cap: int = REGION_CAP) -> SemilinearFun
                                   for l, ps in fibers.items()})
 
 
-def _row_key(row: Row):
-    """Scale-and-sign normalized integer form; positive multiples collide."""
-    c = make_constraint(row[:-1], row[-1], strict=False)
-    sign = -1 if next((v for v in c.coeffs if v), 0) < 0 else 1
-    return tuple(sign * v for v in c.coeffs + (c.offset,))
+# The sign of a hyperplane's first row in a chamber, read from the chamber's
+# signs for its (row, -row) pair: "++" zero, "+-" positive, "-+" negative.
+_ZERO, _POS, _NEG = "++", "+-", "-+"
+# (kind, orientation against the hyperplane's first row) -> the pairs in
+# which a row of that kind holds
+_HOLDS_AT = {("eq", 1): {_ZERO}, ("eq", -1): {_ZERO},
+             ("gt", 1): {_POS}, ("gt", -1): {_NEG},
+             ("ge", 1): {_ZERO, _POS}, ("ge", -1): {_ZERO, _NEG}}
+
+
+def _row_key(c: Constraint):
+    """(key, sign) of a non-constant integer row: the key is the row times the
+    sign that makes its first nonzero coefficient positive, so every nonzero
+    multiple of the row has the same key."""
+    sign = -1 if next(v for v in c.coeffs if v) < 0 else 1
+    return tuple(sign * v for v in c.coeffs + (c.offset,)), sign
+
+
+def _kinded_rows(piece: BasicSemilinearSet):
+    """(kind, float row, integer constraint) for each row of the piece."""
+    ints, ne = piece._ints, len(piece.eq)
+    kinds = ("eq",) * ne + ("gt",) * len(piece.gt) + ("ge",) * len(piece.ge)
+    return zip(kinds, piece.eq + piece.gt + piece.ge, ints[:2 * ne:2] + ints[2 * ne:])
 
 
 def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> LogicalGraph:
     """Single-guard graph whose walk reproduces f.label_of.
 
     Every distinct hyperplane appears as a (row, -row) pair, so each chamber
-    fixes the full =/>/< status of every row and fibers are constant on it.
-    Chambers outside every fiber route to an UNCOVERED target.  When every
-    chamber routes alike, the graph has no guard.
+    fixes the zero, positive or negative sign of every hyperplane.  Each row
+    of a nonempty piece is recorded as its hyperplane, its orientation against
+    the hyperplane's first row and its kind, so a chamber's sign vector decides
+    every piece exactly, with no point evaluated; a constant row of a nonempty
+    piece holds everywhere.  Chambers outside every fiber route to an
+    UNCOVERED target, and a chamber in two fibers raises AmbiguousFiberError.
+    When every chamber routes alike, the graph has no guard.
     """
     n = f.dim
-    reps: Dict[tuple, Row] = {}
-    live_fibers: Dict[object, SemilinearSet] = {}
+    index: Dict[tuple, int] = {}  # hyperplane key -> position in reps
+    reps = []  # (first row seen, its sign), one per hyperplane
+    live = []  # (label, pieces), a piece as [(hyperplane, pairs it holds at)]
     for label, fiber in f.fibers.items():
-        kept = []
+        pieces = []
         for piece in fiber.pieces:
             if piece.is_empty():
                 continue
-            kept.append(piece)
-            for row in piece.eq + piece.gt + piece.ge:
-                if any(row[:-1]):
-                    reps.setdefault(_row_key(row), row)
-        if kept:
-            live_fibers[label] = SemilinearSet(n, tuple(kept))
+            tests = []
+            for kind, row, c in _kinded_rows(piece):
+                if not any(c.coeffs):
+                    continue
+                key, sign = _row_key(c)
+                h = index.setdefault(key, len(reps))
+                if h == len(reps):
+                    reps.append((row, sign))
+                tests.append((h, _HOLDS_AT[kind, sign * reps[h][1]]))
+            pieces.append(tests)
+        if pieces:
+            live.append((label, pieces))
 
     rows = []
-    for rep in reps.values():
+    for rep, _ in reps:
         rows.append((list(rep[:-1]), rep[-1]))
         rows.append(([-c for c in rep[:-1]], -rep[-1]))
     chambers = feasibility.enumerate_chambers(rows, n, cap=chamber_cap)
     b = GraphBuilder(n)
     routes = {}
-    for signs, (witness, _) in sorted(chambers.items()):
-        hits = [l for l, fiber in live_fibers.items()
-                if fiber.contains(list(witness))]
+    for signs in sorted(chambers):
+        pairs = [signs[i:i + 2] for i in range(0, len(signs), 2)]
+        hits = [label for label, pieces in live
+                if any(all(pairs[h] in ok for h, ok in tests) for tests in pieces)]
         if len(hits) > 1:
             raise AmbiguousFiberError(
                 f"chamber {signs} lies in fibers {sorted(map(str, hits))}")
@@ -206,14 +248,40 @@ def semilinear_to_dict(f: SemilinearFunction) -> dict:
     }
 
 
+def _piece_from_dict(dim: int, p) -> BasicSemilinearSet:
+    if not isinstance(p, dict):
+        raise ValueError(f"a piece must be an object of row lists, got {p!r}")
+    unknown = sorted(set(p) - set(_ROW_KEYS))
+    if unknown:
+        raise ValueError(f"unknown piece key {unknown[0]!r}; expected {', '.join(_ROW_KEYS)}")
+    kinds = []
+    for key in _ROW_KEYS:
+        rows = tuple(tuple(map(float, r)) for r in p.get(key, []))
+        for r in rows:
+            if len(r) != dim + 1:
+                raise ValueError(f"{key} row {list(r)} has {len(r)} entries, "
+                                 f"expected dim + 1 = {dim + 1}")
+        kinds.append(rows)
+    return BasicSemilinearSet(dim, *kinds)
+
+
 def semilinear_from_dict(d: dict) -> SemilinearFunction:
-    dim = int(d["dim"])
+    """The function a `semilinear_to_dict` document describes.
+
+    Raises ValueError unless `dim` is a positive integer, `fibers` an object,
+    every piece an object whose only keys are eq, gt and ge, and every row
+    dim + 1 numbers long.
+    """
+    dim = d["dim"]
+    if not isinstance(dim, Integral) or isinstance(dim, bool) or dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    dim = int(dim)
+    if not isinstance(d["fibers"], dict):
+        raise ValueError("fibers must be an object from labels to piece lists")
     fibers = {}
     for text, pieces in d["fibers"].items():
-        fibers[label_from_text(text)] = SemilinearSet(dim, tuple(
-            BasicSemilinearSet(dim, *(tuple(tuple(map(float, r)) for r in p.get(key, []))
-                                      for key in _ROW_KEYS))
-            for p in pieces))
+        fibers[label_from_text(text)] = SemilinearSet(
+            dim, tuple(_piece_from_dict(dim, p) for p in pieces))
     return SemilinearFunction(dim, fibers)
 
 

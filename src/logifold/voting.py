@@ -615,7 +615,9 @@ def fuzzy_belonging(bundle: LogifoldBundle, x) -> float:
 # -- reports ----------------------------------------------------------------
 
 
-def write_prediction_matrix(path, chart: ModelChart, X, ids=None):
+def write_prediction_matrix(path, chart: ModelChart, X, ids=None) -> np.ndarray:
+    """Write the chart's block distribution at each row of X as a CSV, one
+    line per instance id, and return the output matrix it wrote."""
     X = _finite_rows(X)
     ids = _row_ids(ids, X)
     p = chart.outputs(X)
@@ -624,6 +626,7 @@ def write_prediction_matrix(path, chart: ModelChart, X, ids=None):
         w.writerow(["instance_id"] + [f"p_block_{j + 1}" for j in range(p.shape[1])])
         for i, row in zip(ids, p):
             w.writerow([i] + [repr(float(v)) for v in row])
+    return p
 
 
 def _path_targets(graph: TargetGraph, path):

@@ -16,6 +16,7 @@ from logifold.config import (
     config_hash,
     config_to_dict,
 )
+from logifold.ensemble import ModelChart
 from logifold.graph import evaluate_batch, graph_to_dict, load_graph, validate_graph
 from logifold.fuzzy import evaluate_fuzzy, load_fuzzy
 from logifold.networks import (
@@ -236,6 +237,22 @@ class TestCompileEval:
         assert "RegionExplosionError" in capsys.readouterr().err
         assert main(["--caps.regions", "2", "to-semilinear", "--graph", str(graph_path),
                      "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("doc, error", [
+        ({"dim": 2, "fibers": {"1": [{"gt": [[1.0, 0.0]]}]}},
+         "has 2 entries, expected dim + 1 = 3"),
+        ({"dim": 1, "fibers": {"1": [[[1.0, 0.0]]]}}, "a piece must be an object"),
+        ({"dim": 1, "fibers": {"1": [{"lt": [[1.0, 0.0]]}]}}, "unknown piece key 'lt'"),
+        ({"dim": -1, "fibers": {"1": [{"gt": [[0.0]]}]}}, "dim must be a positive integer"),
+    ], ids=["row-length", "piece-not-object", "unknown-key", "negative-dim"])
+    def test_malformed_semilinear_file_exits_65(self, tmp_path, capsys, doc, error):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "g.json"
+        assert main(["from-semilinear", "--set", str(path), "--out", str(out)]) == 65
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and error in err
+        assert not out.exists()
 
 
 class TestGridCommands:
@@ -473,6 +490,16 @@ class TestEnsembleCommands:
         lines = (outdir / "gen_predictions.csv").read_text().splitlines()
         assert lines[0] == "instance_id,p_block_1,p_block_2,p_block_3"
         assert len(lines) == 31
+
+    def test_report_runs_each_chart_once(self, pipeline, monkeypatch):
+        tmp_path, data, charts = pipeline
+        calls = []
+        outputs = ModelChart.outputs
+        monkeypatch.setattr(ModelChart, "outputs",
+                            lambda chart, X: calls.append(chart.id) or outputs(chart, X))
+        assert main(["ensemble", "report", "--charts", str(charts), "--data",
+                     str(data), "--outdir", str(tmp_path / "rep")]) == 0
+        assert sorted(calls) == ["gen", "pair"]
 
     @pytest.mark.parametrize("split,value", [("val", "nan"), ("test", "inf")])
     def test_non_finite_instance_exits_2(self, pipeline, capsys, split, value):

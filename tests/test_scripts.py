@@ -16,6 +16,7 @@ RUNS = [
     ["compile_random_nets.py", "--count", "2", "--samples", "200"],
     ["approx_diagonal_grid.py", "--resolution", "8", "--depth", "2"],
     ["end_to_end_blobs.py", "--n", "300", "--epochs", "5"],
+    ["semilinear_round_trip.py", "--arch", "2,2,2", "--seeds", "1", "--samples", "50"],
 ]
 
 

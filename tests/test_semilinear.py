@@ -70,6 +70,17 @@ def test_contains_exact_mode_ignores_tolerance():
     assert not s.contains([Fraction(1, 3), Fraction(2, 3) + Fraction(1, 10**18)])
 
 
+def test_contains_is_exact_on_int_and_fraction_points():
+    # 49 * (1/49) - 1 is exactly 0, but 49 * float(1/49) - 1 rounds below it
+    s = BasicSemilinearSet(2, (), (), ((49.0, 0.0, -1.0),))
+    f = SemilinearFunction(2, {"on": SemilinearSet(2, (s,))})
+    assert s.contains([Fraction(1, 49), 0]) and f.label_of([Fraction(1, 49), 0]) == "on"
+    assert s.contains([1, 0]) and not s.contains([0, 5])
+    assert not s.contains([Fraction(1, 49) - Fraction(1, 10**30), 0])
+    # a float point keeps the guard's float fold
+    assert not s.contains([1 / 49, 0]) and f.label_of([1 / 49, 0.0]) is None
+
+
 def test_emptiness_verdicts_carry_certificates():
     wedge = BasicSemilinearSet(2, (), ((1.0, 0.0, 0.0), (0.0, 1.0, -2.0)))
     v = wedge.emptiness()
@@ -206,6 +217,71 @@ def test_to_llgraph_deduplicates_scaled_rows():
     assert evaluate(g, np.array([1.0, 1.0])) == "a"
     assert evaluate(g, np.array([0.0, 0.0])) == "b"
     assert evaluate(g, np.array([0.5, 0.5])) == UNCOVERED
+
+
+@st.composite
+def fiber_functions(draw):
+    """1-3-d functions whose pieces reuse a few hyperplanes, scaled by positive
+    and negative factors, next to constant rows that hold or fail."""
+    n = draw(st.integers(1, 3))
+    small = st.integers(-3, 3)
+    planes = draw(st.lists(st.tuples(*[small] * (n + 1)).filter(lambda r: any(r[:-1])),
+                           min_size=1, max_size=3))
+    plane = st.builds(lambda p, k: tuple(k * v for v in p), st.sampled_from(planes),
+                      st.sampled_from([1.0, 2.0, 0.5, -1.0, -3.0, -0.25]))
+    constant = st.builds(lambda b: (0.0,) * n + (float(b),), st.integers(-1, 1))
+    row = st.one_of(plane, plane, plane, constant)
+    kinded = st.tuples(st.sampled_from(["gt", "ge", "eq"]), row)
+    piece = st.lists(kinded, min_size=1, max_size=4).map(lambda rows: BasicSemilinearSet(
+        n, *(tuple(r for k, r in rows if k == kind) for kind in ("eq", "gt", "ge"))))
+    labels = draw(st.lists(st.one_of(st.integers(0, 3), st.sampled_from(["a", "b"]),
+                                     st.tuples(st.integers(0, 1), st.sampled_from(["x", "y"]))),
+                           min_size=1, max_size=3, unique=True))
+    pieces = st.lists(piece, min_size=1, max_size=3)
+    return SemilinearFunction(n, {label: SemilinearSet(n, tuple(draw(pieces))) for label in labels})
+
+
+def _arrangement(f):
+    """(rows, sorted chambers) of f's distinct hyperplanes over its nonempty
+    pieces, each as a (row, -row) pair in order of first appearance."""
+    keys, rows = set(), []
+    for fiber in f.fibers.values():
+        for p in fiber.pieces:
+            if p.is_empty():
+                continue
+            for r in p.eq + p.gt + p.ge:
+                lead = next((Fraction(v) for v in r[:-1] if v), None)
+                key = lead and tuple(Fraction(v) / lead for v in r)
+                if key and key not in keys:
+                    keys.add(key)
+                    rows += [(list(r[:-1]), r[-1]), ([-v for v in r[:-1]], -r[-1])]
+    return rows, sorted(feasibility.enumerate_chambers(rows, f.dim).items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(fiber_functions())
+def test_to_llgraph_routes_each_chamber_witness_to_its_label(f):
+    rows, chambers = _arrangement(f)
+    want = {}
+    for signs, (w, _) in chambers:
+        hits = [label for label, s in f.fibers.items() if s.contains(w)]
+        if len(hits) > 1:
+            with pytest.raises(AmbiguousFiberError) as err:
+                to_llgraph(f)
+            assert str(err.value) == f"chamber {signs} lies in fibers {sorted(map(str, hits))}"
+            return
+        assert f.label_of(w) == (hits[0] if hits else None)
+        want[signs] = hits[0] if hits else UNCOVERED
+    g = to_llgraph(f)
+    if not g.guards:
+        (arrow,) = g.out_arrows[g.source]
+        assert set(want.values()) == {g.target_labels[g.arrows[arrow].dst]}
+        return
+    guard = g.guards[g.source]
+    assert guard.matrix.tolist() == [c for c, _ in rows]
+    assert guard.offset.tolist() == [b for _, b in rows]
+    routing = g.routing[g.source]
+    assert {s: g.target_labels[g.arrows[a].dst] for s, a in routing.items()} == want
 
 
 def test_to_llgraph_flags_overlap():
