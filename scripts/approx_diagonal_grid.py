@@ -1,12 +1,14 @@
 """Cover the diagonal split of the unit square with axis boxes.
 
 First pass: one cover at a fixed leftover bound, with the size of its cover
-graph: the guard count and the most guards on one source-to-target path.
+graph (the guard count and the most guards on one source-to-target path) and
+the time to build the batch program that `evaluate_batch` walks it with.
 Second pass: repeat on the leftover cells with the bound halved each round
 until nothing is left.
 """
 
 import argparse
+import time
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from logifold.approx import (
     grid_from_function,
     mismatch_measure,
 )
-from logifold.graph import topological_order
+from logifold.graph import _batch_program, graph_from_dict, graph_to_dict, topological_order
 
 
 def longest_guard_path(g) -> int:
@@ -26,6 +28,18 @@ def longest_guard_path(g) -> int:
         after = [most[g.arrows[a].dst] for a in g.out_arrows[v]]
         most[v] = (v in g.guards) + max(after, default=0)
     return most[g.source]
+
+
+def program_build_ms(g, repeats: int = 5) -> float:
+    """Fastest of `repeats` builds of g's batch program, in ms, each on a
+    fresh copy of g."""
+    best = float("inf")
+    for _ in range(repeats):
+        fresh = graph_from_dict(graph_to_dict(g))
+        t0 = time.perf_counter()
+        _batch_program(fresh)
+        best = min(best, time.perf_counter() - t0)
+    return 1000 * best
 
 
 def main() -> None:
@@ -47,7 +61,8 @@ def main() -> None:
           f"residual {cover.residual_measure:.4f} (bound {eps:.4f}), "
           f"wrong measure {wrong}, fallback measure {fallback}")
     print(f"cover graph: {len(cover.graph.guards)} guards, "
-          f"at most {longest_guard_path(cover.graph)} on a path")
+          f"at most {longest_guard_path(cover.graph)} on a path, "
+          f"batch program built in {program_build_ms(cover.graph):.3f} ms")
 
     family = chart_family(grid, eps0=mu / args.resolution, depth=args.depth)
     for r in family.charts:

@@ -62,10 +62,11 @@ from .training import (
     train_sgd,
 )
 from .voting import (
+    _calibrated_phi,
+    _finite_rows,
     calibration_to_dict,
     calibrate,
     load_calibration,
-    make_phi,
     vote_report,
     write_prediction_matrix,
 )
@@ -395,11 +396,11 @@ def _cmd_ensemble_vote(cfg, args):
     classes, charts = _load_charts(args.charts)
     graph = build_target_graph(charts, classes)
     data = _load_chart_data(args.data, charts)
+    _finite_rows(data.X)  # the file calibrate reads: its val rows must be finite too
     cal = _load(args.calibration, lambda p: load_calibration(p, graph))
-    Xval, yval = data.subset("val")
+    phi_of = _load(args.calibration, lambda p: _calibrated_phi(graph, cal))
     X, _ = data.subset(args.split)
-    doc = vote_report(graph, cal, X, make_phi(Xval, yval),
-                      uncertain_weight=cfg.uncertain_weight)
+    doc = vote_report(graph, cal, X, phi_of, uncertain_weight=cfg.uncertain_weight)
     doc["config_hash"] = config_hash(cfg)
     _dump_json(doc, args.out)
     print(f"wrote {args.out}")

@@ -38,7 +38,6 @@ from .graph import (
     LogicalGraph,
     graph_from_dict,
     graph_to_dict,
-    sign_vector,
     topological_order,
 )
 from .networks import (
@@ -261,9 +260,9 @@ def evaluate_fuzzy(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
         raise StateSpaceViolationError(
             f"input of shape {state.shape} is not a state of {fg.state_spaces[v]}")
     for _ in range(len(sk.vertices)):
-        if sk.vertices[v] == TARGET:
-            return FuzzyOutcome(sk.target_labels[v], state, v)
         a = sk.next_arrow(v, state)
+        if a is None:
+            return FuzzyOutcome(sk.target_labels[v], state, v)
         state = fg.arrow_maps[a.id].apply(state)
         v = a.dst
         if not fg.state_spaces[v].contains(state):
@@ -273,24 +272,22 @@ def evaluate_fuzzy(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
 
 
 def evaluate_fuzzy_pathsum(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
-    """Evaluate by expanding all source-to-target paths; exactly one survives
-    its chamber indicators, and it reproduces the walk."""
+    """Evaluate by expanding all source-to-target paths; a term survives a
+    vertex only on the arrow the exit rule takes there, so exactly one term
+    survives, and it reproduces the walk."""
     sk = fg.skeleton
     topological_order(sk)  # a cycle would expand forever
     live = []
-
-    def wander(v, state):
-        if sk.vertices[v] == TARGET:
+    stack = [(sk.source, np.asarray(x, dtype=float))]
+    while stack:
+        v, state = stack.pop()
+        chosen = sk.next_arrow(v, state)
+        if chosen is None:
             live.append(FuzzyOutcome(sk.target_labels[v], state, v))
-            return
+            continue
         for aid in sk.out_arrows[v]:
-            if v in sk.guards:
-                routed = sk.routing[v].get(sign_vector(sk.guards[v], state))
-                if routed != aid:
-                    continue  # indicator term vanishes on this path
-            wander(sk.arrows[aid].dst, fg.arrow_maps[aid].apply(state))
-
-    wander(sk.source, np.asarray(x, dtype=float))
+            if aid == chosen.id:  # every other term's indicator vanishes here
+                stack.append((sk.arrows[aid].dst, fg.arrow_maps[aid].apply(state)))
     if len(live) != 1:
         raise StateSpaceViolationError(
             f"path expansion produced {len(live)} surviving terms, expected 1")

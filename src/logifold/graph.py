@@ -11,6 +11,17 @@ sum over all source-to-target paths of chamber-indicator products
 (`evaluate_pathsum`), which agree on every input with exactly one path
 contributing.
 
+Every walk (`evaluate`, `evaluate_batch`, `walk_regions` behind
+`from_llgraph`, `evaluate_pathsum` and the fuzzy walks) leaves a vertex by
+one exit rule, `_exit` and `_route`.  A target stops the walk.  A vertex
+without a guard takes its one outgoing arrow, and with none or several
+raises IncompleteRoutingError.  A guard not over the walk's R^n raises
+DimensionMismatchError.  A sign vector takes the arrow its route names if
+that arrow leaves the vertex; otherwise it has no route, which raises
+UnknownSignVectorError at a point and IncompleteRoutingError for a
+realizable chamber in `walk_regions`.  A fault raises only once a walk
+reaches its vertex.
+
 Every sign comes from one predicate, `_guard_signs`: a row's value is summed
 in a fixed elementwise order, ((a0*x0 + a1*x1) + ...), and compared with -b,
 with no BLAS call, so a point's signs do not depend on the points evaluated
@@ -107,6 +118,15 @@ def _require_finite(x: np.ndarray):
         raise NonFinitePointError("points must be finite; got a NaN or infinite coordinate")
 
 
+def _point(x, dim: int, owner: str = "graph") -> np.ndarray:
+    """x as a finite point of R^dim, for a graph or guard over R^dim."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise DimensionMismatchError(f"point has shape {x.shape}, {owner} expects ({dim},)")
+    _require_finite(x)
+    return x
+
+
 def _sign_terms(guard: AffineMap):
     """The operands of `_guard_signs` for a guard: its coefficient columns,
     each (rows, 1), and its negated offsets as a (rows, 1) column."""
@@ -143,11 +163,7 @@ def _guard_signs(columns, neg_offset: np.ndarray, XT: np.ndarray,
 
 def sign_vector(guard: AffineMap, x: np.ndarray) -> str:
     """Sign string of the guard at x; entry i is '+' iff row i(x) >= 0."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (guard.dim,):
-        raise DimensionMismatchError(
-            f"point has shape {x.shape}, guard expects ({guard.dim},)")
-    _require_finite(x)
+    x = _point(x, guard.dim, "guard")
     signs = _guard_signs(*_sign_terms(guard), x[:, None])
     return "".join("+" if s else "-" for s in signs[:, 0].tolist())
 
@@ -214,18 +230,42 @@ class LogicalGraph:
     def labels(self):
         return set(self.target_labels.values())
 
-    def next_arrow(self, vertex: str, x: np.ndarray) -> Arrow:
-        out = self.out_arrows[vertex]
-        if vertex in self.guards:
-            s = sign_vector(self.guards[vertex], x)
-            aid = self.routing.get(vertex, {}).get(s)
-            if aid not in self.arrows:
-                raise _no_route(vertex, s)
-            return self.arrows[aid]
+    def next_arrow(self, vertex: str, x: np.ndarray) -> Optional[Arrow]:
+        """The arrow by which the walk at the point x leaves `vertex`, by the
+        exit rule, or None at a target."""
+        step = _exit(self, vertex, len(x))
+        if isinstance(step, AffineMap):
+            signs = sign_vector(step, x)
+            step = _route(self, vertex, signs)
+            if step is None:
+                raise _no_route(vertex, signs)
+        return None if step is None else self.arrows[step]
+
+
+def _exit(g: LogicalGraph, v: str, dim: int):
+    """The exit rule (see the module docstring) at v, for a walk over R^dim:
+    None at a target, the one arrow's id at a vertex without a guard, and
+    otherwise v's guard, whose sign vector the walk routes by `_route`."""
+    if g.vertices[v] == TARGET:
+        return None
+    guard = g.guards.get(v)
+    if guard is None:
+        out = g.out_arrows[v]
         if len(out) != 1:
             raise IncompleteRoutingError(
-                f"vertex {vertex!r} has {len(out)} outgoing arrows but no guard")
-        return self.arrows[out[0]]
+                f"vertex {v!r} has {len(out)} outgoing arrows but no guard")
+        return out[0]
+    if guard.dim != dim:
+        raise DimensionMismatchError(
+            f"guard at {v!r} acts on R^{guard.dim}, the walk is over R^{dim}")
+    return guard
+
+
+def _route(g: LogicalGraph, v: str, signs: str) -> Optional[str]:
+    """The arrow that v's routing names for the sign vector `signs`, if that
+    arrow leaves v; None means the sign vector has no route."""
+    aid = g.routing.get(v, {}).get(signs)
+    return aid if aid in g.arrows and g.arrows[aid].src == v else None
 
 
 class GraphBuilder:
@@ -393,7 +433,7 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
         for s, aid in routes.items():
             if len(s) != guard.rows or set(s) - {"+", "-"}:
                 err(IncompleteRoutingError(f"vertex {v!r}: malformed sign key {s!r}"))
-            elif aid not in g.arrows or g.arrows[aid].src != v:
+            elif _route(g, v, s) is None:
                 err(IncompleteRoutingError(f"vertex {v!r}: route {s!r} -> bad arrow {aid!r}"))
         routed = set(routes.values())
         for aid in out:
@@ -425,25 +465,27 @@ def walk_regions(g: LogicalGraph, cap: Optional[int] = None):
 
     Yields (target, steps) once per source-to-target region that some input
     reaches, where `steps` lists the (guard vertex, sign vector) pairs taken.
-    Unguarded vertices are followed; at each guard the realizable chambers
-    within the region's constraint system are visited in sorted sign order.
-    A realizable chamber without a route raises IncompleteRoutingError, and
-    more than `cap` chambers in total raise GuardExplosionError.  Without a
-    cap, a guard stops enumerating once its chambers outnumber its routes,
-    since one of them must then be unrouted.  A cyclic graph raises
-    CyclicGraphError before any region is yielded.
+    Vertices are left by the exit rule; at each guard the realizable
+    chambers within the region's constraint system are visited in sorted
+    sign order.  A realizable chamber without a route raises
+    IncompleteRoutingError, and more than `cap` chambers in total raise
+    GuardExplosionError.  Without a cap, a guard stops enumerating once its
+    chambers outnumber its routes, since one of them must then be unrouted.
+    A cyclic graph raises CyclicGraphError before any region is yielded.
     """
     topological_order(g)
     seen = 0
     stack = [(g.source, [], None, [])]
     while stack:
         v, system, witness, steps = stack.pop()
-        while v not in g.guards and g.vertices[v] != TARGET:
-            v = g.arrows[g.out_arrows[v][0]].dst
-        if g.vertices[v] == TARGET:
+        step = _exit(g, v, g.input_dim)
+        while isinstance(step, str):  # an unguarded vertex: take its one arrow
+            v = g.arrows[step].dst
+            step = _exit(g, v, g.input_dim)
+        if step is None:
             yield v, steps
             continue
-        guard = g.guards[v]
+        guard = step
         routes = g.routing.get(v, {})
         try:
             chambers = feasibility.enumerate_chambers(
@@ -457,10 +499,11 @@ def walk_regions(g: LogicalGraph, cap: Optional[int] = None):
         seen += len(chambers)
         children = []
         for signs, (w, sub) in sorted(chambers.items()):
-            if signs not in routes:
+            aid = _route(g, v, signs)
+            if aid is None:
                 raise IncompleteRoutingError(
                     f"vertex {v!r}: realizable sign vector {signs!r} is unrouted")
-            children.append((g.arrows[routes[signs]].dst, sub, w, steps + [(v, signs)]))
+            children.append((g.arrows[aid].dst, sub, w, steps + [(v, signs)]))
         stack.extend(reversed(children))  # smallest sign vector is walked first
 
 
@@ -475,19 +518,14 @@ def require_valid(g: LogicalGraph, check_realizability: bool = True) -> Validati
 
 def evaluate(g: LogicalGraph, x) -> object:
     """Label of the unique walk from the source to a target through x's chambers."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.input_dim,):
-        raise DimensionMismatchError(
-            f"point has shape {x.shape}, graph expects ({g.input_dim},)")
-    _require_finite(x)
+    x = _point(x, g.input_dim)
     v = g.source
-    seen = 0
-    while g.vertices[v] != TARGET:
-        v = g.next_arrow(v, x).dst
-        seen += 1
-        if seen > len(g.vertices):
-            raise CyclicGraphError("walk exceeded vertex count; graph has a cycle")
-    return g.target_labels[v]
+    for _ in range(len(g.vertices)):
+        arrow = g.next_arrow(v, x)
+        if arrow is None:
+            return g.target_labels[v]
+        v = arrow.dst
+    raise CyclicGraphError("walk exceeded vertex count; graph has a cycle")
 
 
 def evaluate_batch(g: LogicalGraph, X) -> list:
@@ -496,7 +534,7 @@ def evaluate_batch(g: LogicalGraph, X) -> list:
 
     The graph's batch program (see `_batch_program`) is built on its first
     call and kept on the graph; every later call walks it again.  One pass
-    over the program's steps, in topological order, visits each vertex once
+    over the program's steps, in topological order, visits each step once
     per call with every point that reached it, so points that reach the
     same vertex by different arrows move on together.  The points are
     copied once into a contiguous (d, m) array; a guard gathers its points'
@@ -510,9 +548,8 @@ def evaluate_batch(g: LogicalGraph, X) -> list:
     the returned list.  A batch of more than `_WORKSPACE_POINTS` points
     walks through a workspace of its own, freed when the call returns, so a
     thread's workspace never holds more.  A cyclic graph raises
-    `CyclicGraphError`; a guard over the wrong dimension raises
-    `DimensionMismatchError`, and a sign vector without a route
-    `UnknownSignVectorError`, once a point reaches it.
+    `CyclicGraphError`, and a fault at a vertex raises once a point reaches
+    it, as the exit rule says.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != g.input_dim:
@@ -602,53 +639,53 @@ class _Program:
 def _batch_program(g: LogicalGraph) -> _Program:
     """Compile g into its batch program and keep it on g.
 
-    Structural faults that every walk meets (a cycle, a dangling arrow, no
-    source) raise here; a fault at a vertex (a guard over the wrong
-    dimension, a branch without a guard, a route to a missing arrow) is
-    compiled into its step and raises only when a point reaches it.
+    Each vertex is compiled by the exit rule, and one that passes its points
+    on by its one arrow gets no step: an arrow into it leads to the first
+    guard, target or faulty vertex after it.  Structural faults that every
+    walk meets (a cycle, a dangling arrow, no source) raise here; a fault at
+    a vertex, or a sign vector without a route, is compiled into its step
+    and raises only when a point reaches it.
     """
     order = topological_order(g)
-    position = {v: p for p, v in enumerate(order)}
-    targets = [v for v in order if g.vertices[v] == TARGET]
-    labels = np.empty(len(targets), dtype=object)
-    for k, v in enumerate(targets):
-        labels[k] = g.target_labels[v]  # item-wise, so tuple labels stay whole
-    slot_of = {v: k for k, v in enumerate(targets)}
-    steps = []
-    for v in order:
-        out = g.out_arrows[v]
-        if v in slot_of:
-            steps.append(slot_of[v])
-        elif v in g.guards:
-            steps.append(_guard_step(g, v, position))
-        elif len(out) == 1:
-            steps.append(_Follow(position[g.arrows[out[0]].dst]))
-        else:
-            steps.append(_Fail(IncompleteRoutingError(
-                f"vertex {v!r} has {len(out)} outgoing arrows but no guard")))
-    rows = max((g.guards[v].rows for v, s in zip(order, steps) if isinstance(s, _GuardStep)),
-               default=0)
-    program = _Program(steps, position[g.source], labels, rows)
+    exits, lands = {}, {}  # lands[v]: the vertex whose step the points at v reach
+    for v in reversed(order):
+        try:
+            exits[v] = _exit(g, v, g.input_dim)
+        except (DimensionMismatchError, IncompleteRoutingError) as e:
+            exits[v] = _Fail(e)
+        lands[v] = lands[g.arrows[exits[v]].dst] if isinstance(exits[v], str) else v
+    stops = [v for v in order if lands[v] == v]
+    position = {v: p for p, v in enumerate(stops)}
+    steps, labels, rows = [], [], 0
+    for v in stops:
+        step = exits[v]
+        if step is None:  # a target: its slot in the labels
+            step = len(labels)
+            labels.append(g.target_labels[v])
+        elif isinstance(step, AffineMap):
+            rows = max(rows, step.rows)
+            step = _guard_step(g, v, step, lambda aid: position[lands[g.arrows[aid].dst]])
+        steps.append(step)
+    # item-wise, so tuple labels stay whole
+    labels = np.fromiter(labels, dtype=object, count=len(labels))
+    program = _Program(steps, position[lands[g.source]], labels, rows)
     g._batch_program = program
     return program
 
 
-def _guard_step(g: LogicalGraph, v: str, position: Dict[str, int]):
-    guard = g.guards[v]
-    if guard.dim != g.input_dim:
-        return _Fail(DimensionMismatchError(
-            f"guard at {v!r} acts on R^{guard.dim}, graph is over R^{g.input_dim}"))
+def _guard_step(g: LogicalGraph, v: str, guard: AffineMap, place):
+    """The step of the guard at v; `place` gives the position of the step
+    that the points on an arrow reach."""
     k = guard.rows
-    routes = g.routing.get(v, {})
+    # sign vector -> position of the step its points reach, for each route
+    routes = {key: place(aid) for key in g.routing.get(v, {})
+              if (aid := _route(g, v, key)) is not None}
     if k == 1:
-        return _Split(v, guard, *(position[g.arrows[routes[key]].dst]
-                                  if routes.get(key) in g.arrows else None
-                                  for key in "-+"))
+        return _Split(v, guard, routes.get("-"), routes.get("+"))
     slot_of_key: Dict[str, int] = {}
     slot_of_dst: Dict[int, int] = {}  # destination -> slot, in order of first use
-    for key, aid in routes.items():
-        if len(key) == k and key.count("+") + key.count("-") == k and aid in g.arrows:
-            dst = position[g.arrows[aid].dst]
+    for key, dst in routes.items():
+        if len(key) == k and key.count("+") + key.count("-") == k:
             slot_of_key[key] = slot_of_dst.setdefault(dst, len(slot_of_dst))
     dsts = list(slot_of_dst)
     slot_type = np.int8 if len(dsts) < 127 else np.intp  # numpy radix-sorts int8
@@ -658,16 +695,6 @@ def _guard_step(g: LogicalGraph, v: str, position: Dict[str, int]):
     for key, slot in slot_of_key.items():
         table[int("0" + key[::-1].translate(_SIGN_BITS), 2)] = slot
     return _Table(v, guard, dsts, table)
-
-
-class _Follow:
-    """An unguarded vertex: every point takes its one arrow."""
-
-    def __init__(self, dst: int):
-        self.dst = dst
-
-    def route(self, buf, XT, idx, whole):
-        return [(self.dst, idx)]
 
 
 class _Fail:
@@ -681,11 +708,12 @@ class _Fail:
 
 
 class _GuardStep:
-    """A guard vertex: its `_sign_terms` and how its sign vectors route."""
+    """A guard vertex: the operands of `_guard_signs` for its guard, and how
+    its sign vectors route."""
 
-    def __init__(self, vertex: str, guard: AffineMap):
+    def __init__(self, vertex: str, columns, neg_offset):
         self.vertex = vertex
-        self.columns, self.neg_offset = _sign_terms(guard)
+        self.columns, self.neg_offset = columns, neg_offset
 
     @staticmethod
     def gather(buf: _Workspace, XT, idx, whole) -> np.ndarray:
@@ -706,12 +734,11 @@ class _GuardStep:
 
 class _Split(_GuardStep):
     """A one-row guard: its points split by their sign, with no codes or
-    sort.  Its terms are scalars, so its sums run over 1-d buffers."""
+    sort.  Its terms are the row's entries as floats, so its sums run over
+    1-d buffers."""
 
     def __init__(self, vertex, guard, minus: Optional[int], plus: Optional[int]):
-        super().__init__(vertex, guard)
-        self.columns = [a[0, 0] for a in self.columns]
-        self.neg_offset = self.neg_offset[0, 0]
+        super().__init__(vertex, guard.matrix[0].tolist(), -float(guard.offset[0]))
         self.dsts = (("-", minus), ("+", plus))
 
     def route(self, buf, XT, idx, whole):
@@ -733,7 +760,7 @@ class _Table(_GuardStep):
     to a destination slot, or to the slot len(dsts) where it has no route."""
 
     def __init__(self, vertex, guard, dsts: List[int], table: np.ndarray):
-        super().__init__(vertex, guard)
+        super().__init__(vertex, *_sign_terms(guard))
         self.dsts, self.table = dsts, table
 
     def route(self, buf, XT, idx, whole):
@@ -753,7 +780,7 @@ class _Lookup(_GuardStep):
     sign vector among its points is looked up once."""
 
     def __init__(self, vertex, guard, dsts: List[int], slot_of_key: Dict[str, int], slot_type):
-        super().__init__(vertex, guard)
+        super().__init__(vertex, *_sign_terms(guard))
         self.dsts, self.slot_of_key, self.slot_type = dsts, slot_of_key, slot_type
 
     def route(self, buf, XT, idx, whole):
@@ -820,6 +847,15 @@ def _split_by_slot(dsts: List[int], slots: np.ndarray, counts: List[int], idx: n
 
 def enumerate_paths(g: LogicalGraph, cap: int = PATH_CAP) -> List[List[str]]:
     """All source-to-target paths as arrow id lists; errors past `cap` paths."""
+    return [path for path, _, _ in _path_terms(g, cap)]
+
+
+def _path_terms(g: LogicalGraph, cap: int, exit_of=None):
+    """Yield (path, target, coefficient) for each source-to-target path of
+    g, depth first, from a stack of its own; past `cap` paths, raise first.
+    The coefficient is 1 iff `exit_of(v)`, the arrow by which the walk
+    leaves v, is the path's arrow at each v on it (always, without
+    `exit_of`); it is asked at every non-target vertex the walk reaches."""
     counts: Dict[str, int] = {}
     for v in reversed(topological_order(g)):
         if g.vertices[v] == TARGET:
@@ -829,19 +865,15 @@ def enumerate_paths(g: LogicalGraph, cap: int = PATH_CAP) -> List[List[str]]:
     total = counts.get(g.source, 0)
     if total > cap:
         raise PathExplosionError(f"graph has {total} paths, cap is {cap}")
-    paths: List[List[str]] = []
-
-    def rec(v, acc):
+    stack = [(g.source, (), True)]  # (vertex, path to it, whether the walk takes it)
+    while stack:
+        v, path, live = stack.pop()
         if g.vertices[v] == TARGET:
-            paths.append(list(acc))
-            return
-        for aid in g.out_arrows[v]:
-            acc.append(aid)
-            rec(g.arrows[aid].dst, acc)
-            acc.pop()
-
-    rec(g.source, [])
-    return paths
+            yield list(path), v, int(live)
+            continue
+        chosen = exit_of(v) if live and exit_of is not None else None
+        stack.extend((g.arrows[a].dst, path + (a,), live and (exit_of is None or a == chosen))
+                     for a in reversed(g.out_arrows[v]))
 
 
 @dataclass
@@ -855,42 +887,18 @@ def evaluate_pathsum(g: LogicalGraph, x, cap: int = PATH_CAP):
     """Path-sum form of evaluation.
 
     Returns (label, terms) where each term is a path with its 0/1 chamber
-    coefficient; exactly one term carries coefficient 1 and its label is the
-    value of the graph at x.
+    coefficient: 1 iff the exit rule at x takes each of its arrows.  Exactly
+    one term carries coefficient 1 and its label is the value of the graph
+    at x.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.input_dim,):
-        raise DimensionMismatchError(
-            f"point has shape {x.shape}, graph expects ({g.input_dim},)")
-    signs: Dict[str, str] = {}
-
-    def chosen(v) -> Optional[str]:
-        if v in g.guards:
-            s = signs.get(v)
-            if s is None:
-                s = signs[v] = sign_vector(g.guards[v], x)
-            return g.routing.get(v, {}).get(s)
-        out = g.out_arrows[v]
-        return out[0] if len(out) == 1 else None
-
-    terms = []
-    live_label = None
-    live = 0
-    for path in enumerate_paths(g, cap):
-        coeff = 1
-        for aid in path:
-            if chosen(g.arrows[aid].src) != aid:
-                coeff = 0
-                break
-        label = g.target_labels[g.arrows[path[-1]].dst] if path else None
-        terms.append(PathTerm(path, coeff, label))
-        if coeff:
-            live += 1
-            live_label = label
-    if live != 1:
+    x = _point(x, g.input_dim)
+    terms = [PathTerm(path, coeff, g.target_labels[t])
+             for path, t, coeff in _path_terms(g, cap, lambda v: g.next_arrow(v, x).id)]
+    live = [t.label for t in terms if t.coefficient]
+    if len(live) != 1:
         raise UnknownSignVectorError(
-            f"expected exactly one live path, found {live} (unrouted sign vector)")
-    return live_label, terms
+            f"expected exactly one live path, found {len(live)} (unrouted sign vector)")
+    return live[0], terms
 
 
 # -- serialization ---------------------------------------------------------

@@ -78,6 +78,18 @@ def make_phi(X, y) -> PhiFn:
     return phi
 
 
+def _curve_phi(curves: Dict[str, AccuracyCurve]) -> PhiFn:
+    """Chart weights read off accuracy curves: a chart's phi at one of its
+    curve's thresholds.  `calibrate` weighs its votes by them, and a
+    calibrated vote reads the same weights back from the calibration."""
+    phi_at = {cid: dict(zip(curve.alphas, curve.values)) for cid, curve in curves.items()}
+
+    def phi_of(chart, alpha):
+        return phi_at[chart.id][alpha]
+
+    return phi_of
+
+
 def _finite_rows(X) -> np.ndarray:
     """X as a matrix of instances; a NaN or infinite coordinate is rejected."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -513,11 +525,7 @@ def calibrate(graph: TargetGraph, Xval, yval,
     outs = _outputs(graph.charts, range(len(graph.charts)), Xval)
     curves = {c.id: _curve_of_outputs(c, outs[i], ys, alphas)
               for i, c in enumerate(graph.charts)}
-    phi_at = {cid: dict(zip(alphas, curve.values)) for cid, curve in curves.items()}
-
-    def phi_of(chart, alpha):
-        return phi_at[chart.id][alpha]
-
+    phi_of = _curve_phi(curves)
     preds = {}
     entries = {}
     for label in sorted(graph.nodes[graph.root].target, key=str):
@@ -673,6 +681,22 @@ def load_calibration(path, graph: TargetGraph) -> Calibration:
     curves = {cid: AccuracyCurve(rec["alphas"], rec["phi"], rec["certain_sizes"])
               for cid, rec in doc["charts"].items()}
     return Calibration(entries, curves, tuple(doc["alpha_grid"]))
+
+
+def _calibrated_phi(graph: TargetGraph, calibration: Calibration) -> PhiFn:
+    """The chart weights `calibrate` chose its paths with, read back from the
+    calibration's curves.  A curve missing for a chart on a class's path, or
+    lacking the class's alpha, raises a ValueError that names the chart."""
+    phi_of = _curve_phi(calibration.curves)
+    for label, entry in calibration.entries.items():
+        for i in _charts_on(graph, [entry.path]):
+            try:
+                phi_of(graph.charts[i], entry.alpha)
+            except KeyError:
+                raise ValueError(
+                    f"class {label_to_text(label)}: no phi for chart {graph.charts[i].id!r} "
+                    f"at alpha {entry.alpha!r} in the charts curves") from None
+    return phi_of
 
 
 def vote_report(graph: TargetGraph, calibration: Calibration, X, phi_of: PhiFn,

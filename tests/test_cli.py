@@ -7,6 +7,7 @@ import pytest
 
 from logifold import approx, networks, semilinear
 from logifold.approx import FALLBACK, LabeledGrid, grid_from_function, save_grid
+from logifold import cli
 from logifold.cli import main
 from logifold.config import (
     ConfigError,
@@ -16,7 +17,7 @@ from logifold.config import (
     config_hash,
     config_to_dict,
 )
-from logifold.ensemble import ModelChart
+from logifold.ensemble import ModelChart, build_target_graph
 from logifold.graph import evaluate_batch, graph_to_dict, load_graph, validate_graph
 from logifold.fuzzy import evaluate_fuzzy, load_fuzzy
 from logifold.networks import (
@@ -32,6 +33,9 @@ from logifold.networks import (
     random_network,
     save_model,
 )
+
+from logifold.training import load_dataset
+from logifold.voting import load_calibration, make_phi, vote_report
 
 from conftest import make_holed_graph, make_step_graph
 
@@ -605,6 +609,64 @@ class TestEnsembleCommands:
                      "--out", str(tmp_path / "v.json")])
         assert code == 65
         assert f"class {label}:" in capsys.readouterr().err
+        assert not (tmp_path / "v.json").exists()
+
+    def calibrate_and_vote(self, pipeline, edit=None):
+        """Exit code of `vote` after `calibrate` on the same data file, with the
+        calibration file's JSON passed through `edit` in between."""
+        tmp_path, data, charts = pipeline
+        cal = tmp_path / "cal.json"
+        assert main(["ensemble", "calibrate", "--charts", str(charts), "--data",
+                     str(data), "--out", str(cal)]) == 0
+        if edit is not None:
+            doc = json.loads(cal.read_text())
+            edit(doc)
+            cal.write_text(json.dumps(doc))
+        return main(["ensemble", "vote", "--charts", str(charts), "--data", str(data),
+                     "--calibration", str(cal), "--out", str(tmp_path / "v.json")])
+
+    def test_vote_weighs_charts_as_calibrate_chose_its_paths(self, pipeline):
+        tmp_path, data, charts = pipeline
+        assert self.calibrate_and_vote(pipeline) == 0
+        written = (tmp_path / "v.json").read_text()
+        # the same votes with each chart's phi measured again on the val rows
+        graph = build_target_graph(*reversed(cli._load_charts(str(charts))))
+        dataset = load_dataset(str(data))
+        want = json.loads(written)
+        want["instances"] = vote_report(
+            graph, load_calibration(tmp_path / "cal.json", graph),
+            dataset.subset("test")[0], make_phi(*dataset.subset("val")))["instances"]
+        assert written == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+    def test_vote_runs_no_chart_on_the_validation_split(self, pipeline, monkeypatch):
+        tmp_path, data, charts = pipeline
+        Xval = load_dataset(str(data)).subset("val")[0]
+        seen = []
+        outputs = ModelChart.outputs
+        monkeypatch.setattr(ModelChart, "outputs",
+                            lambda chart, X: seen.append(np.array(X)) or outputs(chart, X))
+        assert self.calibrate_and_vote(pipeline) == 0
+        on_val = [X.shape == Xval.shape and np.array_equal(X, Xval) for X in seen]
+        # calibrate runs gen and pair once each on val, then vote only on test
+        assert on_val[:2] == [True, True] and len(on_val) > 2 and not any(on_val[2:])
+
+    @pytest.mark.parametrize("edit", ["drop the chart", "drop the alpha"])
+    def test_vote_without_a_calibrated_phi_exits_65(self, pipeline, capsys, edit):
+        tmp_path, data, charts = pipeline
+
+        def broken(doc):
+            entry = doc["classes"]["0"]
+            if edit == "drop the chart":
+                del doc["charts"]["gen"]
+            else:
+                for curve in doc["charts"].values():
+                    k = curve["alphas"].index(entry["alpha"])
+                    for key in ("alphas", "phi", "certain_sizes"):
+                        del curve[key][k]
+
+        capsys.readouterr()
+        assert self.calibrate_and_vote(pipeline, broken) == 65
+        assert "chart 'gen'" in capsys.readouterr().err
         assert not (tmp_path / "v.json").exists()
 
     def test_missing_calibration_names_the_path(self, pipeline, capsys):

@@ -8,18 +8,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logifold import feasibility, graph
+from logifold.approx import approximate, grid_from_function
 from logifold.errors import (
     CyclicGraphError,
     DanglingVertexError,
     DimensionMismatchError,
     GuardExplosionError,
     IncompleteRoutingError,
+    LogifoldError,
     MultipleSourcesError,
     NonFinitePointError,
     PathExplosionError,
     UnknownSignVectorError,
 )
+from logifold.fuzzy import (
+    IDENTITY,
+    ArrowMap,
+    FuzzyLogicalGraph,
+    StateSpace,
+    evaluate_fuzzy,
+    evaluate_fuzzy_pathsum,
+)
 from logifold.graph import (
+    TARGET,
     AffineMap,
     Arrow,
     GraphBuilder,
@@ -533,3 +544,182 @@ def test_builder_drops_a_guard_whose_chambers_route_alike():
     g = b.graph()
     assert not g.guards and len(g.arrows) == 1
     assert evaluate(g, [-1.0, 3.0]) == "only"
+
+
+# -- one exit rule behind every walk ------------------------------------------
+
+
+def identity_fuzzy(g):
+    """g as a fuzzy graph whose every state is the point and every map the identity."""
+    return FuzzyLogicalGraph(g, {v: StateSpace.euclidean(g.input_dim) for v in g.vertices},
+                             {aid: ArrowMap(IDENTITY) for aid in g.arrows})
+
+
+WALKS = {
+    "evaluate": lambda g, x: evaluate(g, x),
+    "evaluate_batch": lambda g, x: evaluate_batch(g, np.array([x]))[0],
+    "walk_regions": lambda g, x: list(walk_regions(g)),
+    "from_llgraph": lambda g, x: from_llgraph(g).label_of(x),
+    "evaluate_pathsum": lambda g, x: evaluate_pathsum(g, x)[0],
+    "evaluate_fuzzy": lambda g, x: evaluate_fuzzy(identity_fuzzy(g), x).label,
+    "evaluate_fuzzy_pathsum": lambda g, x: evaluate_fuzzy_pathsum(identity_fuzzy(g), x).label,
+}
+REGION_WALKS = ("walk_regions", "from_llgraph")
+
+
+def faulty_graph(fault):
+    """r -> p -> s on R^1, where s routes x >= 0 to label 1 and x < 0 to label
+    0, and a vertex o off the walk has an arrow o1 to label 1; then one fault
+    at s."""
+    vertices = {"r": "source", "p": "internal", "s": "internal", "o": "internal",
+                "t0": "target", "t1": "target"}
+    arrows = [Arrow("rp", "r", "p"), Arrow("ps", "p", "s"), Arrow("s0", "s", "t0"),
+              Arrow("s1", "s", "t1"), Arrow("o1", "o", "t1")]
+    guards = {"s": AffineMap(np.array([[1.0]]), np.array([0.0]))}
+    routing = {"s": {"+": "s1", "-": "s0"}}
+    if fault.startswith("no guard"):
+        del guards["s"], routing["s"]
+    if fault == "no guard, no arrow":
+        arrows = arrows[:2] + arrows[4:]
+    elif fault == "route names a missing arrow":
+        routing["s"]["+"] = "gone"
+    elif fault == "route names an arrow that leaves another vertex":
+        routing["s"]["+"] = "o1"
+    elif fault == "guard with no routing entry":
+        del routing["s"]
+    elif fault == "guard over R^2":
+        guards["s"] = AffineMap(np.array([[1.0, 0.0]]), np.array([0.0]))
+    return LogicalGraph(1, vertices, arrows, guards, routing, {"t0": 0, "t1": 1})
+
+
+FAULTS = {
+    "no guard, 2 arrows": (IncompleteRoutingError,
+                           "^vertex 's' has 2 outgoing arrows but no guard$"),
+    "no guard, no arrow": (IncompleteRoutingError,
+                           "^vertex 's' has 0 outgoing arrows but no guard$"),
+    "route names a missing arrow": (UnknownSignVectorError, None),
+    "route names an arrow that leaves another vertex": (UnknownSignVectorError, None),
+    "guard with no routing entry": (UnknownSignVectorError, None),
+    "guard over R^2": (DimensionMismatchError, "^guard at 's' acts on R\\^2"),
+}
+
+
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("fault", FAULTS)
+def test_every_walk_meets_a_fault_by_the_one_exit_rule(fault, walk):
+    kind, message = FAULTS[fault]
+    if kind is UnknownSignVectorError:
+        message = "^vertex 's' has no route for sign vector '\\+'$"
+        if walk in REGION_WALKS:  # a realizable chamber without a route
+            kind, message = IncompleteRoutingError, "^vertex 's'"
+    with pytest.raises(kind, match=message):
+        WALKS[walk](faulty_graph(fault), np.array([1.0]))
+
+
+def chain_graph(length):
+    """A chain of `length` unguarded vertices on R^1 that ends in the one-row
+    guard x - 0.5 >= 0: label "hi" above 0.5, "lo" below."""
+    vertices = {f"v{i}": "internal" for i in range(length)}
+    vertices.update(v0="source", lo="target", hi="target")
+    arrows = [Arrow(f"a{i}", f"v{i}", f"v{i + 1}") for i in range(length - 1)]
+    arrows += [Arrow("down", f"v{length - 1}", "lo"), Arrow("up", f"v{length - 1}", "hi")]
+    return LogicalGraph(1, vertices, arrows,
+                        {f"v{length - 1}": AffineMap(np.array([[1.0]]), np.array([-0.5]))},
+                        {f"v{length - 1}": {"+": "up", "-": "down"}}, {"lo": "lo", "hi": "hi"})
+
+
+def test_a_chain_deeper_than_the_recursion_limit_gives_one_label_in_every_walk():
+    g = chain_graph(3000)
+    assert len(g.vertices) > sys.getrecursionlimit()
+    for x, want in ((0.75, "hi"), (0.25, "lo")):
+        for name, walk in WALKS.items():
+            if name != "walk_regions":
+                assert walk(g, np.array([x])) == want, name
+    regions = list(walk_regions(g))
+    assert [(t, steps[0][1]) for t, steps in regions] == [("hi", "+"), ("lo", "-")]
+    assert len(enumerate_paths(g)) == 2 and len(enumerate_paths(g)[0]) == 3000
+
+
+def mutation_bases():
+    """Two well-formed graphs on R^2, as dicts, with points spread over them:
+    a seeded relu compile and the k-d tree of a grid cover."""
+    relu = compile_relu_net(random_network(np.random.default_rng(3), [2, 3, 3], RELU))
+    grid = grid_from_function(lambda x: int(3 * np.hypot(x[0] - 0.4, x[1] - 0.6)),
+                              [0.0, 0.0], [1.0, 1.0], 6)
+    cover = approximate(grid, 0.0).graph
+    rng = np.random.default_rng(4)
+    return [(graph_to_dict(relu), rng.normal(scale=2.0, size=(12, 2))),
+            (graph_to_dict(cover), rng.uniform(-0.1, 1.1, size=(12, 2)))]
+
+
+MUTATION_BASES = mutation_bases()
+MUTATIONS = ("delete a guard", "drop a route", "route to a missing arrow",
+             "route to an arrow of another vertex", "delete the outgoing arrows",
+             "widen a guard", "none")  # "none" keeps the graph well formed
+
+
+def mutate(data, doc, x):
+    """One mutation of the graph dict doc, at a vertex on x's walk."""
+    g = graph_from_dict(doc)
+    on_walk, v = [], g.source
+    while g.vertices[v] != TARGET:
+        on_walk.append(v)
+        v = g.next_arrow(v, x).dst
+    mutation = data.draw(st.sampled_from(MUTATIONS))
+    guarded = [v for v in on_walk if v in g.guards]
+    anywhere = mutation == "delete the outgoing arrows" or not guarded
+    v = data.draw(st.sampled_from(on_walk if anywhere else guarded))
+    routes = doc["routing"].get(v, {})
+    if mutation == "delete a guard":
+        doc["guards"].pop(v, None)
+    elif mutation == "delete the outgoing arrows":
+        doc["arrows"] = [a for a in doc["arrows"] if a["src"] != v]
+    elif mutation == "widen a guard" and v in doc["guards"]:
+        guard = doc["guards"][v]
+        guard["matrix"] = [row + [0.0] for row in guard["matrix"]]
+    elif mutation in ("drop a route", "route to a missing arrow",
+                      "route to an arrow of another vertex") and routes:
+        key = data.draw(st.sampled_from(sorted(routes)))
+        if mutation == "drop a route":
+            del routes[key]
+        elif mutation == "route to a missing arrow":
+            routes[key] = "missing"
+        else:
+            routes[key] = data.draw(st.sampled_from(
+                sorted(a["id"] for a in doc["arrows"] if a["src"] != v)))
+    return graph_from_dict(doc)
+
+
+def outcome(walk, *args):
+    """("label", value) or ("error", the LogifoldError subclass raised)."""
+    try:
+        return "label", walk(*args)
+    except LogifoldError as e:
+        return "error", type(e)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_walk_agrees_on_a_mutated_graph(data):
+    doc, X = MUTATION_BASES[data.draw(st.integers(0, 1))]
+    doc = graph_to_dict(graph_from_dict(doc))  # a fresh copy
+    g = mutate(data, doc, X[data.draw(st.integers(0, len(X) - 1))])
+    point_walks = [WALKS[name] for name in
+                   ("evaluate", "evaluate_batch", "evaluate_pathsum", "evaluate_fuzzy")]
+    got = []
+    for x in X:
+        outcomes = {outcome(walk, g, x) for walk in point_walks}
+        assert len(outcomes) == 1, (x, outcomes)
+        got.append(outcomes.pop())
+    whole = outcome(evaluate_batch, g, X)
+    if any(kind == "error" for kind, _ in got):
+        assert whole[0] == "error"
+    else:
+        assert whole == ("label", [label for _, label in got])
+    try:
+        f = from_llgraph(g)
+    except LogifoldError:
+        return
+    for x, (kind, label) in zip(X, got):
+        if kind == "label":
+            assert f.label_of(x) == label
