@@ -3,6 +3,9 @@
 Constraints are affine rows ``a . x + b >= 0`` (weak) or ``> 0`` (strict) with
 integer coefficients.  `make_constraint` clears the denominators of float and
 rational inputs exactly, so float coefficients are handled without rounding.
+Systems and chamber splits take only such integer rows; the rows that
+`enumerate_chambers` splits by are weak `Constraint`s, the form in which a
+guard keeps its exact rows (`graph.AffineMap.constraints`).
 Verdicts come from Fourier-Motzkin elimination and are exact: a feasible system
 yields a rational witness, an infeasible one yields the contradictory constant
 row derived by elimination.
@@ -287,7 +290,8 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
                        cap: Optional[int] = None, base_witness=None):
     """All realizable sign vectors of `rows` within the `base` system.
 
-    rows: sequence of (coeffs, offset) affine rows (floats accepted).
+    rows: sequence of weak integer `Constraint`s, such as a guard's
+    `AffineMap.constraints`.
     Returns {sign_string: (rational witness, system)}, where `system` is
     `base` plus the chamber's signed rows: ``+`` is the weak row >= 0, ``-``
     the negated strict row -row > 0.  A row with all-zero coefficients takes
@@ -309,8 +313,7 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
     # per probe: its "+" and "-" rows and, per sign, the earlier probes' signs
     # that exclude it (None: a base row does; a constant probe has no entry)
     probes = []
-    for idx, (coeffs, offset) in enumerate(rows):
-        plus = make_constraint(coeffs, offset, strict=False)
+    for idx, plus in enumerate(rows):
         minus = Constraint(tuple(-a for a in plus.coeffs), -plus.offset, True)
         refuters = {}
         if any(plus.coeffs):

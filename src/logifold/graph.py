@@ -13,14 +13,17 @@ contributing.
 
 Every walk (`evaluate`, `evaluate_batch`, `walk_regions` behind
 `from_llgraph`, `evaluate_pathsum` and the fuzzy walks) leaves a vertex by
-one exit rule, `_exit` and `_route`.  A target stops the walk.  A vertex
-without a guard takes its one outgoing arrow, and with none or several
-raises IncompleteRoutingError.  A guard not over the walk's R^n raises
+one exit rule, `_exit` and `_route`.  A target stops the walk, and one
+without a label raises DanglingVertexError.  A vertex without a guard takes
+its one outgoing arrow, and with none or several raises
+IncompleteRoutingError.  A guard not over the walk's R^n raises
 DimensionMismatchError.  A sign vector takes the arrow its route names if
 that arrow leaves the vertex; otherwise it has no route, which raises
 UnknownSignVectorError at a point and IncompleteRoutingError for a
 realizable chamber in `walk_regions`.  A fault raises only once a walk
-reaches its vertex.
+reaches its vertex.  An arrow to a missing vertex raises
+DanglingVertexError: in `evaluate` and `evaluate_fuzzy` once a point takes
+it, and in the other walks before they start, as a cycle does.
 
 Every sign comes from one predicate, `_guard_signs`: a row's value is summed
 in a fixed elementwise order, ((a0*x0 + a1*x1) + ...), and compared with -b,
@@ -42,6 +45,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -74,7 +78,12 @@ _STRUCTURAL_ERRORS = "structural errors found first"
 
 @dataclass(frozen=True, eq=False)
 class AffineMap:
-    """x -> matrix @ x + offset, with matrix of shape (k, n)."""
+    """x -> matrix @ x + offset, with matrix of shape (k, n).
+
+    Its exact rows, `constraints`, are read from the floats once and kept on
+    the map, so the map must not be changed in place after that: like
+    `LogicalGraph`'s batch program, later reads would still see the old rows.
+    """
 
     matrix: np.ndarray
     offset: np.ndarray
@@ -101,15 +110,13 @@ class AffineMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x + self.offset
 
-    def row(self, i):
-        """(coeffs, offset) pair of a single row, for feasibility systems."""
-        return self.matrix[i].tolist(), float(self.offset[i])
-
-    @classmethod
-    def from_rows(cls, rows, dim: int) -> "AffineMap":
-        """Map with the given (coeffs, offset) rows; no rows give a (0, dim) map."""
-        return cls(np.array([c for c, _ in rows], dtype=float).reshape(len(rows), dim),
-                   np.array([b for _, b in rows], dtype=float))
+    @cached_property
+    def constraints(self) -> tuple:
+        """Each row ``row(x) >= 0`` as a weak integer `feasibility.Constraint`,
+        read exactly: the one place where a guard's float rows become exact
+        rows.  A NaN or infinite entry raises NonFinitePointError."""
+        return tuple(feasibility.make_constraint(c, b, strict=False)
+                     for c, b in zip(self.matrix.tolist(), self.offset.tolist()))
 
 
 def _require_finite(x: np.ndarray):
@@ -232,21 +239,31 @@ class LogicalGraph:
 
     def next_arrow(self, vertex: str, x: np.ndarray) -> Optional[Arrow]:
         """The arrow by which the walk at the point x leaves `vertex`, by the
-        exit rule, or None at a target."""
+        exit rule, or None at a target.  An arrow to a missing vertex raises
+        DanglingVertexError."""
         step = _exit(self, vertex, len(x))
         if isinstance(step, AffineMap):
             signs = sign_vector(step, x)
             step = _route(self, vertex, signs)
             if step is None:
                 raise _no_route(vertex, signs)
-        return None if step is None else self.arrows[step]
+        if step is None:
+            return None
+        arrow = self.arrows[step]
+        if arrow.dst not in self.vertices:
+            raise DanglingVertexError(
+                f"arrow {arrow.id!r} references missing vertex {arrow.dst!r}")
+        return arrow
 
 
 def _exit(g: LogicalGraph, v: str, dim: int):
     """The exit rule (see the module docstring) at v, for a walk over R^dim:
-    None at a target, the one arrow's id at a vertex without a guard, and
-    otherwise v's guard, whose sign vector the walk routes by `_route`."""
+    None at a labeled target, the one arrow's id at a vertex without a
+    guard, and otherwise v's guard, whose sign vector the walk routes by
+    `_route`."""
     if g.vertices[v] == TARGET:
+        if v not in g.target_labels:
+            raise DanglingVertexError(f"target {v!r} has no label")
         return None
     guard = g.guards.get(v)
     if guard is None:
@@ -489,7 +506,7 @@ def walk_regions(g: LogicalGraph, cap: Optional[int] = None):
         routes = g.routing.get(v, {})
         try:
             chambers = feasibility.enumerate_chambers(
-                [guard.row(i) for i in range(guard.rows)], g.input_dim, base=system,
+                guard.constraints, g.input_dim, base=system,
                 base_witness=witness, cap=len(routes) if cap is None else cap - seen)
         except GuardExplosionError:
             if cap is None:
@@ -651,7 +668,7 @@ def _batch_program(g: LogicalGraph) -> _Program:
     for v in reversed(order):
         try:
             exits[v] = _exit(g, v, g.input_dim)
-        except (DimensionMismatchError, IncompleteRoutingError) as e:
+        except (DanglingVertexError, DimensionMismatchError, IncompleteRoutingError) as e:
             exits[v] = _Fail(e)
         lands[v] = lands[g.arrows[exits[v]].dst] if isinstance(exits[v], str) else v
     stops = [v for v in order if lands[v] == v]
@@ -878,6 +895,9 @@ def _path_terms(g: LogicalGraph, cap: int, exit_of=None):
 
 @dataclass
 class PathTerm:
+    """A path, its 0/1 chamber coefficient and its target's label (None only
+    for a target without one, which a term with coefficient 1 never ends at)."""
+
     arrows: List[str]
     coefficient: int
     label: object
@@ -892,8 +912,11 @@ def evaluate_pathsum(g: LogicalGraph, x, cap: int = PATH_CAP):
     at x.
     """
     x = _point(x, g.input_dim)
-    terms = [PathTerm(path, coeff, g.target_labels[t])
-             for path, t, coeff in _path_terms(g, cap, lambda v: g.next_arrow(v, x).id)]
+    terms = []
+    for path, t, coeff in _path_terms(g, cap, lambda v: g.next_arrow(v, x).id):
+        if coeff:  # the walk ends at t, so the exit rule applies there
+            _exit(g, t, g.input_dim)
+        terms.append(PathTerm(path, coeff, g.target_labels.get(t)))
     live = [t.label for t in terms if t.coefficient]
     if len(live) != 1:
         raise UnknownSignVectorError(

@@ -203,9 +203,9 @@ def _tournament(b: GraphBuilder, vid, final: AffineMap, region, witness) -> None
     def duel(name, best, hi, region, witness):
         if hi == final.rows:
             return b.target_for(best)
-        row = ((final.matrix[best] - final.matrix[hi]).tolist(),
-               float(final.offset[best] - final.offset[hi]))
-        chambers = feasibility.enumerate_chambers([row], b.input_dim, base=region,
+        guard = AffineMap(final.matrix[best:best + 1] - final.matrix[hi:hi + 1],
+                          final.offset[best:best + 1] - final.offset[hi:hi + 1])
+        chambers = feasibility.enumerate_chambers(guard.constraints, b.input_dim, base=region,
                                                   base_witness=witness)
         if len(chambers) == 1:
             (sign,) = chambers
@@ -216,7 +216,7 @@ def _tournament(b: GraphBuilder, vid, final: AffineMap, region, witness) -> None
             return routes["+"]
         if name != vid:
             b.add(name)
-        b.branch(name, AffineMap.from_rows([row], b.input_dim), routes)
+        b.branch(name, guard, routes)
         return name
 
     dst = duel(vid, 0, 1, region, witness)
@@ -270,8 +270,8 @@ def _walk_relu_regions(b: GraphBuilder, net: NetworkSpec, leaf, chamber_cap: int
             leaf(vid, composed, region, witness)
             return
         chambers = feasibility.enumerate_chambers(
-            [composed.row(i) for i in range(composed.rows)], net.input_dim, base=region,
-            cap=chamber_cap, base_witness=witness)
+            composed.constraints, net.input_dim, base=region, cap=chamber_cap,
+            base_witness=witness)
         if len(chambers) == 1:
             (signs,) = chambers
             descend(vid, depth + 1, _next_map(net, depth + 1, signs, composed), region, witness)

@@ -120,10 +120,6 @@ class SemilinearFunction:
         return hits[0] if hits else None
 
 
-def _as_row(coeffs, offset) -> Row:
-    return tuple(float(v) for v in coeffs) + (float(offset),)
-
-
 def from_llgraph(g: LogicalGraph, region_cap: int = REGION_CAP) -> SemilinearFunction:
     """One basic piece per region of g that `graph.walk_regions` yields.
 
@@ -140,12 +136,12 @@ def from_llgraph(g: LogicalGraph, region_cap: int = REGION_CAP) -> SemilinearFun
             raise RegionExplosionError(f"more than {region_cap} graph regions")
         ge, gt = [], []
         for v, signs in steps:
-            for i, s in enumerate(signs):
-                coeffs, off = g.guards[v].row(i)
+            guard = g.guards[v]
+            for s, coeffs, off in zip(signs, guard.matrix.tolist(), guard.offset.tolist()):
                 if s == "+":
-                    ge.append(_as_row(coeffs, off))
+                    ge.append((*coeffs, off))
                 else:
-                    gt.append(_as_row([-c for c in coeffs], -off))
+                    gt.append((*(-c for c in coeffs), -off))
         fibers.setdefault(g.target_labels[target], []).append(
             BasicSemilinearSet(n, (), tuple(gt), tuple(ge)))
     return SemilinearFunction(n, {l: SemilinearSet(n, tuple(ps))
@@ -211,11 +207,10 @@ def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> Logical
         if pieces:
             live.append((label, pieces))
 
-    rows = []
-    for rep, _ in reps:
-        rows.append((list(rep[:-1]), rep[-1]))
-        rows.append(([-c for c in rep[:-1]], -rep[-1]))
-    chambers = feasibility.enumerate_chambers(rows, n, cap=chamber_cap)
+    rows = np.array([r for rep, _ in reps for r in (rep, [-v for v in rep])],
+                    dtype=float).reshape(-1, n + 1)
+    guard = AffineMap(rows[:, :-1], rows[:, -1])
+    chambers = feasibility.enumerate_chambers(guard.constraints, n, cap=chamber_cap)
     b = GraphBuilder(n)
     routes = {}
     for signs in sorted(chambers):
@@ -226,7 +221,7 @@ def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> Logical
             raise AmbiguousFiberError(
                 f"chamber {signs} lies in fibers {sorted(map(str, hits))}")
         routes[signs] = b.target_for(hits[0] if hits else UNCOVERED)
-    b.branch("s", AffineMap.from_rows(rows, n), routes)
+    b.branch("s", guard, routes)
     return b.graph()
 
 

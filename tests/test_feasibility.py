@@ -24,6 +24,12 @@ from logifold.feasibility import (
     make_constraint,
     satisfies,
 )
+from logifold.graph import AffineMap
+
+
+def weak(rows):
+    """(coeffs, offset) pairs as the weak integer rows `enumerate_chambers` takes."""
+    return [make_constraint(c, b, strict=False) for c, b in rows]
 
 
 def grid_feasible(constraints, n, lo=-3, hi=3, steps=13):
@@ -142,7 +148,7 @@ def test_non_finite_coefficients_are_rejected(bad):
     with pytest.raises(NonFinitePointError):
         make_constraint([1.0, 0.0], bad, strict=True)
     with pytest.raises(NonFinitePointError):
-        enumerate_chambers([([np.float64(bad)], 0.0)], 1)
+        AffineMap(np.array([[bad]]), np.array([0.0])).constraints
 
 
 def test_import_loads_no_scipy():
@@ -158,7 +164,7 @@ def test_import_loads_no_scipy():
 
 def test_chamber_system_sign_convention():
     # '+' keeps the row weak, '-' negates and goes strict
-    out = enumerate_chambers([([1.0, 0.0], -1.0)], 2)
+    out = enumerate_chambers(weak([([1.0, 0.0], -1.0)]), 2)
     (p,) = out["+"][1]
     (m,) = out["-"][1]
     assert not p.strict and p.coeffs == (1, 0) and p.offset == -1
@@ -210,28 +216,28 @@ def test_history_cap_gap_is_refuted(rows, refutation):
 
 def test_enumerate_chambers_single_line():
     rows = [([1.0, 0.0], 0.0)]
-    out = enumerate_chambers(rows, 2)
+    out = enumerate_chambers(weak(rows), 2)
     assert set(out) == {"+", "-"}
     assert out["+"][0][0] >= 0 and out["-"][0][0] < 0
 
 
 def test_enumerate_chambers_crossing_lines():
     rows = [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)]
-    out = enumerate_chambers(rows, 2)
+    out = enumerate_chambers(weak(rows), 2)
     assert set(out) == {"++", "+-", "-+", "--"}
 
 
 def test_enumerate_chambers_parallel_shifted():
     # x >= 0 and x >= 1 leave only three of four patterns realizable
     rows = [([1.0], 0.0), ([1.0], -1.0)]
-    out = enumerate_chambers(rows, 1)
+    out = enumerate_chambers(weak(rows), 1)
     assert set(out) == {"++", "+-", "--"}
 
 
 def test_enumerate_chambers_opposed_rows_keep_boundary():
     # rows l and -l: (+,+) is the measure-zero slice l == 0
     rows = [([1.0], 0.0), ([-1.0], 0.0)]
-    out = enumerate_chambers(rows, 1)
+    out = enumerate_chambers(weak(rows), 1)
     assert set(out) == {"++", "+-", "-+"}
     assert out["++"][0] == (Fraction(0),)
 
@@ -239,7 +245,7 @@ def test_enumerate_chambers_opposed_rows_keep_boundary():
 def test_enumerate_chambers_respects_base_region():
     base = [make_constraint([1.0], -2.0, strict=False)]  # x >= 2
     rows = [([1.0], 0.0)]  # x >= 0 is forced
-    out = enumerate_chambers(rows, 1, base=base)
+    out = enumerate_chambers(weak(rows), 1, base=base)
     assert set(out) == {"+"}
 
 
@@ -250,7 +256,7 @@ def test_constant_row_takes_its_offset_sign_without_elimination(monkeypatch):
                         lambda *a: calls.append(a) or real(*a))
     # 0 >= 0 follows the + side, like a point on a guard's hyperplane
     rows = [([0.0, 0.0], 1.0), ([0.0, 0.0], -2.0), ([0.0, 0.0], 0.0), ([1.0, 0.0], 0.0)]
-    out = enumerate_chambers(rows, 2, base_witness=(Fraction(1), Fraction(0)))
+    out = enumerate_chambers(weak(rows), 2, base_witness=(Fraction(1), Fraction(0)))
     assert set(out) == {"+-++", "+-+-"}
     assert len(calls) == 1  # only the "-" side of x >= 0 needs a witness
 
@@ -261,14 +267,15 @@ def test_opposed_parallel_rows_refute_without_elimination(monkeypatch):
     monkeypatch.setattr(logifold.feasibility, "find_witness",
                         lambda *a: calls.append(a) or real(*a))
     # a (row, -row) guard: after "-" on x, the "-" side of -x means x < 0 < x
-    out = enumerate_chambers([([1.0], 0.0), ([-1.0], 0.0)], 1, base_witness=(Fraction(1),))
+    out = enumerate_chambers(weak([([1.0], 0.0), ([-1.0], 0.0)]), 1,
+                             base_witness=(Fraction(1),))
     assert set(out) == {"++", "+-", "-+"}
     # the "-" side of x and the "+" side of -x (it meets x >= 0 at 0) need one each
     assert len(calls) == 2
     calls.clear()
     # a base row x >= 2 excludes x - 1 < 0 and 2x - 3 < 0 outright
     base = [make_constraint([1], -2, strict=False)]
-    out = enumerate_chambers([([1.0], -1.0), ([2.0], -3.0)], 1, base=base,
+    out = enumerate_chambers(weak([([1.0], -1.0), ([2.0], -3.0)]), 1, base=base,
                              base_witness=(Fraction(3),))
     assert set(out) == {"++"} and calls == []
 
@@ -283,7 +290,7 @@ small_rows = st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=2, max_siz
 def test_chambers_are_exactly_the_feasible_sign_vectors(rows, base_rows):
     # small integer rows are often parallel, so opposed pairs are common
     base = [make_constraint(c, b, s) for c, b, s in base_rows]
-    out = enumerate_chambers(rows, 2, base=base)
+    out = enumerate_chambers(weak(rows), 2, base=base)
     want = set()
     for k in range(2 ** len(rows)):
         signs = "".join("-" if k >> i & 1 else "+" for i in range(len(rows)))
@@ -325,7 +332,7 @@ def test_witnesses_hold_in_fraction_arithmetic(case):
 def test_chamber_witnesses_satisfy_their_signs():
     rng = np.random.default_rng(5)
     rows = [(rng.normal(size=3).tolist(), float(rng.normal())) for _ in range(4)]
-    out = enumerate_chambers(rows, 3)
+    out = enumerate_chambers(weak(rows), 3)
     assert out
     for signs, (w, _) in out.items():
         for s, (c, b) in zip(signs, rows):

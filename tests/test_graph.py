@@ -47,8 +47,8 @@ from logifold.graph import (
     validate_graph,
     walk_regions,
 )
-from logifold.networks import RELU, compile_relu_net, random_network
-from logifold.semilinear import from_llgraph
+from logifold.networks import RELU, STEP, compile_relu_net, compile_step_net, random_network
+from logifold.semilinear import from_llgraph, to_llgraph
 
 from conftest import (make_cyclic_graph, make_diamond_graph, make_holed_graph,
                       make_pruned_graph, make_step_graph)
@@ -216,6 +216,23 @@ def test_walk_regions_stops_at_a_realizable_unrouted_chamber():
     rep = validate_graph(g)
     assert rep.realizability_checked
     assert [str(e) for e in rep.errors] == ["vertex 'm': realizable sign vector '-+' is unrouted"]
+
+
+def test_a_compiled_graph_carries_its_exact_rows(monkeypatch):
+    """Each guard a compiler builds keeps the integer rows its chambers were
+    enumerated on, so validating or walking the graph reads no row again."""
+    rng = np.random.default_rng(11)
+    relu = compile_relu_net(random_network(rng, [2, 3, 3, 3], RELU))
+    step = compile_step_net(random_network(rng, [2, 3, 3], STEP))
+    graphs = [relu, step, to_llgraph(from_llgraph(step))]
+    calls = []
+    real = feasibility.make_constraint
+    monkeypatch.setattr(feasibility, "make_constraint",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    for g in graphs:
+        assert g.guards and require_valid(g).realizability_checked
+        assert len(list(walk_regions(g))) > 1
+    assert calls == []
 
 
 def test_validate_dangling_vertex():
@@ -570,7 +587,7 @@ REGION_WALKS = ("walk_regions", "from_llgraph")
 def faulty_graph(fault):
     """r -> p -> s on R^1, where s routes x >= 0 to label 1 and x < 0 to label
     0, and a vertex o off the walk has an arrow o1 to label 1; then one fault
-    at s."""
+    at s, at its arrow s1 or at its target t1, which the walk of x = 1 reaches."""
     vertices = {"r": "source", "p": "internal", "s": "internal", "o": "internal",
                 "t0": "target", "t1": "target"}
     arrows = [Arrow("rp", "r", "p"), Arrow("ps", "p", "s"), Arrow("s0", "s", "t0"),
@@ -589,7 +606,10 @@ def faulty_graph(fault):
         del routing["s"]
     elif fault == "guard over R^2":
         guards["s"] = AffineMap(np.array([[1.0, 0.0]]), np.array([0.0]))
-    return LogicalGraph(1, vertices, arrows, guards, routing, {"t0": 0, "t1": 1})
+    elif fault == "arrow to a missing vertex":
+        arrows[3] = Arrow("s1", "s", "u")
+    labels = {"t0": 0} if fault == "target without a label" else {"t0": 0, "t1": 1}
+    return LogicalGraph(1, vertices, arrows, guards, routing, labels)
 
 
 FAULTS = {
@@ -601,6 +621,9 @@ FAULTS = {
     "route names an arrow that leaves another vertex": (UnknownSignVectorError, None),
     "guard with no routing entry": (UnknownSignVectorError, None),
     "guard over R^2": (DimensionMismatchError, "^guard at 's' acts on R\\^2"),
+    "target without a label": (DanglingVertexError, "^target 't1' has no label$"),
+    "arrow to a missing vertex": (DanglingVertexError,
+                                  "^arrow 's1' references missing vertex 'u'$"),
 }
 
 
@@ -614,6 +637,22 @@ def test_every_walk_meets_a_fault_by_the_one_exit_rule(fault, walk):
             kind, message = IncompleteRoutingError, "^vertex 's'"
     with pytest.raises(kind, match=message):
         WALKS[walk](faulty_graph(fault), np.array([1.0]))
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_a_lone_source_names_its_arrow_to_a_missing_vertex(walk):
+    g = LogicalGraph(1, {"s": "source"}, [Arrow("a", "s", "u")], {}, {}, {})
+    with pytest.raises(DanglingVertexError, match="^arrow 'a' references missing vertex 'u'$"):
+        WALKS[walk](g, np.array([1.0]))
+
+
+def test_a_target_without_a_label_raises_only_once_a_point_reaches_it():
+    g = faulty_graph("target without a label")  # t1, label 1, lost its label
+    for name in ("evaluate", "evaluate_batch", "evaluate_pathsum", "evaluate_fuzzy",
+                 "evaluate_fuzzy_pathsum"):
+        assert WALKS[name](g, np.array([-1.0])) == 0, name
+    with pytest.raises(DanglingVertexError, match="^target 't1' has no label$"):
+        evaluate_batch(g, np.array([[-1.0], [1.0]]))
 
 
 def chain_graph(length):

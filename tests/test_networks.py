@@ -134,8 +134,7 @@ def test_deep_step_net_has_one_vertex_per_first_layer_chamber(seed, depth, n, ou
     assert evaluate_batch(g, X) == list(forward_classical_batch(net, X))
     assert [evaluate(g, x) for x in X[:20]] == [forward_classical(net, x) for x in X[:20]]
     first = net.layers[0]
-    chambers = feasibility.enumerate_chambers(
-        [first.row(i) for i in range(first.rows)], n)
+    chambers = feasibility.enumerate_chambers(first.constraints, n)
     inner = [v for v, k in g.vertices.items() if k == "internal"]
     if len(chambers) > 1:
         assert list(g.guards) == ["s"] and set(g.routing["s"]) == set(chambers)

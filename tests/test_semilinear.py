@@ -255,7 +255,8 @@ def _arrangement(f):
                 if key and key not in keys:
                     keys.add(key)
                     rows += [(list(r[:-1]), r[-1]), ([-v for v in r[:-1]], -r[-1])]
-    return rows, sorted(feasibility.enumerate_chambers(rows, f.dim).items())
+    weak = [feasibility.make_constraint(c, b, strict=False) for c, b in rows]
+    return rows, sorted(feasibility.enumerate_chambers(weak, f.dim).items())
 
 
 @settings(max_examples=100, deadline=None)
