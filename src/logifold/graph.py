@@ -24,6 +24,8 @@ realizable chamber in `walk_regions`.  A fault raises only once a walk
 reaches its vertex.  An arrow to a missing vertex raises
 DanglingVertexError: in `evaluate` and `evaluate_fuzzy` once a point takes
 it, and in the other walks before they start, as a cycle does.
+`validate_graph` asks the same rule at every vertex, so its report holds
+the error a walk reaching a faulty vertex raises, before any walk runs.
 
 Every sign comes from one predicate, `_guard_signs`: a row's value is summed
 in a fixed elementwise order, ((a0*x0 + a1*x1) + ...), and compared with -b,
@@ -57,6 +59,7 @@ from .errors import (
     DimensionMismatchError,
     GuardExplosionError,
     IncompleteRoutingError,
+    LogifoldError,
     MultipleSourcesError,
     NonFinitePointError,
     PathExplosionError,
@@ -378,7 +381,9 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
     """Structural audit: acyclicity, single source, finite guards, routing
     totality, labels.
 
-    Routing totality is checked by `walk_regions` against the exactly
+    Each vertex's fault is the one the exit rule (`_exit`, `_route`) gives,
+    so the report names, before any walk runs, the error a walk reaching
+    that vertex would raise.  Routing totality is checked by `walk_regions` against the exactly
     realizable sign vectors of each guard whenever the input dimension and
     chamber count fit the exact elimination budget; larger graphs get the
     structural checks only.  The first realizable unrouted chamber is
@@ -416,33 +421,17 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
         rep.topo_order = order
 
     for v, kind in g.vertices.items():
-        out = g.out_arrows[v]
-        if kind == TARGET:
-            if out:
-                err(DanglingVertexError(f"target {v!r} has outgoing arrows {out}"))
-            if v not in g.target_labels:
-                err(DanglingVertexError(f"target {v!r} has no label"))
-        else:
-            if not out:
-                err(DanglingVertexError(f"non-target {v!r} has no outgoing arrows"))
-    for v in g.target_labels:
-        if g.vertices.get(v) != TARGET:
-            err(DanglingVertexError(f"label attached to non-target vertex {v!r}"))
-    labels = list(g.target_labels.values())
-    if len(set(labels)) != len(labels):
-        err(DanglingVertexError("target labels are not pairwise distinct"))
-
-    for v, out in g.out_arrows.items():
-        guard = g.guards.get(v)
-        if len(out) > 1 and guard is None:
-            err(IncompleteRoutingError(f"vertex {v!r} branches without a guard"))
-        if len(out) <= 1 and guard is not None:
+        out, guard = g.out_arrows[v], g.guards.get(v)
+        if kind == TARGET and out:
+            err(DanglingVertexError(f"target {v!r} has outgoing arrows {out}"))
+        if guard is not None and len(out) <= 1:
             err(IncompleteRoutingError(f"vertex {v!r} has a guard but does not branch"))
-        if guard is None:
+        try:
+            guard = _exit(g, v, g.input_dim)
+        except LogifoldError as e:  # what a walk that reaches v raises
+            err(e)
             continue
-        if guard.dim != g.input_dim:
-            err(DimensionMismatchError(
-                f"guard at {v!r} acts on R^{guard.dim}, graph is over R^{g.input_dim}"))
+        if not isinstance(guard, AffineMap):
             continue
         if not (np.isfinite(guard.matrix).all() and np.isfinite(guard.offset).all()):
             err(NonFinitePointError(f"guard at {v!r} has a NaN or infinite entry"))
@@ -456,6 +445,12 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
         for aid in out:
             if aid not in routed:
                 err(IncompleteRoutingError(f"vertex {v!r}: arrow {aid!r} is never routed"))
+    for v in g.target_labels:
+        if g.vertices.get(v) != TARGET:
+            err(DanglingVertexError(f"label attached to non-target vertex {v!r}"))
+    labels = list(g.target_labels.values())
+    if len(set(labels)) != len(labels):
+        err(DanglingVertexError("target labels are not pairwise distinct"))
 
     if not check_realizability:
         rep.skipped_because = "check_realizability is False"

@@ -3,7 +3,10 @@
 A basic piece is an intersection of equalities ``c . x + b = 0``, strict
 inequalities ``c . x + b > 0`` and weak inequalities ``c . x + b >= 0``.
 Emptiness is decided exactly over the rationals, so every verdict carries
-either a witness point or a contradiction certificate.  Decision graphs
+either a witness point or a contradiction certificate.  A piece keeps its
+rows as one `graph.AffineMap`, so its exact rows are read as a guard's are
+(`AffineMap.constraints`) and a float point is signed by the graph's
+predicate (`graph._guard_signs`).  Decision graphs
 translate back and forth: each region a graph routes becomes one piece, its
 ``+`` steps weak rows and its ``-`` steps negated strict rows, and a
 piecewise-constant fiber family compiles into a single-guard graph routed by
@@ -15,11 +18,11 @@ it: the graph is routed without evaluating any row at a point.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from numbers import Integral
-from operator import add, mul
 from typing import Dict, Tuple
 
 import numpy as np
@@ -30,10 +33,9 @@ from .feasibility import (
     Constraint,
     Verdict,
     find_witness,  # unused here; perfbench wraps and checks this binding
-    make_constraint,
 )
-from .graph import (AffineMap, GraphBuilder, LogicalGraph, label_from_text,
-                    label_to_text, walk_regions)
+from .graph import (AffineMap, GraphBuilder, LogicalGraph, _guard_signs, _sign_terms,
+                    label_from_text, label_to_text, walk_regions)
 from .networks import CHAMBER_CAP, REGION_CAP
 
 UNCOVERED = "⊥"
@@ -51,41 +53,41 @@ class BasicSemilinearSet:
     ge: Tuple[Row, ...] = ()
 
     @cached_property
+    def _rows(self) -> AffineMap:
+        """The eq, gt and ge rows, in field order, as one guard map."""
+        rows = np.array(self.eq + self.gt + self.ge, dtype=float).reshape(-1, self.dim + 1)
+        return AffineMap(rows[:, :-1], rows[:, -1])
+
+    @cached_property
     def _ints(self) -> tuple:
-        """The integer constraints, built once: an eq row gives the pair
-        (row >= 0, -row >= 0), then each gt row a strict and each ge row a
-        weak constraint, in field order."""
-        out = []
-        for row in self.eq:
-            c = make_constraint(row[:-1], row[-1], strict=False)
-            out.append(c)
-            out.append(Constraint(tuple(-v for v in c.coeffs), -c.offset, False))
-        for row in self.gt:
-            out.append(make_constraint(row[:-1], row[-1], strict=True))
-        for row in self.ge:
-            out.append(make_constraint(row[:-1], row[-1], strict=False))
-        return tuple(out)
+        """The integer constraints: an eq row gives the pair (row >= 0,
+        -row >= 0), then each gt row a strict and each ge row a weak
+        constraint, in field order."""
+        rows, ne, ng = self._rows.constraints, len(self.eq), len(self.gt)
+        return (tuple(r for c in rows[:ne]
+                      for r in (c, Constraint(tuple(-v for v in c.coeffs), -c.offset, False)))
+                + tuple(Constraint(c.coeffs, c.offset, True) for c in rows[ne:ne + ng])
+                + rows[ne + ng:])
 
     def constraints(self) -> list:
         return list(self._ints)
 
     def contains(self, x) -> bool:
-        """Exact when every coordinate is an int or a Fraction; float points
-        evaluate each row the way a graph guard does (`graph._guard_signs`):
-        the sum ((c0*x0 + c1*x1) + ...) is compared with -b, so membership
-        agrees with the graph's routing."""
+        """Exact when every coordinate is an int or a Fraction; at a float
+        point each row's sum is `graph._guard_signs`'s, compared with -b, so
+        membership agrees with the graph's routing."""
         x = list(x)
         if len(x) != self.dim:
             raise DimensionMismatchError(f"point has {len(x)} coordinates, set is {self.dim}-d")
         if all(isinstance(v, (int, Fraction)) for v in x):
             return all(feasibility.satisfies(c, x) for c in self._ints)
-        xf = np.asarray(x, dtype=float).tolist()
-
-        def cx(row):  # c . x as a left fold, the guard's order
-            return reduce(add, map(mul, row[:-1], xf), 0.0)
-
-        return (all(cx(r) == -r[-1] for r in self.eq) and all(cx(r) > -r[-1] for r in self.gt)
-                and all(cx(r) >= -r[-1] for r in self.ge))
+        sums = np.empty((self._rows.rows, 1))
+        _guard_signs(*_sign_terms(self._rows), np.asarray(x, dtype=float)[:, None], acc=sums)
+        s, b = sums[:, 0].tolist(), (-self._rows.offset).tolist()
+        ne, ng = len(self.eq), len(self.gt)
+        return (all(map(operator.eq, s[:ne], b[:ne]))
+                and all(map(operator.gt, s[ne:ne + ng], b[ne:ne + ng]))
+                and all(map(operator.ge, s[ne + ng:], b[ne + ng:])))
 
     def emptiness(self) -> Verdict:
         return feasibility.check_system(self._ints, self.dim)
@@ -167,10 +169,9 @@ def _row_key(c: Constraint):
 
 
 def _kinded_rows(piece: BasicSemilinearSet):
-    """(kind, float row, integer constraint) for each row of the piece."""
-    ints, ne = piece._ints, len(piece.eq)
-    kinds = ("eq",) * ne + ("gt",) * len(piece.gt) + ("ge",) * len(piece.ge)
-    return zip(kinds, piece.eq + piece.gt + piece.ge, ints[:2 * ne:2] + ints[2 * ne:])
+    """(kind, float row, weak integer row) for each row of the piece."""
+    kinds = ("eq",) * len(piece.eq) + ("gt",) * len(piece.gt) + ("ge",) * len(piece.ge)
+    return zip(kinds, piece.eq + piece.gt + piece.ge, piece._rows.constraints)
 
 
 def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> LogicalGraph:

@@ -655,6 +655,23 @@ def test_a_target_without_a_label_raises_only_once_a_point_reaches_it():
         evaluate_batch(g, np.array([[-1.0], [1.0]]))
 
 
+@pytest.mark.parametrize("fault", [f for f, (kind, _) in FAULTS.items()
+                                   if kind is not UnknownSignVectorError])
+def test_the_audit_reports_the_error_a_walk_raises(fault):
+    g = faulty_graph(fault)
+    with pytest.raises(LogifoldError) as walked:
+        evaluate(g, np.array([1.0]))
+    report = validate_graph(g, check_realizability=False)
+    assert (type(walked.value), str(walked.value)) in {(type(e), str(e)) for e in report.errors}
+
+
+def test_the_audit_reports_a_guard_on_a_target():
+    g = faulty_graph("none")
+    g.guards["t1"] = AffineMap(np.array([[1.0]]), np.array([0.0]))
+    messages = [str(e) for e in validate_graph(g, check_realizability=False).errors]
+    assert "vertex 't1' has a guard but does not branch" in messages
+
+
 def chain_graph(length):
     """A chain of `length` unguarded vertices on R^1 that ends in the one-row
     guard x - 0.5 >= 0: label "hi" above 0.5, "lo" below."""
