@@ -24,7 +24,6 @@ one top-to-bottom scan.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 from bisect import bisect_left, bisect_right
@@ -37,7 +36,7 @@ from .errors import (
     AssumptionViolationError, BudgetCapError, DimensionMismatchError, NonFinitePointError)
 from .graph import (  # noqa: F401  evaluate stays importable from this module
     AffineMap, GraphBuilder, LogicalGraph, _require_finite, evaluate, evaluate_batch,
-    label_from_text, label_to_text)
+    label_from_text, label_to_text, read_json, write_json)
 
 FALLBACK = "*"
 
@@ -353,7 +352,9 @@ def _check_labels(labels):
 def approximate(grid: LabeledGrid, epsilon: float,
                 budget: int = BUDGET_START, budget_cap: int = BUDGET_CAP) -> Approximation:
     """Cover labeled cells by rectangles until the leftover measure is below
-    epsilon, doubling the rectangle budget as needed up to a hard cap.
+    epsilon, doubling the rectangle budget as needed but never past
+    `budget_cap`; BudgetCapError is raised once `budget_cap` rectangles
+    leave a residual of at least epsilon.
 
     Taking a box changes only its own label's cells, so each label's largest
     rectangle is searched once up front and again only after one of its
@@ -364,6 +365,7 @@ def approximate(grid: LabeledGrid, epsilon: float,
     a full search every round would choose.
     """
     _check_inputs("epsilon", epsilon, budget)
+    budget = min(budget, budget_cap)
     code_of: Dict[object, int] = {}  # each label's first cell is its representative
     cells = grid.labels.ravel().tolist()  # a tuple label must not broadcast
     codes = np.array([code_of.setdefault(v, len(code_of)) for v in cells],
@@ -382,11 +384,11 @@ def approximate(grid: LabeledGrid, epsilon: float,
     residual = left * cellvol
     while residual >= epsilon and residual > 0:
         if len(chosen) >= budget:
-            rounds.append((budget, residual))
-            budget *= 2
-            if budget > budget_cap:
+            if budget >= budget_cap:
                 raise BudgetCapError(
                     f"rectangle budget exceeded {budget_cap} with residual {residual:.3g}")
+            rounds.append((budget, residual))
+            budget = min(2 * budget, budget_cap)
         best = None
         for label in labels:
             size, (clo, chi) = largest[label]
@@ -500,14 +502,12 @@ def save_grid(grid: LabeledGrid, manifest_path):
         "resolution": list(grid.resolution),
         "labels_file": os.path.basename(csv_path),
     }
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    write_json(manifest, manifest_path)
 
 
 def load_grid(manifest_path) -> LabeledGrid:
     manifest_path = os.fspath(manifest_path)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
     shape = tuple(manifest["resolution"])
     if any(n < 1 for n in shape):
         raise ValueError(f"resolution {list(shape)} needs at least one cell per axis")

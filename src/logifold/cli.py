@@ -11,9 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from .errors import (
     RegionExplosionError,
 )
 from .fuzzy import from_relu_softmax_net, from_sigmoid_net, save_fuzzy
-from .graph import evaluate_batch, label_to_text, load_graph, require_valid, save_graph
+from .graph import (evaluate_batch, label_to_text, load_graph, read_json, require_valid,
+                    save_graph, write_json)
 from .networks import (
     RELU,
     SIGMOID,
@@ -86,6 +87,33 @@ class _UsageError(Exception):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
+
+
+def _count(text):
+    """An integer argument of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is below 1")
+    return n
+
+
+def _widths(text):
+    """Comma-separated layer widths, each an integer of at least 1; none if empty."""
+    return [_count(v) for v in text.split(",")] if text else []
+
+
+def _nonnegative(text):
+    """A finite number of at least 0."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(v) and v >= 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number of at least 0")
+    return v
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,7 +178,7 @@ def _parse_blocks(text):
 
 
 def _load_charts(path):
-    doc = _load(path, lambda p: json.loads(Path(p).read_text()))
+    doc = _load(path, read_json)
     base = os.path.dirname(os.path.abspath(path))
     try:
         classes = doc["classes"]
@@ -183,12 +211,6 @@ def _load_chart_data(path, charts):
     for chart in charts:
         chart.embedding.check_width(data.dim)
     return data
-
-
-def _dump_json(doc, path):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # -- commands ---------------------------------------------------------------
@@ -272,7 +294,7 @@ def _cmd_approx(cfg, args):
     save_graph(result.graph, args.out)
     wrong, fallback = mismatch_measure(result, grid)
     if args.report:
-        _dump_json({
+        write_json({
             "epsilon": epsilon,
             "boxes": len(result.rectangles),
             "covered_measure": result.covered_measure,
@@ -294,7 +316,7 @@ def _cmd_charts(cfg, args):
     if eps0 is None:
         raise _UsageError("need --eps0 or --eps0-frac", 2)
     family = chart_family(grid, eps0, args.depth, budget_cap=cfg.budget_cap)
-    _dump_json({
+    write_json({
         "rounds": [{
             "epsilon": r.epsilon,
             "boxes": len(r.chart.rectangles),
@@ -321,9 +343,8 @@ def _cmd_fuzzy_import(cfg, args):
 
 def _cmd_train(cfg, args):
     data = _with_train_rows(args.data, _load(args.data, load_dataset))
-    hidden = [int(v) for v in args.hidden.split(",")] if args.hidden else []
     classes = int(np.max(data.y)) + 1
-    dims = [data.X.shape[1]] + hidden + [classes]
+    dims = [data.X.shape[1]] + args.hidden + [classes]
     rng = np.random.default_rng(cfg.seed)
     net = random_network(rng, dims, SIGMOID, SOFTMAX, scale=args.scale)
     hp = Hyperparams(learning_rate=args.lr, epochs=args.epochs,
@@ -362,7 +383,7 @@ def _cmd_gen_data(cfg, args):
 def _cmd_ensemble_target_graph(cfg, args):
     classes, charts = _load_charts(args.charts)
     graph = build_target_graph(charts, classes)
-    _dump_json({
+    write_json({
         "root": graph.root,
         "nodes": [{
             "target": sorted(map(label_to_text, node.target)),
@@ -387,7 +408,7 @@ def _cmd_ensemble_calibrate(cfg, args):
                     uncertain_weight=cfg.uncertain_weight)
     doc = calibration_to_dict(graph, cal)
     doc["config_hash"] = config_hash(cfg)
-    _dump_json(doc, args.out)
+    write_json(doc, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -402,7 +423,7 @@ def _cmd_ensemble_vote(cfg, args):
     X, _ = data.subset(args.split)
     doc = vote_report(graph, cal, X, phi_of, uncertain_weight=cfg.uncertain_weight)
     doc["config_hash"] = config_hash(cfg)
-    _dump_json(doc, args.out)
+    write_json(doc, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -422,7 +443,7 @@ def _cmd_ensemble_report(cfg, args):
             "block_accuracy": phi,
             "instances": int(certain.size),
         }
-    _dump_json(summary, os.path.join(args.outdir, "summary.json"))
+    write_json(summary, os.path.join(args.outdir, "summary.json"))
     print(f"wrote {args.outdir}")
     return 0
 
@@ -460,7 +481,7 @@ def _build_parser() -> _Parser:
              help="sampled model-vs-graph agreement report")
     sp.add_argument("--model", required=True)
     sp.add_argument("--graph", required=True)
-    sp.add_argument("--samples", type=int, default=10000)
+    sp.add_argument("--samples", type=_count, default=10000)
     sp.add_argument("--out")
 
     sp = cmd("to-semilinear", _cmd_to_semilinear, help="graph to label fibers")
@@ -494,11 +515,11 @@ def _build_parser() -> _Parser:
 
     sp = cmd("train", _cmd_train, help="train a sigmoid/softmax net")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--hidden", default="8")
-    sp.add_argument("--epochs", type=int, default=30)
+    sp.add_argument("--hidden", type=_widths, default="8")
+    sp.add_argument("--epochs", type=_count, default=30)
     sp.add_argument("--lr", type=float, default=0.5)
-    sp.add_argument("--batch-size", dest="batch_size", type=int, default=32)
-    sp.add_argument("--noise", type=float, default=0.0)
+    sp.add_argument("--batch-size", dest="batch_size", type=_count, default=32)
+    sp.add_argument("--noise", type=_nonnegative, default=0.0)
     sp.add_argument("--scale", type=float, default=1.0)
     sp.add_argument("--out", required=True)
     sp.add_argument("--trace")
@@ -509,15 +530,15 @@ def _build_parser() -> _Parser:
     sp.add_argument("--blocks", required=True,
                     help="classes per block, e.g. '0,1|2'")
     sp.add_argument("--data")
-    sp.add_argument("--epochs", type=int, default=30)
+    sp.add_argument("--epochs", type=_count, default=30)
     sp.add_argument("--lr", type=float, default=0.5)
-    sp.add_argument("--batch-size", dest="batch_size", type=int, default=32)
+    sp.add_argument("--batch-size", dest="batch_size", type=_count, default=32)
     sp.add_argument("--out", required=True)
 
     sp = cmd("gen-data", _cmd_gen_data, help="synthetic labeled dataset")
     sp.add_argument("--kind", required=True)
-    sp.add_argument("--n", type=int, default=300)
-    sp.add_argument("--spread", type=float, default=0.6)
+    sp.add_argument("--n", type=_count, default=300)
+    sp.add_argument("--spread", type=_nonnegative, default=0.6)
     sp.add_argument("--out", required=True)
 
     ens = cmd("ensemble", None, help="chart calibration and voting")

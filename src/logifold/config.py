@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 from .approx import BUDGET_CAP
 from .errors import LogifoldError
+from .graph import read_json
 from .networks import CHAMBER_CAP, REGION_CAP
 from .voting import DEFAULT_ALPHA_GRID
 
@@ -62,8 +63,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(read_json(path))
 
 
 def apply_overrides(cfg: RunConfig, *, seed: Optional[int] = None,

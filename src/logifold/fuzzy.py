@@ -11,7 +11,6 @@ pass, just grouped by region.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Dict, Optional, Tuple
@@ -38,7 +37,9 @@ from .graph import (
     LogicalGraph,
     graph_from_dict,
     graph_to_dict,
+    read_json,
     topological_order,
+    write_json,
 )
 from .networks import (
     CHAMBER_CAP,
@@ -538,10 +539,8 @@ def fuzzy_from_dict(data: dict) -> FuzzyLogicalGraph:
 
 
 def save_fuzzy(fg: FuzzyLogicalGraph, path):
-    with open(path, "w") as fh:
-        json.dump(fuzzy_to_dict(fg), fh, indent=2, sort_keys=True)
+    write_json(fuzzy_to_dict(fg), path)
 
 
 def load_fuzzy(path) -> FuzzyLogicalGraph:
-    with open(path) as fh:
-        return fuzzy_from_dict(json.load(fh))
+    return fuzzy_from_dict(read_json(path))

@@ -938,6 +938,21 @@ def label_from_text(text: str):
         raise ValueError(f"label text {text!r} is not JSON") from None
 
 
+def write_json(doc, path):
+    """Write `doc` to the file at `path` as JSON: indent 2, sorted keys and
+    a final newline.  Every JSON file the package writes goes through it."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path):
+    """The JSON document in the file at `path`; every JSON file the package
+    reads goes through it."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def graph_to_dict(g: LogicalGraph) -> dict:
     return {
         "input_dim": g.input_dim,
@@ -970,14 +985,11 @@ def graph_from_dict(data: dict) -> LogicalGraph:
 
 
 def save_graph(g: LogicalGraph, path: str):
-    with open(path, "w") as fh:
-        json.dump(graph_to_dict(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(graph_to_dict(g), path)
 
 
 def load_graph(path: str) -> LogicalGraph:
-    with open(path) as fh:
-        return graph_from_dict(json.load(fh))
+    return graph_from_dict(read_json(path))
 
 
 def relabel(g: LogicalGraph, mapping) -> LogicalGraph:

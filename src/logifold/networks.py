@@ -23,7 +23,6 @@ feasible, and the argmax convention everywhere is lowest index wins ties.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -39,7 +38,7 @@ from .errors import (
     RegionExplosionError,
     UnsupportedActivationError,
 )
-from .graph import AffineMap, GraphBuilder, LogicalGraph
+from .graph import AffineMap, GraphBuilder, LogicalGraph, read_json, write_json
 
 STEP = "step"
 RELU = "relu"
@@ -349,14 +348,11 @@ def model_from_dict(data: dict) -> Union[NetworkSpec, SpecializedNet]:
 
 
 def save_model(net, path: str):
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(net), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(model_to_dict(net), path)
 
 
 def load_model(path: str):
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))
 
 
 def random_network(rng: np.random.Generator, dims: Sequence[int],

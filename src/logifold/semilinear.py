@@ -17,7 +17,6 @@ it: the graph is routed without evaluating any row at a point.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,7 @@ from .feasibility import (
     find_witness,  # unused here; perfbench wraps and checks this binding
 )
 from .graph import (AffineMap, GraphBuilder, LogicalGraph, _guard_signs, _sign_terms,
-                    label_from_text, label_to_text, walk_regions)
+                    label_from_text, label_to_text, read_json, walk_regions, write_json)
 from .networks import CHAMBER_CAP, REGION_CAP
 
 UNCOVERED = "⊥"
@@ -282,10 +281,8 @@ def semilinear_from_dict(d: dict) -> SemilinearFunction:
 
 
 def save_semilinear(f: SemilinearFunction, path):
-    with open(path, "w") as fh:
-        json.dump(semilinear_to_dict(f), fh, indent=2, sort_keys=True)
+    write_json(semilinear_to_dict(f), path)
 
 
 def load_semilinear(path) -> SemilinearFunction:
-    with open(path) as fh:
-        return semilinear_from_dict(json.load(fh))
+    return semilinear_from_dict(read_json(path))

@@ -23,7 +23,6 @@ a single vote would.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
@@ -50,7 +49,7 @@ from .errors import (
     NoValidPathError,
     UncoveredInstanceError,
 )
-from .graph import label_to_text
+from .graph import label_to_text, read_json
 
 # threshold grid for validation history; 1.0 would empty every certain part
 DEFAULT_ALPHA_GRID = tuple(round(0.05 * i, 2) for i in range(20)) + (0.99,)
@@ -664,8 +663,7 @@ def load_calibration(path, graph: TargetGraph) -> Calibration:
     Each class's `path_nodes` must be one of its valid paths and its `alpha`
     a number in [0, 1]; otherwise a ValueError names the class.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     named = {label_to_text(l): l for l in graph.nodes[graph.root].target}
     entries = {}
     for key, rec in doc["classes"].items():

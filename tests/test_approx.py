@@ -139,6 +139,25 @@ def test_budget_cap_raises():
         approximate(g, 0.5 * g.cell_volume, budget=1, budget_cap=1)
 
 
+def checkerboard(n):
+    return grid_from_function(lambda x: (int(x[0] * n) + int(x[1] * n)) % 2,
+                              [0.0, 0.0], [1.0, 1.0], n)
+
+
+def test_a_budget_cap_between_doublings_is_the_cap():
+    g = checkerboard(10)  # 100 one-cell rectangles
+    result = approximate(g, 0.5 * g.cell_volume, budget_cap=100)
+    assert len(result.rectangles) == 100
+    assert result.rounds[-1] == (100, 0.0)
+
+
+def test_a_budget_cap_below_the_start_raises_at_the_cap():
+    g = checkerboard(10)
+    # the residual after exactly 4 rectangles: 96 cells of 0.01
+    with pytest.raises(BudgetCapError, match="exceeded 4 with residual 0.96$"):
+        approximate(g, 0.5 * g.cell_volume, budget_cap=4)
+
+
 def test_chart_family_halves_bounds_to_exhaustion():
     g = make_diag_grid(16)
     mu = g.labeled_measure()

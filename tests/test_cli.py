@@ -780,3 +780,30 @@ class TestReadmeFlow:
         assert main(["compile", "--model", "net.json", "--activation", "relu",
                      "--out", "graph.json"]) == 2
         assert "UnsupportedActivationError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check-equiv", "--samples", "-1"),
+    ("gen-data", "--n", "-5"),
+    ("gen-data", "--n", "0"),
+    ("gen-data", "--spread", "-1"),
+    ("gen-data", "--spread", "nan"),
+    ("train", "--epochs", "0"),
+    ("train", "--batch-size", "0"),
+    ("train", "--hidden", "a"),
+    ("train", "--hidden", "0"),
+    ("train", "--hidden", "4,0"),
+    ("train", "--noise", "-1"),
+    ("train", "--noise", "inf"),
+    ("specialize", "--epochs", "0"),
+])
+def test_a_bad_numeric_argument_exits_2_and_writes_nothing(tmp_path, capsys, command, flag,
+                                                           value):
+    out = tmp_path / "out"
+    required = {"check-equiv": ["--model", "m.json", "--graph", "g.json"],
+                "gen-data": ["--kind", "blobs", "--out", str(out)],
+                "train": ["--data", "d.csv", "--out", str(out)],
+                "specialize": ["--model", "m.json", "--blocks", "0|1", "--out", str(out)]}
+    assert main([command, *required[command], flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+    assert not out.exists()

@@ -13,13 +13,17 @@ from logifold.algebra import F2_ADD, boolean_combine, identity_graph
 from logifold.cli import main
 from logifold.approx import LabeledGrid, load_grid, save_grid
 from logifold.ensemble import ModelChart, as_partition, build_target_graph
+from logifold.fuzzy import from_sigmoid_net, fuzzy_to_dict, load_fuzzy, save_fuzzy
 from logifold.graph import (
     evaluate,
+    graph_to_dict,
     label_from_text,
     label_to_text,
     load_graph,
+    read_json,
     relabel,
     save_graph,
+    write_json,
 )
 from logifold.networks import (
     INDEXMAX,
@@ -27,6 +31,8 @@ from logifold.networks import (
     SOFTMAX,
     STEP,
     compile_step_net,
+    load_model,
+    model_to_dict,
     random_network,
     save_model,
 )
@@ -36,6 +42,7 @@ from logifold.semilinear import (
     SemilinearSet,
     load_semilinear,
     save_semilinear,
+    semilinear_to_dict,
 )
 from logifold.voting import (
     Calibration,
@@ -166,3 +173,36 @@ def test_target_graph_file_writes_labels_as_json_text(tmp_path):
     (node,) = json.loads(out.read_text())["nodes"]
     assert decoded(node["target"]) == sorted(map(repr, ["a", "0"]))
     assert sorted(decoded(b) for b in node["partitions"][0]) == [[repr("0")], [repr("a")]]
+
+
+def small_net(hidden, final=SOFTMAX):
+    return random_network(np.random.default_rng(0), [2, 3, 2], hidden, final)
+
+
+# each JSON file kind: (make an object, its writer, its reader, the form in
+# which the object and its reloaded copy are compared)
+JSON_FILES = {
+    "graph": (lambda: compile_step_net(small_net(STEP, INDEXMAX)), save_graph, load_graph,
+              graph_to_dict),
+    "model": (lambda: small_net(SIGMOID), save_model, load_model, model_to_dict),
+    "semilinear": (lambda: SemilinearFunction(1, {(0, "a"): SemilinearSet(
+        1, (BasicSemilinearSet(1, ((2.0, -1.0),), ((1.0, 0.5),), ((-1.0, 3.0),)),))}),
+        save_semilinear, load_semilinear, semilinear_to_dict),
+    "fuzzy": (lambda: from_sigmoid_net(small_net(SIGMOID)), save_fuzzy, load_fuzzy,
+              fuzzy_to_dict),
+    "grid manifest": (lambda: LabeledGrid([0.0, -1.0], [1.0, 1.0],
+                                          np.array([[0, None], ["a", (1, 2)]], dtype=object)),
+                      save_grid, load_grid,
+                      lambda g: (g.lo.tolist(), g.hi.tolist(), g.labels.tolist())),
+    "report": (lambda: {"b": [1, 2.5], "a": {"c": None}}, write_json, read_json,
+               lambda doc: doc),
+}
+
+
+@pytest.mark.parametrize("kind", JSON_FILES)
+def test_every_json_file_ends_in_a_newline_and_loads_back_equal(kind, tmp_path):
+    make, save, load, form = JSON_FILES[kind]
+    obj, path = make(), tmp_path / "file.json"
+    save(obj, path)
+    assert path.read_text().endswith("}\n")
+    assert form(load(path)) == form(obj)
