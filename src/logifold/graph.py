@@ -383,10 +383,10 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
 
     Each vertex's fault is the one the exit rule (`_exit`, `_route`) gives,
     so the report names, before any walk runs, the error a walk reaching
-    that vertex would raise.  Routing totality is checked by `walk_regions` against the exactly
-    realizable sign vectors of each guard whenever the input dimension and
-    chamber count fit the exact elimination budget; larger graphs get the
-    structural checks only.  The first realizable unrouted chamber is
+    that vertex would raise.  Routing totality is checked by `walk_regions`
+    against the exactly realizable sign vectors of each guard whenever the
+    input dimension and chamber count fit the exact elimination budget;
+    larger graphs get the structural checks only.  The first realizable unrouted chamber is
     reported.  When the walk does not run, `skipped_because` says why: it
     was not asked for, structural errors came first, the input dimension is
     above `feasibility.DIM_BUDGET`, or there are more than
