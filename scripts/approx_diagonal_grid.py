@@ -18,6 +18,7 @@ from logifold.approx import (
     grid_from_function,
     mismatch_measure,
 )
+from logifold.cli import _count
 from logifold.graph import _batch_program, graph_from_dict, graph_to_dict, topological_order
 
 
@@ -44,10 +45,10 @@ def program_build_ms(g, repeats: int = 5) -> float:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--resolution", type=int, default=32, help="cells per axis")
+    ap.add_argument("--resolution", type=_count, default=32, help="cells per axis")
     ap.add_argument("--epsilon-frac", type=float, default=0.1,
                     help="leftover bound as a fraction of the labeled measure")
-    ap.add_argument("--depth", type=int, default=6, help="halving rounds")
+    ap.add_argument("--depth", type=_count, default=6, help="halving rounds")
     args = ap.parse_args()
 
     grid = grid_from_function(lambda p: int(p[1] >= p[0]),

@@ -14,6 +14,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from logifold import evaluate_batch
+from logifold.cli import _count
 from logifold.graph import require_valid
 from logifold.networks import (
     INDEXMAX,
@@ -67,8 +68,8 @@ def run_sweep(kind: str, count: int, samples: int, seed: int,
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--count", type=int, default=50, help="nets per activation")
-    ap.add_argument("--samples", type=int, default=10_000, help="points per net")
+    ap.add_argument("--count", type=_count, default=50, help="nets per activation")
+    ap.add_argument("--samples", type=_count, default=10_000, help="points per net")
     ap.add_argument("--seed", type=int, default=20240901)
     ap.add_argument("--kind", choices=[STEP, RELU, "both"], default="both")
     ap.add_argument("--margin", type=float, default=1e-9,

@@ -12,6 +12,7 @@ import time
 import numpy as np
 from numpy.random import default_rng
 
+from logifold.cli import _count, _positive
 from logifold.ensemble import build_target_graph, chart_from_net, fuzzy_accuracy
 from logifold.networks import SIGMOID, SOFTMAX, random_network
 from logifold.training import (
@@ -36,10 +37,10 @@ def uniform_spread(chart, X, classes):
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=300, help="dataset size")
+    ap.add_argument("--n", type=_count, default=300, help="dataset size")
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--epochs", type=int, default=30)
-    ap.add_argument("--lr", type=float, default=0.5)
+    ap.add_argument("--epochs", type=_count, default=30)
+    ap.add_argument("--lr", type=_positive, default=0.5)
     args = ap.parse_args()
 
     t0 = time.time()

@@ -17,6 +17,7 @@ import time
 from numpy.random import default_rng
 
 from logifold import evaluate
+from logifold.cli import _count, _widths
 from logifold.networks import RELU, compile_relu_net, random_network
 from logifold.semilinear import from_llgraph, to_llgraph
 
@@ -51,12 +52,11 @@ def round_trip(dims, seed: int, samples: int) -> bool:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--arch", default="2,3,3", help="comma-separated layer widths")
+    ap.add_argument("--arch", type=_widths, default="2,3,3", help="comma-separated layer widths")
     ap.add_argument("--seeds", default="1,2", help="comma-separated net seeds")
-    ap.add_argument("--samples", type=int, default=500, help="sample points per net")
+    ap.add_argument("--samples", type=_count, default=500, help="sample points per net")
     args = ap.parse_args()
-    dims = [int(v) for v in args.arch.split(",")]
-    results = [round_trip(dims, int(s), args.samples) for s in args.seeds.split(",")]
+    results = [round_trip(args.arch, int(s), args.samples) for s in args.seeds.split(",")]
     sys.exit(0 if all(results) else 1)
 
 

@@ -105,15 +105,26 @@ def _widths(text):
     return [_count(v) for v in text.split(",")] if text else []
 
 
-def _nonnegative(text):
-    """A finite number of at least 0."""
+def _finite(text, above_zero: bool):
+    """A finite number above 0, or of at least 0."""
     try:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (math.isfinite(v) and v >= 0.0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number of at least 0")
+    if not (math.isfinite(v) and (v > 0.0 if above_zero else v >= 0.0)):
+        bound = "above 0" if above_zero else "of at least 0"
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number {bound}")
     return v
+
+
+def _nonnegative(text):
+    """A finite number of at least 0."""
+    return _finite(text, above_zero=False)
+
+
+def _positive(text):
+    """A finite number above 0: a learning rate or a weight scale."""
+    return _finite(text, above_zero=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -517,10 +528,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--data", required=True)
     sp.add_argument("--hidden", type=_widths, default="8")
     sp.add_argument("--epochs", type=_count, default=30)
-    sp.add_argument("--lr", type=float, default=0.5)
+    sp.add_argument("--lr", type=_positive, default=0.5)
     sp.add_argument("--batch-size", dest="batch_size", type=_count, default=32)
     sp.add_argument("--noise", type=_nonnegative, default=0.0)
-    sp.add_argument("--scale", type=float, default=1.0)
+    sp.add_argument("--scale", type=_positive, default=1.0)
     sp.add_argument("--out", required=True)
     sp.add_argument("--trace")
 
@@ -531,7 +542,7 @@ def _build_parser() -> _Parser:
                     help="classes per block, e.g. '0,1|2'")
     sp.add_argument("--data")
     sp.add_argument("--epochs", type=_count, default=30)
-    sp.add_argument("--lr", type=float, default=0.5)
+    sp.add_argument("--lr", type=_positive, default=0.5)
     sp.add_argument("--batch-size", dest="batch_size", type=_count, default=32)
     sp.add_argument("--out", required=True)
 

@@ -5,7 +5,9 @@ integer coefficients.  `make_constraint` clears the denominators of float and
 rational inputs exactly, so float coefficients are handled without rounding.
 Systems and chamber splits take only such integer rows; the rows that
 `enumerate_chambers` splits by are weak `Constraint`s, the form in which a
-guard keeps its exact rows (`graph.AffineMap.constraints`).
+guard keeps its exact rows (`graph.AffineMap.constraints`).  Every guard of
+the package is split through `graph.AffineMap.chambers`, which calls
+`enumerate_chambers` and keeps the result on the guard.
 Verdicts come from Fourier-Motzkin elimination and are exact: a feasible system
 yields a rational witness, an infeasible one yields the contradictory constant
 row derived by elimination.

@@ -84,12 +84,19 @@ class AffineMap:
     """x -> matrix @ x + offset, with matrix of shape (k, n).
 
     Its exact rows, `constraints`, are read from the floats once and kept on
-    the map, so the map must not be changed in place after that: like
-    `LogicalGraph`'s batch program, later reads would still see the old rows.
+    the map.  Its chambers within a base system, `chambers`, are kept too,
+    for the last base asked: a compiler splits a guard once, and a walk over
+    the graph it built (`validate_graph`, `semilinear.from_llgraph`) asks
+    the same guard under the same base and reads the record instead of
+    eliminating again.  So the map must not be changed in place after
+    either is read: like `LogicalGraph`'s batch program, later reads would
+    still see the old rows and chambers.
     """
 
     matrix: np.ndarray
     offset: np.ndarray
+
+    _record = None  # (base, chambers) of the last `chambers` call, not a field
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -120,6 +127,28 @@ class AffineMap:
         rows.  A NaN or infinite entry raises NonFinitePointError."""
         return tuple(feasibility.make_constraint(c, b, strict=False)
                      for c, b in zip(self.matrix.tolist(), self.offset.tolist()))
+
+    def chambers(self, base=(), base_witness=None, cap: Optional[int] = None) -> dict:
+        """The realizable sign vectors of the guard within the `base` system,
+        {signs: (witness, system)}, as `feasibility.enumerate_chambers` gives
+        them: the one place where a guard is split.
+
+        The result is recorded with its base.  A later call with an equal
+        base (a tuple and a list of the same rows are equal here) returns the
+        record, whatever its `base_witness`, unless the record holds more
+        than `cap` chambers: then the call is made afresh, so it raises the
+        fresh call's GuardExplosionError.  Any other base is solved again and
+        replaces the record.  Callers must not change the returned dict or
+        its systems.
+        """
+        base = list(base)
+        record = self._record
+        if record is not None and record[0] == base and (cap is None or len(record[1]) <= cap):
+            return record[1]
+        chambers = feasibility.enumerate_chambers(self.constraints, self.dim, base=base,
+                                                  cap=cap, base_witness=base_witness)
+        object.__setattr__(self, "_record", (base, chambers))
+        return chambers
 
 
 def _require_finite(x: np.ndarray):
@@ -386,10 +415,15 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
     that vertex would raise.  Routing totality is checked by `walk_regions`
     against the exactly realizable sign vectors of each guard whenever the
     input dimension and chamber count fit the exact elimination budget;
-    larger graphs get the structural checks only.  The first realizable unrouted chamber is
-    reported.  When the walk does not run, `skipped_because` says why: it
-    was not asked for, structural errors came first, the input dimension is
-    above `feasibility.DIM_BUDGET`, or there are more than
+    larger graphs get the structural checks only.  The first realizable
+    unrouted chamber is reported.  The walk splits each guard by
+    `AffineMap.chambers`: a graph just built in memory by a compiler or
+    `semilinear.to_llgraph` reads the chambers its guards recorded when
+    they were split, with no elimination, while a graph loaded from a file,
+    whose guards carry no record, walks and eliminates as before.  When the
+    walk does not run, `skipped_because` says why: it was not asked for,
+    structural errors came first, the input dimension is above
+    `feasibility.DIM_BUDGET`, or there are more than
     `_REALIZABILITY_CHAMBERS` chambers.
     """
     rep = ValidationReport()
@@ -478,13 +512,22 @@ def walk_regions(g: LogicalGraph, cap: Optional[int] = None):
     Yields (target, steps) once per source-to-target region that some input
     reaches, where `steps` lists the (guard vertex, sign vector) pairs taken.
     Vertices are left by the exit rule; at each guard the realizable
-    chambers within the region's constraint system are visited in sorted
-    sign order.  A realizable chamber without a route raises
-    IncompleteRoutingError, and more than `cap` chambers in total raise
-    GuardExplosionError.  Without a cap, a guard stops enumerating once its
-    chambers outnumber its routes, since one of them must then be unrouted.
-    A cyclic graph raises CyclicGraphError before any region is yielded.
+    chambers within the region's constraint system (`AffineMap.chambers`)
+    are visited in sorted sign order.  A realizable chamber without a route
+    raises IncompleteRoutingError, and more than `cap` chambers in total
+    raise GuardExplosionError.  Without a cap, a guard stops enumerating
+    once its chambers outnumber its routes, since one of them must then be
+    unrouted.  A cyclic graph raises CyclicGraphError before any region is
+    yielded.
     """
+    for target, steps, _ in _walk_regions(g, cap):
+        yield target, steps
+
+
+def _walk_regions(g: LogicalGraph, cap: Optional[int] = None):
+    """`walk_regions`, yielding (target, steps, witness): the witness is an
+    exact point of the region, that of its last chamber, or None when no
+    guard lies on its path."""
     topological_order(g)
     seen = 0
     stack = [(g.source, [], None, [])]
@@ -495,14 +538,13 @@ def walk_regions(g: LogicalGraph, cap: Optional[int] = None):
             v = g.arrows[step].dst
             step = _exit(g, v, g.input_dim)
         if step is None:
-            yield v, steps
+            yield v, steps, witness
             continue
         guard = step
         routes = g.routing.get(v, {})
         try:
-            chambers = feasibility.enumerate_chambers(
-                guard.constraints, g.input_dim, base=system,
-                base_witness=witness, cap=len(routes) if cap is None else cap - seen)
+            chambers = guard.chambers(system, witness,
+                                      len(routes) if cap is None else cap - seen)
         except GuardExplosionError:
             if cap is None:
                 raise IncompleteRoutingError(f"vertex {v!r} has more realizable sign "

@@ -30,7 +30,6 @@ from typing import List, Sequence, Union
 
 import numpy as np
 
-from . import feasibility
 from .errors import (
     DegenerateHyperplaneWarning,
     DimensionMismatchError,
@@ -204,8 +203,7 @@ def _tournament(b: GraphBuilder, vid, final: AffineMap, region, witness) -> None
             return b.target_for(best)
         guard = AffineMap(final.matrix[best:best + 1] - final.matrix[hi:hi + 1],
                           final.offset[best:best + 1] - final.offset[hi:hi + 1])
-        chambers = feasibility.enumerate_chambers(guard.constraints, b.input_dim, base=region,
-                                                  base_witness=witness)
+        chambers = guard.chambers(region, witness)
         if len(chambers) == 1:
             (sign,) = chambers
             return duel(name, best if sign == "+" else hi, hi + 1, region, witness)
@@ -268,9 +266,7 @@ def _walk_relu_regions(b: GraphBuilder, net: NetworkSpec, leaf, chamber_cap: int
         if depth == net.depth - 1:
             leaf(vid, composed, region, witness)
             return
-        chambers = feasibility.enumerate_chambers(
-            composed.constraints, net.input_dim, base=region, cap=chamber_cap,
-            base_witness=witness)
+        chambers = composed.chambers(region, witness, chamber_cap)
         if len(chambers) == 1:
             (signs,) = chambers
             descend(vid, depth + 1, _next_map(net, depth + 1, signs, composed), region, witness)

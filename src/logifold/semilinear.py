@@ -13,16 +13,25 @@ piecewise-constant fiber family compiles into a single-guard graph routed by
 the sign pattern of the deduplicated rows.  A chamber of that guard fixes the
 sign of every hyperplane, so its sign vector alone decides which pieces hold
 it: the graph is routed without evaluating any row at a point.
+
+Both directions split guards by `graph.AffineMap.chambers`, which keeps each
+guard's chambers on it.  So `from_llgraph` of a graph just built in memory,
+by a compiler or by `to_llgraph`, reads the chambers recorded when the graph
+was built, with no elimination, while a graph loaded from a file walks and
+eliminates as before.  Each piece `from_llgraph` makes carries the exact
+witness its walk found, so deciding its emptiness is one integer check of
+that point; a piece without a witness, such as one read from a file, is
+decided by elimination.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from numbers import Integral
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +43,7 @@ from .feasibility import (
     find_witness,  # unused here; perfbench wraps and checks this binding
 )
 from .graph import (AffineMap, GraphBuilder, LogicalGraph, _guard_signs, _sign_terms,
-                    label_from_text, label_to_text, read_json, walk_regions, write_json)
+                    _walk_regions, label_from_text, label_to_text, read_json, write_json)
 from .networks import CHAMBER_CAP, REGION_CAP
 
 UNCOVERED = "⊥"
@@ -44,12 +53,17 @@ Row = Tuple[float, ...]  # (c1, ..., cn, b)
 
 @dataclass(frozen=True)
 class BasicSemilinearSet:
-    """{x : c.x + b = 0 for eq rows, > 0 for gt rows, >= 0 for ge rows}."""
+    """{x : c.x + b = 0 for eq rows, > 0 for gt rows, >= 0 for ge rows}.
+
+    `witness`, when given, is an exact point believed to lie in the set; it
+    is a hint for `emptiness`, not part of the set's value.
+    """
 
     dim: int
     eq: Tuple[Row, ...]
     gt: Tuple[Row, ...]
     ge: Tuple[Row, ...] = ()
+    witness: Optional[tuple] = field(default=None, compare=False)
 
     @cached_property
     def _rows(self) -> AffineMap:
@@ -89,6 +103,13 @@ class BasicSemilinearSet:
                 and all(map(operator.ge, s[ne + ng:], b[ne + ng:])))
 
     def emptiness(self) -> Verdict:
+        """Exact verdict.  A witness that satisfies every integer row, checked
+        in integers, decides it feasible; without one, or when the witness
+        breaks a row, elimination decides."""
+        w = self.witness
+        if (w is not None and len(w) == self.dim
+                and all(feasibility.satisfies(c, w) for c in self._ints)):
+            return Verdict(True, tuple(w), None)
         return feasibility.check_system(self._ints, self.dim)
 
     def is_empty(self) -> bool:
@@ -126,13 +147,14 @@ def from_llgraph(g: LogicalGraph, region_cap: int = REGION_CAP) -> SemilinearFun
 
     A ``+`` step keeps its row as a weak row and a ``-`` step negates it into
     a strict row, so the pieces partition the input space exactly as the
-    graph routes it.  A realizable chamber without a route raises
+    graph routes it.  Each piece carries its region's exact walk witness.
+    A realizable chamber without a route raises
     IncompleteRoutingError; more than `region_cap` regions raise
     RegionExplosionError.
     """
     n = g.input_dim
     fibers: Dict[object, list] = {}
-    for count, (target, steps) in enumerate(walk_regions(g), 1):
+    for count, (target, steps, witness) in enumerate(_walk_regions(g), 1):
         if count > region_cap:
             raise RegionExplosionError(f"more than {region_cap} graph regions")
         ge, gt = [], []
@@ -144,7 +166,7 @@ def from_llgraph(g: LogicalGraph, region_cap: int = REGION_CAP) -> SemilinearFun
                 else:
                     gt.append((*(-c for c in coeffs), -off))
         fibers.setdefault(g.target_labels[target], []).append(
-            BasicSemilinearSet(n, (), tuple(gt), tuple(ge)))
+            BasicSemilinearSet(n, (), tuple(gt), tuple(ge), witness))
     return SemilinearFunction(n, {l: SemilinearSet(n, tuple(ps))
                                   for l, ps in fibers.items()})
 
@@ -210,7 +232,7 @@ def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> Logical
     rows = np.array([r for rep, _ in reps for r in (rep, [-v for v in rep])],
                     dtype=float).reshape(-1, n + 1)
     guard = AffineMap(rows[:, :-1], rows[:, -1])
-    chambers = feasibility.enumerate_chambers(guard.constraints, n, cap=chamber_cap)
+    chambers = guard.chambers(cap=chamber_cap)
     b = GraphBuilder(n)
     routes = {}
     for signs in sorted(chambers):

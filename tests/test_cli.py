@@ -795,7 +795,15 @@ class TestReadmeFlow:
     ("train", "--hidden", "4,0"),
     ("train", "--noise", "-1"),
     ("train", "--noise", "inf"),
+    ("train", "--lr", "-1"),
+    ("train", "--lr", "0"),
+    ("train", "--lr", "nan"),
+    ("train", "--scale", "0"),
+    ("train", "--scale", "-2"),
+    ("train", "--scale", "inf"),
     ("specialize", "--epochs", "0"),
+    ("specialize", "--lr", "-1"),
+    ("specialize", "--lr", "0"),
 ])
 def test_a_bad_numeric_argument_exits_2_and_writes_nothing(tmp_path, capsys, command, flag,
                                                            value):

@@ -1,13 +1,16 @@
 """Graph IR: sign vectors, validation, walk and path-sum evaluation, files."""
 
+import re
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from logifold import feasibility, graph
+from logifold.algebra import product
 from logifold.approx import approximate, grid_from_function
 from logifold.errors import (
     CyclicGraphError,
@@ -48,7 +51,7 @@ from logifold.graph import (
     walk_regions,
 )
 from logifold.networks import RELU, STEP, compile_relu_net, compile_step_net, random_network
-from logifold.semilinear import from_llgraph, to_llgraph
+from logifold.semilinear import from_llgraph, semilinear_to_dict, to_llgraph
 
 from conftest import (make_cyclic_graph, make_diamond_graph, make_holed_graph,
                       make_pruned_graph, make_step_graph)
@@ -233,6 +236,73 @@ def test_a_compiled_graph_carries_its_exact_rows(monkeypatch):
         assert g.guards and require_valid(g).realizability_checked
         assert len(list(walk_regions(g))) > 1
     assert calls == []
+
+
+def counted(monkeypatch, name):
+    """The argument tuples of every later call of `feasibility.<name>`."""
+    calls = []
+    real = getattr(feasibility, name)
+    monkeypatch.setattr(feasibility, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_chambers_keeps_one_record_keyed_on_its_base(monkeypatch):
+    rows = (np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
+    guard = AffineMap(*rows)
+    splits = counted(monkeypatch, "enumerate_chambers")
+    first = guard.chambers()
+    assert sorted(first) == ["++", "+-", "-+", "--"] and len(splits) == 1
+    # () and [] are one base, and the witness is not part of the key
+    assert guard.chambers([], (Fraction(5), Fraction(5))) is first
+    with pytest.raises(GuardExplosionError) as fresh:
+        AffineMap(*rows).chambers(cap=3)
+    with pytest.raises(GuardExplosionError) as recorded:
+        guard.chambers(cap=3)
+    assert str(recorded.value) == str(fresh.value)
+    # the record outlives a call that raised, and serves one within its cap
+    assert guard.chambers(cap=4) is first and len(splits) == 3
+    x_positive = [feasibility.Constraint((1, 0), 0, True)]
+    assert sorted(guard.chambers(x_positive)) == ["++", "+-"] and len(splits) == 4
+    assert guard.chambers() == first and len(splits) == 5  # the record was replaced
+
+
+def test_a_freshly_compiled_graph_is_validated_and_converted_without_elimination(monkeypatch):
+    g = compile_relu_net(random_network(np.random.default_rng(3), [2, 3, 3, 3], RELU))
+    fm = counted(monkeypatch, "_fm_verdict")
+    assert require_valid(g).realizability_checked
+    f = from_llgraph(g)
+    assert fm == []
+    # a copy read back from its dict carries no record: it eliminates, to the same pieces
+    loaded = graph_from_dict(graph_to_dict(g))
+    assert semilinear_to_dict(from_llgraph(loaded)) == semilinear_to_dict(f)
+    assert fm
+
+
+def test_a_record_still_finds_an_unrouted_chamber():
+    g = compile_relu_net(random_network(np.random.default_rng(3), [2, 3, 3, 3], RELU))
+    v = min(g.guards)
+    signs = min(g.routing[v])
+    del g.routing[v][signs]
+    with pytest.raises(IncompleteRoutingError, match="more realizable sign vectors than"):
+        list(walk_regions(g))
+    with pytest.raises(IncompleteRoutingError,
+                       match=re.escape(f"vertex {v!r}: realizable sign vector {signs!r}")):
+        list(walk_regions(g, cap=10**6))
+
+
+def test_a_guard_walked_under_another_base_is_split_again(monkeypatch):
+    # the second factor's guard x >= 1 hangs, as one object, below both
+    # chambers of the first factor's guard x >= 0
+    g = product([make_step_graph(), make_step_graph(threshold=1.0)])
+    assert len(g.guards) == 3 and len({id(m) for m in g.guards.values()}) == 2
+    splits = counted(monkeypatch, "enumerate_chambers")
+    want = [(0, 0)] + [(1, 0), (1, 1)]
+    for _ in range(2):
+        assert sorted(g.target_labels[t] for t, _ in walk_regions(g)) == sorted(want)
+    # three splits, then the shared guard twice again: x < 0 and x >= 0 alternate
+    assert len(splits) == 5
+    fresh = graph_from_dict(graph_to_dict(g))
+    assert list(walk_regions(fresh)) == list(walk_regions(g))
 
 
 def test_validate_dangling_vertex():

@@ -1,9 +1,12 @@
-"""Two conversions keep one copy each in `src/logifold`.
+"""Three conversions keep one copy each in `src/logifold`.
 
 Float rows become exact rows only inside `feasibility` and
-`graph.AffineMap.constraints`, and JSON files are read and written only by
-`graph.read_json` and `graph.write_json`.  Each check walks the syntax tree,
-so a second copy fails here however it is spelled.
+`graph.AffineMap.constraints`, JSON files are read and written only by
+`graph.read_json` and `graph.write_json`, and a guard is split only in
+`graph.AffineMap.chambers`, so every split is recorded on its guard: no
+`enumerate_chambers` call appears outside `feasibility` and that method.
+Each check walks the syntax tree, so a second copy fails here however it is
+spelled.
 """
 
 import ast
@@ -53,12 +56,14 @@ def calls(tree: ast.Module):
 
 
 def strays(module: str, tree: ast.Module):
-    """The calls of `module` that make a second copy of either conversion."""
+    """The calls of `module` that make a second copy of any conversion."""
     found = []
     for scope, name in calls(tree):
-        if name.rsplit(".", 1)[-1] == "make_constraint" and module != "feasibility" \
-                and (module, scope) != ("graph", "AffineMap.constraints"):
-            found.append(f"{module}.{scope or '<module>'} calls make_constraint")
+        for home, conversion in (("AffineMap.constraints", "make_constraint"),
+                                 ("AffineMap.chambers", "enumerate_chambers")):
+            if name.rsplit(".", 1)[-1] == conversion and module != "feasibility" \
+                    and (module, scope) != ("graph", home):
+                found.append(f"{module}.{scope or '<module>'} calls {conversion}")
         if name in JSON_CALLS and name not in JSON_HOMES.get((module, scope), ()):
             found.append(f"{module}.{scope or '<module>'} calls {name}")
     return found
@@ -90,8 +95,12 @@ class Piece:
     def rows(self):
         return [make_constraint(r[:-1], r[-1], False) for r in self.eq] + [
             feasibility.make_constraint(r[:-1], r[-1], True) for r in self.gt]
+
+def to_graph(guard):
+    return feasibility.enumerate_chambers(guard.constraints, guard.dim)
 """
     assert strays("semilinear", ast.parse(second)) == [
         "semilinear.save calls json.dump", "semilinear.read calls json.load",
         "semilinear.Piece.rows calls make_constraint",
-        "semilinear.Piece.rows calls make_constraint"]
+        "semilinear.Piece.rows calls make_constraint",
+        "semilinear.to_graph calls enumerate_chambers"]

@@ -24,11 +24,26 @@ def test_every_script_has_a_run():
     assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) == sorted(r[0] for r in RUNS)
 
 
-@pytest.mark.parametrize("argv", RUNS, ids=[r[0] for r in RUNS])
-def test_script_runs(argv):
+def run_script(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=[r[0] for r in RUNS])
+def test_script_runs(argv):
+    proc = run_script(argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["end_to_end_blobs.py", "--n", "-5"],
+    ["compile_random_nets.py", "--samples", "-1"],
+], ids=["n", "samples"])
+def test_a_bad_count_exits_2_without_a_traceback(argv):
+    proc = run_script(argv)
+    assert proc.returncode == 2
+    assert f"error: argument {argv[1]}: {argv[2]} is below 1" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout

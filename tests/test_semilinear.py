@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logifold import evaluate, feasibility, semilinear
+from logifold import evaluate, feasibility
 from logifold.errors import (
     AmbiguousFiberError,
     DimensionMismatchError,
     IncompleteRoutingError,
     RegionExplosionError,
 )
-from logifold.feasibility import check_system
-from logifold.graph import AffineMap, Arrow, GraphBuilder, LogicalGraph, walk_regions
+from logifold.feasibility import Verdict, check_system
+from logifold.graph import (AffineMap, Arrow, GraphBuilder, LogicalGraph, graph_from_dict,
+                            graph_to_dict, walk_regions)
+from logifold.networks import STEP, compile_step_net, random_network
 from logifold.semilinear import (
     UNCOVERED,
     BasicSemilinearSet,
@@ -121,16 +123,60 @@ def test_from_llgraph_makes_one_piece_per_region():
 
 
 def test_from_llgraph_checks_no_system(monkeypatch):
+    # the first walk splits each guard once; from_llgraph reads their records
     g = make_diamond_graph()
     regions = list(walk_regions(g))
     calls = []
     check_system = feasibility.check_system
     monkeypatch.setattr(feasibility, "check_system",
                         lambda *a, **k: calls.append(1) or check_system(*a, **k))
-    monkeypatch.setattr(semilinear, "walk_regions", lambda graph: iter(regions))
     f = from_llgraph(g)
     assert not calls
     assert sum(len(s.pieces) for s in f.fibers.values()) == len(regions) == 3
+
+
+def counted_fm(monkeypatch):
+    """The argument tuples of every later elimination."""
+    calls = []
+    real = feasibility._fm_verdict
+    monkeypatch.setattr(feasibility, "_fm_verdict", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_pieces_carry_their_walk_witness_and_a_round_trip_reads_its_records(monkeypatch):
+    g = compile_step_net(random_network(np.random.default_rng(5), [2, 3, 3], STEP))
+    f = from_llgraph(g)
+    pieces = [p for s in f.fibers.values() for p in s.pieces]
+    fm = counted_fm(monkeypatch)
+    for p in pieces:
+        assert all(feasibility.satisfies(c, p.witness) for c in p.constraints())
+        assert p.emptiness() == Verdict(True, p.witness, None)
+    assert fm == []
+    g2 = to_llgraph(f)
+    splits = len(fm)  # those of the arrangement guard's chambers
+    f2 = from_llgraph(g2)
+    assert len(fm) == splits
+    # a copy read back from its dict carries no record: it eliminates, to the same pieces
+    assert semilinear_to_dict(f2) == semilinear_to_dict(from_llgraph(graph_from_dict(
+        graph_to_dict(g2))))
+    assert len(fm) > splits
+
+
+def test_a_piece_whose_witness_breaks_a_row_is_decided_by_elimination(monkeypatch):
+    # x > 0 and -x > 0 is empty; 0 breaks both rows
+    void = BasicSemilinearSet(1, (), ((1.0, 0.0), (-1.0, 0.0)), (), witness=(Fraction(0),))
+    # x > 0 and x >= 1: 1/2 breaks the weak row only, 2 holds them both
+    ray = BasicSemilinearSet(1, (), ((1.0, 0.0),), ((1.0, -1.0),), witness=(Fraction(1, 2),))
+    fm = counted_fm(monkeypatch)
+    assert void.is_empty() and len(fm) == 1
+    v = ray.emptiness()
+    assert v.feasible and v.witness != (Fraction(1, 2),) and len(fm) == 2
+    assert ray.contains(v.witness)
+    held = BasicSemilinearSet(1, (), ((1.0, 0.0),), ((1.0, -1.0),), witness=(Fraction(2),))
+    assert not held.is_empty() and len(fm) == 2
+    # the witness is a hint, not part of the set's value
+    assert held == ray == BasicSemilinearSet(1, (), ((1.0, 0.0),), ((1.0, -1.0),))
+    assert hash(held) == hash(ray)
 
 
 def test_from_llgraph_matches_walks(rng):

@@ -3,13 +3,15 @@
 The sweeps are rebuilt here with the same seeds and the same draw sequence as
 `_compile_sweep` in test_acceptance.py, including the sample points that sweep
 draws and this test discards, so the nets are the very ones the acceptance
-gates compile.
+gates compile.  A freshly compiled graph is validated and converted from the
+chambers its guards recorded when they were split; a copy saved and loaded
+again carries no record and walks, and both must give the same answers.
 """
 
 import pytest
 from numpy.random import default_rng
 
-from logifold.graph import require_valid
+from logifold.graph import load_graph, require_valid, save_graph, validate_graph
 from logifold.networks import (
     INDEXMAX,
     RELU,
@@ -18,6 +20,7 @@ from logifold.networks import (
     compile_step_net,
     random_network,
 )
+from logifold.semilinear import from_llgraph, semilinear_to_dict
 
 SWEEP_NETS = 50
 SWEEP_POINTS = 10_000
@@ -41,3 +44,21 @@ def test_every_sweep_graph_is_valid_and_realizability_checked(kind, seed):
         if not require_valid(compile_net(net)).realizability_checked:
             unchecked.append(i)
     assert not unchecked, f"{kind} sweep nets {unchecked} skipped the realizability walk"
+
+
+def _answers(g):
+    """The validation report, errors as text, and the pieces' document."""
+    rep = validate_graph(g)
+    return ([f"{type(e).__name__}: {e}" for e in rep.errors], rep.topo_order,
+            rep.realizability_checked, rep.skipped_because,
+            semilinear_to_dict(from_llgraph(g)))
+
+
+@pytest.mark.parametrize("kind, seed", [(STEP, 20240901), (RELU, 20240902)])
+def test_a_sweep_graph_answers_as_its_saved_copy_does(kind, seed, tmp_path):
+    compile_net = compile_step_net if kind == STEP else compile_relu_net
+    path = tmp_path / "g.json"
+    for i, net in enumerate(_sweep_nets(kind, seed)):
+        g = compile_net(net)
+        save_graph(g, path)
+        assert _answers(g) == _answers(load_graph(path)), f"{kind} sweep net {i}"
