@@ -22,8 +22,7 @@ from logifold.networks import (
     STEP,
     compile_relu_net,
     compile_step_net,
-    forward_classical_batch,
-    forward_logits,
+    forward_logits_batch,
     random_network,
 )
 
@@ -51,15 +50,12 @@ def run_sweep(kind: str, count: int, samples: int, seed: int,
         guards += len(g.guards)
         guard_rows += sum(guard.rows for guard in g.guards.values())
         X = rng.normal(scale=2.0, size=(samples, n))
-        want = forward_classical_batch(net, X)
-        got = evaluate_batch(g, X)
-        for j, x in enumerate(X):
-            if kind == RELU:
-                z = np.sort(forward_logits(net, x))
-                if z[-1] - z[-2] <= margin:
-                    continue
-            checked += 1
-            mismatches += int(got[j] != want[j])
+        z = forward_logits_batch(net, X)
+        got = np.fromiter(evaluate_batch(g, X), dtype=object, count=samples)
+        top = np.sort(z, axis=1)
+        keep = top[:, -1] - top[:, -2] > margin if kind == RELU else np.ones(samples, bool)
+        checked += int(np.count_nonzero(keep))
+        mismatches += int(np.count_nonzero(keep & (got != np.argmax(z, axis=1))))
     print(f"{kind}: {mismatches} mismatches over {checked} points "
           f"({count} nets, {targets} targets, {guards} guards, {guard_rows} guard rows "
           f"total), compile {compile_s:.2f}s, require_valid {valid_s:.2f}s, "

@@ -22,6 +22,25 @@ from logifold.networks import RELU, compile_relu_net, random_network
 from logifold.semilinear import from_llgraph, to_llgraph
 
 
+def _arch(text):
+    """Layer widths as `_widths` reads them, at least two: a network needs a layer."""
+    dims = _widths(text)
+    if len(dims) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} names fewer than two widths")
+    return dims
+
+
+def _seeds(text):
+    """Comma-separated net seeds, each an integer of at least 0."""
+    try:
+        seeds = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of integers") from None
+    if min(seeds) < 0:
+        raise argparse.ArgumentTypeError(f"{min(seeds)} is below 0")
+    return seeds
+
+
 def _timed(fn, *args):
     t = time.perf_counter()
     out = fn(*args)
@@ -52,11 +71,11 @@ def round_trip(dims, seed: int, samples: int) -> bool:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--arch", type=_widths, default="2,3,3", help="comma-separated layer widths")
-    ap.add_argument("--seeds", default="1,2", help="comma-separated net seeds")
+    ap.add_argument("--arch", type=_arch, default="2,3,3", help="comma-separated layer widths")
+    ap.add_argument("--seeds", type=_seeds, default="1,2", help="comma-separated net seeds")
     ap.add_argument("--samples", type=_count, default=500, help="sample points per net")
     args = ap.parse_args()
-    results = [round_trip(args.arch, int(s), args.samples) for s in args.seeds.split(",")]
+    results = [round_trip(args.arch, s, args.samples) for s in args.seeds]
     sys.exit(0 if all(results) else 1)
 
 

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -39,15 +40,13 @@ from .fuzzy import from_relu_softmax_net, from_sigmoid_net, save_fuzzy
 from .graph import (evaluate_batch, label_to_text, load_graph, read_json, require_valid,
                     save_graph, write_json)
 from .networks import (
-    RELU,
     SIGMOID,
     SOFTMAX,
-    STEP,
     compile_relu_net,
     compile_step_net,
-    forward_classical_batch,
-    forward_logits,
+    forward_logits_batch,
     load_model,
+    pick,
     random_network,
     save_model,
 )
@@ -229,11 +228,9 @@ def _load_chart_data(path, charts):
 
 def _cmd_compile(cfg, args):
     net = _load(args.model, load_model)
-    if args.activation == STEP:
-        g = compile_step_net(net, chamber_cap=cfg.chamber_cap)
-    else:
-        g = compile_relu_net(net, chamber_cap=cfg.chamber_cap,
-                             region_cap=cfg.region_cap)
+    compiler = pick(net, {"step compiler": compile_step_net,
+                          "relu compiler": partial(compile_relu_net, region_cap=cfg.region_cap)})
+    g = compiler(net, chamber_cap=cfg.chamber_cap)
     require_valid(g)
     save_graph(g, args.out)
     print(f"wrote {args.out}")
@@ -258,16 +255,12 @@ def _cmd_check_equiv(cfg, args):
     g = _load_graph(args.graph)
     rng = np.random.default_rng(cfg.seed)
     X = rng.normal(scale=2.0, size=(args.samples, net.input_dim))
-    want = forward_classical_batch(net, X).astype(object)
-    got = evaluate_batch(g, X)
-    differ = np.flatnonzero(want != np.fromiter(got, dtype=object, count=len(got)))
-    # the tie filter runs one point at a time: a batched forward pass rounds
-    # the logits differently
-    skipped = 0
-    for i in differ:
-        logits = np.sort(forward_logits(net, X[i]))
-        skipped += int(logits[-1] - logits[-2] <= cfg.tie_margin)
-    mismatches = len(differ) - skipped
+    logits = forward_logits_batch(net, X)
+    got = np.fromiter(evaluate_batch(g, X), dtype=object, count=len(X))
+    top = np.sort(logits[np.argmax(logits, axis=1).astype(object) != got], axis=1)
+    skipped = int(np.count_nonzero(top[:, -1] - top[:, -2] <= cfg.tie_margin)) \
+        if top.shape[1] > 1 else 0
+    mismatches = len(top) - skipped
     report = (f"samples: {args.samples}\nmismatches: {mismatches}\n"
               f"skipped_ties: {skipped}\nconfig_hash: {config_hash(cfg)}\n")
     if args.out:
@@ -342,12 +335,9 @@ def _cmd_charts(cfg, args):
 
 def _cmd_fuzzy_import(cfg, args):
     net = _load(args.model, load_model)
-    if args.kind == "sigmoid":
-        fg = from_sigmoid_net(net)
-    else:
-        fg = from_relu_softmax_net(net, chamber_cap=cfg.chamber_cap,
-                                   region_cap=cfg.region_cap)
-    save_fuzzy(fg, args.out)
+    relu = partial(from_relu_softmax_net, chamber_cap=cfg.chamber_cap, region_cap=cfg.region_cap)
+    importer = pick(net, {"sigmoid importer": from_sigmoid_net, "relu importer": relu})
+    save_fuzzy(importer(net), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -470,7 +460,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--caps.regions", dest="caps_regions", type=int)
     p.add_argument("--grid", dest="alpha_grid",
                    help="comma-separated certainty thresholds")
-    p.add_argument("--tie-margin", dest="tie_margin", type=float)
+    p.add_argument("--tie-margin", dest="tie_margin", type=_nonnegative)
     sub = p.add_subparsers(dest="cmd", required=True, metavar="cmd")
 
     def cmd(name, fn, **kwargs):
@@ -480,7 +470,6 @@ def _build_parser() -> _Parser:
 
     sp = cmd("compile", _cmd_compile, help="model file to decision graph")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--activation", choices=[STEP, RELU], required=True)
     sp.add_argument("--out", required=True)
 
     sp = cmd("eval", _cmd_eval, help="label points with a graph")
@@ -514,14 +503,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("--grid", dest="grid_file", required=True)
     sp.add_argument("--eps0", type=float)
     sp.add_argument("--eps0-frac", dest="eps0_frac", type=float)
-    sp.add_argument("--depth", type=int, default=6)
+    sp.add_argument("--depth", type=_count, default=6)
     sp.add_argument("--report", required=True)
 
     sp = cmd("fuzzy-import", _cmd_fuzzy_import,
              help="smooth network to fuzzy graph")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--kind", choices=["sigmoid", "relu-softmax"],
-                    required=True)
     sp.add_argument("--out", required=True)
 
     sp = cmd("train", _cmd_train, help="train a sigmoid/softmax net")

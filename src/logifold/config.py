@@ -41,8 +41,9 @@ class RunConfig:
         for a in self.alpha_grid:
             if not 0.0 <= a <= 1.0:
                 raise ConfigError(f"threshold {a} outside [0, 1]")
-        if self.tie_margin < 0 or self.uncertain_weight < 0:
-            raise ConfigError("margins and weights must be nonnegative")
+        for name in ("tie_margin", "uncertain_weight"):
+            if not 0.0 <= getattr(self, name) < float("inf"):
+                raise ConfigError(f"{name} must be a finite number of at least 0")
         return self
 
 
@@ -71,18 +72,9 @@ def apply_overrides(cfg: RunConfig, *, seed: Optional[int] = None,
                     region_cap: Optional[int] = None,
                     grid: Optional[Sequence[float]] = None,
                     tie_margin: Optional[float] = None) -> RunConfig:
-    updates = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if chamber_cap is not None:
-        updates["chamber_cap"] = chamber_cap
-    if region_cap is not None:
-        updates["region_cap"] = region_cap
-    if grid is not None:
-        updates["alpha_grid"] = tuple(grid)
-    if tie_margin is not None:
-        updates["tie_margin"] = tie_margin
-    return replace(cfg, **updates).validate()
+    updates = dict(seed=seed, chamber_cap=chamber_cap, region_cap=region_cap,
+                   alpha_grid=None if grid is None else tuple(grid), tie_margin=tie_margin)
+    return replace(cfg, **{k: v for k, v in updates.items() if v is not None}).validate()
 
 
 def config_hash(cfg: RunConfig) -> str:

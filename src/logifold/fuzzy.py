@@ -25,7 +25,6 @@ from .errors import (
     StateSpaceMismatchError,
     StateSpaceViolationError,
     UnknownOutcomeError,
-    UnsupportedActivationError,
 )
 from .graph import (
     INTERNAL,
@@ -44,13 +43,11 @@ from .graph import (
 from .networks import (
     CHAMBER_CAP,
     REGION_CAP,
-    RELU,
-    SIGMOID,
-    SOFTMAX,
     NetworkSpec,
     _sigmoid,
     _softmax,
     _walk_relu_regions,
+    require,
 )
 
 IDENTITY = "identity"
@@ -350,9 +347,7 @@ def _values_matrix(w: np.ndarray) -> np.ndarray:
 
 def from_sigmoid_net(net: NetworkSpec, label="out") -> FuzzyLogicalGraph:
     """Chain graph of a sigmoid network with a softmax head."""
-    if net.hidden_activation != SIGMOID or net.final_activation != SOFTMAX:
-        raise UnsupportedActivationError(
-            "sigmoid importer expects sigmoid hidden layers and a softmax head")
+    require(net, "sigmoid importer")
     b = GraphBuilder(net.input_dim)
     spaces = {"s": StateSpace.euclidean(net.input_dim)}
     maps = {}
@@ -377,9 +372,7 @@ def from_relu_softmax_net(net: NetworkSpec, label="out",
                           region_cap: int = REGION_CAP) -> FuzzyLogicalGraph:
     """Region tree of a ReLU network whose leaves apply softmax of the
     composed affine map; the state stays the raw input until a leaf arrow."""
-    if net.hidden_activation != RELU or net.final_activation != SOFTMAX:
-        raise UnsupportedActivationError(
-            "relu importer expects relu hidden layers and a softmax head")
+    require(net, "relu importer")
     n = net.input_dim
     b = GraphBuilder(n)
     target = b.target_for(label)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -47,6 +47,21 @@ SOFTMAX = "softmax"
 
 CHAMBER_CAP = 2**16
 REGION_CAP = 10**5
+
+# The one table of network kinds: each operation and the kinds it takes.  A
+# network's `kind` is "hidden/head"; a SpecializedNet's is "specialized "
+# before its base's, so only the rows that list one take it.
+KINDS = {
+    "classical forward pass": {"step/indexmax", "relu/indexmax"},
+    "step compiler": {"step/indexmax"},
+    "relu compiler": {"relu/indexmax"},
+    "smooth forward pass": {"sigmoid/softmax", "relu/softmax",
+                            "specialized sigmoid/softmax", "specialized relu/softmax"},
+    "sigmoid importer": {"sigmoid/softmax"},
+    "relu importer": {"relu/softmax"},
+    "specialize": {"sigmoid/softmax", "relu/softmax"},
+    "training": {"sigmoid/softmax", "specialized sigmoid/softmax", "specialized relu/softmax"},
+}
 
 
 @dataclass
@@ -83,6 +98,11 @@ class NetworkSpec:
     def depth(self) -> int:
         return len(self.layers)
 
+    @cached_property
+    def kind(self) -> str:
+        """Row key in KINDS, such as "relu/indexmax"."""
+        return f"{self.hidden_activation}/{self.final_activation}"
+
 
 @dataclass
 class SpecializedNet:
@@ -98,6 +118,27 @@ class SpecializedNet:
     @property
     def output_dim(self) -> int:
         return self.head.rows
+
+    @cached_property
+    def kind(self) -> str:
+        return "specialized " + self.base.kind
+
+
+def pick(net, choices: dict):
+    """The value of the first operation in `choices` ({operation: value}) whose
+    row of KINDS holds `net`'s kind; UnsupportedActivationError if none does."""
+    for op, value in choices.items():
+        if net.kind in KINDS[op]:
+            return value
+    takes = sorted(set().union(*(KINDS[op] for op in choices)))
+    raise UnsupportedActivationError(
+        f"{' or '.join(choices)} takes {', '.join(takes)} networks, not a {net.kind} network")
+
+
+def require(net, op: str) -> None:
+    """Raise UnsupportedActivationError unless operation `op` takes `net`'s kind."""
+    if net.kind not in KINDS[op]:
+        pick(net, {op: None})
 
 
 def _step(z):
@@ -115,22 +156,18 @@ def _softmax(z, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
+_HIDDEN = {STEP: _step, RELU: lambda z: np.maximum(z, 0.0), SIGMOID: _sigmoid}
+
+
 def forward_classical(net: NetworkSpec, x) -> int:
     """Classical forward pass; returns the argmax label index (ties go low)."""
-    z = forward_logits(net, x)
-    return int(np.argmax(z))
-
-
-def _classical_activation(net: NetworkSpec):
-    """Hidden activation of the classical forward pass; other nets raise."""
-    if net.final_activation != INDEXMAX or net.hidden_activation not in (STEP, RELU):
-        raise UnsupportedActivationError(
-            "classical forward expects step/relu hidden layers and an indexmax head")
-    return _step if net.hidden_activation == STEP else (lambda z: np.maximum(z, 0.0))
+    return int(np.argmax(forward_logits(net, x)))
 
 
 def forward_logits(net: NetworkSpec, x) -> np.ndarray:
-    act = _classical_activation(net)
+    """Final-layer values of a step or relu network at one point."""
+    require(net, "classical forward pass")
+    act = _HIDDEN[net.hidden_activation]
     a = np.asarray(x, dtype=float)
     if a.shape != (net.input_dim,):
         raise DimensionMismatchError(
@@ -140,46 +177,47 @@ def forward_logits(net: NetworkSpec, x) -> np.ndarray:
     return net.layers[-1](a)
 
 
-def forward_classical_batch(net: NetworkSpec, X) -> np.ndarray:
-    act = _classical_activation(net)
-    A = np.asarray(X, dtype=float)
-    if A.ndim != 2 or A.shape[1] != net.input_dim:
-        raise DimensionMismatchError(
-            f"points have shape {A.shape}, network expects (m, {net.input_dim})")
-    A = A.T  # (n, m)
-    for layer in net.layers[:-1]:
-        A = act(layer.matrix @ A + layer.offset[:, None])
-    Z = net.layers[-1].matrix @ A + net.layers[-1].offset[:, None]
-    return np.argmax(Z, axis=0)
-
-
-def forward_smooth(net: Union[NetworkSpec, SpecializedNet], x) -> np.ndarray:
-    """Sigmoid-hidden, softmax-final forward pass; returns the output vector."""
-    x = np.asarray(x, dtype=float)
-    return forward_smooth_batch(net, x[None, :])[0]
-
-
 def _rows_through(A: np.ndarray, f: AffineMap) -> np.ndarray:
     """f at every row of A, each row's bits the same alone or in any batch: einsum
     makes no BLAS call, whose kernel, and so rounding, follows the batch shape."""
     return np.einsum("ij,kj->ik", np.ascontiguousarray(A), f.matrix) + f.offset
 
 
-def forward_smooth_batch(net: Union[NetworkSpec, SpecializedNet], X) -> np.ndarray:
-    """forward_smooth at every row of X; row r does not depend on the batch."""
-    if isinstance(net, SpecializedNet):
-        return _softmax(_rows_through(forward_smooth_batch(net.base, X), net.head), axis=1)
-    if net.hidden_activation not in (SIGMOID, RELU) or net.final_activation != SOFTMAX:
-        raise UnsupportedActivationError(
-            "smooth forward expects sigmoid or relu hidden layers and a softmax head")
-    act = _sigmoid if net.hidden_activation == SIGMOID else (lambda z: np.maximum(z, 0.0))
+def _final_rows(net: NetworkSpec, X) -> np.ndarray:
+    """Final-layer values at every row of X, each row through `_rows_through`."""
     A = np.asarray(X, dtype=float)
     if A.ndim != 2 or A.shape[1] != net.input_dim:
         raise DimensionMismatchError(
             f"points have shape {A.shape}, network expects (m, {net.input_dim})")
+    act = _HIDDEN[net.hidden_activation]
     for layer in net.layers[:-1]:
         A = act(_rows_through(A, layer))
-    return _softmax(_rows_through(A, net.layers[-1]), axis=1)
+    return _rows_through(A, net.layers[-1])
+
+
+def forward_logits_batch(net: NetworkSpec, X) -> np.ndarray:
+    """forward_logits at every row of X; row r does not depend on the batch."""
+    require(net, "classical forward pass")
+    return _final_rows(net, X)
+
+
+def forward_classical_batch(net: NetworkSpec, X) -> np.ndarray:
+    return np.argmax(forward_logits_batch(net, X), axis=1)
+
+
+def forward_smooth(net: Union[NetworkSpec, SpecializedNet], x) -> np.ndarray:
+    """Sigmoid- or relu-hidden, softmax-final forward pass; returns the output vector."""
+    x = np.asarray(x, dtype=float)
+    return forward_smooth_batch(net, x[None, :])[0]
+
+
+def forward_smooth_batch(net: Union[NetworkSpec, SpecializedNet], X) -> np.ndarray:
+    """forward_smooth at every row of X; row r does not depend on the batch."""
+    require(net, "smooth forward pass")
+    if isinstance(net, SpecializedNet):
+        base = _softmax(_final_rows(net.base, X), axis=1)
+        return _softmax(_rows_through(base, net.head), axis=1)
+    return _softmax(_final_rows(net, X), axis=1)
 
 
 # -- compilation helpers ---------------------------------------------------
@@ -291,8 +329,7 @@ def _argmax_graph(net: NetworkSpec, chamber_cap: int, region_cap: int) -> Logica
 def compile_step_net(net: NetworkSpec, chamber_cap: int = CHAMBER_CAP) -> LogicalGraph:
     """Decision graph of a step network: route on the first layer's chambers,
     then follow the finite Boolean computation to the argmax target."""
-    if net.hidden_activation != STEP or net.final_activation != INDEXMAX:
-        raise UnsupportedActivationError("step compiler expects step/indexmax activations")
+    require(net, "step compiler")
     return _argmax_graph(net, chamber_cap, REGION_CAP)
 
 
@@ -300,8 +337,7 @@ def compile_relu_net(net: NetworkSpec, chamber_cap: int = CHAMBER_CAP,
                      region_cap: int = REGION_CAP) -> LogicalGraph:
     """Decision graph of a ReLU network via layerwise region subdivision; each
     region reaches its argmax by a tournament of one-row duels, ties going low."""
-    if net.hidden_activation != RELU or net.final_activation != INDEXMAX:
-        raise UnsupportedActivationError("relu compiler expects relu/indexmax activations")
+    require(net, "relu compiler")
     return _argmax_graph(net, chamber_cap, region_cap)
 
 

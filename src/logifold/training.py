@@ -26,6 +26,7 @@ from .networks import (
     _sigmoid,
     _softmax,
     forward_smooth_batch,
+    require,
 )
 
 
@@ -163,6 +164,7 @@ def _run_sgd(params, X, y, classes, hp: Hyperparams):
 def train_sgd(model: Union[NetworkSpec, SpecializedNet], data: Dataset,
               hp: Hyperparams) -> TrainResult:
     """Fit on the train split.  A specialized model only updates its head."""
+    require(model, "training")
     X, y = data.subset("train")
     if isinstance(model, SpecializedNet):
         feats = forward_smooth_batch(model.base, X)
@@ -170,8 +172,6 @@ def train_sgd(model: Union[NetworkSpec, SpecializedNet], data: Dataset,
         losses, trace = _run_sgd(params, feats, y, model.head.rows, hp)
         head = AffineMap(params[0][0], params[0][1])
         return TrainResult(SpecializedNet(model.base, head), losses, trace)
-    if model.hidden_activation != SIGMOID or model.final_activation != SOFTMAX:
-        raise DivergenceError("training expects a sigmoid-hidden softmax-head network")
     params = [(l.matrix.copy(), l.offset.copy()) for l in model.layers]
     losses, trace = _run_sgd(params, X, y, model.output_dim, hp)
     layers = [AffineMap(w, b) for w, b in params]
@@ -187,6 +187,7 @@ def specialize(net: NetworkSpec, blocks: Sequence[Sequence[int]]) -> Specialized
     The head starts as the block indicator matrix, so with singleton blocks
     the argmax is unchanged.
     """
+    require(net, "specialize")
     flat = [c for b in blocks for c in b]
     if len(set(flat)) != len(flat):
         raise BlockMismatchError(f"blocks overlap: {sorted(map(list, blocks))}")

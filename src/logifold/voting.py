@@ -115,14 +115,6 @@ def _outputs(charts: Sequence[ModelChart], idxs, X) -> Dict[int, np.ndarray]:
     return {i: charts[i].outputs(X) for i in idxs}
 
 
-def _row_ids(ids, X) -> list:
-    """One id per row of X, row numbers when ids is None."""
-    ids = list(range(len(X))) if ids is None else list(ids)
-    if len(ids) != len(X):
-        raise DimensionMismatchError(f"{len(ids)} ids for {len(X)} instances")
-    return ids
-
-
 # -- node votes ---------------------------------------------------------------
 
 
@@ -622,16 +614,15 @@ def fuzzy_belonging(bundle: LogifoldBundle, x) -> float:
 # -- reports ----------------------------------------------------------------
 
 
-def write_prediction_matrix(path, chart: ModelChart, X, ids=None) -> np.ndarray:
+def write_prediction_matrix(path, chart: ModelChart, X) -> np.ndarray:
     """Write the chart's block distribution at each row of X as a CSV, one
-    line per instance id, and return the output matrix it wrote."""
+    line per row number, and return the output matrix it wrote."""
     X = _finite_rows(X)
-    ids = _row_ids(ids, X)
     p = chart.outputs(X)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["instance_id"] + [f"p_block_{j + 1}" for j in range(p.shape[1])])
-        for i, row in zip(ids, p):
+        for i, row in enumerate(p):
             w.writerow([i] + [repr(float(v)) for v in row])
     return p
 
@@ -698,12 +689,11 @@ def _calibrated_phi(graph: TargetGraph, calibration: Calibration) -> PhiFn:
 
 
 def vote_report(graph: TargetGraph, calibration: Calibration, X, phi_of: PhiFn,
-                ids=None, uncertain_weight: float = 0.0) -> dict:
+                uncertain_weight: float = 0.0) -> dict:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    ids = _row_ids(ids, X)
     instances = []
-    for i, res in zip(ids, _history_votes(graph, calibration, X, phi_of,
-                                          uncertain_weight)):
+    for i, res in enumerate(_history_votes(graph, calibration, X, phi_of,
+                                           uncertain_weight)):
         flags = []
         if res.uniform_fallback:
             flags.append("uniform_fallback")

@@ -92,7 +92,7 @@ class TestCompileEval:
         net, model_path = step_model
         graph_path = tmp_path / "g.json"
         assert main(["compile", "--model", str(model_path),
-                     "--activation", "step", "--out", str(graph_path)]) == 0
+                     "--out", str(graph_path)]) == 0
         g = load_graph(graph_path)
         assert not validate_graph(g).errors
 
@@ -121,7 +121,7 @@ class TestCompileEval:
             save_model(net, tmp_path / f"m{k}.json")
         graph_path = tmp_path / "g.json"
         assert main(["compile", "--model", str(tmp_path / "m0.json"),
-                     "--activation", "relu", "--out", str(graph_path)]) == 0
+                     "--out", str(graph_path)]) == 0
         capsys.readouterr()
         assert main(["--seed", "5", "--tie-margin", str(margin), "check-equiv",
                      "--model", str(tmp_path / "m1.json"), "--graph", str(graph_path),
@@ -145,7 +145,7 @@ class TestCompileEval:
         save_model(net, model_path)
         graph_path = tmp_path / "g.json"
         assert main(["compile", "--model", str(model_path),
-                     "--activation", "relu", "--out", str(graph_path)]) == 0
+                     "--out", str(graph_path)]) == 0
         pts = tmp_path / "pts.csv"
         X = np.random.default_rng(4).normal(scale=2.0, size=(50, 2))
         pts.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in X))
@@ -158,7 +158,7 @@ class TestCompileEval:
         _, model_path = step_model
         graph_path = tmp_path / "g.json"
         assert main(["compile", "--model", str(model_path),
-                     "--activation", "step", "--out", str(graph_path)]) == 0
+                     "--out", str(graph_path)]) == 0
         pts = tmp_path / "pts.csv"
         pts.write_text("0.5,0.25\nnan,1.0\n")
         out = tmp_path / "labels.txt"
@@ -178,17 +178,10 @@ class TestCompileEval:
         model_path = tmp_path / "nan.json"
         save_model(net, model_path)
         graph_path = tmp_path / "g.json"
-        command = ["fuzzy-import", "--kind", activation] if activation in fuzzy \
-            else ["compile", "--activation", activation]
-        assert main(command + ["--model", str(model_path), "--out", str(graph_path)]) == 2
+        command = "fuzzy-import" if activation in fuzzy else "compile"
+        assert main([command, "--model", str(model_path), "--out", str(graph_path)]) == 2
         assert "NonFinitePointError" in capsys.readouterr().err
         assert not graph_path.exists()
-
-    def test_wrong_activation_is_a_validation_error(self, tmp_path, step_model):
-        _, model_path = step_model
-        code = main(["compile", "--model", str(model_path),
-                     "--activation", "relu", "--out", str(tmp_path / "g.json")])
-        assert code == 2
 
     @pytest.mark.parametrize("breakage, error", [
         (lambda d: d["target_labels"].pop("t1"), "DanglingVertexError"),
@@ -211,7 +204,7 @@ class TestCompileEval:
         s = tmp_path / "s.json"
         g2 = tmp_path / "g2.json"
         assert main(["compile", "--model", str(model_path),
-                     "--activation", "step", "--out", str(g1)]) == 0
+                     "--out", str(g1)]) == 0
         assert main(["to-semilinear", "--graph", str(g1),
                      "--out", str(s)]) == 0
         assert main(["from-semilinear", "--set", str(s),
@@ -377,8 +370,7 @@ class TestTrainPipeline:
         assert load_model(spec).output_dim == 2
 
         fuzz = tmp_path / "f.json"
-        assert main(["fuzzy-import", "--model", str(model), "--kind",
-                     "sigmoid", "--out", str(fuzz)]) == 0
+        assert main(["fuzzy-import", "--model", str(model), "--out", str(fuzz)]) == 0
         fg = load_fuzzy(fuzz)
         outcome = evaluate_fuzzy(fg, [0.5, 0.5])
         assert len(outcome.state) == 3
@@ -688,13 +680,12 @@ class TestExitCodes:
         assert main(["ensemble", "frobnicate"]) == 64
 
     def test_missing_required_flag(self, capsys):
-        assert main(["compile", "--activation", "step", "--out", "x"]) == 2
+        assert main(["compile", "--out", "x"]) == 2
 
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"layers": [\n  oops\n]}')
-        code = main(["compile", "--model", str(bad), "--activation", "step",
-                     "--out", str(tmp_path / "g.json")])
+        code = main(["compile", "--model", str(bad), "--out", str(tmp_path / "g.json")])
         assert code == 65
         assert "line 2" in capsys.readouterr().err
 
@@ -711,12 +702,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "tg.json")]) == 65
         assert f"{bad}: line 2" in capsys.readouterr().err
 
-    def test_config_file_values_checked(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        '{"chamber_cap": -1}',
+        '{"uncertain_weight": NaN}',
+        '{"uncertain_weight": -0.5}',
+        '{"tie_margin": Infinity}',
+    ])
+    def test_config_file_values_checked(self, tmp_path, capsys, text):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text('{"chamber_cap": -1}')
+        cfgfile.write_text(text)
         code = main(["--config", str(cfgfile), "gen-data", "--kind", "blobs",
                      "--out", str(tmp_path / "d.csv")])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: ")
+        assert not (tmp_path / "d.csv").exists()
 
     def test_cap_exhaustion_exit_code(self, tmp_path):
         grid = grid_from_function(lambda p: int(p[0] + p[1]) % 2, (0.0, 0.0),
@@ -777,13 +776,20 @@ class TestReadmeFlow:
         monkeypatch.chdir(tmp_path)
         for line in readme_commands("Fuzzy import:")[:2]:
             assert main(shlex.split(line)[1:]) == 0
-        assert main(["compile", "--model", "net.json", "--activation", "relu",
-                     "--out", "graph.json"]) == 2
+        assert main(["compile", "--model", "net.json", "--out", "graph.json"]) == 2
         assert "UnsupportedActivationError" in capsys.readouterr().err
+
+
+GLOBAL_FLAGS = {"--tie-margin"}
 
 
 @pytest.mark.parametrize("command, flag, value", [
     ("check-equiv", "--samples", "-1"),
+    ("check-equiv", "--tie-margin", "inf"),
+    ("check-equiv", "--tie-margin", "nan"),
+    ("check-equiv", "--tie-margin", "-1"),
+    ("charts", "--depth", "-1"),
+    ("charts", "--depth", "0"),
     ("gen-data", "--n", "-5"),
     ("gen-data", "--n", "0"),
     ("gen-data", "--spread", "-1"),
@@ -808,10 +814,52 @@ class TestReadmeFlow:
 def test_a_bad_numeric_argument_exits_2_and_writes_nothing(tmp_path, capsys, command, flag,
                                                            value):
     out = tmp_path / "out"
-    required = {"check-equiv": ["--model", "m.json", "--graph", "g.json"],
+    required = {"check-equiv": ["--model", "m.json", "--graph", "g.json", "--out", str(out)],
+                "charts": ["--grid", "grid.json", "--eps0", "0.1", "--report", str(out)],
                 "gen-data": ["--kind", "blobs", "--out", str(out)],
                 "train": ["--data", "d.csv", "--out", str(out)],
                 "specialize": ["--model", "m.json", "--blocks", "0|1", "--out", str(out)]}
-    assert main([command, *required[command], flag, value]) == 2
+    argv = [command, *required[command]]
+    # a global flag comes before the subcommand
+    argv = [flag, value, *argv] if flag in GLOBAL_FLAGS else [*argv, flag, value]
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+    assert not out.exists()
+
+
+@pytest.fixture
+def models_of_each_kind(tmp_path):
+    """sigmoid.json, relu.json (relu/indexmax), specialized.json as `specialize`
+    writes it, and g.json compiled from relu.json."""
+    rng = np.random.default_rng(3)
+    save_model(random_network(rng, [2, 3, 3], SIGMOID, SOFTMAX), tmp_path / "sigmoid.json")
+    save_model(random_network(rng, [2, 3, 3], RELU, INDEXMAX), tmp_path / "relu.json")
+    assert main(["specialize", "--model", str(tmp_path / "sigmoid.json"), "--blocks", "0|1,2",
+                 "--out", str(tmp_path / "specialized.json")]) == 0
+    assert main(["compile", "--model", str(tmp_path / "relu.json"),
+                 "--out", str(tmp_path / "g.json")]) == 0
+    return tmp_path
+
+
+@pytest.mark.parametrize("command, model, kind", [
+    ("compile", "specialized", "specialized sigmoid/softmax"),
+    ("compile", "sigmoid", "sigmoid/softmax"),
+    ("fuzzy-import", "specialized", "specialized sigmoid/softmax"),
+    ("fuzzy-import", "relu", "relu/indexmax"),
+    ("check-equiv", "specialized", "specialized sigmoid/softmax"),
+    ("check-equiv", "sigmoid", "sigmoid/softmax"),
+    ("specialize", "specialized", "specialized sigmoid/softmax"),
+    ("specialize", "relu", "relu/indexmax"),
+])
+def test_a_model_of_another_kind_exits_2_and_writes_nothing(models_of_each_kind, capsys,
+                                                            command, model, kind):
+    d = models_of_each_kind
+    out = d / "out.json"
+    extra = {"check-equiv": ["--graph", str(d / "g.json"), "--samples", "50"],
+             "specialize": ["--blocks", "0|1"]}.get(command, [])
+    capsys.readouterr()
+    assert main([command, "--model", str(d / f"{model}.json"), *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnsupportedActivationError: ") and "Traceback" not in err
+    assert f"not a {kind} network" in err
     assert not out.exists()

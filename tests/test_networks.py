@@ -13,7 +13,7 @@ from logifold.errors import (
     RegionExplosionError,
     UnsupportedActivationError,
 )
-from logifold.fuzzy import from_relu_softmax_net, validate_fuzzy
+from logifold.fuzzy import from_relu_softmax_net, from_sigmoid_net, validate_fuzzy
 from logifold.graph import AffineMap, evaluate, evaluate_batch, require_valid
 from logifold.networks import (
     NetworkSpec,
@@ -23,12 +23,14 @@ from logifold.networks import (
     forward_classical,
     forward_classical_batch,
     forward_logits,
+    forward_logits_batch,
     forward_smooth,
     forward_smooth_batch,
     model_from_dict,
     model_to_dict,
     random_network,
 )
+from logifold.training import Hyperparams, specialize, synth_dataset, train_sgd
 
 
 def _net(mats, offs, hidden="step", final="indexmax"):
@@ -310,6 +312,60 @@ def test_smooth_forward_row_does_not_depend_on_the_batch(seed, hidden, widths, s
     for r in range(m):
         assert Z[r].tobytes() == forward_smooth_batch(net, X[r:r + 1])[0].tobytes()
         assert Z[r].tobytes() == forward_smooth(net, X[r].copy()).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.sampled_from(["step", "relu"]),
+       widths=st.lists(st.integers(1, 8), min_size=2, max_size=5), m=st.integers(1, 50),
+       layout=st.sampled_from(["contiguous", "offset", "rows", "columns", "fortran"]))
+def test_classical_logits_row_does_not_depend_on_the_batch(seed, hidden, widths, m, layout):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, widths, hidden, "indexmax")
+    n = widths[0]
+    X = _batch_view(rng.normal(scale=2.0, size=(2 * m + 2, 2 * n + 4)), m, n, layout)
+    Z = forward_logits_batch(net, X)
+    labels = forward_classical_batch(net, X)
+    for r in range(m):
+        assert Z[r].tobytes() == forward_logits_batch(net, X[r:r + 1])[0].tobytes()
+        assert labels[r] == np.argmax(Z[r])
+
+
+def _each_kind(rng):
+    """One model of each kind, by the name an UnsupportedActivationError gives it."""
+    plain = {f"{h}/{f}": random_network(rng, [2, 3, 3], h, f) for h, f in [
+        ("step", "indexmax"), ("relu", "indexmax"), ("sigmoid", "softmax"), ("relu", "softmax")]}
+    charts = {f"specialized {k}": SpecializedNet(plain[k], AffineMap(np.eye(3), np.zeros(3)))
+              for k in ("sigmoid/softmax", "relu/softmax")}
+    return {**plain, **charts}
+
+
+X4 = np.random.default_rng(0).normal(size=(4, 2))
+SMOOTH = {"sigmoid/softmax", "relu/softmax"}
+CHARTS = {"specialized sigmoid/softmax", "specialized relu/softmax"}
+ENTRY_POINTS = {
+    "forward_logits": (lambda net: forward_logits(net, X4[0]), {"step/indexmax", "relu/indexmax"}),
+    "forward_classical_batch": (lambda net: forward_classical_batch(net, X4),
+                                {"step/indexmax", "relu/indexmax"}),
+    "compile_step_net": (compile_step_net, {"step/indexmax"}),
+    "compile_relu_net": (compile_relu_net, {"relu/indexmax"}),
+    "forward_smooth_batch": (lambda net: forward_smooth_batch(net, X4), SMOOTH | CHARTS),
+    "from_sigmoid_net": (from_sigmoid_net, {"sigmoid/softmax"}),
+    "from_relu_softmax_net": (from_relu_softmax_net, {"relu/softmax"}),
+    "specialize": (lambda net: specialize(net, [[0], [1, 2]]), SMOOTH),
+    "train_sgd": (lambda net: train_sgd(net, synth_dataset("blobs", 30, seed=0),
+                                        Hyperparams(epochs=1)), {"sigmoid/softmax"} | CHARTS),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_each_entry_point_takes_its_kinds_and_refuses_the_rest(rng, entry):
+    run, takes = ENTRY_POINTS[entry]
+    for kind, net in _each_kind(rng).items():
+        if kind in takes:
+            run(net)
+        else:
+            with pytest.raises(UnsupportedActivationError, match=f"not a {kind} network"):
+                run(net)
 
 
 def test_model_dict_roundtrip(rng):

@@ -1,12 +1,14 @@
-"""Three conversions keep one copy each in `src/logifold`.
+"""Three conversions and one decision keep one copy each in `src/logifold`.
 
 Float rows become exact rows only inside `feasibility` and
 `graph.AffineMap.constraints`, JSON files are read and written only by
 `graph.read_json` and `graph.write_json`, and a guard is split only in
 `graph.AffineMap.chambers`, so every split is recorded on its guard: no
 `enumerate_chambers` call appears outside `feasibility` and that method.
-Each check walks the syntax tree, so a second copy fails here however it is
-spelled.
+Which network kinds an operation takes is decided only in `networks`, by
+its table of kinds: no other module reads a network's `hidden_activation`
+or `final_activation`.  Each check walks the syntax tree, so a second copy
+fails here however it is spelled.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "logifold"
 
 JSON_CALLS = {"json.load", "json.dump", "json.loads", "json.dumps"}
+ACTIVATIONS = {"hidden_activation", "final_activation"}
 # (module, function) -> the JSON calls it may make; the string forms turn one
 # label or the config hash into text and back, not a file
 JSON_HOMES = {
@@ -24,6 +27,21 @@ JSON_HOMES = {
     ("graph", "label_from_text"): {"json.loads"},
     ("config", "config_hash"): {"json.dumps"},
 }
+
+
+def scoped(tree: ast.Module):
+    """(enclosing function as Class.method or name, node) for every node."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        out.append((scope, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
 
 
 def calls(tree: ast.Module):
@@ -36,10 +54,7 @@ def calls(tree: ast.Module):
         elif isinstance(node, ast.ImportFrom) and node.module:
             alias.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
     out = []
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
+    for scope, node in scoped(tree):
         if isinstance(node, ast.Call):
             f = node.func
             if isinstance(f, ast.Name):
@@ -48,15 +63,27 @@ def calls(tree: ast.Module):
                 out.append((scope, f"{alias.get(f.value.id, f.value.id)}.{f.attr}"))
             elif isinstance(f, ast.Attribute):
                 out.append((scope, f.attr))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(tree, "")
     return out
 
 
+def activation_reads(module: str, tree: ast.Module):
+    """The functions of `module` that read a network's activation tags, as an
+    attribute or by name (`getattr`, a dict key); only `networks` may."""
+    if module == "networks":
+        return []
+    found = []
+    for scope, node in scoped(tree):
+        named = (node.attr if isinstance(node, ast.Attribute)
+                 else node.value if isinstance(node, ast.Constant) else None)
+        where = f"{module}.{scope or '<module>'} reads activations"
+        if named in ACTIVATIONS and where not in found:
+            found.append(where)
+    return found
+
+
 def strays(module: str, tree: ast.Module):
-    """The calls of `module` that make a second copy of any conversion."""
+    """The calls and reads of `module` that make a second copy of any
+    conversion, or of the check of network kinds."""
     found = []
     for scope, name in calls(tree):
         for home, conversion in (("AffineMap.constraints", "make_constraint"),
@@ -66,7 +93,7 @@ def strays(module: str, tree: ast.Module):
                 found.append(f"{module}.{scope or '<module>'} calls {conversion}")
         if name in JSON_CALLS and name not in JSON_HOMES.get((module, scope), ()):
             found.append(f"{module}.{scope or '<module>'} calls {name}")
-    return found
+    return found + activation_reads(module, tree)
 
 
 def test_each_conversion_has_one_copy_in_the_package():
@@ -104,3 +131,22 @@ def to_graph(guard):
         "semilinear.Piece.rows calls make_constraint",
         "semilinear.Piece.rows calls make_constraint",
         "semilinear.to_graph calls enumerate_chambers"]
+
+
+def test_the_check_sees_a_second_kind_check():
+    second = """
+from .networks import SIGMOID, SOFTMAX
+
+def from_sigmoid_net(net):
+    if net.hidden_activation != SIGMOID or net.final_activation != SOFTMAX:
+        raise ValueError(net.final_activation)
+
+def train(model):
+    return getattr(model, "hidden_activation")
+
+KIND = {"final_activation": SOFTMAX}
+"""
+    assert strays("fuzzy", ast.parse(second)) == [
+        "fuzzy.from_sigmoid_net reads activations", "fuzzy.train reads activations",
+        "fuzzy.<module> reads activations"]
+    assert strays("networks", ast.parse(second)) == []

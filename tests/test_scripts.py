@@ -47,3 +47,15 @@ def test_a_bad_count_exits_2_without_a_traceback(argv):
     assert proc.returncode == 2
     assert f"error: argument {argv[1]}: {argv[2]} is below 1" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["semilinear_round_trip.py", "--seeds", "a"], "'a' is not a list of integers"),
+    (["semilinear_round_trip.py", "--seeds", "1,-2"], "-2 is below 0"),
+    (["semilinear_round_trip.py", "--arch", "2"], "'2' names fewer than two widths"),
+], ids=["seeds", "negative-seed", "arch"])
+def test_a_bad_list_exits_2_without_a_traceback(argv, detail):
+    proc = run_script(argv)
+    assert proc.returncode == 2
+    assert f"error: argument {argv[1]}: {detail}" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout

@@ -607,10 +607,10 @@ class TestReports:
     def test_prediction_matrix_layout(self, tmp_path):
         chart = const_chart("c", [{0}, {1}], [0.75, 0.25])
         out = tmp_path / "pred.csv"
-        write_prediction_matrix(out, chart, [[0.0], [1.0]], ids=["p0", "p1"])
+        write_prediction_matrix(out, chart, [[0.0], [1.0]])
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "instance_id,p_block_1,p_block_2"
-        assert lines[1].startswith("p0,0.75,")
+        assert lines[1].startswith("0,0.75,")
         assert len(lines) == 3
 
     def test_calibration_round_trip(self, tmp_path):
@@ -669,16 +669,6 @@ class TestReports:
                     for vi in e.path for idxs in graph.nodes[vi].groups for i in idxs}
         assert calls == {cid: 1 for cid in on_paths}
 
-    def test_ids_must_match_the_rows(self, tmp_path):
-        graph, X, y = net_ensemble(2)
-        cal = calibrate(graph, X, y, alphas=ALPHAS)
-        with pytest.raises(DimensionMismatchError, match="2 ids for 40 instances"):
-            vote_report(graph, cal, X, make_phi(X, y), ids=["a", "b"])
-        out = tmp_path / "pred.csv"
-        with pytest.raises(DimensionMismatchError, match="2 ids for 40 instances"):
-            write_prediction_matrix(out, graph.charts[0], X, ids=["a", "b"])
-        assert not out.exists()
-
     def test_vote_report_on_no_rows(self):
         graph, X, y = softmax_ensemble(2, {})
         cal = calibrate(graph, X, y, alphas=ALPHAS)
@@ -689,10 +679,10 @@ class TestReports:
         graph, X, y = three_class_graph()
         cal = calibrate(graph, X, y, alphas=(0.0, 0.6))
         phi = make_phi(X, y)
-        doc = vote_report(graph, cal, X, phi, ids=list(range(6)))
+        doc = vote_report(graph, cal, X, phi)
         assert [rec["prediction"] for rec in doc["instances"]] == \
             [str(t) for t in y]
-        again = vote_report(graph, cal, X, phi, ids=list(range(6)))
+        again = vote_report(graph, cal, X, phi)
         assert json.dumps(doc, sort_keys=True) == json.dumps(again,
                                                              sort_keys=True)
         out = tmp_path / "report.json"
