@@ -8,6 +8,7 @@ until nothing is left.
 """
 
 import argparse
+import math
 import time
 
 import numpy as np
@@ -20,6 +21,17 @@ from logifold.approx import (
 )
 from logifold.cli import _count
 from logifold.graph import _batch_program, graph_from_dict, graph_to_dict, topological_order
+
+
+def _fraction(text):
+    """A number that is not NaN; `inf` leaves every cell uncovered."""
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if math.isnan(v):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    return v
 
 
 def longest_guard_path(g) -> int:
@@ -46,7 +58,7 @@ def program_build_ms(g, repeats: int = 5) -> float:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--resolution", type=_count, default=32, help="cells per axis")
-    ap.add_argument("--epsilon-frac", type=float, default=0.1,
+    ap.add_argument("--epsilon-frac", type=_fraction, default=0.1,
                     help="leftover bound as a fraction of the labeled measure")
     ap.add_argument("--depth", type=_count, default=6, help="halving rounds")
     args = ap.parse_args()

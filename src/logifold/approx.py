@@ -13,12 +13,12 @@ bound halved each round.
 The 1-D and 2-D search is the skyline scan: row r's best rectangle is the
 largest one with bottom row r, found by a stack scan of the column heights
 at r.  It depends on nothing but r and those heights, so the cover keeps,
-per label, a memo of each row's heights and best rectangle and scans again
-only the rows whose heights a taken box has changed: the rows from the
-box's top row down to the last row whose heights it lowers.  A row is
-reused only when its heights compare equal, so the memo cannot go stale,
-and taking the first row that reaches the maximum keeps the tie-break of
-one top-to-bottom scan.
+per label, a memo of every row's heights and best rectangle.  Taking a box
+goes through `clear_block`, which lowers the heights in the box's columns
+only, from its top row down to where each column's run of cells ends, and
+marks those rows; the next search scans only the marked rows.  Taking the
+first row that reaches the maximum keeps the tie-break of one top-to-bottom
+scan, so the covers are those of a full search every round.
 """
 
 from __future__ import annotations
@@ -179,23 +179,54 @@ def _row_best(r: int, heights: List[int]):
 def _largest_rect_2d(mask: np.ndarray, memo: Optional[dict] = None):
     """Exact maximal-area rectangle via the skyline of column heights.
 
-    Row r's best rectangle depends only on r and its heights, so `memo`
-    (row -> (heights, best)) answers every row whose heights are unchanged
-    since the last search with the same memo.  The first row reaching the
-    maximum area wins, as in one top-to-bottom scan.
+    An empty `memo` is filled with the column heights of every row, each
+    row's best rectangle and the set of rows still to scan; after that it
+    answers every row but those that `clear_block` has marked.  The first
+    row reaching the maximum area wins, as in one top-to-bottom scan.
     """
-    rows = np.arange(mask.shape[0])[:, None]
-    # column heights at row r: r minus the last False row at or above r (or -1)
-    wall = np.maximum.accumulate(np.where(mask, -1, rows), axis=0)
     memo = {} if memo is None else memo
-    best = (0, ((0, 0), (0, 0)))
-    for r, heights in enumerate((rows - wall).tolist()):
-        seen = memo.get(r)
-        if seen is None or seen[0] != heights:
-            seen = memo[r] = (heights, _row_best(r, heights))
-        if seen[1][0] > best[0]:
-            best = seen[1]
-    return best
+    if not memo:
+        rows = np.arange(mask.shape[0])[:, None]
+        # column heights at row r: r minus the last False row at or above r (or -1)
+        wall = np.maximum.accumulate(np.where(mask, -1, rows), axis=0)
+        # areas repeats each best's area, so that max and index run in C
+        memo.update(heights=(rows - wall).tolist(), areas=[0] * mask.shape[0],
+                    best=[None] * mask.shape[0], stale=set(range(mask.shape[0])))
+    heights, areas, best = memo["heights"], memo["areas"], memo["best"]
+    for r in memo["stale"]:
+        best[r] = _row_best(r, heights[r])
+        areas[r] = best[r][0]
+    memo["stale"].clear()
+    top = max(areas, default=0)
+    return best[areas.index(top)] if top else (0, ((0, 0), (0, 0)))
+
+
+def clear_block(mask: np.ndarray, memo: dict, cell_lo, cell_hi):
+    """Set the block [cell_lo, cell_hi) of `mask` to False, and bring the
+    memo of its 1-D or 2-D searches up to date with the cleared mask.
+
+    The block zeroes its own heights; below it, each of its columns counts
+    up again from 1 until that column's run of True cells ends.  The rows
+    from the block's top row down to the last row lowered are marked for
+    the next search to scan again.
+    """
+    mask[tuple(slice(a, b) for a, b in zip(cell_lo, cell_hi))] = False
+    if not memo:  # no search yet, or three or more axes
+        return
+    if mask.ndim == 1:  # searched as one row
+        cell_lo, cell_hi = (0, *cell_lo), (1, *cell_hi)
+    (r0, c0), (r1, c1) = cell_lo, cell_hi
+    heights = memo["heights"]
+    for r in range(r0, r1):
+        heights[r][c0:c1] = [0] * (c1 - c0)
+    last = r1 - 1  # the deepest row whose heights changed
+    for c in range(c0, c1):
+        r = r1
+        while r < len(heights) and heights[r][c]:
+            heights[r][c] = r - r1 + 1
+            r += 1
+        last = max(last, r - 1)
+    memo["stale"].update(range(r0, last + 1))
 
 
 def _grown_block(mask: np.ndarray):
@@ -225,8 +256,9 @@ def _grown_block(mask: np.ndarray):
 def largest_rectangle(mask: np.ndarray, memo: Optional[dict] = None):
     """(cell count, (cell_lo, cell_hi)) of the chosen uncovered block.
 
-    `memo` carries row results between searches of one shrinking 1-D or 2-D
-    mask (see `_largest_rect_2d`); it is ignored for three or more axes.
+    `memo`, a dict that starts empty, carries row results between searches
+    of one 1-D or 2-D mask that shrinks only through `clear_block` (see
+    `_largest_rect_2d`); it stays empty for three or more axes.
     """
     if mask.ndim == 1:
         size, ((_, lo), (_, hi)) = _largest_rect_2d(mask[None, :], memo)
@@ -358,11 +390,10 @@ def approximate(grid: LabeledGrid, epsilon: float,
 
     Taking a box changes only its own label's cells, so each label's largest
     rectangle is searched once up front and again only after one of its
-    boxes is taken.  Each label keeps one row memo for the whole call, so a
-    search after a box rescans only the rows whose column heights the box
-    changed; every other row's best rectangle is exact as memoized, since it
-    is a function of the row and its heights alone.  The covers are the ones
-    a full search every round would choose.
+    boxes is taken.  Each label keeps one row memo for the whole call, which
+    `clear_block` brings up to date as it clears each box, so a search
+    after a box rescans only the rows whose column heights the box changed.
+    The covers are the ones a full search every round would choose.
     """
     _check_inputs("epsilon", epsilon, budget)
     budget = min(budget, budget_cap)
@@ -400,7 +431,7 @@ def approximate(grid: LabeledGrid, epsilon: float,
         chosen.append(Rectangle(label, clo, chi,
                                 tuple(float(l + j * w) for l, j, w in zip(lo, clo, width)),
                                 tuple(float(l + j * w) for l, j, w in zip(lo, chi, width))))
-        remaining[label][tuple(slice(a, b) for a, b in zip(clo, chi))] = False
+        clear_block(remaining[label], memos[label], clo, chi)
         left -= size
         covered += size
         residual = left * cellvol

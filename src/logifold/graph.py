@@ -973,11 +973,18 @@ def _tupled(value):
 
 
 def label_from_text(text: str):
-    """Inverse of `label_to_text`: arrays are read back as tuples."""
+    """Inverse of `label_to_text`: arrays are read back as tuples.  A JSON
+    object, alone or inside an array, is no label: no label map can hold it."""
     try:
-        return _tupled(json.loads(text))
+        label = _tupled(json.loads(text))
     except json.JSONDecodeError:
         raise ValueError(f"label text {text!r} is not JSON") from None
+    try:
+        hash(label)
+    except TypeError:
+        raise ValueError(f"label text {text!r} holds a JSON object; "
+                         f"a label is a number, a string or an array of them") from None
+    return label
 
 
 def write_json(doc, path):

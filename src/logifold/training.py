@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import BlockMismatchError, DivergenceError
+from .errors import BlockMismatchError, DimensionMismatchError, DivergenceError
 from .graph import AffineMap
 from .networks import (
     SIGMOID,
@@ -131,6 +131,10 @@ def _loss_only(params, X, target) -> float:
 
 
 def _run_sgd(params, X, y, classes, hp: Hyperparams):
+    bad = np.unique(y[(y < 0) | (y >= classes)])
+    if len(bad):  # one-hot rows would be wrapped around or out of range
+        raise DimensionMismatchError(
+            f"training labels {bad.tolist()} are outside the model's {classes} outputs")
     rng = np.random.default_rng(hp.seed)
     target_all = _one_hot(y, classes)
     losses = []
@@ -282,6 +286,8 @@ def load_dataset(path) -> Dataset:
                     raise ValueError(f"expected {dim + 2} fields, got {len(row)}")
                 X.append([float(v) for v in row[:dim]])
                 y.append(int(row[dim]))
+                if y[-1] < 0:
+                    raise ValueError(f"label {y[-1]} is negative; classes count from 0")
                 split.append(row[dim + 1])
             except ValueError as e:
                 raise ValueError(f"{name}, line {reader.line_num}: {e}") from None

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from logifold import approx, evaluate
 from logifold.approx import (
@@ -14,6 +14,7 @@ from logifold.approx import (
     _largest_rect_2d,
     approximate,
     chart_family,
+    clear_block,
     grid_from_function,
     largest_rectangle,
     load_grid,
@@ -312,8 +313,17 @@ def labeled_grids(draw):
     return LabeledGrid(np.zeros(dim), np.arange(1.0, dim + 1), grid.reshape(shape))
 
 
+def radial_32():
+    """Four labels on the unit square at 32 cells per axis, as on the grid
+    covers the benchmark times: rings of width 0.18 around an off-centre
+    point, then 3 beyond."""
+    return grid_from_function(lambda x: min(3, int(np.hypot(x[0] - 0.41, x[1] - 0.57) / 0.18)),
+                              [0.0, 0.0], [1.0, 1.0], 32)
+
+
 @settings(max_examples=150, deadline=None)
 @given(labeled_grids(), st.sampled_from([0.0, 0.1, 0.3]), st.sampled_from([1, BUDGET_START]))
+@example(radial_32(), 0.0, BUDGET_START)
 def test_incremental_cover_equals_full_search(grid, frac, budget):
     epsilon = frac * grid.labeled_measure()
     result = approximate(grid, epsilon, budget=budget)
@@ -451,7 +461,7 @@ def test_memoized_search_equals_a_fresh_search(case):
     assert largest_rectangle(mask, memo) == largest_rectangle(mask)
     for block in blocks:
         # a block above the last row lowers the heights of the rows below it
-        mask[tuple(slice(a, b) for a, b in block)] = False
+        clear_block(mask, memo, *zip(*block))
         assert largest_rectangle(mask, memo) == largest_rectangle(mask)
 
 

@@ -251,6 +251,26 @@ class TestCompileEval:
         assert f"{path}: " in err and error in err
         assert not out.exists()
 
+    def test_an_object_target_label_in_a_graph_file_exits_65(self, tmp_path, capsys):
+        doc = graph_to_dict(make_step_graph())
+        doc["target_labels"]["t1"] = '{"a": 1}'
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps(doc))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.5\n")
+        assert main(["eval", "--graph", str(graph_path), "--points", str(pts)]) == 65
+        assert f"{graph_path}: label text '{{\"a\": 1}}' holds a JSON object" in (
+            capsys.readouterr().err)
+
+    def test_an_object_fiber_label_in_a_semilinear_file_exits_65(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"dim": 1, "fibers": {'[0, {"a": 1}]': [{"gt": [[1.0, 0.0]]}]}}))
+        out = tmp_path / "g.json"
+        assert main(["from-semilinear", "--set", str(path), "--out", str(out)]) == 65
+        assert f"{path}: label text '[0, {{\"a\": 1}}]' holds a JSON object" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestGridCommands:
     @pytest.fixture
@@ -288,6 +308,16 @@ class TestGridCommands:
         assert main(["approx", "--grid", str(grid_file), "--epsilon", "0.01",
                      "--out", str(tmp_path / "a.json")]) == 65
         assert "grid.csv, line 66: expected 3 fields" in capsys.readouterr().err
+
+    def test_an_object_label_in_a_grid_file_exits_65(self, tmp_path, grid_file, capsys):
+        with open(tmp_path / "grid.csv", "a") as fh:
+            fh.write('0,1,"{""a"": 1}"\n')
+        out = tmp_path / "a.json"
+        assert main(["approx", "--grid", str(grid_file), "--epsilon", "0.01",
+                     "--out", str(out)]) == 65
+        assert "grid.csv, line 66: label text '{\"a\": 1}' holds a JSON object" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
     def test_empty_labels_file_is_a_malformed_file(self, tmp_path, grid_file, capsys):
         (tmp_path / "grid.csv").write_text("")
@@ -382,6 +412,8 @@ class TestTrainPipeline:
         ("label,split\n0,train\n", "d.csv, line 1: expected x1, ..., label, split"),
         ("x1,x2,label,split\n0.5,1.0,0,train\n0.5,1.0\n", "d.csv, line 3: expected 4 fields, got 2"),
         ("x1,x2,label,split\n0.5,1.0,zero,train\n", "d.csv, line 2: invalid literal"),
+        ("x1,x2,label,split\n0.5,1.0,0,train\n0.5,1.0,-1,train\n",
+         "d.csv, line 3: label -1 is negative"),
     ])
     def test_malformed_dataset_is_a_malformed_file(self, tmp_path, capsys, text, detail):
         data = tmp_path / "d.csv"

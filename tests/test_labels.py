@@ -133,6 +133,9 @@ def test_label_text_is_json():
     assert same(label_from_text("[[1, 2.5], \"⊥\"]"), ((1, 2.5), "⊥"))
     with pytest.raises(ValueError, match="not JSON"):
         label_from_text("A")
+    for text in ('{"a": 1}', '[0, {"a": 1}]'):
+        with pytest.raises(ValueError, match="holds a JSON object"):
+            label_from_text(text)
 
 
 def test_reloaded_step_compile_combines_in_f2(tmp_path):

@@ -53,9 +53,17 @@ def test_a_bad_count_exits_2_without_a_traceback(argv):
     (["semilinear_round_trip.py", "--seeds", "a"], "'a' is not a list of integers"),
     (["semilinear_round_trip.py", "--seeds", "1,-2"], "-2 is below 0"),
     (["semilinear_round_trip.py", "--arch", "2"], "'2' names fewer than two widths"),
-], ids=["seeds", "negative-seed", "arch"])
+    (["approx_diagonal_grid.py", "--epsilon-frac", "nan"], "'nan' is not a number"),
+], ids=["seeds", "negative-seed", "arch", "nan-bound"])
 def test_a_bad_list_exits_2_without_a_traceback(argv, detail):
     proc = run_script(argv)
     assert proc.returncode == 2
     assert f"error: argument {argv[1]}: {detail}" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_an_infinite_bound_needs_no_box():
+    proc = run_script(["approx_diagonal_grid.py", "--resolution", "8", "--depth", "2",
+                       "--epsilon-frac", "inf"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("single cover: 0 boxes")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logifold.errors import BlockMismatchError, DivergenceError
+from logifold.errors import BlockMismatchError, DimensionMismatchError, DivergenceError
 from logifold.networks import (
     SIGMOID,
     SOFTMAX,
@@ -105,6 +105,16 @@ def test_divergence_raises(rng):
     data = synth_dataset("blobs", 60, seed=0)
     with pytest.raises(DivergenceError):
         train_sgd(net, data, Hyperparams(learning_rate=1e18, epochs=50, batch_size=8))
+
+
+def test_a_label_past_the_outputs_is_rejected(rng):
+    net = random_network(rng, [2, 3, 2], SIGMOID, final=SOFTMAX)
+    data = synth_dataset("blobs", 60, seed=0)
+    with pytest.raises(DimensionMismatchError, match=r"labels \[2\] are outside the model's 2"):
+        train_sgd(net, data, Hyperparams(epochs=1))
+    head = specialize(random_network(rng, [2, 3, 3], SIGMOID, final=SOFTMAX), [[0], [1]])
+    with pytest.raises(DimensionMismatchError, match="outside the model's 2 outputs"):
+        train_sgd(head, data, Hyperparams(epochs=1))
 
 
 def test_specialize_identity_head_preserves_argmax(rng):
