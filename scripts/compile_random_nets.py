@@ -4,7 +4,8 @@ Every sampled point is scored against the exact compiled graph; relu runs
 skip points whose top two logits tie within the margin, since indexmax is
 genuinely ambiguous there.  Each graph is also checked with `require_valid`,
 as `logifold compile` does, and the report line gives the seconds spent
-compiling and validating and the graphs' total guards and guard rows.
+compiling and validating and the graphs' total guards, guard rows and
+`walk_regions` regions.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from numpy.random import default_rng
 
 from logifold import evaluate_batch
 from logifold.cli import _count
-from logifold.graph import require_valid
+from logifold.graph import require_valid, walk_regions
 from logifold.networks import (
     INDEXMAX,
     RELU,
@@ -33,7 +34,7 @@ def run_sweep(kind: str, count: int, samples: int, seed: int,
     t0 = time.time()
     mismatches = 0
     checked = 0
-    targets = guards = guard_rows = 0
+    targets = guards = guard_rows = regions = 0
     compile_s = valid_s = 0.0
     for _ in range(count):
         n = int(rng.integers(1, 4))
@@ -49,6 +50,7 @@ def run_sweep(kind: str, count: int, samples: int, seed: int,
         targets += sum(1 for k, v in g.vertices.items() if v == "target")
         guards += len(g.guards)
         guard_rows += sum(guard.rows for guard in g.guards.values())
+        regions += sum(1 for _ in walk_regions(g))
         X = rng.normal(scale=2.0, size=(samples, n))
         z = forward_logits_batch(net, X)
         got = np.fromiter(evaluate_batch(g, X), dtype=object, count=samples)
@@ -57,8 +59,8 @@ def run_sweep(kind: str, count: int, samples: int, seed: int,
         checked += int(np.count_nonzero(keep))
         mismatches += int(np.count_nonzero(keep & (got != np.argmax(z, axis=1))))
     print(f"{kind}: {mismatches} mismatches over {checked} points "
-          f"({count} nets, {targets} targets, {guards} guards, {guard_rows} guard rows "
-          f"total), compile {compile_s:.2f}s, require_valid {valid_s:.2f}s, "
+          f"({count} nets, {targets} targets, {guards} guards, {guard_rows} guard rows, "
+          f"{regions} regions total), compile {compile_s:.2f}s, require_valid {valid_s:.2f}s, "
           f"{time.time() - t0:.1f}s")
 
 

@@ -141,8 +141,7 @@ def zero_locus_lift(g: LogicalGraph) -> LogicalGraph:
     n = g.input_dim
     vertices = dict(g.vertices)
     arrows = list(g.arrows.values())
-    guards = {v: AffineMap(np.hstack([gd.matrix, np.zeros((gd.rows, 1))]), gd.offset)
-              for v, gd in g.guards.items()}
+    guards = {v: gd.padded(0, 1) for v, gd in g.guards.items()}
     routing = {v: dict(r) for v, r in g.routing.items()}
     vertices["z:0"] = TARGET
     vertices["z:1"] = TARGET

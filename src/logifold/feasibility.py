@@ -1,13 +1,15 @@
 """Exact feasibility of linear constraint systems over the rationals.
 
 Constraints are affine rows ``a . x + b >= 0`` (weak) or ``> 0`` (strict) with
-integer coefficients.  `make_constraint` clears the denominators of float and
-rational inputs exactly, so float coefficients are handled without rounding.
-Systems and chamber splits take only such integer rows; the rows that
-`enumerate_chambers` splits by are weak `Constraint`s, the form in which a
-guard keeps its exact rows (`graph.AffineMap.constraints`).  Every guard of
-the package is split through `graph.AffineMap.chambers`, which calls
-`enumerate_chambers` and keeps the result on the guard.
+integer coefficients.  `read_exact` and `make_constraint` clear the
+denominators of float and rational inputs exactly, so float coefficients are
+handled without rounding; they are the package's only readers of a float's
+exact value.  Systems and chamber splits take only integer rows; the rows
+that `enumerate_chambers` splits by are weak `Constraint`s, the form in which
+a guard keeps its exact rows (`graph.AffineMap.constraints`, built by
+`weak_constraints`).  Every guard of the package is split through
+`graph.AffineMap.chambers`, which calls `enumerate_chambers` and keeps the
+result on the guard.
 Verdicts come from Fourier-Motzkin elimination and are exact: a feasible system
 yields a rational witness, an infeasible one yields the contradictory constant
 row derived by elimination.
@@ -89,13 +91,35 @@ def _value(coeffs, offset, x, d) -> int:
     return offset * d + sum(map(mul, coeffs, x))
 
 
-def make_constraint(coeffs: Sequence, offset, strict: bool) -> Constraint:
-    """Build an integer constraint from int, float or rational data, exactly."""
-    ints, _ = _scaled([*coeffs, offset])
+def read_exact(rows) -> tuple:
+    """(integer rows, common denominator) of `rows`, equal-length sequences
+    of int, float or rational entries, read exactly: row i is
+    ``ints[i] / den``.  A float's denominator is a power of two, so float
+    rows are read over a power of two.  Every float row the package reads
+    exactly, a guard's or a layer's, is read here."""
+    rows = [list(r) for r in rows]
+    flat, den = _scaled([v for r in rows for v in r])
+    k = len(rows[0]) if rows else 1
+    return tuple(tuple(flat[i:i + k]) for i in range(0, len(flat), k)), den
+
+
+def _primitive(ints, strict: bool) -> Constraint:
+    """The integer row (a1, ..., an, b) divided by the gcd of its entries."""
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return Constraint(tuple(ints[:-1]), ints[-1], strict)
+
+
+def weak_constraints(rows) -> tuple:
+    """Each integer row (a1, ..., an, b) as the weak `Constraint` row >= 0."""
+    return tuple([_primitive(r, False) for r in rows])
+
+
+def make_constraint(coeffs: Sequence, offset, strict: bool) -> Constraint:
+    """Build an integer constraint from int, float or rational data, exactly."""
+    ints, _ = _scaled([*coeffs, offset])
+    return _primitive(ints, strict)
 
 
 def evaluate_constraint(c: Constraint, point: Sequence) -> Fraction:

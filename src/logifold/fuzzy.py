@@ -30,7 +30,6 @@ from .graph import (
     INTERNAL,
     SOURCE,
     TARGET,
-    AffineMap,
     Arrow,
     GraphBuilder,
     LogicalGraph,
@@ -394,12 +393,6 @@ def from_relu_softmax_net(net: NetworkSpec, label="out",
 # -- combinators ------------------------------------------------------------
 
 
-def _pad_guard(guard: AffineMap, left: int, right: int) -> AffineMap:
-    m = np.hstack([np.zeros((guard.rows, left)), guard.matrix,
-                   np.zeros((guard.rows, right))])
-    return AffineMap(m, guard.offset)
-
-
 def fuzzy_product(fg1: FuzzyLogicalGraph, fg2: FuzzyLogicalGraph) -> FuzzyLogicalGraph:
     """Run both graphs on the same input; final factors concatenate.
 
@@ -430,9 +423,9 @@ def fuzzy_product(fg1: FuzzyLogicalGraph, fg2: FuzzyLogicalGraph) -> FuzzyLogica
         # a guard at a g1 target is the grafted copy's source guard
         t, w = vertex_origin[v]
         if t is None and w not in sk1.target_labels:
-            guards[v] = _pad_guard(guard, 0, n)
+            guards[v] = guard.padded(0, n)
         else:
-            guards[v] = _pad_guard(guard, space1[w if t is None else t].dim, 0)
+            guards[v] = guard.padded(space1[w if t is None else t].dim, 0)
 
     vertices = {"s*": SOURCE, **g.vertices}
     vertices[g.source] = INTERNAL

@@ -27,7 +27,10 @@ it, and in the other walks before they start, as a cycle does.
 `validate_graph` asks the same rule at every vertex, so its report holds
 the error a walk reaching a faulty vertex raises, before any walk runs.
 
-Every sign comes from one predicate, `_guard_signs`: a row's value is summed
+Every sign comes from one predicate, `_guard_signs`, on a guard's float
+view: a guard built from exact rows, as the relu compiler's are, is split
+and walked on those rows and signed at a point by their rounded floats
+(`AffineMap`).  A row's value is summed
 in a fixed elementwise order, ((a0*x0 + a1*x1) + ...), and compared with -b,
 with no BLAS call, so a point's signs do not depend on the points evaluated
 with it.  `sign_vector`, `evaluate`, `evaluate_pathsum`, the fuzzy walks and
@@ -79,54 +82,108 @@ _REALIZABILITY_CHAMBERS = 4096
 _STRUCTURAL_ERRORS = "structural errors found first"
 
 
-@dataclass(frozen=True, eq=False)
+def _rounded(values, den: int) -> list:
+    """Each int in `values` over `den`, rounded to the nearest float; one too
+    large for a float becomes an infinity of its sign."""
+    out = []
+    for v in values:
+        try:
+            out.append(v / den)  # int / int rounds correctly
+        except OverflowError:
+            out.append(math.inf if v > 0 else -math.inf)
+    return out
+
+
 class AffineMap:
     """x -> matrix @ x + offset, with matrix of shape (k, n).
 
-    Its exact rows, `constraints`, are read from the floats once and kept on
-    the map.  Its chambers within a base system, `chambers`, are kept too,
-    for the last base asked: a compiler splits a guard once, and a walk over
-    the graph it built (`validate_graph`, `semilinear.from_llgraph`) asks
-    the same guard under the same base and reads the record instead of
-    eliminating again.  So the map must not be changed in place after
-    either is read: like `LogicalGraph`'s batch program, later reads would
+    A map is built from floats, ``AffineMap(matrix, offset)``, or from exact
+    rows, `AffineMap.from_exact`.  Each form is read into the other only
+    when something asks for it, and kept:
+    - `exact`, its rows as integers (a1, ..., an, b) over one positive
+      denominator: a float map's floats read exactly, by
+      `feasibility.read_exact`, over a power of two;
+    - `constraints`, each exact row ``row(x) >= 0`` as a weak integer
+      `feasibility.Constraint`;
+    - `matrix` and `offset`, the float view: an exact map's rows, each entry
+      rounded to the nearest float.  Points are signed, and files and
+      semilinear pieces written, from it; a map that is only split, such as
+      a duel that never becomes a guard, is never rounded.
+    `rows` and `dim` round nothing.
+
+    Its chambers within a base system, `chambers`, are kept too, for the
+    last base asked: a compiler splits a guard once, and a walk over the
+    graph it built (`validate_graph`, `semilinear.from_llgraph`) asks the
+    same guard under the same base and reads the record instead of
+    eliminating again.  So the map must not be changed in place after any
+    view is read: like `LogicalGraph`'s batch program, later reads would
     still see the old rows and chambers.
     """
 
-    matrix: np.ndarray
-    offset: np.ndarray
+    _record = None  # (base, chambers) of the last `chambers` call
 
-    _record = None  # (base, chambers) of the last `chambers` call, not a field
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+    def __init__(self, matrix, offset):
+        m = np.asarray(matrix, dtype=float)
         if m.ndim != 2:
             raise DimensionMismatchError(f"guard matrix must be 2-d, got shape {m.shape}")
-        b = np.asarray(self.offset, dtype=float).reshape(-1)
+        b = np.asarray(offset, dtype=float).reshape(-1)
         if b.shape[0] != m.shape[0]:
             raise DimensionMismatchError(
                 f"offset length {b.shape[0]} does not match {m.shape[0]} rows")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "offset", b)
+        self.matrix, self.offset = m, b
+        self.rows, self.dim = m.shape
 
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
+    @classmethod
+    def from_exact(cls, rows, den: int, dim: int) -> "AffineMap":
+        """The map whose row i is ``rows[i] / den``: `rows` holds tuples of
+        dim + 1 ints (a1, ..., an, b), and `den` is a positive int."""
+        f = cls.__new__(cls)
+        f.exact = (rows, den)
+        f.rows, f.dim = len(rows), dim
+        return f
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
+    def __repr__(self):
+        return f"AffineMap(matrix={self.matrix!r}, offset={self.offset!r})"
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x + self.offset
 
     @cached_property
+    def exact(self) -> tuple:
+        """(rows, den): row i is the int tuple (a1, ..., an, b) over den.  A
+        float map reads its floats here, once; a NaN or infinite entry raises
+        NonFinitePointError."""
+        return feasibility.read_exact(
+            [*c, b] for c, b in zip(self.matrix.tolist(), self.offset.tolist()))
+
+    @cached_property
     def constraints(self) -> tuple:
-        """Each row ``row(x) >= 0`` as a weak integer `feasibility.Constraint`,
-        read exactly: the one place where a guard's float rows become exact
-        rows.  A NaN or infinite entry raises NonFinitePointError."""
-        return tuple(feasibility.make_constraint(c, b, strict=False)
-                     for c, b in zip(self.matrix.tolist(), self.offset.tolist()))
+        """Each exact row ``row(x) >= 0`` as a weak integer
+        `feasibility.Constraint`: the rows every split is made on."""
+        return feasibility.weak_constraints(self.exact[0])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        rows, den = self.exact
+        return np.array([_rounded(r[:-1], den) for r in rows],
+                        dtype=float).reshape(self.rows, self.dim)
+
+    @cached_property
+    def offset(self) -> np.ndarray:
+        rows, den = self.exact
+        return np.array(_rounded([r[-1] for r in rows], den), dtype=float)
+
+    def padded(self, left: int, right: int) -> "AffineMap":
+        """The same rows over R^(left + dim + right), reading the middle
+        coordinates: `left` zero columns before the matrix and `right` after.
+        Exact rows, once known, are padded as exact rows."""
+        if "exact" not in self.__dict__:
+            return AffineMap(np.hstack([np.zeros((self.rows, left)), self.matrix,
+                                        np.zeros((self.rows, right))]), self.offset)
+        rows, den = self.exact
+        zl, zr = (0,) * left, (0,) * right
+        return AffineMap.from_exact(tuple(zl + r[:-1] + zr + r[-1:] for r in rows), den,
+                                    left + self.dim + right)
 
     def chambers(self, base=(), base_witness=None, cap: Optional[int] = None) -> dict:
         """The realizable sign vectors of the guard within the `base` system,
@@ -147,7 +204,7 @@ class AffineMap:
             return record[1]
         chambers = feasibility.enumerate_chambers(self.constraints, self.dim, base=base,
                                                   cap=cap, base_witness=base_witness)
-        object.__setattr__(self, "_record", (base, chambers))
+        self._record = (base, chambers)
         return chambers
 
 
@@ -1002,15 +1059,52 @@ def read_json(path):
         return json.load(fh)
 
 
+def _guard_to_dict(gd: AffineMap) -> dict:
+    """A guard's floats, and its exact rows under "exact" when they differ
+    from the exact reading of those floats."""
+    out = {"matrix": gd.matrix.tolist(), "offset": gd.offset.tolist()}
+    if "exact" in gd.__dict__:
+        rows, den = gd.exact
+        try:
+            floats, fden = AffineMap(gd.matrix, gd.offset).exact
+            same = all(a * fden == f * den for r, fr in zip(rows, floats) for a, f in zip(r, fr))
+        except NonFinitePointError:  # a row too large for floats
+            same = False
+        if not same:
+            out["exact"] = {"den": den, "rows": [list(r) for r in rows]}
+    return out
+
+
+def _is_int(v) -> bool:
+    return type(v) is int  # a JSON integer; not a bool or a float
+
+
+def _guard_from_dict(v: str, gd: dict) -> AffineMap:
+    """The guard `_guard_to_dict` wrote.  Exact rows that do not round to the
+    file's floats raise ValueError naming the vertex."""
+    floats = AffineMap(np.asarray(gd["matrix"], dtype=float),
+                       np.asarray(gd["offset"], dtype=float))
+    if "exact" not in gd:
+        return floats
+    den, rows = gd["exact"]["den"], gd["exact"]["rows"]
+    if not (_is_int(den) and den > 0 and isinstance(rows, list) and len(rows) == floats.rows
+            and all(isinstance(r, list) and len(r) == floats.dim + 1 and all(map(_is_int, r))
+                    for r in rows)):
+        raise ValueError(f"guard at {v!r}: exact rows must be {floats.rows} lists of "
+                         f"{floats.dim + 1} integers over a positive integer den")
+    exact = AffineMap.from_exact(tuple(map(tuple, rows)), den, floats.dim)
+    if not (np.array_equal(exact.matrix, floats.matrix)
+            and np.array_equal(exact.offset, floats.offset)):
+        raise ValueError(f"guard at {v!r}: exact rows do not round to its matrix and offset")
+    return exact
+
+
 def graph_to_dict(g: LogicalGraph) -> dict:
     return {
         "input_dim": g.input_dim,
         "vertices": [{"id": v, "kind": k} for v, k in g.vertices.items()],
         "arrows": [{"id": a.id, "src": a.src, "dst": a.dst} for a in g.arrows.values()],
-        "guards": {
-            v: {"matrix": gd.matrix.tolist(), "offset": gd.offset.tolist()}
-            for v, gd in g.guards.items()
-        },
+        "guards": {v: _guard_to_dict(gd) for v, gd in g.guards.items()},
         "routing": {v: dict(r) for v, r in g.routing.items()},
         "target_labels": {v: label_to_text(l) for v, l in g.target_labels.items()},
     }
@@ -1019,10 +1113,7 @@ def graph_to_dict(g: LogicalGraph) -> dict:
 def graph_from_dict(data: dict) -> LogicalGraph:
     vertices = {v["id"]: v["kind"] for v in data["vertices"]}
     arrows = [Arrow(a["id"], a["src"], a["dst"]) for a in data["arrows"]]
-    guards = {
-        v: AffineMap(np.asarray(gd["matrix"], dtype=float), np.asarray(gd["offset"], dtype=float))
-        for v, gd in data.get("guards", {}).items()
-    }
+    guards = {v: _guard_from_dict(v, gd) for v, gd in data.get("guards", {}).items()}
     return LogicalGraph(
         input_dim=data["input_dim"],
         vertices=vertices,

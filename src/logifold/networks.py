@@ -19,6 +19,13 @@ where a layer's hyperplanes actually cut the region.
 
 Both compilers keep only regions whose constraint systems are exactly
 feasible, and the argmax convention everywhere is lowest index wins ties.
+The walker composes in exact arithmetic: each layer's floats are read
+exactly once, and every composed map, relu or step, and every duel row is
+an integer row over a power-of-two denominator.  So its regions are the
+network's own regions over the rationals, with no float slivers, and
+`forward_exact` labels every point of each region's interior as the graph
+routes it.  A guard keeps those rows as its `constraints` and rounds them to
+floats only when it is evaluated at a float point or written to a file.
 """
 
 from __future__ import annotations
@@ -26,10 +33,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import mul, sub
 from typing import List, Sequence, Union
 
 import numpy as np
 
+from . import feasibility
 from .errors import (
     DegenerateHyperplaneWarning,
     DimensionMismatchError,
@@ -220,33 +229,51 @@ def forward_smooth_batch(net: Union[NetworkSpec, SpecializedNet], X) -> np.ndarr
     return _softmax(_final_rows(net, X), axis=1)
 
 
+def forward_exact(net: NetworkSpec, x) -> int:
+    """`forward_classical` in exact rational arithmetic: the float weights
+    and the coordinates of x (ints, floats or rationals) are read exactly by
+    `feasibility.read_exact`, and nothing is rounded.  Ties go to the lowest
+    index."""
+    require(net, "classical forward pass")
+    if len(x) != net.input_dim:
+        raise DimensionMismatchError(
+            f"point has {len(x)} coordinates, network expects {net.input_dim}")
+    (a,), d = feasibility.read_exact([x])  # the point is a / d
+    for depth, layer in enumerate(net.layers):
+        rows, den = layer.exact
+        z = [sum(map(mul, r, a)) + r[-1] * d for r in rows]  # den * d times the values
+        if depth == net.depth - 1:
+            return z.index(max(z))
+        if net.hidden_activation == STEP:
+            a, d = [1 if v >= 0 else 0 for v in z], 1
+        else:
+            a, d = [max(v, 0) for v in z], den * d
+
+
 # -- compilation helpers ---------------------------------------------------
-
-def _outcome(signs: str) -> np.ndarray:
-    """0/1 vector of a sign pattern: the step outcome, or the ReLU mask."""
-    return np.array([1.0 if c == "+" else 0.0 for c in signs])
-
 
 def _tournament(b: GraphBuilder, vid, final: AffineMap, region, witness) -> None:
     """Route the region below `vid` to the argmax of its final-layer map.
 
     The best index so far meets each later index hi in a one-row duel
     l_best - l_hi whose ``+`` side (>= 0) keeps best, so the lowest index wins
-    ties.  A duel whose region holds one chamber adds no vertex, and a duel
-    whose two sides reach the same target collapses to that target.
+    ties.  A duel row is the difference of two of the map's exact rows,
+    built as an exact map.  A duel whose region holds one chamber adds no
+    vertex, and a duel whose two sides reach the same target collapses to
+    that target.
     """
+    rows, den = final.exact
 
     def duel(name, best, hi, region, witness):
         if hi == final.rows:
             return b.target_for(best)
-        guard = AffineMap(final.matrix[best:best + 1] - final.matrix[hi:hi + 1],
-                          final.offset[best:best + 1] - final.offset[hi:hi + 1])
+        guard = AffineMap.from_exact((tuple(map(sub, rows[best], rows[hi])),), den, final.dim)
         chambers = guard.chambers(region, witness)
         if len(chambers) == 1:
             (sign,) = chambers
             return duel(name, best if sign == "+" else hi, hi + 1, region, witness)
-        routes = {sign: duel(f"{name}|{sign}", best if sign == "+" else hi, hi + 1, sub, w)
-                  for sign, (w, sub) in chambers.items()}
+        routes = {sign: duel(f"{name}|{sign}", best if sign == "+" else hi, hi + 1, part, w)
+                  for sign, (w, part) in chambers.items()}
         if routes["+"] == routes["-"]:
             return routes["+"]
         if name != vid:
@@ -260,25 +287,37 @@ def _tournament(b: GraphBuilder, vid, final: AffineMap, region, witness) -> None
 
 
 def _next_map(net: NetworkSpec, depth: int, signs: str, composed: AffineMap) -> AffineMap:
-    """Layer `depth`'s map over the chamber `signs` of the layer before it.
+    """Layer `depth`'s map over the chamber `signs` of the layer before it,
+    composed on exact rows: the layer's floats read exactly, over a power of
+    two, as is every composed map.
 
-    A ReLU layer sees the composed map masked by the chamber.  A step layer
-    outputs the chamber's 0/1 outcome at every point, so its next map is the
-    constant ``layer(_outcome(signs))``.
+    A ReLU layer sees the composed map masked by the chamber, W diag(mask)
+    R + b, over the product of the two denominators.  A step layer outputs
+    the chamber's 0/1 outcome at every point, so its next map is the
+    constant ``layer(outcome)``, whose ties and zeros are exact.
     """
-    layer, outcome = net.layers[depth], _outcome(signs)
+    (layer, lden), n = net.layers[depth].exact, net.input_dim
     if net.hidden_activation != STEP:
-        return AffineMap(layer.matrix @ (outcome[:, None] * composed.matrix),
-                         layer.matrix @ (outcome * composed.offset) + layer.offset)
-    z = layer(outcome)
-    if depth < net.depth - 1 and np.any(z == 0.0):
+        rows, den = composed.exact
+        off = (0,) * (n + 1)
+        # the masked map's columns; a layer row's last entry, its offset, meets none
+        cols = list(zip(*[r if c == "+" else off for r, c in zip(rows, signs)]))
+        out = []
+        for w in layer:
+            r = [sum(map(mul, w, c)) for c in cols]
+            r[-1] += w[-1] * den
+            out.append(tuple(r))
+        return AffineMap.from_exact(tuple(out), lden * den, n)
+    # lden times layer(outcome)
+    z = [sum(v for v, c in zip(w, signs) if c == "+") + w[-1] for w in layer]
+    if depth < net.depth - 1 and 0 in z:
         warnings.warn(f"layer {depth + 1} image of outcome {signs!r} lies on a decision "
                       "hyperplane; boundary follows the + side",
                       DegenerateHyperplaneWarning, stacklevel=2)
-    if depth == net.depth - 1 and np.count_nonzero(z == np.max(z)) > 1:
+    if depth == net.depth - 1 and z.count(max(z)) > 1:
         warnings.warn(f"final layer ties on outcome {signs!r}; lowest index wins",
                       DegenerateHyperplaneWarning, stacklevel=2)
-    return AffineMap(np.zeros((len(z), net.input_dim)), z)
+    return AffineMap.from_exact(tuple((0,) * n + (v,) for v in z), lden, n)
 
 
 def _walk_relu_regions(b: GraphBuilder, net: NetworkSpec, leaf, chamber_cap: int,

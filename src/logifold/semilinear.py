@@ -147,7 +147,10 @@ def from_llgraph(g: LogicalGraph, region_cap: int = REGION_CAP) -> SemilinearFun
 
     A ``+`` step keeps its row as a weak row and a ``-`` step negates it into
     a strict row, so the pieces partition the input space exactly as the
-    graph routes it.  Each piece carries its region's exact walk witness.
+    graph routes it, up to rounding: a piece holds the guard's float rows,
+    so a guard whose floats do not hold its exact rows (`AffineMap.exact`),
+    such as a relu compile's deeper guards, gives pieces of its rounded
+    rows.  Each piece carries its region's exact walk witness.
     A realizable chamber without a route raises
     IncompleteRoutingError; more than `region_cap` regions raise
     RegionExplosionError.

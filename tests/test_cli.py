@@ -262,6 +262,20 @@ class TestCompileEval:
         assert f"{graph_path}: label text '{{\"a\": 1}}' holds a JSON object" in (
             capsys.readouterr().err)
 
+    def test_exact_rows_that_disagree_with_the_floats_exit_65(self, tmp_path, capsys):
+        net = random_network(np.random.default_rng(1), [3, 4, 4, 4, 4], RELU)
+        doc = graph_to_dict(networks.compile_relu_net(net))
+        v = next(v for v, gd in doc["guards"].items() if "exact" in gd)
+        exact = doc["guards"][v]["exact"]
+        exact["rows"][0][-1] = 2 * exact["rows"][0][-1] or exact["den"]
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps(doc))
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.5,0.5,0.5\n")
+        assert main(["eval", "--graph", str(graph_path), "--points", str(pts)]) == 65
+        assert f"{graph_path}: guard at {v!r}: exact rows do not round" in (
+            capsys.readouterr().err)
+
     def test_an_object_fiber_label_in_a_semilinear_file_exits_65(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"dim": 1, "fibers": {'[0, {"a": 1}]': [{"gt": [[1.0, 0.0]]}]}}))

@@ -1,8 +1,10 @@
 """Graph IR: sign vectors, validation, walk and path-sum evaluation, files."""
 
+import json
 import re
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logifold import feasibility, graph
-from logifold.algebra import product
+from logifold.algebra import product, zero_locus_lift
 from logifold.approx import approximate, grid_from_function
 from logifold.errors import (
     CyclicGraphError,
@@ -31,6 +33,10 @@ from logifold.fuzzy import (
     StateSpace,
     evaluate_fuzzy,
     evaluate_fuzzy_pathsum,
+    from_relu_softmax_net,
+    fuzzy_from_dict,
+    fuzzy_product,
+    fuzzy_to_dict,
 )
 from logifold.graph import (
     TARGET,
@@ -50,7 +56,8 @@ from logifold.graph import (
     validate_graph,
     walk_regions,
 )
-from logifold.networks import RELU, STEP, compile_relu_net, compile_step_net, random_network
+from logifold.networks import (RELU, SOFTMAX, STEP, NetworkSpec, compile_relu_net,
+                               compile_step_net, random_network)
 from logifold.semilinear import from_llgraph, semilinear_to_dict, to_llgraph
 
 from conftest import (make_cyclic_graph, make_diamond_graph, make_holed_graph,
@@ -590,6 +597,99 @@ def test_graph_dict_roundtrip_bit_identical(rng):
     require_valid(h)
     for x in rng.uniform(-2, 2, size=(200, 2)):
         assert evaluate(g, x) == evaluate(h, x)
+
+
+# -- exact rows in graph files ------------------------------------------------
+
+
+def deep_relu_graph():
+    """A compiled relu graph whose deeper guards keep rows their floats
+    cannot hold."""
+    return compile_relu_net(random_network(np.random.default_rng(1), [3, 4, 4, 4, 4], RELU))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_exact_rows_beyond_float_precision_survive_both_file_kinds(n, data, tmp_path_factory):
+    big = st.integers(-2**256, 2**256)
+    rows = data.draw(st.lists(st.tuples(*[big] * (n + 1)), min_size=1, max_size=3))
+    guard = AffineMap.from_exact(tuple(rows), 2 ** data.draw(st.integers(0, 256)), n)
+    b = GraphBuilder(n)
+    signs = ["".join(s) for s in np.array(np.meshgrid(*[["+", "-"]] * len(rows)))
+             .reshape(len(rows), -1).T.tolist()]
+    b.branch("s", guard, {s: b.target_for(s.count("+") % 2) for s in signs})
+    g = b.graph()
+    path = tmp_path_factory.mktemp("exact") / "g.json"
+    graph.save_graph(g, path)
+    loaded = graph.load_graph(path).guards["s"]
+    fg = FuzzyLogicalGraph(g, {v: StateSpace.euclidean(n) for v in g.vertices},
+                           {aid: ArrowMap(IDENTITY) for aid in g.arrows})
+    reread = fuzzy_from_dict(json.loads(json.dumps(fuzzy_to_dict(fg)))).skeleton.guards["s"]
+    for copy in (loaded, reread):
+        assert copy.constraints == guard.constraints
+        assert np.array_equal(copy.matrix, guard.matrix)
+        assert np.array_equal(copy.offset, guard.offset)
+
+
+def test_only_guards_whose_floats_lose_rows_write_exact_rows():
+    g = deep_relu_graph()
+    doc = graph_to_dict(g)
+    for v, gd in g.guards.items():
+        assert ("exact" in doc["guards"][v]) == (gd.exact != AffineMap(gd.matrix, gd.offset).exact)
+    assert any("exact" in gd for gd in doc["guards"].values())
+    grid = grid_from_function(lambda x: int(3 * np.hypot(x[0] - 0.4, x[1] - 0.6)),
+                              [0.0, 0.0], [1.0, 1.0], 6)
+    step = compile_step_net(random_network(np.random.default_rng(2), [2, 3, 3, 3], STEP))
+    for float_built in (step, approximate(grid, 0.0).graph, to_llgraph(from_llgraph(step))):
+        require_valid(float_built)  # reads every guard's exact rows
+        assert not any("exact" in gd for gd in graph_to_dict(float_built)["guards"].values())
+
+
+def test_exact_rows_that_do_not_round_to_the_floats_name_their_vertex():
+    doc = graph_to_dict(deep_relu_graph())
+    v = next(v for v, gd in doc["guards"].items() if "exact" in gd)
+    row = doc["guards"][v]["exact"]["rows"][0]
+    row[0] = 2 * row[0] or doc["guards"][v]["exact"]["den"]  # a float twice, or 1 for 0
+    with pytest.raises(ValueError, match=re.escape(f"guard at {v!r}: exact rows do not round")):
+        graph_from_dict(doc)
+    huge = graph_to_dict(deep_relu_graph())  # rows beyond the float range round to inf
+    huge["guards"][v]["exact"]["rows"][0][0] = 10**400 * huge["guards"][v]["exact"]["den"]
+    with pytest.raises(ValueError, match=re.escape(f"guard at {v!r}: exact rows do not round")):
+        graph_from_dict(huge)
+    for key, bad in (("den", 0), ("den", 2.0), ("rows", [[1.5, 0, 0, 0]])):
+        broken = graph_to_dict(deep_relu_graph())
+        broken["guards"][v]["exact"][key] = bad
+        with pytest.raises(ValueError, match=re.escape(f"guard at {v!r}: exact rows must be")):
+            graph_from_dict(broken)
+
+
+def test_rows_beyond_the_float_range_round_to_infinities_and_keep_their_file():
+    net = NetworkSpec([AffineMap([[1e200], [-1e200]], [0.0, 1.0]),
+                       AffineMap([[1e200, 1.0], [0.0, 1.0]], [0.0, 1.0])], RELU, "indexmax")
+    g = compile_relu_net(net)  # the composed row 1e400 x - 1 >= 0 splits exactly
+    (v,) = [v for v, gd in g.guards.items() if np.isinf(gd.matrix).any()]
+    loaded = graph_from_dict(json.loads(json.dumps(graph_to_dict(g))))
+    assert loaded.guards[v].constraints == g.guards[v].constraints
+    for h in (g, loaded):
+        assert [type(e) for e in validate_graph(h).errors] == [NonFinitePointError]
+
+
+def test_a_lifted_or_padded_relu_guard_keeps_its_exact_rows_with_zero_columns():
+    net = random_network(np.random.default_rng(1), [3, 4, 4, 4, 4], RELU)
+    g = compile_relu_net(net)
+
+    def padded(gd, left, right):
+        return tuple(feasibility.Constraint((0,) * left + c.coeffs + (0,) * right, c.offset,
+                                            False) for c in gd.constraints)
+
+    lifted = zero_locus_lift(relabel(g, lambda label: label + 1))
+    assert all(lifted.guards[v].constraints == padded(gd, 0, 1) for v, gd in g.guards.items())
+    fg = from_relu_softmax_net(NetworkSpec(net.layers, RELU, SOFTMAX))
+    guards = fg.skeleton.guards.values()
+    n, k = net.input_dim, net.output_dim
+    want = Counter([padded(gd, 0, n) for gd in guards] + [padded(gd, k, 0) for gd in guards])
+    both = fuzzy_product(fg, fg).skeleton.guards.values()
+    assert Counter(gd.constraints for gd in both) == want
 
 
 def test_relabel_injective_only():

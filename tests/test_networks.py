@@ -1,5 +1,7 @@
 """Network forward passes and the step/ReLU compilers against oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from logifold.errors import (
     UnsupportedActivationError,
 )
 from logifold.fuzzy import from_relu_softmax_net, from_sigmoid_net, validate_fuzzy
-from logifold.graph import AffineMap, evaluate, evaluate_batch, require_valid
+from logifold.graph import AffineMap, evaluate, evaluate_batch, require_valid, walk_regions
 from logifold.networks import (
     NetworkSpec,
     SpecializedNet,
@@ -22,6 +24,7 @@ from logifold.networks import (
     compile_step_net,
     forward_classical,
     forward_classical_batch,
+    forward_exact,
     forward_logits,
     forward_logits_batch,
     forward_smooth,
@@ -50,6 +53,66 @@ def test_forward_classical_step_hidden():
     assert forward_classical(net, [0.3]) == 0
     assert forward_classical(net, [0.0]) == 0  # step(0) = 1
     assert forward_classical(net, [-0.3]) == 1
+
+
+def test_forward_exact_sees_what_the_float_sum_rounds_away():
+    # l1 = x0 + x1 at (1e16, 1) is 1e16 + 1 exactly but rounds to l0 = 1e16
+    net = _net([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]]],
+               [[0.0, 0.0], [1e16, 0.0]], hidden="relu")
+    assert forward_classical(net, [1e16, 1.0]) == 0
+    for x in ([1e16, 1.0], [10**16, 1], [Fraction(10**16), Fraction(1)]):
+        assert forward_exact(net, x) == 1
+    assert forward_exact(net, [Fraction(10**16), Fraction(-1, 3)]) == 0
+
+
+def test_forward_exact_ties_go_low_and_steps_fire_at_zero():
+    assert forward_exact(_net([[[1.0, 0.0], [1.0, 0.0]]], [[0.0, 0.0]]), [2.0, 1.0]) == 0
+    assert forward_exact(_net([[[0.0], [1.0], [1.0]]], [[5.0, 0.0, 0.0]]), [6.0]) == 1
+    net = _net([[[1.0]], [[1.0], [0.0]]], [[0.0], [0.0, 0.5]])
+    assert [forward_exact(net, [x]) for x in (0.3, 0.0, -0.3)] == [0, 0, 1]
+
+
+@pytest.mark.parametrize("hidden", ["relu", "step"])
+def test_forward_exact_agrees_with_the_forward_pass_off_ties(rng, hidden):
+    for _ in range(5):
+        n = int(rng.integers(1, 4))
+        net = random_network(rng, [n, 4, 3, 3], hidden)
+        X = rng.normal(scale=2.0, size=(100, n))
+        top = np.sort(forward_logits_batch(net, X), axis=1)
+        for x, want, gap in zip(X, forward_classical_batch(net, X), top[:, -1] - top[:, -2]):
+            if gap > 1e-9:
+                assert forward_exact(net, x) == want
+
+
+def test_forward_exact_refuses_bad_points_and_smooth_nets():
+    net = _net([[[1.0, 0.0]]], [[0.0]], hidden="relu")
+    with pytest.raises(DimensionMismatchError):
+        forward_exact(net, [1.0])
+    with pytest.raises(NonFinitePointError):
+        forward_exact(net, [float("nan"), 0.0])
+    with pytest.raises(UnsupportedActivationError):
+        forward_exact(_net([[[1.0]]], [[0.0]], hidden="sigmoid", final="softmax"), [1.0])
+
+
+def test_the_walk_reads_each_layer_exactly_once(monkeypatch):
+    reads = []
+    read_exact = feasibility.read_exact
+    monkeypatch.setattr(feasibility, "read_exact",
+                        lambda rows: reads.append(1) or read_exact(rows))
+    net = random_network(np.random.default_rng(1), [3, 4, 4, 4, 4], "relu")
+    compile_relu_net(net)
+    from_relu_softmax_net(NetworkSpec(net.layers, "relu", "softmax"))
+    assert len(reads) == net.depth
+
+
+def test_compiled_regions_are_exact_where_float_composition_made_slivers():
+    # float composition gave this net 530 regions, 259 of them mislabelled
+    net = random_network(np.random.default_rng(1), [3, 4, 4, 4, 4], "relu")
+    g = compile_relu_net(net)
+    exact = [v for v, gd in g.guards.items()
+             if gd.exact != AffineMap(gd.matrix, gd.offset).exact]
+    assert exact, "no guard keeps rows its floats cannot hold"
+    assert sum(1 for _ in walk_regions(g)) == 168
 
 
 def test_forward_rejects_smooth_activations():

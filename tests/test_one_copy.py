@@ -1,10 +1,14 @@
 """Three conversions and one decision keep one copy each in `src/logifold`.
 
-Float rows become exact rows only inside `feasibility` and
-`graph.AffineMap.constraints`, JSON files are read and written only by
-`graph.read_json` and `graph.write_json`, and a guard is split only in
-`graph.AffineMap.chambers`, so every split is recorded on its guard: no
-`enumerate_chambers` call appears outside `feasibility` and that method.
+Floats become exact numbers only inside `feasibility`: no other module
+calls `as_integer_ratio` or `make_constraint`, and its reader `read_exact`
+is called only by `graph.AffineMap.exact`, which reads a map's floats, and
+by `networks.forward_exact`, which reads a point.  So the relu composition
+reads each layer's floats through the layer's `exact` rows.  JSON files are
+read and written only by `graph.read_json` and `graph.write_json`, and a
+guard is split only in `graph.AffineMap.chambers`, so every split is
+recorded on its guard: no `enumerate_chambers` call appears outside
+`feasibility` and that method.
 Which network kinds an operation takes is decided only in `networks`, by
 its table of kinds: no other module reads a network's `hidden_activation`
 or `final_activation`.  Each check walks the syntax tree, so a second copy
@@ -17,6 +21,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "logifold"
 
 JSON_CALLS = {"json.load", "json.dump", "json.loads", "json.dumps"}
+# conversion -> the (module, function) outside `feasibility` that may call it
+CONVERSION_HOMES = {
+    "as_integer_ratio": set(),
+    "make_constraint": set(),
+    "read_exact": {("graph", "AffineMap.exact"), ("networks", "forward_exact")},
+    "enumerate_chambers": {("graph", "AffineMap.chambers")},
+}
 ACTIVATIONS = {"hidden_activation", "final_activation"}
 # (module, function) -> the JSON calls it may make; the string forms turn one
 # label or the config hash into text and back, not a file
@@ -86,11 +97,10 @@ def strays(module: str, tree: ast.Module):
     conversion, or of the check of network kinds."""
     found = []
     for scope, name in calls(tree):
-        for home, conversion in (("AffineMap.constraints", "make_constraint"),
-                                 ("AffineMap.chambers", "enumerate_chambers")):
-            if name.rsplit(".", 1)[-1] == conversion and module != "feasibility" \
-                    and (module, scope) != ("graph", home):
-                found.append(f"{module}.{scope or '<module>'} calls {conversion}")
+        conversion = name.rsplit(".", 1)[-1]
+        if (conversion in CONVERSION_HOMES and module != "feasibility"
+                and (module, scope) not in CONVERSION_HOMES[conversion]):
+            found.append(f"{module}.{scope or '<module>'} calls {conversion}")
         if name in JSON_CALLS and name not in JSON_HOMES.get((module, scope), ()):
             found.append(f"{module}.{scope or '<module>'} calls {name}")
     return found + activation_reads(module, tree)
@@ -125,12 +135,19 @@ class Piece:
 
 def to_graph(guard):
     return feasibility.enumerate_chambers(guard.constraints, guard.dim)
+
+def exact_rows(guard):
+    p, q = guard.matrix[0, 0].as_integer_ratio()
+    return feasibility.read_exact(guard.matrix.tolist()), (0.5).as_integer_ratio()
 """
     assert strays("semilinear", ast.parse(second)) == [
         "semilinear.save calls json.dump", "semilinear.read calls json.load",
         "semilinear.Piece.rows calls make_constraint",
         "semilinear.Piece.rows calls make_constraint",
-        "semilinear.to_graph calls enumerate_chambers"]
+        "semilinear.to_graph calls enumerate_chambers",
+        "semilinear.exact_rows calls as_integer_ratio",
+        "semilinear.exact_rows calls read_exact",
+        "semilinear.exact_rows calls as_integer_ratio"]
 
 
 def test_the_check_sees_a_second_kind_check():

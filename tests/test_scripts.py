@@ -1,6 +1,7 @@
 """Smoke test: every script under scripts/ runs to completion on its smallest inputs."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,14 @@ def test_a_bad_list_exits_2_without_a_traceback(argv, detail):
     assert proc.returncode == 2
     assert f"error: argument {argv[1]}: {detail}" in proc.stderr
     assert "Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_the_relu_sweep_report_gives_its_regions():
+    # the acceptance gates' relu sweep: seed 20240902, 50 nets, 10,000 points each
+    proc = run_script(["compile_random_nets.py", "--kind", "relu"])
+    assert proc.returncode == 0, proc.stderr
+    assert re.match(r"relu: 0 mismatches over 500000 points \(50 nets, \d+ targets, "
+                    r"\d+ guards, \d+ guard rows, 1122 regions total\), compile ", proc.stdout)
 
 
 def test_an_infinite_bound_needs_no_box():

@@ -6,18 +6,22 @@ draws and this test discards, so the nets are the very ones the acceptance
 gates compile.  A freshly compiled graph is validated and converted from the
 chambers its guards recorded when they were split; a copy saved and loaded
 again carries no record and walks, and both must give the same answers.
+Every region of a compiled relu graph has an interior, where the network
+evaluated in exact arithmetic gives the region's label.
 """
 
 import pytest
 from numpy.random import default_rng
 
-from logifold.graph import load_graph, require_valid, save_graph, validate_graph
+from logifold.feasibility import Constraint, find_witness
+from logifold.graph import load_graph, require_valid, save_graph, validate_graph, walk_regions
 from logifold.networks import (
     INDEXMAX,
     RELU,
     STEP,
     compile_relu_net,
     compile_step_net,
+    forward_exact,
     random_network,
 )
 from logifold.semilinear import from_llgraph, semilinear_to_dict
@@ -62,3 +66,29 @@ def test_a_sweep_graph_answers_as_its_saved_copy_does(kind, seed, tmp_path):
         g = compile_net(net)
         save_graph(g, path)
         assert _answers(g) == _answers(load_graph(path)), f"{kind} sweep net {i}"
+
+
+def _interior(g, steps):
+    """The rows of a region's walk, each made strict: its interior."""
+    system = []
+    for v, signs in steps:
+        for c, s in zip(g.guards[v].constraints, signs):
+            system.append(Constraint(c.coeffs, c.offset, True) if s == "+" else
+                          Constraint(tuple(-a for a in c.coeffs), -c.offset, True))
+    return system
+
+
+def test_every_relu_sweep_region_has_an_interior_the_exact_network_labels_alike():
+    regions, flat, wrong = 0, [], []
+    for i, net in enumerate(_sweep_nets(RELU, 20240902)):
+        g = compile_relu_net(net)
+        for target, steps in walk_regions(g):
+            regions += 1
+            w = find_witness(_interior(g, steps), net.input_dim)
+            if w is None:
+                flat.append(i)
+            elif forward_exact(net, w) != g.target_labels[target]:
+                wrong.append(i)
+    assert not flat and not wrong, (
+        f"of {regions} regions, {len(flat)} have no interior (nets {sorted(set(flat))}) and "
+        f"{len(wrong)} are mislabelled (nets {sorted(set(wrong))})")
