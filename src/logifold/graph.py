@@ -121,6 +121,7 @@ class AffineMap:
     """
 
     _record = None  # (base, chambers) of the last `chambers` call
+    _exact_built = False  # built by `from_exact`, so its floats are a rounding
 
     def __init__(self, matrix, offset):
         m = np.asarray(matrix, dtype=float)
@@ -138,7 +139,7 @@ class AffineMap:
         """The map whose row i is ``rows[i] / den``: `rows` holds tuples of
         dim + 1 ints (a1, ..., an, b), and `den` is a positive int."""
         f = cls.__new__(cls)
-        f.exact = (rows, den)
+        f.exact, f._exact_built = (rows, den), True
         f.rows, f.dim = len(rows), dim
         return f
 
@@ -176,8 +177,9 @@ class AffineMap:
     def padded(self, left: int, right: int) -> "AffineMap":
         """The same rows over R^(left + dim + right), reading the middle
         coordinates: `left` zero columns before the matrix and `right` after.
-        Exact rows, once known, are padded as exact rows."""
-        if "exact" not in self.__dict__:
+        A map built from floats is padded on its floats, and one built from
+        exact rows on its exact rows."""
+        if not self._exact_built:
             return AffineMap(np.hstack([np.zeros((self.rows, left)), self.matrix,
                                         np.zeros((self.rows, right))]), self.offset)
         rows, den = self.exact
@@ -1060,10 +1062,10 @@ def read_json(path):
 
 
 def _guard_to_dict(gd: AffineMap) -> dict:
-    """A guard's floats, and its exact rows under "exact" when they differ
-    from the exact reading of those floats."""
+    """A guard's floats, and, for a guard built from exact rows, those rows
+    under "exact" when they differ from the exact reading of its floats."""
     out = {"matrix": gd.matrix.tolist(), "offset": gd.offset.tolist()}
-    if "exact" in gd.__dict__:
+    if gd._exact_built:
         rows, den = gd.exact
         try:
             floats, fden = AffineMap(gd.matrix, gd.offset).exact

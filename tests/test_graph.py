@@ -235,10 +235,7 @@ def test_a_compiled_graph_carries_its_exact_rows(monkeypatch):
     relu = compile_relu_net(random_network(rng, [2, 3, 3, 3], RELU))
     step = compile_step_net(random_network(rng, [2, 3, 3], STEP))
     graphs = [relu, step, to_llgraph(from_llgraph(step))]
-    calls = []
-    real = feasibility.make_constraint
-    monkeypatch.setattr(feasibility, "make_constraint",
-                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    calls = counted(monkeypatch, "read_exact")
     for g in graphs:
         assert g.guards and require_valid(g).realizability_checked
         assert len(list(walk_regions(g))) > 1
@@ -692,6 +689,18 @@ def test_a_lifted_or_padded_relu_guard_keeps_its_exact_rows_with_zero_columns():
     assert Counter(gd.constraints for gd in both) == want
 
 
+def test_a_float_guard_is_padded_on_its_floats_whatever_was_read_before():
+    grid = grid_from_function(lambda x: int(3 * np.hypot(x[0] - 0.4, x[1] - 0.6)),
+                              [0.0, 0.0], [1.0, 1.0], 6)
+    covers = [approximate(grid, 0.0).graph for _ in range(2)]
+    ranks = {label: i + 1 for i, label in enumerate(sorted(map(str, covers[0].labels)))}
+    fresh, validated = (relabel(g, lambda label: ranks[str(label)]) for g in covers)
+    require_valid(validated)  # reads every guard's exact rows
+    want = json.dumps(graph_to_dict(zero_locus_lift(fresh)))
+    assert "-0.0" in want  # a cover's first cut offsets are -0.0
+    assert json.dumps(graph_to_dict(zero_locus_lift(validated))) == want
+
+
 def test_relabel_injective_only():
     g = make_step_graph(labels=(0, 1))
     h = relabel(g, {0: 1, 1: 2})
@@ -903,6 +912,8 @@ def mutate(data, doc, x):
     elif mutation == "widen a guard" and v in doc["guards"]:
         guard = doc["guards"][v]
         guard["matrix"] = [row + [0.0] for row in guard["matrix"]]
+        if "exact" in guard:
+            guard["exact"]["rows"] = [row[:-1] + [0] + row[-1:] for row in guard["exact"]["rows"]]
     elif mutation in ("drop a route", "route to a missing arrow",
                       "route to an arrow of another vertex") and routes:
         key = data.draw(st.sampled_from(sorted(routes)))
