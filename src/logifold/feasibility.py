@@ -10,9 +10,13 @@ a guard keeps its exact rows (`graph.AffineMap.constraints`, built by
 `weak_constraints`).  Every guard of the package is split through
 `graph.AffineMap.chambers`, which calls `enumerate_chambers` and keeps the
 result on the guard.
-Verdicts come from Fourier-Motzkin elimination and are exact: a feasible system
-yields a rational witness, an infeasible one yields the contradictory constant
-row derived by elimination.
+Verdicts are exact: a feasible system yields a rational witness, an
+infeasible one yields the contradictory constant row derived by
+Fourier-Motzkin elimination.  Elimination decides every system, with one
+exception: `enumerate_chambers` may witness a chamber by a crossing point,
+its parent region's witness moved across the new row's hyperplane, once
+every row of the chamber's system is checked to hold there.  A chamber is
+refuted only by elimination.
 
 The elimination kernel runs on plain integers.  A row inside it is a tuple
 ``(coeffs, offset, strict, ancestry)`` whose ancestry is a bitmask of the input
@@ -312,6 +316,72 @@ def _opposed_refuters(entries, g: int, offset: int, strict: bool):
     return hits
 
 
+def _step_along(system, row: Constraint, up: bool, val: int, x, d, a):
+    """(point, None) or (None, blocking row): the witness x / d of `system`,
+    at which `row` is val / d, moved along the integer direction `a` past
+    `row`'s hyperplane, toward ``row >= 0`` if `up`, else ``row < 0``.
+
+    Along x / d + t a / d each row changes by t times its dot product with
+    a, so each row of the system that falls bounds t above, and the
+    crossing bounds it below.  The step taken is twice the crossing if that
+    stays below every bound, else the midpoint between the crossing and the
+    nearest bound.  When the nearest bound comes first, that row blocks the
+    line and no point is given.  Bounds are kept as numerator and
+    denominator and compared by cross-multiplication.  (None, None) when `a`
+    does not move `row` the asked way.
+    """
+    rate = sum(map(mul, row.coeffs, a))
+    if not up:
+        rate = -rate
+    if rate <= 0:
+        return None, None
+    lo = abs(val)  # row = 0 at t = lo / rate; "-" must pass it
+    hi = None
+    for r in system:
+        fall = -sum(map(mul, r.coeffs, a))
+        if fall > 0:  # r holds up to t = rest / fall
+            rest = _value(r.coeffs, r.offset, x, d)
+            if hi is None or rest * hi_den < hi * fall:
+                hi, hi_den, hi_strict, block = rest, fall, r.strict, r
+            elif r.strict and rest * hi_den == hi * fall:
+                hi_strict = True
+    if hi is None:
+        num, den = (2 * lo, rate) if lo else (1, 1)
+    elif lo * hi_den < hi * rate:
+        if lo and 3 * lo * hi_den < hi * rate:
+            num, den = 2 * lo, rate
+        else:
+            num, den = lo * hi_den + hi * rate, 2 * rate * hi_den
+    elif up and not hi_strict and lo * hi_den == hi * rate:
+        num, den = lo, rate  # the region touches the hyperplane at this point
+    else:
+        return None, block
+    point = [den * v + num * u for v, u in zip(x, a)]
+    den *= d
+    g = gcd(*point, den)
+    return ([v // g for v in point], den // g), None
+
+
+def _crossing(system, row: Constraint, up: bool, val: int, x, d):
+    """A candidate witness of `system` plus the ``+`` (if `up`) or ``-``
+    side of `row`, from the witness x / d of `system`, or None.
+
+    The witness moves along the row's normal past its hyperplane (reflected
+    through it, or a shorter step when a row of the system is near).  If a
+    row blocks that line, it moves instead along the normal with its part
+    along the blocking row's normal taken out, which keeps that row's value.
+    The caller still checks every row at the point.
+    """
+    a = row.coeffs if up else tuple([-v for v in row.coeffs])
+    point, block = _step_along(system, row, up, val, x, d, a)
+    if block is not None:
+        c = block.coeffs
+        cc, ac = sum(map(mul, c, c)), sum(map(mul, a, c))
+        point, _ = _step_along(system, row, up, val, x, d,
+                               tuple([cc * u - ac * v for u, v in zip(a, c)]))
+    return point
+
+
 def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
                        cap: Optional[int] = None, base_witness=None):
     """All realizable sign vectors of `rows` within the `base` system.
@@ -323,6 +393,10 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
     the negated strict row -row > 0.  A row with all-zero coefficients takes
     the sign of its offset and no other.  A sign whose row is excluded by an
     opposed parallel row of the system is dropped without elimination.
+    Any other sign the current witness lacks is first tried at a crossing
+    point (`_crossing`): if every row of the chamber's system holds there,
+    checked as integer dot products, that point is the chamber's witness;
+    otherwise elimination decides.
     Raises GuardExplosionError past `cap` chambers.
     """
     w0 = base_witness if base_witness is not None else find_witness(list(base), n)
@@ -358,6 +432,8 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
             if cap is not None and len(out) >= cap:
                 raise GuardExplosionError(
                     f"more than {cap} realizable chambers for a {len(rows)}-row guard")
+            if witness is None:  # a crossing point, kept as integers until now
+                witness = tuple([Fraction(v, scaled[1]) for v in scaled[0]])
             out[prefix] = (witness, system)
             return
         plus, minus, refuters = probes[idx]
@@ -372,6 +448,10 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
             if hits is None or any(prefix[j] == s for j, s in hits):
                 continue  # an opposed parallel row excludes this sign
             sub = system + [c]
+            point = _crossing(system, plus, sign == "+", val, *scaled)
+            if point is not None and all(_holds(r, *point) for r in sub):
+                rec(idx + 1, sub, None, point, prefix + sign)
+                continue
             w = find_witness(sub, n)
             if w is not None:
                 rec(idx + 1, sub, w, _scaled(w), prefix + sign)

@@ -115,12 +115,18 @@ class AffineMap:
     last base asked: a compiler splits a guard once, and a walk over the
     graph it built (`validate_graph`, `semilinear.from_llgraph`) asks the
     same guard under the same base and reads the record instead of
-    eliminating again.  So the map must not be changed in place after any
-    view is read: like `LogicalGraph`'s batch program, later reads would
-    still see the old rows and chambers.
+    eliminating again.  A relu map also keeps its successors: the relu
+    region walk (`networks._next_map`) records on each map it splits the
+    next layer composed over each chamber, keyed by that layer object and
+    the chamber's signs, so a second walk of the same layers (the relu
+    compiler's and the relu-softmax import's) reaches the same maps and
+    their recorded chambers.  So the map must not be changed in place after
+    any view is read: like `LogicalGraph`'s batch program, later reads would
+    still see the old rows, chambers and successors.
     """
 
     _record = None  # (base, chambers) of the last `chambers` call
+    _successors = None  # {(next layer, signs): composed map}, kept by the relu walk
     _exact_built = False  # built by `from_exact`, so its floats are a rounding
 
     def __init__(self, matrix, offset):

@@ -13,9 +13,13 @@ offsets: a step network branches only at its first layer, and each
 first-layer chamber has one vertex with a plain arrow to its argmax target.
 
 The walker is also behind ``fuzzy.from_relu_softmax_net``, which puts a
-softmax leaf where the compiler puts the argmax tournament.  A layer whose
-region holds a single sign chamber adds no vertex, so the graphs branch only
-where a layer's hyperplanes actually cut the region.
+softmax leaf where the compiler puts the argmax tournament.  Each relu map
+the walk composes is kept on the map it came from, with that map's
+chambers, so the import of a network whose layers the compiler has walked
+(or the compile after an import) reads the same maps and chambers instead of
+composing and splitting again.  A layer whose region holds a single sign
+chamber adds no vertex, so the graphs branch only where a layer's
+hyperplanes actually cut the region.
 
 Both compilers keep only regions whose constraint systems are exactly
 feasible, and the argmax convention everywhere is lowest index wins ties.
@@ -292,12 +296,21 @@ def _next_map(net: NetworkSpec, depth: int, signs: str, composed: AffineMap) -> 
     two, as is every composed map.
 
     A ReLU layer sees the composed map masked by the chamber, W diag(mask)
-    R + b, over the product of the two denominators.  A step layer outputs
-    the chamber's 0/1 outcome at every point, so its next map is the
-    constant ``layer(outcome)``, whose ties and zeros are exact.
+    R + b, over the product of the two denominators.  It is kept on
+    `composed`, keyed by the layer object itself (not its id, which a freed
+    layer could pass on) and `signs`, and a later call returns the kept map.
+    A step layer outputs the chamber's 0/1 outcome at every point, so its
+    next map is the constant ``layer(outcome)``, whose ties and zeros are
+    exact; it is built afresh each time, so every compile warns again.
     """
-    (layer, lden), n = net.layers[depth].exact, net.input_dim
+    nxt, n = net.layers[depth], net.input_dim
+    (layer, lden) = nxt.exact
     if net.hidden_activation != STEP:
+        if composed._successors is None:
+            composed._successors = {}
+        f = composed._successors.get((nxt, signs))
+        if f is not None:
+            return f
         rows, den = composed.exact
         off = (0,) * (n + 1)
         # the masked map's columns; a layer row's last entry, its offset, meets none
@@ -307,7 +320,8 @@ def _next_map(net: NetworkSpec, depth: int, signs: str, composed: AffineMap) -> 
             r = [sum(map(mul, w, c)) for c in cols]
             r[-1] += w[-1] * den
             out.append(tuple(r))
-        return AffineMap.from_exact(tuple(out), lden * den, n)
+        f = composed._successors[nxt, signs] = AffineMap.from_exact(tuple(out), lden * den, n)
+        return f
     # lden times layer(outcome)
     z = [sum(v for v, c in zip(w, signs) if c == "+") + w[-1] for w in layer]
     if depth < net.depth - 1 and 0 in z:

@@ -258,7 +258,8 @@ def test_constant_row_takes_its_offset_sign_without_elimination(monkeypatch):
     rows = [([0.0, 0.0], 1.0), ([0.0, 0.0], -2.0), ([0.0, 0.0], 0.0), ([1.0, 0.0], 0.0)]
     out = enumerate_chambers(weak(rows), 2, base_witness=(Fraction(1), Fraction(0)))
     assert set(out) == {"+-++", "+-+-"}
-    assert len(calls) == 1  # only the "-" side of x >= 0 needs a witness
+    # the "-" side of x >= 0 is witnessed by the crossing point (-1, 0)
+    assert len(calls) == 0
 
 
 def test_opposed_parallel_rows_refute_without_elimination(monkeypatch):
@@ -270,14 +271,99 @@ def test_opposed_parallel_rows_refute_without_elimination(monkeypatch):
     out = enumerate_chambers(weak([([1.0], 0.0), ([-1.0], 0.0)]), 1,
                              base_witness=(Fraction(1),))
     assert set(out) == {"++", "+-", "-+"}
-    # the "-" side of x and the "+" side of -x (it meets x >= 0 at 0) need one each
-    assert len(calls) == 2
+    # the "-" side of x and the "+" side of -x (it meets x >= 0 at 0) are
+    # witnessed by crossing points, -1 and 0, that hold every row
+    assert len(calls) == 0
     calls.clear()
     # a base row x >= 2 excludes x - 1 < 0 and 2x - 3 < 0 outright
     base = [make_constraint([1], -2, strict=False)]
     out = enumerate_chambers(weak([([1.0], -1.0), ([2.0], -3.0)]), 1, base=base,
                              base_witness=(Fraction(3),))
     assert set(out) == {"++"} and calls == []
+
+
+def test_a_blocked_crossing_turns_once_along_the_blocking_row(monkeypatch):
+    calls = []
+    real = logifold.feasibility.find_witness
+    monkeypatch.setattr(logifold.feasibility, "find_witness",
+                        lambda *a: calls.append(a) or real(*a))
+    x_past_1, origin = weak([([1.0, 0.0], -1.0)]), (Fraction(0), Fraction(0))
+    # from the origin the normal of x - 1 >= 0 leaves the base 2y - 2x + 1 >= 0
+    # at x = 1/2; along that row's line (t, t) the crossing lies at t = 1
+    base = [make_constraint([-2, 2], 1, strict=False)]
+    out = enumerate_chambers(x_past_1, 2, base=base, base_witness=origin)
+    assert set(out) == {"+", "-"} and calls == []
+    # 5x - 10y + 4 >= 0 blocks that line too, at t = 4/5, yet the chamber
+    # holds (1, 1/2): the crossing point breaks a base row, and elimination runs
+    base.append(make_constraint([5, -10], 4, strict=False))
+    out = enumerate_chambers(x_past_1, 2, base=base, base_witness=origin)
+    assert set(out) == {"+", "-"} and len(calls) == 1
+    w, system = out["+"]
+    assert all(exact_value(c, w) >= 0 for c in system)
+
+
+def _brute_force_chambers(rows, n, base):
+    """The sign vectors of `rows` whose chamber systems are feasible."""
+    want = set()
+    for k in range(2 ** len(rows)):
+        signs = "".join("-" if k >> i & 1 else "+" for i in range(len(rows)))
+        system = list(base)
+        for s, (c, b) in zip(signs, rows):
+            if s == "+":
+                system.append(make_constraint(c, b, strict=False))
+            else:
+                system.append(make_constraint([-a for a in c], -b, strict=True))
+        if check_system(system, n).feasible:
+            want.add(signs)
+    return want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       st.integers(-3, 3)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                       st.integers(-3, 3), st.booleans()), max_size=3),
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+    st.sampled_from(["inside", "on a row", "far", "thin", "flat"]))))
+def test_chambers_from_a_given_witness_are_exactly_the_feasible_sign_vectors(case):
+    """Crossing points start from `base_witness`.  From a witness on a row's
+    hyperplane, far out, or in a thin or flat base, the chambers must be the
+    brute-force set and every witness must hold its system in Fractions."""
+    n, rows, base_rows, point, where = case
+    w0 = tuple(Fraction(v, 2) for v in point)
+    row = next(((c, b) for c, b in rows if any(c)), None)
+    if where == "on a row" and row is not None:
+        c, b = row  # move w0 along c onto c . x + b = 0
+        t = (b + sum(a * v for a, v in zip(c, w0))) / sum(a * a for a in c)
+        w0 = tuple(v - t * a for v, a in zip(w0, c))
+    elif where == "far":
+        w0 = tuple(v * 10**6 + 1 for v in w0)
+
+    def through(coeffs, strict, value):
+        """The row with these coefficients whose value at w0 is `value`."""
+        return make_constraint(coeffs, value - sum(a * v for a, v in zip(coeffs, w0)), strict)
+
+    base = []
+    for coeffs, offset, strict in base_rows:
+        c = make_constraint(coeffs, offset, strict)
+        v = exact_value(c, w0)
+        if where in ("thin", "flat") and any(coeffs):
+            # a slab 1/1000 wide, or a hyperplane, with w0 on its lower face
+            width = Fraction(1, 1000) if where == "thin" else 0
+            base += [through(coeffs, False, 0), through([-a for a in coeffs], False, width)]
+        elif v < 0 or (v == 0 and strict):
+            base.append(through(coeffs, strict, 1 if strict else 0))
+        else:
+            base.append(c)
+    assert all(satisfies(c, w0) for c in base)
+    out = enumerate_chambers(weak(rows), n, base=base, base_witness=w0)
+    assert set(out) == _brute_force_chambers(rows, n, base)
+    for signs, (w, system) in out.items():
+        assert len(w) == n and all(isinstance(v, Fraction) for v in w)
+        assert all(exact_value(c, w) > 0 if c.strict else exact_value(c, w) >= 0
+                   for c in system)
 
 
 small_rows = st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
@@ -291,18 +377,7 @@ def test_chambers_are_exactly_the_feasible_sign_vectors(rows, base_rows):
     # small integer rows are often parallel, so opposed pairs are common
     base = [make_constraint(c, b, s) for c, b, s in base_rows]
     out = enumerate_chambers(weak(rows), 2, base=base)
-    want = set()
-    for k in range(2 ** len(rows)):
-        signs = "".join("-" if k >> i & 1 else "+" for i in range(len(rows)))
-        system = list(base)
-        for s, (c, b) in zip(signs, rows):
-            if s == "+":
-                system.append(make_constraint(c, b, strict=False))
-            else:
-                system.append(make_constraint([-a for a in c], -b, strict=True))
-        if check_system(system, 2).feasible:
-            want.add(signs)
-    assert set(out) == want
+    assert set(out) == _brute_force_chambers(rows, 2, base)
     for signs, (w, system) in out.items():
         assert all(exact_value(c, w) > 0 if c.strict else exact_value(c, w) >= 0
                    for c in system)

@@ -15,8 +15,20 @@ from logifold.errors import (
     RegionExplosionError,
     UnsupportedActivationError,
 )
-from logifold.fuzzy import from_relu_softmax_net, from_sigmoid_net, validate_fuzzy
-from logifold.graph import AffineMap, evaluate, evaluate_batch, require_valid, walk_regions
+from logifold.fuzzy import (
+    from_relu_softmax_net,
+    from_sigmoid_net,
+    fuzzy_to_dict,
+    validate_fuzzy,
+)
+from logifold.graph import (
+    AffineMap,
+    evaluate,
+    evaluate_batch,
+    graph_to_dict,
+    require_valid,
+    walk_regions,
+)
 from logifold.networks import (
     NetworkSpec,
     SpecializedNet,
@@ -184,6 +196,52 @@ def test_compile_step_hidden_zero_warns_at_its_layer():
     with pytest.warns(DegenerateHyperplaneWarning,
                       match="layer 2 image of outcome '\\+' lies on a decision hyperplane"):
         compile_step_net(net)
+
+
+def _fresh(net, final):
+    """The net over fresh copies of its layers, which share no walk."""
+    layers = [AffineMap(l.matrix.copy(), l.offset.copy()) for l in net.layers]
+    return NetworkSpec(layers, net.hidden_activation, final)
+
+
+@pytest.mark.parametrize("import_first", [False, True])
+def test_the_compiler_and_the_import_share_one_walk(import_first):
+    for seed, dims in ((1, [3, 4, 4, 4, 4]), (5, [2, 3, 3, 3]), (6, [1, 4, 4, 3])):
+        net = random_network(np.random.default_rng(seed), dims, "relu")
+        twin = NetworkSpec(net.layers, "relu", "softmax")
+        if import_first:
+            fg, g = from_relu_softmax_net(twin), compile_relu_net(net)
+        else:
+            g, fg = compile_relu_net(net), from_relu_softmax_net(twin)
+        assert graph_to_dict(g) == graph_to_dict(compile_relu_net(_fresh(net, "indexmax")))
+        assert fuzzy_to_dict(fg) == fuzzy_to_dict(from_relu_softmax_net(_fresh(net, "softmax")))
+
+
+def test_nets_that_share_a_first_layer_keep_their_own_maps():
+    rng = np.random.default_rng(7)
+    a, b = (random_network(rng, [2, 3, 3, 3], "relu") for _ in range(2))
+    b = NetworkSpec([a.layers[0]] + b.layers[1:], "relu", "indexmax")
+    for net in (a, b, a):
+        assert graph_to_dict(compile_relu_net(net)) == graph_to_dict(
+            compile_relu_net(_fresh(net, "indexmax")))
+
+
+def test_the_import_after_a_compile_eliminates_nothing(monkeypatch):
+    net = random_network(np.random.default_rng(1), [3, 4, 4, 4, 4], "relu")
+    compile_relu_net(net)
+    calls = []
+    real = feasibility._fm_verdict
+    monkeypatch.setattr(feasibility, "_fm_verdict", lambda *a: calls.append(a) or real(*a))
+    fg = from_relu_softmax_net(NetworkSpec(net.layers, "relu", "softmax"))
+    assert calls == [] and len(fg.skeleton.vertices) > 100
+
+
+def test_a_step_net_warns_on_every_compile():
+    # step maps are not kept, so each compile meets the degenerate outcome again
+    net = _net([[[1.0]], [[1.0]], [[1.0], [0.0]]], [[0.0], [-1.0], [0.0, 0.5]])
+    for _ in range(2):
+        with pytest.warns(DegenerateHyperplaneWarning):
+            compile_step_net(net)
 
 
 @settings(max_examples=40, deadline=None)

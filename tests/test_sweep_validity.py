@@ -6,8 +6,9 @@ draws and this test discards, so the nets are the very ones the acceptance
 gates compile.  A freshly compiled graph is validated and converted from the
 chambers its guards recorded when they were split; a copy saved and loaded
 again carries no record and walks, and both must give the same answers.
-Every region of a compiled relu graph has an interior, where the network
-evaluated in exact arithmetic gives the region's label.
+Every region of a compiled relu graph, of the relu sweep and of four deeper
+nets, has an interior, where the network evaluated in exact arithmetic gives
+the region's label.
 """
 
 import pytest
@@ -78,17 +79,37 @@ def _interior(g, steps):
     return system
 
 
+def _audit(net):
+    """(regions, regions without an interior, mislabelled regions) of the
+    net's compiled graph, each region judged at a witness of its interior."""
+    g = compile_relu_net(net)
+    regions = flat = wrong = 0
+    for target, steps in walk_regions(g):
+        regions += 1
+        w = find_witness(_interior(g, steps), net.input_dim)
+        if w is None:
+            flat += 1
+        elif forward_exact(net, w) != g.target_labels[target]:
+            wrong += 1
+    return regions, flat, wrong
+
+
 def test_every_relu_sweep_region_has_an_interior_the_exact_network_labels_alike():
     regions, flat, wrong = 0, [], []
     for i, net in enumerate(_sweep_nets(RELU, 20240902)):
-        g = compile_relu_net(net)
-        for target, steps in walk_regions(g):
-            regions += 1
-            w = find_witness(_interior(g, steps), net.input_dim)
-            if w is None:
-                flat.append(i)
-            elif forward_exact(net, w) != g.target_labels[target]:
-                wrong.append(i)
+        r, f, w = _audit(net)
+        regions += r
+        flat += [i] * f
+        wrong += [i] * w
     assert not flat and not wrong, (
         f"of {regions} regions, {len(flat)} have no interior (nets {sorted(set(flat))}) and "
         f"{len(wrong)} are mislabelled (nets {sorted(set(wrong))})")
+
+
+@pytest.mark.parametrize("seed, dims, regions", [(1, [3, 4, 4, 4, 4], 168),
+                                                 (2, [3, 4, 4, 4, 4], 239),
+                                                 (3, [3, 5, 5, 5, 3], 578),
+                                                 (4, [2, 6, 6, 6, 3], 121)])
+def test_every_deep_net_region_has_an_interior_the_exact_network_labels_alike(seed, dims,
+                                                                              regions):
+    assert _audit(random_network(default_rng(seed), dims, RELU)) == (regions, 0, 0)
