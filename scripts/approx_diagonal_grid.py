@@ -1,8 +1,9 @@
 """Cover the diagonal split of the unit square with axis boxes.
 
 First pass: one cover at a fixed leftover bound, with the size of its cover
-graph (the guard count and the most guards on one source-to-target path) and
-the time to build the batch program that `evaluate_batch` walks it with.
+graph (the guard count and the most guards on one source-to-target path), the
+time to build that graph (the k-d tree over the boxes) and the time to build
+the batch program that `evaluate_batch` walks it with.
 Second pass: repeat on the leftover cells with the bound halved each round
 until nothing is left.
 """
@@ -14,6 +15,7 @@ import time
 import numpy as np
 
 from logifold.approx import (
+    _cover_graph,
     approximate,
     chart_family,
     grid_from_function,
@@ -41,6 +43,16 @@ def longest_guard_path(g) -> int:
         after = [most[g.arrows[a].dst] for a in g.out_arrows[v]]
         most[v] = (v in g.guards) + max(after, default=0)
     return most[g.source]
+
+
+def tree_build_ms(grid, rectangles, repeats: int = 5) -> float:
+    """Fastest of `repeats` builds of the cover graph over `rectangles`, in ms."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        _cover_graph(grid, rectangles)
+        best = min(best, time.perf_counter() - t0)
+    return 1000 * best
 
 
 def program_build_ms(g, repeats: int = 5) -> float:
@@ -75,6 +87,7 @@ def main() -> None:
           f"wrong measure {wrong}, fallback measure {fallback}")
     print(f"cover graph: {len(cover.graph.guards)} guards, "
           f"at most {longest_guard_path(cover.graph)} on a path, "
+          f"tree built in {tree_build_ms(grid, cover.rectangles):.3f} ms, "
           f"batch program built in {program_build_ms(cover.graph):.3f} ms")
 
     family = chart_family(grid, eps0=mu / args.resolution, depth=args.depth)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -292,11 +291,13 @@ def _cover_graph(grid: LabeledGrid, rectangles: Sequence[Rectangle]) -> LogicalG
     iff its position lies in the box's cell range.  A region is a range of
     positions per axis, with -1 and n for the points below and above the
     grid, and starts as all of space.  A region that no box meets routes to
-    FALLBACK, and one that boxes of one label fill routes to that label.
-    Any other is cut at a box face strictly inside it (see `_cut`) by the
+    FALLBACK, and one that boxes of one label fill routes to that label
+    (`_leaf`).  Any other is cut at the box face strictly inside it that
+    the fewest of its boxes straddle, counted per position (`_cut`), by the
     one-row guard x[a] - face >= 0, whose "+" side is the upper side.  Each
     face is the float that Rectangle.lo or .hi holds, so every guard makes
-    the comparison that the box test makes.
+    the comparison that the box test makes, and `evaluate_batch` signs it
+    on coordinate a alone.
     """
     dim = grid.dim
     lo, width = grid.lo.tolist(), grid.cell_width.tolist()
@@ -334,33 +335,57 @@ def _cover_graph(grid: LabeledGrid, rectangles: Sequence[Rectangle]) -> LogicalG
 
 def _leaf(rlo: List[int], rhi: List[int], members: list, fallback: str) -> Optional[str]:
     """The target of a region that no box meets, or that boxes of one label
-    fill, else None.  The boxes are disjoint, so they fill the region iff
-    their parts in it add up to its volume."""
+    fill, else None.  The label test stops at the first box of another
+    label.  The boxes are disjoint, so they fill the region iff their parts
+    in it add up to its volume."""
     if not members:
         return fallback
-    if len({m[-1] for m in members}) > 1:
-        return None
+    target = members[0][-1]
+    for m in members:
+        if m[-1] != target:
+            return None
     dim = len(rlo)
     unfilled = math.prod([h - l for l, h in zip(rlo, rhi)])
     for m in members:
         unfilled -= math.prod([min(h, rh) - max(l, rl)
                                for l, h, rl, rh in zip(m[:dim], m[dim:-1], rlo, rhi)])
-    return None if unfilled else members[0][-1]
+    return None if unfilled else target
 
 
 def _cut(rlo: List[int], rhi: List[int], members: list) -> Tuple[int, int]:
     """(axis, face) of the box face strictly inside the region that the
     fewest of its boxes straddle; of those, the one nearest the region's
     middle, then the lowest face and axis.  One exists unless a single box
-    fills the region."""
+    fills the region.
+
+    The faces are counted, not sorted.  A box [l, h) straddles the face j
+    iff l < j < h, so on each axis one pass over the boxes adds 1 at the
+    position just above each box's start and takes 1 away at its end, both
+    clipped to the region, and marks the faces inside it; a running sum
+    over the region's rh - rl positions then reads each face's straddle
+    count.  That is O(boxes + rh - rl) per axis.
+    """
     dim = len(rlo)
     best = None  # (straddling boxes, distance to the middle, face), axis
     for a, (rl, rh) in enumerate(zip(rlo, rhi)):
-        starts = sorted([m[a] for m in members])
-        ends = sorted([m[dim + a] for m in members])
-        for j in {*starts, *ends}:
-            if rl < j < rh:  # a box straddles j if it starts below j and ends above it
-                key = (bisect_left(starts, j) - bisect_right(ends, j), abs(2 * j - rl - rh), j)
+        n = rh - rl  # position rl + i is i here
+        step = [0] * (n + 1)  # change in the straddle count from position i - 1 to i
+        face = [False] * n
+        for m in members:
+            lo, hi = m[a] - rl, m[dim + a] - rl  # every member meets the region
+            if lo > 0:
+                face[lo] = True
+                step[lo + 1] += 1
+            else:
+                step[1] += 1
+            if hi < n:
+                face[hi] = True
+                step[hi] -= 1
+        straddles = 0
+        for i in range(1, n):
+            straddles += step[i]
+            if face[i]:
+                key = (straddles, abs(2 * i - n), rl + i)
                 if best is None or key < best[0]:
                     best = key, a
     (_, _, j), a = best

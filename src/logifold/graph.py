@@ -251,6 +251,12 @@ def _guard_signs(columns, neg_offset: np.ndarray, XT: np.ndarray,
     signs must not depend on the points it arrives with.  `acc` and
     `scratch` are (rows, m) float buffers for the sum and each product, and
     `out` a (rows, m) bool buffer for the signs; any not given is allocated.
+
+    The batch walk passes only a guard's coordinate span: the columns and
+    the rows of XT from its first nonzero coefficient column to its last.
+    That is exact.  A column left out adds the products 0*x, each +0.0 or
+    -0.0 at a finite point, and a sum plus a zero is the sum itself, but
+    for the sign of a zero sum, and +0.0 and -0.0 compare equal with -b.
     """
     if acc is None:
         acc = np.empty((neg_offset.shape[0], XT.shape[1]))
@@ -657,11 +663,15 @@ def evaluate_batch(g: LogicalGraph, X) -> list:
     per call with every point that reached it, so points that reach the
     same vertex by different arrows move on together.  The points are
     copied once into a contiguous (d, m) array; a guard gathers its points'
-    columns and signs them with `_guard_signs`, the predicate `evaluate`
-    uses.  A one-row guard splits its points by that sign mask; a longer
-    one packs each point's signs into an integer code, maps the codes to
-    destination slots through its table, and splits the points by slot with
-    one stable argsort.  Every array a guard fills in place, from the
+    columns, over only the coordinates from its first nonzero coefficient
+    column to its last (`_coordinate_span`: one for a cover guard, all for
+    a dense relu guard), and signs them with `_guard_signs`, the predicate
+    `evaluate` uses.  The coordinates left out add only zeros, so the signs
+    are the same bit for bit (see `_guard_signs`).  A one-row guard splits
+    its points by that sign mask; a longer one packs each point's signs
+    into an integer code, maps the codes to destination slots through its
+    table, and splits the points by slot with one stable argsort.  Every
+    array a guard fills in place, from the
     transposed points to the codes, lives in this thread's `_Workspace`,
     so a warm call allocates little beyond the index arrays it hands on and
     the returned list.  A batch of more than `_WORKSPACE_POINTS` points
@@ -826,17 +836,31 @@ class _Fail:
         raise self.kind(self.message)
 
 
+def _coordinate_span(guard: AffineMap) -> slice:
+    """The coordinates from the first column of the guard's matrix with a
+    nonzero entry to the last, or none if every entry is zero (-0.0
+    included)."""
+    used = [j for j, column in enumerate(zip(*guard.matrix.tolist())) if any(column)]
+    return slice(used[0], used[-1] + 1) if used else slice(0, 0)
+
+
 class _GuardStep:
-    """A guard vertex: the operands of `_guard_signs` for its guard, and how
-    its sign vectors route."""
+    """A guard vertex: the operands of `_guard_signs` for its guard, over
+    the coordinates of its `_coordinate_span` only, and how its sign
+    vectors route.
 
-    def __init__(self, vertex: str, columns, neg_offset):
-        self.vertex = vertex
-        self.columns, self.neg_offset = columns, neg_offset
+    A cover guard x[a] - face >= 0 reads one coordinate, and a dense relu
+    guard reads them all.  The signs are `evaluate`'s bit for bit, for the
+    reason `_guard_signs` gives.
+    """
 
-    @staticmethod
-    def gather(buf: _Workspace, XT, idx, whole) -> np.ndarray:
-        """The columns of XT at the points idx, in buf.cols unless `whole`."""
+    def __init__(self, vertex: str, span: slice, columns, neg_offset):
+        self.vertex, self.span = vertex, span
+        self.columns, self.neg_offset = columns[span], neg_offset
+
+    def gather(self, buf: _Workspace, XT, idx, whole) -> np.ndarray:
+        """The span's rows of XT at the points idx, in buf.cols unless `whole`."""
+        XT = XT[self.span]
         if whole:
             return XT
         n = len(idx)  # clip: with a raising mode, take buffers its output
@@ -857,7 +881,8 @@ class _Split(_GuardStep):
     1-d buffers."""
 
     def __init__(self, vertex, guard, minus: Optional[int], plus: Optional[int]):
-        super().__init__(vertex, guard.matrix[0].tolist(), -float(guard.offset[0]))
+        super().__init__(vertex, _coordinate_span(guard), guard.matrix[0].tolist(),
+                         -float(guard.offset[0]))
         self.dsts = (("-", minus), ("+", plus))
 
     def route(self, buf, XT, idx, whole):
@@ -879,7 +904,7 @@ class _Table(_GuardStep):
     to a destination slot, or to the slot len(dsts) where it has no route."""
 
     def __init__(self, vertex, guard, dsts: List[int], table: np.ndarray):
-        super().__init__(vertex, *_sign_terms(guard))
+        super().__init__(vertex, _coordinate_span(guard), *_sign_terms(guard))
         self.dsts, self.table = dsts, table
 
     def route(self, buf, XT, idx, whole):
@@ -899,7 +924,7 @@ class _Lookup(_GuardStep):
     sign vector among its points is looked up once."""
 
     def __init__(self, vertex, guard, dsts: List[int], slot_of_key: Dict[str, int], slot_type):
-        super().__init__(vertex, *_sign_terms(guard))
+        super().__init__(vertex, _coordinate_span(guard), *_sign_terms(guard))
         self.dsts, self.slot_of_key, self.slot_type = dsts, slot_of_key, slot_type
 
     def route(self, buf, XT, idx, whole):

@@ -262,16 +262,20 @@ def _tournament(b: GraphBuilder, vid, final: AffineMap, region, witness) -> None
     The best index so far meets each later index hi in a one-row duel
     l_best - l_hi whose ``+`` side (>= 0) keeps best, so the lowest index wins
     ties.  A duel row is the difference of two of the map's exact rows,
-    built as an exact map.  A duel whose region holds one chamber adds no
-    vertex, and a duel whose two sides reach the same target collapses to
-    that target.
+    built as an exact map.  A constant duel, such as every duel after a step
+    layer, keeps the side its offset's sign names, with no map or split.  A
+    duel whose region holds one chamber adds no vertex, and a duel whose two
+    sides reach the same target collapses to that target.
     """
     rows, den = final.exact
 
     def duel(name, best, hi, region, witness):
         if hi == final.rows:
             return b.target_for(best)
-        guard = AffineMap.from_exact((tuple(map(sub, rows[best], rows[hi])),), den, final.dim)
+        row = tuple(map(sub, rows[best], rows[hi]))
+        if not any(row[:-1]):  # a constant duel: its offset's sign, ties going low
+            return duel(name, best if row[-1] >= 0 else hi, hi + 1, region, witness)
+        guard = AffineMap.from_exact((row,), den, final.dim)
         chambers = guard.chambers(region, witness)
         if len(chambers) == 1:
             (sign,) = chambers

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from logifold import approx, evaluate
 from logifold.approx import (
@@ -28,7 +28,7 @@ from logifold.errors import (
     DimensionMismatchError,
     NonFinitePointError,
 )
-from logifold.graph import TARGET, evaluate_batch, validate_graph
+from logifold.graph import TARGET, evaluate_batch, graph_to_dict, validate_graph
 
 
 def diagonal(x):
@@ -435,6 +435,66 @@ def test_cover_tree_is_shallow_on_radial_16():
     depth = np.mean([guards_passed(result.graph, g.center(idx))
                      for idx in np.ndindex(*g.resolution)])
     assert depth <= 2 * math.log2(len(result.rectangles)) + 2 * g.dim
+
+
+# -- the cut rule against a brute-force count ----------------------------------
+
+
+def reference_cut(rlo, rhi, members):
+    """`_cut`'s rule by brute force: every box face strictly inside the
+    region, scored by counting the boxes that straddle it, then by its
+    distance to the region's middle, its position and its axis."""
+    dim = len(rlo)
+    scored = []
+    for a, (rl, rh) in enumerate(zip(rlo, rhi)):
+        for j in {m[a] for m in members} | {m[dim + a] for m in members}:
+            if rl < j < rh:
+                straddles = sum(1 for m in members if m[a] < j < m[dim + a])
+                scored.append((straddles, abs(2 * j - rl - rh), j, a))
+    _, _, j, a = min(scored)
+    return a, j
+
+
+@st.composite
+def cut_regions(draw):
+    """(rlo, rhi, members): a region of cell positions in a grid of 1-6 cells
+    per axis, its bounds -1 and n + 1 or inside the grid, and the disjoint
+    boxes that meet it, which may reach past it."""
+    dim = draw(st.integers(1, 3))
+    shape = draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim))
+    boxes = []
+    for _ in range(draw(st.integers(1, 10))):
+        lo = [draw(st.integers(0, n - 1)) for n in shape]
+        hi = [draw(st.integers(l + 1, n)) for l, n in zip(lo, shape)]
+        if not any(all(l < m[dim + a] and m[a] < h for a, (l, h) in enumerate(zip(lo, hi)))
+                   for m in boxes):
+            boxes.append((*lo, *hi, draw(st.sampled_from(["t0", "t1"]))))
+    rlo = [draw(st.sampled_from([-1, *range(n)])) for n in shape]
+    rhi = [draw(st.sampled_from([*range(l + 1, n + 1), n + 1])) for l, n in zip(rlo, shape)]
+    members = [m for m in boxes
+               if all(m[a] < h and m[dim + a] > l for a, (l, h) in enumerate(zip(rlo, rhi)))]
+    return rlo, rhi, members
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(cut_regions())
+def test_cut_is_the_face_a_brute_force_count_picks(case):
+    rlo, rhi, members = case
+    dim = len(rlo)
+    # a face strictly inside exists unless one box fills the region
+    assume(any(l < j < h for m in members for a, (l, h) in enumerate(zip(rlo, rhi))
+               for j in (m[a], m[dim + a])))
+    assert approx._cut(rlo, rhi, members) == reference_cut(rlo, rhi, members)
+
+
+@pytest.mark.parametrize("make", [radial_16, radial_32, lambda: make_diag_grid(16)],
+                         ids=["radial-16", "radial-32", "diagonal-16"])
+def test_cover_graph_equals_the_one_cut_by_the_reference(make, monkeypatch):
+    grid = make()
+    rectangles = approximate(grid, 0.0).rectangles
+    want = graph_to_dict(approx._cover_graph(grid, rectangles))
+    monkeypatch.setattr(approx, "_cut", reference_cut)
+    assert graph_to_dict(approx._cover_graph(grid, rectangles)) == want
 
 
 def cleared_blocks():

@@ -1,5 +1,6 @@
 """Graph IR: sign vectors, validation, walk and path-sum evaluation, files."""
 
+import itertools
 import json
 import re
 import sys
@@ -563,6 +564,72 @@ def test_one_graph_evaluated_from_several_threads_at_once():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
+
+
+def sign_graph(guard):
+    """The guard at the source of a graph over its R^n, each of its 2**rows
+    sign vectors routed to a target labeled by that vector."""
+    keys = ["".join(bits) for bits in itertools.product("+-", repeat=guard.rows)]
+    return LogicalGraph(guard.dim, {"s": "source", **{f"t{k}": "target" for k in keys}},
+                        [Arrow(f"a{k}", "s", f"t{k}") for k in keys], {"s": guard},
+                        {"s": {k: f"a{k}" for k in keys}}, {f"t{k}": k for k in keys})
+
+
+# rows over R^5 with zero coefficients before, inside and after their nonzero
+# ones, -0.0 coefficients, and zero rows; each offset puts points on a face
+SPAN_ROWS = {
+    "leading-and-trailing": ([0.0, 0.0, 1.0, -1.0, 0.0], 0.0),
+    "middle": ([0.0, 2.0, 0.0, 0.5, -0.0], -1.0),
+    "first-only": ([1.0, -0.0, -0.0, 0.0, -0.0], -0.5),
+    "last-only": ([0.0, 0.0, -0.0, 0.0, -1.0], 1.0),
+    "negative-zeros": ([-0.0, -0.0, -0.0, -0.0, -0.0], 0.0),
+    "zero-below": ([0.0, 0.0, 0.0, 0.0, 0.0], -1.0),
+}
+# guard rows, and the coordinates [start, stop) that its step reads
+SPAN_GUARDS = {
+    "leading-and-trailing": (["leading-and-trailing"], (2, 4)),
+    "middle": (["middle"], (1, 4)),
+    "first-only": (["first-only"], (0, 1)),
+    "last-only": (["last-only"], (4, 5)),
+    "negative-zeros": (["negative-zeros"], (0, 0)),
+    "zero-below": (["zero-below"], (0, 0)),
+    "two-middle-rows": (["leading-and-trailing", "middle"], (1, 4)),
+    "with-a-zero-row": (["negative-zeros", "leading-and-trailing", "zero-below"], (2, 4)),
+    "all-zero": (["negative-zeros", "zero-below"], (0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", list(SPAN_GUARDS))
+def test_a_guard_step_reads_only_its_coordinate_span_and_signs_alike(name):
+    names, span = SPAN_GUARDS[name]
+    rows = [SPAN_ROWS[r] for r in names]
+    guard = AffineMap(np.array([r for r, _ in rows]), np.array([b for _, b in rows]))
+    g = sign_graph(guard)
+    (step,) = [s for s in graph._batch_program(g).steps if not isinstance(s, int)]
+    assert (step.span.start, step.span.stop) == span
+    # signed zeros, points on each face, and 1e308, whose products overflow
+    values = [-0.0, 0.0, 0.5, -1.0, 1.0, 1e308]
+    X = np.array(list(itertools.product(values, repeat=5)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [sign_vector(guard, x) for x in X]
+        assert [evaluate(g, x) for x in X] == want
+        assert evaluate_batch(g, X) == want
+        assert evaluate_batch(g, X[::7]) == want[::7]  # gathered, not the whole batch
+
+
+def test_dense_guards_still_read_every_coordinate():
+    # the batch benchmark's graph: a [3, 4, 3, 3] relu net, seeded as it seeds it
+    g = compile_relu_net(random_network(np.random.default_rng([9, 0]), [3, 4, 3, 3], RELU))
+    steps = [s for s in graph._batch_program(g).steps if not isinstance(s, int)]
+    assert steps and len(steps) == len(g.guards)
+    assert all(s.span == slice(0, 3) for s in steps)
+
+
+def test_a_cover_guard_step_reads_one_coordinate():
+    grid = grid_from_function(lambda x: int(x[0] + x[1] > 1), [0.0, 0.0], [1.0, 1.0], 8)
+    g = approximate(grid, 0.0).graph
+    steps = [s for s in graph._batch_program(g).steps if not isinstance(s, int)]
+    assert steps and all(s.span.stop - s.span.start == 1 for s in steps)
 
 
 def test_wrong_dimension_guard_raises_only_once_a_point_reaches_it():

@@ -344,6 +344,35 @@ def test_tournament_routes_a_tie_between_outputs_1_and_2_to_1():
     assert [evaluate(g, [x]) for x in (-2.0, -1e-12, 0.0, 3.0)] == [1, 1, 0, 0]
 
 
+def counted_splits(monkeypatch) -> list:
+    """The systems every later `enumerate_chambers` call splits."""
+    calls = []
+    real = feasibility.enumerate_chambers
+    monkeypatch.setattr(feasibility, "enumerate_chambers",
+                        lambda rows, *a, **k: calls.append(rows) or real(rows, *a, **k))
+    return calls
+
+
+def test_a_constant_duel_keeps_its_offsets_side_without_a_split(monkeypatch):
+    # l0 = 0 and l1 = l2 = 1: the duel of 0 and 1 is -1, which 1 wins, and the
+    # duel of 1 and 2 is the constant 0, kept by 1
+    calls = counted_splits(monkeypatch)
+    g = compile_relu_net(_net([[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]], [[0.0, 1.0, 1.0]],
+                              hidden="relu"))
+    assert calls == [] and not g.guards and list(g.target_labels.values()) == [1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_duels_after_a_step_layer_split_nothing(seed, monkeypatch):
+    # every duel after a step layer is constant, so only the step layer splits
+    net = random_network(np.random.default_rng(seed), [2, 3, 3], "step")
+    calls = counted_splits(monkeypatch)
+    g = compile_step_net(net)
+    assert calls == [net.layers[0].constraints]
+    X = np.random.default_rng(seed).normal(scale=2.0, size=(200, 2))
+    assert evaluate_batch(g, X) == list(forward_classical_batch(net, X))
+
+
 def test_one_output_net_compiles_to_a_plain_arrow():
     g = compile_relu_net(random_network(np.random.default_rng(4), [2, 1], "relu"))
     assert not g.guards and g.vertices == {"s": "source", "t0": "target"}

@@ -71,6 +71,14 @@ def test_the_relu_sweep_report_gives_its_regions():
                     r"\d+ guards, \d+ guard rows, 1122 regions total\), compile ", proc.stdout)
 
 
+def test_the_grid_report_times_the_tree_and_its_batch_program():
+    proc = run_script(["approx_diagonal_grid.py", "--resolution", "8", "--depth", "2"])
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^cover graph: \d+ guards, at most \d+ on a path, "
+                     r"tree built in \d+\.\d{3} ms, batch program built in \d+\.\d{3} ms$",
+                     proc.stdout, re.MULTILINE), proc.stdout
+
+
 def test_an_infinite_bound_needs_no_box():
     proc = run_script(["approx_diagonal_grid.py", "--resolution", "8", "--depth", "2",
                        "--epsilon-frac", "inf"])
