@@ -17,17 +17,9 @@ import time
 from numpy.random import default_rng
 
 from logifold import evaluate
-from logifold.cli import _count, _widths
+from logifold.cli import _arch, _count
 from logifold.networks import RELU, compile_relu_net, random_network
 from logifold.semilinear import from_llgraph, to_llgraph
-
-
-def _arch(text):
-    """Layer widths as `_widths` reads them, at least two: a network needs a layer."""
-    dims = _widths(text)
-    if len(dims) < 2:
-        raise argparse.ArgumentTypeError(f"{text!r} names fewer than two widths")
-    return dims
 
 
 def _seeds(text):

@@ -104,6 +104,14 @@ def _widths(text):
     return [_count(v) for v in text.split(",")] if text else []
 
 
+def _arch(text):
+    """Layer widths as `_widths` reads them, at least two: a network needs a layer."""
+    dims = _widths(text)
+    if len(dims) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} names fewer than two widths")
+    return dims
+
+
 def _finite(text, above_zero: bool):
     """A finite number above 0, or of at least 0."""
     try:

@@ -13,10 +13,12 @@ result on the guard.
 Verdicts are exact: a feasible system yields a rational witness, an
 infeasible one yields the contradictory constant row derived by
 Fourier-Motzkin elimination.  Elimination decides every system, with one
-exception: `enumerate_chambers` may witness a chamber by a crossing point,
-its parent region's witness moved across the new row's hyperplane, once
-every row of the chamber's system is checked to hold there.  A chamber is
-refuted only by elimination.
+exception: `enumerate_chambers` walks from its parent region's witness
+across the new row's hyperplane (`_crossing`).  It may witness a chamber by
+the walk's point, once every row of the chamber's system is checked to hold
+there, and it may refute a chamber by elimination or by multipliers: the
+signed minors of the rows that block the walk, checked in integers
+(`_refutes`) before the chamber is dropped.
 
 The elimination kernel runs on plain integers.  A row inside it is a tuple
 ``(coeffs, offset, strict, ancestry)`` whose ancestry is a bitmask of the input
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isfinite, lcm
 from numbers import Integral, Rational
 from operator import mul
@@ -362,24 +365,101 @@ def _step_along(system, row: Constraint, up: bool, val: int, x, d, a):
     return ([v // g for v in point], den // g), None
 
 
-def _crossing(system, row: Constraint, up: bool, val: int, x, d):
-    """A candidate witness of `system` plus the ``+`` (if `up`) or ``-``
-    side of `row`, from the witness x / d of `system`, or None.
+def _without(v, q, qq: int) -> tuple:
+    """The integer vector `v` with its part along `q` (of square length
+    `qq`) taken out, scaled by `qq` and then divided by its entries' gcd."""
+    vq = sum(map(mul, v, q))
+    if not vq:
+        return tuple(v)
+    w = [qq * u - vq * t for u, t in zip(v, q)]
+    g = gcd(*w)
+    return tuple([u // g for u in w]) if g > 1 else tuple(w)
 
-    The witness moves along the row's normal past its hyperplane (reflected
-    through it, or a shorter step when a row of the system is near).  If a
-    row blocks that line, it moves instead along the normal with its part
-    along the blocking row's normal taken out, which keeps that row's value.
-    The caller still checks every row at the point.
+
+def _crossing(system, row: Constraint, up: bool, val: int, x, d):
+    """Walk from the witness x / d of `system` to the ``+`` (if `up`) or
+    ``-`` side of `row`: (point, None) or (None, blocking rows).
+
+    The walk moves along the row's normal past its hyperplane (reflected
+    through it, or a shorter step when a row of the system is near,
+    `_step_along`).  Each time a row of the system blocks the line, it turns
+    and starts again from the witness, along the normal with its parts
+    along the normals of every blocking row so far taken out, in integers
+    (Gram-Schmidt), which keeps all their values.  Each blocking row falls
+    along a line that keeps the earlier ones, so the blocking rows are
+    linearly independent.  The walk ends blocked when no direction is left:
+    after n blocking rows, or after k < n whose normals span the row's.
+    Then the row and the k blocking rows have rank k, and `_multipliers`
+    reads their multipliers.  The caller still checks every row at the
+    point, and the multipliers by `_refutes`.
     """
     a = row.coeffs if up else tuple([-v for v in row.coeffs])
-    point, block = _step_along(system, row, up, val, x, d, a)
-    if block is not None:
-        c = block.coeffs
-        cc, ac = sum(map(mul, c, c)), sum(map(mul, a, c))
-        point, _ = _step_along(system, row, up, val, x, d,
-                               tuple([cc * u - ac * v for u, v in zip(a, c)]))
-    return point
+    direction, basis, blockers = a, [], []
+    while True:
+        point, block = _step_along(system, row, up, val, x, d, direction)
+        if block is None:
+            return point, None
+        blockers.append(block)
+        q = block.coeffs
+        for p, pp in basis:
+            q = _without(q, p, pp)
+        qq = sum(map(mul, q, q))
+        basis.append((q, qq))
+        direction = _without(direction, q, qq)
+        if not any(direction):
+            return None, blockers
+
+
+def _det(m) -> int:
+    """Determinant of the square integer matrix `m`, by fraction-free
+    (Bareiss) elimination: every division is exact."""
+    m = [list(r) for r in m]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            i = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if i is None:
+                return 0
+            m[k], m[i], sign = m[i], m[k], -sign
+        pivot = m[k][k]
+        for i in range(k + 1, len(m)):
+            mi, mik = m[i], m[i][k]
+            for j in range(k + 1, len(m)):
+                mi[j] = (mi[j] * pivot - mik * m[k][j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
+
+
+def _multipliers(rows) -> list:
+    """Multipliers of k + 1 rows in n >= k dimensions: the signed k x k
+    minors of their coefficients, y_i = (-1)^i det(rows without row i),
+    taken on the first k columns (in lexicographic order) where they are not
+    all zero; for n + 1 rows, the signed n x n minors.  Then y . coefficients
+    = 0 on those columns (a determinant with a repeated column), and on every
+    column when the rows have rank k, since their multipliers are then
+    unique up to scale.  Negated when an entry is negative, so that a
+    certificate is nonnegative; all zero when every choice of columns is."""
+    for cols in combinations(range(len(rows[0].coeffs)), len(rows) - 1):
+        a = [[r.coeffs[j] for j in cols] for r in rows]
+        y = [_det(a[:i] + a[i + 1:]) if i % 2 == 0 else -_det(a[:i] + a[i + 1:])
+             for i in range(len(a))]
+        if any(y):
+            return [-v for v in y] if min(y) < 0 else y
+    return y
+
+
+def _refutes(rows, y) -> bool:
+    """Whether the multipliers `y` prove the rows contradictory, checked in
+    integers (Motzkin's transposition theorem): y >= 0 and y != 0, the sum
+    of y_i times row i has zero coefficients, and its constant is < 0, or is
+    0 with positive weight on a strict row.  A point that met every row
+    would give that sum a value >= 0, and > 0 in the second case."""
+    if min(y) < 0 or not any(y):
+        return False
+    if any(sum(map(mul, y, column)) for column in zip(*[r.coeffs for r in rows])):
+        return False
+    t = sum(v * r.offset for v, r in zip(y, rows))
+    return t < 0 or (t == 0 and any(v and r.strict for v, r in zip(y, rows)))
 
 
 def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
@@ -393,10 +473,12 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
     the negated strict row -row > 0.  A row with all-zero coefficients takes
     the sign of its offset and no other.  A sign whose row is excluded by an
     opposed parallel row of the system is dropped without elimination.
-    Any other sign the current witness lacks is first tried at a crossing
-    point (`_crossing`): if every row of the chamber's system holds there,
-    checked as integer dot products, that point is the chamber's witness;
-    otherwise elimination decides.
+    Any other sign the current witness lacks is first tried by a walk from
+    that witness (`_crossing`): if every row of the chamber's system holds
+    at its point, checked as integer dot products, that point is the
+    chamber's witness.  If the walk ends blocked, the signed minors of the
+    blocking rows and the chamber's new row refute the chamber when they
+    pass `_refutes`, checked in integers.  Otherwise elimination decides.
     Raises GuardExplosionError past `cap` chambers.
     """
     w0 = base_witness if base_witness is not None else find_witness(list(base), n)
@@ -448,10 +530,14 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
             if hits is None or any(prefix[j] == s for j, s in hits):
                 continue  # an opposed parallel row excludes this sign
             sub = system + [c]
-            point = _crossing(system, plus, sign == "+", val, *scaled)
+            point, blockers = _crossing(system, plus, sign == "+", val, *scaled)
             if point is not None and all(_holds(r, *point) for r in sub):
                 rec(idx + 1, sub, None, point, prefix + sign)
                 continue
+            if blockers is not None:
+                certified = [c, *blockers]
+                if _refutes(certified, _multipliers(certified)):
+                    continue  # refuted by multipliers checked in integers
             w = find_witness(sub, n)
             if w is not None:
                 rec(idx + 1, sub, w, _scaled(w), prefix + sign)

@@ -347,8 +347,10 @@ def _walk_relu_regions(b: GraphBuilder, net: NetworkSpec, leaf, chamber_cap: int
     hidden layer's pre-activation map, composed over the region reached so
     far, guards a vertex whose children are its realizable sign chambers.  A
     layer whose region holds a single chamber adds no vertex: the walk keeps
-    the same vertex, region and witness.  After a step layer the composed
-    map is constant, so every deeper layer holds a single chamber.  At the
+    the same vertex, region and witness.  A composed map whose rows all
+    have zero coefficients, such as every map after a step layer or after a
+    relu chamber with all units off, is that one chamber without a split:
+    each row takes ``+`` where its offset is >= 0, as in `_tournament`.  At the
     last layer it calls ``leaf(vid, composed, region, witness)`` once per
     linear region, with the final layer's map restricted to that region.
     Regions are counted only at layers that branch, starting from 1 for the
@@ -361,7 +363,11 @@ def _walk_relu_regions(b: GraphBuilder, net: NetworkSpec, leaf, chamber_cap: int
         if depth == net.depth - 1:
             leaf(vid, composed, region, witness)
             return
-        chambers = composed.chambers(region, witness, chamber_cap)
+        rows, _ = composed.exact
+        if any(any(r[:-1]) for r in rows):
+            chambers = composed.chambers(region, witness, chamber_cap)
+        else:  # a constant map: each row its offset's sign, ties going "+"
+            chambers = {"".join(["+" if r[-1] >= 0 else "-" for r in rows]): None}
         if len(chambers) == 1:
             (signs,) = chambers
             descend(vid, depth + 1, _next_map(net, depth + 1, signs, composed), region, witness)

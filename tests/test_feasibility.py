@@ -17,6 +17,8 @@ import logifold
 from logifold.errors import DimensionBudgetError, NonFinitePointError
 from logifold.feasibility import (
     Constraint,
+    _multipliers,
+    _refutes,
     check_system,
     enumerate_chambers,
     evaluate_constraint,
@@ -282,24 +284,140 @@ def test_opposed_parallel_rows_refute_without_elimination(monkeypatch):
     assert set(out) == {"++"} and calls == []
 
 
-def test_a_blocked_crossing_turns_once_along_the_blocking_row(monkeypatch):
-    calls = []
-    real = logifold.feasibility.find_witness
+def counted(monkeypatch):
+    """The `find_witness` calls and `_refutes` verdicts of what follows."""
+    calls, verdicts = [], []
+    real, refutes = logifold.feasibility.find_witness, logifold.feasibility._refutes
     monkeypatch.setattr(logifold.feasibility, "find_witness",
                         lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(logifold.feasibility, "_refutes",
+                        lambda *a: verdicts.append(refutes(*a)) or verdicts[-1])
+    return calls, verdicts
+
+
+def test_a_blocked_crossing_turns_once_along_the_blocking_row(monkeypatch):
+    calls, verdicts = counted(monkeypatch)
     x_past_1, origin = weak([([1.0, 0.0], -1.0)]), (Fraction(0), Fraction(0))
     # from the origin the normal of x - 1 >= 0 leaves the base 2y - 2x + 1 >= 0
     # at x = 1/2; along that row's line (t, t) the crossing lies at t = 1
     base = [make_constraint([-2, 2], 1, strict=False)]
     out = enumerate_chambers(x_past_1, 2, base=base, base_witness=origin)
-    assert set(out) == {"+", "-"} and calls == []
+    assert set(out) == {"+", "-"} and calls == [] and verdicts == []
     # 5x - 10y + 4 >= 0 blocks that line too, at t = 4/5, yet the chamber
-    # holds (1, 1/2): the crossing point breaks a base row, and elimination runs
+    # holds (1, 1/2): the multipliers of the two blocking rows and the new
+    # row, (10, 10, 2), sum to the constant row 8 >= 0, so they refute
+    # nothing and elimination runs
     base.append(make_constraint([5, -10], 4, strict=False))
     out = enumerate_chambers(x_past_1, 2, base=base, base_witness=origin)
-    assert set(out) == {"+", "-"} and len(calls) == 1
+    assert set(out) == {"+", "-"} and len(calls) == 1 and verdicts == [False]
     w, system = out["+"]
     assert all(exact_value(c, w) >= 0 for c in system)
+
+
+# Walks from the origin blocked by base rows that, with the new row, are
+# contradictory: the new row's normal is a positive combination of the base
+# rows' outward normals, and the row is negative (or, against strict base
+# rows, zero) at their corner.  The 3-d wedge x <= 1 - |y| ends the walk
+# after two blocking rows, since their normals span the new row's.  The last
+# case splits the 2-d wedge by y >= 0 after x >= 2 is refuted; neither side
+# needs elimination.
+CORNERED = [
+    (2, [((-1, -1), 1, False), ((-1, 1), 1, False)], [((1.0, 0.0), -2.0)], {"-"}),
+    (2, [((-1, -1), 1, True), ((-1, 1), 1, True)], [((1.0, 0.0), -1.0)], {"-"}),
+    (2, [((-1, 3), 2, False), ((-2, -1), 3, False)], [((3.0, -2.0), -6.0)], {"-"}),
+    (3, [((-1, 1, 0), 1, False), ((-1, -1, 1), 1, False), ((-1, 0, -1), 1, False)],
+     [((1.0, 0.0, 0.0), -2.0)], {"-"}),
+    (3, [((-1, 1, 0), 1, True), ((-1, -1, 1), 1, False), ((-1, 0, -1), 1, True)],
+     [((1.0, 0.0, 0.0), -1.0)], {"-"}),
+    (3, [((-1, -1, 0), 1, False), ((-1, 1, 0), 1, False)], [((1.0, 0.0, 0.0), -2.0)], {"-"}),
+    (2, [((-1, -1), 1, False), ((-1, 1), 1, False)],
+     [((1.0, 0.0), -2.0), ((0.0, 1.0), 0.0)], {"-+", "--"}),
+]
+
+
+@pytest.mark.parametrize("n, base_rows, rows, want", CORNERED)
+def test_a_walk_blocked_by_n_rows_refutes_without_elimination(monkeypatch, n, base_rows,
+                                                               rows, want):
+    calls, verdicts = counted(monkeypatch)
+    base = [make_constraint(c, b, s) for c, b, s in base_rows]
+    out = enumerate_chambers(weak(rows), n, base=base, base_witness=(Fraction(0),) * n)
+    assert set(out) == want and calls == [] and verdicts == [True]
+    assert _brute_force_chambers(rows, n, base) == want
+
+
+def _certificate_systems(n):
+    """2 to n + 1 integer rows in n dimensions, as a walk blocked by 1 to n
+    rows gives them to `_multipliers`, weak or strict, some of them
+    multiples of an earlier row's coefficients (parallel, or opposed; an
+    opposed weak row with the negated offset makes the set flat), so
+    minors are often zero.  The last row may close the system: minus a
+    nonnegative combination of the others, shifted down by 0 or 1; the
+    free rows of a closed system lean on their own axis, so that its
+    minors are seldom all zero."""
+    row = st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    st.integers(-3, 3), st.booleans())
+    kind = st.tuples(st.integers(1, 2), st.sampled_from(
+        ["free", "free", "free", "parallel", "opposed", "flat"]))
+    closing = st.one_of(st.just(None), st.tuples(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n), st.integers(0, 1)))
+    return st.integers(1, n).flatmap(lambda k: st.tuples(
+        st.just(n), st.lists(st.tuples(row, kind), min_size=k + 1, max_size=k + 1), closing))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(_certificate_systems))
+def test_multipliers_refute_only_infeasible_systems_and_check_in_integers(case):
+    n, drawn, closing = case
+    rows = []
+    for i, ((coeffs, offset, strict), (k, how)) in enumerate(drawn):
+        if closing is not None and i < n:
+            coeffs = [a + 10 * (j == i) for j, a in enumerate(coeffs)]
+        if how != "free" and rows:
+            c = rows[k % len(rows)]
+            sign = 1 if how == "parallel" else -1
+            coeffs = [sign * k * a for a in c.coeffs]
+            if how == "flat":
+                offset, strict = -k * c.offset, False
+        rows.append(Constraint(tuple(coeffs), offset, strict))
+    if closing is not None:
+        lams, shift = closing
+        rest = rows[:-1]
+        rows[-1] = Constraint(tuple(-sum(lam * r.coeffs[j] for lam, r in zip(lams, rest))
+                                    for j in range(n)),
+                              -sum(lam * r.offset for lam, r in zip(lams, rest)) - shift,
+                              rows[-1].strict)
+    y = _multipliers(rows)
+    if len(rows) == n + 1:  # the signed n x n minors always cancel the coefficients
+        assert all(sum(v * r.coeffs[j] for v, r in zip(y, rows)) == 0 for j in range(n))
+    if _refutes(rows, y):
+        assert all(v >= 0 for v in y) and any(y)
+        t = sum(v * r.offset for v, r in zip(y, rows))
+        assert t < 0 or (t == 0 and any(v > 0 and r.strict for v, r in zip(y, rows)))
+        assert not check_system(rows, n).feasible
+    for i, r in enumerate(rows):
+        if any(r.coeffs):  # a planted wrong multiplier leaves a nonzero coefficient
+            wrong = list(y)
+            wrong[i] += 1
+            assert not _refutes(rows, wrong)
+
+
+@pytest.mark.parametrize("rows, y, refuted", [
+    ([((1,), -1, False), ((-1,), 0, False)], [1, 1], True),  # x >= 1, x <= 0
+    ([((1,), 0, True), ((-1,), 0, False)], [1, 1], True),  # x > 0, x <= 0
+    ([((1,), 0, False), ((-1,), 0, False)], [1, 1], False),  # x >= 0, x <= 0 meet at 0
+    ([((1, 0), -2, False), ((-1, -1), 1, False), ((-1, 1), 1, False)], [2, 1, 1], True),
+    # two blocking rows in 3-d: the minors of the first two columns
+    ([((1, 0, 0), -2, False), ((-1, -1, 0), 1, False), ((-1, 1, 0), 1, False)], [2, 1, 1],
+     True),
+    # x >= 1 and y <= 0 in 2-d are feasible; the minors of one column refute
+    # nothing, since the other column does not cancel
+    ([((1, 0), -1, False), ((0, -1), 0, False)], [0, 1], False),
+])
+def test_a_certificate_is_the_signed_minors(rows, y, refuted):
+    cs = [Constraint(c, b, s) for c, b, s in rows]
+    assert _multipliers(cs) == y and _refutes(cs, y) == refuted
+    assert not _refutes(cs, [0] * len(y))
+    assert not _refutes(cs, [-v for v in y])
 
 
 def _brute_force_chambers(rows, n, base):
@@ -318,19 +436,21 @@ def _brute_force_chambers(rows, n, base):
     return want
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.just(n),
     st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                        st.integers(-3, 3)), min_size=1, max_size=4),
     st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                       st.integers(-3, 3), st.booleans()), max_size=3),
+                       st.integers(-3, 3), st.booleans()), max_size=4),
     st.lists(st.integers(-6, 6), min_size=n, max_size=n),
-    st.sampled_from(["inside", "on a row", "far", "thin", "flat"]))))
+    st.sampled_from(["inside", "on a row", "far", "thin", "flat", "cornered"]))))
 def test_chambers_from_a_given_witness_are_exactly_the_feasible_sign_vectors(case):
-    """Crossing points start from `base_witness`.  From a witness on a row's
-    hyperplane, far out, or in a thin or flat base, the chambers must be the
-    brute-force set and every witness must hold its system in Fractions."""
+    """Walks start from `base_witness`.  From a witness on a row's
+    hyperplane, far out, in a thin or flat base, or a hair inside every base
+    row, where most walks are blocked more than once, the chambers must be
+    the brute-force set and every witness must hold its system in
+    Fractions."""
     n, rows, base_rows, point, where = case
     w0 = tuple(Fraction(v, 2) for v in point)
     row = next(((c, b) for c, b in rows if any(c)), None)
@@ -353,6 +473,8 @@ def test_chambers_from_a_given_witness_are_exactly_the_feasible_sign_vectors(cas
             # a slab 1/1000 wide, or a hyperplane, with w0 on its lower face
             width = Fraction(1, 1000) if where == "thin" else 0
             base += [through(coeffs, False, 0), through([-a for a in coeffs], False, width)]
+        elif where == "cornered":
+            base.append(through(coeffs, strict, Fraction(1, 100)))
         elif v < 0 or (v == 0 and strict):
             base.append(through(coeffs, strict, 1 if strict else 0))
         else:

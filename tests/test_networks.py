@@ -269,6 +269,35 @@ def test_deep_step_net_has_one_vertex_per_first_layer_chamber(seed, depth, n, ou
         assert g.vertices[g.arrows[aid].dst] == "target"
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_a_step_compile_splits_only_its_first_layer(seed, monkeypatch):
+    # after a step layer every composed map is constant: one chamber, no split
+    calls = []
+    real = feasibility.enumerate_chambers
+    monkeypatch.setattr(feasibility, "enumerate_chambers",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    net = random_network(np.random.default_rng(seed), [3, 4, 4, 3], "step")
+    g = compile_step_net(net)
+    assert len(calls) == 1
+    X = np.random.default_rng(seed).normal(scale=2.0, size=(200, 3))
+    assert evaluate_batch(g, X) == list(forward_classical_batch(net, X))
+
+
+def test_a_relu_chamber_with_every_unit_off_is_not_split_again(monkeypatch):
+    # x >= 1 and -x >= 1 are never both on; where both are off, the next
+    # layer's map is the constant (1, -1): one chamber, taken without a split
+    net = _net([[[1.0], [-1.0]], [[0.0, 1.0], [1.0, 0.0]], [[1.0, -1.0], [-1.0, 1.0]]],
+               [[-1.0, -1.0], [1.0, -1.0], [0.0, 0.0]], hidden="relu")
+    calls = []
+    real = feasibility.enumerate_chambers
+    monkeypatch.setattr(feasibility, "enumerate_chambers",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    g = compile_relu_net(net)
+    assert not any(all(not any(r.coeffs) for r in c[0]) for c in calls)
+    X = np.linspace(-3, 3, 61).reshape(-1, 1)
+    assert evaluate_batch(g, X) == list(forward_classical_batch(net, X))
+
+
 def test_compile_step_chamber_cap():
     net = random_network(np.random.default_rng(3), [3, 4, 2], "step")
     with pytest.raises(GuardExplosionError):

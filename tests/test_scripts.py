@@ -55,7 +55,10 @@ def test_a_bad_count_exits_2_without_a_traceback(argv):
     (["semilinear_round_trip.py", "--seeds", "1,-2"], "-2 is below 0"),
     (["semilinear_round_trip.py", "--arch", "2"], "'2' names fewer than two widths"),
     (["approx_diagonal_grid.py", "--epsilon-frac", "nan"], "'nan' is not a number"),
-], ids=["seeds", "negative-seed", "arch", "nan-bound"])
+    (["compile_random_nets.py", "--dims", "3"], "'3' names fewer than two widths"),
+    (["compile_random_nets.py", "--dims", "3,a,2"], "'a' is not an integer"),
+    (["compile_random_nets.py", "--dims", "3,0,2"], "0 is below 1"),
+], ids=["seeds", "negative-seed", "arch", "nan-bound", "dims", "dims-word", "dims-zero"])
 def test_a_bad_list_exits_2_without_a_traceback(argv, detail):
     proc = run_script(argv)
     assert proc.returncode == 2
@@ -69,6 +72,15 @@ def test_the_relu_sweep_report_gives_its_regions():
     assert proc.returncode == 0, proc.stderr
     assert re.match(r"relu: 0 mismatches over 500000 points \(50 nets, \d+ targets, "
                     r"\d+ guards, \d+ guard rows, 1122 regions total\), compile ", proc.stdout)
+
+
+def test_fixed_dims_compile_the_region_audits_first_deep_net():
+    # relu nets use --seed + 1: this is random_network(default_rng(1), [3, 4, 4, 4, 4], relu)
+    proc = run_script(["compile_random_nets.py", "--kind", "relu", "--count", "1",
+                       "--samples", "200", "--dims", "3,4,4,4,4", "--seed", "0"])
+    assert proc.returncode == 0, proc.stderr
+    assert re.match(r"relu: 0 mismatches over \d+ points \(1 nets, \d+ targets, "
+                    r"\d+ guards, \d+ guard rows, 168 regions total\), compile ", proc.stdout)
 
 
 def test_the_grid_report_times_the_tree_and_its_batch_program():

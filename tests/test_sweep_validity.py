@@ -8,14 +8,23 @@ chambers its guards recorded when they were split; a copy saved and loaded
 again carries no record and walks, and both must give the same answers.
 Every region of a compiled relu graph, of the relu sweep and of four deeper
 nets, has an interior, where the network evaluated in exact arithmetic gives
-the region's label.
+the region's label.  The deeper nets compile to the same chambers and graphs
+when no chamber is refuted by multipliers, so elimination alone decides.
 """
 
 import pytest
 from numpy.random import default_rng
 
+from logifold import feasibility
 from logifold.feasibility import Constraint, find_witness
-from logifold.graph import load_graph, require_valid, save_graph, validate_graph, walk_regions
+from logifold.graph import (
+    graph_to_dict,
+    load_graph,
+    require_valid,
+    save_graph,
+    validate_graph,
+    walk_regions,
+)
 from logifold.networks import (
     INDEXMAX,
     RELU,
@@ -106,10 +115,35 @@ def test_every_relu_sweep_region_has_an_interior_the_exact_network_labels_alike(
         f"{len(wrong)} are mislabelled (nets {sorted(set(wrong))})")
 
 
-@pytest.mark.parametrize("seed, dims, regions", [(1, [3, 4, 4, 4, 4], 168),
-                                                 (2, [3, 4, 4, 4, 4], 239),
-                                                 (3, [3, 5, 5, 5, 3], 578),
-                                                 (4, [2, 6, 6, 6, 3], 121)])
+DEEP_NETS = [(1, [3, 4, 4, 4, 4], 168), (2, [3, 4, 4, 4, 4], 239),
+             (3, [3, 5, 5, 5, 3], 578), (4, [2, 6, 6, 6, 3], 121)]
+
+
+@pytest.mark.parametrize("seed, dims, regions", DEEP_NETS)
 def test_every_deep_net_region_has_an_interior_the_exact_network_labels_alike(seed, dims,
                                                                               regions):
     assert _audit(random_network(default_rng(seed), dims, RELU)) == (regions, 0, 0)
+
+
+def _compile_with_splits(seed, dims, monkeypatch):
+    """graph_to_dict of the deep net's compile, and the signs of every
+    chamber split it made, in order."""
+    splits, real = [], feasibility.enumerate_chambers
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        splits.append(list(out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(feasibility, "enumerate_chambers", recording)
+        g = compile_relu_net(random_network(default_rng(seed), dims, RELU))
+    return graph_to_dict(g), splits
+
+
+@pytest.mark.parametrize("seed, dims, regions", DEEP_NETS)
+def test_a_deep_net_compiles_alike_when_multipliers_refute_nothing(seed, dims, regions,
+                                                                   monkeypatch):
+    want = _compile_with_splits(seed, dims, monkeypatch)
+    monkeypatch.setattr(feasibility, "_refutes", lambda rows, y: False)
+    assert _compile_with_splits(seed, dims, monkeypatch) == want
