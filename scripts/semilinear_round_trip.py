@@ -2,12 +2,13 @@
 
 Each net is compiled, then taken graph -> fibers (`from_llgraph`) -> graph
 (`to_llgraph`) -> fibers again.  One line per net gives the seconds of each
-stage, the pieces of the first fiber family, the rows and routes of the
-rebuilt graph's guard, and at how many sample points the two graphs'
-`evaluate` and the two families' `label_of` all give one label.  The script
-exits 1 if any sample point disagrees.
+stage, the pieces of the first fiber family, the rebuilt graph's guard
+count, its widest guard's rows and its region count, and at how many sample
+points the two graphs' `evaluate` and the two families' `label_of` all give
+one label.  The script exits 1 if any sample point disagrees.
 
     python scripts/semilinear_round_trip.py --arch 2,3,3 --seeds 1,2
+    python scripts/semilinear_round_trip.py --arch 3,4,3 --seeds 1
 """
 
 import argparse
@@ -47,16 +48,16 @@ def round_trip(dims, seed: int, samples: int) -> bool:
     f, from_s = _timed(from_llgraph, g)
     g2, to_s = _timed(to_llgraph, f)
     f2, back_s = _timed(from_llgraph, g2)
-    guard = g2.guards.get(g2.source)
-    rows = guard.rows if guard is not None else 0
-    routes = len(g2.routing.get(g2.source, {}))
+    widest = max((guard.rows for guard in g2.guards.values()), default=0)
+    regions = sum(len(s.pieces) for s in f2.fibers.values())
     X = rng.normal(scale=2.0, size=(samples, dims[0]))
     agree = sum(1 for x in X
                 if evaluate(g, x) == evaluate(g2, x) == f.label_of(x) == f2.label_of(x))
     print(f"relu {dims} seed {seed}: compile {compile_s:.3f}s, from_llgraph {from_s:.3f}s, "
           f"to_llgraph {to_s:.3f}s, from_llgraph again {back_s:.3f}s; "
-          f"{sum(len(s.pieces) for s in f.fibers.values())} pieces, {rows} guard rows, "
-          f"{routes} routes; {agree}/{samples} points agree")
+          f"{sum(len(s.pieces) for s in f.fibers.values())} pieces; rebuilt graph "
+          f"{len(g2.guards)} guards, widest {widest} rows, {regions} regions; "
+          f"{agree}/{samples} points agree")
     return agree == samples
 
 

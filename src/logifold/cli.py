@@ -288,7 +288,7 @@ def _cmd_to_semilinear(cfg, args):
 
 def _cmd_from_semilinear(cfg, args):
     f = _load(args.set, load_semilinear)
-    g = to_llgraph(f, chamber_cap=cfg.chamber_cap)
+    g = to_llgraph(f, region_cap=cfg.region_cap)
     require_valid(g, check_realizability=False)
     save_graph(g, args.out)
     print(f"wrote {args.out}")

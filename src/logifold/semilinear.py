@@ -9,10 +9,12 @@ rows as one `graph.AffineMap`, so its exact rows are read as a guard's are
 predicate (`graph._guard_signs`).  Decision graphs
 translate back and forth: each region a graph routes becomes one piece, its
 ``+`` steps weak rows and its ``-`` steps negated strict rows, and a
-piecewise-constant fiber family compiles into a single-guard graph routed by
-the sign pattern of the deduplicated rows.  A chamber of that guard fixes the
-sign of every hyperplane, so its sign vector alone decides which pieces hold
-it: the graph is routed without evaluating any row at a point.
+piecewise-constant fiber family compiles into a binary space partition cut
+along the pieces' own hyperplanes, by guards of one or two rows.  A region
+of the partition keeps, for each hyperplane cut on its path, the side or
+sides it lies on, and those alone decide which pieces hold it: the graph is
+routed without evaluating any row at a point and without enumerating the
+arrangement of all the hyperplanes.
 
 Both directions split guards by `graph.AffineMap.chambers`, which keeps each
 guard's chambers on it.  So `from_llgraph` of a graph just built in memory,
@@ -44,7 +46,7 @@ from .feasibility import (
 )
 from .graph import (AffineMap, GraphBuilder, LogicalGraph, _guard_signs, _sign_terms,
                     _walk_regions, label_from_text, label_to_text, read_json, write_json)
-from .networks import CHAMBER_CAP, REGION_CAP
+from .networks import REGION_CAP
 
 UNCOVERED = "⊥"
 
@@ -174,14 +176,20 @@ def from_llgraph(g: LogicalGraph, region_cap: int = REGION_CAP) -> SemilinearFun
                                   for l, ps in fibers.items()})
 
 
-# The sign of a hyperplane's first row in a chamber, read from the chamber's
-# signs for its (row, -row) pair: "++" zero, "+-" positive, "-+" negative.
-_ZERO, _POS, _NEG = "++", "+-", "-+"
-# (kind, orientation against the hyperplane's first row) -> the pairs in
+# The states of a hyperplane against its first row, as bits: on it, above it
+# (the row is positive) and below it.
+_ON, _ABOVE, _BELOW = 1, 2, 4
+_ANYWHERE = _ON | _ABOVE | _BELOW
+# (kind, orientation against the hyperplane's first row) -> the states in
 # which a row of that kind holds
-_HOLDS_AT = {("eq", 1): {_ZERO}, ("eq", -1): {_ZERO},
-             ("gt", 1): {_POS}, ("gt", -1): {_NEG},
-             ("ge", 1): {_ZERO, _POS}, ("ge", -1): {_ZERO, _NEG}}
+_HOLDS_IN = {("eq", 1): _ON, ("eq", -1): _ON,
+             ("gt", 1): _ABOVE, ("gt", -1): _BELOW,
+             ("ge", 1): _ON | _ABOVE, ("ge", -1): _ON | _BELOW}
+# The cuts on a hyperplane, one-row guards first: (the guard's rows, as
+# multiples of the first row, {signs: the states its chamber leaves}).
+_CUTS = (((1,), {"+": _ON | _ABOVE, "-": _BELOW}),
+         ((-1,), {"+": _ON | _BELOW, "-": _ABOVE}),
+         ((1, -1), {"++": _ON, "+-": _ABOVE, "-+": _BELOW}))
 
 
 def _row_key(c: Constraint):
@@ -193,60 +201,123 @@ def _row_key(c: Constraint):
 
 
 def _kinded_rows(piece: BasicSemilinearSet):
-    """(kind, float row, weak integer row) for each row of the piece."""
+    """(kind, exact row, weak integer row) for each row of the piece; the
+    exact rows are integers over the piece's denominator, `_rows.exact[1]`."""
     kinds = ("eq",) * len(piece.eq) + ("gt",) * len(piece.gt) + ("ge",) * len(piece.ge)
-    return zip(kinds, piece.eq + piece.gt + piece.ge, piece._rows.constraints)
+    return zip(kinds, piece._rows.exact[0], piece._rows.constraints)
 
 
-def to_llgraph(f: SemilinearFunction, chamber_cap: int = CHAMBER_CAP) -> LogicalGraph:
-    """Single-guard graph whose walk reproduces f.label_of.
+def to_llgraph(f: SemilinearFunction, region_cap: int = REGION_CAP) -> LogicalGraph:
+    """Graph whose walk reproduces f.label_of: a binary space partition cut
+    along the pieces' own hyperplanes.
 
-    Every distinct hyperplane appears as a (row, -row) pair, so each chamber
-    fixes the zero, positive or negative sign of every hyperplane.  Each row
-    of a nonempty piece is recorded as its hyperplane, its orientation against
-    the hyperplane's first row and its kind, so a chamber's sign vector decides
-    every piece exactly, with no point evaluated; a constant row of a nonempty
-    piece holds everywhere.  Chambers outside every fiber route to an
-    UNCOVERED target, and a chamber in two fibers raises AmbiguousFiberError.
-    When every chamber routes alike, the graph has no guard.
+    Each row of a nonempty piece is recorded as its hyperplane (rows that
+    are multiples of each other share one) and the states in which it
+    holds: on the hyperplane, above it or below it, against the
+    hyperplane's first row.  A constant row of a nonempty piece holds
+    everywhere.  A region of the partition keeps, for each hyperplane cut
+    on its path, the states it leaves, so it decides each piece with no
+    point evaluated: the piece holds on the whole region when every one of
+    its hyperplanes is left within its states, misses it when one is left
+    outside them, and is open otherwise.  Pieces of two labels that hold
+    raise AmbiguousFiberError, naming an exact point of the region.  Pieces
+    of one label that hold, with no open piece of another label, make a
+    leaf of that label, and a region no piece meets one of UNCOVERED.  Any
+    other region is cut on the first undecided hyperplane of its first open
+    piece (of another label than the one that holds, if one does): by the
+    one-row guard ``row >= 0`` or ``-row >= 0`` when that decides every
+    piece left on the hyperplane, else by the pair (row, -row), so that
+    ``= 0`` keeps its own chamber.  A guard's rows are its hyperplane's
+    first row, exact, so its floats are that piece's floats.  Each cut
+    splits the region by `AffineMap.chambers` within its system, so a walk
+    of the graph reads the recorded chambers; a cut with one realizable
+    chamber adds no vertex, and a vertex whose routes all reach one target
+    is that target.  More than `region_cap` leaves raise
+    RegionExplosionError.
     """
     n = f.dim
     index: Dict[tuple, int] = {}  # hyperplane key -> position in reps
-    reps = []  # (first row seen, its sign), one per hyperplane
-    live = []  # (label, pieces), a piece as [(hyperplane, pairs it holds at)]
+    reps = []  # (first exact row seen, its denominator, its sign), one per hyperplane
+    live = []  # (label, ((hyperplane, states its rows allow), ...)), one per nonempty piece
     for label, fiber in f.fibers.items():
-        pieces = []
         for piece in fiber.pieces:
             if piece.is_empty():
                 continue
-            tests = []
+            allowed: Dict[int, int] = {}
             for kind, row, c in _kinded_rows(piece):
                 if not any(c.coeffs):
                     continue
                 key, sign = _row_key(c)
                 h = index.setdefault(key, len(reps))
                 if h == len(reps):
-                    reps.append((row, sign))
-                tests.append((h, _HOLDS_AT[kind, sign * reps[h][1]]))
-            pieces.append(tests)
-        if pieces:
-            live.append((label, pieces))
+                    reps.append((row, piece._rows.exact[1], sign))
+                allowed[h] = allowed.get(h, _ANYWHERE) & _HOLDS_IN[kind, sign * reps[h][2]]
+            live.append((label, tuple(allowed.items())))
 
-    rows = np.array([r for rep, _ in reps for r in (rep, [-v for v in rep])],
-                    dtype=float).reshape(-1, n + 1)
-    guard = AffineMap(rows[:, :-1], rows[:, -1])
-    chambers = guard.chambers(cap=chamber_cap)
     b = GraphBuilder(n)
-    routes = {}
-    for signs in sorted(chambers):
-        pairs = [signs[i:i + 2] for i in range(0, len(signs), 2)]
-        hits = [label for label, pieces in live
-                if any(all(pairs[h] in ok for h, ok in tests) for tests in pieces)]
-        if len(hits) > 1:
+    cuts = {}  # vertex -> (guard, {signs: vertex})
+    leaves = 0
+    # a region: (the cut vertex above it or None at the source, its signs
+    # there, system, witness, {hyperplane: states left}, the pieces meeting it)
+    tasks = [(None, None, [], feasibility.find_witness([], n), {}, live)]
+    while tasks:  # preorder, each region's chambers in sorted sign order
+        parent, signs, system, witness, left, pieces = tasks.pop()
+        held, opened, meeting = [], [], []  # labels that hold; (label, hyperplane)
+        for label, tests in pieces:
+            undecided = None
+            for h, ok in tests:
+                s = left.get(h, _ANYWHERE)
+                if not s & ok:
+                    break
+                if undecided is None and s & ~ok:
+                    undecided = h
+            else:
+                meeting.append((label, tests))
+                if undecided is not None:
+                    opened.append((label, undecided))
+                elif label not in held:
+                    held.append(label)
+        if len(held) > 1:
             raise AmbiguousFiberError(
-                f"chamber {signs} lies in fibers {sorted(map(str, hits))}")
-        routes[signs] = b.target_for(hits[0] if hits else UNCOVERED)
-    b.branch("s", guard, routes)
+                f"point ({', '.join(map(str, witness))}) lies in fibers {sorted(map(str, held))}")
+        cut = next((h for label, h in opened if label not in held), None)
+        if cut is None:
+            leaves += 1
+            if leaves > region_cap:
+                raise RegionExplosionError(f"more than {region_cap} regions")
+            dst = b.target_for(held[0] if held else UNCOVERED)
+            if parent is None:
+                b.arrow("s", dst)
+            else:
+                cuts[parent][1][signs] = dst
+            continue
+        oks = {ok for _, tests in meeting for h, ok in tests if h == cut}
+        mults, states = next((m, st) for m, st in _CUTS
+                             if all(s & ok in (0, s) for s in st.values() for ok in oks))
+        row, den, _ = reps[cut]
+        guard = AffineMap.from_exact(tuple(tuple(k * v for v in row) for k in mults), den, n)
+        chambers = guard.chambers(system, witness)
+        if len(chambers) == 1:  # no vertex: the region, its system and witness go on
+            (s,) = chambers
+            tasks.append((parent, signs, system, witness, {**left, cut: states[s]}, meeting))
+            continue
+        vid = "s" if parent is None else f"q{len(cuts)}"
+        if parent is not None:
+            cuts[parent][1][signs] = vid
+        cuts[vid] = (guard, {})
+        for s, (w, sub) in sorted(chambers.items(), reverse=True):
+            tasks.append((vid, s, sub, w, {**left, cut: states[s]}, meeting))
+
+    reached = {}  # a vertex whose routes all reach one target -> that target
+    for vid, (guard, routes) in reversed(cuts.items()):  # children before parents
+        routes = {s: reached.get(v, v) for s, v in routes.items()}
+        dsts = set(routes.values())
+        if vid != "s":
+            if len(dsts) == 1:
+                reached[vid] = dsts.pop()
+                continue
+            b.add(vid)
+        b.branch(vid, guard, routes)
     return b.graph()
 
 

@@ -67,7 +67,7 @@ class TestConfig:
         cfg = RunConfig()
         assert (cfg.chamber_cap, cfg.region_cap, cfg.budget_cap) == (
             networks.CHAMBER_CAP, networks.REGION_CAP, approx.BUDGET_CAP)
-        assert semilinear.CHAMBER_CAP is networks.CHAMBER_CAP
+        assert semilinear.REGION_CAP is networks.REGION_CAP
 
     def test_overrides_win_and_change_the_hash(self):
         base = RunConfig(seed=5)
@@ -234,6 +234,28 @@ class TestCompileEval:
         assert "RegionExplosionError" in capsys.readouterr().err
         assert main(["--caps.regions", "2", "to-semilinear", "--graph", str(graph_path),
                      "--out", str(out)]) == 0
+
+    def test_from_semilinear_region_cap(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"dim": 1, "fibers": {"0": [{"gt": [[-1.0, 0.0]]}],
+                                                        "1": [{"ge": [[1.0, 0.0]]}]}}))
+        out = tmp_path / "g.json"
+        assert main(["--caps.regions", "1", "from-semilinear", "--set", str(path),
+                     "--out", str(out)]) == 3
+        assert "RegionExplosionError" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["--caps.regions", "2", "from-semilinear", "--set", str(path),
+                     "--out", str(out)]) == 0
+        assert evaluate_batch(load_graph(out), [[-1.0], [0.0], [1.0]]) == [0, 1, 1]
+
+    def test_a_relu_model_round_trips_through_semilinear_files(self, tmp_path):
+        model, g1, s, g2 = (tmp_path / n for n in ("relu.json", "g1.json", "s.json", "g2.json"))
+        save_model(random_network(np.random.default_rng(0), [2, 4, 3], RELU), model)
+        assert main(["compile", "--model", str(model), "--out", str(g1)]) == 0
+        assert main(["to-semilinear", "--graph", str(g1), "--out", str(s)]) == 0
+        assert main(["from-semilinear", "--set", str(s), "--out", str(g2)]) == 0
+        X = np.random.default_rng(5).normal(scale=2.0, size=(500, 2))
+        assert evaluate_batch(load_graph(g2), X) == evaluate_batch(load_graph(g1), X)
 
     @pytest.mark.parametrize("doc, error", [
         ({"dim": 2, "fibers": {"1": [{"gt": [[1.0, 0.0]]}]}},

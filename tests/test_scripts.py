@@ -17,7 +17,7 @@ RUNS = [
     ["compile_random_nets.py", "--count", "2", "--samples", "200"],
     ["approx_diagonal_grid.py", "--resolution", "8", "--depth", "2"],
     ["end_to_end_blobs.py", "--n", "300", "--epochs", "5"],
-    ["semilinear_round_trip.py", "--arch", "2,2,2", "--seeds", "1", "--samples", "50"],
+    ["semilinear_round_trip.py", "--arch", "2,3,3", "--seeds", "1,2", "--samples", "50"],
 ]
 
 
@@ -72,6 +72,14 @@ def test_the_relu_sweep_report_gives_its_regions():
     assert proc.returncode == 0, proc.stderr
     assert re.match(r"relu: 0 mismatches over 500000 points \(50 nets, \d+ targets, "
                     r"\d+ guards, \d+ guard rows, 1122 regions total\), compile ", proc.stdout)
+
+
+def test_the_semilinear_report_gives_the_rebuilt_graphs_guards_and_regions():
+    proc = run_script(["semilinear_round_trip.py", "--arch", "3,4,3", "--seeds", "1",
+                       "--samples", "50"])
+    assert proc.returncode == 0, proc.stderr
+    assert re.match(r"relu \[3, 4, 3\] seed 1: compile [\d.]+s, .*; 37 pieces; rebuilt graph "
+                    r"\d+ guards, widest [12] rows, \d+ regions; 50/50 points agree$", proc.stdout)
 
 
 def test_fixed_dims_compile_the_region_audits_first_deep_net():
