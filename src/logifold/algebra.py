@@ -184,9 +184,9 @@ def identity_graph(points, seed: int = 0, max_tries: int = 32) -> LogicalGraph:
             continue  # midpoint rounded onto a sample value
         k = len(pts)
         b = GraphBuilder(pts.shape[1])
-        b.branch("s", AffineMap(np.tile(w, (k - 1, 1)), -mids),
-                 {"+" * rank + "-" * (k - 1 - rank): b.target_for(tuple(pts[order[rank]]))
-                  for rank in range(k)})
+        s = b.cut(None, AffineMap(np.tile(w, (k - 1, 1)), -mids))
+        for rank in range(k):
+            b.leaf((s, "+" * rank + "-" * (k - 1 - rank)), tuple(pts[order[rank]]))
         g = b.graph()
         if all(evaluate(g, p) == tuple(p) for p in pts):
             return g

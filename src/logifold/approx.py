@@ -307,29 +307,24 @@ def _cover_graph(grid: LabeledGrid, rectangles: Sequence[Rectangle]) -> LogicalG
     boxes = [(*r.cell_lo, *r.cell_hi, b.target_for(r.label)) for r in rectangles]
     axes = np.eye(dim)
     guards: Dict[Tuple[int, int], AffineMap] = {}
-    cuts: Dict[str, Tuple[AffineMap, List[str]]] = {}  # vertex -> guard, [below, above]
-    tasks = [(None, 0, [-1] * dim, [n + 1 for n in grid.resolution], boxes)]
+    cuts = 0
+    tasks = [(None, [-1] * dim, [n + 1 for n in grid.resolution], boxes)]
     while tasks:  # preorder: a region, then its lower part, then its upper part
-        parent, side, rlo, rhi, members = tasks.pop()
+        at, rlo, rhi, members = tasks.pop()
         dst = _leaf(rlo, rhi, members, fallback)
-        if dst is None:
-            a, j = _cut(rlo, rhi, members)
-            guard = guards.get((a, j))
-            if guard is None:
-                guard = guards[a, j] = AffineMap(axes[a:a + 1], [-(lo[a] + j * width[a])])
-            dst = b.add(f"q{len(cuts)}") if cuts else "s"  # the root is the source
-            cuts[dst] = (guard, [None, None])
-            tasks.append((dst, 1, rlo[:a] + [j] + rlo[a + 1:], rhi,
-                          [m for m in members if m[dim + a] > j]))
-            tasks.append((dst, 0, rlo, rhi[:a] + [j] + rhi[a + 1:],
-                          [m for m in members if m[a] < j]))
-        if parent is None:
-            if dst != "s":  # no box: the source is a leaf
-                b.arrow("s", dst)
-        else:
-            cuts[parent][1][side] = dst
-    for vid, (guard, (below, above)) in cuts.items():
-        b.branch(vid, guard, {"-": below, "+": above})
+        if dst is not None:
+            b.leaf(at, b.target_labels[dst])
+            continue
+        a, j = _cut(rlo, rhi, members)
+        guard = guards.get((a, j))
+        if guard is None:
+            guard = guards[a, j] = AffineMap(axes[a:a + 1], [-(lo[a] + j * width[a])])
+        vid = b.cut(at, guard, f"q{cuts}")
+        cuts += 1
+        tasks.append(((vid, "+"), rlo[:a] + [j] + rlo[a + 1:], rhi,
+                      [m for m in members if m[dim + a] > j]))
+        tasks.append(((vid, "-"), rlo, rhi[:a] + [j] + rhi[a + 1:],
+                      [m for m in members if m[a] < j]))
     return b.graph()
 
 

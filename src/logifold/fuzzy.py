@@ -377,9 +377,9 @@ def from_relu_softmax_net(net: NetworkSpec, label="out",
     target = b.target_for(label)
     maps = {}
 
-    def leaf(vid, composed, region, witness):
-        maps[b.arrow(vid, target)] = ArrowMap(AFFINE_SOFTMAX, composed.matrix,
-                                              composed.offset)
+    def leaf(at, composed, region, witness):
+        maps[b.arrow(b.vertex(at), target)] = ArrowMap(AFFINE_SOFTMAX, composed.matrix,
+                                                       composed.offset)
 
     _walk_relu_regions(b, net, leaf, chamber_cap, region_cap)
     sk = b.graph()

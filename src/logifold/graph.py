@@ -391,10 +391,16 @@ def _route(g: LogicalGraph, v: str, signs: str) -> Optional[str]:
 class GraphBuilder:
     """The one place that assembles a graph from scratch; its source is "s".
 
-    Each label gets one target, numbered t0, t1, ... in order of first use,
-    so labels that print alike (1 and "1") stay apart.  A guard gets one
-    arrow per destination, and a guard whose chambers all route alike is
-    replaced by a plain arrow (the redundant-test rule of ROBDD reduction).
+    A slot is the source (None) or (vertex, signs), the route of that
+    vertex's guard for one sign vector.  `cut` puts a guarded vertex at a
+    slot, `leaf` routes one to a label's target (one target per label, t0,
+    t1, ... in order of first use, so 1 and "1" stay apart), and `vertex`
+    puts there a plain vertex for the caller's own arrows, kept as made.
+    `graph()` finishes the cuts bottom up, in one loop, by the redundant-test
+    rule of ROBDD reduction (Bryant, IEEE Trans. Comput. 1986): a cut whose
+    routes all reach one target is that target, and any other gets one
+    arrow per destination.  So each vertex below the source reaches two or
+    more targets.
     """
 
     def __init__(self, input_dim: int):
@@ -405,6 +411,7 @@ class GraphBuilder:
         self.routing: Dict[str, Dict[str, str]] = {}
         self.target_labels: Dict[str, object] = {}
         self._target_of: Dict[object, str] = {}
+        self._cuts: Dict[str, tuple] = {}  # vertex -> (guard, {signs: vertex below})
 
     def target_for(self, label) -> str:
         v = self._target_of.get(label)
@@ -423,21 +430,43 @@ class GraphBuilder:
         self.arrows.append(Arrow(aid, src, dst))
         return aid
 
-    def branch(self, vid: str, guard: AffineMap, routes: Dict[str, str]):
-        """Guard `vid`, sending each sign vector in `routes` to its vertex."""
-        dsts = set(routes.values())
-        if len(dsts) == 1:
-            self.arrow(vid, dsts.pop())
-            return
-        self.guards[vid] = guard
-        table, arrow_of = {}, {}
-        for signs, dst in routes.items():
-            if dst not in arrow_of:
-                arrow_of[dst] = self.arrow(vid, dst)
-            table[signs] = arrow_of[dst]
-        self.routing[vid] = table
+    def _put(self, at, vid: str) -> str:
+        """Route the slot `at` to `vid`: at the source, by a plain arrow."""
+        if at is None:
+            self.arrow("s", vid)
+        else:
+            self._cuts[at[0]][1][at[1]] = vid
+        return vid
+
+    def cut(self, at, guard: AffineMap, vid: Optional[str] = None) -> str:
+        """A vertex at the slot `at` guarded by `guard`: "s", `vid` or "v|signs"."""
+        vid = "s" if at is None else self._put(at, self.add(vid or "%s|%s" % at))
+        self._cuts[vid] = (guard, {})
+        return vid
+
+    def leaf(self, at, label) -> None:
+        self._put(at, self.target_for(label))
+
+    def vertex(self, at) -> str:
+        """A plain vertex at the slot `at`, for arrows the caller makes."""
+        return "s" if at is None else self._put(at, self.add("%s|%s" % at))
 
     def graph(self) -> LogicalGraph:
+        cuts, self._cuts = self._cuts, {}
+        reached = {}  # a cut whose routes all reach one target -> that target
+        for vid, (guard, routes) in reversed(cuts.items()):  # each cut after its parent
+            routes = {signs: reached.get(v, v) for signs, v in routes.items()}
+            dsts = list(dict.fromkeys(routes.values()))
+            if len(dsts) == 1 and self.vertices[dsts[0]] == TARGET:
+                reached[vid] = dsts[0]
+                if vid == "s":
+                    self._put(None, dsts[0])
+                else:
+                    del self.vertices[vid]
+                continue
+            self.guards[vid] = guard
+            arrow_of = {dst: self.arrow(vid, dst) for dst in dsts}
+            self.routing[vid] = {signs: arrow_of[dst] for signs, dst in routes.items()}
         return LogicalGraph(self.input_dim, self.vertices, self.arrows,
                             self.guards, self.routing, self.target_labels)
 

@@ -7,19 +7,21 @@ realizable sign chambers.  Each linear region then runs an argmax
 tournament on its final-layer map: the best index so far meets each later
 index hi in a one-row guard l_best - l_hi whose ``+`` side (>= 0) keeps the
 lower index, so ties go low.  A duel that cannot split its region adds no
-vertex.  After a step layer the composed map is constant (the next layer
-applied to the chamber's Boolean outcome), so its duels are decided by their
-offsets: a step network branches only at its first layer, and each
-first-layer chamber has one vertex with a plain arrow to its argmax target.
+vertex.  `graph.GraphBuilder`'s finish leaves the graph reduced: every
+vertex below the source reaches two or more labels.  After a step layer
+the composed map is constant (the next layer applied to the chamber's
+Boolean outcome), so its duels are decided by their offsets: a step network
+branches only at its first layer, whose guard routes each chamber straight
+to its argmax target.
 
 The walker is also behind ``fuzzy.from_relu_softmax_net``, which puts a
-softmax leaf where the compiler puts the argmax tournament.  Each relu map
-the walk composes is kept on the map it came from, with that map's
-chambers, so the import of a network whose layers the compiler has walked
-(or the compile after an import) reads the same maps and chambers instead of
-composing and splitting again.  A layer whose region holds a single sign
-chamber adds no vertex, so the graphs branch only where a layer's
-hyperplanes actually cut the region.
+softmax leaf, an arrow carrying the region's map, where the compiler puts
+the argmax tournament.  Each relu map the walk composes is kept on the map
+it came from, with that map's chambers, so the import of a network whose
+layers the compiler has walked (or the compile after an import) reads the
+same maps and chambers instead of composing and splitting again.  A layer
+whose region holds a single sign chamber adds no vertex, so the graphs
+branch only where a layer's hyperplanes actually cut the region.
 
 Both compilers keep only regions whose constraint systems are exactly
 feasible, and the argmax convention everywhere is lowest index wins ties.
@@ -256,42 +258,36 @@ def forward_exact(net: NetworkSpec, x) -> int:
 
 # -- compilation helpers ---------------------------------------------------
 
-def _tournament(b: GraphBuilder, vid, final: AffineMap, region, witness) -> None:
-    """Route the region below `vid` to the argmax of its final-layer map.
+def _tournament(b: GraphBuilder, at, final: AffineMap, region, witness) -> None:
+    """Route the builder's slot `at` to the argmax of the region's final map.
 
     The best index so far meets each later index hi in a one-row duel
     l_best - l_hi whose ``+`` side (>= 0) keeps best, so the lowest index wins
     ties.  A duel row is the difference of two of the map's exact rows,
     built as an exact map.  A constant duel, such as every duel after a step
-    layer, keeps the side its offset's sign names, with no map or split.  A
-    duel whose region holds one chamber adds no vertex, and a duel whose two
-    sides reach the same target collapses to that target.
+    layer, keeps the side its offset's sign names, with no map or split, and
+    a duel whose region holds one chamber adds no vertex.
     """
     rows, den = final.exact
 
-    def duel(name, best, hi, region, witness):
-        if hi == final.rows:
-            return b.target_for(best)
-        row = tuple(map(sub, rows[best], rows[hi]))
-        if not any(row[:-1]):  # a constant duel: its offset's sign, ties going low
-            return duel(name, best if row[-1] >= 0 else hi, hi + 1, region, witness)
-        guard = AffineMap.from_exact((row,), den, final.dim)
-        chambers = guard.chambers(region, witness)
-        if len(chambers) == 1:
-            (sign,) = chambers
-            return duel(name, best if sign == "+" else hi, hi + 1, region, witness)
-        routes = {sign: duel(f"{name}|{sign}", best if sign == "+" else hi, hi + 1, part, w)
-                  for sign, (w, part) in chambers.items()}
-        if routes["+"] == routes["-"]:
-            return routes["+"]
-        if name != vid:
-            b.add(name)
-        b.branch(name, guard, routes)
-        return name
+    def duel(at, best, hi, region, witness):
+        while hi < final.rows:
+            row = tuple(map(sub, rows[best], rows[hi]))
+            if not any(row[:-1]):  # a constant duel: its offset's sign, ties going low
+                sign = "+" if row[-1] >= 0 else "-"
+            else:
+                guard = AffineMap.from_exact((row,), den, final.dim)
+                chambers = guard.chambers(region, witness)
+                if len(chambers) > 1:
+                    vid = b.cut(at, guard)
+                    for sign, (w, part) in chambers.items():
+                        duel((vid, sign), best if sign == "+" else hi, hi + 1, part, w)
+                    return
+                (sign,) = chambers
+            best, hi = best if sign == "+" else hi, hi + 1
+        b.leaf(at, best)
 
-    dst = duel(vid, 0, 1, region, witness)
-    if dst != vid:
-        b.arrow(vid, dst)
+    duel(at, 0, 1, region, witness)
 
 
 def _next_map(net: NetworkSpec, depth: int, signs: str, composed: AffineMap) -> AffineMap:
@@ -343,25 +339,25 @@ def _walk_relu_regions(b: GraphBuilder, net: NetworkSpec, leaf, chamber_cap: int
     """Subdivide input space into the linear regions of a ReLU or step network.
 
     The one region walker behind ``compile_relu_net``, ``compile_step_net``
-    and ``fuzzy.from_relu_softmax_net``.  Starting at the source "s", each
-    hidden layer's pre-activation map, composed over the region reached so
-    far, guards a vertex whose children are its realizable sign chambers.  A
-    layer whose region holds a single chamber adds no vertex: the walk keeps
-    the same vertex, region and witness.  A composed map whose rows all
-    have zero coefficients, such as every map after a step layer or after a
-    relu chamber with all units off, is that one chamber without a split:
-    each row takes ``+`` where its offset is >= 0, as in `_tournament`.  At the
-    last layer it calls ``leaf(vid, composed, region, witness)`` once per
-    linear region, with the final layer's map restricted to that region.
-    Regions are counted only at layers that branch, starting from 1 for the
-    whole input space.
+    and ``fuzzy.from_relu_softmax_net``.  Starting at the builder's source
+    slot, each hidden layer's pre-activation map, composed over the region
+    reached so far, is cut at the region's slot, and each of its realizable
+    sign chambers gets its own slot.  A layer whose region holds a single
+    chamber adds no vertex: the walk keeps the same slot, region and
+    witness.  A composed map whose rows all have zero coefficients, such as
+    every map after a step layer or after a relu chamber with all units off,
+    is that one chamber without a split: each row takes ``+`` where its
+    offset is >= 0, as in `_tournament`.  At the last layer it calls
+    ``leaf(at, composed, region, witness)`` once per linear region, with its
+    slot and the final layer's map.  Regions are counted only at layers
+    that branch, starting from 1 for the whole input space.
     """
     regions = 1
 
-    def descend(vid, depth, composed: AffineMap, region, witness):
+    def descend(at, depth, composed: AffineMap, region, witness):
         nonlocal regions
         if depth == net.depth - 1:
-            leaf(vid, composed, region, witness)
+            leaf(at, composed, region, witness)
             return
         rows, _ = composed.exact
         if any(any(r[:-1]) for r in rows):
@@ -370,17 +366,16 @@ def _walk_relu_regions(b: GraphBuilder, net: NetworkSpec, leaf, chamber_cap: int
             chambers = {"".join(["+" if r[-1] >= 0 else "-" for r in rows]): None}
         if len(chambers) == 1:
             (signs,) = chambers
-            descend(vid, depth + 1, _next_map(net, depth + 1, signs, composed), region, witness)
+            descend(at, depth + 1, _next_map(net, depth + 1, signs, composed), region, witness)
             return
         regions += len(chambers)
         if regions > region_cap:
             raise RegionExplosionError(f"more than {region_cap} linear regions")
-        routes = {signs: b.add(f"{vid}|{signs}") for signs in chambers}
-        b.branch(vid, composed, routes)
+        vid = b.cut(at, composed)
         for signs, (w, sub) in chambers.items():
-            descend(routes[signs], depth + 1, _next_map(net, depth + 1, signs, composed), sub, w)
+            descend((vid, signs), depth + 1, _next_map(net, depth + 1, signs, composed), sub, w)
 
-    descend("s", 0, net.layers[0], [], None)
+    descend(None, 0, net.layers[0], [], None)
 
 
 def _argmax_graph(net: NetworkSpec, chamber_cap: int, region_cap: int) -> LogicalGraph:

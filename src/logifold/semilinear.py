@@ -231,9 +231,8 @@ def to_llgraph(f: SemilinearFunction, region_cap: int = REGION_CAP) -> LogicalGr
     first row, exact, so its floats are that piece's floats.  Each cut
     splits the region by `AffineMap.chambers` within its system, so a walk
     of the graph reads the recorded chambers; a cut with one realizable
-    chamber adds no vertex, and a vertex whose routes all reach one target
-    is that target.  More than `region_cap` leaves raise
-    RegionExplosionError.
+    chamber adds no vertex, and the graph is reduced (`GraphBuilder`).
+    More than `region_cap` leaves raise RegionExplosionError.
     """
     n = f.dim
     index: Dict[tuple, int] = {}  # hyperplane key -> position in reps
@@ -255,13 +254,11 @@ def to_llgraph(f: SemilinearFunction, region_cap: int = REGION_CAP) -> LogicalGr
             live.append((label, tuple(allowed.items())))
 
     b = GraphBuilder(n)
-    cuts = {}  # vertex -> (guard, {signs: vertex})
-    leaves = 0
-    # a region: (the cut vertex above it or None at the source, its signs
-    # there, system, witness, {hyperplane: states left}, the pieces meeting it)
-    tasks = [(None, None, [], feasibility.find_witness([], n), {}, live)]
+    cuts = leaves = 0
+    # a region: its slot, system, witness, {hyperplane: states left}, pieces meeting it
+    tasks = [(None, [], feasibility.find_witness([], n), {}, live)]
     while tasks:  # preorder, each region's chambers in sorted sign order
-        parent, signs, system, witness, left, pieces = tasks.pop()
+        at, system, witness, left, pieces = tasks.pop()
         held, opened, meeting = [], [], []  # labels that hold; (label, hyperplane)
         for label, tests in pieces:
             undecided = None
@@ -285,11 +282,7 @@ def to_llgraph(f: SemilinearFunction, region_cap: int = REGION_CAP) -> LogicalGr
             leaves += 1
             if leaves > region_cap:
                 raise RegionExplosionError(f"more than {region_cap} regions")
-            dst = b.target_for(held[0] if held else UNCOVERED)
-            if parent is None:
-                b.arrow("s", dst)
-            else:
-                cuts[parent][1][signs] = dst
+            b.leaf(at, held[0] if held else UNCOVERED)
             continue
         oks = {ok for _, tests in meeting for h, ok in tests if h == cut}
         mults, states = next((m, st) for m, st in _CUTS
@@ -299,25 +292,12 @@ def to_llgraph(f: SemilinearFunction, region_cap: int = REGION_CAP) -> LogicalGr
         chambers = guard.chambers(system, witness)
         if len(chambers) == 1:  # no vertex: the region, its system and witness go on
             (s,) = chambers
-            tasks.append((parent, signs, system, witness, {**left, cut: states[s]}, meeting))
+            tasks.append((at, system, witness, {**left, cut: states[s]}, meeting))
             continue
-        vid = "s" if parent is None else f"q{len(cuts)}"
-        if parent is not None:
-            cuts[parent][1][signs] = vid
-        cuts[vid] = (guard, {})
+        vid = b.cut(at, guard, f"q{cuts}")
+        cuts += 1
         for s, (w, sub) in sorted(chambers.items(), reverse=True):
-            tasks.append((vid, s, sub, w, {**left, cut: states[s]}, meeting))
-
-    reached = {}  # a vertex whose routes all reach one target -> that target
-    for vid, (guard, routes) in reversed(cuts.items()):  # children before parents
-        routes = {s: reached.get(v, v) for s, v in routes.items()}
-        dsts = set(routes.values())
-        if vid != "s":
-            if len(dsts) == 1:
-                reached[vid] = dsts.pop()
-                continue
-            b.add(vid)
-        b.branch(vid, guard, routes)
+            tasks.append(((vid, s), sub, w, {**left, cut: states[s]}, meeting))
     return b.graph()
 
 

@@ -1,12 +1,22 @@
 import numpy as np
 import pytest
 
-from logifold.graph import AffineMap, Arrow, LogicalGraph
+from logifold.graph import AffineMap, Arrow, LogicalGraph, topological_order
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def narrow_vertices(g):
+    """The vertices between the source and the targets that reach fewer than
+    two targets; a reduced graph has none."""
+    reach = {}
+    for v in reversed(topological_order(g)):
+        reach[v] = ({v} if g.vertices[v] == "target" else
+                    set().union(*(reach[g.arrows[a].dst] for a in g.out_arrows[v])))
+    return sorted(v for v, kind in g.vertices.items() if kind == "internal" and len(reach[v]) < 2)
 
 
 def make_step_graph(labels=(0, 1), threshold=0.0):

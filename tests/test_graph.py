@@ -681,7 +681,9 @@ def test_exact_rows_beyond_float_precision_survive_both_file_kinds(n, data, tmp_
     b = GraphBuilder(n)
     signs = ["".join(s) for s in np.array(np.meshgrid(*[["+", "-"]] * len(rows)))
              .reshape(len(rows), -1).T.tolist()]
-    b.branch("s", guard, {s: b.target_for(s.count("+") % 2) for s in signs})
+    source = b.cut(None, guard)
+    for s in signs:
+        b.leaf((source, s), s.count("+") % 2)
     g = b.graph()
     path = tmp_path_factory.mktemp("exact") / "g.json"
     graph.save_graph(g, path)
@@ -789,8 +791,9 @@ def test_builder_keeps_labels_that_print_alike_apart():
     b = GraphBuilder(1)
     assert b.target_for(1) == b.target_for(1)
     # rows x and x - 1: "++" is x >= 1, "+-" is 0 <= x < 1, "--" is x < 0
-    b.branch("s", AffineMap(np.array([[1.0], [1.0]]), np.array([0.0, -1.0])),
-             {"++": b.target_for(1), "+-": b.target_for("1"), "--": b.target_for((1,))})
+    s = b.cut(None, AffineMap(np.array([[1.0], [1.0]]), np.array([0.0, -1.0])))
+    for signs, label in (("++", 1), ("+-", "1"), ("--", (1,))):
+        b.leaf((s, signs), label)
     g = b.graph()
     require_valid(g)
     assert len(g.target_labels) == 3
@@ -800,13 +803,78 @@ def test_builder_keeps_labels_that_print_alike_apart():
     assert evaluate_batch(h, np.array([[2.0], [0.5], [-1.0]])) == got
 
 
-def test_builder_drops_a_guard_whose_chambers_route_alike():
+def test_nested_cuts_that_reach_one_label_finish_as_one_plain_arrow():
     b = GraphBuilder(2)
-    t = b.target_for("only")
-    b.branch("s", AffineMap(np.eye(2), np.zeros(2)), {"++": t, "+-": t, "-+": t, "--": t})
+    s = b.cut(None, AffineMap(np.eye(2), np.zeros(2)))
+    for signs in ("++", "+-", "-+"):
+        b.leaf((s, signs), "only")
+    inner = b.cut((s, "--"), AffineMap(np.array([[1.0, 1.0]]), np.array([1.0])))
+    b.leaf((inner, "-"), "only")
+    below = b.cut((inner, "+"), AffineMap(np.array([[0.0, 1.0]]), np.array([2.0])))
+    b.leaf((below, "+"), "only")
+    b.leaf((below, "-"), "only")
     g = b.graph()
-    assert not g.guards and len(g.arrows) == 1
+    assert g.vertices == {"s": "source", "t0": "target"} and not g.guards
+    assert [(a.src, a.dst) for a in g.arrows.values()] == [("s", "t0")]
     assert evaluate(g, [-1.0, 3.0]) == "only"
+
+
+def test_a_cut_keeps_one_arrow_per_destination_and_drops_a_cut_below_it_that_does_not_split():
+    b = GraphBuilder(1)
+    # rows x and x - 1: "++" is x >= 1, "+-" is 0 <= x < 1, "--" is x < 0
+    s = b.cut(None, AffineMap(np.array([[1.0], [1.0]]), np.array([0.0, -1.0])))
+    b.leaf((s, "++"), "hi")
+    b.leaf((s, "--"), "hi")
+    mid = b.cut((s, "+-"), AffineMap(np.array([[1.0]]), np.array([-0.5])))
+    b.leaf((mid, "+"), "lo")
+    b.leaf((mid, "-"), "lo")
+    g = b.graph()
+    require_valid(g)
+    assert set(g.vertices) == {"s", "t0", "t1"} and list(g.guards) == ["s"]
+    assert sorted((a.src, a.dst) for a in g.arrows.values()) == [("s", "t0"), ("s", "t1")]
+    routes = {signs: g.arrows[a].dst for signs, a in g.routing["s"].items()}
+    assert routes == {"++": "t0", "--": "t0", "+-": "t1"}
+    assert [evaluate(g, [x]) for x in (2.0, 0.75, 0.25, -1.0)] == ["hi", "lo", "lo", "hi"]
+
+
+def test_an_explicit_arrow_below_a_cut_is_never_collapsed():
+    # the relu import's shape: each chamber's plain vertex carries its own
+    # map to the one target, so the chambers stay apart
+    b = GraphBuilder(1)
+    t = b.target_for("out")
+    s = b.cut(None, AffineMap(np.array([[1.0]]), np.array([0.0])))
+    made = {signs: b.arrow(b.vertex((s, signs)), t) for signs in ("+", "-")}
+    g = b.graph()
+    assert set(g.vertices) == {"s", "s|+", "s|-", "t0"} and list(g.guards) == ["s"]
+    assert {signs: (g.arrows[a].src, g.arrows[a].dst) for signs, a in made.items()} == {
+        "+": ("s|+", "t0"), "-": ("s|-", "t0")}
+    assert {signs: g.arrows[a].dst for signs, a in g.routing["s"].items()} == {
+        "+": "s|+", "-": "s|-"}
+    assert len(g.arrows) == 4
+
+
+def test_a_pending_chain_deeper_than_the_recursion_limit_finishes(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the finish changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    depth = 3000
+    assert depth > sys.getrecursionlimit()
+    guard = AffineMap(np.array([[1.0]]), np.array([0.0]))
+    for labels in (("lo", "hi"), ("one", "one")):
+        b = GraphBuilder(1)
+        at = None
+        for k in range(depth):  # each cut's "-" a leaf, its "+" the next cut
+            v = b.cut(at, guard, f"q{k}")
+            b.leaf((v, "-"), labels[0])
+            at = (v, "+")
+        b.leaf(at, labels[1])
+        g = b.graph()
+        if labels[0] == labels[1]:
+            assert set(g.vertices) == {"s", "t0"} and len(g.arrows) == 1
+        else:
+            assert len(g.guards) == depth and len(g.vertices) == depth + 2
+            assert evaluate(g, [1.0]) == "hi" and evaluate(g, [-1.0]) == "lo"
 
 
 # -- one exit rule behind every walk ------------------------------------------

@@ -16,6 +16,7 @@ from logifold.errors import (
     UnsupportedActivationError,
 )
 from logifold.fuzzy import (
+    AFFINE_SOFTMAX,
     from_relu_softmax_net,
     from_sigmoid_net,
     fuzzy_to_dict,
@@ -23,6 +24,7 @@ from logifold.fuzzy import (
 )
 from logifold.graph import (
     AffineMap,
+    GraphBuilder,
     evaluate,
     evaluate_batch,
     graph_to_dict,
@@ -30,6 +32,8 @@ from logifold.graph import (
     walk_regions,
 )
 from logifold.networks import (
+    CHAMBER_CAP,
+    REGION_CAP,
     NetworkSpec,
     SpecializedNet,
     compile_relu_net,
@@ -44,8 +48,11 @@ from logifold.networks import (
     model_from_dict,
     model_to_dict,
     random_network,
+    _walk_relu_regions,
 )
 from logifold.training import Hyperparams, specialize, synth_dataset, train_sgd
+
+from conftest import narrow_vertices
 
 
 def _net(mats, offs, hidden="step", final="indexmax"):
@@ -124,7 +131,7 @@ def test_compiled_regions_are_exact_where_float_composition_made_slivers():
     exact = [v for v, gd in g.guards.items()
              if gd.exact != AffineMap(gd.matrix, gd.offset).exact]
     assert exact, "no guard keeps rows its floats cannot hold"
-    assert sum(1 for _ in walk_regions(g)) == 168
+    assert sum(1 for _ in walk_regions(g)) == 161
 
 
 def test_forward_rejects_smooth_activations():
@@ -248,8 +255,8 @@ def test_a_step_net_warns_on_every_compile():
 @given(seed=st.integers(0, 2**32 - 1), depth=st.sampled_from([3, 4]),
        n=st.integers(1, 3), outputs=st.integers(2, 4),
        widths=st.lists(st.integers(1, 4), min_size=3, max_size=3))
-def test_deep_step_net_has_one_vertex_per_first_layer_chamber(seed, depth, n, outputs,
-                                                               widths):
+def test_deep_step_net_routes_each_first_layer_chamber_straight_to_a_target(seed, depth, n,
+                                                                            outputs, widths):
     rng = np.random.default_rng(seed)
     net = random_network(rng, [n] + widths[:depth - 1] + [outputs], "step")
     g = compile_step_net(net)
@@ -258,15 +265,11 @@ def test_deep_step_net_has_one_vertex_per_first_layer_chamber(seed, depth, n, ou
     assert [evaluate(g, x) for x in X[:20]] == [forward_classical(net, x) for x in X[:20]]
     first = net.layers[0]
     chambers = feasibility.enumerate_chambers(first.constraints, n)
-    inner = [v for v, k in g.vertices.items() if k == "internal"]
-    if len(chambers) > 1:
+    assert not [v for v, k in g.vertices.items() if k == "internal"]  # so s routes to targets
+    if len(g.target_labels) > 1:  # chambers of two or more labels
         assert list(g.guards) == ["s"] and set(g.routing["s"]) == set(chambers)
-        assert len(inner) == len(chambers)
-    else:
-        assert not g.guards and not inner
-    for v in inner:  # each chamber vertex has a plain arrow to its target
-        (aid,) = g.out_arrows[v]
-        assert g.vertices[g.arrows[aid].dst] == "target"
+    else:  # every chamber has one label: one plain arrow
+        assert not g.guards and len(g.arrows) == 1
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -412,12 +415,36 @@ def test_one_output_net_compiles_to_a_plain_arrow():
 def test_every_leaf_guard_of_a_relu_graph_has_one_row(seed):
     net = random_network(np.random.default_rng([6, seed]), [2, 3, 3, 4], "relu")
     g = compile_relu_net(net)
-    # the import walks the same hidden-layer regions with a softmax leaf
+    # the import walks the same hidden-layer regions with a softmax leaf; the
+    # compile keeps the hidden guards whose chambers reach two labels
     hidden = from_relu_softmax_net(NetworkSpec(net.layers, "relu", "softmax")).skeleton.guards
+    kept = [v for v in g.guards if v in hidden]
     leaf = [v for v in g.guards if v not in hidden]
-    assert leaf and all(g.guards[v].rows == 1 for v in leaf)
-    for v, guard in hidden.items():
-        assert np.array_equal(g.guards[v].matrix, guard.matrix)
+    assert kept and leaf and all(g.guards[v].rows == 1 for v in leaf)
+    for v in kept:
+        assert np.array_equal(g.guards[v].matrix, hidden[v].matrix)
+
+
+def _linear_regions(net):
+    """The leaves the region walker visits, one per linear region."""
+    leaves = []
+    _walk_relu_regions(GraphBuilder(net.input_dim), net, lambda *region: leaves.append(region),
+                       CHAMBER_CAP, REGION_CAP)
+    return len(leaves)
+
+
+@pytest.mark.parametrize("seed, dims", [([6, 0], [2, 3, 3, 4]), ([6, 1], [2, 3, 3, 4]),
+                                        (4, [2, 6, 6, 6, 3])])
+def test_the_relu_import_keeps_one_leaf_arrow_per_linear_region(seed, dims):
+    # seed 4 [2, 6, 6, 6, 3] is constant: its compile is one arrow, its
+    # import a softmax map on each of its regions
+    net = random_network(np.random.default_rng(seed), dims, "relu")
+    fg = from_relu_softmax_net(NetworkSpec(net.layers, "relu", "softmax"))
+    (target,) = fg.targets()
+    into = [a.id for a in fg.skeleton.arrows.values() if a.dst == target]
+    assert len(into) == _linear_regions(net) > 1
+    assert all(fg.arrow_maps[aid].kind == AFFINE_SOFTMAX for aid in into)
+    assert not narrow_vertices(compile_relu_net(net))
 
 
 @settings(max_examples=25, deadline=None)
@@ -428,7 +455,7 @@ def test_tournament_graph_agrees_with_the_forward_pass(seed, outputs):
     dims = [n] + [int(w) for w in rng.integers(1, 4, size=int(rng.integers(0, 3)))] + [outputs]
     net = random_network(rng, dims, "relu")
     g = compile_relu_net(net)
-    assert require_valid(g).realizability_checked
+    assert require_valid(g).realizability_checked and not narrow_vertices(g)
     X = rng.normal(scale=2.0, size=(300, n))
     got, want = np.asarray(evaluate_batch(g, X)), forward_classical_batch(net, X)
     top2 = np.sort([forward_logits(net, x) for x in X], axis=1)[:, -2:]

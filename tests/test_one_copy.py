@@ -11,8 +11,14 @@ recorded on its guard: no `enumerate_chambers` call appears outside
 `feasibility` and that method.
 Which network kinds an operation takes is decided only in `networks`, by
 its table of kinds: no other module reads a network's `hidden_activation`
-or `final_activation`.  Each check walks the syntax tree, so a second copy
-fails here however it is spelled.
+or `final_activation`.  A graph is built from scratch only by
+`graph.GraphBuilder`, whose finish leaves it reduced: `Arrow` and
+`LogicalGraph` are constructed only there, in the file reader
+`graph.graph_from_dict`, and in the transformers that rewrite graphs they
+are given (`graph.relabel`, `algebra.graft`, `algebra.boolean_combine`,
+`algebra.zero_locus_lift`, `fuzzy.fuzzy_product`, `fuzzy._combine_scalar`).
+Each check walks the syntax tree, so a second copy fails here however it
+is spelled.
 """
 
 import ast
@@ -29,6 +35,12 @@ CONVERSION_HOMES = {
     "enumerate_chambers": {("graph", "AffineMap.chambers")},
 }
 ACTIVATIONS = {"hidden_activation", "final_activation"}
+GRAPH_PARTS = {"Arrow", "LogicalGraph"}
+# (module, top-level function or class) that may construct GRAPH_PARTS
+GRAPH_HOMES = {("graph", "GraphBuilder"), ("graph", "graph_from_dict"), ("graph", "relabel"),
+               ("algebra", "graft"), ("algebra", "boolean_combine"),
+               ("algebra", "zero_locus_lift"), ("fuzzy", "fuzzy_product"),
+               ("fuzzy", "_combine_scalar")}
 # (module, function) -> the JSON calls it may make; the string forms turn one
 # label or the config hash into text and back, not a file
 JSON_HOMES = {
@@ -94,7 +106,7 @@ def activation_reads(module: str, tree: ast.Module):
 
 def strays(module: str, tree: ast.Module):
     """The calls and reads of `module` that make a second copy of any
-    conversion, or of the check of network kinds."""
+    conversion, of the check of network kinds, or of the graph builder."""
     found = []
     for scope, name in calls(tree):
         conversion = name.rsplit(".", 1)[-1]
@@ -103,6 +115,8 @@ def strays(module: str, tree: ast.Module):
             found.append(f"{module}.{scope or '<module>'} calls {conversion}")
         if name in JSON_CALLS and name not in JSON_HOMES.get((module, scope), ()):
             found.append(f"{module}.{scope or '<module>'} calls {name}")
+        if conversion in GRAPH_PARTS and (module, scope.split(".")[0]) not in GRAPH_HOMES:
+            found.append(f"{module}.{scope or '<module>'} constructs {conversion}")
     return found + activation_reads(module, tree)
 
 
@@ -167,3 +181,26 @@ KIND = {"final_activation": SOFTMAX}
         "fuzzy.from_sigmoid_net reads activations", "fuzzy.train reads activations",
         "fuzzy.<module> reads activations"]
     assert strays("networks", ast.parse(second)) == []
+
+
+def test_the_check_sees_a_graph_built_outside_the_builder():
+    second = """
+from .graph import Arrow, GraphBuilder
+from . import graph
+
+def cover(boxes):
+    arrows = [Arrow(f"e{i}", "s", t) for i, t in enumerate(boxes)]
+    return graph.LogicalGraph(1, {}, arrows, {}, {}, {})
+
+def graft(g):
+    return graph.LogicalGraph(1, {}, [Arrow("a", "s", "t")], {}, {}, {})
+
+class Tree:
+    def finish(self):
+        return GraphBuilder(1).graph()
+"""
+    assert strays("approx", ast.parse(second)) == [
+        "approx.cover constructs Arrow", "approx.cover constructs LogicalGraph",
+        "approx.graft constructs LogicalGraph", "approx.graft constructs Arrow"]
+    assert strays("algebra", ast.parse(second)) == [
+        "algebra.cover constructs Arrow", "algebra.cover constructs LogicalGraph"]

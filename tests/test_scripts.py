@@ -71,7 +71,7 @@ def test_the_relu_sweep_report_gives_its_regions():
     proc = run_script(["compile_random_nets.py", "--kind", "relu"])
     assert proc.returncode == 0, proc.stderr
     assert re.match(r"relu: 0 mismatches over 500000 points \(50 nets, \d+ targets, "
-                    r"\d+ guards, \d+ guard rows, 1122 regions total\), compile ", proc.stdout)
+                    r"\d+ guards, \d+ guard rows, 935 regions total\), compile ", proc.stdout)
 
 
 def test_the_semilinear_report_gives_the_rebuilt_graphs_guards_and_regions():
@@ -88,7 +88,7 @@ def test_fixed_dims_compile_the_region_audits_first_deep_net():
                        "--samples", "200", "--dims", "3,4,4,4,4", "--seed", "0"])
     assert proc.returncode == 0, proc.stderr
     assert re.match(r"relu: 0 mismatches over \d+ points \(1 nets, \d+ targets, "
-                    r"\d+ guards, \d+ guard rows, 168 regions total\), compile ", proc.stdout)
+                    r"\d+ guards, \d+ guard rows, 161 regions total\), compile ", proc.stdout)
 
 
 def test_the_grid_report_times_the_tree_and_its_batch_program():

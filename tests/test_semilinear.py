@@ -32,7 +32,8 @@ from logifold.semilinear import (
     to_llgraph,
 )
 
-from conftest import make_diamond_graph, make_holed_graph, make_pruned_graph, make_step_graph
+from conftest import (make_diamond_graph, make_holed_graph, make_pruned_graph, make_step_graph,
+                      narrow_vertices)
 
 
 def halfline() -> BasicSemilinearSet:
@@ -47,8 +48,9 @@ def test_float_membership_agrees_with_the_graph_on_its_guard_hyperplane():
     for _ in range(2000):
         c, x = rng.normal(size=3), rng.normal(size=3)
         b = GraphBuilder(3)
-        b.branch("s", AffineMap(c[None], [-((c[0] * x[0] + c[1] * x[1]) + c[2] * x[2])]),
-                 {"+": b.target_for("up"), "-": b.target_for("down")})
+        s = b.cut(None, AffineMap(c[None], [-((c[0] * x[0] + c[1] * x[1]) + c[2] * x[2])]))
+        b.leaf((s, "+"), "up")
+        b.leaf((s, "-"), "down")
         g = b.graph()
         assert evaluate(g, x) == from_llgraph(g).label_of(x) == "up"
 
@@ -326,7 +328,7 @@ def test_to_llgraph_routes_each_chamber_witness_to_its_label(f):
         assert len(names) > 1 and all(fiber_of[t].contains(point) for t in names)
         return
     g = to_llgraph(f)
-    assert all(guard.rows <= 2 for guard in g.guards.values())
+    assert all(guard.rows <= 2 for guard in g.guards.values()) and not narrow_vertices(g)
     back = from_llgraph(g)
     for w in witnesses:
         got = back.label_of(w)

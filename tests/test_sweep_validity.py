@@ -8,7 +8,9 @@ chambers its guards recorded when they were split; a copy saved and loaded
 again carries no record and walks, and both must give the same answers.
 Every region of a compiled relu graph, of the relu sweep and of four deeper
 nets, has an interior, where the network evaluated in exact arithmetic gives
-the region's label.  The deeper nets compile to the same chambers and graphs
+the region's label.  Every compiled graph, and its round trip through
+semilinear pieces, is reduced: no vertex below the source reaches only one
+target.  The deeper nets compile to the same chambers and graphs
 when no chamber is refuted by multipliers, so elimination alone decides.
 """
 
@@ -34,7 +36,9 @@ from logifold.networks import (
     forward_exact,
     random_network,
 )
-from logifold.semilinear import from_llgraph, semilinear_to_dict
+from logifold.semilinear import from_llgraph, semilinear_to_dict, to_llgraph
+
+from conftest import narrow_vertices
 
 SWEEP_NETS = 50
 SWEEP_POINTS = 10_000
@@ -58,6 +62,23 @@ def test_every_sweep_graph_is_valid_and_realizability_checked(kind, seed):
         if not require_valid(compile_net(net)).realizability_checked:
             unchecked.append(i)
     assert not unchecked, f"{kind} sweep nets {unchecked} skipped the realizability walk"
+
+
+@pytest.mark.parametrize("kind, seed", [(STEP, 20240901), (RELU, 20240902)])
+def test_every_sweep_graph_and_its_round_trip_is_reduced(kind, seed):
+    # each vertex between the source and the targets reaches two or more targets
+    compile_net = compile_step_net if kind == STEP else compile_relu_net
+    for i, net in enumerate(_sweep_nets(kind, seed)):
+        g = compile_net(net)
+        assert not narrow_vertices(g), f"{kind} sweep net {i}"
+        assert not narrow_vertices(to_llgraph(from_llgraph(g))), f"{kind} sweep net {i}"
+
+
+def test_the_constant_deep_net_compiles_to_one_arrow():
+    # every region of seed 4's [2, 6, 6, 6, 3] net has label 0
+    g = compile_relu_net(random_network(default_rng(4), [2, 6, 6, 6, 3], RELU))
+    assert not g.guards and g.vertices == {"s": "source", "t0": "target"}
+    assert g.target_labels == {"t0": 0} and len(g.arrows) == 1
 
 
 def _answers(g):
@@ -115,14 +136,16 @@ def test_every_relu_sweep_region_has_an_interior_the_exact_network_labels_alike(
         f"{len(wrong)} are mislabelled (nets {sorted(set(wrong))})")
 
 
-DEEP_NETS = [(1, [3, 4, 4, 4, 4], 168), (2, [3, 4, 4, 4, 4], 239),
-             (3, [3, 5, 5, 5, 3], 578), (4, [2, 6, 6, 6, 3], 121)]
+DEEP_NETS = [(1, [3, 4, 4, 4, 4], 161), (2, [3, 4, 4, 4, 4], 209),
+             (3, [3, 5, 5, 5, 3], 546), (4, [2, 6, 6, 6, 3], 1)]
 
 
 @pytest.mark.parametrize("seed, dims, regions", DEEP_NETS)
 def test_every_deep_net_region_has_an_interior_the_exact_network_labels_alike(seed, dims,
                                                                               regions):
-    assert _audit(random_network(default_rng(seed), dims, RELU)) == (regions, 0, 0)
+    net = random_network(default_rng(seed), dims, RELU)
+    assert _audit(net) == (regions, 0, 0)
+    assert not narrow_vertices(compile_relu_net(net))
 
 
 def _compile_with_splits(seed, dims, monkeypatch):
