@@ -2,8 +2,9 @@
 
 First pass: one cover at a fixed leftover bound, with the size of its cover
 graph (the guard count and the most guards on one source-to-target path), the
-time to build that graph (the k-d tree over the boxes) and the time to build
-the batch program that `evaluate_batch` walks it with.
+time to build that graph (the k-d tree over the boxes), the time to build the
+batch program that `evaluate_batch` walks it with, that program's step count,
+and the time of a warm `evaluate_batch` call on the labeled cells' centres.
 Second pass: repeat on the leftover cells with the bound halved each round
 until nothing is left.
 """
@@ -18,6 +19,7 @@ from logifold.approx import (
     _cover_graph,
     approximate,
     chart_family,
+    evaluate_batch,
     grid_from_function,
     mismatch_measure,
 )
@@ -67,6 +69,19 @@ def program_build_ms(g, repeats: int = 5) -> float:
     return 1000 * best
 
 
+def centres_walk_ms(g, grid, repeats: int = 5) -> float:
+    """Fastest of `repeats` warm `evaluate_batch` calls of g on the centres
+    of the grid's labeled cells, in ms; g's batch program is built first."""
+    centres = grid.center(np.argwhere(grid.labeled_mask()))
+    evaluate_batch(g, centres)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        evaluate_batch(g, centres)
+        best = min(best, time.perf_counter() - t0)
+    return 1000 * best
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--resolution", type=_count, default=32, help="cells per axis")
@@ -88,7 +103,9 @@ def main() -> None:
     print(f"cover graph: {len(cover.graph.guards)} guards, "
           f"at most {longest_guard_path(cover.graph)} on a path, "
           f"tree built in {tree_build_ms(grid, cover.rectangles):.3f} ms, "
-          f"batch program built in {program_build_ms(cover.graph):.3f} ms")
+          f"batch program built in {program_build_ms(cover.graph):.3f} ms, "
+          f"{len(_batch_program(cover.graph).steps)} steps, "
+          f"cell centres walked in {centres_walk_ms(cover.graph, grid):.3f} ms")
 
     family = chart_family(grid, eps0=mu / args.resolution, depth=args.depth)
     for r in family.charts:

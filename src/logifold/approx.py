@@ -8,7 +8,9 @@ and Yao, DCG 1990) whose every guard is one axis-aligned row at a box face.
 Inside the selected rectangles the graph reproduces the grid exactly, faces
 included; everything else routes to a fallback label, which no grid label may
 equal.  A chart family repeats the construction on the leftover cells with the
-bound halved each round.
+bound halved each round.  `evaluate_batch` walks the whole k-d tree as one
+step: each point's rank among the tree's faces on each axis, then one lookup
+in a table over those ranks (`graph._AxisTree`).
 
 The 1-D and 2-D search is the skyline scan: row r's best rectangle is the
 largest one with bottom row r, found by a stack scan of the column heights
@@ -94,10 +96,17 @@ class LabeledGrid:
         return int(self.labeled_mask().sum()) * self.cell_volume
 
     def cell_of(self, x) -> Optional[Tuple[int, ...]]:
-        x = _finite_point(x, len(self.lo))
-        idx = np.floor((x - self.lo) / self.cell_width).astype(int)
-        if np.any(idx < 0) or np.any(idx >= np.array(self.resolution)):
-            return None
+        """The cell holding x, read from the face floats lo + j*w (j = 0 .. n)
+        that `Rectangle` and a cover's guards compare against: on each axis,
+        the number of faces at or below x, less one.  None if x lies below
+        the first face or at or above the last, lo + n*w, on some axis."""
+        x = _finite_point(x, len(self.lo)).tolist()
+        idx = []
+        for l, w, n, v in zip(self.lo.tolist(), self.cell_width.tolist(), self.resolution, x):
+            i = int((l + np.arange(n + 1) * w).searchsorted(v, "right")) - 1
+            if not 0 <= i < n:
+                return None
+            idx.append(i)
         return tuple(idx)
 
     def label_at(self, x):
@@ -296,8 +305,8 @@ def _cover_graph(grid: LabeledGrid, rectangles: Sequence[Rectangle]) -> LogicalG
     the fewest of its boxes straddle, counted per position (`_cut`), by the
     one-row guard x[a] - face >= 0, whose "+" side is the upper side.  Each
     face is the float that Rectangle.lo or .hi holds, so every guard makes
-    the comparison that the box test makes, and `evaluate_batch` signs it
-    on coordinate a alone.
+    the comparison that the box test makes, and `evaluate_batch` routes the
+    whole tree by the ranks of each point's coordinates among its faces.
     """
     dim = grid.dim
     lo, width = grid.lo.tolist(), grid.cell_width.tolist()

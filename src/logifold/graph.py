@@ -38,9 +38,12 @@ the batch walk `evaluate_batch` all use it, so `evaluate_batch` returns
 `evaluate`'s labels bit for bit.  The batch walk runs a program compiled
 once per graph, holds the points as one contiguous (d, m) array in a
 per-thread workspace, and visits each vertex once, in topological order.
-A one-row guard splits its points by their sign; a guard of up to
-`_DENSE_ROWS` rows routes them through a dense table over its 2**rows sign
-codes, and a wider one looks up each distinct code once.
+A tree of axis guards x[a] - face >= 0, such as a grid cover's k-d tree,
+routes its points in one step, by their per-axis ranks among its faces and a
+table over those ranks.  Any other one-row guard splits its points by their
+sign; a guard of up to `_DENSE_ROWS` rows routes them through a dense table
+over its 2**rows sign codes, and a wider one looks up each distinct code
+once.
 """
 
 from __future__ import annotations
@@ -691,17 +694,20 @@ def evaluate_batch(g: LogicalGraph, X) -> list:
     over the program's steps, in topological order, visits each step once
     per call with every point that reached it, so points that reach the
     same vertex by different arrows move on together.  The points are
-    copied once into a contiguous (d, m) array; a guard gathers its points'
-    columns, over only the coordinates from its first nonzero coefficient
-    column to its last (`_coordinate_span`: one for a cover guard, all for
-    a dense relu guard), and signs them with `_guard_signs`, the predicate
-    `evaluate` uses.  The coordinates left out add only zeros, so the signs
-    are the same bit for bit (see `_guard_signs`).  A one-row guard splits
-    its points by that sign mask; a longer one packs each point's signs
-    into an integer code, maps the codes to destination slots through its
-    table, and splits the points by slot with one stable argsort.  Every
-    array a guard fills in place, from the
-    transposed points to the codes, lives in this thread's `_Workspace`,
+    copied once into a contiguous (d, m) array.  A tree of axis guards
+    x[a] - face >= 0 (a grid cover's k-d tree) is one step, `_AxisTree`: it
+    ranks its points among its faces by one searchsorted per axis, and one
+    take from its table over those ranks gives each point's destination
+    slot.  Any other guard gathers its points' columns, over only the
+    coordinates from its first nonzero coefficient column to its last
+    (`_coordinate_span`: all of them for a dense relu guard), and signs them
+    with `_guard_signs`, the predicate `evaluate` uses.  The coordinates
+    left out add only zeros, so the signs are the same bit for bit (see
+    `_guard_signs`).  A one-row guard splits its points by that sign mask; a
+    longer one packs each point's signs into an integer code and maps the
+    codes to destination slots through its table.  Points are split by
+    slot with one stable argsort.  Every array a guard fills in place, from
+    the transposed points to the codes, lives in this thread's `_Workspace`,
     so a warm call allocates little beyond the index arrays it hands on and
     the returned list.  A batch of more than `_WORKSPACE_POINTS` points
     walks through a workspace of its own, freed when the call returns, so a
@@ -781,12 +787,12 @@ _DENSE_ROWS = 16
 
 @dataclass(frozen=True)
 class _Program:
-    """A graph compiled for `evaluate_batch`: one step per vertex, in
-    topological order, addressed by position.  A target's step is its slot
-    in `labels`; any other step has `route(buf, XT, idx, whole)`, which
-    returns (position, point indices) pairs for the points `idx` (all of
-    them when `whole`), whose coordinates are the columns of XT, using the
-    `_Workspace` buf as scratch."""
+    """A graph compiled for `evaluate_batch`: one step per vertex, or per
+    fused axis tree, in topological order, addressed by position.  A
+    target's step is its slot in `labels`; any other step has
+    `route(buf, XT, idx, whole)`, which returns (position, point indices)
+    pairs for the points `idx` (all of them when `whole`), whose coordinates
+    are the columns of XT, using the `_Workspace` buf as scratch."""
 
     steps: list
     source: int
@@ -799,10 +805,13 @@ def _batch_program(g: LogicalGraph) -> _Program:
 
     Each vertex is compiled by the exit rule, and one that passes its points
     on by its one arrow gets no step: an arrow into it leads to the first
-    guard, target or faulty vertex after it.  Structural faults that every
-    walk meets (a cycle, a dangling arrow, no source) raise here; a fault at
-    a vertex, or a sign vector without a route, is compiled into its step
-    and raises only when a point reaches it.
+    guard, target or faulty vertex after it.  Each maximal tree of axis
+    guards (`_axis_trees`) is one `_AxisTree` step at its root's position,
+    and the vertices below the root get none.  Every other guard gets a
+    step by its shape (`_guard_step`).  Structural faults that every walk
+    meets (a cycle, a dangling arrow, no source) raise here; a fault at a
+    vertex, or a sign vector without a route, is compiled into its step and
+    raises only when a point reaches it.
     """
     order = topological_order(g)
     exits, lands = {}, {}  # lands[v]: the vertex whose step the points at v reach
@@ -813,16 +822,24 @@ def _batch_program(g: LogicalGraph) -> _Program:
             exits[v] = _Fail(e)
         lands[v] = lands[g.arrows[exits[v]].dst] if isinstance(exits[v], str) else v
     stops = [v for v in order if lands[v] == v]
+    trees, below = _axis_trees(g, stops, exits)
+    stops = [v for v in stops if v not in below]
     position = {v: p for p, v in enumerate(stops)}
+
+    def place(aid):
+        return position[lands[g.arrows[aid].dst]]
+
     steps, labels, rows = [], [], 0
     for v in stops:
         step = exits[v]
         if step is None:  # a target: its slot in the labels
             step = len(labels)
             labels.append(g.target_labels[v])
+        elif v in trees:
+            step = _AxisTree(*trees[v], place)
         elif isinstance(step, AffineMap):
             rows = max(rows, step.rows)
-            step = _guard_step(g, v, step, lambda aid: position[lands[g.arrows[aid].dst]])
+            step = _guard_step(g, v, step, place)
         steps.append(step)
     # item-wise, so tuple labels stay whole
     labels = np.fromiter(labels, dtype=object, count=len(labels))
@@ -855,6 +872,130 @@ def _guard_step(g: LogicalGraph, v: str, guard: AffineMap, place):
     return _Table(v, guard, dsts, table)
 
 
+# a tree of axis guards whose rank table would hold more cells than this
+# keeps one step per vertex
+_AXIS_CELLS = 1 << 16
+
+
+def _axis_face(guard: AffineMap) -> Optional[tuple]:
+    """(a, face) if the guard is the one row x[a] - face >= 0, with 1.0 its
+    only nonzero float coefficient and a finite face; else None."""
+    if guard.rows != 1:
+        return None
+    (row,) = guard.matrix.tolist()
+    face = -float(guard.offset[0])
+    if row.count(0.0) == len(row) - 1 and 1.0 in row and math.isfinite(face):
+        return row.index(1.0), face
+    return None
+
+
+def _axis_trees(g: LogicalGraph, stops: List[str], exits: dict):
+    """The maximal trees of axis guards among the vertices `stops`, which
+    are in topological order, each walked once over the boxes it cuts.
+
+    An axis guard is a guard vertex whose guard `_axis_face` reads.  A tree
+    grows from its root along the arrows its routes name, to each axis guard
+    that such an arrow enters directly and no other arrow enters.  A box is
+    a (lo, hi) pair of tuples of faces, -inf and inf at the start: the
+    points x with lo[a] <= x[a] < hi[a] on every axis a.  Each route that
+    leaves the tree is a leaf (lo, hi, vertex, signs, arrow), the arrow None
+    where the sign vector has no route.
+
+    Returns {root: (leaves, {axis: its faces})} and the vertices below those
+    roots.  A tree whose rank table would hold more than `_AXIS_CELLS` cells
+    is left out: its vertices keep their own steps.
+    """
+    axis = {}
+    for v in stops:
+        if isinstance(exits[v], AffineMap) and (face := _axis_face(exits[v])) is not None:
+            axis[v] = face
+    trees, below, claimed = {}, set(), set()
+    everywhere = (-math.inf,) * g.input_dim, (math.inf,) * g.input_dim
+    for root in stops:
+        if root not in axis or root in claimed:
+            continue
+        claimed.add(root)
+        inside, leaves = {root}, []
+        boxes = [(root, *everywhere)]
+        while boxes:
+            v, lo, hi = boxes.pop()
+            a, face = axis[v]
+            for key, blo, bhi in (("-", lo, hi[:a] + (min(hi[a], face),) + hi[a + 1:]),
+                                  ("+", lo[:a] + (max(lo[a], face),) + lo[a + 1:], hi)):
+                if blo[a] >= bhi[a]:  # no part of the box lies on this side
+                    continue
+                aid = _route(g, v, key)
+                w = None if aid is None else g.arrows[aid].dst
+                if w not in inside and w in axis and w not in claimed and g.in_degree[w] == 1:
+                    claimed.add(w)
+                    inside.add(w)
+                if w in inside:
+                    boxes.append((w, blo, bhi))
+                else:
+                    leaves.append((blo, bhi, v, key, aid))
+        faces: Dict[int, set] = {}
+        for v in inside:
+            faces.setdefault(axis[v][0], set()).add(axis[v][1])
+        if math.prod(len(f) + 1 for f in faces.values()) <= _AXIS_CELLS:
+            trees[root] = leaves, faces
+            below.update(inside - {root})
+    return trees, below
+
+
+class _AxisTree:
+    """A maximal tree of axis guards x[a] - face >= 0 (`_axis_trees`) as one
+    step: a table over per-axis ranks in place of a split per vertex.
+
+    A point's rank on axis a is the number of the tree's faces on that axis
+    at or below x[a], found by one searchsorted over the sorted distinct
+    faces, so x[a] - face >= 0 iff the rank passes the face's index.  The
+    table, over the product of the axes' rank ranges, holds at each cell the
+    slot in `outs` of where its points go: the position of the step they
+    reach, or the `_Fail` of a sign vector without a route, which raises the
+    per-vertex step's error once a point lands there.  Each leaf of the
+    tree's walk fills its box of ranks.  This is exact: at a finite x,
+    1.0*x[a] is x[a], and `_guard_signs` adds only signed zeros for the other
+    columns, so every point takes the route `evaluate` takes.
+    """
+
+    def __init__(self, leaves: list, faces: Dict[int, set], place):
+        axes = sorted(faces)
+        faces = [sorted(faces[a]) for a in axes]
+        # the rank of the points at or above a box bound: -0.0 finds 0.0's
+        rank = [{-math.inf: 0, math.inf: len(fs) + 1, **{f: i + 1 for i, f in enumerate(fs)}}
+                for fs in faces]
+        shape = [len(fs) + 1 for fs in faces]
+        table = np.empty(shape, dtype=np.intp)
+        slot_of, outs = {}, []
+        for lo, hi, v, key, aid in leaves:
+            out = (v, key) if aid is None else place(aid)
+            if out not in slot_of:
+                slot_of[out] = len(outs)
+                outs.append(_Fail(_no_route(v, key)) if aid is None else out)
+            table[tuple(slice(r[lo[a]], r[hi[a]]) for a, r in zip(axes, rank))] = slot_of[out]
+        self.table = table.astype(np.int8 if len(outs) < 127 else np.intp).ravel()
+        strides = [math.prod(shape[k + 1:]) for k in range(len(axes))]
+        self.axes = [(a, np.array(fs), s) for a, fs, s in zip(axes, faces, strides)]
+        self.outs = outs
+        self.fails = [s for s, out in enumerate(outs) if isinstance(out, _Fail)]
+
+    def route(self, buf, XT, idx, whole):
+        n = len(idx)
+        cells = None
+        for a, faces, stride in self.axes:
+            x = XT[a] if whole else XT[a].take(idx, 0, buf.cols[:n], "clip")
+            ranks = faces.searchsorted(x, "right")
+            if stride != 1:
+                ranks *= stride
+            cells = ranks if cells is None else np.add(cells, ranks, out=cells)
+        slots = self.table.take(cells)
+        counts = np.bincount(slots, minlength=len(self.outs)).tolist()
+        for s in self.fails:
+            if counts[s]:
+                self.outs[s].route(buf, XT, idx, whole)
+        return _split_by_slot(self.outs, slots, counts, idx, whole)
+
+
 class _Fail:
     """A vertex no point can pass: reaching it raises `error`'s kind and message."""
 
@@ -874,11 +1015,12 @@ def _coordinate_span(guard: AffineMap) -> slice:
 
 
 class _GuardStep:
-    """A guard vertex: the operands of `_guard_signs` for its guard, over
-    the coordinates of its `_coordinate_span` only, and how its sign
-    vectors route.
+    """A guard vertex outside every fused axis tree: the operands of
+    `_guard_signs` for its guard, over the coordinates of its
+    `_coordinate_span` only, and how its sign vectors route.
 
-    A cover guard x[a] - face >= 0 reads one coordinate, and a dense relu
+    A guard that reads one coordinate, such as one of an axis tree whose
+    table would pass `_AXIS_CELLS`, reads just that one, and a dense relu
     guard reads them all.  The signs are `evaluate`'s bit for bit, for the
     reason `_guard_signs` gives.
     """

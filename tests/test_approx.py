@@ -572,3 +572,33 @@ def test_points_of_another_dimension_are_rejected(x):
                    ChartFamily(g, [], 0.0).label_at):
         with pytest.raises(DimensionMismatchError, match="the grid is 2-d"):
             lookup(x)
+
+
+def probes_around(values):
+    """Each value and the floats one ulp below and above it, and both zeros."""
+    out = [0.0, -0.0]
+    for v in values:
+        out += [float(np.nextafter(v, -math.inf)), v, float(np.nextafter(v, math.inf))]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lo=st.floats(-10.0, 10.0), hi=st.floats(-10.0, 10.0),
+       cells=st.lists(st.integers(0, 3), min_size=1, max_size=40))
+@example(lo=-2.460982700857002, hi=2.2796080631724385, cells=list(range(33)))
+def test_a_point_is_in_the_cell_its_face_floats_bound(lo, hi, cells):
+    # widths are not dyadic: a face lo + j*w need not be where
+    # floor((x - lo) / w) steps, and the cover's guards compare with the face
+    assume(hi - lo > 1e-3)
+    n = len(cells)
+    labels = np.empty(n, dtype=object)
+    labels[:] = cells
+    grid = LabeledGrid(np.array([lo]), np.array([hi]), labels)
+    w = (hi - lo) / n
+    faces = [lo + j * w for j in range(n + 1)]
+    cover = approximate(grid, 0.0)
+    for x in probes_around(faces + [lo, hi]):
+        at_or_below = sum(f <= x for f in faces)
+        assert grid.cell_of([x]) == ((at_or_below - 1,) if 0 < at_or_below <= n else None)
+        if cover.region_label([x]) is not None:
+            assert evaluate(cover.graph, np.array([x])) == grid.label_at([x])

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import re
 import sys
 import threading
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from logifold import feasibility, graph
 from logifold.algebra import product, zero_locus_lift
-from logifold.approx import approximate, grid_from_function
+from logifold.approx import LabeledGrid, approximate, grid_from_function
 from logifold.errors import (
     CyclicGraphError,
     DanglingVertexError,
@@ -599,14 +600,29 @@ SPAN_GUARDS = {
 }
 
 
+def guard_steps(g):
+    """The steps of g's batch program that are not targets."""
+    return [s for s in graph._batch_program(g).steps if not isinstance(s, int)]
+
+
+def coordinates_read(step):
+    """The coordinates [start, stop) that a guard step reads: its span, or
+    from the first axis of a fused axis tree to its last."""
+    if isinstance(step, graph._AxisTree):
+        return step.axes[0][0], step.axes[-1][0] + 1
+    return step.span.start, step.span.stop
+
+
 @pytest.mark.parametrize("name", list(SPAN_GUARDS))
 def test_a_guard_step_reads_only_its_coordinate_span_and_signs_alike(name):
     names, span = SPAN_GUARDS[name]
     rows = [SPAN_ROWS[r] for r in names]
     guard = AffineMap(np.array([r for r, _ in rows]), np.array([b for _, b in rows]))
     g = sign_graph(guard)
-    (step,) = [s for s in graph._batch_program(g).steps if not isinstance(s, int)]
-    assert (step.span.start, step.span.stop) == span
+    (step,) = guard_steps(g)
+    # x[0] - 0.5 >= 0 is an axis guard: a rank table over coordinate 0
+    assert isinstance(step, graph._AxisTree) == (name == "first-only")
+    assert coordinates_read(step) == span
     # signed zeros, points on each face, and 1e308, whose products overflow
     values = [-0.0, 0.0, 0.5, -1.0, 1.0, 1e308]
     X = np.array(list(itertools.product(values, repeat=5)))
@@ -628,8 +644,128 @@ def test_dense_guards_still_read_every_coordinate():
 def test_a_cover_guard_step_reads_one_coordinate():
     grid = grid_from_function(lambda x: int(x[0] + x[1] > 1), [0.0, 0.0], [1.0, 1.0], 8)
     g = approximate(grid, 0.0).graph
-    steps = [s for s in graph._batch_program(g).steps if not isinstance(s, int)]
-    assert steps and all(s.span.stop - s.span.start == 1 for s in steps)
+    (step,) = guard_steps(g)
+    # the whole cover is one fused step; each of its ranks reads one coordinate
+    assert isinstance(step, graph._AxisTree)
+    assert [a for a, _, _ in step.axes] == [0, 1]
+
+
+def assert_batch_walk_matches_single_walks(g, X):
+    """evaluate_batch gives evaluate's labels on X, in either order, and on
+    a sub-batch of every seventh point."""
+    want = [evaluate(g, x) for x in X]
+    assert evaluate_batch(g, X) == want
+    assert evaluate_batch(g, X[::-1]) == want[::-1]
+    assert evaluate_batch(g, X[::7]) == want[::7]
+
+
+def grid_probes(grid):
+    """Every cell centre, then along each axis every face of the grid, the
+    floats one ulp either side of it, both zeros and points beyond the grid,
+    each with the other coordinates of a cell centre."""
+    centres = grid.center(np.array(list(np.ndindex(*grid.resolution))))
+    points = [centres]
+    for a in range(grid.dim):
+        faces = grid.lo[a] + np.arange(grid.resolution[a] + 1) * grid.cell_width[a]
+        values = np.concatenate([faces, np.nextafter(faces, -np.inf),
+                                 np.nextafter(faces, np.inf),
+                                 [0.0, -0.0, grid.lo[a] - 1.0, grid.hi[a] + 1.0, -1e300, 1e300]])
+        X = centres[np.arange(len(values)) % len(centres)].copy()
+        X[:, a] = values
+        points.append(X)
+    return np.vstack(points)
+
+
+def radial_grid(center, res=32, ring=0.18):
+    """Four labels on the unit square by distance from `center`: 0, 1 and 2
+    in rings of width `ring`, 3 beyond (the grid_cover benchmark's grids)."""
+    axis = (np.arange(res) + 0.5) / res
+    px, py = np.meshgrid(axis, axis, indexing="ij")
+    ring_of = np.minimum(3, np.floor(np.hypot(px - center[0], py - center[1]) / ring))
+    labels = np.empty((res, res), dtype=object)
+    labels[...] = ring_of.astype(int).tolist()
+    return LabeledGrid(np.zeros(2), np.ones(2), labels)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_benchmark_grid_covers_walk_as_one_fused_step(seed):
+    centres = [(0.5, 0.5)] + [np.random.default_rng([seed, k]).uniform(0.35, 0.65, size=2)
+                              for k in range(1, 16)]
+    for centre in centres:
+        grid = radial_grid(centre)
+        g = approximate(grid, 0.0).graph
+        (step,) = guard_steps(g)
+        assert isinstance(step, graph._AxisTree)
+        assert_batch_walk_matches_single_walks(g, grid_probes(grid))
+
+
+@pytest.mark.parametrize("lo, hi, res, fn", [
+    ([-1.3], [2.9], 37, lambda x: int(3 * np.sin(2 * x[0])) % 3),
+    ([-0.7, 0.1, -2.3], [0.9, 1.7, 0.4], 6,
+     lambda x: int(x[0] + x[1] - x[2] > 1.9) + 2 * int(x[1] > 0.8)),
+], ids=["1-d", "3-d"])
+def test_covers_in_one_and_three_dimensions_walk_as_one_fused_step(lo, hi, res, fn):
+    grid = grid_from_function(fn, lo, hi, res)
+    g = approximate(grid, 0.0).graph
+    (step,) = guard_steps(g)
+    assert isinstance(step, graph._AxisTree) and len(step.axes) == len(lo)
+    assert_batch_walk_matches_single_walks(g, grid_probes(grid))
+
+
+@pytest.mark.parametrize("cover_first", [True, False], ids=["cover-then-relu", "relu-then-cover"])
+def test_a_product_of_a_cover_and_a_relu_compile_enters_and_leaves_its_trees(cover_first):
+    grid = grid_from_function(lambda x: int(2 * x[0] - x[1] > 0.4) + int(x[1] > 1.1),
+                              [-0.35, 0.2], [1.45, 1.9], 9)
+    cover = approximate(grid, 0.0).graph
+    relu = compile_relu_net(random_network(np.random.default_rng(3), [2, 3, 3], RELU))
+    g = product([cover, relu] if cover_first else [relu, cover])
+    steps = guard_steps(g)
+    trees = [s for s in steps if isinstance(s, graph._AxisTree)]
+    # one tree for the cover, or one for each copy of it below a relu target
+    assert len(trees) == (1 if cover_first else len(relu.target_labels))
+    assert len(steps) > len(trees)  # and relu guard steps around them
+    X = np.vstack([grid_probes(grid), np.random.default_rng(5).normal(scale=1.5, size=(300, 2))])
+    assert_batch_walk_matches_single_walks(g, X)
+
+
+def test_an_axis_guard_that_two_arrows_enter_starts_a_tree_of_its_own():
+    # s: x0 >= 0 leads to m, and to the dense guard d below it, which also
+    # leads to m; m: x1 >= 0.5 is entered twice, so it is not in s's tree
+    vertices = {"s": "source", "d": "internal", "m": "internal",
+                "A": "target", "B": "target", "C": "target"}
+    arrows = [Arrow(a, src, dst) for a, src, dst in
+              [("sm", "s", "m"), ("sd", "s", "d"), ("dm", "d", "m"), ("dA", "d", "A"),
+               ("mB", "m", "B"), ("mC", "m", "C")]]
+    guards = {"s": AffineMap(np.array([[1.0, 0.0]]), np.array([0.0])),
+              "d": AffineMap(np.array([[1.0, 1.0]]), np.array([0.0])),
+              "m": AffineMap(np.array([[0.0, 1.0]]), np.array([-0.5]))}
+    routing = {"s": {"+": "sm", "-": "sd"}, "d": {"+": "dm", "-": "dA"},
+               "m": {"+": "mB", "-": "mC"}}
+    g = LogicalGraph(2, vertices, arrows, guards, routing, {"A": "A", "B": "B", "C": "C"})
+    kinds = [type(s).__name__ for s in guard_steps(g)]
+    assert kinds == ["_AxisTree", "_Split", "_AxisTree"]
+    values = [-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0]
+    X = np.array(list(itertools.product(values, repeat=2)))
+    assert_batch_walk_matches_single_walks(g, X)
+
+
+def test_a_tree_whose_table_passes_the_cell_cap_keeps_a_step_per_vertex(monkeypatch):
+    grid = radial_grid((0.41, 0.57), res=12)
+    X = grid_probes(grid)
+    g = approximate(grid, 0.0).graph
+    (fused,) = guard_steps(g)
+    cells = len(fused.table)
+    assert cells == math.prod(len(faces) + 1 for _, faces, _ in fused.axes)
+    monkeypatch.setattr(graph, "_AXIS_CELLS", cells - 1)
+    g = graph_from_dict(graph_to_dict(g))
+    steps = guard_steps(g)
+    assert len(steps) == len(g.guards) and all(isinstance(s, graph._Split) for s in steps)
+    assert_batch_walk_matches_single_walks(g, X)
+    monkeypatch.setattr(graph, "_AXIS_CELLS", cells)
+    g = graph_from_dict(graph_to_dict(g))
+    (step,) = guard_steps(g)
+    assert isinstance(step, graph._AxisTree)
+    assert_batch_walk_matches_single_walks(g, X)
 
 
 def test_wrong_dimension_guard_raises_only_once_a_point_reaches_it():

@@ -94,9 +94,12 @@ def test_fixed_dims_compile_the_region_audits_first_deep_net():
 def test_the_grid_report_times_the_tree_and_its_batch_program():
     proc = run_script(["approx_diagonal_grid.py", "--resolution", "8", "--depth", "2"])
     assert proc.returncode == 0, proc.stderr
-    assert re.search(r"^cover graph: \d+ guards, at most \d+ on a path, "
-                     r"tree built in \d+\.\d{3} ms, batch program built in \d+\.\d{3} ms$",
-                     proc.stdout, re.MULTILINE), proc.stdout
+    line = re.search(r"^cover graph: \d+ guards, at most \d+ on a path, "
+                     r"tree built in \d+\.\d{3} ms, batch program built in \d+\.\d{3} ms, "
+                     r"(\d+) steps, cell centres walked in \d+\.\d{3} ms$",
+                     proc.stdout, re.MULTILINE)
+    assert line, proc.stdout
+    assert line.group(1) == "4"  # the fused tree and the targets "lo", "hi" and "*"
 
 
 def test_an_infinite_bound_needs_no_box():
