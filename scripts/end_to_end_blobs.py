@@ -7,11 +7,13 @@ compared against a uniform-spread average and the best single chart.
 """
 
 import argparse
+import statistics
 import time
 
 import numpy as np
 from numpy.random import default_rng
 
+from logifold import networks
 from logifold.cli import _count, _positive
 from logifold.ensemble import build_target_graph, chart_from_net, fuzzy_accuracy
 from logifold.networks import SIGMOID, SOFTMAX, random_network
@@ -33,6 +35,18 @@ def uniform_spread(chart, X, classes):
         for c in block:
             out[:, index[c]] += p[:, j] / len(block)
     return out
+
+
+def body_passes(vote) -> int:
+    """Run vote() and count the network body passes it makes."""
+    passes = []
+    final_rows = networks._final_rows
+    networks._final_rows = lambda net, X: passes.append(net) or final_rows(net, X)
+    try:
+        vote()
+    finally:
+        networks._final_rows = final_rows
+    return len(passes)
 
 
 def main() -> None:
@@ -74,6 +88,12 @@ def main() -> None:
     preds = [vote_with_validation_history(graph, cal, x, phi).prediction
              for x in Xtest]
     vote_acc = float(np.mean([p == t for p, t in zip(preds, ytest)]))
+    times = []
+    for x in Xtest:  # warm: phi's memo is full and every path's constants are kept
+        start = time.perf_counter()
+        vote_with_validation_history(graph, cal, x, phi)
+        times.append(time.perf_counter() - start)
+    passes = body_passes(lambda: vote_with_validation_history(graph, cal, Xtest[0], phi))
 
     classes = [0, 1, 2]
     avg = sum(uniform_spread(c, Xtest, classes) for c in charts) / len(charts)
@@ -84,6 +104,8 @@ def main() -> None:
               f"on {int(mask.sum())} certain points")
     print(f"uniform-spread average: {avg_acc:.4f}")
     print(f"history vote: {vote_acc:.4f}")
+    print(f"one history vote: {statistics.median(times) * 1e6:.1f} us warm median over "
+          f"{len(Xtest)} test instances; body passes per vote: {passes}")
     print(f"total {time.time() - t0:.1f}s")
 
 

@@ -49,6 +49,7 @@ from .networks import (
     pick,
     random_network,
     save_model,
+    share_base,
 )
 from .semilinear import from_llgraph, load_semilinear, save_semilinear, to_llgraph
 from .training import (
@@ -196,16 +197,20 @@ def _parse_blocks(text):
 
 
 def _load_charts(path):
+    """The charts file's classes and charts.  A model file named by several
+    charts is read once, and equal base networks become one object, so
+    charts on one base share its forward pass in every vote."""
     doc = _load(path, read_json)
     base = os.path.dirname(os.path.abspath(path))
+    models, bases = {}, {}
     try:
         classes = doc["classes"]
         charts = []
         for rec in doc["charts"]:
-            model_path = rec["model"]
-            if not os.path.isabs(model_path):
-                model_path = os.path.join(base, model_path)
-            model = _load(model_path, load_model)
+            model_path = os.path.normpath(os.path.join(base, rec["model"]))
+            if model_path not in models:
+                models[model_path] = share_base(_load(model_path, load_model), bases)
+            model = models[model_path]
             emb = rec.get("embedding", {})
             if not isinstance(emb, dict):
                 raise MalformedFileError(path, "bad chart description: an embedding "

@@ -10,6 +10,8 @@ Accuracy curves measure each chart on the instances it is certain about.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -103,7 +105,9 @@ class ModelChart:
         return _flatten(self.partition)
 
     def outputs(self, X: np.ndarray) -> np.ndarray:
-        """Block distributions at the embedded features, one row per point."""
+        """Block distributions at the embedded features, one row per point,
+        from one `predict_batch` call, checked to hold one column per block
+        and rows that sum to 1."""
         p = np.asarray(self.predict_batch(self.embedding.apply_batch(np.atleast_2d(X))))
         if p.shape[1] != len(self.partition):
             raise DimensionMismatchError(
@@ -115,13 +119,34 @@ class ModelChart:
         return p
 
 
+# bodies run in the current `one_table` scope (see `forward_smooth_batch`)
+_BODIES: ContextVar[Optional[dict]] = ContextVar("bodies", default=None)
+
+
+@contextmanager
+def one_table():
+    """The scope of one output table.  Inside it, network charts whose
+    networks share a body network and whose embeddings hand them one array
+    object run that body once (`chart_from_net`)."""
+    token = _BODIES.set({})
+    try:
+        yield
+    finally:
+        _BODIES.reset(token)
+
+
 def chart_from_net(cid: str, model, partition,
                    embedding: Embedding = Embedding()) -> ModelChart:
-    """Chart backed by a softmax network with one output per block."""
+    """Chart backed by a softmax network with one output per block.
+
+    Inside `one_table`, its predictor runs the network's body (the network
+    itself, or a specialized network's base) once per embedded array
+    object: a chart on a body already run at that array applies only its
+    head and softmax to the kept rows, the same floats."""
     from .networks import forward_smooth_batch
 
     return ModelChart(cid, as_partition(partition),
-                      lambda X: forward_smooth_batch(model, X), embedding)
+                      lambda X: forward_smooth_batch(model, X, _BODIES.get()), embedding)
 
 
 # -- refinement -------------------------------------------------------------
@@ -189,6 +214,9 @@ class TargetGraph:
     nodes: List[TargetNode]          # sorted by decreasing flattened size
     children: Dict[int, List[int]]   # strict-subset arrows, parent -> kids
     root: int
+    # each voted path's constants, kept by `voting` on the path's first vote
+    paths: Dict[Tuple[int, ...], tuple] = field(default_factory=dict, init=False,
+                                                repr=False, compare=False)
 
 
 def _partition_key(p: Partition):

@@ -33,11 +33,13 @@ and walked on those rows and signed at a point by their rounded floats
 (`AffineMap`).  A row's value is summed
 in a fixed elementwise order, ((a0*x0 + a1*x1) + ...), and compared with -b,
 with no BLAS call, so a point's signs do not depend on the points evaluated
-with it.  `sign_vector`, `evaluate`, `evaluate_pathsum`, the fuzzy walks and
-the batch walk `evaluate_batch` all use it, so `evaluate_batch` returns
-`evaluate`'s labels bit for bit.  The batch walk runs a program compiled
-once per graph, holds the points as one contiguous (d, m) array in a
-per-thread workspace, and visits each vertex once, in topological order.
+with it.  `sign_vector`, `evaluate_pathsum`, the fuzzy walks and the batch
+walk `evaluate_batch` all use it.  `evaluate` signs one point in Python
+floats (`_signs_at`), by the same products and sums in the same order, so
+`evaluate_batch` returns `evaluate`'s labels bit for bit.  The batch walk
+runs a program compiled once per graph, holds the points as one contiguous
+(d, m) array in a per-thread workspace, and visits each vertex once, in
+topological order.
 A tree of axis guards x[a] - face >= 0, such as a grid cover's k-d tree,
 routes its points in one step, by their per-axis ranks among its faces and a
 table over those ranks.  Any other one-row guard splits its points by their
@@ -54,6 +56,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -183,6 +186,12 @@ class AffineMap:
         rows, den = self.exact
         return np.array(_rounded([r[-1] for r in rows], den), dtype=float)
 
+    @cached_property
+    def _sign_rows(self) -> tuple:
+        """`_sign_terms` as Python floats: per row, its float coefficients as
+        a list and its negated float offset."""
+        return tuple(zip(self.matrix.tolist(), (-self.offset).tolist()))
+
     def padded(self, left: int, right: int) -> "AffineMap":
         """The same rows over R^(left + dim + right), reading the middle
         coordinates: `left` zero columns before the matrix and `right` after.
@@ -281,6 +290,21 @@ def sign_vector(guard: AffineMap, x: np.ndarray) -> str:
     return "".join("+" if s else "-" for s in signs[:, 0].tolist())
 
 
+def _signs_at(guard: AffineMap, x: list) -> str:
+    """`sign_vector` at a point already checked by `_point`, given as a list
+    of floats.  Each row is summed in `_guard_signs`' order,
+    ((a0*x0 + a1*x1) + ...), and compared with -b, in Python floats: the
+    same IEEE products and sums, none fused, so the same signs."""
+    signs = []
+    for row, neg_offset in guard._sign_rows:
+        terms = map(mul, row, x)
+        total = next(terms, 0.0)
+        for t in terms:
+            total += t
+        signs.append("+" if total >= neg_offset else "-")
+    return "".join(signs)
+
+
 def _no_route(vertex: str, signs: str) -> UnknownSignVectorError:
     return UnknownSignVectorError(f"vertex {vertex!r} has no route for sign vector {signs!r}")
 
@@ -347,19 +371,25 @@ class LogicalGraph:
         """The arrow by which the walk at the point x leaves `vertex`, by the
         exit rule, or None at a target.  An arrow to a missing vertex raises
         DanglingVertexError."""
-        step = _exit(self, vertex, len(x))
-        if isinstance(step, AffineMap):
-            signs = sign_vector(step, x)
-            step = _route(self, vertex, signs)
-            if step is None:
-                raise _no_route(vertex, signs)
+        return _next_arrow(self, vertex, x, sign_vector)
+
+
+def _next_arrow(g: LogicalGraph, vertex: str, x, signs_of) -> Optional[Arrow]:
+    """`LogicalGraph.next_arrow`, with a guard's signs at x taken by
+    `signs_of(guard, x)`."""
+    step = _exit(g, vertex, len(x))
+    if isinstance(step, AffineMap):
+        signs = signs_of(step, x)
+        step = _route(g, vertex, signs)
         if step is None:
-            return None
-        arrow = self.arrows[step]
-        if arrow.dst not in self.vertices:
-            raise DanglingVertexError(
-                f"arrow {arrow.id!r} references missing vertex {arrow.dst!r}")
-        return arrow
+            raise _no_route(vertex, signs)
+    if step is None:
+        return None
+    arrow = g.arrows[step]
+    if arrow.dst not in g.vertices:
+        raise DanglingVertexError(
+            f"arrow {arrow.id!r} references missing vertex {arrow.dst!r}")
+    return arrow
 
 
 def _exit(g: LogicalGraph, v: str, dim: int):
@@ -674,11 +704,13 @@ def require_valid(g: LogicalGraph, check_realizability: bool = True) -> Validati
 # -- evaluation ------------------------------------------------------------
 
 def evaluate(g: LogicalGraph, x) -> object:
-    """Label of the unique walk from the source to a target through x's chambers."""
-    x = _point(x, g.input_dim)
+    """Label of the unique walk from the source to a target through x's
+    chambers.  The point is checked once, and each guard on the walk signs
+    it in Python floats (`_signs_at`)."""
+    x = _point(x, g.input_dim).tolist()
     v = g.source
     for _ in range(len(g.vertices)):
-        arrow = g.next_arrow(v, x)
+        arrow = _next_arrow(g, v, x, _signs_at)
         if arrow is None:
             return g.target_labels[v]
         v = arrow.dst

@@ -40,7 +40,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import mul, sub
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -226,13 +226,25 @@ def forward_smooth(net: Union[NetworkSpec, SpecializedNet], x) -> np.ndarray:
     return forward_smooth_batch(net, x[None, :])[0]
 
 
-def forward_smooth_batch(net: Union[NetworkSpec, SpecializedNet], X) -> np.ndarray:
-    """forward_smooth at every row of X; row r does not depend on the batch."""
+def forward_smooth_batch(net: Union[NetworkSpec, SpecializedNet], X,
+                         bodies: Optional[dict] = None) -> np.ndarray:
+    """forward_smooth at every row of X; row r does not depend on the batch.
+
+    The body is the network, or a specialized network's base, through its
+    softmax.  `bodies`, a dict the caller keeps, holds each body run at an
+    array object X, keyed by both objects, and a later call with the same
+    body and X reads its rows there: the same floats."""
     require(net, "smooth forward pass")
-    if isinstance(net, SpecializedNet):
-        base = _softmax(_final_rows(net.base, X), axis=1)
-        return _softmax(_rows_through(base, net.head), axis=1)
-    return _softmax(_final_rows(net, X), axis=1)
+    base = net.base if isinstance(net, SpecializedNet) else net
+    if bodies is None:
+        bodies = {}
+    key = (id(base), id(X))
+    if key not in bodies:  # the entry keeps base and X, so no other object takes their ids
+        bodies[key] = (base, X, _softmax(_final_rows(base, X), axis=1))
+    body = bodies[key][2]
+    if base is net:
+        return body
+    return _softmax(_rows_through(body, net.head), axis=1)
 
 
 def forward_exact(net: NetworkSpec, x) -> int:
@@ -435,6 +447,19 @@ def model_from_dict(data: dict) -> Union[NetworkSpec, SpecializedNet]:
     if "head" in data:
         return SpecializedNet(net, _finite_map(data["head"], "head"))
     return net
+
+
+def share_base(net, bases: dict):
+    """`net` with its base (itself, or a specialized network's base) replaced
+    by the equal network already in `bases`, keyed by kind and weight bits,
+    or entered there: models read from several files share one body."""
+    base = net.base if isinstance(net, SpecializedNet) else net
+    key = (base.kind, tuple((l.matrix.shape, l.matrix.tobytes(), l.offset.tobytes())
+                            for l in base.layers))
+    shared = bases.setdefault(key, base)
+    if shared is base:
+        return net
+    return SpecializedNet(shared, net.head) if isinstance(net, SpecializedNet) else shared
 
 
 def save_model(net, path: str):

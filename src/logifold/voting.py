@@ -9,15 +9,19 @@ shrinking targets, multiplying per-node masses for each surviving class, and
 validation history picks the path and threshold that predicted each class
 best in the past.
 
-A vote takes one of two forms.  A single instance votes in plain Python
-floats, from one `tolist()` per chart row to one array per returned vote.
-Calibration and whole-split votes run as array operations over a table of
-chart outputs, one column per block.  Both read the same cached `_plan` of
-each node's live groups (their refinement, redistribution families and label
-blocks) and apply the same float operations in the same order.  A network
-chart's output at a point does not depend on the batch it runs in, so a
-whole split runs each chart once and every row of its table gets the floats
-a single vote would.
+Every vote reads one table of chart outputs (`_outputs`), in which each
+chart runs once, and network charts that share a body network under one
+embedding run that body once.  A vote then takes one of two forms.  A single
+instance votes in plain Python floats: from one `tolist()` per chart row,
+a history vote builds no array on the way to its `VoteResult`, and a
+path's constants (its nodes, charts and classes) are read from the graph,
+where its first vote keeps them.  Calibration and whole-split votes run as
+array operations over the table, one column per block.  Both read the same
+cached `_plan` of each node's live groups (their refinement, redistribution
+families and label blocks) and apply the same float operations in the same
+order.  A network chart's output at a point does not depend on the batch it
+runs in, so a whole split runs each chart once and every row of its table
+gets the floats a single vote would.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +44,7 @@ from .ensemble import (
     _curve_of_outputs,
     _hits,
     fuzzy_accuracy,
+    one_table,
     refinement,
 )
 from .errors import (
@@ -110,9 +115,12 @@ def _one_instance(x) -> np.ndarray:
 
 def _outputs(charts: Sequence[ModelChart], idxs, X) -> Dict[int, np.ndarray]:
     """The output table every vote reads: {chart index: outputs at X}, each
-    chart run once over all rows."""
+    chart run once over all rows, in one `one_table` scope, so network
+    charts on one body and one embedded array (a generalist and its
+    specialists under the identity embedding) run that body once."""
     X = _finite_rows(X)
-    return {i: charts[i].outputs(X) for i in idxs}
+    with one_table():
+        return {i: charts[i].outputs(X) for i in idxs}
 
 
 # -- node votes ---------------------------------------------------------------
@@ -341,9 +349,13 @@ class PathVote:
 
 @dataclass
 class PathVotes:
-    """Path votes at every row of an output table, one row per instance."""
+    """Path votes at every row of an output table, one row per instance.
+
+    `values` holds one row of class values per instance: an array, or for a
+    one-row table, which votes in plain floats, a list of one list.
+    """
     classes: List
-    values: np.ndarray             # (rows, classes)
+    values: Union[np.ndarray, List[List[float]]]   # (rows, classes)
     uniform_fallback: List[bool]   # one flag or count per row
     dropped_groups: List[int]
     dead_nodes: List[int]
@@ -351,55 +363,78 @@ class PathVotes:
     @property
     def best(self) -> np.ndarray:
         """Index into classes of each row's prediction."""
-        return self.values.argmax(axis=1)
+        return np.argmax(self.values, axis=1)
+
+    def column(self, label) -> List[float]:
+        """Each row's value for the class label, as Python floats."""
+        k = self.classes.index(label)
+        if isinstance(self.values, list):
+            return [row[k] for row in self.values]
+        return self.values[:, k].tolist()
 
     def row(self, r: int) -> PathVote:
-        return PathVote(self.classes, self.values[r],
-                        self.classes[int(np.argmax(self.values[r]))],
+        values = np.asarray(self.values[r])
+        return PathVote(list(self.classes), values, self.classes[int(np.argmax(values))],
                         self.uniform_fallback[r], self.dropped_groups[r],
                         self.dead_nodes[r])
 
 
-def _path_classes(graph: TargetGraph, path) -> List:
-    return sorted((next(iter(b)) for b in graph.nodes[path[-1]].table.blocks),
-                  key=str)
+class _Along(NamedTuple):
+    """What a path's votes read at every instance: its nodes, the charts at
+    them (each once) and its classes, one label per block of its last node,
+    sorted by str."""
+    nodes: Tuple[TargetNode, ...]
+    charts: List[int]
+    classes: List
 
 
-def _path_vote_from_rows(graph, path, rows_of, phis_of, alpha,
-                         uncertain_weight) -> PathVote:
-    """Path vote at one instance; `rows_of` maps each chart index to its
-    output row."""
-    classes = _path_classes(graph, path)
-    rows_of = {i: row.tolist() for i, row in rows_of.items()}
+def _along(graph: TargetGraph, path) -> _Along:
+    """The path's constants, made on its first vote and kept on the graph."""
+    path = tuple(path)
+    along = graph.paths.get(path)
+    if along is None:
+        nodes = tuple(graph.nodes[vi] for vi in path)
+        charts = list(dict.fromkeys(i for node in nodes for idxs in node.groups
+                                    for i in idxs))
+        classes = sorted((next(iter(b)) for b in nodes[-1].table.blocks), key=str)
+        along = graph.paths[path] = _Along(nodes, charts, classes)
+    return along
+
+
+def _path_vote_from_rows(graph, path, rows_of, phis_of, alpha, uncertain_weight):
+    """Path vote at one instance, in plain floats: (values, fallback,
+    dropped, dead), with a value per class of the path in `_along`'s order.
+    `rows_of` maps each chart index to its output row as a list of floats."""
+    along = _along(graph, path)
+    classes = along.classes
     values = [1.0] * len(classes)
     fallback, dropped, dead = False, 0, 0
-    for vi in path:
+    for node in along.nodes:
         plan, masses, node_fallback, node_dropped = _node_vote_from_rows(
-            graph.nodes[vi], rows_of, phis_of, alpha, uncertain_weight)
+            node, rows_of, phis_of, alpha, uncertain_weight)
         if plan is None:
             dead += 1
             continue
         fallback |= node_fallback
         dropped += node_dropped
         values = [v * masses[plan.block_of[c]] for v, c in zip(values, classes)]
-    if dead == len(path):
+    if dead == len(along.nodes):
         values = [0.0] * len(classes)
-    pred = classes[values.index(max(values))]
-    return PathVote(classes, np.array(values), pred, fallback, dropped, dead)
+    return values, fallback, dropped, dead
 
 
 def _path_vote_table(graph, path, outs, phis_of, alpha,
                      uncertain_weight) -> PathVotes:
     """_path_vote_from_rows at every row of the output table `outs`, as
     array operations over its rows."""
-    classes = _path_classes(graph, path)
+    along = _along(graph, path)
+    classes = along.classes
     m = len(outs[next(iter(phis_of))])
     values = np.ones((m, len(classes)))
     fallback = np.zeros(m, dtype=bool)
     dropped = np.zeros(m, dtype=int)
     dead = np.zeros(m, dtype=int)
-    for vi in path:
-        node = graph.nodes[vi]
+    for node in along.nodes:
         answers, weights = zip(*(
             _group_votes([outs[i] for i in idxs], [phis_of[i] for i in idxs],
                          alpha, uncertain_weight) for idxs in node.groups))
@@ -421,42 +456,40 @@ def _path_vote_table(graph, path, outs, phis_of, alpha,
                                      axis=1)
             fallback[rows] |= node_fallback
             dropped[rows] += len(weights) - len(live)
-    values[dead == len(path)] = 0.0
+    values[dead == len(along.nodes)] = 0.0
     return PathVotes(classes, values, fallback.tolist(), dropped.tolist(),
                      dead.tolist())
 
 
 def _charts_on(graph: TargetGraph, paths) -> List[int]:
     """Indices of the charts at the paths' nodes, each once."""
-    return list(dict.fromkeys(i for path in paths for vi in path
-                              for idxs in graph.nodes[vi].groups for i in idxs))
+    return list(dict.fromkeys(i for path in paths for i in _along(graph, path).charts))
 
 
 def _path_votes(graph: TargetGraph, path, alpha, outs, phi_of,
                 uncertain_weight) -> PathVotes:
     """Path vote at every row of the output table `outs`.
 
-    A one-row table votes in plain Python floats (`_path_vote_from_rows`); a
-    longer one votes as array operations over its rows (`_path_vote_table`).
-    Both read the same cached `_plan` of each node's live groups and give
-    the same floats.
+    A one-row table votes in plain Python floats (`_path_vote_from_rows`),
+    from its rows' `tolist()` to a `PathVotes` of lists; a longer one votes
+    as array operations over its rows (`_path_vote_table`).  Both read the
+    same cached `_plan` of each node's live groups and give the same floats.
     """
-    idxs = _charts_on(graph, [path])
-    phis_of = {i: phi_of(graph.charts[i], alpha) for i in idxs}
-    path = tuple(path)
-    if len(outs[idxs[0]]) != 1:
+    along = _along(graph, path)
+    phis_of = {i: phi_of(graph.charts[i], alpha) for i in along.charts}
+    if len(outs[along.charts[0]]) != 1:
         return _path_vote_table(graph, path, outs, phis_of, alpha,
                                 uncertain_weight)
-    vote = _path_vote_from_rows(graph, path, {i: outs[i][0] for i in idxs},
-                                phis_of, alpha, uncertain_weight)
-    return PathVotes(vote.classes, vote.values[None], [vote.uniform_fallback],
-                     [vote.dropped_groups], [vote.dead_nodes])
+    values, fallback, dropped, dead = _path_vote_from_rows(
+        graph, path, {i: outs[i][0].tolist() for i in along.charts}, phis_of, alpha,
+        uncertain_weight)
+    return PathVotes(along.classes, [values], [fallback], [dropped], [dead])
 
 
 def vote_along_path(graph: TargetGraph, path: Sequence[int], alpha: float, x,
                     phi_of: PhiFn, uncertain_weight: float = 0.0) -> PathVote:
     """Per-class product of node masses down the path; argmax predicts."""
-    outs = _outputs(graph.charts, _charts_on(graph, [path]), _one_instance(x))
+    outs = _outputs(graph.charts, _along(graph, path).charts, _one_instance(x))
     return _path_votes(graph, path, alpha, outs, phi_of, uncertain_weight).row(0)
 
 
@@ -481,7 +514,7 @@ def expected_accuracy(graph: TargetGraph, path, alpha: float, label, Xval,
     yval = list(yval)
     if len(yval) == 0:
         raise EmptyValidationError("validation set is empty")
-    outs = _outputs(graph.charts, _charts_on(graph, [path]), Xval)
+    outs = _outputs(graph.charts, _along(graph, path).charts, Xval)
     votes = _path_votes(graph, path, alpha, outs, phi_of, uncertain_weight)
     return _one_vs_rest_rate(votes.classes, votes.best, _is_label(yval, label),
                              label)
@@ -566,7 +599,7 @@ def _history_votes(graph: TargetGraph, calibration: Calibration, X,
         if key not in votes_of:
             votes_of[key] = _path_votes(graph, *key, outs, phi_of, uncertain_weight)
         votes = votes_of[key]
-        answers[label] = votes.values[:, votes.classes.index(label)].tolist()
+        answers[label] = votes.column(label)
         flags.append((votes.uniform_fallback, votes.dropped_groups,
                       votes.dead_nodes))
     ranked = sorted(answers, key=str)
@@ -678,7 +711,7 @@ def _calibrated_phi(graph: TargetGraph, calibration: Calibration) -> PhiFn:
     lacking the class's alpha, raises a ValueError that names the chart."""
     phi_of = _curve_phi(calibration.curves)
     for label, entry in calibration.entries.items():
-        for i in _charts_on(graph, [entry.path]):
+        for i in _along(graph, entry.path).charts:
             try:
                 phi_of(graph.charts[i], entry.alpha)
             except KeyError:

@@ -17,7 +17,7 @@ from logifold.config import (
     config_hash,
     config_to_dict,
 )
-from logifold.ensemble import ModelChart, build_target_graph
+from logifold.ensemble import ModelChart, build_target_graph, chart_from_net
 from logifold.graph import evaluate_batch, graph_to_dict, load_graph, validate_graph
 from logifold.fuzzy import evaluate_fuzzy, load_fuzzy
 from logifold.networks import (
@@ -35,7 +35,8 @@ from logifold.networks import (
 )
 
 from logifold.training import load_dataset
-from logifold.voting import load_calibration, make_phi, vote_report
+from logifold.voting import (_calibrated_phi, calibrate, calibration_to_dict,
+                             load_calibration, make_phi, vote_report)
 
 from conftest import make_holed_graph, make_step_graph
 
@@ -684,6 +685,51 @@ class TestEnsembleCommands:
             cal.write_text(json.dumps(doc))
         return main(["ensemble", "vote", "--charts", str(charts), "--data", str(data),
                      "--calibration", str(cal), "--out", str(tmp_path / "v.json")])
+
+    def test_specialized_charts_share_their_generalists_network(self, pipeline, monkeypatch):
+        tmp_path, data, _ = pipeline
+        assert main(["--seed", "7", "specialize", "--model", str(tmp_path / "gen.json"),
+                     "--blocks", "0,1|2", "--data", str(data), "--epochs", "6",
+                     "--out", str(tmp_path / "thick.json")]) == 0
+        charts = tmp_path / "three.json"
+        charts.write_text(json.dumps({"classes": [0, 1, 2], "charts": [
+            {"id": "gen", "model": "gen.json", "blocks": [[0], [1], [2]]},
+            {"id": "pair", "model": "spec.json", "blocks": [[0], [1]]},
+            {"id": "thick", "model": "thick.json", "blocks": [[0, 1], [2]]},
+            {"id": "again", "model": "./spec.json", "blocks": [[0], [1]]}]}))
+        read, models = [], {}
+
+        def recorded(cid, model, *rest):
+            models[cid] = model
+            return chart_from_net(cid, model, *rest)
+
+        monkeypatch.setattr(cli, "load_model", lambda p: read.append(p) or load_model(p))
+        monkeypatch.setattr(cli, "chart_from_net", recorded)
+        cli._load_charts(str(charts))
+        assert sorted(Path(p).name for p in read) == ["gen.json", "spec.json", "thick.json"]
+        assert models["pair"].base is models["gen"] and models["thick"].base is models["gen"]
+        assert models["again"] is models["pair"]
+        monkeypatch.undo()
+
+        cal, votes = tmp_path / "cal.json", tmp_path / "v.json"
+        assert main(["ensemble", "calibrate", "--charts", str(charts), "--data", str(data),
+                     "--out", str(cal)]) == 0
+        assert main(["ensemble", "vote", "--charts", str(charts), "--data", str(data),
+                     "--calibration", str(cal), "--out", str(votes)]) == 0
+        # the same calibration and votes from charts that share no network
+        alone = build_target_graph([chart_from_net(rec["id"], load_model(tmp_path / rec["model"]),
+                                                   rec["blocks"])
+                                    for rec in json.loads(charts.read_text())["charts"]],
+                                   {0, 1, 2})
+        dataset = load_dataset(str(data))
+        want = calibrate(alone, *dataset.subset("val"), alphas=RunConfig().alpha_grid)
+        assert json.loads(cal.read_text()) == dict(
+            calibration_to_dict(alone, want), config_hash=json.loads(cal.read_text())["config_hash"])
+        written = votes.read_text()
+        doc = json.loads(written)
+        doc["instances"] = vote_report(alone, want, dataset.subset("test")[0],
+                                       _calibrated_phi(alone, want))["instances"]
+        assert written == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_vote_weighs_charts_as_calibrate_chose_its_paths(self, pipeline):
         tmp_path, data, charts = pipeline

@@ -96,6 +96,48 @@ def test_sign_vector_matches_rowwise_oracle(point, rows, offs):
         assert ch == ("+" if v >= 0 else "-")
 
 
+# moderate floats, whose sums round, and every float, the extremes included:
+# products and sums that overflow to +-inf, inf - inf = nan, subnormals and
+# both zeros
+FLOATS = st.floats(-10, 10) | st.floats(allow_nan=False, allow_infinity=False) \
+    | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_single_walk_signs_a_point_as_the_array_predicate_does(data):
+    n = data.draw(st.integers(0, 4))
+    point = data.draw(st.lists(FLOATS, min_size=n, max_size=n))
+    rows = data.draw(st.lists(st.lists(FLOATS, min_size=n, max_size=n), min_size=1, max_size=4))
+    offsets = []
+    for row in rows:
+        # the row's value at the point, summed in _guard_signs' order, so an
+        # offset at it, or one ulp either side, rests the sign on the sum's last bit
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.float64(0.0)
+            for k, (a, x) in enumerate(zip(row, point)):
+                total = np.multiply(a, x) if k == 0 else np.add(total, np.multiply(a, x))
+        at = -float(total)
+        offsets.append(data.draw(st.sampled_from([at, math.nextafter(at, -math.inf),
+                                                  math.nextafter(at, math.inf)])
+                                 if math.isfinite(at) else FLOATS))
+    guard = AffineMap(np.array(rows).reshape(len(rows), n), np.array(offsets))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = sign_vector(guard, np.array(point))
+    assert graph._signs_at(guard, point) == want
+
+
+def test_a_single_walk_signs_the_mutation_bases_as_the_array_predicate_does():
+    for doc, X in MUTATION_BASES:
+        g = graph_from_dict(doc)
+        probes = np.vstack([X, np.nextafter(X, np.inf), np.nextafter(X, -np.inf),
+                            np.zeros((1, 2)), -np.zeros((1, 2))])
+        for guard in g.guards.values():
+            for x in probes:
+                assert graph._signs_at(guard, x.tolist()) == sign_vector(guard, x)
+        assert_batch_walk_matches_single_walks(g, probes)
+
+
 def test_sign_vector_dim_mismatch():
     guard = AffineMap(np.array([[1.0, 0.0]]), np.array([0.0]))
     with pytest.raises(DimensionMismatchError):

@@ -102,6 +102,14 @@ def test_the_grid_report_times_the_tree_and_its_batch_program():
     assert line.group(1) == "4"  # the fused tree and the targets "lo", "hi" and "*"
 
 
+def test_the_blobs_report_times_one_history_vote():
+    proc = run_script(["end_to_end_blobs.py", "--n", "300", "--epochs", "5"])
+    assert proc.returncode == 0, proc.stderr
+    # the generalist's body, shared by both specialists, is the only one
+    assert re.search(r"^one history vote: \d+\.\d us warm median over 60 test instances; "
+                     r"body passes per vote: 1$", proc.stdout, re.MULTILINE), proc.stdout
+
+
 def test_an_infinite_bound_needs_no_box():
     proc = run_script(["approx_diagonal_grid.py", "--resolution", "8", "--depth", "2",
                        "--epsilon-frac", "inf"])

@@ -21,8 +21,11 @@ from logifold.errors import (
     NoValidPathError,
     UncoveredInstanceError,
 )
-from logifold.graph import label_to_text
-from logifold.networks import SIGMOID, SOFTMAX, random_network
+from logifold import networks
+from logifold.ensemble import Embedding
+from logifold.graph import AffineMap, label_to_text
+from logifold.networks import (SIGMOID, SOFTMAX, SpecializedNet, forward_smooth_batch,
+                               random_network)
 from logifold.voting import (
     DEFAULT_ALPHA_GRID,
     _path_vote_from_rows,
@@ -460,15 +463,13 @@ def assert_table_matches_rows(graph, path, outs, phis_of, alpha,
                              uncertain_weight)
     assert table.values.shape[0] == len(next(iter(outs.values())))
     for r in range(table.values.shape[0]):
-        want = _path_vote_from_rows(graph, path,
-                                    {i: o[r] for i, o in outs.items()},
-                                    phis_of, alpha, uncertain_weight)
+        values, *flags = _path_vote_from_rows(graph, path,
+                                              {i: o[r].tolist() for i, o in outs.items()},
+                                              phis_of, alpha, uncertain_weight)
         got = table.row(r)
-        assert got.classes == want.classes
-        assert got.values.tobytes() == want.values.tobytes()
-        assert (got.prediction, got.uniform_fallback, got.dropped_groups,
-                got.dead_nodes) == (want.prediction, want.uniform_fallback,
-                                    want.dropped_groups, want.dead_nodes)
+        assert got.values.tobytes() == np.array(values).tobytes()
+        assert got.prediction == got.classes[values.index(max(values))]
+        assert [got.uniform_fallback, got.dropped_groups, got.dead_nodes] == flags
     return table
 
 
@@ -569,6 +570,101 @@ class TestSingleInstanceVotes:
             vote(X[:1])
             with pytest.raises(DimensionMismatchError, match="one instance"):
                 vote(X[:rows])
+
+
+def shared_body_ensemble(seed, subset, opaque):
+    """Charts on two sigmoid bases A and B, over {0, 1, 2} in R^2: A itself
+    (gen), A specialized to {0,1}|{2} (thick), B specialized to {0}|{1}
+    (pair) and to {0}|{1}|{2} (fine), A specialized to {0}|{1,2} under a
+    `subset` embedding (sub), and a third network behind an opaque callable
+    (blind).  With `opaque`, every chart's predictor is an opaque callable
+    over its network, so no chart shares a body.  Returns the graph, 30
+    validation points with labels and 20 test points."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_network(rng, [2, int(rng.integers(2, 6)), 3], SIGMOID, SOFTMAX,
+                              scale=2.0) for _ in range(3))
+
+    def on(base, k):
+        """base with a random head of k outputs"""
+        return SpecializedNet(base, AffineMap(rng.normal(scale=2.0, size=(k, 3)),
+                                              rng.normal(size=k)))
+
+    specs = [("gen", a, [{0}, {1}, {2}], Embedding()),
+             ("thick", on(a, 2), [{0, 1}, {2}], Embedding()),
+             ("pair", on(b, 2), [{0}, {1}], Embedding()),
+             ("fine", on(b, 3), [{0}, {1}, {2}], Embedding()),
+             ("sub", on(a, 2), [{0}, {1, 2}], Embedding("subset", subset))]
+    charts = [ModelChart(cid, as_partition(blocks),
+                         lambda X, net=net: forward_smooth_batch(net, X), emb)
+              if opaque else chart_from_net(cid, net, blocks, emb)
+              for cid, net, blocks, emb in specs]
+    charts.append(ModelChart("blind", as_partition([{0}, {1}, {2}]),
+                             lambda X: forward_smooth_batch(c, X)))
+    X = rng.normal(scale=1.5, size=(50, 2))
+    y = [int(v) for v in rng.integers(0, 3, size=30)]
+    return build_target_graph(charts, {0, 1, 2}), X[:30], y, X[30:]
+
+
+def vote_bits(res):
+    """A VoteResult with its answer floats as hex, so -0.0 and 0.0 differ."""
+    return ({label_to_text(c): v.hex() for c, v in res.answer.items()},
+            label_to_text(res.prediction), res.uniform_fallback, res.dropped_groups,
+            res.dead_nodes)
+
+
+def report_bits(row):
+    """vote_bits of the VoteResult a vote_report row was written from."""
+    flags = dict(f.split(":") if ":" in f else (f, True) for f in row["flags"])
+    return ({c: v.hex() for c, v in row["answer"].items()}, row["prediction"],
+            bool(flags.get("uniform_fallback")), int(flags.get("dropped_groups", 0)),
+            int(flags.get("dead_nodes", 0)))
+
+
+class TestSharedBodies:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10 ** 6), subset=st.sampled_from([(0, 1), (1, 0)]),
+           uncertain_weight=st.sampled_from([0.0, 0.25]))
+    def test_shared_bodies_vote_as_charts_that_share_nothing(self, seed, subset,
+                                                             uncertain_weight):
+        graph, Xval, yval, X = shared_body_ensemble(seed, subset, opaque=False)
+        alone, *_ = shared_body_ensemble(seed, subset, opaque=True)
+        cal = calibrate(graph, Xval, yval, alphas=ALPHAS,
+                        uncertain_weight=uncertain_weight)
+        assert calibration_to_dict(graph, cal) == calibration_to_dict(
+            alone, calibrate(alone, Xval, yval, alphas=ALPHAS,
+                             uncertain_weight=uncertain_weight))
+        phi = make_phi(Xval, yval)
+        for chart in graph.charts:
+            phi(chart, 0.0)  # runs every chart on the validation rows, one table each
+        on_paths = {graph.charts[i].id for e in cal.entries.values()
+                    for vi in e.path for idxs in graph.nodes[vi].groups for i in idxs}
+        # one pass of A's body for gen and thick, one of B's for pair and
+        # fine, and one each for sub, under its own embedding, and blind
+        bodies = {"gen": "A", "thick": "A", "pair": "B", "fine": "B", "sub": "sub",
+                  "blind": "blind"}
+        passes = []
+        final_rows = networks._final_rows
+
+        def counted(net, X):
+            passes.append((id(net), id(X)))
+            return final_rows(net, X)
+
+        def one_pass_each(vote):
+            """vote(), asserting that it ran each (body, array) pair once."""
+            passes.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(networks, "_final_rows", counted)
+                got = vote()
+            assert len(set(passes)) == len(passes) == len({bodies[c] for c in on_paths})
+            return got
+
+        rows = one_pass_each(lambda: vote_report(graph, cal, X, phi, uncertain_weight))
+        for x, row in zip(X, rows["instances"]):
+            res = one_pass_each(lambda: vote_with_validation_history(
+                graph, cal, x, phi, uncertain_weight))
+            assert vote_bits(res) == report_bits(row)
+            assert vote_bits(res) == vote_bits(vote_with_validation_history(
+                alone, cal, x, phi, uncertain_weight))
 
 
 class TestFuzzyBelonging:
