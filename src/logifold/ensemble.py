@@ -124,11 +124,12 @@ _BODIES: ContextVar[Optional[dict]] = ContextVar("bodies", default=None)
 
 
 @contextmanager
-def one_table():
+def one_table(bodies: Optional[dict] = None):
     """The scope of one output table.  Inside it, network charts whose
     networks share a body network and whose embeddings hand them one array
-    object run that body once (`chart_from_net`)."""
-    token = _BODIES.set({})
+    object run that body once (`chart_from_net`).  `bodies`, a dict the
+    caller keeps, carries the bodies run from one scope to the next."""
+    token = _BODIES.set({} if bodies is None else bodies)
     try:
         yield
     finally:

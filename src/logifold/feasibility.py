@@ -23,12 +23,17 @@ signed minors of the rows that block the walk, checked in integers
 The elimination kernel runs on plain integers.  A row inside it is a tuple
 ``(coeffs, offset, strict, ancestry)`` whose ancestry is a bitmask of the input
 rows it was derived from, so Imbert's history cap reads the mask's bit count.
+Each pass of `_eliminate` is one loop over the pairs of lower and upper rows
+of the eliminated variable: it forms each combined row, divides it by its
+gcd, keeps the tightest row per coefficients, and returns at the first
+violated constant row.
 Back-substitution keeps the point as integer numerators over one common
 denominator: candidate bounds compare by cross-multiplication, and every input
 row is checked against the point as an integer dot product before the witness
 is returned.  Only the returned witness is built from `Fraction`s.
-`evaluate_constraint` and `satisfies` read every coordinate as an exact
-rational, floats included, and evaluate on the same integer path.
+`evaluate_constraint`, `satisfies` and `satisfies_all` read every coordinate
+as an exact rational, floats included, and evaluate on the same integer path;
+`satisfies_all` reads a point once for all the rows it checks.
 """
 
 from __future__ import annotations
@@ -135,92 +140,100 @@ def evaluate_constraint(c: Constraint, point: Sequence) -> Fraction:
     return Fraction(_value(c.coeffs, c.offset, x, d), d)
 
 
-def _holds(c: Constraint, x, d) -> bool:
-    """Whether c holds at the point x / d."""
-    v = _value(c.coeffs, c.offset, x, d)
-    return v > 0 if c.strict else v >= 0
+def _holds_all(rows, x, d) -> bool:
+    """Whether every row holds at the point x / d, checked in one plain loop."""
+    for c in rows:
+        v = c.offset * d + sum(map(mul, c.coeffs, x))
+        if v < 0 or (not v and c.strict):
+            return False
+    return True
 
 
 def satisfies(c: Constraint, point: Sequence) -> bool:
     """Exact verdict of c at `point`, whose coordinates are read exactly."""
-    return _holds(c, *_scaled(point))
+    return _holds_all((c,), *_scaled(point))
 
 
-def _simplify(rows, best: dict) -> Optional[str]:
-    """Add rows to `best`, {coeffs: row}, keeping the tightest row per coeffs.
-
-    Rows are normalized by the gcd of their entries and satisfied constant
-    rows are dropped.  A violated constant row stops the pass; its
-    contradiction string is returned.
-    """
-    for coeffs, offset, strict, ancestry in rows:
-        if not any(coeffs):
-            if offset < 0 or (strict and not offset):
-                op = ">" if strict else ">="
-                return f"derived constant row {offset} {op} 0"
-            continue
-        g = gcd(*coeffs, offset)
-        if g > 1:
-            coeffs = tuple([v // g for v in coeffs])
-            offset //= g
-        prev = best.get(coeffs)
-        # smaller offset is the tighter bound; strict beats weak at a tie
-        if prev is None or offset < prev[1] or (offset == prev[1] and strict and not prev[2]):
-            best[coeffs] = (coeffs, offset, strict, ancestry)
-    return None
-
-
-def _combine(P, N, j: int, cap: Optional[int]):
-    """Rows without variable j, from lower-bound rows P (c_j > 0) and upper N.
-
-    With a `cap`, pairs whose joint ancestry has more than `cap` input rows
-    are skipped.
-    """
-    for pc, po, ps, ph in P:
-        mq = pc[j]
-        for qc, qo, qs, qh in N:
-            h = ph | qh
-            if cap is None or h.bit_count() <= cap:
-                mp = -qc[j]
-                yield (tuple([mp * a + mq * b for a, b in zip(pc, qc)]),
-                       mp * po + mq * qo, ps or qs, h)
+def satisfies_all(constraints: Sequence[Constraint], point: Sequence) -> bool:
+    """Whether every row of `constraints` holds at `point`, whose coordinates
+    are read exactly once for all of them."""
+    return _holds_all(constraints, *_scaled(point))
 
 
 def _eliminate(rows, n, history_cap: bool = True):
     """Full elimination. Returns (stages, contradiction) where stages records,
     per eliminated variable, the rows that mentioned it.
 
+    Each pass forms the rows without the eliminated variable x_j from its
+    lower-bound rows P (c_j > 0) and upper N, one pair at a time, and in the
+    same loop divides the row by the gcd of its entries, drops it if it is
+    a satisfied constant row, ends the elimination with it if it is a
+    violated one, and keeps the tightest row per coefficients.  The input
+    rows enter by the same loop, each paired with the zero row.
     With `history_cap`, derived rows with more than eliminated + 1 ancestors
-    are dropped.  Every contradiction found is still a consequence of the
-    input, but the cap can drop a row a refutation needs, so a feasible
-    outcome must be confirmed by checking the back-substituted point.
+    are dropped (Imbert).  Every contradiction found is still a consequence
+    of the input, but the cap can drop a row a refutation needs, so a
+    feasible outcome must be confirmed by checking the back-substituted
+    point.
     """
-    best = {}
-    bad = _simplify(((r.coeffs, r.offset, r.strict, 1 << i) for i, r in enumerate(rows)),
-                    best)
-    if bad:
-        return [], bad
-    cur = list(best.values())
-    stages = []
+    P = [(r.coeffs, r.offset, r.strict, 1 << i) for i, r in enumerate(rows)]
+    N = [((0,) * n, 0, False, 0)]  # no ancestry: the input pass keeps each row
+    best, stages, j, cap = {}, [], None, None
     while True:
+        for pc, po, ps, ph in P:
+            mq = 1 if j is None else pc[j]
+            for qc, qo, qs, qh in N:
+                h = ph | qh
+                if cap is not None and h.bit_count() > cap:
+                    continue
+                if qh:
+                    mp = -qc[j]
+                    coeffs = [mp * a + mq * b for a, b in zip(pc, qc)]
+                    offset = mp * po + mq * qo
+                    strict = ps or qs
+                else:
+                    coeffs, offset, strict = pc, po, ps
+                if not any(coeffs):
+                    if offset < 0 or (strict and not offset):
+                        return stages, f"derived constant row {offset} {'>' if strict else '>='} 0"
+                    continue
+                g = gcd(*coeffs, offset)
+                if g > 1:
+                    coeffs = [v // g for v in coeffs]
+                    offset //= g
+                coeffs = tuple(coeffs)
+                prev = best.get(coeffs)
+                # smaller offset is the tighter bound; strict beats weak at a tie
+                if prev is None or offset < prev[1] or (offset == prev[1] and strict
+                                                        and not prev[2]):
+                    best[coeffs] = (coeffs, offset, strict, h)
+        cur = list(best.values())
         # cheapest variable first: minimize the number of combined rows
         j, least = None, None
-        for k, column in enumerate(zip(*[r[0] for r in cur])):
-            p = sum(1 for a in column if a > 0)
-            q = len(column) - column.count(0) - p
+        for k in range(n):
+            p = q = 0
+            for r in cur:
+                a = r[0][k]
+                if a > 0:
+                    p += 1
+                elif a:
+                    q += 1
             if (p or q) and (least is None or p * q - p - q < least):
                 j, least = k, p * q - p - q
         if j is None:
             return stages, None
-        P = [r for r in cur if r[0][j] > 0]
-        N = [r for r in cur if r[0][j] < 0]
+        P, N, best = [], [], {}
+        for r in cur:
+            a = r[0][j]
+            if a > 0:
+                P.append(r)
+            elif a:
+                N.append(r)
+            else:
+                best[r[0]] = r
         stages.append((j, P + N))
-        best = {r[0]: r for r in cur if not r[0][j]}
-        # Imbert: longer histories are redundant rows
-        bad = _simplify(_combine(P, N, j, len(stages) + 1 if history_cap else None), best)
-        if bad:
-            return stages, bad
-        cur = list(best.values())
+        if history_cap:
+            cap = len(stages) + 1
 
 
 def _back_substitute(stages, n) -> tuple:
@@ -276,7 +289,7 @@ def _fm_verdict(constraints, n):
         if bad:
             return None, bad
         x, d = _back_substitute(stages, n)
-        if all(_holds(r, x, d) for r in rows):
+        if _holds_all(rows, x, d):
             return tuple(Fraction(v, d) for v in x), None
     raise ArithmeticError(f"uncapped elimination back-substituted "
                           f"{tuple(Fraction(v, d) for v in x)}, which breaks an input row")
@@ -531,7 +544,7 @@ def enumerate_chambers(rows, n: int, base: Sequence[Constraint] = (),
                 continue  # an opposed parallel row excludes this sign
             sub = system + [c]
             point, blockers = _crossing(system, plus, sign == "+", val, *scaled)
-            if point is not None and all(_holds(r, *point) for r in sub):
+            if point is not None and _holds_all(sub, *point):
                 rec(idx + 1, sub, None, point, prefix + sign)
                 continue
             if blockers is not None:

@@ -33,6 +33,8 @@ from .graph import (
     Arrow,
     GraphBuilder,
     LogicalGraph,
+    _finite_signs_at,
+    _next_arrow,
     graph_from_dict,
     graph_to_dict,
     read_json,
@@ -249,7 +251,9 @@ class FuzzyOutcome:
 def evaluate_fuzzy(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
     """Thread a state along the walk; each visited space must contain it.
 
-    A walk longer than the vertex count raises CyclicGraphError."""
+    Each guard signs the state as a list of Python floats
+    (`graph._finite_signs_at`), as `evaluate` signs a point.  A walk longer
+    than the vertex count raises CyclicGraphError."""
     sk = fg.skeleton
     v = sk.source
     state = np.asarray(x, dtype=float)
@@ -257,7 +261,7 @@ def evaluate_fuzzy(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
         raise StateSpaceViolationError(
             f"input of shape {state.shape} is not a state of {fg.state_spaces[v]}")
     for _ in range(len(sk.vertices)):
-        a = sk.next_arrow(v, state)
+        a = _next_arrow(sk, v, state.tolist(), _finite_signs_at)
         if a is None:
             return FuzzyOutcome(sk.target_labels[v], state, v)
         state = fg.arrow_maps[a.id].apply(state)
@@ -271,14 +275,17 @@ def evaluate_fuzzy(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
 def evaluate_fuzzy_pathsum(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
     """Evaluate by expanding all source-to-target paths; a term survives a
     vertex only on the arrow the exit rule takes there, so exactly one term
-    survives, and it reproduces the walk."""
+    survives, and it reproduces the walk, signed as it is."""
     sk = fg.skeleton
     topological_order(sk)  # a cycle would expand forever
+    state = np.asarray(x, dtype=float)
+    if state.ndim != 1:
+        raise DimensionMismatchError(f"input has shape {state.shape}, not one state")
     live = []
-    stack = [(sk.source, np.asarray(x, dtype=float))]
+    stack = [(sk.source, state)]
     while stack:
         v, state = stack.pop()
-        chosen = sk.next_arrow(v, state)
+        chosen = _next_arrow(sk, v, state.tolist(), _finite_signs_at)
         if chosen is None:
             live.append(FuzzyOutcome(sk.target_labels[v], state, v))
             continue

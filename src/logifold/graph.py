@@ -33,9 +33,10 @@ and walked on those rows and signed at a point by their rounded floats
 (`AffineMap`).  A row's value is summed
 in a fixed elementwise order, ((a0*x0 + a1*x1) + ...), and compared with -b,
 with no BLAS call, so a point's signs do not depend on the points evaluated
-with it.  `sign_vector`, `evaluate_pathsum`, the fuzzy walks and the batch
-walk `evaluate_batch` all use it.  `evaluate` signs one point in Python
-floats (`_signs_at`), by the same products and sums in the same order, so
+with it.  `sign_vector`, `evaluate_pathsum` and the batch walk
+`evaluate_batch` all use it.  `evaluate` and the fuzzy walks sign one point
+in Python floats (`_signs_at`), by the same products and sums in the same
+order (`_row_sum`, also behind `BasicSemilinearSet.contains`), so
 `evaluate_batch` returns `evaluate`'s labels bit for bit.  The batch walk
 runs a program compiled once per graph, holds the points as one contiguous
 (d, m) array in a per-thread workspace, and visits each vertex once, in
@@ -290,19 +291,32 @@ def sign_vector(guard: AffineMap, x: np.ndarray) -> str:
     return "".join("+" if s else "-" for s in signs[:, 0].tolist())
 
 
+def _row_sum(row: list, x: list) -> float:
+    """The float row a . x at the list of floats x, summed in `_guard_signs`'
+    order, ((a0*x0 + a1*x1) + ...), in Python floats: the same IEEE products
+    and sums, none fused, so the same value bit for bit."""
+    terms = map(mul, row, x)
+    total = next(terms, 0.0)
+    for t in terms:
+        total += t
+    return total
+
+
 def _signs_at(guard: AffineMap, x: list) -> str:
     """`sign_vector` at a point already checked by `_point`, given as a list
-    of floats.  Each row is summed in `_guard_signs`' order,
-    ((a0*x0 + a1*x1) + ...), and compared with -b, in Python floats: the
-    same IEEE products and sums, none fused, so the same signs."""
+    of floats: each row's `_row_sum` compared with -b, so the same signs."""
     signs = []
     for row, neg_offset in guard._sign_rows:
-        terms = map(mul, row, x)
-        total = next(terms, 0.0)
-        for t in terms:
-            total += t
-        signs.append("+" if total >= neg_offset else "-")
+        signs.append("+" if _row_sum(row, x) >= neg_offset else "-")
     return "".join(signs)
+
+
+def _finite_signs_at(guard: AffineMap, x: list) -> str:
+    """`_signs_at` at a list of floats not yet checked: a NaN or infinite
+    coordinate raises NonFinitePointError, as `sign_vector` does."""
+    if not all(map(math.isfinite, x)):
+        _require_finite(np.asarray(x))
+    return _signs_at(guard, x)
 
 
 def _no_route(vertex: str, signs: str) -> UnknownSignVectorError:

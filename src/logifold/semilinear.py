@@ -6,7 +6,7 @@ Emptiness is decided exactly over the rationals, so every verdict carries
 either a witness point or a contradiction certificate.  A piece keeps its
 rows as one `graph.AffineMap`, so its exact rows are read as a guard's are
 (`AffineMap.constraints`) and a float point is signed by the graph's
-predicate (`graph._guard_signs`).  Decision graphs
+predicate, each row summed as `graph._row_sum` sums it.  Decision graphs
 translate back and forth: each region a graph routes becomes one piece, its
 ``+`` steps weak rows and its ``-`` steps negated strict rows, and a
 piecewise-constant fiber family compiles into a binary space partition cut
@@ -28,7 +28,6 @@ decided by elimination.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -44,7 +43,7 @@ from .feasibility import (
     Verdict,
     find_witness,  # unused here; perfbench wraps and checks this binding
 )
-from .graph import (AffineMap, GraphBuilder, LogicalGraph, _guard_signs, _sign_terms,
+from .graph import (AffineMap, GraphBuilder, LogicalGraph, _row_sum,
                     _walk_regions, label_from_text, label_to_text, read_json, write_json)
 from .networks import REGION_CAP
 
@@ -89,28 +88,28 @@ class BasicSemilinearSet:
 
     def contains(self, x) -> bool:
         """Exact when every coordinate is an int or a Fraction; at a float
-        point each row's sum is `graph._guard_signs`'s, compared with -b, so
-        membership agrees with the graph's routing."""
+        point each row's sum is `graph._row_sum`, the sum `_guard_signs`
+        takes, compared with -b, so membership agrees with the graph's
+        routing."""
         x = list(x)
         if len(x) != self.dim:
             raise DimensionMismatchError(f"point has {len(x)} coordinates, set is {self.dim}-d")
         if all(isinstance(v, (int, Fraction)) for v in x):
-            return all(feasibility.satisfies(c, x) for c in self._ints)
-        sums = np.empty((self._rows.rows, 1))
-        _guard_signs(*_sign_terms(self._rows), np.asarray(x, dtype=float)[:, None], acc=sums)
-        s, b = sums[:, 0].tolist(), (-self._rows.offset).tolist()
+            return feasibility.satisfies_all(self._ints, x)
+        x = [float(v) for v in x]
         ne, ng = len(self.eq), len(self.gt)
-        return (all(map(operator.eq, s[:ne], b[:ne]))
-                and all(map(operator.gt, s[ne:ne + ng], b[ne:ne + ng]))
-                and all(map(operator.ge, s[ne + ng:], b[ne + ng:])))
+        for i, (row, b) in enumerate(self._rows._sign_rows):
+            s = _row_sum(row, x)
+            if not (s == b if i < ne else s > b if i < ne + ng else s >= b):
+                return False
+        return True
 
     def emptiness(self) -> Verdict:
         """Exact verdict.  A witness that satisfies every integer row, checked
         in integers, decides it feasible; without one, or when the witness
         breaks a row, elimination decides."""
         w = self.witness
-        if (w is not None and len(w) == self.dim
-                and all(feasibility.satisfies(c, w) for c in self._ints)):
+        if w is not None and len(w) == self.dim and feasibility.satisfies_all(self._ints, w):
             return Verdict(True, tuple(w), None)
         return feasibility.check_system(self._ints, self.dim)
 

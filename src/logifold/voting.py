@@ -29,7 +29,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Sequence, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -65,8 +66,12 @@ PhiFn = Callable[[ModelChart, float], float]
 def make_phi(X, y) -> PhiFn:
     """Certain-part accuracy lookup backed by a validation set, memoized.
 
-    Each chart runs on X once, however many thresholds are asked for.
+    Each chart runs on X once, however many thresholds are asked for, and
+    each body network once for the lookup's lifetime: network charts on one
+    body share its run, as they do inside one `_outputs` table.
     """
+    X = np.atleast_2d(np.asarray(X, dtype=float))  # one array object for every chart
+    bodies: dict = {}
     scored: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     cache: Dict[Tuple[str, float], float] = {}
 
@@ -74,7 +79,7 @@ def make_phi(X, y) -> PhiFn:
         key = (chart.id, alpha)
         if key not in cache:
             if chart.id not in scored:
-                p = _outputs([chart], [0], X)[0]
+                p = _outputs([chart], [0], X, bodies)[0]
                 scored[chart.id] = (p.max(axis=1), _hits(chart, p, y))
             cache[key] = _certain_accuracy(*scored[chart.id], alpha)[0]
         return cache[key]
@@ -113,13 +118,15 @@ def _one_instance(x) -> np.ndarray:
     return X
 
 
-def _outputs(charts: Sequence[ModelChart], idxs, X) -> Dict[int, np.ndarray]:
+def _outputs(charts: Sequence[ModelChart], idxs, X,
+             bodies: Optional[dict] = None) -> Dict[int, np.ndarray]:
     """The output table every vote reads: {chart index: outputs at X}, each
     chart run once over all rows, in one `one_table` scope, so network
     charts on one body and one embedded array (a generalist and its
-    specialists under the identity embedding) run that body once."""
+    specialists under the identity embedding) run that body once.  A
+    caller's `bodies` dict keeps those runs for its later tables."""
     X = _finite_rows(X)
-    with one_table():
+    with one_table(bodies):
         return {i: charts[i].outputs(X) for i in idxs}
 
 

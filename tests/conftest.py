@@ -9,6 +9,28 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def near_hyperplane(rng, a, b, count=3, ulps=3):
+    """Float points within `ulps` units in the last place of the hyperplane
+    a . x + b = 0: each of `count` random points is moved onto it along its
+    largest coefficient's coordinate, then stepped -ulps..ulps floats along
+    that coordinate.  No points when the row has no nonzero coefficient."""
+    a = np.asarray(a, dtype=float)
+    if not a.any():
+        return []
+    j = int(np.argmax(np.abs(a)))
+    out = []
+    for _ in range(count):
+        p = rng.normal(scale=2.0, size=len(a))
+        p[j] = 0.0
+        p[j] = -(float(a @ p) + b) / a[j]
+        for k in range(-ulps, ulps + 1):
+            q = p.copy()
+            for _ in range(abs(k)):
+                q[j] = np.nextafter(q[j], np.inf if k > 0 else -np.inf)
+            out.append(q)
+    return out
+
+
 def narrow_vertices(g):
     """The vertices between the source and the targets that reach fewer than
     two targets; a reduced graph has none."""

@@ -3,6 +3,7 @@
 Oracle for small systems: dense grid sampling with rational arithmetic.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from logifold.feasibility import (
     find_witness,
     make_constraint,
     satisfies,
+    satisfies_all,
 )
 from logifold.graph import AffineMap
 
@@ -89,6 +91,32 @@ def test_satisfies_matches_fraction_arithmetic_on_float_points(coeffs, offset, s
     assert evaluate_constraint(c, point) == want
     assert satisfies(c, point) == (want > 0 if strict else want >= 0)
     assert satisfies(c, [np.float64(x) for x in point]) == satisfies(c, point)
+
+
+def _rows_and_point(n):
+    """Up to six integer rows in n variables and a point of int, Fraction
+    and float coordinates."""
+    coordinate = st.one_of(st.integers(-6, 6),
+                           st.fractions(Fraction(-6), Fraction(6), max_denominator=12),
+                           st.floats(-6, 6, allow_nan=False))
+    row = st.builds(Constraint, st.lists(st.integers(-5, 5), min_size=n, max_size=n).map(tuple),
+                    st.integers(-8, 8), st.booleans())
+    return st.tuples(st.lists(row, max_size=6), st.lists(coordinate, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(_rows_and_point))
+def test_satisfies_all_is_every_row_satisfied(case):
+    rows, point = case
+    assert satisfies_all(rows, point) == all([satisfies(c, point) for c in rows])
+    # the point on a row's boundary, where strictness decides
+    for c in rows[:1]:
+        if any(c.coeffs):
+            j = next(i for i, a in enumerate(c.coeffs) if a)
+            on = [Fraction(v) for v in point]
+            on[j] -= evaluate_constraint(c, on) / c.coeffs[j]
+            assert satisfies_all(rows, on) == all([satisfies(r, on) for r in rows])
+            assert satisfies_all([c], on) == (not c.strict)
 
 
 def test_non_finite_points_are_rejected():
@@ -214,6 +242,43 @@ def test_history_cap_gap_is_refuted(rows, refutation):
     assert not verdict.feasible and verdict.witness is None
     assert verdict.contradiction == f"derived constant row {refutation}"
     assert find_witness(cs, 3) is None
+
+
+def _seeded_systems():
+    """The verdict corpus: (n, rows) for 2,000 3-d systems drawn as the
+    semilinear round trip's standalone systems are (3-7 rows, entries in
+    [-4, 4], 40% strict), 1,000 smaller 1-5-d systems, and the cap gaps."""
+    rng = np.random.default_rng(39)
+    for _ in range(2000):
+        yield 3, [make_constraint([int(a) for a in rng.integers(-4, 5, size=3)],
+                                  int(rng.integers(-4, 5)), bool(rng.random() < 0.4))
+                  for _ in range(int(rng.integers(3, 8)))]
+    rng = np.random.default_rng(40)
+    for n in range(1, 6):
+        for _ in range(200):
+            yield n, [make_constraint([int(a) for a in rng.integers(-3, 4, size=n)],
+                                      int(rng.integers(-3, 4)), bool(rng.random() < 0.4))
+                      for _ in range(int(rng.integers(1, 2 * n + 3)))]
+    for rows, _ in CAP_GAP_SYSTEMS:
+        yield 3, [make_constraint(c, b, s) for c, b, s in rows]
+
+
+# sha256 of every verdict of the corpus (flag, witness as numerator and
+# denominator pairs, contradiction text), recorded before the elimination
+# loop was fused; any change to a verdict changes it.
+VERDICT_DIGEST = "5ab786de34b7a90e055e1e3f332e625eb701e664c07e5918a4e7f69ade4b61b0"
+
+
+def test_elimination_verdicts_are_pinned():
+    h = hashlib.sha256()
+    refuted = 0
+    for n, rows in _seeded_systems():
+        v = check_system(rows, n)
+        refuted += not v.feasible
+        w = None if v.witness is None else [(x.numerator, x.denominator) for x in v.witness]
+        h.update(repr((v.feasible, w, v.contradiction)).encode())
+    assert 0 < refuted < 3002
+    assert h.hexdigest() == VERDICT_DIGEST
 
 
 def test_enumerate_chambers_single_line():

@@ -4,6 +4,8 @@ import pytest
 from logifold.algebra import graft, product
 from logifold.errors import (
     CyclicGraphError,
+    DimensionMismatchError,
+    NonFinitePointError,
     NotScalarOutputError,
     StateSpaceMismatchError,
     StateSpaceViolationError,
@@ -35,7 +37,8 @@ from logifold.fuzzy import (
     scalar_values,
     validate_fuzzy,
 )
-from logifold.graph import SOURCE, TARGET, Arrow, LogicalGraph, evaluate
+from logifold.graph import (SOURCE, TARGET, Arrow, LogicalGraph, _finite_signs_at, evaluate,
+                            sign_vector)
 from logifold.networks import (
     RELU,
     SIGMOID,
@@ -46,7 +49,7 @@ from logifold.networks import (
     random_network,
 )
 
-from conftest import make_cyclic_graph
+from conftest import make_cyclic_graph, near_hyperplane
 
 
 def scalar_sigmoid_graph(w, b, label):
@@ -148,6 +151,52 @@ def test_pathsum_agrees_with_walk(rng):
         path = evaluate_fuzzy_pathsum(fg, x)
         assert walk.target == path.target
         assert np.allclose(walk.state, path.state)
+
+
+def array_walk(fg, x):
+    """(target, state) of the walk with each guard signed by `sign_vector`,
+    the array predicate `graph._guard_signs`."""
+    sk, v, state = fg.skeleton, fg.skeleton.source, np.asarray(x, dtype=float)
+    while True:
+        a = sk.next_arrow(v, state)
+        if a is None:
+            return v, state
+        state, v = fg.arrow_maps[a.id].apply(state), a.dst
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fuzzy_walks_sign_as_the_array_predicate_next_to_every_hyperplane(seed):
+    rng = np.random.default_rng(seed)
+    fg = from_relu_softmax_net(random_network(rng, [2, 4, 4, 3], RELU, final=SOFTMAX))
+    sk = fg.skeleton
+    source = sk.guards[sk.source]
+    crossed = set()
+    for i, (row, b) in enumerate(zip(source.matrix, source.offset)):
+        for x in near_hyperplane(rng, row, b):
+            crossed.add((i, sign_vector(source, x)[i]))
+            target, state = array_walk(fg, x)
+            for got in (evaluate_fuzzy(fg, x), evaluate_fuzzy_pathsum(fg, x)):
+                assert got.target == target
+                assert got.state.tobytes() == state.tobytes()
+    assert len(crossed) == 2 * source.rows  # both sides of every row
+    for guard in sk.guards.values():
+        for row, b in zip(guard.matrix, guard.offset):
+            for x in near_hyperplane(rng, row, b):
+                assert _finite_signs_at(guard, x.tolist()) == sign_vector(guard, x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fuzzy_walks_reject_a_non_finite_state(rng, bad):
+    fg = from_relu_softmax_net(random_network(rng, [2, 4, 3], RELU, final=SOFTMAX))
+    for walk in (evaluate_fuzzy, evaluate_fuzzy_pathsum):
+        with pytest.raises(NonFinitePointError):
+            walk(fg, [0.5, bad])
+
+
+def test_pathsum_takes_one_state(rng):
+    fg = from_relu_softmax_net(random_network(rng, [2, 4, 3], RELU, final=SOFTMAX))
+    with pytest.raises(DimensionMismatchError):
+        evaluate_fuzzy_pathsum(fg, [[0.5, 0.5], [1.0, 0.0]])
 
 
 def test_outcome_distribution_sums_to_one(rng):

@@ -17,6 +17,15 @@ or `final_activation`.  A graph is built from scratch only by
 `graph.graph_from_dict`, and in the transformers that rewrite graphs they
 are given (`graph.relabel`, `algebra.graft`, `algebra.boolean_combine`,
 `algebra.zero_locus_lift`, `fuzzy.fuzzy_product`, `fuzzy._combine_scalar`).
+An exact point check of many rows reads the point once: outside
+`feasibility`, no `satisfies` call sits in a comprehension or a generator,
+so such a check goes through `feasibility.satisfies_all`.  A row's float
+sum at a point has one copy, `graph._row_sum` (with `graph._guard_signs`,
+its array form): outside `graph`, no module sums products by a map of
+`mul`, sums the products `a * x` of a comprehension over `zip`, or starts
+a sum at a float (`next` or `sum` with a float default, `math.fsum`), but
+for the integer dot products of `feasibility` and of the exact relu steps
+`networks.forward_exact` and `networks._next_map`.
 Each check walks the syntax tree, so a second copy fails here however it
 is spelled.
 """
@@ -34,6 +43,9 @@ CONVERSION_HOMES = {
     "read_exact": {("graph", "AffineMap.exact"), ("networks", "forward_exact")},
     "enumerate_chambers": {("graph", "AffineMap.chambers")},
 }
+# (module, function) outside `feasibility` whose product maps sum integers
+INTEGER_SUM_HOMES = {("networks", "forward_exact"), ("networks", "_next_map")}
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 ACTIVATIONS = {"hidden_activation", "final_activation"}
 GRAPH_PARTS = {"Arrow", "LogicalGraph"}
 # (module, top-level function or class) that may construct GRAPH_PARTS
@@ -67,15 +79,21 @@ def scoped(tree: ast.Module):
     return out
 
 
-def calls(tree: ast.Module):
-    """(enclosing function as Class.method or name, called name) for every
-    call, with `import json as j` and `from json import load` resolved."""
+def _aliases(tree: ast.Module) -> dict:
+    """{local name: imported dotted name} for every import of the module."""
     alias = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             alias.update({a.asname or a.name: a.name for a in node.names})
         elif isinstance(node, ast.ImportFrom) and node.module:
             alias.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+    return alias
+
+
+def calls(tree: ast.Module):
+    """(enclosing function as Class.method or name, called name) for every
+    call, with `import json as j` and `from json import load` resolved."""
+    alias = _aliases(tree)
     out = []
     for scope, node in scoped(tree):
         if isinstance(node, ast.Call):
@@ -104,6 +122,63 @@ def activation_reads(module: str, tree: ast.Module):
     return found
 
 
+def _name(node, alias) -> str:
+    """The dotted name of a Name or Attribute node, imports resolved."""
+    if isinstance(node, ast.Name):
+        return alias.get(node.id, node.id)
+    if isinstance(node, ast.Attribute):
+        return f"{_name(node.value, alias)}.{node.attr}"
+    return ""
+
+
+def point_checks(module: str, tree: ast.Module):
+    """The `satisfies` calls of `module` inside a comprehension or a
+    generator: a multi-row check that reads the point once per row."""
+    if module == "feasibility":
+        return []
+    alias, found = _aliases(tree), []
+    for scope, node in scoped(tree):
+        if isinstance(node, COMPREHENSIONS):
+            for inner in ast.walk(node):
+                if (isinstance(inner, ast.Call)
+                        and _name(inner.func, alias).rsplit(".", 1)[-1] == "satisfies"):
+                    found.append(f"{module}.{scope or '<module>'} checks rows one read each")
+    return found
+
+
+def _pairwise_products(node, alias) -> bool:
+    """Whether `node` is a comprehension of products `a * x` of two names
+    drawn from a `zip`: the terms of a dot product."""
+    return (isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp))
+            and isinstance(node.elt, ast.BinOp) and isinstance(node.elt.op, ast.Mult)
+            and isinstance(node.elt.left, ast.Name) and isinstance(node.elt.right, ast.Name)
+            and isinstance(node.generators[0].iter, ast.Call)
+            and _name(node.generators[0].iter.func, alias) == "zip")
+
+
+def float_sums(module: str, tree: ast.Module):
+    """The calls of `module` that sum a row at a point outside `graph`: a map
+    of `mul` or a sum of zipped products (bar the integer homes), or a sum
+    started at a float."""
+    if module in ("graph", "feasibility"):
+        return []
+    alias, found = _aliases(tree), []
+    for scope, node in scoped(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f, args = _name(node.func, alias), node.args
+        product_map = ((f == "map" and args
+                        and _name(args[0], alias) in ("operator.mul", "mul"))
+                       or (f in ("sum", "math.fsum") and args
+                           and _pairwise_products(args[0], alias)))
+        float_start = (f in ("next", "sum") and len(args) == 2
+                       and isinstance(args[1], ast.Constant) and type(args[1].value) is float)
+        if ((product_map and (module, scope) not in INTEGER_SUM_HOMES)
+                or float_start or f.endswith("fsum")):
+            found.append(f"{module}.{scope or '<module>'} sums a row")
+    return found
+
+
 def strays(module: str, tree: ast.Module):
     """The calls and reads of `module` that make a second copy of any
     conversion, of the check of network kinds, or of the graph builder."""
@@ -117,7 +192,8 @@ def strays(module: str, tree: ast.Module):
             found.append(f"{module}.{scope or '<module>'} calls {name}")
         if conversion in GRAPH_PARTS and (module, scope.split(".")[0]) not in GRAPH_HOMES:
             found.append(f"{module}.{scope or '<module>'} constructs {conversion}")
-    return found + activation_reads(module, tree)
+    return (found + activation_reads(module, tree) + point_checks(module, tree)
+            + float_sums(module, tree))
 
 
 def test_each_conversion_has_one_copy_in_the_package():
@@ -204,3 +280,45 @@ class Tree:
         "approx.graft constructs LogicalGraph", "approx.graft constructs Arrow"]
     assert strays("algebra", ast.parse(second)) == [
         "algebra.cover constructs Arrow", "algebra.cover constructs LogicalGraph"]
+
+
+def test_the_check_sees_a_row_check_or_a_row_sum_outside_its_home():
+    second = """
+import math
+from operator import mul
+from . import feasibility
+from .feasibility import satisfies
+
+class Piece:
+    def contains(self, x):
+        return all(feasibility.satisfies(c, x) for c in self.rows)
+
+    def count(self, x):
+        return len([c for c in self.rows if satisfies(c, x)])
+
+    def one(self, x):
+        return satisfies(self.rows[0], x)
+
+def value(row, x):
+    terms = map(mul, row, x)
+    return next(terms, 0.0) + sum(terms, 0.0)
+
+def exact(row, x):
+    return math.fsum(a * v for a, v in zip(row, x))
+
+def dot(row, x):
+    return sum(a * v for a, v in zip(row, x)) + sum([w / 2 * c for w, c in zip(row, x)])
+
+def forward_exact(net, x):
+    return sum(map(mul, net, x))
+"""
+    assert strays("semilinear", ast.parse(second)) == [
+        "semilinear.Piece.contains checks rows one read each",
+        "semilinear.Piece.count checks rows one read each",
+        "semilinear.value sums a row", "semilinear.value sums a row",
+        "semilinear.value sums a row", "semilinear.exact sums a row",
+        "semilinear.dot sums a row", "semilinear.forward_exact sums a row"]
+    assert strays("networks", ast.parse(second))[-5:] == [
+        "networks.value sums a row", "networks.value sums a row",
+        "networks.value sums a row", "networks.exact sums a row", "networks.dot sums a row"]
+    assert strays("feasibility", ast.parse(second)) == []

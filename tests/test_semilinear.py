@@ -16,8 +16,9 @@ from logifold.errors import (
     RegionExplosionError,
 )
 from logifold.feasibility import Verdict, check_system
-from logifold.graph import (AffineMap, Arrow, GraphBuilder, LogicalGraph, _walk_regions,
-                            graph_from_dict, graph_to_dict, walk_regions)
+from logifold.graph import (AffineMap, Arrow, GraphBuilder, LogicalGraph, _guard_signs,
+                            _sign_terms, _walk_regions, graph_from_dict, graph_to_dict,
+                            walk_regions)
 from logifold.networks import RELU, STEP, compile_relu_net, compile_step_net, random_network
 from logifold.semilinear import (
     UNCOVERED,
@@ -33,7 +34,7 @@ from logifold.semilinear import (
 )
 
 from conftest import (make_diamond_graph, make_holed_graph, make_pruned_graph, make_step_graph,
-                      narrow_vertices)
+                      narrow_vertices, near_hyperplane)
 
 
 def halfline() -> BasicSemilinearSet:
@@ -53,6 +54,36 @@ def test_float_membership_agrees_with_the_graph_on_its_guard_hyperplane():
         b.leaf((s, "-"), "down")
         g = b.graph()
         assert evaluate(g, x) == from_llgraph(g).label_of(x) == "up"
+
+
+def guard_signs_contains(piece, x) -> bool:
+    """Float membership by the array predicate `graph._guard_signs`: each
+    row's sum compared with -b, as an eq, gt or ge row."""
+    sums = np.empty((piece._rows.rows, 1))
+    _guard_signs(*_sign_terms(piece._rows), np.asarray(x, dtype=float)[:, None], acc=sums)
+    s, b = sums[:, 0].tolist(), (-piece._rows.offset).tolist()
+    ne, ng = len(piece.eq), len(piece.gt)
+    return all(v == w if i < ne else v > w if i < ne + ng else v >= w
+               for i, (v, w) in enumerate(zip(s, b)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float_membership_is_the_array_predicate_next_to_every_hyperplane(seed):
+    rng = np.random.default_rng(seed)
+    f = from_llgraph(compile_relu_net(random_network(rng, [2, 4, 4, 3], RELU)))
+    pieces = [p for s in f.fibers.values() for p in s.pieces]
+    # an eq piece, as the step compiler's zero loci give
+    pieces.append(BasicSemilinearSet(2, ((1 / 3, 0.7, -0.1),), ((0.2, -1.0, 0.5),)))
+    seen = {True: 0, False: 0}
+    for piece in pieces:
+        for *a, b in piece.eq + piece.gt + piece.ge:
+            for x in near_hyperplane(rng, a, b):
+                want = guard_signs_contains(piece, x)
+                seen[want] += 1
+                assert piece.contains(x.tolist()) == want
+                assert piece.contains(x) == want  # numpy float64 coordinates
+                assert piece.contains([x[0], float(x[1])]) == want
+    assert seen[True] and seen[False]
 
 
 def test_contains_rejects_a_point_of_another_dimension():

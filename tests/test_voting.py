@@ -26,6 +26,8 @@ from logifold.ensemble import Embedding
 from logifold.graph import AffineMap, label_to_text
 from logifold.networks import (SIGMOID, SOFTMAX, SpecializedNet, forward_smooth_batch,
                                random_network)
+from logifold.training import (Hyperparams, relabel_for_blocks, specialize, synth_dataset,
+                               train_sgd)
 from logifold.voting import (
     DEFAULT_ALPHA_GRID,
     _path_vote_from_rows,
@@ -665,6 +667,33 @@ class TestSharedBodies:
             assert vote_bits(res) == report_bits(row)
             assert vote_bits(res) == vote_bits(vote_with_validation_history(
                 alone, cal, x, phi, uncertain_weight))
+
+    def test_make_phi_runs_each_body_once_for_its_lifetime(self, monkeypatch):
+        # a generalist and two specialists trained on one frozen body, as
+        # the blobs workload builds them
+        data = synth_dataset("blobs", 300, seed=1, spread=1.2)
+        hp = Hyperparams(learning_rate=0.5, epochs=2, batch_size=32, seed=1)
+        gen = train_sgd(random_network(np.random.default_rng(1), [2, 8, 3], SIGMOID, SOFTMAX),
+                        data, hp).model
+        specs = [("gen", gen, [[0], [1], [2]])]
+        for cid, blocks in (("pair", [[0], [1]]), ("thick", [[0, 1], [2]])):
+            specs.append((cid, train_sgd(specialize(gen, blocks),
+                                         relabel_for_blocks(data, blocks), hp).model, blocks))
+        graph = build_target_graph([chart_from_net(cid, net, [set(b) for b in blocks])
+                                    for cid, net, blocks in specs], {0, 1, 2})
+        Xval, yval = data.subset("val")
+        x = data.subset("test")[0][0]
+        cal = calibrate(graph, Xval, yval)
+        passes = []
+        final_rows = networks._final_rows
+        monkeypatch.setattr(networks, "_final_rows",
+                            lambda net, X: passes.append(len(X)) or final_rows(net, X))
+        got = vote_with_validation_history(graph, cal, x, make_phi(Xval, yval))
+        # one pass for the instance, one for every chart on the validation rows
+        assert passes == [1, len(Xval)]
+        fresh = vote_with_validation_history(
+            graph, cal, x, lambda chart, alpha: make_phi(Xval, yval)(chart, alpha))
+        assert vote_bits(got) == vote_bits(fresh) and got == fresh
 
 
 class TestFuzzyBelonging:
