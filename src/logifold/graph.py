@@ -57,6 +57,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from operator import mul
 from typing import Dict, List, Optional, Sequence
 
@@ -439,10 +440,11 @@ class GraphBuilder:
     """The one place that assembles a graph from scratch; its source is "s".
 
     A slot is the source (None) or (vertex, signs), the route of that
-    vertex's guard for one sign vector.  `cut` puts a guarded vertex at a
-    slot, `leaf` routes one to a label's target (one target per label, t0,
-    t1, ... in order of first use, so 1 and "1" stay apart), and `vertex`
-    puts there a plain vertex for the caller's own arrows, kept as made.
+    vertex's guard for one sign vector.  `split` splits a slot's region by a
+    guard, `cut` puts a guarded vertex at a slot, `leaf` routes one to a
+    label's target (one target per label, t0, t1, ... in order of first
+    use, so 1 and "1" stay apart), and `vertex` puts there a plain vertex
+    for the caller's own arrows, kept as made.
     `graph()` finishes the cuts bottom up, in one loop, by the redundant-test
     rule of ROBDD reduction (Bryant, IEEE Trans. Comput. 1986): a cut whose
     routes all reach one target is that target, and any other gets one
@@ -490,6 +492,30 @@ class GraphBuilder:
         vid = "s" if at is None else self._put(at, self.add(vid or "%s|%s" % at))
         self._cuts[vid] = (guard, {})
         return vid
+
+    def split(self, at, guard: AffineMap, system, witness, cap: Optional[int] = None,
+              vid: Optional[str] = None) -> list:
+        """The chambers of `guard` within the region at the slot `at`, whose
+        constraint system is `system` and exact point `witness`, as
+        [(slot, signs, witness, system)] in sorted sign order: the one
+        place where a region is split.
+
+        A guard whose rows all have zero coefficients is the one chamber of
+        its offsets' signs (``+`` where the offset is >= 0), with no
+        elimination.  Any other guard is split by `AffineMap.chambers`, which
+        raises GuardExplosionError past `cap` chambers.  A guard with one
+        realizable chamber adds no vertex: that chamber keeps `at`, `system`
+        and `witness`.  Any other guard is cut at `at` (named `vid` if given)
+        and each chamber gets the slot (vertex, signs).
+        """
+        rows, _ = guard.exact
+        if not any(any(r[:-1]) for r in rows):
+            return [(at, "".join(["+" if r[-1] >= 0 else "-" for r in rows]), witness, system)]
+        chambers = guard.chambers(system, witness, cap)
+        if len(chambers) == 1:
+            return [(at, *chambers, witness, system)]
+        vid = self.cut(at, guard, vid)
+        return [((vid, signs), signs, w, sub) for signs, (w, sub) in sorted(chambers.items())]
 
     def leaf(self, at, label) -> None:
         self._put(at, self.target_for(label))
@@ -629,6 +655,10 @@ def validate_graph(g: LogicalGraph, check_realizability: bool = True) -> Validat
     for v in g.target_labels:
         if g.vertices.get(v) != TARGET:
             err(DanglingVertexError(f"label attached to non-target vertex {v!r}"))
+    for part, keyed in (("guard", g.guards), ("routing", g.routing)):
+        for v in keyed:
+            if v not in g.vertices:
+                err(DanglingVertexError(f"{part} at missing vertex {v!r}"))
     labels = list(g.target_labels.values())
     if len(set(labels)) != len(labels):
         err(DanglingVertexError("target labels are not pairwise distinct"))
@@ -1360,17 +1390,40 @@ def graph_to_dict(g: LogicalGraph) -> dict:
     }
 
 
+def positive_int(value, key: str) -> int:
+    """`value`, read from a file under `key`, as an int if it is a positive
+    integer (not a bool or a float); otherwise ValueError names the key."""
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{key} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def json_object(value, key: str) -> dict:
+    """`value`, read from a file under `key`, if it is a JSON object;
+    otherwise ValueError names the key."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, got {value!r}")
+    return value
+
+
 def graph_from_dict(data: dict) -> LogicalGraph:
+    """The graph `graph_to_dict` wrote.  An `input_dim` that is not a
+    positive integer, or a `guards`, `routing` or `target_labels` that is not
+    an object (of objects, for `routing`), raises ValueError naming it."""
     vertices = {v["id"]: v["kind"] for v in data["vertices"]}
     arrows = [Arrow(a["id"], a["src"], a["dst"]) for a in data["arrows"]]
-    guards = {v: _guard_from_dict(v, gd) for v, gd in data.get("guards", {}).items()}
+    guards = {v: _guard_from_dict(v, gd)
+              for v, gd in json_object(data.get("guards", {}), "guards").items()}
+    routing = {v: json_object(r, f"routing at {v!r}")
+               for v, r in json_object(data.get("routing", {}), "routing").items()}
+    labels = json_object(data.get("target_labels", {}), "target_labels")
     return LogicalGraph(
-        input_dim=data["input_dim"],
+        input_dim=positive_int(data["input_dim"], "input_dim"),
         vertices=vertices,
         arrows=arrows,
         guards=guards,
-        routing=data.get("routing", {}),
-        target_labels={v: label_from_text(t) for v, t in data.get("target_labels", {}).items()},
+        routing=routing,
+        target_labels={v: label_from_text(t) for v, t in labels.items()},
     )
 
 

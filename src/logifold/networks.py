@@ -4,24 +4,17 @@ Both compilers share one region walker.  It subdivides input space layer by
 layer: every vertex carries the affine map that computes its layer's
 pre-activation restricted to the region reached so far, and children are the
 realizable sign chambers.  Each linear region then runs an argmax
-tournament on its final-layer map: the best index so far meets each later
-index hi in a one-row guard l_best - l_hi whose ``+`` side (>= 0) keeps the
-lower index, so ties go low.  A duel that cannot split its region adds no
-vertex.  `graph.GraphBuilder`'s finish leaves the graph reduced: every
-vertex below the source reaches two or more labels.  After a step layer
-the composed map is constant (the next layer applied to the chamber's
-Boolean outcome), so its duels are decided by their offsets: a step network
-branches only at its first layer, whose guard routes each chamber straight
-to its argmax target.
+tournament of one-row duels on its final-layer map, ties going low.  Every
+split, a layer's or a duel's, is `graph.GraphBuilder.split`.  After a step
+layer the composed map is constant (the next layer applied to the chamber's
+Boolean outcome), so a step network branches only at its first layer.
 
 The walker is also behind ``fuzzy.from_relu_softmax_net``, which puts a
 softmax leaf, an arrow carrying the region's map, where the compiler puts
 the argmax tournament.  Each relu map the walk composes is kept on the map
 it came from, with that map's chambers, so the import of a network whose
 layers the compiler has walked (or the compile after an import) reads the
-same maps and chambers instead of composing and splitting again.  A layer
-whose region holds a single sign chamber adds no vertex, so the graphs
-branch only where a layer's hyperplanes actually cut the region.
+same maps and chambers instead of composing and splitting again.
 
 Both compilers keep only regions whose constraint systems are exactly
 feasible, and the argmax convention everywhere is lowest index wins ties.
@@ -274,28 +267,21 @@ def _tournament(b: GraphBuilder, at, final: AffineMap, region, witness) -> None:
     """Route the builder's slot `at` to the argmax of the region's final map.
 
     The best index so far meets each later index hi in a one-row duel
-    l_best - l_hi whose ``+`` side (>= 0) keeps best, so the lowest index wins
-    ties.  A duel row is the difference of two of the map's exact rows,
-    built as an exact map.  A constant duel, such as every duel after a step
-    layer, keeps the side its offset's sign names, with no map or split, and
-    a duel whose region holds one chamber adds no vertex.
+    l_best - l_hi, the difference of two of the map's exact rows, whose
+    ``+`` side (>= 0) keeps best, so the lowest index wins ties.  Each duel
+    splits the region by `GraphBuilder.split`.
     """
     rows, den = final.exact
 
     def duel(at, best, hi, region, witness):
         while hi < final.rows:
-            row = tuple(map(sub, rows[best], rows[hi]))
-            if not any(row[:-1]):  # a constant duel: its offset's sign, ties going low
-                sign = "+" if row[-1] >= 0 else "-"
-            else:
-                guard = AffineMap.from_exact((row,), den, final.dim)
-                chambers = guard.chambers(region, witness)
-                if len(chambers) > 1:
-                    vid = b.cut(at, guard)
-                    for sign, (w, part) in chambers.items():
-                        duel((vid, sign), best if sign == "+" else hi, hi + 1, part, w)
-                    return
-                (sign,) = chambers
+            guard = AffineMap.from_exact((tuple(map(sub, rows[best], rows[hi])),), den, final.dim)
+            parts = b.split(at, guard, region, witness)
+            if len(parts) > 1:
+                for slot, sign, w, part in parts:
+                    duel(slot, best if sign == "+" else hi, hi + 1, part, w)
+                return
+            ((at, sign, witness, region),) = parts
             best, hi = best if sign == "+" else hi, hi + 1
         b.leaf(at, best)
 
@@ -353,13 +339,8 @@ def _walk_relu_regions(b: GraphBuilder, net: NetworkSpec, leaf, chamber_cap: int
     The one region walker behind ``compile_relu_net``, ``compile_step_net``
     and ``fuzzy.from_relu_softmax_net``.  Starting at the builder's source
     slot, each hidden layer's pre-activation map, composed over the region
-    reached so far, is cut at the region's slot, and each of its realizable
-    sign chambers gets its own slot.  A layer whose region holds a single
-    chamber adds no vertex: the walk keeps the same slot, region and
-    witness.  A composed map whose rows all have zero coefficients, such as
-    every map after a step layer or after a relu chamber with all units off,
-    is that one chamber without a split: each row takes ``+`` where its
-    offset is >= 0, as in `_tournament`.  At the last layer it calls
+    reached so far, splits the region (`GraphBuilder.split`), and the walk
+    goes on in each chamber.  At the last layer it calls
     ``leaf(at, composed, region, witness)`` once per linear region, with its
     slot and the final layer's map.  Regions are counted only at layers
     that branch, starting from 1 for the whole input space.
@@ -371,21 +352,13 @@ def _walk_relu_regions(b: GraphBuilder, net: NetworkSpec, leaf, chamber_cap: int
         if depth == net.depth - 1:
             leaf(at, composed, region, witness)
             return
-        rows, _ = composed.exact
-        if any(any(r[:-1]) for r in rows):
-            chambers = composed.chambers(region, witness, chamber_cap)
-        else:  # a constant map: each row its offset's sign, ties going "+"
-            chambers = {"".join(["+" if r[-1] >= 0 else "-" for r in rows]): None}
-        if len(chambers) == 1:
-            (signs,) = chambers
-            descend(at, depth + 1, _next_map(net, depth + 1, signs, composed), region, witness)
-            return
-        regions += len(chambers)
-        if regions > region_cap:
-            raise RegionExplosionError(f"more than {region_cap} linear regions")
-        vid = b.cut(at, composed)
-        for signs, (w, sub) in chambers.items():
-            descend((vid, signs), depth + 1, _next_map(net, depth + 1, signs, composed), sub, w)
+        parts = b.split(at, composed, region, witness, chamber_cap)
+        if len(parts) > 1:
+            regions += len(parts)
+            if regions > region_cap:
+                raise RegionExplosionError(f"more than {region_cap} linear regions")
+        for slot, signs, w, sub in parts:
+            descend(slot, depth + 1, _next_map(net, depth + 1, signs, composed), sub, w)
 
     descend(None, 0, net.layers[0], [], None)
 

@@ -28,10 +28,10 @@ decided by elimination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from numbers import Integral
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -43,8 +43,9 @@ from .feasibility import (
     Verdict,
     find_witness,  # unused here; perfbench wraps and checks this binding
 )
-from .graph import (AffineMap, GraphBuilder, LogicalGraph, _row_sum,
-                    _walk_regions, label_from_text, label_to_text, read_json, write_json)
+from .graph import (AffineMap, GraphBuilder, LogicalGraph, _require_finite, _row_sum,
+                    _walk_regions, json_object, label_from_text, label_to_text,
+                    positive_int, read_json, write_json)
 from .networks import REGION_CAP
 
 UNCOVERED = "⊥"
@@ -90,13 +91,15 @@ class BasicSemilinearSet:
         """Exact when every coordinate is an int or a Fraction; at a float
         point each row's sum is `graph._row_sum`, the sum `_guard_signs`
         takes, compared with -b, so membership agrees with the graph's
-        routing."""
+        routing, and a NaN or infinite coordinate raises NonFinitePointError."""
         x = list(x)
         if len(x) != self.dim:
             raise DimensionMismatchError(f"point has {len(x)} coordinates, set is {self.dim}-d")
         if all(isinstance(v, (int, Fraction)) for v in x):
             return feasibility.satisfies_all(self._ints, x)
         x = [float(v) for v in x]
+        if not all(map(math.isfinite, x)):
+            _require_finite(np.asarray(x))
         ne, ng = len(self.eq), len(self.gt)
         for i, (row, b) in enumerate(self._rows._sign_rows):
             s = _row_sum(row, x)
@@ -228,10 +231,9 @@ def to_llgraph(f: SemilinearFunction, region_cap: int = REGION_CAP) -> LogicalGr
     piece left on the hyperplane, else by the pair (row, -row), so that
     ``= 0`` keeps its own chamber.  A guard's rows are its hyperplane's
     first row, exact, so its floats are that piece's floats.  Each cut
-    splits the region by `AffineMap.chambers` within its system, so a walk
-    of the graph reads the recorded chambers; a cut with one realizable
-    chamber adds no vertex, and the graph is reduced (`GraphBuilder`).
-    More than `region_cap` leaves raise RegionExplosionError.
+    splits the region by `GraphBuilder.split`, so a walk of the graph reads
+    the recorded chambers.  More than `region_cap` leaves raise
+    RegionExplosionError.
     """
     n = f.dim
     index: Dict[tuple, int] = {}  # hyperplane key -> position in reps
@@ -288,15 +290,10 @@ def to_llgraph(f: SemilinearFunction, region_cap: int = REGION_CAP) -> LogicalGr
                              if all(s & ok in (0, s) for s in st.values() for ok in oks))
         row, den, _ = reps[cut]
         guard = AffineMap.from_exact(tuple(tuple(k * v for v in row) for k in mults), den, n)
-        chambers = guard.chambers(system, witness)
-        if len(chambers) == 1:  # no vertex: the region, its system and witness go on
-            (s,) = chambers
-            tasks.append((at, system, witness, {**left, cut: states[s]}, meeting))
-            continue
-        vid = b.cut(at, guard, f"q{cuts}")
-        cuts += 1
-        for s, (w, sub) in sorted(chambers.items(), reverse=True):
-            tasks.append(((vid, s), sub, w, {**left, cut: states[s]}, meeting))
+        parts = b.split(at, guard, system, witness, vid=f"q{cuts}")
+        cuts += len(parts) > 1
+        for slot, s, w, sub in reversed(parts):
+            tasks.append((slot, sub, w, {**left, cut: states[s]}, meeting))
     return b.graph()
 
 
@@ -342,14 +339,9 @@ def semilinear_from_dict(d: dict) -> SemilinearFunction:
     every piece an object whose only keys are eq, gt and ge, and every row
     dim + 1 numbers long.
     """
-    dim = d["dim"]
-    if not isinstance(dim, Integral) or isinstance(dim, bool) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    dim = int(dim)
-    if not isinstance(d["fibers"], dict):
-        raise ValueError("fibers must be an object from labels to piece lists")
+    dim = positive_int(d["dim"], "dim")
     fibers = {}
-    for text, pieces in d["fibers"].items():
+    for text, pieces in json_object(d["fibers"], "fibers").items():
         fibers[label_from_text(text)] = SemilinearSet(
             dim, tuple(_piece_from_dict(dim, p) for p in pieces))
     return SemilinearFunction(dim, fibers)

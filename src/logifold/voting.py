@@ -55,7 +55,7 @@ from .errors import (
     NoValidPathError,
     UncoveredInstanceError,
 )
-from .graph import label_to_text, read_json
+from .graph import json_object, label_to_text, read_json
 
 # threshold grid for validation history; 1.0 would empty every certain part
 DEFAULT_ALPHA_GRID = tuple(round(0.05 * i, 2) for i in range(20)) + (0.99,)
@@ -692,12 +692,13 @@ def load_calibration(path, graph: TargetGraph) -> Calibration:
     """Class keys must name labels of the graph's root target.
 
     Each class's `path_nodes` must be one of its valid paths and its `alpha`
-    a number in [0, 1]; otherwise a ValueError names the class.
+    a number in [0, 1]; otherwise a ValueError names the class.  `classes`
+    and `charts` must be objects, or a ValueError names the key.
     """
     doc = read_json(path)
     named = {label_to_text(l): l for l in graph.nodes[graph.root].target}
     entries = {}
-    for key, rec in doc["classes"].items():
+    for key, rec in json_object(doc["classes"], "classes").items():
         label, nodes, alpha = named[key], rec["path_nodes"], rec["alpha"]
         if tuple(nodes) not in valid_paths(graph, label):
             raise ValueError(f"class {key}: path_nodes {nodes} is not a valid "
@@ -708,7 +709,7 @@ def load_calibration(path, graph: TargetGraph) -> Calibration:
                              f"in [0, 1]")
         entries[label] = HistoryEntry(tuple(nodes), alpha, rec["rate"])
     curves = {cid: AccuracyCurve(rec["alphas"], rec["phi"], rec["certain_sizes"])
-              for cid, rec in doc["charts"].items()}
+              for cid, rec in json_object(doc["charts"], "charts").items()}
     return Calibration(entries, curves, tuple(doc["alpha_grid"]))
 
 

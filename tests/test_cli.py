@@ -188,7 +188,12 @@ class TestCompileEval:
         (lambda d: d["target_labels"].pop("t1"), "DanglingVertexError"),
         (lambda d: d["routing"]["s"].update({"+": "nope"}), "IncompleteRoutingError"),
         (lambda d: d["guards"]["s"].update({"offset": [float("nan")]}), "NonFinitePointError"),
-    ], ids=["unlabeled-target", "route-to-missing-arrow", "nan-guard-offset"])
+        (lambda d: d["guards"].update({"ghost": d["guards"]["s"]}),
+         "DanglingVertexError: guard at missing vertex 'ghost'"),
+        (lambda d: d["routing"].update({"ghost": d["routing"]["s"]}),
+         "DanglingVertexError: routing at missing vertex 'ghost'"),
+    ], ids=["unlabeled-target", "route-to-missing-arrow", "nan-guard-offset",
+            "guard-at-missing-vertex", "routing-at-missing-vertex"])
     def test_eval_validates_the_graph_file(self, tmp_path, capsys, breakage, error):
         doc = graph_to_dict(make_step_graph())
         breakage(doc)
@@ -284,6 +289,25 @@ class TestCompileEval:
         assert main(["eval", "--graph", str(graph_path), "--points", str(pts)]) == 65
         assert f"{graph_path}: label text '{{\"a\": 1}}' holds a JSON object" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["eval", "to-semilinear"])
+    @pytest.mark.parametrize("key, value, error", [
+        ("guards", [], "guards must be an object, got []"),
+        ("routing", [], "routing must be an object, got []"),
+        ("target_labels", [], "target_labels must be an object, got []"),
+        ("input_dim", 2.5, "input_dim must be a positive integer, got 2.5"),
+    ], ids=["guards", "routing", "target_labels", "input_dim"])
+    def test_a_malformed_graph_file_key_exits_65(self, tmp_path, capsys, command, key, value,
+                                                 error):
+        doc = graph_to_dict(make_step_graph())
+        doc[key] = value
+        graph_path, pts, out = tmp_path / "g.json", tmp_path / "pts.csv", tmp_path / "s.json"
+        graph_path.write_text(json.dumps(doc))
+        pts.write_text("0.5\n")
+        argv = ["--points", str(pts)] if command == "eval" else ["--out", str(out)]
+        assert main([command, "--graph", str(graph_path)] + argv) == 65
+        assert f"{graph_path}: {error}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exact_rows_that_disagree_with_the_floats_exit_65(self, tmp_path, capsys):
         net = random_network(np.random.default_rng(1), [3, 4, 4, 4, 4], RELU)
@@ -670,6 +694,14 @@ class TestEnsembleCommands:
                      "--out", str(tmp_path / "v.json")])
         assert code == 65
         assert f"class {label}:" in capsys.readouterr().err
+        assert not (tmp_path / "v.json").exists()
+
+    @pytest.mark.parametrize("key", ["classes", "charts"])
+    def test_a_calibration_key_that_is_not_an_object_exits_65(self, pipeline, capsys, key):
+        tmp_path, _, _ = pipeline
+        capsys.readouterr()
+        assert self.calibrate_and_vote(pipeline, lambda doc: doc.update({key: []})) == 65
+        assert f"{key} must be an object, got []" in capsys.readouterr().err
         assert not (tmp_path / "v.json").exists()
 
     def calibrate_and_vote(self, pipeline, edit=None):

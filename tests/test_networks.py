@@ -1,5 +1,7 @@
 """Network forward passes and the step/ReLU compilers against oracles."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +52,7 @@ from logifold.networks import (
     random_network,
     _walk_relu_regions,
 )
+from logifold.semilinear import from_llgraph, semilinear_to_dict, to_llgraph
 from logifold.training import Hyperparams, specialize, synth_dataset, train_sgd
 
 from conftest import narrow_vertices
@@ -595,3 +598,49 @@ def test_model_dict_rejects_non_finite_weights(rng, where, bad):
         entry["offset"][0] = bad
     with pytest.raises(NonFinitePointError, match="layer 1" if part == "layer" else "head"):
         model_from_dict(data)
+
+
+def _sweep_dims(rng):
+    """Dimensions in the acceptance sweep's ranges: input dim 1-3, 1-3 hidden
+    layers of width 2-4, 2-4 outputs."""
+    n = int(rng.integers(1, 4))
+    hidden = [int(w) for w in rng.integers(2, 5, size=int(rng.integers(1, 4)))]
+    return [n] + hidden + [int(rng.integers(2, 5))]
+
+
+def _digest(docs) -> str:
+    h = hashlib.sha256()
+    for doc in docs:
+        h.update(json.dumps(doc, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def _relu_outputs(count):
+    rng = np.random.default_rng(4001)
+    for _ in range(count):
+        net = random_network(rng, _sweep_dims(rng), "relu")
+        yield graph_to_dict(compile_relu_net(net))
+        yield fuzzy_to_dict(from_relu_softmax_net(NetworkSpec(net.layers, "relu", "softmax")))
+
+
+def _step_outputs(count):
+    rng = np.random.default_rng(4002)
+    for _ in range(count):
+        g = compile_step_net(random_network(rng, _sweep_dims(rng), "step"))
+        f = from_llgraph(g)
+        g2 = to_llgraph(f)
+        yield from (graph_to_dict(g), semilinear_to_dict(f), graph_to_dict(g2),
+                    semilinear_to_dict(from_llgraph(g2)))
+
+
+# sha256 of the files of seeded compiles, relu-softmax imports and semilinear
+# round trips, recorded before the region splits moved into
+# `GraphBuilder.split`; any change to a vertex name, guard row, route or
+# piece changes them.
+RELU_DIGEST = "14081ae0536adf9bb131adea63665402bb7090f07b28cb001b783d209087f3d2"
+STEP_DIGEST = "09d985ac030beb8337e6fc6c0860a777eeaa676eab7fb0c93dfd5567e4476749"
+
+
+def test_built_outputs_are_pinned():
+    assert _digest(_relu_outputs(80)) == RELU_DIGEST
+    assert _digest(_step_outputs(80)) == STEP_DIGEST

@@ -8,7 +8,10 @@ reads each layer's floats through the layer's `exact` rows.  JSON files are
 read and written only by `graph.read_json` and `graph.write_json`, and a
 guard is split only in `graph.AffineMap.chambers`, so every split is
 recorded on its guard: no `enumerate_chambers` call appears outside
-`feasibility` and that method.
+`feasibility` and that method.  A region is split by a guard only in
+`graph.GraphBuilder.split`, the one home of the rules for a constant guard
+and a one-chamber split; the walk over a built graph, `graph._walk_regions`,
+where every guard has its vertex, is the only other caller of `chambers`.
 Which network kinds an operation takes is decided only in `networks`, by
 its table of kinds: no other module reads a network's `hidden_activation`
 or `final_activation`.  A graph is built from scratch only by
@@ -43,6 +46,8 @@ CONVERSION_HOMES = {
     "read_exact": {("graph", "AffineMap.exact"), ("networks", "forward_exact")},
     "enumerate_chambers": {("graph", "AffineMap.chambers")},
 }
+# (module, function) that may split a region by a guard's `chambers`
+SPLIT_HOMES = {("graph", "GraphBuilder.split"), ("graph", "_walk_regions")}
 # (module, function) outside `feasibility` whose product maps sum integers
 INTEGER_SUM_HOMES = {("networks", "forward_exact"), ("networks", "_next_map")}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -188,6 +193,8 @@ def strays(module: str, tree: ast.Module):
         if (conversion in CONVERSION_HOMES and module != "feasibility"
                 and (module, scope) not in CONVERSION_HOMES[conversion]):
             found.append(f"{module}.{scope or '<module>'} calls {conversion}")
+        if conversion == "chambers" and (module, scope) not in SPLIT_HOMES:
+            found.append(f"{module}.{scope or '<module>'} calls chambers")
         if name in JSON_CALLS and name not in JSON_HOMES.get((module, scope), ()):
             found.append(f"{module}.{scope or '<module>'} calls {name}")
         if conversion in GRAPH_PARTS and (module, scope.split(".")[0]) not in GRAPH_HOMES:
@@ -226,6 +233,10 @@ class Piece:
 def to_graph(guard):
     return feasibility.enumerate_chambers(guard.constraints, guard.dim)
 
+def cut(b, at, guard, system, witness):
+    chambers = guard.chambers(system, witness)
+    return chambers if len(chambers) == 1 else b.cut(at, guard)
+
 def exact_rows(guard):
     p, q = guard.matrix[0, 0].as_integer_ratio()
     return feasibility.read_exact(guard.matrix.tolist()), (0.5).as_integer_ratio()
@@ -235,6 +246,7 @@ def exact_rows(guard):
         "semilinear.Piece.rows calls make_constraint",
         "semilinear.Piece.rows calls make_constraint",
         "semilinear.to_graph calls enumerate_chambers",
+        "semilinear.cut calls chambers",
         "semilinear.exact_rows calls as_integer_ratio",
         "semilinear.exact_rows calls read_exact",
         "semilinear.exact_rows calls as_integer_ratio"]

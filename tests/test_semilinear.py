@@ -13,6 +13,7 @@ from logifold.errors import (
     AmbiguousFiberError,
     DimensionMismatchError,
     IncompleteRoutingError,
+    NonFinitePointError,
     RegionExplosionError,
 )
 from logifold.feasibility import Verdict, check_system
@@ -117,6 +118,22 @@ def test_contains_is_exact_on_int_and_fraction_points():
     assert not s.contains([Fraction(1, 49) - Fraction(1, 10**30), 0])
     # a float point keeps the guard's float fold
     assert not s.contains([1 / 49, 0]) and f.label_of([1 / 49, 0.0]) is None
+
+
+@pytest.mark.parametrize("x", [[np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [1, np.nan],
+                               [Fraction(1, 2), np.inf]],
+                         ids=["nan", "inf", "-inf", "int-nan", "fraction-inf"])
+def test_a_non_finite_coordinate_is_never_routed(x):
+    g = compile_step_net(random_network(np.random.default_rng(11), [2, 3, 2], STEP))
+    f = from_llgraph(g)
+    with pytest.raises(NonFinitePointError):
+        f.label_of(x)
+    for fiber in f.fibers.values():
+        for piece in fiber.pieces:
+            with pytest.raises(NonFinitePointError):
+                piece.contains(x)
+    # a mixed int and float point is read as floats, as the graph reads it
+    assert f.label_of([1, 0.5]) == f.label_of([1.0, 0.5]) == evaluate(g, [1.0, 0.5])
 
 
 def test_emptiness_verdicts_carry_certificates():
