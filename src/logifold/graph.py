@@ -74,6 +74,7 @@ from .errors import (
     MultipleSourcesError,
     NonFinitePointError,
     PathExplosionError,
+    RegionExplosionError,
     UnknownSignVectorError,
 )
 
@@ -440,11 +441,11 @@ class GraphBuilder:
     """The one place that assembles a graph from scratch; its source is "s".
 
     A slot is the source (None) or (vertex, signs), the route of that
-    vertex's guard for one sign vector.  `split` splits a slot's region by a
-    guard, `cut` puts a guarded vertex at a slot, `leaf` routes one to a
-    label's target (one target per label, t0, t1, ... in order of first
-    use, so 1 and "1" stay apart), and `vertex` puts there a plain vertex
-    for the caller's own arrows, kept as made.
+    vertex's guard for one sign vector.  `regions` partitions a slot's region
+    by the guards a caller's `expand` gives, `cut` puts a guarded vertex at a
+    slot, `leaf` routes one to a label's target (one target per label, t0,
+    t1, ... in order of first use, so 1 and "1" stay apart), and `vertex`
+    puts there a plain vertex for the caller's own arrows, kept as made.
     `graph()` finishes the cuts bottom up, in one loop, by the redundant-test
     rule of ROBDD reduction (Bryant, IEEE Trans. Comput. 1986): a cut whose
     routes all reach one target is that target, and any other gets one
@@ -493,29 +494,43 @@ class GraphBuilder:
         self._cuts[vid] = (guard, {})
         return vid
 
-    def split(self, at, guard: AffineMap, system, witness, cap: Optional[int] = None,
-              vid: Optional[str] = None) -> list:
-        """The chambers of `guard` within the region at the slot `at`, whose
-        constraint system is `system` and exact point `witness`, as
-        [(slot, signs, witness, system)] in sorted sign order: the one
-        place where a region is split.
-
-        A guard whose rows all have zero coefficients is the one chamber of
-        its offsets' signs (``+`` where the offset is >= 0), with no
-        elimination.  Any other guard is split by `AffineMap.chambers`, which
-        raises GuardExplosionError past `cap` chambers.  A guard with one
-        realizable chamber adds no vertex: that chamber keeps `at`, `system`
-        and `witness`.  Any other guard is cut at `at` (named `vid` if given)
-        and each chamber gets the slot (vertex, signs).
-        """
-        rows, _ = guard.exact
-        if not any(any(r[:-1]) for r in rows):
-            return [(at, "".join(["+" if r[-1] >= 0 else "-" for r in rows]), witness, system)]
-        chambers = guard.chambers(system, witness, cap)
-        if len(chambers) == 1:
-            return [(at, *chambers, witness, system)]
-        vid = self.cut(at, guard, vid)
-        return [((vid, signs), signs, w, sub) for signs, (w, sub) in sorted(chambers.items())]
+    def regions(self, expand, state, at=None, system=(), witness=None,
+                chamber_cap: Optional[int] = None, region_cap: Optional[int] = None,
+                name: Optional[str] = None) -> None:
+        """Partition the region at the slot `at` (system `system`, exact
+        point `witness`), depth first by an explicit stack: the one place
+        where a region is split.  `expand(at, state, system, witness)`
+        finishes the slot (`leaf`, or `vertex` and its own arrows) and
+        returns None, or returns (guard, next), and each chamber of `guard`,
+        in sorted sign order, is expanded with the state ``next(signs)``.
+        A guard of constant rows is the one chamber of its offsets' signs
+        (``+`` where >= 0); any other is split by `AffineMap.chambers`, capped
+        at `chamber_cap`.  A one-chamber guard keeps the slot, system and
+        witness; any other is cut there, named `name` and its count of cuts
+        so far if given.  Regions count 1 plus every chamber of each cut;
+        past `region_cap` they raise RegionExplosionError."""
+        count, cuts = 1, 0
+        stack = [(at, state, system, witness)]
+        while stack:
+            at, state, system, witness = stack.pop()
+            step = expand(at, state, system, witness)
+            if step is None:
+                continue
+            guard, nxt = step
+            rows, _ = guard.exact
+            if any(any(r[:-1]) for r in rows):
+                chambers = guard.chambers(system, witness, chamber_cap)
+            else:
+                chambers = {"".join(["+" if r[-1] >= 0 else "-" for r in rows]): None}
+            if len(chambers) == 1:
+                stack.append((at, nxt(*chambers), system, witness))
+                continue
+            vid = self.cut(at, guard, name and f"{name}{cuts}")
+            cuts, count = cuts + 1, count + len(chambers)
+            if region_cap is not None and count > region_cap:
+                raise RegionExplosionError(f"more than {region_cap} linear regions")
+            stack.extend(reversed([((vid, signs), nxt(signs), sub, w)
+                                   for signs, (w, sub) in sorted(chambers.items())]))
 
     def leaf(self, at, label) -> None:
         self._put(at, self.target_for(label))
@@ -1408,14 +1423,20 @@ def json_object(value, key: str) -> dict:
 
 def graph_from_dict(data: dict) -> LogicalGraph:
     """The graph `graph_to_dict` wrote.  An `input_dim` that is not a
-    positive integer, or a `guards`, `routing` or `target_labels` that is not
-    an object (of objects, for `routing`), raises ValueError naming it."""
+    positive integer, a `guards`, `routing` or `target_labels` that is not
+    an object (of objects, for `routing`), or a route whose arrow id is not
+    a string, raises ValueError naming it."""
     vertices = {v["id"]: v["kind"] for v in data["vertices"]}
     arrows = [Arrow(a["id"], a["src"], a["dst"]) for a in data["arrows"]]
     guards = {v: _guard_from_dict(v, gd)
               for v, gd in json_object(data.get("guards", {}), "guards").items()}
     routing = {v: json_object(r, f"routing at {v!r}")
                for v, r in json_object(data.get("routing", {}), "routing").items()}
+    for v, r in routing.items():
+        for signs, aid in r.items():
+            if not isinstance(aid, str):
+                raise ValueError(f"routing at {v!r}: arrow id for {signs!r} must be a string, "
+                                 f"got {aid!r}")
     labels = json_object(data.get("target_labels", {}), "target_labels")
     return LogicalGraph(
         input_dim=positive_int(data["input_dim"], "input_dim"),

@@ -4,8 +4,9 @@ Both compilers share one region walker.  It subdivides input space layer by
 layer: every vertex carries the affine map that computes its layer's
 pre-activation restricted to the region reached so far, and children are the
 realizable sign chambers.  Each linear region then runs an argmax
-tournament of one-row duels on its final-layer map, ties going low.  Every
-split, a layer's or a duel's, is `graph.GraphBuilder.split`.  After a step
+tournament of one-row duels on its final-layer map, ties going low.  The
+walk and the tournament are each an `expand` for the one region driver,
+`graph.GraphBuilder.regions`, so neither recurses.  After a step
 layer the composed map is constant (the next layer applied to the chamber's
 Boolean outcome), so a step network branches only at its first layer.
 
@@ -42,7 +43,6 @@ from .errors import (
     DegenerateHyperplaneWarning,
     DimensionMismatchError,
     NonFinitePointError,
-    RegionExplosionError,
     UnsupportedActivationError,
 )
 from .graph import AffineMap, GraphBuilder, LogicalGraph, read_json, write_json
@@ -268,24 +268,19 @@ def _tournament(b: GraphBuilder, at, final: AffineMap, region, witness) -> None:
 
     The best index so far meets each later index hi in a one-row duel
     l_best - l_hi, the difference of two of the map's exact rows, whose
-    ``+`` side (>= 0) keeps best, so the lowest index wins ties.  Each duel
-    splits the region by `GraphBuilder.split`.
+    ``+`` side (>= 0) keeps best, so the lowest index wins ties.  The duels
+    are an `expand` over the state (best, hi) for `GraphBuilder.regions`.
     """
     rows, den = final.exact
 
-    def duel(at, best, hi, region, witness):
-        while hi < final.rows:
-            guard = AffineMap.from_exact((tuple(map(sub, rows[best], rows[hi])),), den, final.dim)
-            parts = b.split(at, guard, region, witness)
-            if len(parts) > 1:
-                for slot, sign, w, part in parts:
-                    duel(slot, best if sign == "+" else hi, hi + 1, part, w)
-                return
-            ((at, sign, witness, region),) = parts
-            best, hi = best if sign == "+" else hi, hi + 1
-        b.leaf(at, best)
+    def expand(at, state, region, witness):
+        best, hi = state
+        if hi == final.rows:
+            return b.leaf(at, best)
+        guard = AffineMap.from_exact((tuple(map(sub, rows[best], rows[hi])),), den, final.dim)
+        return guard, lambda sign: (best if sign == "+" else hi, hi + 1)
 
-    duel(at, 0, 1, region, witness)
+    b.regions(expand, (0, 1), at, region, witness)
 
 
 def _next_map(net: NetworkSpec, depth: int, signs: str, composed: AffineMap) -> AffineMap:
@@ -337,30 +332,22 @@ def _walk_relu_regions(b: GraphBuilder, net: NetworkSpec, leaf, chamber_cap: int
     """Subdivide input space into the linear regions of a ReLU or step network.
 
     The one region walker behind ``compile_relu_net``, ``compile_step_net``
-    and ``fuzzy.from_relu_softmax_net``.  Starting at the builder's source
-    slot, each hidden layer's pre-activation map, composed over the region
-    reached so far, splits the region (`GraphBuilder.split`), and the walk
-    goes on in each chamber.  At the last layer it calls
+    and ``fuzzy.from_relu_softmax_net``: an `expand` for
+    `GraphBuilder.regions` over the state (depth, composed) from the
+    builder's source slot.  Each hidden layer's pre-activation map, composed
+    over the region reached so far, splits the region, and the walk goes on
+    in each chamber.  At the last layer it calls
     ``leaf(at, composed, region, witness)`` once per linear region, with its
     slot and the final layer's map.  Regions are counted only at layers
     that branch, starting from 1 for the whole input space.
     """
-    regions = 1
-
-    def descend(at, depth, composed: AffineMap, region, witness):
-        nonlocal regions
+    def expand(at, state, region, witness):
+        depth, composed = state
         if depth == net.depth - 1:
-            leaf(at, composed, region, witness)
-            return
-        parts = b.split(at, composed, region, witness, chamber_cap)
-        if len(parts) > 1:
-            regions += len(parts)
-            if regions > region_cap:
-                raise RegionExplosionError(f"more than {region_cap} linear regions")
-        for slot, signs, w, sub in parts:
-            descend(slot, depth + 1, _next_map(net, depth + 1, signs, composed), sub, w)
+            return leaf(at, composed, region, witness)
+        return composed, lambda signs: (depth + 1, _next_map(net, depth + 1, signs, composed))
 
-    descend(None, 0, net.layers[0], [], None)
+    b.regions(expand, (0, net.layers[0]), chamber_cap=chamber_cap, region_cap=region_cap)
 
 
 def _argmax_graph(net: NetworkSpec, chamber_cap: int, region_cap: int) -> LogicalGraph:

@@ -140,6 +140,11 @@ class SemilinearFunction:
     fibers: Dict[object, SemilinearSet]
 
     def label_of(self, x):
+        """The label of the fiber holding x, or None; a NaN or infinite
+        coordinate raises NonFinitePointError, with or without pieces."""
+        x = list(x)
+        if not all(isinstance(v, (int, Fraction)) for v in x):
+            _require_finite(np.asarray(x, dtype=float))
         hits = [l for l, s in self.fibers.items() if s.contains(x)]
         if len(hits) > 1:
             raise AmbiguousFiberError(f"point lies in fibers {hits}")
@@ -230,10 +235,10 @@ def to_llgraph(f: SemilinearFunction, region_cap: int = REGION_CAP) -> LogicalGr
     one-row guard ``row >= 0`` or ``-row >= 0`` when that decides every
     piece left on the hyperplane, else by the pair (row, -row), so that
     ``= 0`` keeps its own chamber.  A guard's rows are its hyperplane's
-    first row, exact, so its floats are that piece's floats.  Each cut
-    splits the region by `GraphBuilder.split`, so a walk of the graph reads
-    the recorded chambers.  More than `region_cap` leaves raise
-    RegionExplosionError.
+    first row, exact, so its floats are that piece's floats.  The partition
+    is an `expand` over the state (left, pieces) for `GraphBuilder.regions`,
+    so a walk of the graph reads the recorded chambers.  More than
+    `region_cap` leaves raise RegionExplosionError.
     """
     n = f.dim
     index: Dict[tuple, int] = {}  # hyperplane key -> position in reps
@@ -255,11 +260,11 @@ def to_llgraph(f: SemilinearFunction, region_cap: int = REGION_CAP) -> LogicalGr
             live.append((label, tuple(allowed.items())))
 
     b = GraphBuilder(n)
-    cuts = leaves = 0
-    # a region: its slot, system, witness, {hyperplane: states left}, pieces meeting it
-    tasks = [(None, [], feasibility.find_witness([], n), {}, live)]
-    while tasks:  # preorder, each region's chambers in sorted sign order
-        at, system, witness, left, pieces = tasks.pop()
+    leaves = 0
+
+    def expand(at, state, system, witness):  # a region's {hyperplane: states left}, pieces
+        nonlocal leaves
+        left, pieces = state
         held, opened, meeting = [], [], []  # labels that hold; (label, hyperplane)
         for label, tests in pieces:
             undecided = None
@@ -283,17 +288,15 @@ def to_llgraph(f: SemilinearFunction, region_cap: int = REGION_CAP) -> LogicalGr
             leaves += 1
             if leaves > region_cap:
                 raise RegionExplosionError(f"more than {region_cap} regions")
-            b.leaf(at, held[0] if held else UNCOVERED)
-            continue
+            return b.leaf(at, held[0] if held else UNCOVERED)
         oks = {ok for _, tests in meeting for h, ok in tests if h == cut}
         mults, states = next((m, st) for m, st in _CUTS
                              if all(s & ok in (0, s) for s in st.values() for ok in oks))
         row, den, _ = reps[cut]
         guard = AffineMap.from_exact(tuple(tuple(k * v for v in row) for k in mults), den, n)
-        parts = b.split(at, guard, system, witness, vid=f"q{cuts}")
-        cuts += len(parts) > 1
-        for slot, s, w, sub in reversed(parts):
-            tasks.append((slot, sub, w, {**left, cut: states[s]}, meeting))
+        return guard, lambda s: ({**left, cut: states[s]}, meeting)
+
+    b.regions(expand, ({}, live), witness=feasibility.find_witness([], n), name="q")
     return b.graph()
 
 

@@ -309,6 +309,21 @@ class TestCompileEval:
         assert f"{graph_path}: {error}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "to-semilinear"])
+    @pytest.mark.parametrize("aid", [[], {}, 0], ids=["array", "object", "number"])
+    def test_a_route_whose_arrow_id_is_not_a_string_exits_65(self, tmp_path, capsys, command,
+                                                             aid):
+        doc = graph_to_dict(make_step_graph())
+        doc["routing"]["s"]["+"] = aid
+        graph_path, pts, out = tmp_path / "g.json", tmp_path / "pts.csv", tmp_path / "s.json"
+        graph_path.write_text(json.dumps(doc))
+        pts.write_text("0.5\n")
+        argv = ["--points", str(pts)] if command == "eval" else ["--out", str(out)]
+        assert main([command, "--graph", str(graph_path)] + argv) == 65
+        assert (f"{graph_path}: routing at 's': arrow id for '+' must be a string, "
+                f"got {aid!r}") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exact_rows_that_disagree_with_the_floats_exit_65(self, tmp_path, capsys):
         net = random_network(np.random.default_rng(1), [3, 4, 4, 4, 4], RELU)
         doc = graph_to_dict(networks.compile_relu_net(net))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,10 @@ from logifold.errors import (
     RegionExplosionError,
     UnsupportedActivationError,
 )
+from logifold.cli import main
 from logifold.fuzzy import (
     AFFINE_SOFTMAX,
+    evaluate_fuzzy,
     from_relu_softmax_net,
     from_sigmoid_net,
     fuzzy_to_dict,
@@ -50,6 +53,7 @@ from logifold.networks import (
     model_from_dict,
     model_to_dict,
     random_network,
+    save_model,
     _walk_relu_regions,
 )
 from logifold.semilinear import from_llgraph, semilinear_to_dict, to_llgraph
@@ -353,6 +357,28 @@ def test_region_cap_parity_between_compile_and_import(seed):
         with pytest.raises(RegionExplosionError):
             build(model, region_cap=regions - 1)
         build(model, region_cap=regions)
+
+
+def test_a_relu_chain_deeper_than_the_recursion_limit_compiles_and_imports(tmp_path):
+    # width 1: on x >= -1 layer k's pre-activation is x + k, so no layer
+    # past the first splits; the final duel, out0 - out1 = 2x - 2, splits
+    # that deepest region at x = 1, and x < -1 is label 1 throughout
+    hidden = sys.getrecursionlimit() + 50
+    net = _net([[[1.0]]] * hidden + [[[1.0], [-1.0]]],
+               [[1.0]] * hidden + [[0.0, 2.0 * hidden + 2.0]], hidden="relu")
+    X = np.linspace(-5.0, 5.0, 81)[:, None]
+    g = compile_relu_net(net)
+    require_valid(g)
+    assert len(g.guards) == 2
+    assert evaluate_batch(g, X) == forward_classical_batch(net, X).tolist()
+    assert evaluate_batch(g, [[-1.0], [0.999], [1.0]]) == [1, 1, 0]
+    twin = NetworkSpec(net.layers, "relu", "softmax")
+    fg = from_relu_softmax_net(twin)
+    for x in X[::8]:
+        assert np.allclose(evaluate_fuzzy(fg, x).state, forward_smooth(twin, x))
+    model, out = tmp_path / "deep.json", tmp_path / "g.json"
+    save_model(net, model)
+    assert main(["compile", "--model", str(model), "--out", str(out)]) == 0
 
 
 def test_compile_relu_collapses_guard_whose_chambers_share_a_target():

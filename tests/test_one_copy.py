@@ -8,10 +8,14 @@ reads each layer's floats through the layer's `exact` rows.  JSON files are
 read and written only by `graph.read_json` and `graph.write_json`, and a
 guard is split only in `graph.AffineMap.chambers`, so every split is
 recorded on its guard: no `enumerate_chambers` call appears outside
-`feasibility` and that method.  A region is split by a guard only in
-`graph.GraphBuilder.split`, the one home of the rules for a constant guard
-and a one-chamber split; the walk over a built graph, `graph._walk_regions`,
-where every guard has its vertex, is the only other caller of `chambers`.
+`feasibility` and that method.  A region is split by a guard only in the
+region driver `graph.GraphBuilder.regions`, the one home of the rules for a
+constant guard and a one-chamber split; the walk over a built graph,
+`graph._walk_regions`, where every guard has its vertex, is the only other
+caller of `chambers`.  The driver is also the one caller of
+`GraphBuilder.cut` but for two builders that know their chambers by
+construction and split without elimination: the cover tree
+`approx._cover_graph` and the parallel slabs of `algebra.identity_graph`.
 Which network kinds an operation takes is decided only in `networks`, by
 its table of kinds: no other module reads a network's `hidden_activation`
 or `final_activation`.  A graph is built from scratch only by
@@ -47,7 +51,10 @@ CONVERSION_HOMES = {
     "enumerate_chambers": {("graph", "AffineMap.chambers")},
 }
 # (module, function) that may split a region by a guard's `chambers`
-SPLIT_HOMES = {("graph", "GraphBuilder.split"), ("graph", "_walk_regions")}
+SPLIT_HOMES = {("graph", "GraphBuilder.regions"), ("graph", "_walk_regions")}
+# (module, function) that may put a guarded vertex at a slot by `cut`
+CUT_HOMES = {("graph", "GraphBuilder.regions"), ("approx", "_cover_graph"),
+             ("algebra", "identity_graph")}
 # (module, function) outside `feasibility` whose product maps sum integers
 INTEGER_SUM_HOMES = {("networks", "forward_exact"), ("networks", "_next_map")}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -195,6 +202,8 @@ def strays(module: str, tree: ast.Module):
             found.append(f"{module}.{scope or '<module>'} calls {conversion}")
         if conversion == "chambers" and (module, scope) not in SPLIT_HOMES:
             found.append(f"{module}.{scope or '<module>'} calls chambers")
+        if conversion == "cut" and (module, scope) not in CUT_HOMES:
+            found.append(f"{module}.{scope or '<module>'} calls cut")
         if name in JSON_CALLS and name not in JSON_HOMES.get((module, scope), ()):
             found.append(f"{module}.{scope or '<module>'} calls {name}")
         if conversion in GRAPH_PARTS and (module, scope.split(".")[0]) not in GRAPH_HOMES:
@@ -246,7 +255,7 @@ def exact_rows(guard):
         "semilinear.Piece.rows calls make_constraint",
         "semilinear.Piece.rows calls make_constraint",
         "semilinear.to_graph calls enumerate_chambers",
-        "semilinear.cut calls chambers",
+        "semilinear.cut calls chambers", "semilinear.cut calls cut",
         "semilinear.exact_rows calls as_integer_ratio",
         "semilinear.exact_rows calls read_exact",
         "semilinear.exact_rows calls as_integer_ratio"]

@@ -132,6 +132,11 @@ def test_a_non_finite_coordinate_is_never_routed(x):
         for piece in fiber.pieces:
             with pytest.raises(NonFinitePointError):
                 piece.contains(x)
+    # a function with no piece to read the point checks it itself
+    for empty in (SemilinearFunction(2, {}), SemilinearFunction(2, {0: SemilinearSet(2, ())})):
+        with pytest.raises(NonFinitePointError):
+            empty.label_of(x)
+        assert empty.label_of([1, 0.5]) is None
     # a mixed int and float point is read as floats, as the graph reads it
     assert f.label_of([1, 0.5]) == f.label_of([1.0, 0.5]) == evaluate(g, [1.0, 0.5])
 
