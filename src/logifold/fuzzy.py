@@ -33,8 +33,8 @@ from .graph import (
     Arrow,
     GraphBuilder,
     LogicalGraph,
-    _finite_signs_at,
     _next_arrow,
+    _require_finite,
     graph_from_dict,
     graph_to_dict,
     read_json,
@@ -60,6 +60,11 @@ CONSTANT = "constant"
 COORD_PRODUCT = "coord_product"
 MIN = "min"
 MAX = "max"
+
+# each arrow map kind and the fields it reads
+MAP_FIELDS = {IDENTITY: (), AFFINE_SIGMOID: ("matrix", "offset"),
+              AFFINE_SOFTMAX: ("matrix", "offset"), PROJECT: ("indices",), DIAGONAL: (),
+              CONSTANT: ("const",), COORD_PRODUCT: (), MIN: (), MAX: ()}
 
 RAW = "R"
 
@@ -140,7 +145,8 @@ class ArrowMap:
     With a span (lo, hi) the map reads coordinates [lo, hi) and leaves the
     rest in place; without one it consumes the whole state.  The coordinate
     kinds (product, min, max) read the even coordinates of their input as
-    scalar truth values.
+    scalar truth values.  A kind not in MAP_FIELDS, or a field its kind reads
+    left None, raises StateSpaceMismatchError.
     """
 
     kind: str
@@ -149,6 +155,14 @@ class ArrowMap:
     indices: Optional[Tuple[int, ...]] = None
     const: Optional[np.ndarray] = None
     span: Optional[Tuple[int, int]] = None
+
+    def __post_init__(self):
+        fields = MAP_FIELDS.get(self.kind)
+        if fields is None:
+            raise StateSpaceMismatchError(f"unknown arrow map kind {self.kind!r}")
+        for name in fields:
+            if getattr(self, name) is None:
+                raise StateSpaceMismatchError(f"{self.kind} arrow map has no {name}")
 
     def _base(self, z: np.ndarray) -> np.ndarray:
         if self.kind == IDENTITY:
@@ -167,9 +181,7 @@ class ArrowMap:
             return scalar_state([float(np.prod(scalar_values(z)))])
         if self.kind == MIN:
             return scalar_state([float(np.min(scalar_values(z)))])
-        if self.kind == MAX:
-            return scalar_state([float(np.max(scalar_values(z)))])
-        raise StateSpaceMismatchError(f"unknown arrow map kind {self.kind!r}")
+        return scalar_state([float(np.max(scalar_values(z)))])  # MAX
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -193,7 +205,7 @@ class ArrowMap:
             base = 2 * width
         elif self.kind == CONSTANT:
             base = len(self.const)
-        else:
+        else:  # one truth value: COORD_PRODUCT, MIN or MAX
             base = 2
         return src_dim - width + base
 
@@ -251,20 +263,24 @@ class FuzzyOutcome:
 def evaluate_fuzzy(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
     """Thread a state along the walk; each visited space must contain it.
 
+    Each state is checked once, where it is made (the input and each arrow
+    map's output): a NaN or infinite coordinate raises NonFinitePointError.
     Each guard signs the state as a list of Python floats
-    (`graph._finite_signs_at`), as `evaluate` signs a point.  A walk longer
-    than the vertex count raises CyclicGraphError."""
+    (`graph._signs_at`), as `evaluate` signs a point.  A walk longer than
+    the vertex count raises CyclicGraphError."""
     sk = fg.skeleton
     v = sk.source
     state = np.asarray(x, dtype=float)
+    _require_finite(state)
     if not fg.state_spaces[v].contains(state):
         raise StateSpaceViolationError(
             f"input of shape {state.shape} is not a state of {fg.state_spaces[v]}")
     for _ in range(len(sk.vertices)):
-        a = _next_arrow(sk, v, state.tolist(), _finite_signs_at)
+        a = _next_arrow(sk, v, state.tolist())
         if a is None:
             return FuzzyOutcome(sk.target_labels[v], state, v)
         state = fg.arrow_maps[a.id].apply(state)
+        _require_finite(state)
         v = a.dst
         if not fg.state_spaces[v].contains(state):
             raise StateSpaceViolationError(
@@ -275,23 +291,26 @@ def evaluate_fuzzy(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
 def evaluate_fuzzy_pathsum(fg: FuzzyLogicalGraph, x) -> FuzzyOutcome:
     """Evaluate by expanding all source-to-target paths; a term survives a
     vertex only on the arrow the exit rule takes there, so exactly one term
-    survives, and it reproduces the walk, signed as it is."""
+    survives, and it reproduces the walk, signed and checked as it is."""
     sk = fg.skeleton
     topological_order(sk)  # a cycle would expand forever
     state = np.asarray(x, dtype=float)
     if state.ndim != 1:
         raise DimensionMismatchError(f"input has shape {state.shape}, not one state")
+    _require_finite(state)
     live = []
     stack = [(sk.source, state)]
     while stack:
         v, state = stack.pop()
-        chosen = _next_arrow(sk, v, state.tolist(), _finite_signs_at)
+        chosen = _next_arrow(sk, v, state.tolist())
         if chosen is None:
             live.append(FuzzyOutcome(sk.target_labels[v], state, v))
             continue
         for aid in sk.out_arrows[v]:
             if aid == chosen.id:  # every other term's indicator vanishes here
-                stack.append((sk.arrows[aid].dst, fg.arrow_maps[aid].apply(state)))
+                out = fg.arrow_maps[aid].apply(state)
+                _require_finite(out)
+                stack.append((sk.arrows[aid].dst, out))
     if len(live) != 1:
         raise StateSpaceViolationError(
             f"path expansion produced {len(live)} surviving terms, expected 1")

@@ -27,20 +27,20 @@ it, and in the other walks before they start, as a cycle does.
 `validate_graph` asks the same rule at every vertex, so its report holds
 the error a walk reaching a faulty vertex raises, before any walk runs.
 
-Every sign comes from one predicate, `_guard_signs`, on a guard's float
-view: a guard built from exact rows, as the relu compiler's are, is split
-and walked on those rows and signed at a point by their rounded floats
-(`AffineMap`).  A row's value is summed
-in a fixed elementwise order, ((a0*x0 + a1*x1) + ...), and compared with -b,
+Every sign comes from a guard's float view: a guard built from exact rows,
+as the relu compiler's are, is split and walked on those rows and signed at
+a point by their rounded floats (`AffineMap`).  A row's value is summed in
+a fixed elementwise order, ((a0*x0 + a1*x1) + ...), and compared with -b,
 with no BLAS call, so a point's signs do not depend on the points evaluated
-with it.  `sign_vector`, `evaluate_pathsum` and the batch walk
-`evaluate_batch` all use it.  `evaluate` and the fuzzy walks sign one point
-in Python floats (`_signs_at`), by the same products and sums in the same
-order (`_row_sum`, also behind `BasicSemilinearSet.contains`), so
-`evaluate_batch` returns `evaluate`'s labels bit for bit.  The batch walk
-runs a program compiled once per graph, holds the points as one contiguous
-(d, m) array in a per-thread workspace, and visits each vertex once, in
-topological order.
+with it.  The batch walk `evaluate_batch` signs its points by the array
+predicate `_guard_signs`; every single point (`sign_vector`, `evaluate`,
+`evaluate_pathsum`, `LogicalGraph.next_arrow` and the fuzzy walks) is
+signed by the one point predicate `_signs_at`, in Python floats, with the
+same products and sums in the same order (`_row_sum`, also behind
+`BasicSemilinearSet.contains`), so `evaluate_batch` returns `evaluate`'s
+labels bit for bit.  The batch walk runs a program compiled once per graph,
+holds the points as one contiguous (d, m) array in a per-thread workspace,
+and visits each vertex once, in topological order.
 A tree of axis guards x[a] - face >= 0, such as a grid cover's k-d tree,
 routes its points in one step, by their per-axis ranks among its faces and a
 table over those ranks.  Any other one-row guard splits its points by their
@@ -161,9 +161,6 @@ class AffineMap:
     def __repr__(self):
         return f"AffineMap(matrix={self.matrix!r}, offset={self.offset!r})"
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x + self.offset
-
     @cached_property
     def exact(self) -> tuple:
         """(rows, den): row i is the int tuple (a1, ..., an, b) over den.  A
@@ -237,13 +234,14 @@ def _require_finite(x: np.ndarray):
         raise NonFinitePointError("points must be finite; got a NaN or infinite coordinate")
 
 
-def _point(x, dim: int, owner: str = "graph") -> np.ndarray:
-    """x as a finite point of R^dim, for a graph or guard over R^dim."""
+def _point(x, dim: int, owner: str = "graph") -> list:
+    """x as a finite point of R^dim, for a graph or guard over R^dim: a list
+    of floats, as `_signs_at` takes it."""
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise DimensionMismatchError(f"point has shape {x.shape}, {owner} expects ({dim},)")
     _require_finite(x)
-    return x
+    return x.tolist()
 
 
 def _sign_terms(guard: AffineMap):
@@ -257,7 +255,9 @@ def _guard_signs(columns, neg_offset: np.ndarray, XT: np.ndarray,
                  acc: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """(rows, m) signs of a guard, given by its `_sign_terms`, at the m
-    columns of XT: entry [i, j] is True iff row i is >= 0 at point j.
+    columns of XT: entry [i, j] is True iff row i is >= 0 at point j.  The
+    array predicate of the batch steps; a single point is signed by
+    `_signs_at`, which gives the same signs.
 
     Each row value is summed in one fixed elementwise order,
     ((a0*x0 + a1*x1) + ...), and compared with -b, which has the sign of
@@ -288,9 +288,7 @@ def _guard_signs(columns, neg_offset: np.ndarray, XT: np.ndarray,
 
 def sign_vector(guard: AffineMap, x: np.ndarray) -> str:
     """Sign string of the guard at x; entry i is '+' iff row i(x) >= 0."""
-    x = _point(x, guard.dim, "guard")
-    signs = _guard_signs(*_sign_terms(guard), x[:, None])
-    return "".join("+" if s else "-" for s in signs[:, 0].tolist())
+    return _signs_at(guard, _point(x, guard.dim, "guard"))
 
 
 def _row_sum(row: list, x: list) -> float:
@@ -305,20 +303,13 @@ def _row_sum(row: list, x: list) -> float:
 
 
 def _signs_at(guard: AffineMap, x: list) -> str:
-    """`sign_vector` at a point already checked by `_point`, given as a list
-    of floats: each row's `_row_sum` compared with -b, so the same signs."""
+    """The one point predicate: the guard's sign string at a point already
+    checked by `_point`, given as a list of floats.  Each row's `_row_sum`
+    is compared with -b, so the signs are `_guard_signs`' bit for bit."""
     signs = []
     for row, neg_offset in guard._sign_rows:
         signs.append("+" if _row_sum(row, x) >= neg_offset else "-")
     return "".join(signs)
-
-
-def _finite_signs_at(guard: AffineMap, x: list) -> str:
-    """`_signs_at` at a list of floats not yet checked: a NaN or infinite
-    coordinate raises NonFinitePointError, as `sign_vector` does."""
-    if not all(map(math.isfinite, x)):
-        _require_finite(np.asarray(x))
-    return _signs_at(guard, x)
 
 
 def _no_route(vertex: str, signs: str) -> UnknownSignVectorError:
@@ -387,15 +378,15 @@ class LogicalGraph:
         """The arrow by which the walk at the point x leaves `vertex`, by the
         exit rule, or None at a target.  An arrow to a missing vertex raises
         DanglingVertexError."""
-        return _next_arrow(self, vertex, x, sign_vector)
+        return _next_arrow(self, vertex, _point(x, self.input_dim))
 
 
-def _next_arrow(g: LogicalGraph, vertex: str, x, signs_of) -> Optional[Arrow]:
-    """`LogicalGraph.next_arrow`, with a guard's signs at x taken by
-    `signs_of(guard, x)`."""
+def _next_arrow(g: LogicalGraph, vertex: str, x: list) -> Optional[Arrow]:
+    """`LogicalGraph.next_arrow` at a point already checked, given as a list
+    of floats, its guard's signs taken by `_signs_at`."""
     step = _exit(g, vertex, len(x))
     if isinstance(step, AffineMap):
-        signs = signs_of(step, x)
+        signs = _signs_at(step, x)
         step = _route(g, vertex, signs)
         if step is None:
             raise _no_route(vertex, signs)
@@ -766,10 +757,10 @@ def evaluate(g: LogicalGraph, x) -> object:
     """Label of the unique walk from the source to a target through x's
     chambers.  The point is checked once, and each guard on the walk signs
     it in Python floats (`_signs_at`)."""
-    x = _point(x, g.input_dim).tolist()
+    x = _point(x, g.input_dim)
     v = g.source
     for _ in range(len(g.vertices)):
-        arrow = _next_arrow(g, v, x, _signs_at)
+        arrow = _next_arrow(g, v, x)
         if arrow is None:
             return g.target_labels[v]
         v = arrow.dst
@@ -792,7 +783,7 @@ def evaluate_batch(g: LogicalGraph, X) -> list:
     slot.  Any other guard gathers its points' columns, over only the
     coordinates from its first nonzero coefficient column to its last
     (`_coordinate_span`: all of them for a dense relu guard), and signs them
-    with `_guard_signs`, the predicate `evaluate` uses.  The coordinates
+    with `_guard_signs`, which gives `evaluate`'s signs.  The coordinates
     left out add only zeros, so the signs are the same bit for bit (see
     `_guard_signs`).  A one-row guard splits its points by that sign mask; a
     longer one packs each point's signs into an integer code and maps the
@@ -1302,7 +1293,7 @@ def evaluate_pathsum(g: LogicalGraph, x, cap: int = PATH_CAP):
     """
     x = _point(x, g.input_dim)
     terms = []
-    for path, t, coeff in _path_terms(g, cap, lambda v: g.next_arrow(v, x).id):
+    for path, t, coeff in _path_terms(g, cap, lambda v: _next_arrow(g, v, x).id):
         if coeff:  # the walk ends at t, so the exit rule applies there
             _exit(g, t, g.input_dim)
         terms.append(PathTerm(path, coeff, g.target_labels.get(t)))

@@ -45,7 +45,7 @@ from .errors import (
     NonFinitePointError,
     UnsupportedActivationError,
 )
-from .graph import AffineMap, GraphBuilder, LogicalGraph, read_json, write_json
+from .graph import AffineMap, GraphBuilder, LogicalGraph, _require_finite, read_json, write_json
 
 STEP = "step"
 RELU = "relu"
@@ -173,16 +173,14 @@ def forward_classical(net: NetworkSpec, x) -> int:
 
 
 def forward_logits(net: NetworkSpec, x) -> np.ndarray:
-    """Final-layer values of a step or relu network at one point."""
+    """Final-layer values of a step or relu network at one point: its row of
+    `forward_logits_batch`, the same floats bit for bit."""
     require(net, "classical forward pass")
-    act = _HIDDEN[net.hidden_activation]
     a = np.asarray(x, dtype=float)
     if a.shape != (net.input_dim,):
         raise DimensionMismatchError(
             f"point has shape {a.shape}, network expects ({net.input_dim},)")
-    for layer in net.layers[:-1]:
-        a = act(layer(a))
-    return net.layers[-1](a)
+    return _final_rows(net, a[None, :])[0]
 
 
 def _rows_through(A: np.ndarray, f: AffineMap) -> np.ndarray:
@@ -192,11 +190,14 @@ def _rows_through(A: np.ndarray, f: AffineMap) -> np.ndarray:
 
 
 def _final_rows(net: NetworkSpec, X) -> np.ndarray:
-    """Final-layer values at every row of X, each row through `_rows_through`."""
+    """Final-layer values at every row of X, each row through `_rows_through`:
+    the one float forward loop.  A NaN or infinite coordinate raises
+    NonFinitePointError."""
     A = np.asarray(X, dtype=float)
     if A.ndim != 2 or A.shape[1] != net.input_dim:
         raise DimensionMismatchError(
             f"points have shape {A.shape}, network expects (m, {net.input_dim})")
+    _require_finite(A)
     act = _HIDDEN[net.hidden_activation]
     for layer in net.layers[:-1]:
         A = act(_rows_through(A, layer))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from logifold.graph import AffineMap, Arrow, LogicalGraph, topological_order
+from logifold.graph import (AffineMap, Arrow, LogicalGraph, _guard_signs, _sign_terms,
+                            topological_order)
 
 
 @pytest.fixture
@@ -29,6 +30,14 @@ def near_hyperplane(rng, a, b, count=3, ulps=3):
                 q[j] = np.nextafter(q[j], np.inf if k > 0 else -np.inf)
             out.append(q)
     return out
+
+
+def array_signs(guard, x):
+    """The guard's sign string at the point x by the array predicate
+    `graph._guard_signs`, as the batch walk signs it, for checking the one
+    point predicate `graph._signs_at` against."""
+    signs = _guard_signs(*_sign_terms(guard), np.asarray(x, dtype=float)[:, None])
+    return "".join("+" if s else "-" for s in signs[:, 0].tolist())
 
 
 def narrow_vertices(g):

@@ -15,6 +15,7 @@ from logifold.errors import (
 from logifold.fuzzy import (
     AFFINE_SIGMOID,
     AFFINE_SOFTMAX,
+    CONSTANT,
     COORD_PRODUCT,
     DIAGONAL,
     PROJECT,
@@ -37,8 +38,7 @@ from logifold.fuzzy import (
     scalar_values,
     validate_fuzzy,
 )
-from logifold.graph import (SOURCE, TARGET, Arrow, LogicalGraph, _finite_signs_at, evaluate,
-                            sign_vector)
+from logifold.graph import SOURCE, TARGET, Arrow, LogicalGraph, _signs_at, evaluate
 from logifold.networks import (
     RELU,
     SIGMOID,
@@ -49,7 +49,7 @@ from logifold.networks import (
     random_network,
 )
 
-from conftest import make_cyclic_graph, near_hyperplane
+from conftest import array_signs, make_cyclic_graph, near_hyperplane
 
 
 def scalar_sigmoid_graph(w, b, label):
@@ -154,14 +154,14 @@ def test_pathsum_agrees_with_walk(rng):
 
 
 def array_walk(fg, x):
-    """(target, state) of the walk with each guard signed by `sign_vector`,
-    the array predicate `graph._guard_signs`."""
+    """(target, state) of the walk with each guard signed by the array
+    predicate `graph._guard_signs`."""
     sk, v, state = fg.skeleton, fg.skeleton.source, np.asarray(x, dtype=float)
-    while True:
-        a = sk.next_arrow(v, state)
-        if a is None:
-            return v, state
-        state, v = fg.arrow_maps[a.id].apply(state), a.dst
+    while sk.vertices[v] != TARGET:
+        guard = sk.guards.get(v)
+        aid = sk.out_arrows[v][0] if guard is None else sk.routing[v][array_signs(guard, state)]
+        state, v = fg.arrow_maps[aid].apply(state), sk.arrows[aid].dst
+    return v, state
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -173,7 +173,7 @@ def test_fuzzy_walks_sign_as_the_array_predicate_next_to_every_hyperplane(seed):
     crossed = set()
     for i, (row, b) in enumerate(zip(source.matrix, source.offset)):
         for x in near_hyperplane(rng, row, b):
-            crossed.add((i, sign_vector(source, x)[i]))
+            crossed.add((i, array_signs(source, x)[i]))
             target, state = array_walk(fg, x)
             for got in (evaluate_fuzzy(fg, x), evaluate_fuzzy_pathsum(fg, x)):
                 assert got.target == target
@@ -182,15 +182,50 @@ def test_fuzzy_walks_sign_as_the_array_predicate_next_to_every_hyperplane(seed):
     for guard in sk.guards.values():
         for row, b in zip(guard.matrix, guard.offset):
             for x in near_hyperplane(rng, row, b):
-                assert _finite_signs_at(guard, x.tolist()) == sign_vector(guard, x)
+                assert _signs_at(guard, x.tolist()) == array_signs(guard, x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fuzzy_walks_reject_a_non_finite_state(rng, bad):
-    fg = from_relu_softmax_net(random_network(rng, [2, 4, 3], RELU, final=SOFTMAX))
-    for walk in (evaluate_fuzzy, evaluate_fuzzy_pathsum):
-        with pytest.raises(NonFinitePointError):
-            walk(fg, [0.5, bad])
+    # a sigmoid chain has no guard, so no sign is asked of its input
+    for fg in (from_relu_softmax_net(random_network(rng, [2, 4, 3], RELU, final=SOFTMAX)),
+               from_sigmoid_net(random_network(rng, [2, 4, 3], SIGMOID, final=SOFTMAX))):
+        for walk in (evaluate_fuzzy, evaluate_fuzzy_pathsum):
+            with pytest.raises(NonFinitePointError):
+                walk(fg, [0.5, bad])
+
+
+@pytest.mark.parametrize("importer, kind", [(from_sigmoid_net, AFFINE_SIGMOID),
+                                            (from_relu_softmax_net, AFFINE_SOFTMAX)])
+def test_fuzzy_walks_reject_a_non_finite_state_an_arrow_map_makes(rng, importer, kind):
+    hidden = SIGMOID if importer is from_sigmoid_net else RELU
+    doc = fuzzy_to_dict(importer(random_network(rng, [2, 3, 2], hidden, final=SOFTMAX)))
+    for m in doc["arrow_maps"].values():
+        if m["kind"] == kind:  # the sigmoid chain's hidden map, or every relu leaf's map
+            m["offset"][1] = np.nan
+    fg = fuzzy_from_dict(doc)
+    for x in rng.normal(size=(5, 2)):
+        for walk in (evaluate_fuzzy, evaluate_fuzzy_pathsum):
+            with pytest.raises(NonFinitePointError):
+                walk(fg, x)
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda m: m.update(kind="bogus"), "'bogus'"),
+    (lambda m: m.pop("matrix"), "no matrix"),
+    (lambda m: m.pop("offset"), "no offset"),
+])
+def test_an_arrow_map_names_an_unknown_kind_or_a_missing_field(rng, change, named):
+    doc = fuzzy_to_dict(from_sigmoid_net(random_network(rng, [2, 3, 2], SIGMOID,
+                                                        final=SOFTMAX)))
+    for m in doc["arrow_maps"].values():
+        if m["kind"] == AFFINE_SOFTMAX:
+            change(m)
+    with pytest.raises(StateSpaceMismatchError, match=named):
+        fuzzy_from_dict(doc)
+    for kind, field in ((PROJECT, "indices"), (CONSTANT, "const")):
+        with pytest.raises(StateSpaceMismatchError, match=f"no {field}"):
+            ArrowMap(kind)
 
 
 def test_pathsum_takes_one_state(rng):

@@ -62,7 +62,7 @@ from logifold.networks import (RELU, SOFTMAX, STEP, NetworkSpec, compile_relu_ne
                                compile_step_net, random_network)
 from logifold.semilinear import from_llgraph, semilinear_to_dict, to_llgraph
 
-from conftest import (make_cyclic_graph, make_diamond_graph, make_holed_graph,
+from conftest import (array_signs, make_cyclic_graph, make_diamond_graph, make_holed_graph,
                       make_pruned_graph, make_step_graph)
 
 
@@ -123,7 +123,7 @@ def test_a_single_walk_signs_a_point_as_the_array_predicate_does(data):
                                  if math.isfinite(at) else FLOATS))
     guard = AffineMap(np.array(rows).reshape(len(rows), n), np.array(offsets))
     with np.errstate(over="ignore", invalid="ignore"):
-        want = sign_vector(guard, np.array(point))
+        want = array_signs(guard, point)
     assert graph._signs_at(guard, point) == want
 
 
@@ -134,7 +134,7 @@ def test_a_single_walk_signs_the_mutation_bases_as_the_array_predicate_does():
                             np.zeros((1, 2)), -np.zeros((1, 2))])
         for guard in g.guards.values():
             for x in probes:
-                assert graph._signs_at(guard, x.tolist()) == sign_vector(guard, x)
+                assert graph._signs_at(guard, x.tolist()) == array_signs(guard, x)
         assert_batch_walk_matches_single_walks(g, probes)
 
 

@@ -565,6 +565,63 @@ def test_classical_logits_row_does_not_depend_on_the_batch(seed, hidden, widths,
         assert labels[r] == np.argmax(Z[r])
 
 
+def _boundary_probes(net, rng, pairs=40, ulps=3):
+    """Float points next to the network's label boundaries: pairs of Gaussian
+    points whose batch labels differ are bisected to adjacent floats, and
+    each coordinate of the boundary point found is moved -ulps..ulps floats."""
+    n = net.input_dim
+    A, B = rng.normal(scale=2.0, size=(2, pairs, n))
+    differ = forward_classical_batch(net, A) != forward_classical_batch(net, B)
+    lo, hi = A[differ], B[differ]
+    for _ in range(64):  # the label at lo stays lo's start, at hi hi's
+        mid = lo + (hi - lo) / 2
+        same = forward_classical_batch(net, mid) == forward_classical_batch(net, lo)
+        lo[same], hi[~same] = mid[same], mid[~same]
+    probes = []
+    for p in lo:
+        for j in range(n):
+            for toward in (-np.inf, np.inf):
+                q = p.copy()
+                for _ in range(ulps):
+                    q[j] = np.nextafter(q[j], toward)
+                    probes.append(q.copy())
+    return np.array([*lo, *probes]).reshape(-1, n)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_one_point_forward_pass_is_its_batch_row(seed):
+    # seeded sweep-range relu nets, at Gaussian points and next to their
+    # label boundaries, where a second float sum would flip labels
+    rng = np.random.default_rng([4003, seed])
+    for _ in range(5):
+        net = random_network(rng, _sweep_dims(rng), "relu")
+        X = np.vstack([rng.normal(scale=2.0, size=(100, net.input_dim)),
+                       _boundary_probes(net, rng)])
+        Z, labels = forward_logits_batch(net, X), forward_classical_batch(net, X)
+        for x, z, label in zip(X, Z, labels):
+            assert forward_logits(net, x).tobytes() == z.tobytes()
+            assert forward_classical(net, x) == label
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_forward_passes_reject_non_finite_points(rng, bad):
+    x = np.array([0.5, bad])
+    X = np.array([[0.5, 0.5], x])
+    for hidden in ("step", "relu"):
+        net = random_network(rng, [2, 3, 3], hidden)
+        for run in (lambda: forward_classical(net, x), lambda: forward_logits(net, x),
+                    lambda: forward_classical_batch(net, X),
+                    lambda: forward_logits_batch(net, X)):
+            with pytest.raises(NonFinitePointError):
+                run()
+    for net in _each_kind(rng).values():
+        if "softmax" in net.kind:
+            with pytest.raises(NonFinitePointError):
+                forward_smooth(net, x)
+            with pytest.raises(NonFinitePointError):
+                forward_smooth_batch(net, X)
+
+
 def _each_kind(rng):
     """One model of each kind, by the name an UnsupportedActivationError gives it."""
     plain = {f"{h}/{f}": random_network(rng, [2, 3, 3], h, f) for h, f in [

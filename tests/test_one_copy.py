@@ -32,7 +32,13 @@ its array form): outside `graph`, no module sums products by a map of
 `mul`, sums the products `a * x` of a comprehension over `zip`, or starts
 a sum at a float (`next` or `sum` with a float default, `math.fsum`), but
 for the integer dot products of `feasibility` and of the exact relu steps
-`networks.forward_exact` and `networks._next_map`.
+`networks.forward_exact` and `networks._next_map`.  Neither `graph` nor
+`networks` makes a matrix product (`@`, `dot`, `matmul`), so a network's
+float values come only from the row-stable layer sum
+`networks._rows_through` and a guard's signs only from its row sums; the
+array predicate `graph._guard_signs` is called only by the batch steps,
+`graph._GuardStep.signs` and `graph._Split.route`, and every single point
+is signed by `graph._signs_at`.
 Each check walks the syntax tree, so a second copy fails here however it
 is spelled.
 """
@@ -55,6 +61,11 @@ SPLIT_HOMES = {("graph", "GraphBuilder.regions"), ("graph", "_walk_regions")}
 # (module, function) that may put a guarded vertex at a slot by `cut`
 CUT_HOMES = {("graph", "GraphBuilder.regions"), ("approx", "_cover_graph"),
              ("algebra", "identity_graph")}
+# (module, function) that may sign points by the array predicate `_guard_signs`
+GUARD_SIGNS_HOMES = {("graph", "_GuardStep.signs"), ("graph", "_Split.route")}
+# modules that make no matrix product, and the calls that make one
+NO_MATRIX_PRODUCT = {"graph", "networks"}
+MATRIX_PRODUCTS = {"dot", "matmul"}
 # (module, function) outside `feasibility` whose product maps sum integers
 INTEGER_SUM_HOMES = {("networks", "forward_exact"), ("networks", "_next_map")}
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
@@ -191,6 +202,19 @@ def float_sums(module: str, tree: ast.Module):
     return found
 
 
+def matrix_products(module: str, tree: ast.Module):
+    """The matrix products (`@`, `@=`, a `dot` or `matmul` call) of `graph`
+    and `networks`, whose float sums have one fixed order each."""
+    if module not in NO_MATRIX_PRODUCT:
+        return []
+    found = [f"{module}.{scope or '<module>'} multiplies matrices"
+             for scope, node in scoped(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    return found + [f"{module}.{scope or '<module>'} calls {name.rsplit('.', 1)[-1]}"
+                    for scope, name in calls(tree)
+                    if name.rsplit(".", 1)[-1] in MATRIX_PRODUCTS]
+
+
 def strays(module: str, tree: ast.Module):
     """The calls and reads of `module` that make a second copy of any
     conversion, of the check of network kinds, or of the graph builder."""
@@ -204,12 +228,14 @@ def strays(module: str, tree: ast.Module):
             found.append(f"{module}.{scope or '<module>'} calls chambers")
         if conversion == "cut" and (module, scope) not in CUT_HOMES:
             found.append(f"{module}.{scope or '<module>'} calls cut")
+        if conversion == "_guard_signs" and (module, scope) not in GUARD_SIGNS_HOMES:
+            found.append(f"{module}.{scope or '<module>'} calls _guard_signs")
         if name in JSON_CALLS and name not in JSON_HOMES.get((module, scope), ()):
             found.append(f"{module}.{scope or '<module>'} calls {name}")
         if conversion in GRAPH_PARTS and (module, scope.split(".")[0]) not in GRAPH_HOMES:
             found.append(f"{module}.{scope or '<module>'} constructs {conversion}")
     return (found + activation_reads(module, tree) + point_checks(module, tree)
-            + float_sums(module, tree))
+            + float_sums(module, tree) + matrix_products(module, tree))
 
 
 def test_each_conversion_has_one_copy_in_the_package():
@@ -343,3 +369,36 @@ def forward_exact(net, x):
         "networks.value sums a row", "networks.value sums a row",
         "networks.value sums a row", "networks.exact sums a row", "networks.dot sums a row"]
     assert strays("feasibility", ast.parse(second)) == []
+
+
+def test_the_check_sees_a_matrix_product_or_a_second_point_predicate():
+    second = """
+import numpy as np
+from numpy import matmul
+
+class AffineMap:
+    def __call__(self, x):
+        return self.matrix @ x + self.offset
+
+def sign_vector(guard, x):
+    return _guard_signs(*_sign_terms(guard), x[:, None])
+
+class _Split:
+    def route(self, buf, XT, idx, whole):
+        return _guard_signs(self.columns, self.neg_offset, XT)
+
+def forward(net, a):
+    for layer in net.layers:
+        a = np.dot(layer.matrix, a)
+        a @= layer.matrix.T
+    return matmul(a, net.head.matrix.T) + a.dot(net.head.offset)
+"""
+    assert strays("graph", ast.parse(second)) == [
+        "graph.sign_vector calls _guard_signs",
+        "graph.AffineMap.__call__ multiplies matrices", "graph.forward multiplies matrices",
+        "graph.forward calls dot", "graph.forward calls matmul", "graph.forward calls dot"]
+    assert strays("networks", ast.parse(second))[-4:] == [
+        "networks.forward multiplies matrices", "networks.forward calls dot",
+        "networks.forward calls matmul", "networks.forward calls dot"]
+    assert strays("fuzzy", ast.parse(second)) == [
+        "fuzzy.sign_vector calls _guard_signs", "fuzzy._Split.route calls _guard_signs"]
